@@ -139,7 +139,7 @@ def infer(model: KripkeStructure, bound: int,
         if found is None:
             break
         candidate = found.formula
-        if any(ctl.syntactically_equal(candidate, p) for p in proposed):
+        if candidate in proposed:
             raise CegError(
                 f"candidate {ctl.print_ctl(candidate)} proposed twice")
         proposed.append(candidate)
@@ -226,7 +226,7 @@ def verify_solution(model: KripkeStructure, bound: int, result: CegReport,
             if not checker.holds(model, candidate):
                 continue
             candidates_audited += 1
-            if ctl.syntactically_equal(candidate, formula):
+            if candidate == formula:
                 continue
             if synth.implies(candidate, formula, synth_states,
                              model.alphabet) is not None:

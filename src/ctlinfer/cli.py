@@ -16,23 +16,22 @@ Subcommands:
 Standard output is machine-parseable: the final answer is the last line,
 prefixed `result: `.  Diagnostics go to standard error.  Exit codes:
 0 success, 1 negative verdict (fails / no model / no consistent formula),
-2 usage or parse errors, 3 backend failure.  `--seed` makes backend
-decisions reproducible: identical invocations with the same seed produce
-identical output.
+2 usage, parse or I/O errors (such as an unwritable output path), 3
+backend failure.  `--seed` makes backend decisions reproducible:
+identical invocations with the same seed produce identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from . import ceg, checker, ctl, encoder, kripke, learner, synth
 from .sat import BackendFailure
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -40,13 +39,6 @@ EXIT_USAGE = 2
 EXIT_BACKEND = 3
 
 _VERSION = "0.1.0"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus its arguments."""
-    subcommand: str
-    args: argparse.Namespace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -233,11 +225,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as err:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(err.code or 0)
-    config = RunConfig(subcommand=args.subcommand, args=args)
     try:
-        return _COMMANDS[config.subcommand](config.args)
+        return _COMMANDS[args.subcommand](args)
     except (kripke.KripkeError, ctl.CtlError, learner.AlphabetMismatch,
-            ValueError) as err:
+            ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (BackendFailure, synth.SynthesisInconsistency,

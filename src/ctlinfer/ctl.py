@@ -25,8 +25,7 @@ __all__ = [
     "ForallFinally", "CtlError", "ParseError", "NotInEnf",
     "RESERVED_WORDS", "parse_ctl", "print_ctl", "enf", "is_enf",
     "subformulas", "size", "propositions", "evaluate_constant",
-    "syntactically_equal", "DagNode", "SyntaxDag", "to_dag",
-    "enumerate_formulas",
+    "DagNode", "SyntaxDag", "to_dag", "enumerate_formulas",
 ]
 
 # Words the formula lexer claims for itself; they cannot name propositions.
@@ -192,16 +191,6 @@ def size(f: CtlFormula) -> int:
 
 def propositions(f: CtlFormula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Prop))
-
-
-def syntactically_equal(f: CtlFormula, g: CtlFormula) -> bool:
-    """Structural identity of two formulas.
-
-    Two formulas are syntactically equal exactly when their canonical
-    syntax DAGs coincide up to node renumbering, which for immutable trees
-    is plain structural equality; `p & q` and `q & p` are different.
-    """
-    return f == g
 
 
 def evaluate_constant(f: CtlFormula) -> bool:

@@ -324,7 +324,7 @@ def _true_key(assignment: Mapping[int, bool], pool: VarPool, kind: str,
               i: int, candidates: Iterable) -> object:
     hits = [c for c in candidates if assignment[pool.get(kind, i, c)]]
     if len(hits) != 1:
-        raise ValueError(
+        raise BackendFailure(
             f"assignment fixes {len(hits)} choices for {kind}({i})")
     return hits[0]
 

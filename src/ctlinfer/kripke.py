@@ -20,7 +20,6 @@ entries, and every parse runs through `validate`.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -30,7 +29,8 @@ from .ctl import RESERVED_WORDS
 __all__ = [
     "KripkeStructure", "KripkeError", "ParseError", "NonTotalTransition",
     "UnknownState", "UnknownProposition", "EmptyInitial", "InvalidStructure",
-    "validate", "parse_kripke", "print_kripke", "inline_kripke", "isomorphic",
+    "validate", "parse_kripke", "print_kripke", "inline_kripke",
+    "bisimulation_classes",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -318,34 +318,42 @@ def inline_kripke(m: KripkeStructure) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism on small structures
+# Bisimulation
 # ---------------------------------------------------------------------------
 
-def isomorphic(a: KripkeStructure, b: KripkeStructure) -> bool:
-    """Structure isomorphism by exhaustive permutation search.
+def _renumber(keys: Iterable) -> list[int]:
+    ids: dict = {}
+    return [ids.setdefault(key, len(ids)) for key in keys]
 
-    Intended for small inputs (the learner checks samples of up to eight
-    states); labels must match by proposition name.
+
+def bisimulation_classes(structures: Sequence[KripkeStructure],
+                         ) -> list[tuple[int, ...]]:
+    """Coarsest bisimulation on the disjoint union of the structures.
+
+    Returns one tuple per structure holding a class id per state; ids are
+    shared across structures, so two states (of the same or of different
+    structures) are bisimilar exactly when their ids are equal.  Signature
+    refinement: start from the label sets (compared by proposition name)
+    and split every class by the set of successor classes until the class
+    count stops growing (Kanellakis & Smolka 1990).
     """
-    if a.size != b.size:
-        return False
-    if set(a.alphabet) != set(b.alphabet):
-        return False
-    if len(a.initial) != len(b.initial):
-        return False
-    sig_a = sorted((tuple(sorted(a.labels[s])), s in a.initial,
-                    len(a.successors[s])) for s in range(a.size))
-    sig_b = sorted((tuple(sorted(b.labels[s])), s in b.initial,
-                    len(b.successors[s])) for s in range(b.size))
-    if sig_a != sig_b:
-        return False
-    states = range(a.size)
-    for perm in itertools.permutations(states):
-        if any(a.labels[s] != b.labels[perm[s]] for s in states):
-            continue
-        if {perm[s] for s in a.initial} != set(b.initial):
-            continue
-        if all({perm[t] for t in a.successors[s]} == set(b.successors[perm[s]])
-               for s in states):
-            return True
-    return False
+    labels: list[frozenset[str]] = []
+    succs: list[tuple[int, ...]] = []
+    for m in structures:
+        base = len(labels)
+        labels.extend(m.labels)
+        succs.extend(tuple(base + t for t in post) for post in m.successors)
+    block = _renumber(labels)
+    while True:
+        refined = _renumber(
+            (block[s], frozenset(block[t] for t in post))
+            for s, post in enumerate(succs))
+        if len(set(refined)) == len(set(block)):
+            break
+        block = refined
+    classes = []
+    base = 0
+    for m in structures:
+        classes.append(tuple(block[base:base + m.size]))
+        base += m.size
+    return classes

@@ -24,14 +24,11 @@ from typing import Sequence
 
 from . import ctl, encoder
 from .ctl import CtlFormula
-from .kripke import KripkeStructure, isomorphic
+from .kripke import KripkeStructure, bisimulation_classes
 from .sat import BackendFailure, CdclSolver
 
 __all__ = ["Sample", "BudgetTrace", "LearnResult", "AlphabetMismatch",
            "NoConsistentFormula", "learn_minimal", "infer_candidate"]
-
-# Isomorphism checking is exhaustive; above this size fall back to identity.
-_ISO_LIMIT = 8
 
 
 class AlphabetMismatch(ValueError):
@@ -42,8 +39,9 @@ class NoConsistentFormula(Exception):
     """No formula within the size budget separates the sample.
 
     Carries the per-budget solver trace; it is empty when the sample was
-    rejected outright because a positive and a negative structure are
-    isomorphic (no formula of any size can separate those).
+    rejected outright because some negative structure is bisimilar, on
+    its initial states, to the positives (see `Sample.has_conflict`): no
+    formula of any size separates such a sample.
     """
 
     def __init__(self, budgets: list["BudgetTrace"]):
@@ -76,20 +74,27 @@ class Sample:
         return self.structures[0].alphabet
 
     def has_conflict(self) -> bool:
-        """True iff some positive structure equals a negative one.
+        """True iff every initial state of some negative is bisimilar to
+        some positive initial state.
 
-        Checked by isomorphism up to eight states and by identity beyond;
-        such samples are unsatisfiable at every size budget because no
-        formula distinguishes isomorphic structures.
+        This is exactly when no CTL formula of any size separates the
+        sample.  CTL holds equally on bisimilar states (Browne, Clarke &
+        Grumberg 1988), so a formula true on every positive initial state
+        is then true on every initial state of that negative.  Conversely,
+        if every negative N has an initial state n bisimilar to no
+        positive initial state, then for each positive initial state p
+        some formula holds at p and fails at n (on finite structures,
+        bisimilar means agreeing on every formula built from
+        propositions, !, & and EX).  Their disjunction over the finitely
+        many p holds on all positives and fails at n, and the conjunction
+        of these over all N separates the sample.
         """
-        for pos in self.positives:
-            for neg in self.negatives:
-                if pos.size <= _ISO_LIMIT and neg.size <= _ISO_LIMIT:
-                    if isomorphic(pos, neg):
-                        return True
-                elif pos == neg:
-                    return True
-        return False
+        classes = bisimulation_classes(self.structures)
+        pos_classes = {cls[s] for m, cls in zip(self.positives, classes)
+                       for s in m.initial}
+        neg_classes = classes[len(self.positives):]
+        return any(all(cls[s] in pos_classes for s in m.initial)
+                   for m, cls in zip(self.negatives, neg_classes))
 
 
 @dataclass(frozen=True)
@@ -136,7 +141,7 @@ def _search(sample: Sample, max_size: int, discarded: Sequence[CtlFormula],
             if assignment is None:
                 break
             formula, lits = encoder.decode_with_literals(assignment, instance)
-            if any(ctl.syntactically_equal(formula, d) for d in discarded):
+            if formula in discarded:
                 # A renumbered embedding of a discarded formula: exclude
                 # this embedding and look for a different assignment.
                 backend.add_clause([-lit for lit in lits])

@@ -10,6 +10,7 @@ certify.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from pathlib import Path
@@ -176,6 +177,29 @@ def all_structures(num_states: int,
                     initial=init, labels=labels, successors=succs)
 
 
+def bisimilar_pairs(a: KripkeStructure,
+                    b: KripkeStructure) -> frozenset[tuple[int, int]]:
+    """Pairs (s, t) of states of a and b related by some bisimulation.
+
+    Enumerates every relation R over the states of a and b and keeps
+    those satisfying the zig-zag conditions: related states carry equal
+    labels, and every step of one side is matched by a step of the other
+    into a related pair.  Exponential in |a| * |b|; tiny inputs only.
+    """
+    pairs = [(s, t) for s in range(a.size) for t in range(b.size)]
+    found: set[tuple[int, int]] = set()
+    for mask in range(1 << len(pairs)):
+        rel = {pair for i, pair in enumerate(pairs) if mask >> i & 1}
+        if all(a.labels[s] == b.labels[t]
+               and all(any((s2, t2) in rel for t2 in b.successors[t])
+                       for s2 in a.successors[s])
+               and all(any((s2, t2) in rel for s2 in a.successors[s])
+                       for t2 in b.successors[t])
+               for s, t in rel):
+            found |= rel
+    return frozenset(found)
+
+
 # ---------------------------------------------------------------------------
 # Random formulas
 # ---------------------------------------------------------------------------
@@ -200,10 +224,16 @@ def random_ctl(rng: random.Random, alphabet: Sequence[str],
                 random_ctl(rng, alphabet, depth - 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _enf_formulas(alphabet: tuple[str, ...],
+                  max_size: int) -> tuple[CtlFormula, ...]:
+    return tuple(ctl.enumerate_formulas(alphabet, max_size))
+
+
 def random_enf(rng: random.Random, alphabet: Sequence[str],
                max_size: int) -> CtlFormula:
     """Uniform pick from the enumerated ENF fragment (exact size bound)."""
-    return rng.choice(ctl.enumerate_formulas(alphabet, max_size))
+    return rng.choice(_enf_formulas(tuple(alphabet), max_size))
 
 
 # ---------------------------------------------------------------------------

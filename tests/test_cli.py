@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import helpers
-from ctlinfer import cli, kripke, sat
+from ctlinfer import cli, encoder, kripke, sat
 from ctlinfer.cli import run
 
 FIX = helpers.FIXTURES
@@ -18,6 +18,12 @@ def invoke(capsys, *argv):
 
 def last_line(out):
     return out.rstrip("\n").splitlines()[-1]
+
+
+def assert_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestCheck:
@@ -92,6 +98,18 @@ class TestLearn:
         assert code == 1
         assert last_line(out) == "result: no consistent formula"
 
+    def test_inseparable_negative_prints_no_budget_lines(self, capsys,
+                                                         tmp_path):
+        two_cycle = tmp_path / "two_cycle_p.kripke"
+        two_cycle.write_text(
+            "kripke\nprops: p\nstates: a b\ninit: a\n"
+            "labels: a: p ; b: p\ntrans: a -> b ; b -> a\n")
+        code, out, _ = invoke(
+            capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
+            "--neg", str(two_cycle), "--max-size", "5")
+        assert code == 1
+        assert out == "result: no consistent formula\n"
+
     def test_mixed_alphabets_are_usage_error(self, capsys):
         code, _, err = invoke(
             capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
@@ -110,6 +128,12 @@ class TestLearn:
         text = (tmp_path / "omega_1.cnf").read_text()
         assert "p cnf " in text
 
+
+    def test_unwritable_dump_dir_is_usage(self, capsys, tmp_path):
+        code, _, err = invoke(
+            capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
+            "--max-size", "1", "--dump-cnf", str(tmp_path / "missing"))
+        assert_usage_error(code, err)
 
 class TestSynth:
     def test_model_output_parses_back(self, capsys):
@@ -169,6 +193,13 @@ class TestInfer:
                        for line in out.splitlines())
 
 
+    def test_unwritable_trace_is_usage(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys, "infer", str(FIX / "selfloop_p.kripke"), "--bound", "1",
+            "--trace", str(tmp_path / "missing" / "trace.txt"))
+        assert_usage_error(code, err)
+        assert out == ""
+
 class TestCnfDump:
     def test_writes_dimacs(self, capsys, tmp_path):
         target = tmp_path / "omega.cnf"
@@ -184,6 +215,13 @@ class TestCnfDump:
         assert int(num_vars) > 0 and int(num_clauses) > 0
         assert f"vars={num_vars}" in out
 
+
+    def test_unwritable_output_is_usage(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys, "cnf-dump", "--pos", str(FIX / "selfloop_p.kripke"),
+            "--size", "1", str(tmp_path / "missing" / "omega.cnf"))
+        assert_usage_error(code, err)
+        assert out == ""
 
 class TestUsage:
     def test_no_subcommand(self, capsys):
@@ -218,6 +256,17 @@ def test_backend_failure_exit_code(capsys, monkeypatch):
     assert code == 3
     assert "backend failure" in err
 
+
+
+def test_decode_audit_failure_exit_code(capsys, monkeypatch):
+    def no_choice(instance, **kwargs):
+        return dict.fromkeys(range(1, instance.pool.count + 1), False)
+
+    monkeypatch.setattr(encoder, "solve", no_choice)
+    code, _, err = invoke(capsys, "learn", "--pos",
+                          str(FIX / "selfloop_p.kripke"), "--max-size", "1")
+    assert code == 3
+    assert "backend failure: assignment fixes 0 choices" in err
 
 def test_seeded_runs_are_identical(capsys):
     argv = ["infer", str(FIX / "branching.kripke"),

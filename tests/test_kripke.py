@@ -136,32 +136,63 @@ def test_inline_is_single_line():
     assert line.startswith("kripke / props: p q / ")
 
 
+def renamed_by(m: KripkeStructure, perm: list[int]) -> KripkeStructure:
+    """m with state s moved to index perm[s] and every state renamed."""
+    return KripkeStructure(
+        alphabet=m.alphabet,
+        state_names=tuple(f"t{i}" for i in range(m.size)),
+        initial=frozenset(perm[s] for s in m.initial),
+        labels=tuple(m.labels[perm.index(s)] for s in range(m.size)),
+        successors=tuple(
+            frozenset(perm[t] for t in m.successors[perm.index(s)])
+            for s in range(m.size)))
+
+
+class TestBisimulation:
+    def test_agrees_with_relation_oracle_on_small_structures(self):
+        structures = [m for n in (1, 2)
+                      for m in helpers.all_structures(n, ("p",))]
+        for a in structures:
+            for b in structures:
+                ca, cb = kripke.bisimulation_classes([a, b])
+                got = {(s, t) for s in range(a.size) for t in range(b.size)
+                       if ca[s] == cb[t]}
+                assert got == helpers.bisimilar_pairs(a, b), (a, b)
+
+    def test_unfolded_loop_is_bisimilar(self):
+        loop = helpers.load_fixture("selfloop_p.kripke")
+        two_cycle = kripke.validate(
+            props=["p"], states=["a", "b"], init=["a"],
+            labels={"a": ["p"], "b": ["p"]},
+            trans={"a": ["b"], "b": ["a"]})
+        assert kripke.bisimulation_classes([loop, two_cycle]) == [(0,), (0, 0)]
+
+
 class TestIsomorphic:
+    """A structure under a state renaming gets the same classes; changing
+    its successors or its label names splits them."""
+
     def test_relabeled_states(self):
         a = small()
         b = kripke.validate(
             props=["p", "q"], states=["x1", "x0"], init=["x0"],
             labels={"x0": ["p"], "x1": ["q"]},
             trans={"x0": ["x1"], "x1": ["x1"]})
-        assert kripke.isomorphic(a, b)
+        ca, cb = kripke.bisimulation_classes([a, b])
+        assert ca == (cb[1], cb[0])
 
     def test_detects_difference(self):
         a = small()
-        b = small(trans={"s0": ["s0"], "s1": ["s1"]})
-        assert not kripke.isomorphic(a, b)
+        looped = small(trans={"s0": ["s0"], "s1": ["s1"]})
+        ca, cl = kripke.bisimulation_classes([a, looped])
+        assert ca[0] != cl[0]
+        assert ca[1] == cl[1]
 
     def test_label_names_matter(self):
         a = small()
-        b = kripke.validate(
-            props=["p", "q"], states=["s0", "s1"], init=["s0"],
-            labels={"s0": ["q"], "s1": ["p"]},
-            trans={"s0": ["s1"], "s1": ["s1"]})
-        assert not kripke.isomorphic(a, b)
-
-    def test_initial_states_matter(self):
-        a = small()
-        b = small(init=["s0", "s1"])
-        assert not kripke.isomorphic(a, b)
+        swapped = small(labels={"s0": ["q"], "s1": ["p"]})
+        ca, cs = kripke.bisimulation_classes([a, swapped])
+        assert set(ca).isdisjoint(cs)
 
     def test_invariant_under_permutation_random(self):
         rng = random.Random(77)
@@ -169,14 +200,5 @@ class TestIsomorphic:
             m = helpers.random_kripke(rng, max_states=4)
             perm = list(range(m.size))
             rng.shuffle(perm)
-            renamed = KripkeStructure(
-                alphabet=m.alphabet,
-                state_names=tuple(f"t{i}" for i in range(m.size)),
-                initial=frozenset(perm[s] for s in m.initial),
-                labels=tuple(m.labels[perm.index(s)]
-                             for s in range(m.size)),
-                successors=tuple(
-                    frozenset(perm[t] for t in m.successors[perm.index(s)])
-                    for s in range(m.size)),
-            )
-            assert kripke.isomorphic(m, renamed)
+            cm, cr = kripke.bisimulation_classes([m, renamed_by(m, perm)])
+            assert all(cm[s] == cr[perm[s]] for s in range(m.size))

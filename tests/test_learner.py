@@ -3,8 +3,15 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ctl, learner
+from ctlinfer import ctl, kripke, learner
+from ctlinfer.kripke import KripkeStructure
 from ctlinfer.learner import NoConsistentFormula, Sample
+
+
+def two_cycle_p():
+    return kripke.validate(
+        props=["p"], states=["a", "b"], init=["a"],
+        labels={"a": ["p"], "b": ["p"]}, trans={"a": ["b"], "b": ["a"]})
 
 
 def sample_of(pos_names, neg_names=()):
@@ -19,14 +26,37 @@ class TestSample:
             sample_of(["selfloop_p.kripke"], ["mutex.kripke"])
 
     def test_conflict_detection_is_isomorphism_aware(self):
-        from ctlinfer.kripke import KripkeStructure
         a = helpers.load_fixture("selfloop_p.kripke")
         renamed = KripkeStructure(
             alphabet=a.alphabet, state_names=("other",),
             initial=a.initial, labels=a.labels, successors=a.successors)
         assert Sample((a,), (renamed,)).has_conflict()
+        # Not isomorphic, but bisimilar: no formula separates them.
+        assert Sample((a,), (two_cycle_p(),)).has_conflict()
         assert not sample_of(["selfloop_p.kripke"],
                              ["selfloop_empty.kripke"]).has_conflict()
+
+    def test_conflict_needs_every_initial_state_covered(self):
+        loop = helpers.load_fixture("selfloop_p.kripke")
+        empty = helpers.load_fixture("selfloop_empty.kripke")
+        both = kripke.validate(
+            props=["p"], states=["a", "b"], init=["a", "b"],
+            labels={"a": ["p"]}, trans={"a": ["a"], "b": ["b"]})
+        assert not Sample((loop,), (both,)).has_conflict()
+        assert Sample((loop, empty), (both,)).has_conflict()
+
+    def test_conflicts_have_no_separating_formula(self):
+        rng = random.Random(2024)
+        conflicts = 0
+        for _ in range(150):
+            pos = [helpers.random_kripke(rng, 2, ("p",))
+                   for _ in range(rng.randint(1, 2))]
+            neg = [helpers.random_kripke(rng, 2, ("p",))
+                   for _ in range(rng.randint(1, 2))]
+            if Sample(tuple(pos), tuple(neg)).has_conflict():
+                conflicts += 1
+                assert helpers.brute_force_minimum(pos, neg, 3) is None
+        assert conflicts >= 10
 
     def test_needs_a_positive(self):
         with pytest.raises(ValueError):
@@ -73,6 +103,17 @@ class TestLearnMinimal:
             learner.learn_minimal(Sample((m,), (m,)), 3)
         assert err.value.budgets == []
 
+    def test_bisimilar_negative_raises_without_solving(self, monkeypatch):
+        def no_solver(*args, **kwargs):
+            raise AssertionError("the solver must not be started")
+
+        monkeypatch.setattr(learner, "CdclSolver", no_solver)
+        sample = Sample((helpers.load_fixture("selfloop_p.kripke"),),
+                        (two_cycle_p(),))
+        with pytest.raises(NoConsistentFormula) as err:
+            learner.learn_minimal(sample, 5)
+        assert err.value.budgets == []
+
     def test_exhausted_budgets_raise_with_trace(self):
         # No size-1 formula separates these: p holds on both structures
         # and q fails on the positive one.
@@ -107,7 +148,7 @@ class TestInferCandidate:
         for seed in range(8):
             got = learner.infer_candidate(m, 2, discarded=(p,), seed=seed)
             assert got is not None
-            assert not ctl.syntactically_equal(got.formula, p)
+            assert got.formula != p
 
     def test_negatives_and_discards_together(self):
         m = helpers.load_fixture("selfloop_p.kripke")
@@ -117,7 +158,7 @@ class TestInferCandidate:
                                       discarded=discarded, seed=1)
         assert got is not None
         f = got.formula
-        assert all(not ctl.syntactically_equal(f, d) for d in discarded)
+        assert f not in discarded
         assert helpers.naive_holds(m, f)
         assert not helpers.naive_holds(neg, f)
 
