@@ -161,22 +161,20 @@ def infer(model: KripkeStructure, bound: int,
                 discarded.append(candidate)
                 hypothesis = candidate
         else:
-            forward = synth.implies(candidate, hypothesis, synth_states,
-                                    alphabet, seed)
-            if forward is not None:
-                case, countermodel = 3, forward
-                negatives.append(forward)
+            verdict = synth.equivalent(candidate, hypothesis, synth_states,
+                                       alphabet, seed)
+            if verdict is None:
+                case, countermodel = 1, None
+                discarded.append(candidate)
+            elif verdict[0] == "forward":
+                # The candidate does not imply the hypothesis.
+                case, countermodel = 3, verdict[1]
+                negatives.append(countermodel)
             else:
-                backward = synth.implies(hypothesis, candidate, synth_states,
-                                         alphabet, seed)
-                if backward is None:
-                    case, countermodel = 1, None
-                    discarded.append(candidate)
-                else:
-                    case, countermodel = 2, backward
-                    negatives.append(backward)
-                    discarded.append(candidate)
-                    hypothesis = candidate
+                case, countermodel = 2, verdict[1]
+                negatives.append(countermodel)
+                discarded.append(candidate)
+                hypothesis = candidate
 
         entry = CegTraceEntry(len(trace) + 1, candidate, case, countermodel)
         trace.append(entry)

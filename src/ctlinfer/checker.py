@@ -13,15 +13,13 @@ keeps the fixed-point loops cheap; the public functions expose frozensets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from . import ctl
 from .ctl import (And, Const, CtlFormula, ExistsGlobally, ExistsNext,
                   ExistsUntil, Not, NotInEnf, Or, Prop)
 from .kripke import KripkeStructure, UnknownProposition
 
-__all__ = ["SatSet", "sat_set", "sat_set_table", "holds",
-           "eu_iterates", "eg_iterates"]
+__all__ = ["SatSet", "sat_set", "sat_set_table", "holds"]
 
 
 @dataclass(frozen=True)
@@ -151,41 +149,3 @@ def holds(m: KripkeStructure, f: CtlFormula) -> bool:
     """
     mask = _sat_mask(m, ctl.enf(f), _succ_masks(m), {})
     return all(mask >> s & 1 for s in m.initial)
-
-
-def _iterate(start: int, step) -> list[int]:
-    masks = [start]
-    while True:
-        nxt = step(masks[-1])
-        if nxt == masks[-1]:
-            return masks
-        masks.append(nxt)
-
-
-def eu_iterates(m: KripkeStructure, phi_states: Iterable[int],
-                psi_states: Iterable[int]) -> list[frozenset[int]]:
-    """Approximants of E[f U g] from the given phi/psi state sets.
-
-    T_1 is the psi set and T_{k+1} adds the phi states with a successor in
-    T_k.  The sequence is monotone and the last entry is the fixed point;
-    it stabilizes within |S| + 1 entries and further steps repeat it.
-    """
-    succ = _succ_masks(m)
-    phi = sum(1 << s for s in set(phi_states))
-    psi = sum(1 << s for s in set(psi_states))
-    masks = _iterate(psi, lambda t: t | (phi & _ex_mask(succ, t)))
-    return [_to_set(t, m.size) for t in masks]
-
-
-def eg_iterates(m: KripkeStructure,
-                phi_states: Iterable[int]) -> list[frozenset[int]]:
-    """Approximants of EG f from the given phi state set.
-
-    T_1 is the phi set and T_{k+1} keeps the phi states with a successor
-    in T_k.  The sequence is antitone and the last entry is the fixed
-    point; it stabilizes within |S| + 1 entries.
-    """
-    succ = _succ_masks(m)
-    phi = sum(1 << s for s in set(phi_states))
-    masks = _iterate(phi, lambda t: phi & _ex_mask(succ, t))
-    return [_to_set(t, m.size) for t in masks]

@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from . import ceg, checker, ctl, encoder, kripke, learner, synth
+from . import __version__, ceg, checker, ctl, encoder, kripke, learner, synth
 from .sat import BackendFailure
 
 __all__ = ["run", "main"]
@@ -38,16 +38,13 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BACKEND = 3
 
-_VERSION = "0.1.0"
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ctlinfer",
         description="Infer and check concise CTL properties of "
                     "Kripke structures.")
     parser.add_argument("--version", action="version",
-                        version=f"ctlinfer {_VERSION}")
+                        version=f"ctlinfer {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_check = sub.add_parser("check", help="model check a formula")
@@ -135,6 +132,9 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     sample = _load_sample(args.pos, args.neg)
     if args.max_size < 1:
         raise ctl.CtlError("--max-size must be at least 1")
+    if args.dump_cnf is not None and not Path(args.dump_cnf).is_dir():
+        raise NotADirectoryError(f"--dump-cnf {args.dump_cnf} is not a "
+                                 "directory")
     try:
         result = learner.learn_minimal(sample, args.max_size,
                                        seed=args.seed,

@@ -461,6 +461,8 @@ BINARY_LABELS = frozenset({AND_LABEL, OR_LABEL, EU_LABEL})
 _NODE_LABEL = {Not: NOT_LABEL, And: AND_LABEL, Or: OR_LABEL,
                ExistsNext: EX_LABEL, ExistsUntil: EU_LABEL,
                ExistsGlobally: EG_LABEL}
+# The inverse of `_NODE_LABEL`: the formula constructor of each operator.
+LABEL_CONSTRUCTORS = {label: ctor for ctor, label in _NODE_LABEL.items()}
 
 
 @dataclass(frozen=True, slots=True)
@@ -502,13 +504,10 @@ class SyntaxDag:
             if node.left is None:
                 built[i] = Prop(node.label)
             elif node.right is None:
-                ctor = {NOT_LABEL: Not, EX_LABEL: ExistsNext,
-                        EG_LABEL: ExistsGlobally}[node.label]
-                built[i] = ctor(built[node.left])
+                built[i] = LABEL_CONSTRUCTORS[node.label](built[node.left])
             else:
-                ctor = {AND_LABEL: And, OR_LABEL: Or,
-                        EU_LABEL: ExistsUntil}[node.label]
-                built[i] = ctor(built[node.left], built[node.right])
+                built[i] = LABEL_CONSTRUCTORS[node.label](
+                    built[node.left], built[node.right])
         return built[self.root]
 
 

@@ -13,7 +13,9 @@ together with its evaluation on every structure of the sample:
   fixed points, which stabilize within |S| + 1 iterations.
 
 Semantic constraints are equivalences guarded by the label/child choice,
-so once the x/l/r variables are fixed all y/ys values are forced.
+so once the x/l/r variables are fixed all y/ys values are forced.  They
+come from `lower_node`, the single home of the EX/EU/EG step semantics,
+which bounded synthesis (`synth`) also lowers its symbolic structures with.
 Consistency requires the root to hold in every initial state of the
 positive structures and to fail in some initial state of each negative
 one.  Blocking clauses exclude previously found formulas by negating the
@@ -25,7 +27,7 @@ renumbered embeddings are excluded downstream by decode-and-recheck).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import ctl, sat
 from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
@@ -33,9 +35,9 @@ from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-__all__ = ["VarPool", "EncodingInstance", "build_structural",
-           "build_semantic", "build_consistency", "build_block",
-           "build_instance", "load_backend", "solve", "decode",
+__all__ = ["VarPool", "EncodingInstance", "NODE_PARTS", "lower_node",
+           "build_structural", "build_semantic", "build_consistency",
+           "build_block", "build_instance", "load_backend", "solve", "decode",
            "decode_with_literals", "formula_assumptions", "to_dimacs",
            "BackendFailure"]
 
@@ -152,17 +154,63 @@ def build_structural(pool: VarPool, n: int,
     return clauses
 
 
+# The parts of each operator's step semantics, named by the children they
+# read, in the order bounded synthesis lowers them.
+NODE_PARTS = {NOT_LABEL: ("l",), EX_LABEL: ("l",), AND_LABEL: ("lr",),
+              OR_LABEL: ("lr",), EU_LABEL: ("r", "l", ""),
+              EG_LABEL: ("l", "")}
+
+
+def lower_node(clauses: list[Clause], label: str, reads: str, s: int,
+               out: int, left: Callable[[int], int] | None,
+               right: Callable[[int], int] | None,
+               step: Callable[[int, int], int],
+               successors: Callable[[int, Callable[[int], int]], list[int]],
+               depth: int, guards: Sequence[int] = ()) -> None:
+    """Append one part of an operator node's semantics at state s.
+
+    The single CNF lowering of the CTL step semantics, for formula search
+    (known structure) and bounded synthesis (symbolic structure).  The
+    part, one of `NODE_PARTS[label]`, is named by the children it reads:
+    "l" for NOT, EX, the EG base and steps and the EU steps; "r" for the
+    EU base; "lr" for AND and OR; "" for the EU/EG link to `out`.
+    `left`/`right` map a state to a child literal, `step(t, k)` is the
+    k-th EU/EG approximant (k in 1..depth + 1) and `successors(s, lit)`
+    lists literals whose disjunction says a successor t has `lit(t)`.
+    """
+    if reads == "":
+        clauses.extend(sat.equiv_lit(out, step(s, depth + 1), guards))
+    elif reads == "r":
+        clauses.extend(sat.equiv_lit(step(s, 1), right(s), guards))
+    elif reads == "lr":
+        equiv = sat.equiv_and if label == AND_LABEL else sat.equiv_or
+        clauses.extend(equiv(out, [left(s), right(s)], guards))
+    elif label == NOT_LABEL:
+        clauses.extend(sat.equiv_not(out, left(s), guards))
+    elif label == EX_LABEL:
+        clauses.extend(sat.equiv_or(out, successors(s, left), guards))
+    else:
+        if label == EG_LABEL:
+            clauses.extend(sat.equiv_lit(step(s, 1), left(s), guards))
+        for k in range(1, depth + 1):
+            reached = successors(s, lambda t: step(t, k))
+            if label == EU_LABEL:
+                clauses.extend(sat.equiv_or_and_disj(
+                    step(s, k + 1), step(s, k), left(s), reached, guards))
+            else:
+                clauses.extend(sat.equiv_and_disj(
+                    step(s, k + 1), left(s), reached, guards))
+
+
 def build_semantic(pool: VarPool, n: int,
                    structures: Sequence[KripkeStructure]) -> list[Clause]:
     """Guarded evaluation equivalences for every node, label and child.
 
-    The until/globally constraints are factored by guard: the base case
-    depends only on the relevant child choice, the step case only on the
-    left child, and the fixed-point link `y <-> ys(|S|+1)` only on the
-    label.  Under the exactly-one structural constraints this is
-    equivalent to guarding each equivalence with the full label-and-both-
-    children choice, but emits linearly rather than quadratically many
-    clauses.
+    Each `lower_node` part is guarded by the label and only the child
+    choices it reads: `(x, l(i, j))`, `(x, r(i, j))`, `(x, l(i, j),
+    r(i, j2))` or `(x,)`.  Under the exactly-one structural constraints
+    this equals guarding with the full label-and-children choice, but
+    emits linearly rather than quadratically many unary and EU/EG clauses.
     """
     if not structures:
         return []
@@ -171,69 +219,47 @@ def build_semantic(pool: VarPool, n: int,
     for m, struct in enumerate(structures):
         if struct.alphabet != alphabet:
             raise ValueError("sample structures must share one alphabet")
-        big_k = struct.size
-        post = struct.successors
+        states = range(struct.size)
+        post = [sorted(struct.successors[s]) for s in states]
 
-        def y(i: int, s: int) -> int:
-            return pool.var("y", m, i, s)
+        y = [lambda s, i=i: pool.var("y", m, i, s) for i in range(n + 1)]
 
-        def ys(i: int, s: int, k: int) -> int:
-            return pool.var("ys", m, i, s, k)
+        def successors(s: int, lit: Callable[[int], int]) -> list[int]:
+            return [lit(t) for t in post[s]]
 
         for i in range(1, n + 1):
             for p in alphabet:
                 guard = pool.var("x", i, p)
-                for s in range(struct.size):
+                for s in states:
                     if p in struct.labels[s]:
-                        clauses.append((-guard, y(i, s)))
+                        clauses.append((-guard, y[i](s)))
                     else:
-                        clauses.append((-guard, -y(i, s)))
+                        clauses.append((-guard, -y[i](s)))
             if i == 1:
                 continue  # node 1 is structurally a proposition
-            x_not = pool.var("x", i, NOT_LABEL)
-            x_and = pool.var("x", i, AND_LABEL)
-            x_or = pool.var("x", i, OR_LABEL)
-            x_ex = pool.var("x", i, EX_LABEL)
-            x_eu = pool.var("x", i, EU_LABEL)
-            x_eg = pool.var("x", i, EG_LABEL)
-            for j in range(1, i):
-                left = pool.var("l", i, j)
-                right = pool.var("r", i, j)
-                for s in range(struct.size):
-                    succ = sorted(post[s])
-                    clauses.extend(sat.equiv_not(
-                        y(i, s), y(j, s), guards=(x_not, left)))
-                    clauses.extend(sat.equiv_or(
-                        y(i, s), [y(j, t) for t in succ],
-                        guards=(x_ex, left)))
-                    # EU base case reads the right child only.
-                    clauses.extend(sat.equiv_lit(
-                        ys(i, s, 1), y(j, s), guards=(x_eu, right)))
-                    clauses.extend(sat.equiv_lit(
-                        ys(i, s, 1), y(j, s), guards=(x_eg, left)))
-                    for k in range(1, big_k + 1):
-                        steps = [ys(i, t, k) for t in succ]
-                        clauses.extend(sat.equiv_or_and_disj(
-                            ys(i, s, k + 1), ys(i, s, k), y(j, s), steps,
-                            guards=(x_eu, left)))
-                        clauses.extend(sat.equiv_and_disj(
-                            ys(i, s, k + 1), y(j, s), steps,
-                            guards=(x_eg, left)))
-            for j in range(1, i):
-                for j2 in range(1, i):
-                    guards = (pool.var("l", i, j), pool.var("r", i, j2))
-                    for s in range(struct.size):
-                        clauses.extend(sat.equiv_and(
-                            y(i, s), [y(j, s), y(j2, s)],
-                            guards=(x_and,) + guards))
-                        clauses.extend(sat.equiv_or(
-                            y(i, s), [y(j, s), y(j2, s)],
-                            guards=(x_or,) + guards))
-            for s in range(struct.size):
-                clauses.extend(sat.equiv_lit(
-                    y(i, s), ys(i, s, big_k + 1), guards=(x_eu,)))
-                clauses.extend(sat.equiv_lit(
-                    y(i, s), ys(i, s, big_k + 1), guards=(x_eg,)))
+            x = {label: pool.var("x", i, label) for label in OPERATOR_LABELS}
+
+            def step(s: int, k: int, i: int = i) -> int:
+                return pool.var("ys", m, i, s, k)
+
+            # One entry per child choice, mapping the parts that read it
+            # to their guard and children.
+            choices = [{"l": ((pool.var("l", i, j),), y[j], None),
+                        "r": ((pool.var("r", i, j),), None, y[j])}
+                       for j in range(1, i)]
+            choices += [{"lr": ((pool.var("l", i, j), pool.var("r", i, j2)),
+                                y[j], y[j2])}
+                        for j in range(1, i) for j2 in range(1, i)]
+            choices.append({"": ((), None, None)})
+            for choice in choices:
+                for s in states:
+                    for label in OPERATOR_LABELS:
+                        for reads in NODE_PARTS[label]:
+                            if reads in choice:
+                                guard, left, right = choice[reads]
+                                lower_node(clauses, label, reads, s, y[i](s),
+                                           left, right, step, successors,
+                                           struct.size, (x[label],) + guard)
     return clauses
 
 
@@ -355,13 +381,9 @@ def decode_with_literals(assignment: Mapping[int, bool],
             if lab in BINARY_LABELS:
                 j2 = _true_key(assignment, pool, "r", i, range(1, i))
                 lits.append(pool.get("r", i, j2))
-                ctor = {AND_LABEL: ctl.And, OR_LABEL: ctl.Or,
-                        EU_LABEL: ctl.ExistsUntil}[lab]
-                f = ctor(build(j), build(j2))
+                f = ctl.LABEL_CONSTRUCTORS[lab](build(j), build(j2))
             else:
-                ctor = {NOT_LABEL: ctl.Not, EX_LABEL: ctl.ExistsNext,
-                        EG_LABEL: ctl.ExistsGlobally}[lab]
-                f = ctor(build(j))
+                f = ctl.LABEL_CONSTRUCTORS[lab](build(j))
         built[i] = f
         return f
 

@@ -4,7 +4,9 @@ Variables are positive integers and literals are signed integers.  The
 encoders in this package lower their constraints to CNF by hand from a
 small vocabulary of guarded equivalences (`equiv_*` below); a guard list
 [g1, .., gk] prefixes every emitted clause with the negated guards, i.e.
-encodes g1 & .. & gk -> (equivalence).
+encodes g1 & .. & gk -> (equivalence).  The until/globally step shapes
+are used only by `encoder.lower_node`, the single home of the CTL step
+semantics for both formula search and bounded synthesis.
 
 `CdclSolver` is the in-process default backend: a conflict-driven clause
 learning solver with two-watched-literal propagation, first-UIP conflict

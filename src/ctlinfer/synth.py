@@ -12,6 +12,9 @@ CNF instance over free transition and labeling variables is solved:
   semantic variables);
 * EU/EG fixed points unroll into step variables over k = 1..m'+1.
 
+Operators are lowered by `encoder.lower_node`, the single home of the
+step semantics; only successors and propositions are symbolic here.
+
 Every synthesized structure is verified with the explicit-state checker
 before being returned; a verification failure is a hard internal error
 (`SynthesisInconsistency`), never a silent wrong answer.  A None result
@@ -24,14 +27,13 @@ synthesis of countermodels for f & !g.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import checker, ctl
 from .ctl import And, CtlFormula, Not
-from .encoder import VarPool
+from .encoder import NODE_PARTS, VarPool, lower_node
 from .kripke import KripkeStructure
-from .sat import (CdclSolver, Clause, equiv_and, equiv_and_disj, equiv_lit,
-                  equiv_not, equiv_or, equiv_or_and_disj)
+from .sat import CdclSolver, Clause, equiv_and, equiv_lit
 
 __all__ = ["SynthesisInconsistency", "synthesize", "implies", "equivalent"]
 
@@ -98,49 +100,23 @@ def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
             products[key] = got
         return got
 
-    def reach(i: int, s: int, k: int) -> list[int]:
-        # t(s, s') & st(i, s', k), one shared product per pair
-        return [product(pool.get("t", s, t), pool.get("st", i, t, k))
-                for t in states]
+    def successors(s: int, lit: Callable[[int], int]) -> list[int]:
+        # t(s, s') & lit(s'), one shared product per pair
+        return [product(pool.get("t", s, t), lit(t)) for t in states]
 
     for i, node in dag:
-        h = lambda s, i=i: pool.get("h", i, s)
         if node.left is None:
             for s in states:
-                clauses.extend(equiv_lit(h(s), pool.get("lab", s, node.label)))
+                clauses.extend(equiv_lit(pool.get("h", i, s),
+                                         pool.get("lab", s, node.label)))
             continue
-        hl = lambda s, j=node.left: pool.get("h", j, s)
-        if node.label == ctl.NOT_LABEL:
-            for s in states:
-                clauses.extend(equiv_not(h(s), hl(s)))
-        elif node.label == ctl.EX_LABEL:
-            for s in states:
-                clauses.extend(equiv_or(h(s), [
-                    product(pool.get("t", s, t), hl(t)) for t in states]))
-        elif node.label == ctl.EG_LABEL:
-            st = lambda s, k, i=i: pool.get("st", i, s, k)
-            for s in states:
-                clauses.extend(equiv_lit(st(s, 1), hl(s)))
-                for k in range(1, num_states + 1):
-                    clauses.extend(equiv_and_disj(
-                        st(s, k + 1), hl(s), reach(i, s, k)))
-                clauses.extend(equiv_lit(h(s), st(s, num_states + 1)))
-        else:
-            hr = lambda s, j=node.right: pool.get("h", j, s)
-            if node.label == ctl.AND_LABEL:
-                for s in states:
-                    clauses.extend(equiv_and(h(s), [hl(s), hr(s)]))
-            elif node.label == ctl.OR_LABEL:
-                for s in states:
-                    clauses.extend(equiv_or(h(s), [hl(s), hr(s)]))
-            else:  # EU
-                st = lambda s, k, i=i: pool.get("st", i, s, k)
-                for s in states:
-                    clauses.extend(equiv_lit(st(s, 1), hr(s)))
-                    for k in range(1, num_states + 1):
-                        clauses.extend(equiv_or_and_disj(
-                            st(s, k + 1), st(s, k), hl(s), reach(i, s, k)))
-                    clauses.extend(equiv_lit(h(s), st(s, num_states + 1)))
+        left = lambda s, j=node.left: pool.get("h", j, s)
+        right = lambda s, j=node.right: pool.get("h", j, s)
+        step = lambda s, k, i=i: pool.get("st", i, s, k)
+        for s in states:
+            for reads in NODE_PARTS[node.label]:
+                lower_node(clauses, node.label, reads, s, pool.get("h", i, s),
+                           left, right, step, successors, num_states)
 
     clauses.append((pool.get("h", dag.root, 0),))
     return pool, clauses

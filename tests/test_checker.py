@@ -93,48 +93,3 @@ class TestSatSetTable:
             table = checker.sat_set_table(m, f, cache=cache)
             for sub, states in table.items():
                 assert states == helpers.naive_sat(m, sub)
-
-
-class TestIterates:
-    def fixed_sets(self, m, phi_text, psi_text=None):
-        phi = checker.sat_set(m, ctl.parse_ctl(phi_text)).states
-        psi = (checker.sat_set(m, ctl.parse_ctl(psi_text)).states
-               if psi_text else None)
-        return phi, psi
-
-    def test_eu_matches_prefix_semantics(self):
-        rng = random.Random(102)
-        for _ in range(60):
-            m = helpers.random_kripke(rng, max_states=4)
-            phi, psi = self.fixed_sets(m, "p", "q")
-            steps = checker.eu_iterates(m, phi, psi)
-            assert steps[0] == psi
-            for k, level in enumerate(steps, start=1):
-                assert level == helpers.eu_prefix(m, phi, psi, k)
-            full = checker.sat_set(
-                m, ctl.parse_ctl("E[p U q]")).states
-            assert steps[-1] == full
-
-    def test_eg_matches_prefix_semantics(self):
-        rng = random.Random(103)
-        for _ in range(60):
-            m = helpers.random_kripke(rng, max_states=4)
-            phi, _ = self.fixed_sets(m, "p")
-            steps = checker.eg_iterates(m, phi)
-            assert steps[0] == phi
-            for k, level in enumerate(steps, start=1):
-                assert level == helpers.eg_prefix(m, phi, k)
-            full = checker.sat_set(m, ctl.parse_ctl("EG p")).states
-            assert steps[-1] == full
-
-    def test_monotone_and_stabilized(self):
-        rng = random.Random(104)
-        for _ in range(40):
-            m = helpers.random_kripke(rng, max_states=5)
-            phi, psi = self.fixed_sets(m, "p | q", "q")
-            eu = checker.eu_iterates(m, phi, psi)
-            assert all(a <= b for a, b in zip(eu, eu[1:]))
-            assert len(eu) <= m.size + 1
-            eg = checker.eg_iterates(m, phi)
-            assert all(b <= a for a, b in zip(eg, eg[1:]))
-            assert len(eg) <= m.size + 1

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ctlinfer
 import helpers
 from ctlinfer import cli, encoder, kripke, sat
 from ctlinfer.cli import run
@@ -134,6 +136,17 @@ class TestLearn:
             capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
             "--max-size", "1", "--dump-cnf", str(tmp_path / "missing"))
         assert_usage_error(code, err)
+
+    def test_missing_dump_dir_is_usage_on_conflicting_sample(self, capsys,
+                                                             tmp_path):
+        # The conflict check writes no budget file, so the directory is
+        # checked before it.
+        code, out, err = invoke(
+            capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
+            "--neg", str(FIX / "selfloop_p.kripke"), "--max-size", "2",
+            "--dump-cnf", str(tmp_path / "missing"))
+        assert_usage_error(code, err)
+        assert "result:" not in out
 
 class TestSynth:
     def test_model_output_parses_back(self, capsys):
@@ -277,9 +290,12 @@ def test_seeded_runs_are_identical(capsys):
 
 
 def test_console_entry_point():
+    # Run the package under test, also when pytest put it on sys.path.
+    src = os.path.dirname(os.path.dirname(ctlinfer.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ctlinfer", "check",
          str(FIX / "selfloop_p.kripke"), "p"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "result: holds"

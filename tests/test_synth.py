@@ -4,7 +4,9 @@ import pytest
 
 import helpers
 from ctlinfer import ctl, synth
-from ctlinfer.ctl import And, ExistsGlobally, ExistsNext, Not, Prop
+from ctlinfer.ctl import (And, ExistsGlobally, ExistsNext, ExistsUntil, Not,
+                          Prop)
+from ctlinfer.sat import CdclSolver
 
 
 class TestSynthesize:
@@ -129,3 +131,49 @@ class TestEquivalent:
         assert got is not None and got[0] == "backward"
         got = synth.equivalent(ctl.Or(p, q), And(p, q), max_states=3)
         assert got is not None and got[0] == "forward"
+
+
+class TestEncode:
+    def pinned_model(self, struct, dag):
+        """Solve the synthesis instance with t/lab fixed to `struct`."""
+        pool, clauses = synth._encode(dag, struct.size, struct.alphabet)
+        backend = CdclSolver(seed=0)
+        for clause in clauses:
+            backend.add_clause(clause)
+        backend.reserve(pool.count)
+        states = range(struct.size)
+        pins = [pool.get("t", s, t) if t in struct.successors[s]
+                else -pool.get("t", s, t) for s in states for t in states]
+        pins += [pool.get("lab", s, p) if p in struct.labels[s]
+                 else -pool.get("lab", s, p)
+                 for s in states for p in struct.alphabet]
+        assert backend.solve(pins)
+        return pool, backend.model()
+
+    def test_step_variables_match_prefix_semantics(self):
+        rng = random.Random(606)
+        phi, psi = Prop("p"), Prop("q")
+        checked = 0
+        while checked < 40:
+            struct = helpers.random_kripke(rng, max_states=3)
+            f = rng.choice([ExistsUntil(phi, psi), ExistsGlobally(phi)])
+            if 0 not in helpers.naive_sat(struct, f):
+                continue  # the instance asserts the formula at s0
+            dag = ctl.to_dag(f)
+            pool, model = self.pinned_model(struct, dag)
+            phi_set = helpers.naive_sat(struct, phi)
+            psi_set = helpers.naive_sat(struct, psi)
+            for k in range(1, struct.size + 2):
+                if isinstance(f, ExistsUntil):
+                    expected = helpers.eu_prefix(struct, phi_set, psi_set, k)
+                else:
+                    expected = helpers.eg_prefix(struct, phi_set, k)
+                for s in range(struct.size):
+                    got = model[pool.get("st", dag.root, s, k)]
+                    assert got == (s in expected), (f, k, s)
+            for i, _ in dag:
+                sub = ctl.SyntaxDag(dag.nodes[:i]).to_formula()
+                expected = helpers.naive_sat(struct, sub)
+                for s in range(struct.size):
+                    assert model[pool.get("h", i, s)] == (s in expected)
+            checked += 1
