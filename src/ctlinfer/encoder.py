@@ -328,8 +328,7 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
 
 def load_backend(instance: EncodingInstance,
                  backend: CdclSolver) -> CdclSolver:
-    for clause in instance.clauses:
-        backend.add_clause(clause)
+    backend.add_clauses(instance.clauses)
     backend.reserve(instance.pool.count)
     return backend
 

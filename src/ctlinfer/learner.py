@@ -108,9 +108,11 @@ class BudgetTrace:
     millis: float
 
     def describe(self) -> str:
+        """One deterministic line; the wall-clock `millis` is left off, so
+        identical seeded runs print identical output."""
         verdict = "SAT" if self.satisfiable else "UNSAT"
         return (f"budget {self.size}: {verdict} (vars={self.variables}, "
-                f"clauses={self.clauses}, ms={self.millis:.1f})")
+                f"clauses={self.clauses})")
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,12 @@ learning solver with two-watched-literal propagation, first-UIP conflict
 analysis, activity-based decisions, phase saving, Luby restarts and
 incremental solving under assumptions.  It is deterministic: the same
 clause stream, seed and assumption order always produce the same run.
-Instances can also be exported in DIMACS CNF format for external solvers
-via `to_dimacs`.
+Its interface takes signed literals; inside, literal v is `2v` and -v is
+`2v | 1` (the MiniSat layout), so negation is `^ 1`, the variable is
+`>> 1`, and one value array and the watch lists are indexed by literal.
+`add_clauses` loads a whole clause stream in one call, as the encoders
+do; `add_clause` is the one-clause case.  Instances can also be exported
+in DIMACS CNF format for external solvers via `to_dimacs`.
 """
 
 from __future__ import annotations
@@ -150,11 +154,23 @@ _ACT_LIMIT = 1e100
 class CdclSolver:
     """Incremental CDCL solver over integer literals.
 
-    `add_clause` may be called between `solve` calls; learned clauses are
-    kept, which is sound because conflict analysis derives consequences of
-    the clause set alone (assumptions enter only as retractable
-    decisions).  An optional conflict budget turns runaway searches into
-    `BackendFailure` instead of wrong answers.
+    `add_clause` and `add_clauses` may be called between `solve` calls;
+    learned clauses are kept, which is sound because conflict analysis
+    derives consequences of the clause set alone (assumptions enter only
+    as retractable decisions).  An optional conflict budget turns runaway
+    searches into `BackendFailure` instead of wrong answers.
+
+    Decisions pop a lazy heap of `(-activity[v], v)` entries, skipping
+    stale ones (key not the current activity, or v assigned).  Invariant:
+    every unassigned variable has a current entry, and `_queued[v]` is set
+    iff v has one, so each variable has at most one.  Keys are unique per
+    variable, so the first valid entry popped is the key minimum over the
+    unassigned variables: the decision depends on activities and the
+    assignment only, and pushing once per variable decides exactly as
+    pushing on every unassignment does.  The invariant holds because new
+    and backtracked variables are pushed unless queued, a bump (only of
+    assigned variables) or a pop of a current entry clears the flag, and
+    an activity rescale rebuilds the heap and the flags.
     """
 
     def __init__(self, seed: int | None = None,
@@ -162,16 +178,17 @@ class CdclSolver:
         self._nvars = 0
         self._clauses: list[list[int]] = []
         self._watches: list[list[int]] = [[], []]
-        self._assign = [0]        # var -> 0 unassigned / 1 true / -1 false
+        self._val = [0, 0]        # literal -> 0 unassigned / 1 true / -1 false
         self._level = [0]
         self._reason = [-1]
-        self._phase = [False]
+        self._phase = bytearray(b"\x01")   # var -> sign bit of saved phase
         self._activity = [0.0]
         self._act_inc = 1.0
         self._trail: list[int] = []
         self._trail_lim: list[int] = []
         self._qhead = 0
         self._heap: list[tuple[float, int]] = []
+        self._queued = bytearray(1)
         self._seen = bytearray(1)
         self._unsat = False
         self._model: list[int] | None = None
@@ -197,73 +214,96 @@ class CdclSolver:
         while self._nvars < v:
             self._nvars += 1
             jitter = self._rng.random() * 1e-6 if self._rng else 0.0
-            self._assign.append(0)
+            self._val += (0, 0)
             self._level.append(0)
             self._reason.append(-1)
-            self._phase.append(False)
+            self._phase.append(1)
             self._activity.append(jitter)
-            self._watches.append([])
-            self._watches.append([])
+            self._watches += ([], [])
             self._seen.append(0)
+            self._queued.append(1)
             heapq.heappush(self._heap, (-jitter, self._nvars))
-
-    def _value(self, lit: int) -> int:
-        a = self._assign[lit if lit > 0 else -lit]
-        return a if lit > 0 else -a
 
     # -- clause input ------------------------------------------------------
 
     def add_clause(self, lits: Iterable[int]) -> None:
-        clause: list[int] = []
-        seen: set[int] = set()
-        for lit in lits:
-            if lit == 0 or not isinstance(lit, int):
-                raise ValueError(f"bad literal {lit!r}")
-            if -lit in seen:
-                return  # tautology
-            if lit in seen:
-                continue
-            seen.add(lit)
-            clause.append(lit)
-            self._ensure_var(abs(lit))
+        self.add_clauses((lits,))
+
+    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
+        """Add each clause in turn, as `add_clause` on each would.
+
+        Repeated literals are dropped and literals false at the root are
+        removed; tautologies and clauses true at the root are skipped.
+        """
         self._cancel_until(0)
-        self._model = None
-        reduced: list[int] = []
-        for lit in clause:
-            val = self._value(lit)
-            if val == 1:
-                return  # satisfied at the root level
-            if val == 0:
-                reduced.append(lit)
-        if not reduced:
-            self._unsat = True
-            return
-        if len(reduced) == 1:
-            self._enqueue(reduced[0], -1)
-            return
-        ci = len(self._clauses)
-        self._clauses.append(reduced)
-        self._watches[_enc(reduced[0])].append(ci)
-        self._watches[_enc(reduced[1])].append(ci)
+        val = self._val
+        clause_db = self._clauses
+        watches = self._watches
+        for lits in clauses:
+            clause: list[int] | None = []
+            top = 0
+            for lit in lits:
+                if lit == 0 or not isinstance(lit, int):
+                    self._ensure_var(top >> 1)
+                    raise ValueError(f"bad literal {lit!r}")
+                e = (lit << 1) if lit > 0 else ((-lit << 1) | 1)
+                if e ^ 1 in clause:
+                    clause = None
+                    break
+                if e not in clause:
+                    clause.append(e)
+                    if e > top:
+                        top = e
+            if top >> 1 > self._nvars:
+                self._ensure_var(top >> 1)
+            if clause is None:
+                continue  # tautology
+            self._model = None
+            reduced: list[int] = []
+            for e in clause:
+                x = val[e]
+                if x == 1:
+                    break  # satisfied at the root level
+                if x == 0:
+                    reduced.append(e)
+            else:
+                if not reduced:
+                    self._unsat = True
+                elif len(reduced) == 1:
+                    self._enqueue(reduced[0], -1)
+                else:
+                    watches[reduced[0]].append(len(clause_db))
+                    watches[reduced[1]].append(len(clause_db))
+                    clause_db.append(reduced)
 
     # -- trail -------------------------------------------------------------
 
     def _enqueue(self, lit: int, reason: int) -> None:
-        v = abs(lit)
-        self._assign[v] = 1 if lit > 0 else -1
+        val = self._val
+        val[lit] = 1
+        val[lit ^ 1] = -1
+        v = lit >> 1
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
         self._trail.append(lit)
 
     def _cancel_until(self, level: int) -> None:
-        while len(self._trail_lim) > level:
-            mark = self._trail_lim.pop()
-            while len(self._trail) > mark:
-                lit = self._trail.pop()
-                v = abs(lit)
-                self._phase[v] = lit > 0
-                self._assign[v] = 0
-                heapq.heappush(self._heap, (-self._activity[v], v))
+        trail_lim = self._trail_lim
+        if len(trail_lim) > level:
+            trail = self._trail
+            mark = trail_lim[level]
+            val = self._val
+            phase = self._phase
+            queued = self._queued
+            for lit in trail[mark:]:
+                v = lit >> 1
+                phase[v] = lit & 1
+                val[lit] = val[lit ^ 1] = 0
+                if not queued[v]:
+                    queued[v] = 1
+                    heapq.heappush(self._heap, (-self._activity[v], v))
+            del trail[mark:]
+            del trail_lim[level:]
         self._qhead = min(self._qhead, len(self._trail))
 
     # -- propagation -------------------------------------------------------
@@ -271,114 +311,139 @@ class CdclSolver:
     def _propagate(self) -> int:
         clauses = self._clauses
         watches = self._watches
-        assign = self._assign
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
-            self._qhead += 1
-            neg = -p
-            wl = watches[_enc(neg)]
-            kept: list[int] = []
-            i = 0
-            total = len(wl)
-            while i < total:
-                ci = wl[i]
+        val = self._val
+        level = self._level
+        reason = self._reason
+        trail = self._trail
+        current = len(self._trail_lim)
+        qhead = self._qhead
+        while qhead < len(trail):
+            neg = trail[qhead] ^ 1
+            qhead += 1
+            # Compact wl in place.  It cannot grow meanwhile: a clause only
+            # moves its watch to a literal that is not false, and neg is.
+            wl = watches[neg]
+            i = j = 0
+            for ci in wl:
                 i += 1
                 lits = clauses[ci]
-                if lits[0] == neg:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                a = assign[first if first > 0 else -first]
-                if (a if first > 0 else -a) == 1:
-                    kept.append(ci)
+                if first == neg:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = neg
+                if val[first] == 1:
+                    wl[j] = ci
+                    j += 1
                     continue
-                moved = False
                 for k in range(2, len(lits)):
                     lk = lits[k]
-                    ak = assign[lk if lk > 0 else -lk]
-                    if (ak if lk > 0 else -ak) != -1:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        watches[_enc(lits[1])].append(ci)
-                        moved = True
+                    if val[lk] != -1:
+                        lits[1] = lk
+                        lits[k] = neg
+                        watches[lk].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if (a if first > 0 else -a) == -1:
-                    kept.extend(wl[i:])
-                    watches[_enc(neg)] = kept
-                    return ci
-                self._enqueue(first, ci)
-            watches[_enc(neg)] = kept
+                else:
+                    wl[j] = ci
+                    j += 1
+                    if val[first] == -1:
+                        wl[j:] = wl[i:]
+                        self._qhead = qhead
+                        return ci
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    level[first >> 1] = current
+                    reason[first >> 1] = ci
+                    trail.append(first)
+            del wl[j:]
+        self._qhead = qhead
         return -1
 
     # -- conflict analysis -------------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        act = self._activity[v] + self._act_inc
-        self._activity[v] = act
-        if act > _ACT_LIMIT:
-            for u in range(1, self._nvars + 1):
-                self._activity[u] *= 1e-100
-            self._act_inc *= 1e-100
-            act = self._activity[v]
-        if self._assign[v] == 0:
-            heapq.heappush(self._heap, (-act, v))
+    def _rescale(self) -> None:
+        """Scale the activities down and rebuild the heap on the new keys."""
+        scale = 1.0 / _ACT_LIMIT
+        self._act_inc *= scale
+        activity = self._activity
+        val = self._val
+        queued = self._queued
+        heap = self._heap
+        heap.clear()
+        for u in range(1, self._nvars + 1):
+            activity[u] *= scale
+            queued[u] = val[u << 1] == 0
+            if queued[u]:
+                heap.append((-activity[u], u))
+        heapq.heapify(heap)
 
     def _analyze(self, confl: int) -> tuple[list[int], int]:
+        clauses = self._clauses
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        queued = self._queued
+        inc = self._act_inc
         learnt: list[int] = [0]
         seen = self._seen
         cleared: list[int] = []
         counter = 0
         p = 0
-        idx = len(self._trail) - 1
+        idx = len(trail) - 1
         current = len(self._trail_lim)
-        clause = self._clauses[confl]
+        clause = clauses[confl]
         while True:
             for q in clause:
                 if q == p:
                     continue
-                v = abs(q)
-                if not seen[v] and self._level[v] > 0:
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     cleared.append(v)
-                    self._bump(v)
-                    if self._level[v] >= current:
+                    # Bump.  v is assigned, so its heap entries go stale.
+                    activity[v] += inc
+                    queued[v] = 0
+                    if activity[v] > _ACT_LIMIT:
+                        self._rescale()
+                        inc = self._act_inc
+                    if level[v] >= current:
                         counter += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self._trail[idx])]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self._trail[idx]
-            v = abs(p)
+            p = trail[idx]
+            v = p >> 1
             idx -= 1
             seen[v] = 0
             counter -= 1
             if counter == 0:
-                learnt[0] = -p
+                learnt[0] = p ^ 1
                 break
-            clause = self._clauses[self._reason[v]]
+            clause = clauses[self._reason[v]]
         for v in cleared:
             seen[v] = 0
         if len(learnt) == 1:
             return learnt, 0
         # Watch the highest-level literal besides the asserting one.
-        best = max(range(1, len(learnt)),
-                   key=lambda k: self._level[abs(learnt[k])])
+        best = max(range(1, len(learnt)), key=lambda k: level[learnt[k] >> 1])
         learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt, self._level[abs(learnt[1])]
+        return learnt, level[learnt[1] >> 1]
 
     # -- search ------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
         heap = self._heap
+        activity = self._activity
+        queued = self._queued
+        val = self._val
         while heap:
-            act, v = heapq.heappop(heap)
-            if self._assign[v] == 0 and -act == self._activity[v]:
-                return v
-        for v in range(1, self._nvars + 1):  # pragma: no cover - safety net
-            if self._assign[v] == 0:
-                return v
-        raise AssertionError("no unassigned variable to decide")
+            key, v = heapq.heappop(heap)
+            if key == -activity[v]:
+                queued[v] = 0
+                if val[v << 1] == 0:
+                    return v
+        raise AssertionError("an unassigned variable has no heap entry")
 
     def solve(self, assumptions: Sequence[int] = ()) -> bool:
         """True iff the clause set is satisfiable under the assumptions."""
@@ -386,18 +451,22 @@ class CdclSolver:
             return False
         for a in assumptions:
             self._ensure_var(abs(a))
+        assumed = [_enc(a) for a in assumptions]
         self._model = None
         self._cancel_until(0)
         if self._propagate() != -1:
             self._unsat = True
             return False
+        val = self._val
+        trail = self._trail
+        trail_lim = self._trail_lim
         since_restart = 0
         restarts = 0
         threshold = _luby(1) * _RESTART_BASE
         while True:
             confl = self._propagate()
             if confl != -1:
-                if not self._trail_lim:
+                if not trail_lim:
                     self._unsat = True
                     return False
                 self._conflicts += 1
@@ -414,8 +483,8 @@ class CdclSolver:
                 else:
                     ci = len(self._clauses)
                     self._clauses.append(learnt)
-                    self._watches[_enc(learnt[0])].append(ci)
-                    self._watches[_enc(learnt[1])].append(ci)
+                    self._watches[learnt[0]].append(ci)
+                    self._watches[learnt[1]].append(ci)
                     self._enqueue(learnt[0], ci)
                 self._act_inc *= _ACT_DECAY
                 continue
@@ -426,25 +495,24 @@ class CdclSolver:
                 self._cancel_until(0)
                 continue
             pending = None
-            for a in assumptions:
-                val = self._value(a)
-                if val == -1:
+            for a in assumed:
+                if val[a] == -1:
                     self._cancel_until(0)
                     return False
-                if val == 0:
+                if val[a] == 0:
                     pending = a
                     break
             if pending is not None:
-                self._trail_lim.append(len(self._trail))
+                trail_lim.append(len(trail))
                 self._enqueue(pending, -1)
                 continue
-            if len(self._trail) == self._nvars:
-                self._model = list(self._assign)
+            if len(trail) == self._nvars:
+                self._model = val[::2]
                 self._cancel_until(0)
                 return True
             v = self._pick_branch_var()
-            self._trail_lim.append(len(self._trail))
-            self._enqueue(v if self._phase[v] else -v, -1)
+            trail_lim.append(len(trail))
+            self._enqueue((v << 1) | self._phase[v], -1)
 
     def model(self) -> dict[int, bool]:
         """Satisfying assignment of the last successful `solve`."""

@@ -152,8 +152,7 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
     for num_states in range(1, max_states + 1):
         pool, clauses = _encode(dag, num_states, alphabet)
         backend = CdclSolver(seed=seed)
-        for clause in clauses:
-            backend.add_clause(clause)
+        backend.add_clauses(clauses)
         backend.reserve(pool.count)
         if not backend.solve():
             continue

@@ -1,12 +1,14 @@
+import itertools
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
 import ctlinfer
 import helpers
-from ctlinfer import cli, encoder, kripke, sat
+from ctlinfer import cli, encoder, kripke, learner, sat
 from ctlinfer.cli import run
 
 FIX = helpers.FIXTURES
@@ -286,6 +288,21 @@ def test_seeded_runs_are_identical(capsys):
             "--bound", "3", "--seed", "11"]
     first = invoke(capsys, *argv)
     second = invoke(capsys, *argv)
+    assert first == second
+
+
+def test_seeded_learn_output_ignores_the_clock(capsys, monkeypatch):
+    # A clock whose every reading is further on than the last by more
+    # each time: any printed duration would differ between the runs.
+    ticks = itertools.count()
+    monkeypatch.setattr(learner, "time", types.SimpleNamespace(
+        perf_counter=lambda: next(ticks) ** 2))
+    argv = ["learn", "--pos", str(FIX / "two_state_pq.kripke"),
+            str(FIX / "chain3.kripke"), "--neg", str(FIX / "cycle2.kripke"),
+            "--max-size", "4", "--seed", "7"]
+    first = invoke(capsys, *argv)
+    second = invoke(capsys, *argv)
+    assert first[0] == 0
     assert first == second
 
 

@@ -78,7 +78,11 @@ class TestLearnMinimal:
         lines = [b.describe() for b in result.budgets]
         assert lines[0].startswith("budget 1: UNSAT (vars=")
         assert lines[-1].startswith(f"budget {result.size}: SAT (vars=")
-        assert all("clauses=" in line and "ms=" in line for line in lines)
+        for budget, line in zip(result.budgets, lines):
+            verdict = "SAT" if budget.satisfiable else "UNSAT"
+            assert line == (f"budget {budget.size}: {verdict} "
+                            f"(vars={budget.variables}, "
+                            f"clauses={budget.clauses})")
 
     def test_result_is_consistent_and_minimal(self):
         rng = random.Random(610)

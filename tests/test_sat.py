@@ -160,6 +160,110 @@ def test_conflict_budget_raises():
         solver.solve()
 
 
+def clause_stream(rng, num_vars, count):
+    """Clauses of every shape the loader treats specially: empty, unit,
+    tautological, with repeated literals, and (once units are in) with
+    literals already true or false at the root."""
+    stream = []
+    for _ in range(count):
+        lits = [v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, num_vars + 1),
+                                    rng.randint(1, min(3, num_vars)))]
+        shape = rng.random()
+        if shape < 0.01:
+            lits = []
+        elif shape < 0.15:
+            lits = lits[:1]
+        elif shape < 0.25:
+            lits.insert(rng.randint(0, len(lits)), -lits[0])
+        elif shape < 0.35:
+            lits.append(rng.choice(lits))
+        stream.append(tuple(lits))
+    return stream
+
+
+class TestAddClauses:
+    def test_batch_equals_one_clause_at_a_time(self):
+        rng = random.Random(2028)
+        for trial in range(150):
+            num_vars = rng.randint(1, 8)
+            batched, single = CdclSolver(seed=trial), CdclSolver(seed=trial)
+            clauses = []
+            for _ in range(4):
+                batch = clause_stream(rng, num_vars, rng.randint(0, 8))
+                batched.add_clauses(iter(batch))
+                for clause in batch:
+                    single.add_clause(clause)
+                clauses.extend(batch)
+                assert batched.num_vars == single.num_vars
+                assert batched.num_clauses == single.num_clauses
+                k = rng.randint(0, num_vars)
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, num_vars + 1), k)]
+                got = batched.solve(assumptions)
+                assert got == single.solve(assumptions)
+                assert got == brute_force(num_vars, clauses, assumptions)
+                assert batched._conflicts == single._conflicts
+                if got:
+                    assert batched.model() == single.model()
+                    check_model(batched.model(), clauses, assumptions)
+
+    @pytest.mark.parametrize("bad", [0, "3", 1.5, None])
+    def test_bad_literal_in_a_batch_raises(self, bad):
+        batched, single = CdclSolver(), CdclSolver()
+        batch = [(1, 2), (5, bad, 7)]
+        with pytest.raises(ValueError):
+            batched.add_clauses(batch)
+        single.add_clause(batch[0])
+        with pytest.raises(ValueError):
+            single.add_clause(batch[1])
+        # The variables named before the bad literal are declared.
+        assert batched.num_vars == single.num_vars == 5
+        assert batched.num_clauses == single.num_clauses == 1
+
+
+def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
+    # With a limit this small the activities overflow every few
+    # conflicts, so each run rescales (and rebuilds its heap) repeatedly.
+    monkeypatch.setattr(sat, "_ACT_LIMIT", 4.0)
+    rescales = 0
+    rescale = CdclSolver._rescale
+
+    def checked_rescale(solver):
+        nonlocal rescales
+        rescales += 1
+        rescale(solver)
+        entries = set(solver._heap)
+        for v in range(1, solver.num_vars + 1):
+            if solver._val[2 * v] == 0:
+                assert solver._queued[v]
+                assert (-solver._activity[v], v) in entries
+
+    monkeypatch.setattr(CdclSolver, "_rescale", checked_rescale)
+    rng = random.Random(2027)
+    for trial in range(40):
+        clauses = [tuple(v if rng.random() < 0.5 else -v
+                         for v in rng.sample(range(1, 13), 3))
+                   for _ in range(52)]
+        solver = CdclSolver(seed=trial)
+        solver.add_clauses(clauses)
+        got = solver.solve()
+        assert got == brute_force(12, clauses)
+        if got:
+            check_model(solver.model(), clauses)
+    assert rescales >= 10
+
+    def var(p, h):
+        return p * 5 + h + 1
+
+    solver = CdclSolver()
+    solver.add_clauses([var(p, h) for h in range(5)] for p in range(6))
+    solver.add_clauses((-var(p1, h), -var(p2, h)) for h in range(5)
+                       for p1 in range(6) for p2 in range(p1 + 1, 6))
+    assert not solver.solve()
+    assert rescales >= 15
+
+
 class TestClauseHelpers:
     def assert_equiv(self, clauses, out, definition, num_vars):
         """Check clause set encodes out <-> definition by truth table."""
