@@ -4,7 +4,9 @@ Starting from the trivial hypothesis `true`, the loop repeatedly asks the
 passive learner for the smallest formula that holds on the input
 structure, fails every accumulated negative structure, and differs from
 every discarded formula.  Each candidate is compared with the current
-hypothesis using bounded countermodel synthesis:
+hypothesis by one call to `synth.equivalent`, i.e. bounded countermodel
+synthesis in both directions; the trivial hypothesis takes the same path,
+since `synth.implies` settles "candidate implies true" without a solver:
 
 * case 1 - candidate and hypothesis are equivalent within the state
   budget: discard the candidate and keep searching;
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import checker, ctl, learner, synth
-from .ctl import CtlFormula, Not
+from .ctl import CtlFormula
 from .kripke import KripkeStructure
 from .synth import DEFAULT_MAX_STATES, SynthesisInconsistency
 
@@ -144,37 +146,20 @@ def infer(model: KripkeStructure, bound: int,
                 f"candidate {ctl.print_ctl(candidate)} proposed twice")
         proposed.append(candidate)
 
-        if hypothesis == ctl.TRUE:
-            # Everything implies true, so only the reverse direction can
-            # fail: a witness of !candidate separates them.
-            witness = synth.synthesize(Not(candidate), synth_states,
-                                       alphabet, seed)
-            if witness is None:
-                case, countermodel = 1, None
-                discarded.append(candidate)
-            else:
-                if checker.holds(witness, candidate):
-                    raise SynthesisInconsistency(
-                        "witness fails to refute the candidate")
-                case, countermodel = 2, witness
-                negatives.append(witness)
-                discarded.append(candidate)
-                hypothesis = candidate
+        verdict = synth.equivalent(candidate, hypothesis, synth_states,
+                                   alphabet, seed)
+        if verdict is None:
+            case, countermodel = 1, None
+            discarded.append(candidate)
+        elif verdict[0] == "forward":
+            # The candidate does not imply the hypothesis.
+            case, countermodel = 3, verdict[1]
+            negatives.append(countermodel)
         else:
-            verdict = synth.equivalent(candidate, hypothesis, synth_states,
-                                       alphabet, seed)
-            if verdict is None:
-                case, countermodel = 1, None
-                discarded.append(candidate)
-            elif verdict[0] == "forward":
-                # The candidate does not imply the hypothesis.
-                case, countermodel = 3, verdict[1]
-                negatives.append(countermodel)
-            else:
-                case, countermodel = 2, verdict[1]
-                negatives.append(countermodel)
-                discarded.append(candidate)
-                hypothesis = candidate
+            case, countermodel = 2, verdict[1]
+            negatives.append(countermodel)
+            discarded.append(candidate)
+            hypothesis = candidate
 
         entry = CegTraceEntry(len(trace) + 1, candidate, case, countermodel)
         trace.append(entry)

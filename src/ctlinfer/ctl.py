@@ -24,7 +24,7 @@ __all__ = [
     "ExistsFinally", "ForallNext", "ForallUntil", "ForallGlobally",
     "ForallFinally", "CtlError", "ParseError", "NotInEnf",
     "RESERVED_WORDS", "parse_ctl", "print_ctl", "enf", "is_enf",
-    "subformulas", "size", "propositions", "evaluate_constant",
+    "subformulas", "size", "propositions",
     "DagNode", "SyntaxDag", "to_dag", "enumerate_formulas",
 ]
 
@@ -160,14 +160,12 @@ def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
     return ()
 
 
-def is_enf(f: CtlFormula, allow_constants: bool = False) -> bool:
+def is_enf(f: CtlFormula) -> bool:
     """True iff `f` uses only ENF connectives over propositions."""
     if isinstance(f, Prop):
         return True
-    if isinstance(f, Const):
-        return allow_constants
     if isinstance(f, _ENF_OPS):
-        return all(is_enf(g, allow_constants) for g in children(f))
+        return all(is_enf(g) for g in children(f))
     return False
 
 
@@ -191,33 +189,6 @@ def size(f: CtlFormula) -> int:
 
 def propositions(f: CtlFormula) -> frozenset[str]:
     return frozenset(g.name for g in subformulas(f) if isinstance(g, Prop))
-
-
-def evaluate_constant(f: CtlFormula) -> bool:
-    """Truth value of a proposition-free formula.
-
-    Over total transition relations every formula built from constants
-    alone has a fixed truth value on every structure: EX c = EG c = c and
-    both until forms reduce to their second argument.
-    """
-    if isinstance(f, Const):
-        return f.value
-    if isinstance(f, Prop):
-        raise CtlError(f"formula contains proposition {f.name!r}")
-    if isinstance(f, Not):
-        return not evaluate_constant(f.operand)
-    if isinstance(f, And):
-        return evaluate_constant(f.left) and evaluate_constant(f.right)
-    if isinstance(f, Or):
-        return evaluate_constant(f.left) or evaluate_constant(f.right)
-    if isinstance(f, Implies):
-        return (not evaluate_constant(f.left)) or evaluate_constant(f.right)
-    if isinstance(f, (ExistsNext, ExistsGlobally, ExistsFinally,
-                      ForallNext, ForallGlobally, ForallFinally)):
-        return evaluate_constant(f.operand)
-    if isinstance(f, (ExistsUntil, ForallUntil)):
-        return evaluate_constant(f.right)
-    raise CtlError(f"unknown formula node {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +361,6 @@ def print_ctl(f: CtlFormula) -> str:
 # Existential normal form
 # ---------------------------------------------------------------------------
 
-def _true_formula(alphabet: Sequence[str] | None) -> CtlFormula:
-    # With a known alphabet the constant becomes p | !p over its first
-    # proposition; otherwise it stays a constant the checker evaluates.
-    if alphabet:
-        p = Prop(alphabet[0])
-        return Or(p, Not(p))
-    return TRUE
-
-
 def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
     """Rewrite into the existential fragment {!, &, |, EX, EU, EG}.
 
@@ -428,13 +390,13 @@ def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
     if isinstance(f, ExistsGlobally):
         return ExistsGlobally(enf(f.operand, alphabet))
     if isinstance(f, ExistsFinally):
-        return ExistsUntil(_true_formula(alphabet), enf(f.operand, alphabet))
+        return ExistsUntil(enf(TRUE, alphabet), enf(f.operand, alphabet))
     if isinstance(f, ForallNext):
         return Not(ExistsNext(Not(enf(f.operand, alphabet))))
     if isinstance(f, ForallGlobally):
         # AG f = !EF !f
         inner = Not(enf(f.operand, alphabet))
-        return Not(ExistsUntil(_true_formula(alphabet), inner))
+        return Not(ExistsUntil(enf(TRUE, alphabet), inner))
     if isinstance(f, ForallFinally):
         return Not(ExistsGlobally(Not(enf(f.operand, alphabet))))
     if isinstance(f, ForallUntil):

@@ -85,11 +85,6 @@ class EncodingInstance:
     negatives: tuple[KripkeStructure, ...]
     pool: VarPool
     clauses: list[Clause] = field(default_factory=list)
-    blocked: tuple[SyntaxDag, ...] = ()
-
-    @property
-    def structures(self) -> tuple[KripkeStructure, ...]:
-        return self.positives + self.negatives
 
     @property
     def num_vars(self) -> int:
@@ -315,15 +310,13 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
             raise ValueError("sample structures must share one alphabet")
     pool = VarPool()
     _allocate(pool, n, alphabet, structures)
-    blocked = tuple(blocked)
     clauses = build_structural(pool, n, alphabet)
     clauses += build_semantic(pool, n, structures)
     clauses += build_consistency(pool, n, tuple(positives), tuple(negatives))
     clauses += build_block(pool, n, blocked)
     return EncodingInstance(
         size_budget=n, alphabet=alphabet, positives=tuple(positives),
-        negatives=tuple(negatives), pool=pool, clauses=clauses,
-        blocked=blocked)
+        negatives=tuple(negatives), pool=pool, clauses=clauses)
 
 
 def load_backend(instance: EncodingInstance,

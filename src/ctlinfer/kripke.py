@@ -149,14 +149,13 @@ def validate(*, props: Sequence[str], states: Sequence[str],
     """Check a raw name-based description and build the structure.
 
     States missing from `labels` get the empty label set; states missing
-    from `trans` fail the totality check.
+    from `trans` fail the totality check.  Only the state names are
+    checked here, since the name-to-index lookup needs them unique and
+    known; `KripkeStructure` checks every other invariant.
     """
     if len(set(states)) != len(states):
         raise InvalidStructure("duplicate state names")
-    if len(set(props)) != len(props):
-        raise InvalidStructure("duplicate propositions")
     index = {name: i for i, name in enumerate(states)}
-    prop_set = set(props)
 
     def state_index(name: str) -> int:
         if name not in index:
@@ -164,24 +163,15 @@ def validate(*, props: Sequence[str], states: Sequence[str],
         return index[name]
 
     initial = frozenset(state_index(name) for name in init)
-    if not initial:
-        raise EmptyInitial()
 
     label_list: list[frozenset[str]] = [frozenset()] * len(states)
     for name, entry in labels.items():
-        ps = tuple(entry)
-        for p in ps:
-            if p not in prop_set:
-                raise UnknownProposition(p)
-        label_list[state_index(name)] = frozenset(ps)
+        label_list[state_index(name)] = frozenset(entry)
 
     succ_list: list[frozenset[int]] = [frozenset()] * len(states)
     for name, entry in trans.items():
         succ_list[state_index(name)] = frozenset(
             state_index(t) for t in entry)
-    for s, post in enumerate(succ_list):
-        if not post:
-            raise NonTotalTransition(states[s])
 
     return KripkeStructure(
         alphabet=tuple(props),

@@ -128,9 +128,8 @@ def _search(sample: Sample, max_size: int, discarded: Sequence[CtlFormula],
     budgets: list[BudgetTrace] = []
     blocked_dags = [ctl.to_dag(f) for f in discarded]
     for n in range(1, max_size + 1):
-        instance = encoder.build_instance(
-            n, sample.positives, sample.negatives,
-            blocked=[d for d in blocked_dags if d.size == n])
+        instance = encoder.build_instance(n, sample.positives,
+                                          sample.negatives, blocked_dags)
         if dump_dir is not None:
             path = os.path.join(dump_dir, f"omega_{n}.cnf")
             with open(path, "w", encoding="ascii") as handle:

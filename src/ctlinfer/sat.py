@@ -211,7 +211,9 @@ class CdclSolver:
         self._ensure_var(num_vars)
 
     def _ensure_var(self, v: int) -> None:
+        # A stored model covers only the variables it was found over.
         while self._nvars < v:
+            self._model = None
             self._nvars += 1
             jitter = self._rng.random() * 1e-6 if self._rng else 0.0
             self._val += (0, 0)

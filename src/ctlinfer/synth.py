@@ -22,7 +22,9 @@ means "no model within the state budget" and is reported as such; it is
 not a proof that no larger model exists.
 
 `implies` and `equivalent` reduce bounded implication checking to
-synthesis of countermodels for f & !g.
+synthesis of countermodels for f & !g; the constant `true` on either side
+is settled there, so the CEG loop compares its trivial hypothesis the same
+way as every other.
 """
 
 from __future__ import annotations
@@ -142,11 +144,10 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
         if missing:
             raise ValueError(f"alphabet is missing propositions {missing}")
     if not alphabet:
-        # Proposition-free formulas have a fixed truth value on every
-        # total structure; no encoding needed.
-        if ctl.evaluate_constant(formula):
-            return _trivial_structure()
-        return None
+        # A proposition-free formula has one truth value on every total
+        # structure, so the one-state self-loop decides it.
+        trivial = _trivial_structure()
+        return trivial if checker.holds(trivial, formula) else None
     normalized = ctl.enf(formula, alphabet)
     dag = ctl.to_dag(normalized)
     for num_states in range(1, max_states + 1):
@@ -173,10 +174,17 @@ def implies(f: CtlFormula, g: CtlFormula,
     None means the implication holds on every structure with up to
     `max_states` states (a bounded verdict).  A returned structure
     satisfies f and falsifies g, checker-verified.
+
+    When g is `true` the answer is None without a solver, which is sound
+    because no structure falsifies `true`; when f is `true` the
+    countermodel is a model of !g alone.
     """
+    if g == ctl.TRUE:
+        return None
     if alphabet is None:
         alphabet = tuple(sorted(ctl.propositions(f) | ctl.propositions(g)))
-    witness = synthesize(And(f, Not(g)), max_states, alphabet, seed)
+    target = Not(g) if f == ctl.TRUE else And(f, Not(g))
+    witness = synthesize(target, max_states, alphabet, seed)
     if witness is not None:
         if not checker.holds(witness, f) or checker.holds(witness, g):
             raise SynthesisInconsistency(

@@ -114,6 +114,24 @@ class TestLearn:
         assert code == 1
         assert out == "result: no consistent formula\n"
 
+    def test_empty_alphabet_has_no_formula(self, capsys, tmp_path):
+        # Formula leaves are propositions, so nothing fits any budget;
+        # `infer` keeps its initial hypothesis.
+        empty = tmp_path / "empty.kripke"
+        empty.write_text("kripke\nprops:\nstates: a\ninit: a\n"
+                         "labels: a:\ntrans: a -> a\n")
+        code, out, _ = invoke(capsys, "learn", "--pos", str(empty),
+                              "--max-size", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split(" (")[0] for line in lines[:-1]] == [
+            "budget 1: UNSAT", "budget 2: UNSAT", "budget 3: UNSAT"]
+        assert lines[-1] == "result: no consistent formula"
+        code, out, _ = invoke(capsys, "infer", str(empty), "--bound", "3")
+        assert code == 0
+        assert "iterations: 0" in out.splitlines()
+        assert last_line(out) == "result: true"
+
     def test_mixed_alphabets_are_usage_error(self, capsys):
         code, _, err = invoke(
             capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),

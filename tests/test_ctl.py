@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from ctlinfer import ctl
+from ctlinfer import checker, ctl
 from ctlinfer.ctl import (And, Const, ExistsGlobally, ExistsNext,
                           ExistsUntil, Not, Or, Prop)
 
@@ -137,7 +137,7 @@ class TestEnf:
 
     def test_constants_without_alphabet_stay(self):
         g = ctl.enf(ctl.parse_ctl("EF true"))
-        assert ctl.is_enf(g, allow_constants=True)
+        assert ctl.TRUE in ctl.subformulas(g)
         assert not ctl.is_enf(g)
 
     def test_known_rewrites(self):
@@ -148,6 +148,8 @@ class TestEnf:
 
 
 def test_evaluate_constant():
+    # A proposition-free formula has one truth value on every total
+    # structure, so the checker decides it on any of them.
     table = {
         "true": True,
         "false": False,
@@ -159,10 +161,14 @@ def test_evaluate_constant():
         "AG true": True,
         "true -> false": False,
     }
+    rng = random.Random(130)
+    structures = [helpers.random_kripke(rng, 4) for _ in range(20)]
     for text, expected in table.items():
-        assert ctl.evaluate_constant(ctl.parse_ctl(text)) is expected
-    with pytest.raises(ctl.CtlError):
-        ctl.evaluate_constant(ctl.parse_ctl("p | true"))
+        f = ctl.parse_ctl(text)
+        assert not ctl.propositions(f)
+        for m in structures:
+            assert checker.holds(m, f) is expected, text
+            assert helpers.naive_holds(m, f) is expected, text
 
 
 class TestSyntaxDag:

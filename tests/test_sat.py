@@ -79,6 +79,21 @@ class TestBasics:
                     solver.add_clause([-var(p1, h), -var(p2, h)])
         assert not solver.solve()
 
+    def test_new_variable_drops_the_model(self):
+        reserved = CdclSolver()
+        reserved.add_clause([1, 2])
+        assert reserved.solve()
+        reserved.reserve(4)
+        tautology = CdclSolver()
+        tautology.add_clause([1, 2])
+        assert tautology.solve()
+        tautology.add_clause([3, -3])
+        for solver in (reserved, tautology):
+            with pytest.raises(RuntimeError):
+                solver.model()
+            assert solver.solve()
+            assert len(solver.model()) == solver.num_vars
+
 
 class TestAgainstBruteForce:
     def test_random_instances(self):

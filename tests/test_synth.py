@@ -42,11 +42,21 @@ class TestSynthesize:
             synth.synthesize(ctl.parse_ctl("p"), alphabet=("q",))
 
     def test_proposition_free_formulas(self):
-        m = synth.synthesize(ctl.TRUE)
-        assert m is not None and m.size == 1
-        assert synth.synthesize(ctl.FALSE) is None
-        assert synth.synthesize(ctl.parse_ctl("EX true")) is not None
-        assert synth.synthesize(ctl.parse_ctl("EG false")) is None
+        table = {
+            "true": True,
+            "false": False,
+            "!false": True,
+            "EX true": True,
+            "EG false": False,
+            "E[false U true]": True,
+            "A[true U false]": False,
+            "AG true": True,
+            "true -> false": False,
+        }
+        for text, expected in table.items():
+            m = synth.synthesize(ctl.parse_ctl(text))
+            assert (m is not None) is expected, text
+            assert m is None or m.size == 1
 
     def test_sugar_accepted(self):
         f = ctl.parse_ctl("AG (p -> AF q)")
@@ -93,6 +103,25 @@ class TestImplies:
         assert w is not None
         assert helpers.naive_holds(w, Prop("p"))
         assert not helpers.naive_holds(w, ctl.parse_ctl("EG p"))
+
+    def test_true_consequent_needs_no_solver(self, monkeypatch):
+        def no_solver(self, assumptions=()):
+            raise AssertionError("implies(f, true) called the solver")
+
+        monkeypatch.setattr(CdclSolver, "solve", no_solver)
+        rng = random.Random(703)
+        for _ in range(30):
+            f = helpers.random_enf(rng, ("p", "q"), 4)
+            assert synth.implies(f, ctl.TRUE, max_states=3,
+                                 alphabet=("p", "q")) is None
+
+    def test_true_antecedent_synthesizes_the_negation(self):
+        rng = random.Random(704)
+        for seed in range(12):
+            g = helpers.random_enf(rng, ("p", "q"), 3)
+            assert synth.implies(ctl.TRUE, g, 3, ("p", "q"), seed) == (
+                synth.synthesize(Not(g), 3, ("p", "q"), seed))
+        assert synth.implies(ctl.TRUE, ctl.parse_ctl("p | !p"), 3) is None
 
     def test_matches_enumeration_on_small_alphabet(self):
         rng = random.Random(702)
