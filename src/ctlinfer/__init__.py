@@ -11,7 +11,7 @@ The package bundles four layers:
 """
 
 from .ceg import CegReport, Certification, CertificationFailure, infer, verify_solution
-from .checker import holds, sat_set, sat_set_table
+from .checker import holds, sat_set_table
 from .ctl import parse_ctl, print_ctl, size
 from .kripke import KripkeStructure, parse_kripke, print_kripke
 from .learner import LearnResult, NoConsistentFormula, Sample, learn_minimal
@@ -41,7 +41,6 @@ __all__ = [
     "parse_kripke",
     "print_ctl",
     "print_kripke",
-    "sat_set",
     "sat_set_table",
     "size",
     "synthesize",

@@ -124,6 +124,8 @@ def infer(model: KripkeStructure, bound: int,
     """
     if bound < 1:
         raise ValueError("size bound must be at least 1")
+    if synth_states < 1:
+        raise ValueError("synthesis budget must be at least 1")
     alphabet = model.alphabet
     hypothesis: CtlFormula = ctl.TRUE
     negatives: list[KripkeStructure] = []

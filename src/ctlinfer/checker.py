@@ -12,21 +12,12 @@ keeps the fixed-point loops cheap; the public functions expose frozensets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import ctl
 from .ctl import (And, Const, CtlFormula, ExistsGlobally, ExistsNext,
                   ExistsUntil, Not, NotInEnf, Or, Prop)
 from .kripke import KripkeStructure, UnknownProposition
 
-__all__ = ["SatSet", "sat_set", "sat_set_table", "holds"]
-
-
-@dataclass(frozen=True)
-class SatSet:
-    """The states of one structure satisfying one formula."""
-    formula: CtlFormula
-    states: frozenset[int]
+__all__ = ["sat_set_table", "holds"]
 
 
 def _succ_masks(m: KripkeStructure) -> list[int]:
@@ -109,12 +100,6 @@ def _sat_mask(m: KripkeStructure, f: CtlFormula, succ: list[int],
 
 def _to_set(mask: int, size: int) -> frozenset[int]:
     return frozenset(s for s in range(size) if mask >> s & 1)
-
-
-def sat_set(m: KripkeStructure, f: CtlFormula) -> SatSet:
-    """Satisfaction set of an ENF formula (constants allowed)."""
-    mask = _sat_mask(m, f, _succ_masks(m), {})
-    return SatSet(formula=f, states=_to_set(mask, m.size))
 
 
 def sat_set_table(m: KripkeStructure, f: CtlFormula,

@@ -6,6 +6,7 @@ Subcommands:
   satisfaction set of every subformula.
 * `learn --pos F.. [--neg F..] --max-size B` - minimal consistent formula
   for a sample of structure files, with a per-budget SAT/UNSAT trace.
+  `--dump-cnf DIR` writes each budget's instance to `DIR/omega_<n>.cnf`.
 * `synth <formula> [--max-states M] [--props a,b]` - a structure
   satisfying the formula, or a negative verdict bounded by M.
 * `infer <model> --bound B [--synth-states M] [--trace PATH]` - the full
@@ -172,6 +173,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     m = _load_structure(args.model)
     if args.bound < 1:
         raise ctl.CtlError("--bound must be at least 1")
+    if args.synth_states < 1:
+        raise ctl.CtlError("--synth-states must be at least 1")
     trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else None
 
     def emit(entry: ceg.CegTraceEntry) -> None:

@@ -454,9 +454,6 @@ class SyntaxDag:
     def root(self) -> int:
         return len(self.nodes)
 
-    def node(self, i: int) -> DagNode:
-        return self.nodes[i - 1]
-
     def __iter__(self) -> Iterator[tuple[int, DagNode]]:
         return ((i + 1, n) for i, n in enumerate(self.nodes))
 

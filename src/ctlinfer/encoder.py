@@ -35,11 +35,8 @@ from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-__all__ = ["VarPool", "EncodingInstance", "NODE_PARTS", "lower_node",
-           "build_structural", "build_semantic", "build_consistency",
-           "build_block", "build_instance", "load_backend", "solve", "decode",
-           "decode_with_literals", "formula_assumptions", "to_dimacs",
-           "BackendFailure"]
+__all__ = ["VarPool", "NODE_PARTS", "lower_node", "build_instance",
+           "load_backend", "decode_with_literals", "to_dimacs"]
 
 
 class VarPool:
@@ -93,21 +90,6 @@ class EncodingInstance:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-    def label_var(self, i: int, lab: str) -> int:
-        return self.pool.get("x", i, lab)
-
-    def left_var(self, i: int, j: int) -> int:
-        return self.pool.get("l", i, j)
-
-    def right_var(self, i: int, j: int) -> int:
-        return self.pool.get("r", i, j)
-
-    def holds_var(self, m: int, i: int, s: int) -> int:
-        return self.pool.get("y", m, i, s)
-
-    def step_var(self, m: int, i: int, s: int, k: int) -> int:
-        return self.pool.get("ys", m, i, s, k)
 
 
 def _allocate(pool: VarPool, n: int, alphabet: Sequence[str],
@@ -326,18 +308,6 @@ def load_backend(instance: EncodingInstance,
     return backend
 
 
-def solve(instance: EncodingInstance, assumptions: Sequence[int] = (),
-          backend: CdclSolver | None = None, seed: int | None = None,
-          max_conflicts: int | None = None) -> dict[int, bool] | None:
-    """One satisfying assignment (total on the pool) or None if UNSAT."""
-    if backend is None:
-        backend = CdclSolver(seed=seed, max_conflicts=max_conflicts)
-        load_backend(instance, backend)
-    if not backend.solve(assumptions):
-        return None
-    return backend.model()
-
-
 def _true_key(assignment: Mapping[int, bool], pool: VarPool, kind: str,
               i: int, candidates: Iterable) -> object:
     hits = [c for c in candidates if assignment[pool.get(kind, i, c)]]
@@ -381,22 +351,6 @@ def decode_with_literals(assignment: Mapping[int, bool],
 
     formula = build(instance.size_budget)
     return formula, lits
-
-
-def decode(assignment: Mapping[int, bool],
-           instance: EncodingInstance) -> CtlFormula:
-    return decode_with_literals(assignment, instance)[0]
-
-
-def formula_assumptions(instance: EncodingInstance,
-                        f: CtlFormula) -> list[int]:
-    """Unit assumptions pinning the instance's DAG to the formula's."""
-    dag = ctl.to_dag(f)
-    if dag.size != instance.size_budget:
-        raise ValueError(
-            f"formula has size {dag.size}, instance budget is "
-            f"{instance.size_budget}")
-    return dag_literals(instance.pool, dag)
 
 
 def to_dimacs(instance: EncodingInstance) -> str:

@@ -125,9 +125,6 @@ class KripkeStructure:
     def size(self) -> int:
         return len(self.state_names)
 
-    def post(self, s: int) -> frozenset[int]:
-        return self.successors[s]
-
     def index(self, name: str) -> int:
         try:
             return self.state_names.index(name)

@@ -137,11 +137,9 @@ def _search(sample: Sample, max_size: int, discarded: Sequence[CtlFormula],
         backend = CdclSolver(seed=seed)
         encoder.load_backend(instance, backend)
         started = time.perf_counter()
-        while True:
-            assignment = encoder.solve(instance, backend=backend)
-            if assignment is None:
-                break
-            formula, lits = encoder.decode_with_literals(assignment, instance)
+        while backend.solve():
+            formula, lits = encoder.decode_with_literals(backend.model(),
+                                                         instance)
             if formula in discarded:
                 # A renumbered embedding of a discarded formula: exclude
                 # this embedding and look for a different assignment.

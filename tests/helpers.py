@@ -16,12 +16,13 @@ import random
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ctlinfer import ctl, kripke
+from ctlinfer import ctl, encoder, kripke
 from ctlinfer.ctl import (And, Const, CtlFormula, ExistsFinally,
                           ExistsGlobally, ExistsNext, ExistsUntil,
                           ForallFinally, ForallGlobally, ForallNext,
                           ForallUntil, Implies, Not, Or, Prop)
 from ctlinfer.kripke import KripkeStructure
+from ctlinfer.sat import CdclSolver
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -256,3 +257,16 @@ def brute_force_minimum(positives: Sequence[KripkeStructure],
         if consistent_by_oracle(f, positives, negatives):
             return ctl.size(f), f
     return None
+
+
+# ---------------------------------------------------------------------------
+# Solving one search instance
+# ---------------------------------------------------------------------------
+
+def solve_instance(instance: encoder.EncodingInstance,
+                   seed: int = 0) -> dict[int, bool] | None:
+    """A model of the instance from a fresh seeded solver, or None if
+    the instance is unsatisfiable."""
+    backend = CdclSolver(seed=seed)
+    encoder.load_backend(instance, backend)
+    return backend.model() if backend.solve() else None

@@ -112,10 +112,10 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
         rng = random.Random(77)
         for _ in range(50):
             struct = helpers.random_kripke(rng, max_states=4)
-            phi_set = checker.sat_set(struct, ctl.Prop("p")).states
-            psi_set = checker.sat_set(struct, ctl.Prop("q")).states
-            for f in (ctl.ExistsUntil(ctl.Prop("p"), ctl.Prop("q")),
-                      ctl.ExistsGlobally(ctl.Prop("p"))):
+            p, q = ctl.Prop("p"), ctl.Prop("q")
+            phi_set = checker.sat_set_table(struct, p)[p]
+            psi_set = checker.sat_set_table(struct, q)[q]
+            for f in (ctl.ExistsUntil(p, q), ctl.ExistsGlobally(p)):
                 dag = ctl.to_dag(f)
                 pool = VarPool()
                 clauses = encoder.build_structural(pool, dag.size,
@@ -149,10 +149,11 @@ def test_criterion_3_search_instances_round_trip_against_enumeration():
                     naive_consistent(f, positives, negatives, tables)
                     for f in enum3 if ctl.size(f) <= n)
                 instance = encoder.build_instance(n, positives, negatives)
-                assignment = encoder.solve(instance, seed=0)
+                assignment = helpers.solve_instance(instance)
                 assert (assignment is not None) == has_formula, (seed, n)
                 if assignment is not None:
-                    decoded = encoder.decode(assignment, instance)
+                    decoded = encoder.decode_with_literals(assignment,
+                                                           instance)[0]
                     assert all(checker.holds(m, decoded)
                                for m in positives), (seed, n)
                     assert not any(checker.holds(m, decoded)

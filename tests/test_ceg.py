@@ -4,7 +4,7 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ceg, checker, ctl
+from ctlinfer import ceg, checker, ctl, kripke
 from ctlinfer.ceg import CegReport, CertificationFailure
 
 
@@ -64,6 +64,15 @@ class TestInfer:
         m = helpers.load_fixture("selfloop_p.kripke")
         with pytest.raises(ValueError):
             ceg.infer(m, 0)
+
+    def test_rejects_bad_synthesis_budget(self):
+        # Over an empty alphabet no candidate exists, so nothing below
+        # would reach synthesis and notice the budget.
+        m = kripke.parse_kripke("kripke\nprops:\nstates: a\ninit: a\n"
+                                "labels: a:\ntrans: a -> a\n")
+        for states in (0, -3):
+            with pytest.raises(ValueError):
+                ceg.infer(m, 2, synth_states=states)
 
 
 def test_formula_space_bound_dominates_enumeration():

@@ -7,8 +7,8 @@ from ctlinfer import checker, ctl, kripke
 
 
 def sat_names(m, text):
-    got = checker.sat_set(m, ctl.enf(ctl.parse_ctl(text), m.alphabet))
-    return {m.state_names[s] for s in got.states}
+    f = ctl.enf(ctl.parse_ctl(text), m.alphabet)
+    return {m.state_names[s] for s in checker.sat_set_table(m, f)[f]}
 
 
 class TestSatSet:
@@ -33,17 +33,17 @@ class TestSatSet:
             m = helpers.random_kripke(rng, max_states=5)
             f = ctl.enf(helpers.random_ctl(rng, m.alphabet, depth=3),
                         m.alphabet)
-            assert checker.sat_set(m, f).states == helpers.naive_sat(m, f)
+            assert checker.sat_set_table(m, f)[f] == helpers.naive_sat(m, f)
 
     def test_requires_enf(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         with pytest.raises(ctl.NotInEnf):
-            checker.sat_set(m, ctl.parse_ctl("AX p"))
+            checker.sat_set_table(m, ctl.parse_ctl("AX p"))
 
     def test_unknown_proposition(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         with pytest.raises(kripke.UnknownProposition):
-            checker.sat_set(m, ctl.parse_ctl("zz"))
+            checker.sat_set_table(m, ctl.parse_ctl("zz"))
 
 
 class TestHolds:

@@ -8,7 +8,7 @@ import pytest
 
 import ctlinfer
 import helpers
-from ctlinfer import cli, encoder, kripke, learner, sat
+from ctlinfer import cli, kripke, learner, sat
 from ctlinfer.cli import run
 
 FIX = helpers.FIXTURES
@@ -278,6 +278,18 @@ class TestUsage:
         assert code == 2
         assert "bound" in err
 
+    def test_bad_synth_states_values(self, capsys, tmp_path):
+        # An empty alphabet has no candidate, so only this check sees
+        # the budget.
+        empty = tmp_path / "empty.kripke"
+        empty.write_text("kripke\nprops:\nstates: a\ninit: a\n"
+                         "labels: a:\ntrans: a -> a\n")
+        code, out, err = invoke(capsys, "infer", str(empty), "--bound", "2",
+                                "--synth-states", "-3")
+        assert code == 2
+        assert "--synth-states" in err
+        assert out == ""
+
 
 def test_backend_failure_exit_code(capsys, monkeypatch):
     def explode(*args, **kwargs):
@@ -292,10 +304,10 @@ def test_backend_failure_exit_code(capsys, monkeypatch):
 
 
 def test_decode_audit_failure_exit_code(capsys, monkeypatch):
-    def no_choice(instance, **kwargs):
-        return dict.fromkeys(range(1, instance.pool.count + 1), False)
+    def no_choice(solver):
+        return dict.fromkeys(range(1, solver.num_vars + 1), False)
 
-    monkeypatch.setattr(encoder, "solve", no_choice)
+    monkeypatch.setattr(sat.CdclSolver, "model", no_choice)
     code, _, err = invoke(capsys, "learn", "--pos",
                           str(FIX / "selfloop_p.kripke"), "--max-size", "1")
     assert code == 3

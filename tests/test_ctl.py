@@ -176,7 +176,7 @@ class TestSyntaxDag:
         dag = ctl.to_dag(ctl.parse_ctl("EX p | E[p U EG q]"))
         assert dag.size == 6
         assert [n.label for _, n in dag] == ["p", "EX", "q", "EG", "EU", "|"]
-        ex, eu, root = dag.node(2), dag.node(5), dag.node(6)
+        ex, eu, root = dag.nodes[1], dag.nodes[4], dag.nodes[5]
         assert ex.left == 1 and ex.right is None
         assert eu.left == 1 and eu.right == 4  # the p leaf is shared
         assert (root.left, root.right) == (2, 5)
@@ -186,7 +186,7 @@ class TestSyntaxDag:
         for _ in range(200):
             f = helpers.random_enf(rng, ("p", "q"), 4)
             dag = ctl.to_dag(f)
-            first = dag.node(1)
+            first = dag.nodes[0]
             assert first.left is None and first.right is None
             assert first.label in ("p", "q")
             for i, node in dag:

@@ -44,14 +44,15 @@ class TestBuildInstance:
     def test_var_layout(self):
         m = helpers.load_fixture("two_state_pq.kripke")
         instance = encoder.build_instance(3, [m])
-        assert instance.label_var(1, "p") != instance.label_var(1, "q")
-        assert instance.left_var(3, 1) != instance.right_var(3, 1)
+        pool = instance.pool
+        assert pool.get("x", 1, "p") != pool.get("x", 1, "q")
+        assert pool.get("l", 3, 1) != pool.get("r", 3, 1)
         # y and ys exist for every node, state, and step up to |S|+1.
         for i in (1, 2, 3):
             for s in (0, 1):
-                instance.holds_var(0, i, s)
+                pool.get("y", 0, i, s)
                 for k in (1, 2, 3):
-                    instance.step_var(0, i, s, k)
+                    pool.get("ys", 0, i, s, k)
 
     def test_rejects_mixed_alphabets(self):
         a = helpers.load_fixture("selfloop_p.kripke")
@@ -104,8 +105,8 @@ class TestSemantics:
             pool, backend = semantic_instance([struct], dag.size)
             assert backend.solve(encoder.dag_literals(pool, dag))
             model = backend.model()
-            phi_set = checker.sat_set(struct, phi).states
-            psi_set = checker.sat_set(struct, psi).states
+            phi_set = checker.sat_set_table(struct, phi)[phi]
+            psi_set = checker.sat_set_table(struct, psi)[psi]
             root = dag.root
             for k in range(1, struct.size + 2):
                 if isinstance(f, ctl.ExistsUntil):
@@ -118,9 +119,9 @@ class TestSemantics:
 
 
 class TestConsistency:
-    def solve_instance(self, n, pos, neg=(), blocked=()):
+    def build_and_solve(self, n, pos, neg=(), blocked=()):
         instance = encoder.build_instance(n, pos, neg, blocked=blocked)
-        return instance, encoder.solve(instance, seed=0)
+        return instance, helpers.solve_instance(instance)
 
     def test_sat_iff_oracle_finds_consistent_formula(self):
         """An instance at budget n is satisfiable exactly when some
@@ -137,7 +138,7 @@ class TestConsistency:
             by_oracle = any(
                 helpers.consistent_by_oracle(f, pos, neg)
                 for f in ctl.enumerate_formulas(alphabet, n))
-            instance, assignment = self.solve_instance(n, pos, neg)
+            instance, assignment = self.build_and_solve(n, pos, neg)
             assert (assignment is not None) == by_oracle
 
     def test_decoded_formula_is_consistent(self):
@@ -147,19 +148,19 @@ class TestConsistency:
             pos = [helpers.random_kripke(rng, 3)]
             neg = [helpers.random_kripke(rng, 3)
                    for _ in range(rng.randint(0, 1))]
-            instance, assignment = self.solve_instance(rng.randint(1, 3),
-                                                       pos, neg)
+            instance, assignment = self.build_and_solve(rng.randint(1, 3),
+                                                        pos, neg)
             if assignment is None:
                 continue
             decoded += 1
-            f = encoder.decode(assignment, instance)
+            f = encoder.decode_with_literals(assignment, instance)[0]
             assert helpers.consistent_by_oracle(f, pos, neg)
         assert decoded > 10
 
     def test_unsat_for_contradictory_sample(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         for n in (1, 2, 3):
-            _, assignment = self.solve_instance(n, [m], [m])
+            _, assignment = self.build_and_solve(n, [m], [m])
             assert assignment is None
 
 
@@ -168,7 +169,7 @@ class TestBlocking:
         m = helpers.load_fixture("selfloop_p.kripke")
         blocked = [ctl.to_dag(ctl.Prop("p"))]
         instance, assignment = (
-            TestConsistency().solve_instance(1, [m], blocked=blocked))
+            TestConsistency().build_and_solve(1, [m], blocked=blocked))
         assert assignment is None  # p was the only size-1 candidate
 
     def test_blocked_dag_only_applies_at_its_own_budget(self):
@@ -186,10 +187,9 @@ class TestBlocking:
         encoder.load_backend(instance, backend)
         seen = []
         for _ in range(30):
-            assignment = encoder.solve(instance, backend=backend)
-            if assignment is None:
+            if not backend.solve():
                 break
-            f, lits = encoder.decode_with_literals(assignment, instance)
+            f, lits = encoder.decode_with_literals(backend.model(), instance)
             assert ctl.size(f) <= 2
             assert f not in seen
             assert helpers.naive_holds(m, f)
@@ -212,19 +212,14 @@ class TestDecode:
             instance = encoder.build_instance(ctl.size(f), [m], [])
             backend = CdclSolver(seed=2)
             encoder.load_backend(instance, backend)
-            assumptions = encoder.formula_assumptions(instance, f)
+            assumptions = encoder.dag_literals(instance.pool, ctl.to_dag(f))
             if not backend.solve(assumptions):
                 # f does not hold on the structure; consistency rules
                 # it out, which is fine for the roundtrip test.
                 assert not helpers.naive_holds(m, f)
                 continue
-            assert encoder.decode(backend.model(), instance) == f
-
-    def test_formula_assumptions_requires_matching_budget(self):
-        m = helpers.load_fixture("selfloop_p.kripke")
-        instance = encoder.build_instance(2, [m])
-        with pytest.raises(ValueError):
-            encoder.formula_assumptions(instance, ctl.Prop("p"))
+            decoded = encoder.decode_with_literals(backend.model(), instance)
+            assert decoded[0] == f
 
 
 class TestDimacsExport:

@@ -20,7 +20,7 @@ class TestValidate:
     def test_accepts_well_formed(self):
         m = small()
         assert m.size == 2
-        assert m.post(0) == frozenset({1})
+        assert m.successors[0] == frozenset({1})
         assert m.labels[1] == frozenset({"q"})
         assert m.index("s1") == 1
 
