@@ -47,6 +47,9 @@ __all__ = ["CegTraceEntry", "CegReport", "Certification", "CegError",
            "CertificationFailure", "SynthesisInconsistency", "infer",
            "verify_solution", "formula_space_bound"]
 
+# Largest size bound whose candidates `verify_solution` enumerates.
+_AUDIT_LIMIT = 4
+
 
 class CegError(RuntimeError):
     """An internal loop invariant broke (bug signal, not an input error)."""
@@ -181,20 +184,22 @@ def infer(model: KripkeStructure, bound: int,
                      synth_states=synth_states, certification=certification)
 
 
-def verify_solution(model: KripkeStructure, bound: int, result: CegReport,
-                    synth_states: int | None = None,
-                    audit_limit: int = 4) -> Certification:
+def verify_solution(model: KripkeStructure, bound: int,
+                    result: CegReport) -> Certification:
     """Re-derive the guarantees of an inference result.
 
     Checks that the formula holds on the model, fits the size bound, and
-    fails on every recorded negative structure.  When the bound is small
-    enough (<= audit_limit) it additionally enumerates every ENF formula
-    of size <= bound holding on the model and confirms that none strictly
-    implies the result within the synthesis budget; the first violation
-    raises `CertificationFailure` naming the violating formula.
+    fails on every recorded negative structure.  When the bound is at
+    most `_AUDIT_LIMIT` it additionally enumerates every ENF formula of
+    size <= bound holding on the model and confirms, by one
+    `synth.equivalent` call each, that none strictly implies the result
+    within the synthesis budget `result.synth_states` that `infer` ran
+    with; the first violation raises `CertificationFailure` naming the
+    violating formula.  A budget below 1 raises `ValueError`.
     """
-    if synth_states is None:
-        synth_states = result.synth_states
+    synth_states = result.synth_states
+    if synth_states < 1:
+        raise ValueError("synthesis budget must be at least 1")
     formula = result.formula
     if not checker.holds(model, formula):
         raise CertificationFailure("result does not hold on the model",
@@ -205,7 +210,7 @@ def verify_solution(model: KripkeStructure, bound: int, result: CegReport,
 
     audited = False
     candidates_audited = 0
-    if bound <= audit_limit:
+    if bound <= _AUDIT_LIMIT:
         audited = True
         for candidate in ctl.enumerate_formulas(model.alphabet, bound):
             if not checker.holds(model, candidate):
@@ -213,11 +218,9 @@ def verify_solution(model: KripkeStructure, bound: int, result: CegReport,
             candidates_audited += 1
             if candidate == formula:
                 continue
-            if synth.implies(candidate, formula, synth_states,
-                             model.alphabet) is not None:
-                continue  # candidate does not imply the result
-            if synth.implies(formula, candidate, synth_states,
-                             model.alphabet) is not None:
+            verdict = synth.equivalent(candidate, formula, synth_states,
+                                       model.alphabet)
+            if verdict is not None and verdict[0] == "backward":
                 raise CertificationFailure(
                     "a candidate strictly implies the result", candidate)
 

@@ -8,6 +8,8 @@ both stabilize within |S| + 1 steps.
 
 State sets are machine integers used as bitsets over state indices, which
 keeps the fixed-point loops cheap; the public functions expose frozensets.
+Each call evaluates its formula from scratch: no work is kept between
+calls.
 """
 
 from __future__ import annotations
@@ -102,17 +104,11 @@ def _to_set(mask: int, size: int) -> frozenset[int]:
     return frozenset(s for s in range(size) if mask >> s & 1)
 
 
-def sat_set_table(m: KripkeStructure, f: CtlFormula,
-                  cache: dict[CtlFormula, int] | None = None,
-                  ) -> dict[CtlFormula, frozenset[int]]:
-    """Satisfaction sets for every subformula of `f`, children first.
-
-    Pass the same `cache` dict across calls to reuse work when evaluating
-    many formulas against one structure.
-    """
-    memo = cache if cache is not None else {}
-    succ = _succ_masks(m)
-    _sat_mask(m, f, succ, memo)
+def sat_set_table(m: KripkeStructure,
+                  f: CtlFormula) -> dict[CtlFormula, frozenset[int]]:
+    """Satisfaction sets for every subformula of `f`, children first."""
+    memo: dict[CtlFormula, int] = {}
+    _sat_mask(m, f, _succ_masks(m), memo)
     table: dict[CtlFormula, frozenset[int]] = {}
 
     def emit(g: CtlFormula) -> None:

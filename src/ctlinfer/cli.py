@@ -6,13 +6,13 @@ Subcommands:
   satisfaction set of every subformula.
 * `learn --pos F.. [--neg F..] --max-size B` - minimal consistent formula
   for a sample of structure files, with a per-budget SAT/UNSAT trace.
-  `--dump-cnf DIR` writes each budget's instance to `DIR/omega_<n>.cnf`.
 * `synth <formula> [--max-states M] [--props a,b]` - a structure
   satisfying the formula, or a negative verdict bounded by M.
 * `infer <model> --bound B [--synth-states M] [--trace PATH]` - the full
   counterexample-guided inference loop.
-* `cnf-dump --pos F.. [--neg F..] --size N <out>` - DIMACS export of one
-  search instance, with a comment header mapping semantic variables.
+* `cnf-dump --pos F.. [--neg F..] --size N <out>` - DIMACS export of the
+  instance `learn` solves at budget N, with a comment header mapping
+  semantic variables.
 
 Standard output is machine-parseable: the final answer is the last line,
 prefixed `result: `.  Diagnostics go to standard error.  Exit codes:
@@ -62,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="negative structure files")
     p_learn.add_argument("--max-size", type=int, required=True, metavar="B",
                          help="largest formula size to try")
-    p_learn.add_argument("--dump-cnf", metavar="DIR",
-                         help="write one DIMACS file per budget into DIR")
     p_learn.add_argument("--seed", type=int, default=0)
 
     p_synth = sub.add_parser("synth", help="synthesize a structure "
@@ -133,13 +131,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     sample = _load_sample(args.pos, args.neg)
     if args.max_size < 1:
         raise ctl.CtlError("--max-size must be at least 1")
-    if args.dump_cnf is not None and not Path(args.dump_cnf).is_dir():
-        raise NotADirectoryError(f"--dump-cnf {args.dump_cnf} is not a "
-                                 "directory")
     try:
-        result = learner.learn_minimal(sample, args.max_size,
-                                       seed=args.seed,
-                                       dump_dir=args.dump_cnf)
+        result = learner.learn_minimal(sample, args.max_size, seed=args.seed)
     except learner.NoConsistentFormula as err:
         for trace in err.budgets:
             print(trace.describe())
@@ -230,8 +223,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (kripke.KripkeError, ctl.CtlError, learner.AlphabetMismatch,
-            ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (BackendFailure, synth.SynthesisInconsistency,

@@ -188,14 +188,13 @@ def build_semantic(pool: VarPool, n: int,
     r(i, j2))` or `(x,)`.  Under the exactly-one structural constraints
     this equals guarding with the full label-and-children choice, but
     emits linearly rather than quadratically many unary and EU/EG clauses.
+    The structures must share one alphabet; `build_instance` checks it.
     """
     if not structures:
         return []
     alphabet = structures[0].alphabet
     clauses: list[Clause] = []
     for m, struct in enumerate(structures):
-        if struct.alphabet != alphabet:
-            raise ValueError("sample structures must share one alphabet")
         states = range(struct.size)
         post = [sorted(struct.successors[s]) for s in states]
 

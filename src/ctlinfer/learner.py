@@ -17,7 +17,6 @@ before re-solving, so no discarded formula is ever returned.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -123,17 +122,12 @@ class LearnResult:
 
 
 def _search(sample: Sample, max_size: int, discarded: Sequence[CtlFormula],
-            seed: int | None, dump_dir: str | None,
-            ) -> tuple[LearnResult | None, list[BudgetTrace]]:
+            seed: int | None) -> tuple[LearnResult | None, list[BudgetTrace]]:
     budgets: list[BudgetTrace] = []
     blocked_dags = [ctl.to_dag(f) for f in discarded]
     for n in range(1, max_size + 1):
         instance = encoder.build_instance(n, sample.positives,
                                           sample.negatives, blocked_dags)
-        if dump_dir is not None:
-            path = os.path.join(dump_dir, f"omega_{n}.cnf")
-            with open(path, "w", encoding="ascii") as handle:
-                handle.write(encoder.to_dimacs(instance))
         backend = CdclSolver(seed=seed)
         encoder.load_backend(instance, backend)
         started = time.perf_counter()
@@ -160,8 +154,8 @@ def _search(sample: Sample, max_size: int, discarded: Sequence[CtlFormula],
     return None, budgets
 
 
-def learn_minimal(sample: Sample, max_size: int, seed: int | None = None,
-                  dump_dir: str | None = None) -> LearnResult:
+def learn_minimal(sample: Sample, max_size: int,
+                  seed: int | None = None) -> LearnResult:
     """Minimal-size formula consistent with the sample.
 
     Tries budgets 1..max_size in order and returns at the first
@@ -173,7 +167,7 @@ def learn_minimal(sample: Sample, max_size: int, seed: int | None = None,
         raise ValueError("size budget must be at least 1")
     if sample.has_conflict():
         raise NoConsistentFormula([])
-    result, budgets = _search(sample, max_size, (), seed, dump_dir)
+    result, budgets = _search(sample, max_size, (), seed)
     if result is None:
         raise NoConsistentFormula(budgets)
     return result
@@ -191,5 +185,5 @@ def infer_candidate(model: KripkeStructure, bound: int,
     sample = Sample((model,), tuple(negatives))
     if sample.has_conflict():
         return None
-    result, _ = _search(sample, bound, tuple(discarded), seed, None)
+    result, _ = _search(sample, bound, tuple(discarded), seed)
     return result

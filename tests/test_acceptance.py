@@ -101,9 +101,8 @@ def test_criterion_1_checker_matches_naive_fixed_point_oracle():
             rng = random.Random(seed)
             m = helpers.random_kripke(rng, max_states=4)
             expected = naive_tables(m, ENF4_PQ)
-            cache = {}
             for f in ENF4_PQ:
-                got = checker.sat_set_table(m, f, cache=cache)[f]
+                got = checker.sat_set_table(m, f)[f]
                 assert got == expected[f], (seed, ctl.print_ctl(f))
 
 
@@ -214,7 +213,7 @@ def test_criterion_6_ceg_terminates_with_certified_eg_p():
         m = helpers.load_fixture("selfloop_p.kripke")
         report = ceg.infer(m, 2, synth_states=4, seed=0)
         assert report.formula == ctl.ExistsGlobally(ctl.Prop("p"))
-        cert = ceg.verify_solution(m, 2, report, synth_states=4)
+        cert = ceg.verify_solution(m, 2, report)
         assert cert.audited and cert.candidates_audited > 0
         # Independent audit: no size-<=2 formula holding on the model
         # strictly implies EG p within a 4-state synthesis budget.

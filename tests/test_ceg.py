@@ -89,7 +89,7 @@ class TestVerifySolution:
 
     def test_genuine_result_passes(self):
         m, report = self.certified_report()
-        cert = ceg.verify_solution(m, 2, report, synth_states=4)
+        cert = ceg.verify_solution(m, 2, report)
         assert cert.formula == report.formula
         assert cert.size == 2
         assert cert.audited
@@ -101,7 +101,7 @@ class TestVerifySolution:
         corrupted = dataclasses.replace(
             report, formula=ctl.parse_ctl("p | p"))
         with pytest.raises(CertificationFailure) as err:
-            ceg.verify_solution(m, 2, corrupted, synth_states=4)
+            ceg.verify_solution(m, 2, corrupted)
         assert "strictly implies" in str(err.value)
         assert err.value.violating == ctl.ExistsGlobally(ctl.Prop("p"))
 
@@ -109,7 +109,7 @@ class TestVerifySolution:
         m, report = self.certified_report()
         corrupted = dataclasses.replace(report, formula=ctl.parse_ctl("!p"))
         with pytest.raises(CertificationFailure) as err:
-            ceg.verify_solution(m, 2, corrupted, synth_states=4)
+            ceg.verify_solution(m, 2, corrupted)
         assert "hold" in str(err.value)
 
     def test_oversized_result_is_flagged(self):
@@ -117,15 +117,24 @@ class TestVerifySolution:
         corrupted = dataclasses.replace(
             report, formula=ctl.parse_ctl("EG (p & EX p)"))
         with pytest.raises(CertificationFailure) as err:
-            ceg.verify_solution(m, 2, corrupted, synth_states=4)
+            ceg.verify_solution(m, 2, corrupted)
         assert "size bound" in str(err.value)
 
     def test_audit_skipped_above_limit(self):
         m, report = self.certified_report()
-        cert = ceg.verify_solution(m, 2, report, synth_states=4,
-                                   audit_limit=1)
+        cert = ceg.verify_solution(m, 5, report)
         assert not cert.audited
         assert cert.candidates_audited == 0
+
+    def test_budget_below_one_is_rejected(self):
+        # With no propositions nothing reaches synthesis, so only the
+        # budget check can see the corrupted budget.
+        m = kripke.parse_kripke("kripke\nprops:\nstates: a\ninit: a\n"
+                                "labels: a:\ntrans: a -> a\n")
+        report = ceg.infer(m, 2, synth_states=4, seed=0)
+        corrupted = dataclasses.replace(report, synth_states=-3)
+        with pytest.raises(ValueError, match="budget"):
+            ceg.verify_solution(m, 2, corrupted)
 
 
 def test_report_fields_describe_the_run():

@@ -82,14 +82,3 @@ class TestSatSetTable:
         for sub in table:
             assert all(child in seen for child in ctl.children(sub))
             seen.add(sub)
-
-    def test_shared_cache_stays_consistent(self):
-        rng = random.Random(101)
-        m = helpers.random_kripke(rng, max_states=4)
-        cache = {}
-        for _ in range(30):
-            f = ctl.enf(helpers.random_ctl(rng, m.alphabet, depth=3),
-                        m.alphabet)
-            table = checker.sat_set_table(m, f, cache=cache)
-            for sub, states in table.items():
-                assert states == helpers.naive_sat(m, sub)

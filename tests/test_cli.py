@@ -139,34 +139,6 @@ class TestLearn:
         assert code == 2
         assert "alphabet" in err
 
-    def test_dump_cnf_writes_budget_files(self, capsys, tmp_path):
-        code, _, _ = invoke(
-            capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
-            "--neg", str(FIX / "selfloop_empty.kripke"),
-            "--max-size", "2", "--dump-cnf", str(tmp_path))
-        assert code == 0
-        dumped = sorted(p.name for p in tmp_path.glob("*.cnf"))
-        assert dumped == ["omega_1.cnf"]
-        text = (tmp_path / "omega_1.cnf").read_text()
-        assert "p cnf " in text
-
-
-    def test_unwritable_dump_dir_is_usage(self, capsys, tmp_path):
-        code, _, err = invoke(
-            capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
-            "--max-size", "1", "--dump-cnf", str(tmp_path / "missing"))
-        assert_usage_error(code, err)
-
-    def test_missing_dump_dir_is_usage_on_conflicting_sample(self, capsys,
-                                                             tmp_path):
-        # The conflict check writes no budget file, so the directory is
-        # checked before it.
-        code, out, err = invoke(
-            capsys, "learn", "--pos", str(FIX / "selfloop_p.kripke"),
-            "--neg", str(FIX / "selfloop_p.kripke"), "--max-size", "2",
-            "--dump-cnf", str(tmp_path / "missing"))
-        assert_usage_error(code, err)
-        assert "result:" not in out
 
 class TestSynth:
     def test_model_output_parses_back(self, capsys):
@@ -248,6 +220,23 @@ class TestCnfDump:
         assert int(num_vars) > 0 and int(num_clauses) > 0
         assert f"vars={num_vars}" in out
 
+    def test_matches_every_learn_budget(self, capsys, tmp_path):
+        sample = ["--pos", str(FIX / "two_state_pq.kripke"),
+                  str(FIX / "chain3.kripke"),
+                  "--neg", str(FIX / "cycle2.kripke")]
+        code, out, _ = invoke(capsys, "learn", *sample, "--max-size", "4")
+        assert code == 0
+        budgets = [line for line in out.splitlines()
+                   if line.startswith("budget ")]
+        assert len(budgets) == 3
+        for line in budgets:
+            size = line.split(":")[0].split()[1]
+            counts = line.split("(")[1].rstrip(")")
+            target = tmp_path / f"omega_{size}.cnf"
+            code, out, _ = invoke(capsys, "cnf-dump", *sample,
+                                  "--size", size, str(target))
+            assert code == 0
+            assert out.splitlines()[0] == f"wrote {target} ({counts})"
 
     def test_unwritable_output_is_usage(self, capsys, tmp_path):
         code, out, err = invoke(
