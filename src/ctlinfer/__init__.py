@@ -6,7 +6,8 @@ The package bundles four layers:
 * `checker` - explicit-state CTL model checking over bitmask state sets.
 * `encoder` / `learner` - SAT-based search for a minimal formula
   consistent with positive and negative example structures.
-* `synth` / `ceg` - bounded model synthesis and the counterexample-guided
+* `tableau` / `synth` / `ceg` - exact satisfiability by tableau
+  elimination, bounded model synthesis, and the counterexample-guided
   loop that tightens a hypothesis until it pins down the input structure.
 """
 

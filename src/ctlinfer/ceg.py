@@ -9,7 +9,9 @@ synthesis in both directions; the trivial hypothesis takes the same path,
 since `synth.implies` settles "candidate implies true" without a solver:
 
 * case 1 - candidate and hypothesis are equivalent within the state
-  budget: discard the candidate and keep searching;
+  budget: discard the candidate and keep searching.  `synthesize` refutes
+  each direction with its tableau before any solver runs, so a case 1
+  costs no SAT sweep whenever the two are equivalent outright;
 * case 2 - the candidate strictly strengthens the hypothesis (it implies
   the hypothesis, and a witness satisfies the hypothesis but not the
   candidate): the witness becomes a negative structure, the candidate is

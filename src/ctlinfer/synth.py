@@ -15,11 +15,19 @@ CNF instance over free transition and labeling variables is solved:
 Operators are lowered by `encoder.lower_node`, the single home of the
 step semantics; only successors and propositions are symbolic here.
 
+Before any instance is built, `tableau.satisfiable` decides the ENF
+formula exactly when it has at most `tableau.MAX_ELEMENTARY` elementary
+formulas.  An unsatisfiable formula has no model of any size, so none
+within the budget either, and the answer is None with no solver; a
+satisfiable one goes on to the state sweep, so every returned structure
+is the one the sweep alone would return.
+
 Every synthesized structure is verified with the explicit-state checker
 before being returned; a verification failure is a hard internal error
 (`SynthesisInconsistency`), never a silent wrong answer.  A None result
-means "no model within the state budget" and is reported as such; it is
-not a proof that no larger model exists.
+means "no model within the state budget" and is reported as such.  When
+the tableau decided it, no model of any size exists; otherwise it is not
+a proof that no larger model exists.
 
 `implies` and `equivalent` reduce bounded implication checking to
 synthesis of countermodels for f & !g; the constant `true` on either side
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from . import checker, ctl
+from . import checker, ctl, tableau
 from .ctl import And, CtlFormula, Not
 from .encoder import NODE_PARTS, VarPool, lower_node
 from .kripke import KripkeStructure
@@ -131,7 +139,9 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
 
     State counts are tried in increasing order, so a returned structure
     has as few states as the encoding admits.  None means no model within
-    the budget, which is not a proof that none exists beyond it.
+    the budget.  It is exact (no model of any size) when the tableau
+    refuted the formula, and otherwise not a proof that none exists
+    beyond the budget; callers report it as a bounded verdict either way.
     """
     if max_states < 1:
         raise ValueError("state budget must be at least 1")
@@ -149,6 +159,9 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
         trivial = _trivial_structure()
         return trivial if checker.holds(trivial, formula) else None
     normalized = ctl.enf(formula, alphabet)
+    if (tableau.elementary_count(normalized) <= tableau.MAX_ELEMENTARY
+            and not tableau.satisfiable(normalized)):
+        return None
     dag = ctl.to_dag(normalized)
     for num_states in range(1, max_states + 1):
         pool, clauses = _encode(dag, num_states, alphabet)
@@ -172,8 +185,9 @@ def implies(f: CtlFormula, g: CtlFormula,
     """Countermodel of f -> g within the state budget, or None.
 
     None means the implication holds on every structure with up to
-    `max_states` states (a bounded verdict).  A returned structure
-    satisfies f and falsifies g, checker-verified.
+    `max_states` states (a bounded verdict); when `synthesize`'s tableau
+    refuted f & !g, the implication is valid outright.  A returned
+    structure satisfies f and falsifies g, checker-verified.
 
     When g is `true` the answer is None without a solver, which is sound
     because no structure falsifies `true`; when f is `true` the
@@ -200,8 +214,9 @@ def equivalent(f: CtlFormula, g: CtlFormula,
                ) -> tuple[str, KripkeStructure] | None:
     """None when f and g agree on all structures within the budget.
 
-    Otherwise ("forward", w) with w satisfying f & !g, or ("backward", w)
-    with w satisfying g & !f.
+    That verdict is exact when the tableau refuted both directions, and
+    is still reported as bounded.  Otherwise ("forward", w) with w
+    satisfying f & !g, or ("backward", w) with w satisfying g & !f.
     """
     if alphabet is None:
         alphabet = tuple(sorted(ctl.propositions(f) | ctl.propositions(g)))

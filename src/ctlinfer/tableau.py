@@ -1,0 +1,155 @@
+"""Exact CTL satisfiability by tableau elimination.
+
+The elimination procedure of Emerson & Halpern ("Decision procedures and
+expressiveness in the temporal logic of branching time", JCSS 1985),
+specialised to ENF formulas:
+
+* The elementary formulas are the propositions, every `EX psi`
+  subformula, and `EX u` for each EU/EG subformula u.  An atom is one
+  truth assignment to them; every other subformula follows locally, since
+  `E[f U g] = g | (f & EX E[f U g])` and `EG f = f & EX EG f`.
+* A -> B is allowed when every `EX psi` that is false in A has psi false
+  in B.
+* Atoms are deleted until nothing changes: an atom with no allowed
+  surviving successor, or with a true `EX psi` that no surviving successor
+  witnesses; an atom with a true `E[f U g]` outside the least fixpoint
+  that reaches g through f-atoms; an atom with a false `EG f` outside the
+  least fixpoint of "f is false, or one successor and every EX demand are
+  witnessed inside the set" (the `AF !f` eventuality).
+* The formula is satisfiable iff some surviving atom makes it true.
+
+Soundness (False means no model exists): in any structure, map each state
+to the atom of the elementary formulas it satisfies; by the two unfoldings
+above, every subformula has the same truth value at the state as in its
+atom.  A state's successors map to allowed successors of its atom, its
+true EX demands are witnessed by successors, a true `E[f U g]` has a
+finite f-path to g whose atoms lie in the EU fixpoint, and a false `EG f`
+(`AF !f` true) bounds every path's distance to !f, so by induction on that
+distance its atom lies in the AF fixpoint.  Hence no rule ever deletes an
+atom of a state, and a model of the formula leaves an atom that makes it
+true.  Unsatisfiable therefore means no model of any size.  The converse
+(a surviving atom yields a model) is the completeness half of the same
+paper; callers only rely on False.
+
+The procedure is exponential in the number of elementary formulas.  It
+works on the formula's syntax DAG (`ctl.to_dag`, which rejects non-ENF
+input).  Atom sets are ints used as bitsets over atom indices, as in
+`checker`: one mask per DAG node, and `allowed[a]` is an AND of the masks
+of the false EX targets of atom a.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from . import ctl
+from .ctl import (AND_LABEL, EG_LABEL, EU_LABEL, EX_LABEL, NOT_LABEL,
+                  OR_LABEL, CtlFormula, SyntaxDag)
+
+__all__ = ["MAX_ELEMENTARY", "elementary_count", "satisfiable"]
+
+# Largest elementary-formula count `synth.synthesize` hands to the tableau
+# (2 ** 12 atoms); above it, bounded synthesis runs alone.
+MAX_ELEMENTARY = 12
+
+
+def _elementary(dag: SyntaxDag) -> tuple[list[int], list[int]]:
+    """The proposition leaves of `dag`, and the nodes j whose `EX j` is
+    elementary (EX operands, and every EU and EG node)."""
+    props = [i for i, node in dag if node.left is None]
+    nexts = dict.fromkeys(node.left if node.label == EX_LABEL else i
+                          for i, node in dag
+                          if node.label in (EX_LABEL, EU_LABEL, EG_LABEL))
+    return props, list(nexts)
+
+
+def elementary_count(formula: CtlFormula) -> int:
+    """The number of elementary formulas of an ENF formula."""
+    props, nexts = _elementary(ctl.to_dag(formula))
+    return len(props) + len(nexts)
+
+
+def _members(mask: int) -> Iterator[int]:
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def satisfiable(formula: CtlFormula) -> bool:
+    """True iff some Kripke structure satisfies the ENF `formula`."""
+    dag = ctl.to_dag(formula)
+    props, nexts = _elementary(dag)
+    count = 1 << (len(props) + len(nexts))
+    full = (1 << count) - 1
+    # Atom a makes elementary formula k true iff bit k of a is set.
+    bit = [sum(1 << a for a in range(count) if a >> k & 1)
+           for k in range(len(props) + len(nexts))]
+    prop_bit = dict(zip(props, bit))
+    next_bit = dict(zip(nexts, bit[len(props):]))
+    truth = [0] * (dag.size + 1)  # by node; slot 0 stands for no child
+    until, globally = [], []
+    for i, node in dag:
+        if node.left is None:
+            truth[i] = prop_bit[i]
+            continue
+        left, right = truth[node.left], truth[node.right or 0]
+        if node.label == NOT_LABEL:
+            truth[i] = full ^ left
+        elif node.label == AND_LABEL:
+            truth[i] = left & right
+        elif node.label == OR_LABEL:
+            truth[i] = left | right
+        elif node.label == EX_LABEL:
+            truth[i] = next_bit[node.left]
+        elif node.label == EU_LABEL:
+            truth[i] = right | (left & next_bit[i])
+            until.append((truth[i], left, right))
+        else:
+            truth[i] = left & next_bit[i]
+            globally.append((truth[i], left))
+
+    targets = [(k, truth[j]) for k, j in enumerate(nexts, len(props))]
+    allowed, demands = [], []
+    for a in range(count):
+        succ = full
+        for k, target in targets:
+            if not a >> k & 1:
+                succ &= ~target
+        allowed.append(succ)
+        demands.append([t for k, t in targets if a >> k & 1])
+
+    def witnessed(a: int, inside: int) -> bool:
+        succ = allowed[a] & inside
+        return bool(succ) and all(succ & t for t in demands[a])
+
+    alive = full
+    while True:
+        keep = alive
+        for a in _members(alive):
+            if not witnessed(a, alive):
+                keep &= ~(1 << a)
+        for holds, left, right in until:
+            reach = keep & right
+            grown = True
+            while grown:
+                grown = False
+                for a in _members(keep & left & ~reach):
+                    if allowed[a] & reach:
+                        reach |= 1 << a
+                        grown = True
+            keep &= reach | ~holds
+        for holds, operand in globally:
+            escape = keep & ~operand
+            grown = True
+            while grown:
+                grown = False
+                for a in _members(keep & ~holds & ~escape):
+                    if witnessed(a, escape):
+                        escape |= 1 << a
+                        grown = True
+            keep &= escape | holds
+        if keep == alive:
+            return bool(alive & truth[dag.root])
+        alive = keep

@@ -325,13 +325,31 @@ def test_seeded_learn_output_ignores_the_clock(capsys, monkeypatch):
     assert first == second
 
 
-def test_console_entry_point():
+def run_module(*argv, **env):
     # Run the package under test, also when pytest put it on sys.path.
     src = os.path.dirname(os.path.dirname(ctlinfer.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ctlinfer", "check",
-         str(FIX / "selfloop_p.kripke"), "p"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(
+        [sys.executable, "-m", "ctlinfer", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path, **env})
+
+
+def test_console_entry_point():
+    proc = run_module("check", str(FIX / "selfloop_p.kripke"), "p")
     assert proc.returncode == 0
     assert proc.stdout.strip().splitlines()[-1] == "result: holds"
+
+
+def test_seeded_runs_ignore_the_hash_seed():
+    # Set iteration order differs between interpreters with different
+    # hash seeds, so only separate processes can show an order leak.
+    for argv in (["infer", str(FIX / "sink_q.kripke"), "--bound", "3",
+                  "--synth-states", "4", "--seed", "1"],
+                 ["learn", "--pos", str(FIX / "cycle2.kripke"),
+                  "--neg", str(FIX / "two_state_pq.kripke"),
+                  "--max-size", "4", "--seed", "5"]):
+        first, second = (run_module(*argv, PYTHONHASHSEED=seed)
+                         for seed in ("0", "1"))
+        assert first.returncode == 0, first.stderr
+        assert (first.returncode, first.stdout, first.stderr) == (
+            second.returncode, second.stdout, second.stderr)

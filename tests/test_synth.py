@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ctl, synth
+from ctlinfer import ctl, synth, tableau
 from ctlinfer.ctl import (And, ExistsGlobally, ExistsNext, ExistsUntil, Not,
                           Prop)
 from ctlinfer.sat import CdclSolver
@@ -30,6 +30,38 @@ class TestSynthesize:
         assert synth.synthesize(ctl.parse_ctl("p & !p"), max_states=4) is None
         assert synth.synthesize(ctl.parse_ctl("EG p & !p"),
                                 max_states=4) is None
+
+    def test_tableau_refutations_need_no_solver(self, monkeypatch):
+        def no_solver(self, assumptions=()):
+            raise AssertionError("a refuted formula reached the solver")
+
+        monkeypatch.setattr(CdclSolver, "solve", no_solver)
+        for text in ("p & !p", "EG p & !p", "AF !q & AG q",
+                     "E[p U q] & !EF q", "EX p & AX !p"):
+            assert synth.synthesize(ctl.parse_ctl(text), max_states=4) is None
+
+    def test_satisfiable_beyond_the_budget(self):
+        # Four successors with pairwise different labellings need four
+        # states; the CNF itself proves there are none within three.
+        f = ctl.parse_ctl("EX (p & q) & EX (p & !q) & EX (!p & q) "
+                          "& EX (!p & !q)")
+        assert tableau.satisfiable(ctl.enf(f))
+        assert synth.synthesize(f, max_states=3) is None
+        assert synth.synthesize(f, max_states=4).size == 4
+
+    def test_above_the_cap_only_the_sweep_runs(self, monkeypatch):
+        def no_tableau(formula):
+            raise AssertionError("the tableau ran above its cap")
+
+        monkeypatch.setattr(tableau, "satisfiable", no_tableau)
+        chains = ctl.parse_ctl(" & ".join(
+            "EX " * k + "p" for k in range(1, tableau.MAX_ELEMENTARY + 1)))
+        assert tableau.elementary_count(chains) > tableau.MAX_ELEMENTARY
+        m = synth.synthesize(chains, max_states=2)
+        assert m is not None and m.size == 1
+        assert helpers.naive_holds(m, chains)
+        assert synth.synthesize(And(chains, ctl.parse_ctl("AG !p")),
+                                max_states=2) is None
 
     def test_alphabet_extends_model(self):
         m = synth.synthesize(ctl.parse_ctl("p"), max_states=2,

@@ -1,0 +1,101 @@
+"""Tableau satisfiability against bounded synthesis and the naive oracle.
+
+`synthesize` consults the tableau itself, so the differential tests run
+bounded synthesis with the tableau switched off (`sweep_only`).
+"""
+
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import helpers
+from ctlinfer import ctl, synth, tableau
+from ctlinfer.ctl import And, Not
+
+ALPHABET = ("p", "q")
+WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "workloads.py")
+
+# One refuted and one surviving case per deletion rule, in the order of the
+# module docstring (successor, EX demand, EU fixpoint, AF fixpoint), and
+# `EG q & !q`, which the unfolding of EG alone refutes.
+UNSAT_CASES = ["AX false", "EX p & AX !p", "E[p U q] & !EF q",
+               "AF !q & AG q", "EG q & !q"]
+SAT_CASES = ["AX p", "EX p & EX !p", "E[p U q] & EG !q", "AF !q & EX q"]
+
+
+def enf(text):
+    return ctl.enf(ctl.parse_ctl(text), ALPHABET)
+
+
+def random_targets(seed, count):
+    """Random ENF formulas of size <= 4 and pairs `f & !g` of them."""
+    rng = random.Random(seed)
+    for i in range(count):
+        f = helpers.random_enf(rng, ALPHABET, 4)
+        yield f if i % 2 else And(f, Not(helpers.random_enf(rng, ALPHABET, 4)))
+
+
+@pytest.fixture
+def sweep_only(monkeypatch):
+    monkeypatch.setattr(tableau, "MAX_ELEMENTARY", -1)
+
+
+@pytest.mark.parametrize("text", UNSAT_CASES)
+def test_each_rule_refutes_its_case(text):
+    assert not tableau.satisfiable(enf(text))
+
+
+@pytest.mark.parametrize("text", SAT_CASES)
+def test_each_rule_keeps_its_case(text, sweep_only):
+    f = enf(text)
+    assert tableau.satisfiable(f)
+    assert synth.synthesize(f, 3, ALPHABET) is not None
+
+
+def test_synthesized_models_are_satisfiable(sweep_only):
+    found = 0
+    for i, f in enumerate(random_targets(810, 120)):
+        model = synth.synthesize(f, 3 + i % 2, ALPHABET, seed=0)
+        if model is not None:
+            found += 1
+            assert tableau.satisfiable(f), ctl.print_ctl(f)
+    assert found > 80
+
+
+def test_unsatisfiable_formulas_hold_nowhere():
+    rng = random.Random(811)
+    structures = [m for n in (1, 2)
+                  for m in helpers.all_structures(n, ALPHABET)]
+    structures += [helpers.random_kripke(rng, 5, ALPHABET, min_states=3)
+                   for _ in range(60)]
+    refuted = [f for f in random_targets(812, 240)
+               if not tableau.satisfiable(f)]
+    assert len(refuted) > 25
+    for f in refuted:
+        for m in structures:
+            assert not helpers.naive_sat(m, f), ctl.print_ctl(f)
+
+
+def test_benchmark_pairs_have_their_hand_argued_verdicts(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the module executes.
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    verdicts = [
+        tableau.satisfiable(ctl.enf(And(ctl.parse_ctl(f),
+                                        Not(ctl.parse_ctl(g))), ALPHABET))
+        for f, g, _, _ in workloads.SYNTH_PAIRS]
+    expected = [size is not None for _, _, _, size in workloads.SYNTH_PAIRS]
+    assert verdicts == expected
+    assert expected.count(False) == 9 and expected.count(True) == 5
+
+
+def test_rejects_sugar():
+    with pytest.raises(ctl.NotInEnf):
+        tableau.satisfiable(ctl.parse_ctl("AX p"))
