@@ -3,10 +3,14 @@
 Starting from the trivial hypothesis `true`, the loop repeatedly asks the
 passive learner for the smallest formula that holds on the input
 structure, fails every accumulated negative structure, and differs from
-every discarded formula.  Each candidate is compared with the current
-hypothesis by one call to `synth.equivalent`, i.e. bounded countermodel
-synthesis in both directions; the trivial hypothesis takes the same path,
-since `synth.implies` settles "candidate implies true" without a solver:
+every discarded formula.  The learner is not asked afresh: one
+`learner.CandidateSearch` serves the whole run, and since negatives and
+discards are only ever appended, it keeps its solver and every budget
+already proven UNSAT between iterations.  Each candidate is compared with
+the current hypothesis by one call to `synth.equivalent`, i.e. bounded
+countermodel synthesis in both directions; the trivial hypothesis takes
+the same path, since `synth.implies` settles "candidate implies true"
+without a solver:
 
 * case 1 - candidate and hypothesis are equivalent within the state
   budget: discard the candidate and keep searching.  `synthesize` refutes
@@ -138,13 +142,13 @@ def infer(model: KripkeStructure, bound: int,
     proposed: list[CtlFormula] = []
     trace: list[CegTraceEntry] = []
     cap = formula_space_bound(len(alphabet), bound) + 1
+    search = learner.CandidateSearch(model, bound, seed)
 
     while True:
         if len(trace) >= cap:
             raise CegError("iteration cap exceeded; candidates must be "
                            "eliminated monotonically")
-        found = learner.infer_candidate(model, bound, negatives, discarded,
-                                        seed=seed)
+        found = learner.infer_candidate(search, negatives, discarded)
         if found is None:
             break
         candidate = found.formula

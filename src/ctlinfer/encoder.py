@@ -18,10 +18,23 @@ come from `lower_node`, the single home of the EX/EU/EG step semantics,
 which bounded synthesis (`synth`) also lowers its symbolic structures with.
 Consistency requires the root to hold in every initial state of the
 positive structures and to fail in some initial state of each negative
-one.  Blocking clauses exclude previously found formulas by negating the
-defining literals of their canonical DAGs; a blocked formula contributes
-a clause only at the budget equal to its own size (at larger budgets its
-renumbered embeddings are excluded downstream by decode-and-recheck).
+one.
+
+Variables are laid out per structure: the x/l/r variables of the DAG
+first, then, for each structure in the order it was added, its y and then
+its ys variables.  `add_structure` appends one structure's variables,
+semantic clauses and consistency clause, and `build_instance` is the
+structural clauses, `add_structure` once per positive and negative, then
+the blocks.  Appending a structure to a built instance (a new negative in
+the learner's persistent search) therefore renumbers nothing, and every
+clause already loaded into a solver stays valid.
+
+Blocking clauses exclude previously found formulas by negating the
+defining literals of their canonical DAGs.  They read only x/l/r
+variables, so they can be appended at any time, before or after further
+structures.  A blocked formula contributes a clause only at the budget
+equal to its own size; at larger budgets its renumbered embeddings are
+excluded downstream by decode-and-recheck.
 """
 
 from __future__ import annotations
@@ -35,8 +48,9 @@ from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-__all__ = ["VarPool", "NODE_PARTS", "lower_node", "build_instance",
-           "load_backend", "decode_with_literals", "to_dimacs"]
+__all__ = ["VarPool", "NODE_PARTS", "lower_node", "add_structure",
+           "build_instance", "load_backend", "decode_with_literals",
+           "to_dimacs"]
 
 
 class VarPool:
@@ -90,28 +104,6 @@ class EncodingInstance:
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)
-
-
-def _allocate(pool: VarPool, n: int, alphabet: Sequence[str],
-              structures: Sequence[KripkeStructure]) -> None:
-    labels = tuple(alphabet) + OPERATOR_LABELS
-    for i in range(1, n + 1):
-        for lab in labels:
-            pool.var("x", i, lab)
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            pool.var("l", i, j)
-        for j in range(1, i):
-            pool.var("r", i, j)
-    for m, struct in enumerate(structures):
-        for i in range(1, n + 1):
-            for s in range(struct.size):
-                pool.var("y", m, i, s)
-    for m, struct in enumerate(structures):
-        for i in range(1, n + 1):
-            for s in range(struct.size):
-                for k in range(1, struct.size + 2):
-                    pool.var("ys", m, i, s, k)
 
 
 def build_structural(pool: VarPool, n: int,
@@ -179,78 +171,93 @@ def lower_node(clauses: list[Clause], label: str, reads: str, s: int,
                     step(s, k + 1), left(s), reached, guards))
 
 
-def build_semantic(pool: VarPool, n: int,
-                   structures: Sequence[KripkeStructure]) -> list[Clause]:
-    """Guarded evaluation equivalences for every node, label and child.
+def build_semantic(pool: VarPool, n: int, m: int,
+                   struct: KripkeStructure) -> list[Clause]:
+    """Guarded evaluation equivalences of structure number m for every
+    node, label and child.
 
     Each `lower_node` part is guarded by the label and only the child
     choices it reads: `(x, l(i, j))`, `(x, r(i, j))`, `(x, l(i, j),
     r(i, j2))` or `(x,)`.  Under the exactly-one structural constraints
     this equals guarding with the full label-and-children choice, but
     emits linearly rather than quadratically many unary and EU/EG clauses.
-    The structures must share one alphabet; `build_instance` checks it.
     """
-    if not structures:
-        return []
-    alphabet = structures[0].alphabet
+    states = range(struct.size)
+    post = [sorted(struct.successors[s]) for s in states]
     clauses: list[Clause] = []
-    for m, struct in enumerate(structures):
-        states = range(struct.size)
-        post = [sorted(struct.successors[s]) for s in states]
 
-        y = [lambda s, i=i: pool.var("y", m, i, s) for i in range(n + 1)]
+    y = [lambda s, i=i: pool.var("y", m, i, s) for i in range(n + 1)]
 
-        def successors(s: int, lit: Callable[[int], int]) -> list[int]:
-            return [lit(t) for t in post[s]]
+    def successors(s: int, lit: Callable[[int], int]) -> list[int]:
+        return [lit(t) for t in post[s]]
 
-        for i in range(1, n + 1):
-            for p in alphabet:
-                guard = pool.var("x", i, p)
-                for s in states:
-                    if p in struct.labels[s]:
-                        clauses.append((-guard, y[i](s)))
-                    else:
-                        clauses.append((-guard, -y[i](s)))
-            if i == 1:
-                continue  # node 1 is structurally a proposition
-            x = {label: pool.var("x", i, label) for label in OPERATOR_LABELS}
+    for i in range(1, n + 1):
+        for p in struct.alphabet:
+            guard = pool.var("x", i, p)
+            for s in states:
+                if p in struct.labels[s]:
+                    clauses.append((-guard, y[i](s)))
+                else:
+                    clauses.append((-guard, -y[i](s)))
+        if i == 1:
+            continue  # node 1 is structurally a proposition
+        x = {label: pool.var("x", i, label) for label in OPERATOR_LABELS}
 
-            def step(s: int, k: int, i: int = i) -> int:
-                return pool.var("ys", m, i, s, k)
+        def step(s: int, k: int, i: int = i) -> int:
+            return pool.var("ys", m, i, s, k)
 
-            # One entry per child choice, mapping the parts that read it
-            # to their guard and children.
-            choices = [{"l": ((pool.var("l", i, j),), y[j], None),
-                        "r": ((pool.var("r", i, j),), None, y[j])}
-                       for j in range(1, i)]
-            choices += [{"lr": ((pool.var("l", i, j), pool.var("r", i, j2)),
-                                y[j], y[j2])}
-                        for j in range(1, i) for j2 in range(1, i)]
-            choices.append({"": ((), None, None)})
-            for choice in choices:
-                for s in states:
-                    for label in OPERATOR_LABELS:
-                        for reads in NODE_PARTS[label]:
-                            if reads in choice:
-                                guard, left, right = choice[reads]
-                                lower_node(clauses, label, reads, s, y[i](s),
-                                           left, right, step, successors,
-                                           struct.size, (x[label],) + guard)
+        # One entry per child choice, mapping the parts that read it to
+        # their guard and children.
+        choices = [{"l": ((pool.var("l", i, j),), y[j], None),
+                    "r": ((pool.var("r", i, j),), None, y[j])}
+                   for j in range(1, i)]
+        choices += [{"lr": ((pool.var("l", i, j), pool.var("r", i, j2)),
+                            y[j], y[j2])}
+                    for j in range(1, i) for j2 in range(1, i)]
+        choices.append({"": ((), None, None)})
+        for choice in choices:
+            for s in states:
+                for label in OPERATOR_LABELS:
+                    for reads in NODE_PARTS[label]:
+                        if reads in choice:
+                            guard, left, right = choice[reads]
+                            lower_node(clauses, label, reads, s, y[i](s),
+                                       left, right, step, successors,
+                                       struct.size, (x[label],) + guard)
     return clauses
 
 
-def build_consistency(pool: VarPool, n: int,
-                      positives: Sequence[KripkeStructure],
-                      negatives: Sequence[KripkeStructure]) -> list[Clause]:
-    """Root true on all initial states of P, false somewhere in I for N."""
-    clauses: list[Clause] = []
-    for m, struct in enumerate(positives):
-        for s in sorted(struct.initial):
-            clauses.append((pool.var("y", m, n, s),))
-    offset = len(positives)
-    for m, struct in enumerate(negatives):
-        clauses.append(tuple(-pool.var("y", offset + m, n, s)
-                             for s in sorted(struct.initial)))
+def add_structure(instance: EncodingInstance, struct: KripkeStructure,
+                  negative: bool) -> list[Clause]:
+    """Append one sample structure to the instance and return its clauses.
+
+    The structure takes the next index m.  Its `y` and `ys` variables are
+    numbered after every variable already in the pool, so appending never
+    renumbers earlier ones; its clauses are the semantic ones of
+    `build_semantic` and one consistency clause: the root holds on every
+    initial state of a positive, and fails on some initial state of a
+    negative.
+    """
+    if struct.alphabet != instance.alphabet:
+        raise ValueError("sample structures must share one alphabet")
+    pool, n = instance.pool, instance.size_budget
+    m = len(instance.positives) + len(instance.negatives)
+    for i in range(1, n + 1):
+        for s in range(struct.size):
+            pool.var("y", m, i, s)
+    for i in range(1, n + 1):
+        for s in range(struct.size):
+            for k in range(1, struct.size + 2):
+                pool.var("ys", m, i, s, k)
+    clauses = build_semantic(pool, n, m, struct)
+    roots = [pool.var("y", m, n, s) for s in sorted(struct.initial)]
+    if negative:
+        clauses.append(tuple(-lit for lit in roots))
+        instance.negatives += (struct,)
+    else:
+        clauses.extend((lit,) for lit in roots)
+        instance.positives += (struct,)
+    instance.clauses += clauses
     return clauses
 
 
@@ -286,18 +293,16 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
     if not structures:
         raise ValueError("sample must contain at least one structure")
     alphabet = structures[0].alphabet
-    for struct in structures:
-        if struct.alphabet != alphabet:
-            raise ValueError("sample structures must share one alphabet")
     pool = VarPool()
-    _allocate(pool, n, alphabet, structures)
-    clauses = build_structural(pool, n, alphabet)
-    clauses += build_semantic(pool, n, structures)
-    clauses += build_consistency(pool, n, tuple(positives), tuple(negatives))
-    clauses += build_block(pool, n, blocked)
-    return EncodingInstance(
-        size_budget=n, alphabet=alphabet, positives=tuple(positives),
-        negatives=tuple(negatives), pool=pool, clauses=clauses)
+    instance = EncodingInstance(
+        size_budget=n, alphabet=alphabet, positives=(), negatives=(),
+        pool=pool, clauses=build_structural(pool, n, alphabet))
+    for struct in positives:
+        add_structure(instance, struct, negative=False)
+    for struct in negatives:
+        add_structure(instance, struct, negative=True)
+    instance.clauses += build_block(pool, n, blocked)
+    return instance
 
 
 def load_backend(instance: EncodingInstance,

@@ -1,33 +1,42 @@
 """Passive learning of minimal consistent ENF formulas from samples.
 
-`learn_minimal` searches size budgets 1..B in order and returns the first
-formula consistent with the sample: true on every initial state of every
-positive structure, false on some initial state of every negative one.
-Because budgets are tried bottom-up, the result has minimal size.
+`learn_minimal` searches size budgets 1..B in order, each on a fresh
+solver, and returns the first formula consistent with the sample: true on
+every initial state of every positive structure, false on some initial
+state of every negative one.  Because budgets are tried bottom-up, the
+result has minimal size.
 
 `infer_candidate` is the inner search of the counterexample-guided loop:
 one distinguished positive structure, accumulated negative structures,
-and a discard set D of formulas that must not be proposed again.  Each
-member of D is excluded by a blocking clause at the budget matching its
-size; renumbered embeddings of discarded formulas inside larger budgets
+and a discard set D of formulas that must not be proposed again.  Its
+state, a `CandidateSearch`, lives for the whole loop: negatives and D
+only grow, so each size budget keeps one solver that later negatives and
+blocks are appended to, and a budget proven UNSAT is never solved again
+(the floor; `infer_candidate` gives the soundness argument).  Each member
+of D is excluded by a blocking clause at the budget matching its size;
+renumbered embeddings of discarded formulas inside larger budgets
 (possible when filler nodes are unreachable from the root) are caught by
 re-checking every decoded formula against D and blocking that embedding
-before re-solving, so no discarded formula is ever returned.
+before re-solving, so no discarded formula is ever returned.  Both
+searches share that decode loop (`_solve_budget`) and one encoding
+(`encoder.build_instance`, with `encoder.add_structure` appending later
+negatives).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 from . import ctl, encoder
-from .ctl import CtlFormula
+from .ctl import CtlFormula, SyntaxDag
 from .kripke import KripkeStructure, bisimulation_classes
 from .sat import BackendFailure, CdclSolver
 
 __all__ = ["Sample", "BudgetTrace", "LearnResult", "AlphabetMismatch",
-           "NoConsistentFormula", "learn_minimal", "infer_candidate"]
+           "NoConsistentFormula", "CandidateSearch", "learn_minimal",
+           "infer_candidate"]
 
 
 class AlphabetMismatch(ValueError):
@@ -121,69 +130,166 @@ class LearnResult:
     budgets: tuple[BudgetTrace, ...]
 
 
-def _search(sample: Sample, max_size: int, discarded: Sequence[CtlFormula],
-            seed: int | None) -> tuple[LearnResult | None, list[BudgetTrace]]:
-    budgets: list[BudgetTrace] = []
-    blocked_dags = [ctl.to_dag(f) for f in discarded]
-    for n in range(1, max_size + 1):
-        instance = encoder.build_instance(n, sample.positives,
-                                          sample.negatives, blocked_dags)
-        backend = CdclSolver(seed=seed)
-        encoder.load_backend(instance, backend)
-        started = time.perf_counter()
-        while backend.solve():
-            formula, lits = encoder.decode_with_literals(backend.model(),
-                                                         instance)
-            if formula in discarded:
-                # A renumbered embedding of a discarded formula: exclude
-                # this embedding and look for a different assignment.
-                backend.add_clause([-lit for lit in lits])
-                continue
-            millis = (time.perf_counter() - started) * 1000.0
-            budgets.append(BudgetTrace(n, True, instance.num_vars,
-                                       instance.num_clauses, millis))
-            if ctl.size(formula) != n:
-                raise BackendFailure(
-                    f"decoded formula {ctl.print_ctl(formula)} has size "
-                    f"{ctl.size(formula)} at budget {n}; a smaller budget "
-                    "should have found it")
-            return LearnResult(formula, n, tuple(budgets)), budgets
-        millis = (time.perf_counter() - started) * 1000.0
-        budgets.append(BudgetTrace(n, False, instance.num_vars,
-                                   instance.num_clauses, millis))
-    return None, budgets
+def _solve_budget(instance: encoder.EncodingInstance, backend: CdclSolver,
+                  discarded: Container[CtlFormula],
+                  ) -> tuple[CtlFormula | None, BudgetTrace]:
+    """Solve, decode and re-block until the budget yields a formula not in
+    `discarded` (None once the budget has no model left), with its trace."""
+    n = instance.size_budget
+    started = time.perf_counter()
+    formula = None
+    while backend.solve():
+        formula, lits = encoder.decode_with_literals(backend.model(),
+                                                     instance)
+        if formula not in discarded:
+            break
+        # A renumbered embedding of a discarded formula: exclude this
+        # embedding and look for a different assignment.
+        backend.add_clause([-lit for lit in lits])
+        formula = None
+    millis = (time.perf_counter() - started) * 1000.0
+    if formula is not None and ctl.size(formula) != n:
+        raise BackendFailure(
+            f"decoded formula {ctl.print_ctl(formula)} has size "
+            f"{ctl.size(formula)} at budget {n}; a smaller budget "
+            "should have found it")
+    return formula, BudgetTrace(n, formula is not None, instance.num_vars,
+                                instance.num_clauses, millis)
 
 
 def learn_minimal(sample: Sample, max_size: int,
                   seed: int | None = None) -> LearnResult:
     """Minimal-size formula consistent with the sample.
 
-    Tries budgets 1..max_size in order and returns at the first
-    satisfiable one, so the result's size is the minimum over all
-    consistent formulas.  Raises `NoConsistentFormula` when every budget
-    is unsatisfiable (immediately when the sample is self-contradictory).
+    Tries budgets 1..max_size in order, each on a fresh solver, and
+    returns at the first satisfiable one, so the result's size is the
+    minimum over all consistent formulas.  Raises `NoConsistentFormula`
+    when every budget is unsatisfiable (immediately when the sample is
+    self-contradictory).
     """
     if max_size < 1:
         raise ValueError("size budget must be at least 1")
     if sample.has_conflict():
         raise NoConsistentFormula([])
-    result, budgets = _search(sample, max_size, (), seed)
-    if result is None:
-        raise NoConsistentFormula(budgets)
-    return result
+    budgets: list[BudgetTrace] = []
+    for n in range(1, max_size + 1):
+        instance = encoder.build_instance(n, sample.positives,
+                                          sample.negatives)
+        backend = encoder.load_backend(instance, CdclSolver(seed=seed))
+        formula, trace = _solve_budget(instance, backend, ())
+        budgets.append(trace)
+        if formula is not None:
+            return LearnResult(formula, n, tuple(budgets))
+    raise NoConsistentFormula(budgets)
 
 
-def infer_candidate(model: KripkeStructure, bound: int,
+class CandidateSearch:
+    """The state `infer_candidate` keeps across one CEG run: the model,
+    the size bound and the solver seed; the negatives and discarded
+    formulas seen so far; whether some negative conflicts with the model
+    (`Sample.has_conflict`); the floor, below which every budget is
+    UNSAT; and the floor budget's instance and solver once created."""
+
+    def __init__(self, model: KripkeStructure, bound: int,
+                 seed: int | None = None):
+        if bound < 1:
+            raise ValueError("size budget must be at least 1")
+        self.model = model
+        self.bound = bound
+        self.seed = seed
+        self._negatives: list[KripkeStructure] = []
+        self._discarded: list[CtlFormula] = []
+        self._discarded_set: set[CtlFormula] = set()
+        self._dags: list[SyntaxDag] = []
+        self._conflict = False
+        self._floor = 1
+        self._live: tuple[encoder.EncodingInstance, CdclSolver] | None = None
+        self._encoded = 0   # negatives in the live instance
+        self._blocked = 0   # discards the live instance has blocks for
+
+    def _update(self, negatives: Sequence[KripkeStructure],
+                discarded: Sequence[CtlFormula]) -> None:
+        if list(negatives[:len(self._negatives)]) != self._negatives:
+            raise ValueError("negatives must extend the ones already seen")
+        if list(discarded[:len(self._discarded)]) != self._discarded:
+            raise ValueError(
+                "discarded formulas must extend the ones already seen")
+        new = negatives[len(self._negatives):]
+        conflicts = [Sample((self.model,), (struct,)).has_conflict()
+                     for struct in new]
+        self._conflict = self._conflict or any(conflicts)
+        self._negatives.extend(new)
+        for formula in discarded[len(self._discarded):]:
+            self._discarded.append(formula)
+            self._discarded_set.add(formula)
+            self._dags.append(ctl.to_dag(formula))
+
+    def _live_budget(self) -> tuple[encoder.EncodingInstance, CdclSolver]:
+        """The floor budget's instance and solver, created on first use
+        and brought up to date with the negatives and discards seen."""
+        n = self._floor
+        if self._live is None:
+            instance = encoder.build_instance(n, (self.model,),
+                                              self._negatives, self._dags)
+            backend = encoder.load_backend(instance,
+                                           CdclSolver(seed=self.seed))
+            self._live = instance, backend
+        else:
+            instance, backend = self._live
+            for struct in self._negatives[self._encoded:]:
+                backend.add_clauses(
+                    encoder.add_structure(instance, struct, negative=True))
+            blocks = encoder.build_block(instance.pool, n,
+                                         self._dags[self._blocked:])
+            instance.clauses += blocks
+            backend.add_clauses(blocks)
+            backend.reserve(instance.num_vars)
+        self._encoded = len(self._negatives)
+        self._blocked = len(self._dags)
+        return instance, backend
+
+
+def infer_candidate(search: CandidateSearch,
                     negatives: Sequence[KripkeStructure] = (),
                     discarded: Sequence[CtlFormula] = (),
-                    seed: int | None = None) -> LearnResult | None:
-    """Smallest formula holding on `model`, failing every structure in
-    `negatives`, and syntactically different from everything in
-    `discarded`; None when no such formula of size <= bound exists."""
-    if bound < 1:
-        raise ValueError("size budget must be at least 1")
-    sample = Sample((model,), tuple(negatives))
-    if sample.has_conflict():
+                    ) -> LearnResult | None:
+    """Smallest formula holding on `search.model`, failing every structure
+    in `negatives`, and syntactically different from everything in
+    `discarded`; None when no such formula of size <= `search.bound`
+    exists.
+
+    The search persists across calls.  `negatives` and `discarded` must
+    extend the sequences of the previous call on the same search (raises
+    `ValueError` otherwise).  Each budget's clause set then only grows:
+    a new negative appends its variables, semantic clauses and
+    consistency clause; a new discard of the budget's own size appends its
+    blocking clause; and a decoded embedding of a discarded formula is
+    blocked for good, since that formula stays discarded.  The formulas a
+    budget admits (consistent and not discarded) only shrink, so a budget
+    that was UNSAT stays UNSAT: it is dropped for good, and the search
+    resumes at the floor, the first budget not yet proven UNSAT.  No
+    budget below the floor admits a formula, so the first SAT budget is
+    still the minimum size, and a decoded formula of another size is a
+    `BackendFailure`.  The floor budget's solver lives from its first use
+    until it answers UNSAT, so at most one solver is alive at a time.
+
+    A new negative whose every initial state is bisimilar to an initial
+    state of the model (`Sample.has_conflict`) leaves no separating
+    formula of any size.  That is decided once per negative, and from
+    then on the search answers None without solving.  The `budgets` of
+    the result trace the budgets solved by this call.
+    """
+    search._update(negatives, discarded)
+    if search._conflict:
         return None
-    result, _ = _search(sample, bound, tuple(discarded), seed)
-    return result
+    budgets: list[BudgetTrace] = []
+    while search._floor <= search.bound:
+        instance, backend = search._live_budget()
+        formula, trace = _solve_budget(instance, backend,
+                                       search._discarded_set)
+        budgets.append(trace)
+        if formula is not None:
+            return LearnResult(formula, instance.size_budget, tuple(budgets))
+        search._live = None
+        search._floor += 1
+    return None

@@ -119,7 +119,7 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                 pool = VarPool()
                 clauses = encoder.build_structural(pool, dag.size,
                                                    struct.alphabet)
-                clauses += encoder.build_semantic(pool, dag.size, [struct])
+                clauses += encoder.build_semantic(pool, dag.size, 0, struct)
                 backend = CdclSolver(seed=0)
                 for clause in clauses:
                     backend.add_clause(clause)
@@ -191,8 +191,9 @@ def test_criterion_5_candidate_inference_contract():
                          for _ in range(rng.randint(0, 2))]
             bound = rng.randint(1, 3)
             discarded = rng.sample(enum3, rng.randint(0, 6))
-            result = learner.infer_candidate(model, bound, negatives,
-                                             discarded, seed=0)
+            result = learner.infer_candidate(
+                learner.CandidateSearch(model, bound, seed=0), negatives,
+                discarded)
             if result is None:
                 assert not any(
                     ctl.size(f) <= bound

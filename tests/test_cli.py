@@ -1,5 +1,7 @@
 import itertools
 import os
+import re
+import shlex
 import subprocess
 import sys
 import types
@@ -28,6 +30,36 @@ def assert_usage_error(code, err):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def readme_examples():
+    """(argv, printed lines) of each `ctlinfer` command in the README's
+    quick start, with continued lines joined."""
+    text = (FIX.parent / "README.md").read_text(encoding="utf-8")
+    quick_start = text.split("## Quick start")[1].split("\n## ")[0]
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", quick_start, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("$ ctlinfer "):
+                examples.append((shlex.split(line)[2:], []))
+            elif examples:
+                examples[-1][1].append(line)
+    return examples
+
+
+def test_readme_quick_start_matches_the_cli(capsys):
+    examples = {argv[0]: (argv, lines) for argv, lines in readme_examples()}
+    keys = ("size:", "iterations:", "result:")
+    for name in ("learn", "infer"):
+        argv, documented = examples[name]
+        argv = [str(FIX.parent / arg) if arg.startswith("fixtures/") else arg
+                for arg in argv]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        expected = [line for line in documented if line.startswith(keys)]
+        assert len(expected) == (2 if name == "learn" else 3)
+        assert [line for line in out.splitlines()
+                if line.startswith(keys)] == expected
 
 
 class TestCheck:

@@ -14,7 +14,8 @@ def semantic_instance(structures, n):
     variables read back."""
     pool = VarPool()
     clauses = encoder.build_structural(pool, n, structures[0].alphabet)
-    clauses += encoder.build_semantic(pool, n, structures)
+    for m, struct in enumerate(structures):
+        clauses += encoder.build_semantic(pool, n, m, struct)
     backend = CdclSolver()
     for clause in clauses:
         backend.add_clause(clause)

@@ -131,13 +131,20 @@ class TestLearnMinimal:
             learner.learn_minimal(sample_of(["selfloop_p.kripke"]), 0)
 
 
+def search(model, bound, negatives=(), discarded=(), seed=None):
+    """One `infer_candidate` call on a fresh search."""
+    return learner.infer_candidate(
+        learner.CandidateSearch(model, bound, seed), negatives, discarded)
+
+
 class TestInferCandidate:
     def test_discarded_formulas_are_avoided(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         p = ctl.Prop("p")
-        first = learner.infer_candidate(m, 2, seed=3)
+        state = learner.CandidateSearch(m, 2, seed=3)
+        first = learner.infer_candidate(state)
         assert first is not None and first.formula == p
-        second = learner.infer_candidate(m, 2, discarded=(p,), seed=3)
+        second = learner.infer_candidate(state, discarded=(p,))
         assert second is not None
         assert second.formula != p
         assert second.size == 2
@@ -150,7 +157,7 @@ class TestInferCandidate:
         m = helpers.load_fixture("selfloop_p.kripke")
         p = ctl.Prop("p")
         for seed in range(8):
-            got = learner.infer_candidate(m, 2, discarded=(p,), seed=seed)
+            got = search(m, 2, discarded=(p,), seed=seed)
             assert got is not None
             assert got.formula != p
 
@@ -158,8 +165,7 @@ class TestInferCandidate:
         m = helpers.load_fixture("selfloop_p.kripke")
         neg = helpers.load_fixture("selfloop_empty.kripke")
         discarded = (ctl.Prop("p"), ctl.ExistsGlobally(ctl.Prop("p")))
-        got = learner.infer_candidate(m, 2, negatives=(neg,),
-                                      discarded=discarded, seed=1)
+        got = search(m, 2, negatives=(neg,), discarded=discarded, seed=1)
         assert got is not None
         f = got.formula
         assert f not in discarded
@@ -174,10 +180,68 @@ class TestInferCandidate:
             f for f in ctl.enumerate_formulas(("p",), 2)
             if helpers.naive_holds(m, f) and not helpers.naive_holds(neg, f)
         ]
-        got = learner.infer_candidate(m, 2, negatives=(neg,),
-                                      discarded=tuple(separators), seed=0)
+        got = search(m, 2, negatives=(neg,), discarded=tuple(separators),
+                     seed=0)
         assert got is None
 
     def test_conflicting_negative_returns_none(self):
         m = helpers.load_fixture("selfloop_p.kripke")
-        assert learner.infer_candidate(m, 2, negatives=(m,)) is None
+        assert search(m, 2, negatives=(m,)) is None
+
+    def test_rejects_bad_bound(self):
+        m = helpers.load_fixture("selfloop_p.kripke")
+        with pytest.raises(ValueError):
+            learner.CandidateSearch(m, 0)
+
+    def test_arguments_must_extend_the_previous_call(self):
+        m = helpers.load_fixture("selfloop_p.kripke")
+        neg = helpers.load_fixture("selfloop_empty.kripke")
+        p, q = ctl.Prop("p"), ctl.ExistsGlobally(ctl.Prop("p"))
+        state = learner.CandidateSearch(m, 2, seed=0)
+        learner.infer_candidate(state, [neg], [p])
+        learner.infer_candidate(state, [neg], [p, q])
+        for negatives, discarded in (([], [p, q]), ([m], [p, q]),
+                                     ([neg], [q]), ([neg], [q, p]),
+                                     ([neg], [])):
+            with pytest.raises(ValueError):
+                learner.infer_candidate(state, negatives, discarded)
+        # A rejected call leaves the search as it was.
+        got = learner.infer_candidate(state, [neg], [p, q])
+        assert got is not None and got.formula not in (p, q)
+
+    def test_persistent_search_matches_fresh_searches(self):
+        """Negatives and discards arrive one at a time, as in the CEG loop;
+        after each step the persistent answer keeps the contract, and its
+        size is the minimum a fresh search finds with the same input."""
+        rng = random.Random(909)
+        steps = answers = 0
+        while steps < 120:
+            model = helpers.random_kripke(rng, 3, min_states=2)
+            bound = rng.randint(2, 3)
+            state = learner.CandidateSearch(model, bound, seed=0)
+            negatives, discarded = [], []
+            last = None
+            for _ in range(12):
+                if last is not None and rng.random() < 0.7:
+                    discarded.append(last.formula)
+                elif rng.random() < 0.5:
+                    discarded.append(helpers.random_enf(rng, ("p", "q"),
+                                                        bound))
+                else:
+                    negatives.append(helpers.random_kripke(
+                        rng, 3, min_states=2))
+                steps += 1
+                last = learner.infer_candidate(state, negatives, discarded)
+                fresh = search(model, bound, list(negatives),
+                               list(discarded), seed=steps)
+                assert (last is None) == (fresh is None), steps
+                if last is None:
+                    break
+                answers += 1
+                f = last.formula
+                assert last.size == ctl.size(f) == fresh.size, steps
+                assert f not in discarded, steps
+                assert helpers.naive_holds(model, f), steps
+                assert not any(helpers.naive_holds(neg, f)
+                               for neg in negatives), steps
+        assert answers >= 60
