@@ -29,8 +29,17 @@ Every iteration removes at least one formula from the finite candidate
 space of size <= bound, so the loop terminates; a hard cap derived from
 that space size guards the invariant.  Since all negative structures stay
 within the synthesis budget, every structure in N keeps failing the
-current hypothesis across strengthenings; this is re-asserted each
-iteration and a violation raises `SynthesisInconsistency`.
+current hypothesis across strengthenings, and a violation raises
+`SynthesisInconsistency`.  The invariant is checked where it can break:
+after a case 2, every negative against the new hypothesis; after a case
+3, the appended negative; a case 1 changes neither the hypothesis nor N.
+
+The candidate space is the learner's normal form
+(`encoder.build_normal_form`), in which every formula of size <= bound
+has an equivalent of no larger size.  A formula holding on the model and
+strictly implying the result would therefore have such an equivalent in
+the space, which also holds and strictly implies it; so
+language-minimality over the normal form implies it over all formulas.
 
 Equivalence and implication verdicts are bounded by the synthesis state
 budget, so "language-minimal" is certified relative to countermodels of
@@ -162,21 +171,24 @@ def infer(model: KripkeStructure, bound: int,
         if verdict is None:
             case, countermodel = 1, None
             discarded.append(candidate)
+            changed = []
         elif verdict[0] == "forward":
             # The candidate does not imply the hypothesis.
             case, countermodel = 3, verdict[1]
             negatives.append(countermodel)
+            changed = [countermodel]
         else:
             case, countermodel = 2, verdict[1]
             negatives.append(countermodel)
             discarded.append(candidate)
             hypothesis = candidate
+            changed = negatives
 
         entry = CegTraceEntry(len(trace) + 1, candidate, case, countermodel)
         trace.append(entry)
         if on_iteration is not None:
             on_iteration(entry)
-        for struct in negatives:
+        for struct in changed:
             if checker.holds(struct, hypothesis):
                 raise SynthesisInconsistency(
                     "a negative structure satisfies the hypothesis")

@@ -1,16 +1,26 @@
 """SAT encoding of size-bounded ENF formula search over labeled structures.
 
-An instance at size budget n describes every syntax DAG with nodes 1..n
+An instance at size budget n describes the syntax DAGs with nodes 1..n
 (children strictly below parents, node 1 a proposition, node n the root)
-together with its evaluation on every structure of the sample:
+together with their evaluation on every structure of the sample:
 
 * label variables `x(i, lab)` pick one proposition or operator per node;
 * child variables `l(i, j)` / `r(i, j)` with j < i pick the children of
   every node i >= 2 (exactly one each, even where the arity ignores them);
+* use variables `u(i, j)` with i < j say that node j reads node i;
 * evaluation variables `y(m, i, s)` say that state s of structure m
   satisfies the subformula rooted at node i;
 * step variables `ys(m, i, s, k)` with k in 1..|S|+1 unroll the EU/EG
-  fixed points, which stabilize within |S| + 1 iterations.
+  fixed points of the operator nodes i >= 2, which stabilize within
+  |S| + 1 iterations.
+
+The structural clauses (`build_structural`) and the semantic ones
+(`build_semantic`) describe every such DAG.  A search instance admits
+only the normal-form DAGs of `build_normal_form`: tight (every node is
+read), without duplicate nodes, with the propositions first and the
+operands of `&` and `|` ordered.  So every DAG it admits has exactly n
+distinct subformulas, and `normal_dag` gives a formula's admitted
+numbering.
 
 Semantic constraints are equivalences guarded by the label/child choice,
 so once the x/l/r variables are fixed all y/ys values are forced.  They
@@ -21,20 +31,22 @@ positive structures and to fail in some initial state of each negative
 one.
 
 Variables are laid out per structure: the x/l/r variables of the DAG
-first, then, for each structure in the order it was added, its y and then
-its ys variables.  `add_structure` appends one structure's variables,
-semantic clauses and consistency clause, and `build_instance` is the
-structural clauses, `add_structure` once per positive and negative, then
-the blocks.  Appending a structure to a built instance (a new negative in
-the learner's persistent search) therefore renumbers nothing, and every
+first, then the u variables, then, for each structure in the order it
+was added, its y and then its ys variables.  `add_structure` appends one
+structure's variables, semantic clauses and consistency clause, and
+`build_instance` is the structural and normal-form clauses,
+`add_structure` once per positive and negative, then the blocks.
+Appending a structure to a built instance (a new negative in the
+learner's persistent search) therefore renumbers nothing, and every
 clause already loaded into a solver stays valid.
 
 Blocking clauses exclude previously found formulas by negating the
-defining literals of their canonical DAGs.  They read only x/l/r
-variables, so they can be appended at any time, before or after further
-structures.  A blocked formula contributes a clause only at the budget
-equal to its own size; at larger budgets its renumbered embeddings are
-excluded downstream by decode-and-recheck.
+defining literals of their admitted DAGs (`normal_dag`).  They read only
+x/l/r variables, so they can be appended at any time, before or after
+further structures.  A blocked formula contributes a clause only at the
+budget equal to its own size, which is the only budget that admits it;
+there, renumberings of its operator nodes other than the blocked one are
+still admitted, and are excluded downstream by decode-and-recheck.
 """
 
 from __future__ import annotations
@@ -44,13 +56,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import ctl, sat
 from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
-                  NOT_LABEL, OPERATOR_LABELS, OR_LABEL, CtlFormula, SyntaxDag)
+                  NOT_LABEL, OPERATOR_LABELS, OR_LABEL, CtlFormula, DagNode,
+                  SyntaxDag)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
 __all__ = ["VarPool", "NODE_PARTS", "lower_node", "add_structure",
-           "build_instance", "load_backend", "decode_with_literals",
-           "to_dimacs"]
+           "build_normal_form", "normal_dag", "build_instance",
+           "load_backend", "decode_with_literals", "to_dimacs"]
 
 
 class VarPool:
@@ -121,6 +134,134 @@ def build_structural(pool: VarPool, n: int,
         clauses.extend(sat.exactly_one([pool.var("r", i, j)
                                         for j in range(1, i)]))
     return clauses
+
+
+# Labels whose operands the normal form orders, left below right.
+_ORDERED_LABELS = (AND_LABEL, OR_LABEL)
+
+
+def build_normal_form(pool: VarPool, n: int,
+                      alphabet: Sequence[str]) -> list[Clause]:
+    """Clauses admitting only normal-form DAGs among those of
+    `build_structural`:
+
+    * propositions first, in alphabet order: a proposition node i >= 2
+      follows a proposition node earlier in the alphabet;
+    * ordered, distinct operands: `&` and `|` read l(i) < r(i), and `EU`
+      reads l(i) != r(i);
+    * no stacked `!` or `EG`: such a node does not read a node of its own
+      label;
+    * no duplicate operator nodes: no two have the same label and the same
+      children that the arity reads (the first bullet already keeps
+      propositions apart);
+    * tight: every node i < n is read by some later node j, as the left
+      child of an operator or the right child of a binary one, which the
+      use variable u(i, j) witnesses.
+
+    Every admitted DAG has n distinct subformulas, since no node is
+    unreachable from the root and no two nodes denote the same formula.
+
+    Soundness: every formula of size <= n has an equivalent admitted
+    formula of no larger size.  Rewrite x & x, x | x and E[x U x] to x,
+    !!x to x and EG EG x to EG x, at every occurrence at once (in the
+    DAG: redirect the node's readers to its child), merge duplicate nodes
+    and drop unreachable ones.  Each step keeps the semantics and lowers
+    the node count, so this terminates.  Then number the propositions
+    first in alphabet order and the operator nodes in any order with
+    children first, and swap the operands of every `&` or `|` node whose
+    left child got the higher number.  If that makes two nodes equal,
+    merge them and start again, with fewer nodes; otherwise the DAG is
+    admitted.  So the guarantees of searching every formula carry over:
+    `learner.learn_minimal` still finds the minimum size of a consistent
+    formula; the floor argument of `learner.infer_candidate` only needs
+    the admitted set of a budget to shrink; and a formula strictly
+    implying an answer of `ceg.infer` has an admitted equivalent that
+    does too, so language-minimality over the admitted formulas is
+    language-minimality over all of them.
+    """
+    x = lambda i, lab: pool.var("x", i, lab)
+    left = lambda i, j: pool.var("l", i, j)
+    right = lambda i, j: pool.var("r", i, j)
+    clauses: list[Clause] = []
+    for i in range(2, n + 1):
+        for a, p in enumerate(alphabet):
+            clauses.append((-x(i, p),) + tuple(x(i - 1, q)
+                                               for q in alphabet[:a]))
+        for j in range(1, i):
+            for lab in _ORDERED_LABELS:
+                clauses.append((-x(i, lab), -left(i, j))
+                               + tuple(right(i, k) for k in range(j + 1, i)))
+            clauses.append((-x(i, EU_LABEL), -left(i, j), -right(i, j)))
+            for lab in (NOT_LABEL, EG_LABEL):
+                clauses.append((-x(i, lab), -left(i, j), -x(j, lab)))
+    for i in range(2, n + 1):
+        for i2 in range(i + 1, n + 1):
+            for lab in OPERATOR_LABELS:
+                for j in range(1, i):
+                    same = (-x(i, lab), -x(i2, lab), -left(i, j),
+                            -left(i2, j))
+                    if lab not in BINARY_LABELS:
+                        clauses.append(same)
+                        continue
+                    for j2 in range(1, i):
+                        clauses.append(same + (-right(i, j2),
+                                               -right(i2, j2)))
+    for i in range(1, n):
+        clauses.append(tuple(pool.var("u", i, j)
+                             for j in range(i + 1, n + 1)))
+        for j in range(i + 1, n + 1):
+            used = pool.var("u", i, j)
+            clauses.append((-used,) + tuple(x(j, lab)
+                                            for lab in OPERATOR_LABELS))
+            clauses.append((-used, left(j, i))
+                           + tuple(x(j, lab) for lab in OPERATOR_LABELS
+                                   if lab in BINARY_LABELS))
+            clauses.append((-used, left(j, i), right(j, i)))
+    return clauses
+
+
+def normal_dag(formula: CtlFormula,
+               alphabet: Sequence[str]) -> SyntaxDag | None:
+    """The formula's DAG numbered as `build_normal_form` admits it, or
+    None when it admits no numbering of the formula.
+
+    The propositions come first in alphabet order, then the operator
+    nodes, each as soon as its children and, for a right operand of `&`
+    or `|`, the matching left operand are numbered (lowest `to_dag`
+    number first).  When that order gets stuck, or breaks another rule,
+    so does every order.
+    """
+    dag = ctl.to_dag(formula)
+    nodes = dict(dag)
+    rank = {p: a for a, p in enumerate(alphabet)}
+    leaves = [i for i, node in dag if node.left is None]
+    if any(nodes[i].label not in rank for i in leaves):
+        return None
+    order = sorted(leaves, key=lambda i: rank[nodes[i].label])
+    needs = {i: {node.left, node.right} - {None}
+             for i, node in dag if node.left is not None}
+    for node in nodes.values():
+        if node.label in _ORDERED_LABELS and node.right in needs:
+            needs[node.right].add(node.left)
+    placed = set(order)
+    while len(order) < dag.size:
+        ready = [i for i in needs if i not in placed and needs[i] <= placed]
+        if not ready:
+            return None
+        order.append(min(ready))
+        placed.add(order[-1])
+    number = {old: new for new, old in enumerate(order, start=1)}
+    number[None] = None
+    result = SyntaxDag(tuple(
+        DagNode(nodes[i].label, number[nodes[i].left], number[nodes[i].right])
+        for i in order))
+    for node in result.nodes:
+        if (node.label in _ORDERED_LABELS and node.left >= node.right
+                or node.label == EU_LABEL and node.left == node.right
+                or node.label in (NOT_LABEL, EG_LABEL)
+                and result.nodes[node.left - 1].label == node.label):
+            return None
+    return result
 
 
 # The parts of each operator's step semantics, named by the children they
@@ -245,7 +386,7 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     for i in range(1, n + 1):
         for s in range(struct.size):
             pool.var("y", m, i, s)
-    for i in range(1, n + 1):
+    for i in range(2, n + 1):
         for s in range(struct.size):
             for k in range(1, struct.size + 2):
                 pool.var("ys", m, i, s, k)
@@ -297,6 +438,7 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
     instance = EncodingInstance(
         size_budget=n, alphabet=alphabet, positives=(), negatives=(),
         pool=pool, clauses=build_structural(pool, n, alphabet))
+    instance.clauses += build_normal_form(pool, n, alphabet)
     for struct in positives:
         add_structure(instance, struct, negative=False)
     for struct in negatives:
@@ -327,7 +469,7 @@ def decode_with_literals(assignment: Mapping[int, bool],
     """Formula rooted at node n plus the defining literals actually read.
 
     Only nodes reachable from the root matter; negating the returned
-    literals excludes every assignment that reproduces this embedding.
+    literals excludes every assignment that reproduces this numbered DAG.
     """
     pool = instance.pool
     labels = instance.alphabet + OPERATOR_LABELS

@@ -3,8 +3,10 @@
 `learn_minimal` searches size budgets 1..B in order, each on a fresh
 solver, and returns the first formula consistent with the sample: true on
 every initial state of every positive structure, false on some initial
-state of every negative one.  Because budgets are tried bottom-up, the
-result has minimal size.
+state of every negative one.  The encoding admits only normal-form DAGs
+(`encoder.build_normal_form`), each of exactly its budget's size, and
+every formula has an admitted equivalent of no larger size; because
+budgets are tried bottom-up, the result has minimal size.
 
 `infer_candidate` is the inner search of the counterexample-guided loop:
 one distinguished positive structure, accumulated negative structures,
@@ -13,14 +15,14 @@ state, a `CandidateSearch`, lives for the whole loop: negatives and D
 only grow, so each size budget keeps one solver that later negatives and
 blocks are appended to, and a budget proven UNSAT is never solved again
 (the floor; `infer_candidate` gives the soundness argument).  Each member
-of D is excluded by a blocking clause at the budget matching its size;
-renumbered embeddings of discarded formulas inside larger budgets
-(possible when filler nodes are unreachable from the root) are caught by
-re-checking every decoded formula against D and blocking that embedding
-before re-solving, so no discarded formula is ever returned.  Both
-searches share that decode loop (`_solve_budget`) and one encoding
-(`encoder.build_instance`, with `encoder.add_structure` appending later
-negatives).
+of D is excluded by a blocking clause on its admitted DAG
+(`encoder.normal_dag`) at the budget matching its size.  A formula can
+still be admitted under another numbering of its operator nodes; such a
+renumbering is caught by re-checking every decoded formula against D and
+blocking that numbering before re-solving, so no discarded formula is
+ever returned.  Both searches share that decode loop (`_solve_budget`)
+and one encoding (`encoder.build_instance`, with `encoder.add_structure`
+appending later negatives).
 """
 
 from __future__ import annotations
@@ -134,7 +136,11 @@ def _solve_budget(instance: encoder.EncodingInstance, backend: CdclSolver,
                   discarded: Container[CtlFormula],
                   ) -> tuple[CtlFormula | None, BudgetTrace]:
     """Solve, decode and re-block until the budget yields a formula not in
-    `discarded` (None once the budget has no model left), with its trace."""
+    `discarded` (None once the budget has no model left), with its trace.
+
+    Every admitted DAG has exactly n nodes, so a discarded formula decoded
+    here is a renumbering of its blocked DAG; any other size is a broken
+    encoding."""
     n = instance.size_budget
     started = time.perf_counter()
     formula = None
@@ -143,16 +149,16 @@ def _solve_budget(instance: encoder.EncodingInstance, backend: CdclSolver,
                                                      instance)
         if formula not in discarded:
             break
-        # A renumbered embedding of a discarded formula: exclude this
-        # embedding and look for a different assignment.
+        # A discarded formula under another numbering of its operator
+        # nodes: exclude this numbering and look for a different one.
         backend.add_clause([-lit for lit in lits])
         formula = None
     millis = (time.perf_counter() - started) * 1000.0
     if formula is not None and ctl.size(formula) != n:
         raise BackendFailure(
             f"decoded formula {ctl.print_ctl(formula)} has size "
-            f"{ctl.size(formula)} at budget {n}; a smaller budget "
-            "should have found it")
+            f"{ctl.size(formula)} at budget {n}; the normal form admits "
+            "only DAGs of the budget's size")
     return formula, BudgetTrace(n, formula is not None, instance.num_vars,
                                 instance.num_clauses, millis)
 
@@ -205,7 +211,7 @@ class CandidateSearch:
         self._floor = 1
         self._live: tuple[encoder.EncodingInstance, CdclSolver] | None = None
         self._encoded = 0   # negatives in the live instance
-        self._blocked = 0   # discards the live instance has blocks for
+        self._blocked = 0   # DAGs the live instance has blocks for
 
     def _update(self, negatives: Sequence[KripkeStructure],
                 discarded: Sequence[CtlFormula]) -> None:
@@ -222,7 +228,9 @@ class CandidateSearch:
         for formula in discarded[len(self._discarded):]:
             self._discarded.append(formula)
             self._discarded_set.add(formula)
-            self._dags.append(ctl.to_dag(formula))
+            dag = encoder.normal_dag(formula, self.model.alphabet)
+            if dag is not None:  # otherwise no budget admits it
+                self._dags.append(dag)
 
     def _live_budget(self) -> tuple[encoder.EncodingInstance, CdclSolver]:
         """The floor budget's instance and solver, created on first use
@@ -253,17 +261,19 @@ def infer_candidate(search: CandidateSearch,
                     negatives: Sequence[KripkeStructure] = (),
                     discarded: Sequence[CtlFormula] = (),
                     ) -> LearnResult | None:
-    """Smallest formula holding on `search.model`, failing every structure
-    in `negatives`, and syntactically different from everything in
-    `discarded`; None when no such formula of size <= `search.bound`
-    exists.
+    """Smallest normal-form formula (`encoder.build_normal_form`) holding
+    on `search.model`, failing every structure in `negatives`, and
+    syntactically different from everything in `discarded`; None when no
+    such formula of size <= `search.bound` exists.  Every formula has a
+    normal-form equivalent of no larger size, but discarding a formula
+    discards none of its equivalents.
 
     The search persists across calls.  `negatives` and `discarded` must
     extend the sequences of the previous call on the same search (raises
     `ValueError` otherwise).  Each budget's clause set then only grows:
     a new negative appends its variables, semantic clauses and
     consistency clause; a new discard of the budget's own size appends its
-    blocking clause; and a decoded embedding of a discarded formula is
+    blocking clause; and a decoded renumbering of a discarded formula is
     blocked for good, since that formula stays discarded.  The formulas a
     budget admits (consistent and not discarded) only shrink, so a budget
     that was UNSAT stays UNSAT: it is dropped for good, and the search

@@ -238,6 +238,81 @@ def random_enf(rng: random.Random, alphabet: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
+# The learner's normal form, by brute force
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def admitted_dag(f: CtlFormula,
+                 alphabet: tuple[str, ...]) -> ctl.SyntaxDag | None:
+    """A numbering of f's syntax DAG that the learner's normal form admits,
+    found by trying every order of its nodes, or None if there is none.
+
+    Admitted: children below parents, the propositions first in alphabet
+    order, `&`/`|` operands ordered left below right, `EU` operands
+    distinct, and no `!` under `!` or `EG` under `EG`.  `to_dag` already
+    shares equal subterms and holds only nodes the root reaches.
+    """
+    nodes = ctl.to_dag(f).nodes
+    rank = {p: a for a, p in enumerate(alphabet)}
+    for order in itertools.permutations(range(1, len(nodes) + 1)):
+        number = {old: new for new, old in enumerate(order, start=1)}
+        number[None] = None
+        dag = tuple(ctl.DagNode(nodes[old - 1].label,
+                                number[nodes[old - 1].left],
+                                number[nodes[old - 1].right])
+                    for old in order)
+        leaves = [node.label for node in dag if node.left is None]
+        if any(node.left is not None for node in dag[:len(leaves)]):
+            continue
+        if [rank[p] for p in leaves] != sorted({rank[p] for p in leaves}):
+            continue
+        if all(_admitted_node(dag, i, node)
+               for i, node in enumerate(dag, start=1)):
+            return ctl.SyntaxDag(dag)
+    return None
+
+
+def _admitted_node(dag, i: int, node: ctl.DagNode) -> bool:
+    if node.left is None:
+        return True
+    if node.left >= i or (node.right or 0) >= i:
+        return False
+    if node.label in ("&", "|"):
+        return node.left < node.right
+    if node.label == "EU":
+        return node.left != node.right
+    if node.label in ("!", "EG"):
+        return dag[node.left - 1].label != node.label
+    return True
+
+
+def commuted(f: CtlFormula) -> CtlFormula:
+    """f with the operands of every `&` and `|` sorted by printed form,
+    so formulas equal up to commuting them map to one formula."""
+    if isinstance(f, Prop):
+        return f
+    kids = [commuted(g) for g in ctl.children(f)]
+    if isinstance(f, (And, Or)):
+        kids.sort(key=ctl.print_ctl)
+    return type(f)(*kids)
+
+
+def normal_form(f: CtlFormula) -> CtlFormula:
+    """f rewritten bottom-up by the normal form's rules: x & x, x | x and
+    E[x U x] to x, !!x to x, EG EG x to EG x, then `commuted`."""
+    if isinstance(f, Prop):
+        return f
+    kids = [normal_form(g) for g in ctl.children(f)]
+    if len(kids) == 2 and kids[0] == kids[1]:
+        return kids[0]
+    if isinstance(f, Not) and isinstance(kids[0], Not):
+        return kids[0].operand
+    if isinstance(f, ExistsGlobally) and isinstance(kids[0], ExistsGlobally):
+        return kids[0]
+    return commuted(type(f)(*kids))
+
+
+# ---------------------------------------------------------------------------
 # Brute-force learning oracle
 # ---------------------------------------------------------------------------
 

@@ -140,13 +140,16 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
 def test_criterion_3_search_instances_round_trip_against_enumeration():
     with criterion(3, "100 samples, budgets 1..3"):
         enum3 = [f for f in ENF4_PQ if ctl.size(f) <= 3]
+        admitted = [f for f in enum3 if helpers.admitted_dag(f, ("p", "q"))]
         for seed in range(100):
             rng = random.Random(1000 + seed)
             positives, negatives, tables = random_sample(rng, enum3)
             for n in (1, 2, 3):
+                # Budget n admits exactly the normal-form formulas of
+                # size n.
                 has_formula = any(
                     naive_consistent(f, positives, negatives, tables)
-                    for f in enum3 if ctl.size(f) <= n)
+                    for f in admitted if ctl.size(f) == n)
                 instance = encoder.build_instance(n, positives, negatives)
                 assignment = helpers.solve_instance(instance)
                 assert (assignment is not None) == has_formula, (seed, n)
@@ -194,16 +197,20 @@ def test_criterion_5_candidate_inference_contract():
             result = learner.infer_candidate(
                 learner.CandidateSearch(model, bound, seed=0), negatives,
                 discarded)
+            # The search space is the normal form: every formula has an
+            # admitted equivalent, but discarding an admitted formula
+            # does not discard its non-admitted twins.
+            sizes = [ctl.size(f) for f in enum3
+                     if ctl.size(f) <= bound
+                     and helpers.admitted_dag(f, ("p", "q"))
+                     and helpers.consistent_by_oracle(f, [model], negatives)
+                     and f not in discarded]
             if result is None:
-                assert not any(
-                    ctl.size(f) <= bound
-                    and helpers.consistent_by_oracle(f, [model], negatives)
-                    and f not in discarded
-                    for f in enum3), seed
+                assert not sizes, seed
                 continue
             f = result.formula
             assert checker.holds(model, f), seed
-            assert ctl.size(f) <= bound, seed
+            assert ctl.size(f) == min(sizes), seed
             assert not any(checker.holds(neg, f) for neg in negatives), seed
             assert f not in discarded, seed
 

@@ -48,12 +48,19 @@ class TestBuildInstance:
         pool = instance.pool
         assert pool.get("x", 1, "p") != pool.get("x", 1, "q")
         assert pool.get("l", 3, 1) != pool.get("r", 3, 1)
-        # y and ys exist for every node, state, and step up to |S|+1.
+        # The use variables come before the first structure's.
+        assert pool.get("u", 2, 3) < pool.get("y", 0, 1, 0)
+        # y exists for every node and state; ys for every operator node
+        # (not node 1, always a proposition), state and step up to |S|+1.
         for i in (1, 2, 3):
             for s in (0, 1):
                 pool.get("y", 0, i, s)
                 for k in (1, 2, 3):
-                    pool.get("ys", 0, i, s, k)
+                    if i == 1:
+                        with pytest.raises(KeyError):
+                            pool.get("ys", 0, i, s, k)
+                    else:
+                        pool.get("ys", 0, i, s, k)
 
     def test_rejects_mixed_alphabets(self):
         a = helpers.load_fixture("selfloop_p.kripke")
@@ -126,8 +133,7 @@ class TestConsistency:
 
     def test_sat_iff_oracle_finds_consistent_formula(self):
         """An instance at budget n is satisfiable exactly when some
-        consistent formula of size <= n exists: smaller formulas embed
-        with their root moved to node n over unconstrained filler."""
+        consistent formula of size n lies in the normal form."""
         rng = random.Random(503)
         for _ in range(40):
             alphabet = ("p", "q")
@@ -138,7 +144,8 @@ class TestConsistency:
             n = rng.randint(1, 3)
             by_oracle = any(
                 helpers.consistent_by_oracle(f, pos, neg)
-                for f in ctl.enumerate_formulas(alphabet, n))
+                for f in ctl.enumerate_formulas(alphabet, n)
+                if ctl.size(f) == n and helpers.admitted_dag(f, alphabet))
             instance, assignment = self.build_and_solve(n, pos, neg)
             assert (assignment is not None) == by_oracle
 
@@ -180,47 +187,135 @@ class TestBlocking:
         assert encoder.build_block(pool, 2, [dag]) == []
 
     def test_enumeration_by_blocking(self):
-        """Blocking each decoded embedding enumerates every consistent
-        formula the budget admits, exactly once per formula."""
+        """Blocking each decoded DAG enumerates, budget by budget, every
+        consistent normal-form formula exactly once, and every other
+        consistent formula has an admitted equivalent among them."""
         m = helpers.load_fixture("two_state_pq.kripke")
-        instance = encoder.build_instance(2, [m])
-        backend = CdclSolver(seed=1)
-        encoder.load_backend(instance, backend)
         seen = []
-        for _ in range(30):
-            if not backend.solve():
-                break
-            f, lits = encoder.decode_with_literals(backend.model(), instance)
-            assert ctl.size(f) <= 2
-            assert f not in seen
-            assert helpers.naive_holds(m, f)
-            seen.append(f)
-            backend.add_clause([-lit for lit in lits])
-        else:
-            pytest.fail("blocking never exhausted the budget")
-        # Everything of size <= 2 holding on the structure was produced.
-        expected = {f for f in ctl.enumerate_formulas(m.alphabet, 2)
-                    if helpers.naive_holds(m, f)}
-        assert set(seen) == expected
+        for n in (1, 2):
+            instance = encoder.build_instance(n, [m])
+            backend = CdclSolver(seed=1)
+            encoder.load_backend(instance, backend)
+            for _ in range(30):
+                if not backend.solve():
+                    break
+                f, lits = encoder.decode_with_literals(backend.model(),
+                                                       instance)
+                assert ctl.size(f) == n
+                assert f not in seen
+                assert helpers.naive_holds(m, f)
+                seen.append(f)
+                backend.add_clause([-lit for lit in lits])
+            else:
+                pytest.fail("blocking never exhausted the budget")
+        holding = [f for f in ctl.enumerate_formulas(m.alphabet, 2)
+                   if helpers.naive_holds(m, f)]
+        assert set(seen) == {f for f in holding
+                             if helpers.admitted_dag(f, m.alphabet)}
+        canonical = {helpers.commuted(f) for f in seen}
+        for f in holding:
+            assert helpers.normal_form(f) in canonical, f
 
 
 class TestDecode:
     def test_roundtrip_via_assumptions(self):
+        """Pinning a formula's admitted DAG decodes to the formula when it
+        holds; a formula outside the normal form cannot be pinned."""
         rng = random.Random(505)
         m = helpers.load_fixture("full2.kripke")
+        outside = 0
         for _ in range(40):
             f = helpers.random_enf(rng, m.alphabet, 3)
             instance = encoder.build_instance(ctl.size(f), [m], [])
             backend = CdclSolver(seed=2)
             encoder.load_backend(instance, backend)
-            assumptions = encoder.dag_literals(instance.pool, ctl.to_dag(f))
-            if not backend.solve(assumptions):
+            dag = helpers.admitted_dag(f, m.alphabet)
+            if dag is None:
+                outside += 1
+                assert not backend.solve(
+                    encoder.dag_literals(instance.pool, ctl.to_dag(f)))
+                continue
+            if not backend.solve(encoder.dag_literals(instance.pool, dag)):
                 # f does not hold on the structure; consistency rules
                 # it out, which is fine for the roundtrip test.
                 assert not helpers.naive_holds(m, f)
                 continue
             decoded = encoder.decode_with_literals(backend.model(), instance)
             assert decoded[0] == f
+        assert 0 < outside < 40
+
+
+class TestNormalForm:
+    ALPHABET = ("p", "q")
+
+    def normal_form_backend(self, n):
+        """A solver over the structural and normal-form clauses alone."""
+        pool = VarPool()
+        clauses = (encoder.build_structural(pool, n, self.ALPHABET)
+                   + encoder.build_normal_form(pool, n, self.ALPHABET))
+        instance = encoder.EncodingInstance(n, self.ALPHABET, (), (), pool,
+                                            clauses)
+        return instance, encoder.load_backend(instance, CdclSolver(seed=3))
+
+    def admitted(self, n):
+        """Every formula decoded at budget n, one blocked DAG at a time."""
+        instance, backend = self.normal_form_backend(n)
+        found = []
+        while backend.solve():
+            f, lits = encoder.decode_with_literals(backend.model(), instance)
+            found.append(f)
+            backend.add_clause([-lit for lit in lits])
+        return found
+
+    def test_against_the_rewrites(self):
+        """Budgets 1-3 over (p, q): every admitted formula has exactly the
+        budget's size, no two are commuted twins, and every formula is
+        admitted up to commuting `&`/`|` or rewrites to a smaller one
+        that is; the rewrites keep the semantics."""
+        decoded = {n: self.admitted(n) for n in (1, 2, 3)}
+        canonical = set()
+        for n, found in decoded.items():
+            assert {ctl.size(f) for f in found} <= {n}
+            twins = {helpers.commuted(f) for f in found}
+            assert len(twins) == len(found), n
+            canonical |= twins
+        rng = random.Random(506)
+        structures = [helpers.random_kripke(rng, 4, self.ALPHABET)
+                      for _ in range(60)]
+        rewritten = 0
+        for f in ctl.enumerate_formulas(self.ALPHABET, 3):
+            g = helpers.normal_form(f)
+            assert g in canonical, f
+            if g == helpers.commuted(f):
+                continue
+            rewritten += 1
+            assert ctl.size(g) < ctl.size(f), f
+            for m in structures:
+                assert helpers.naive_holds(m, f) == helpers.naive_holds(m, g)
+        assert rewritten > 0
+
+    def test_decoded_formulas_are_the_admitted_ones(self):
+        for n in (1, 2, 3):
+            expected = {f for f in ctl.enumerate_formulas(self.ALPHABET, n)
+                        if ctl.size(f) == n
+                        and helpers.admitted_dag(f, self.ALPHABET)}
+            assert set(self.admitted(n)) == expected
+
+    def test_normal_dag_matches_brute_force(self):
+        """`normal_dag` finds an admitted numbering exactly when one
+        exists, and the normal-form clauses admit the DAG it returns."""
+        foreign = ctl.parse_ctl("p & r")
+        assert encoder.normal_dag(foreign, self.ALPHABET) is None
+        backends = {n: self.normal_form_backend(n) for n in (1, 2, 3, 4)}
+        for f in ctl.enumerate_formulas(self.ALPHABET, 4):
+            dag = encoder.normal_dag(f, self.ALPHABET)
+            assert (dag is None) == (
+                helpers.admitted_dag(f, self.ALPHABET) is None), f
+            if dag is None:
+                continue
+            assert dag.to_formula() == f
+            instance, backend = backends[dag.size]
+            assert backend.solve(encoder.dag_literals(instance.pool, dag)), f
 
 
 class TestDimacsExport:

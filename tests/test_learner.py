@@ -3,9 +3,10 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ctl, kripke, learner
+from ctlinfer import ctl, encoder, kripke, learner
 from ctlinfer.kripke import KripkeStructure
 from ctlinfer.learner import NoConsistentFormula, Sample
+from ctlinfer.sat import CdclSolver
 
 
 def two_cycle_p():
@@ -151,15 +152,45 @@ class TestInferCandidate:
         assert helpers.naive_holds(m, second.formula)
 
     def test_discarding_embedded_formula_at_larger_budget(self):
-        """A discarded size-1 formula re-appears at budget 2 only as a
-        renumbered embedding; the decode-and-recheck path must skip it
-        rather than return it."""
+        """A discarded size-1 formula is not returned from budget 2."""
         m = helpers.load_fixture("selfloop_p.kripke")
         p = ctl.Prop("p")
         for seed in range(8):
             got = search(m, 2, discarded=(p,), seed=seed)
             assert got is not None
             assert got.formula != p
+
+    def test_renumbered_discard_is_reblocked(self, monkeypatch):
+        """Nodes 2 and 3 below may swap numbers when both read only node 1,
+        so each of E[EX p U EG p] and E[EG p U EX p] has two admitted DAGs.
+        With only these admitted, discarding both (which blocks one DAG
+        each) leaves their other DAGs: each is decoded once, re-blocked,
+        and the budget ends UNSAT."""
+        m = helpers.load_fixture("selfloop_p.kripke")
+        twins = [ctl.parse_ctl("E[EG p U EX p]"),
+                 ctl.parse_ctl("E[EX p U EG p]")]
+        instance = encoder.build_instance(
+            4, [m], blocked=[encoder.normal_dag(f, m.alphabet)
+                             for f in twins])
+        pool = instance.pool
+        instance.clauses.append((pool.get("x", 4, "EU"),))
+        for i in (2, 3):
+            instance.clauses.append((pool.get("x", i, "EX"),
+                                     pool.get("x", i, "EG")))
+            instance.clauses.append((pool.get("l", i, 1),))
+        backend = encoder.load_backend(instance, CdclSolver(seed=0))
+        decoded = []
+        decode = encoder.decode_with_literals
+
+        def recording(assignment, instance):
+            got = decode(assignment, instance)
+            decoded.append(got[0])
+            return got
+
+        monkeypatch.setattr(encoder, "decode_with_literals", recording)
+        formula, trace = learner._solve_budget(instance, backend, set(twins))
+        assert formula is None and not trace.satisfiable
+        assert sorted(decoded, key=ctl.print_ctl) == twins
 
     def test_negatives_and_discards_together(self):
         m = helpers.load_fixture("selfloop_p.kripke")
