@@ -12,7 +12,9 @@ together with their evaluation on every structure of the sample:
   satisfies the subformula rooted at node i;
 * step variables `ys(m, i, s, k)` with k in 1..|S|+1 unroll the EU/EG
   fixed points of the operator nodes i >= 2, which stabilize within
-  |S| + 1 iterations.
+  |S| + 1 iterations;
+* operand-value variables `L(m, i, s)` / `R(m, i, s)` of the operator
+  nodes i >= 2 equal the evaluation of the chosen left / right child.
 
 The structural clauses (`build_structural`) and the semantic ones
 (`build_semantic`) describe every such DAG.  A search instance admits
@@ -22,19 +24,21 @@ operands of `&` and `|` ordered.  So every DAG it admits has exactly n
 distinct subformulas, and `normal_dag` gives a formula's admitted
 numbering.
 
-Semantic constraints are equivalences guarded by the label/child choice,
-so once the x/l/r variables are fixed all y/ys values are forced.  They
-come from `lower_node`, the single home of the EX/EU/EG step semantics,
-which bounded synthesis (`synth`) also lowers its symbolic structures with.
+Semantic constraints are equivalences guarded by the label choice over
+the operand values, and the operand values are tied to the children by
+equivalences guarded by the child choice; so once the x/l/r variables
+are fixed all L/R/y/ys values are forced.  The label part comes from
+`lower_node`, the single home of the EX/EU/EG step semantics, which
+bounded synthesis (`synth`) also lowers its symbolic structures with.
 Consistency requires the root to hold in every initial state of the
 positive structures and to fail in some initial state of each negative
 one.
 
 Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
-was added, its y and then its ys variables.  `add_structure` appends one
-structure's variables, semantic clauses and consistency clause, and
-`build_instance` is the structural and normal-form clauses,
+was added, its y, then its ys, then its L/R variables.  `add_structure`
+appends one structure's variables, semantic clauses and consistency
+clause, and `build_instance` is the structural and normal-form clauses,
 `add_structure` once per positive and negative, then the blocks.
 Appending a structure to a built instance (a new negative in the
 learner's persistent search) therefore renumbers nothing, and every
@@ -61,7 +65,7 @@ from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-__all__ = ["VarPool", "NODE_PARTS", "lower_node", "add_structure",
+__all__ = ["VarPool", "lower_node", "add_structure",
            "build_normal_form", "normal_dag", "build_instance",
            "load_backend", "decode_with_literals", "to_dimacs"]
 
@@ -264,44 +268,31 @@ def normal_dag(formula: CtlFormula,
     return result
 
 
-# The parts of each operator's step semantics, named by the children they
-# read, in the order bounded synthesis lowers them.
-NODE_PARTS = {NOT_LABEL: ("l",), EX_LABEL: ("l",), AND_LABEL: ("lr",),
-              OR_LABEL: ("lr",), EU_LABEL: ("r", "l", ""),
-              EG_LABEL: ("l", "")}
-
-
-def lower_node(clauses: list[Clause], label: str, reads: str, s: int,
-               out: int, left: Callable[[int], int] | None,
-               right: Callable[[int], int] | None,
+def lower_node(clauses: list[Clause], label: str, s: int, out: int,
+               left: Callable[[int], int], right: Callable[[int], int],
                step: Callable[[int, int], int],
                successors: Callable[[int, Callable[[int], int]], list[int]],
                depth: int, guards: Sequence[int] = ()) -> None:
-    """Append one part of an operator node's semantics at state s.
+    """Append an operator node's semantics at state s.
 
     The single CNF lowering of the CTL step semantics, for formula search
-    (known structure) and bounded synthesis (symbolic structure).  The
-    part, one of `NODE_PARTS[label]`, is named by the children it reads:
-    "l" for NOT, EX, the EG base and steps and the EU steps; "r" for the
-    EU base; "lr" for AND and OR; "" for the EU/EG link to `out`.
+    (known structure) and bounded synthesis (symbolic structure).
     `left`/`right` map a state to a child literal, `step(t, k)` is the
     k-th EU/EG approximant (k in 1..depth + 1) and `successors(s, lit)`
     lists literals whose disjunction says a successor t has `lit(t)`.
+    EU and EG emit their base (from `right` and `left`), then the steps,
+    then the link of the last approximant to `out`.
     """
-    if reads == "":
-        clauses.extend(sat.equiv_lit(out, step(s, depth + 1), guards))
-    elif reads == "r":
-        clauses.extend(sat.equiv_lit(step(s, 1), right(s), guards))
-    elif reads == "lr":
-        equiv = sat.equiv_and if label == AND_LABEL else sat.equiv_or
-        clauses.extend(equiv(out, [left(s), right(s)], guards))
-    elif label == NOT_LABEL:
+    if label == NOT_LABEL:
         clauses.extend(sat.equiv_not(out, left(s), guards))
     elif label == EX_LABEL:
         clauses.extend(sat.equiv_or(out, successors(s, left), guards))
+    elif label in (AND_LABEL, OR_LABEL):
+        equiv = sat.equiv_and if label == AND_LABEL else sat.equiv_or
+        clauses.extend(equiv(out, [left(s), right(s)], guards))
     else:
-        if label == EG_LABEL:
-            clauses.extend(sat.equiv_lit(step(s, 1), left(s), guards))
+        base = right if label == EU_LABEL else left
+        clauses.extend(sat.equiv_lit(step(s, 1), base(s), guards))
         for k in range(1, depth + 1):
             reached = successors(s, lambda t: step(t, k))
             if label == EU_LABEL:
@@ -310,18 +301,25 @@ def lower_node(clauses: list[Clause], label: str, reads: str, s: int,
             else:
                 clauses.extend(sat.equiv_and_disj(
                     step(s, k + 1), left(s), reached, guards))
+        clauses.extend(sat.equiv_lit(out, step(s, depth + 1), guards))
 
 
 def build_semantic(pool: VarPool, n: int, m: int,
                    struct: KripkeStructure) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
-    node, label and child.
+    node, label and state.
 
-    Each `lower_node` part is guarded by the label and only the child
-    choices it reads: `(x, l(i, j))`, `(x, r(i, j))`, `(x, l(i, j),
-    r(i, j2))` or `(x,)`.  Under the exactly-one structural constraints
-    this equals guarding with the full label-and-children choice, but
-    emits linearly rather than quadratically many unary and EU/EG clauses.
+    The operand values `L(m, i, s)` and `R(m, i, s)` of an operator node
+    i are tied to its children by `l(i, j) -> (L(m, i, s) <-> y(m, j, s))`
+    and `r(i, j) -> (R(m, i, s) <-> y(m, j, s))`, and `lower_node` reads
+    them, guarded by the label `x(i, label)` alone.  So each node, label
+    and state is lowered once, whatever the children.
+
+    Soundness: the exactly-one constraints of `build_structural` make one
+    `l(i, j)` and one `r(i, j)` true, which forces `L` and `R` to the
+    chosen children's `y`.  So the models, projected on the x/l/r/u/y/ys
+    variables, are exactly those of guarding each lowering by the label
+    and the child choices it reads.
     """
     states = range(struct.size)
     post = [sorted(struct.successors[s]) for s in states]
@@ -342,29 +340,20 @@ def build_semantic(pool: VarPool, n: int, m: int,
                     clauses.append((-guard, -y[i](s)))
         if i == 1:
             continue  # node 1 is structurally a proposition
-        x = {label: pool.var("x", i, label) for label in OPERATOR_LABELS}
-
-        def step(s: int, k: int, i: int = i) -> int:
-            return pool.var("ys", m, i, s, k)
-
-        # One entry per child choice, mapping the parts that read it to
-        # their guard and children.
-        choices = [{"l": ((pool.var("l", i, j),), y[j], None),
-                    "r": ((pool.var("r", i, j),), None, y[j])}
-                   for j in range(1, i)]
-        choices += [{"lr": ((pool.var("l", i, j), pool.var("r", i, j2)),
-                            y[j], y[j2])}
-                    for j in range(1, i) for j2 in range(1, i)]
-        choices.append({"": ((), None, None)})
-        for choice in choices:
+        left = lambda s, i=i: pool.var("L", m, i, s)
+        right = lambda s, i=i: pool.var("R", m, i, s)
+        step = lambda s, k, i=i: pool.var("ys", m, i, s, k)
+        for j in range(1, i):
             for s in states:
-                for label in OPERATOR_LABELS:
-                    for reads in NODE_PARTS[label]:
-                        if reads in choice:
-                            guard, left, right = choice[reads]
-                            lower_node(clauses, label, reads, s, y[i](s),
-                                       left, right, step, successors,
-                                       struct.size, (x[label],) + guard)
+                clauses.extend(sat.equiv_lit(left(s), y[j](s),
+                                             (pool.var("l", i, j),)))
+                clauses.extend(sat.equiv_lit(right(s), y[j](s),
+                                             (pool.var("r", i, j),)))
+        for s in states:
+            for label in OPERATOR_LABELS:
+                lower_node(clauses, label, s, y[i](s), left, right, step,
+                           successors, struct.size,
+                           (pool.var("x", i, label),))
     return clauses
 
 
@@ -372,12 +361,12 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
                   negative: bool) -> list[Clause]:
     """Append one sample structure to the instance and return its clauses.
 
-    The structure takes the next index m.  Its `y` and `ys` variables are
-    numbered after every variable already in the pool, so appending never
-    renumbers earlier ones; its clauses are the semantic ones of
-    `build_semantic` and one consistency clause: the root holds on every
-    initial state of a positive, and fails on some initial state of a
-    negative.
+    The structure takes the next index m.  Its `y`, `ys` and `L`/`R`
+    variables are numbered after every variable already in the pool, so
+    appending never renumbers earlier ones; its clauses are the semantic
+    ones of `build_semantic` and one consistency clause: the root holds on
+    every initial state of a positive, and fails on some initial state of
+    a negative.
     """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
@@ -390,6 +379,10 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
         for s in range(struct.size):
             for k in range(1, struct.size + 2):
                 pool.var("ys", m, i, s, k)
+    for i in range(2, n + 1):
+        for s in range(struct.size):
+            pool.var("L", m, i, s)
+            pool.var("R", m, i, s)
     clauses = build_semantic(pool, n, m, struct)
     roots = [pool.var("y", m, n, s) for s in sorted(struct.initial)]
     if negative:

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 from . import checker, ctl, tableau
 from .ctl import And, CtlFormula, Not
-from .encoder import NODE_PARTS, VarPool, lower_node
+from .encoder import VarPool, lower_node
 from .kripke import KripkeStructure
 from .sat import CdclSolver, Clause, equiv_and, equiv_lit
 
@@ -124,9 +124,8 @@ def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
         right = lambda s, j=node.right: pool.get("h", j, s)
         step = lambda s, k, i=i: pool.get("st", i, s, k)
         for s in states:
-            for reads in NODE_PARTS[node.label]:
-                lower_node(clauses, node.label, reads, s, pool.get("h", i, s),
-                           left, right, step, successors, num_states)
+            lower_node(clauses, node.label, s, pool.get("h", i, s), left,
+                       right, step, successors, num_states)
 
     clauses.append((pool.get("h", dag.root, 0),))
     return pool, clauses

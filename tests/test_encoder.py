@@ -44,7 +44,8 @@ class TestVarPool:
 class TestBuildInstance:
     def test_var_layout(self):
         m = helpers.load_fixture("two_state_pq.kripke")
-        instance = encoder.build_instance(3, [m])
+        neg = helpers.load_fixture("chain3.kripke")
+        instance = encoder.build_instance(3, [m], [neg])
         pool = instance.pool
         assert pool.get("x", 1, "p") != pool.get("x", 1, "q")
         assert pool.get("l", 3, 1) != pool.get("r", 3, 1)
@@ -61,6 +62,32 @@ class TestBuildInstance:
                             pool.get("ys", 0, i, s, k)
                     else:
                         pool.get("ys", 0, i, s, k)
+        # The operand values L/R of the operator nodes come after the
+        # structure's ys and before the next structure's first y.
+        last_ys = max(pool.get("ys", 0, i, s, k) for i in (2, 3)
+                      for s in (0, 1) for k in (1, 2, 3))
+        for kind in ("L", "R"):
+            for s in (0, 1):
+                with pytest.raises(KeyError):
+                    pool.get(kind, 0, 1, s)
+                for i in (2, 3):
+                    assert (last_ys < pool.get(kind, 0, i, s)
+                            < pool.get("y", 1, 1, 0))
+
+    def test_semantic_clauses_read_one_child_choice(self):
+        """Every clause of a structure reads at most one l/r literal: the
+        operand values, not the lowerings, depend on the child choice."""
+        sink = helpers.load_fixture("sink_q.kripke")
+        cycle = helpers.load_fixture("cycle2.kripke")
+        pool = VarPool()
+        instance = encoder.EncodingInstance(4, sink.alphabet, (), (), pool)
+        clauses = (encoder.add_structure(instance, sink, negative=False)
+                   + encoder.add_structure(instance, cycle, negative=True))
+        choices = {var for key, var in pool.semantic_items()
+                   if key[0] in ("l", "r")}
+        assert choices
+        for clause in clauses:
+            assert sum(abs(lit) in choices for lit in clause) <= 1, clause
 
     def test_rejects_mixed_alphabets(self):
         a = helpers.load_fixture("selfloop_p.kripke")
@@ -192,7 +219,7 @@ class TestBlocking:
         consistent formula has an admitted equivalent among them."""
         m = helpers.load_fixture("two_state_pq.kripke")
         seen = []
-        for n in (1, 2):
+        for n in (1, 2, 3):
             instance = encoder.build_instance(n, [m])
             backend = CdclSolver(seed=1)
             encoder.load_backend(instance, backend)
@@ -208,7 +235,7 @@ class TestBlocking:
                 backend.add_clause([-lit for lit in lits])
             else:
                 pytest.fail("blocking never exhausted the budget")
-        holding = [f for f in ctl.enumerate_formulas(m.alphabet, 2)
+        holding = [f for f in ctl.enumerate_formulas(m.alphabet, 3)
                    if helpers.naive_holds(m, f)]
         assert set(seen) == {f for f in holding
                              if helpers.admitted_dag(f, m.alphabet)}
