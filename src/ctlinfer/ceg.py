@@ -4,8 +4,8 @@ Starting from the trivial hypothesis `true`, the loop repeatedly asks the
 passive learner for the smallest formula that holds on the input
 structure, fails every accumulated negative structure, and differs from
 every discarded formula.  The learner is not asked afresh: one
-`learner.CandidateSearch` serves the whole run, and since negatives and
-discards are only ever appended, it keeps its solver and every budget
+`learner.CandidateSearch` serves the whole run and is handed each new
+negative and discard once, so it keeps its solver and every budget
 already proven UNSAT between iterations.  Each candidate is compared with
 the current hypothesis by one call to `synth.equivalent`, i.e. bounded
 countermodel synthesis in both directions; the trivial hypothesis takes
@@ -146,18 +146,16 @@ def infer(model: KripkeStructure, bound: int,
         raise ValueError("synthesis budget must be at least 1")
     alphabet = model.alphabet
     hypothesis: CtlFormula = ctl.TRUE
-    negatives: list[KripkeStructure] = []
-    discarded: list[CtlFormula] = []
     proposed: list[CtlFormula] = []
     trace: list[CegTraceEntry] = []
     cap = formula_space_bound(len(alphabet), bound) + 1
-    search = learner.CandidateSearch(model, bound, seed)
+    search = learner.CandidateSearch(learner.Sample((model,)), bound, seed)
 
     while True:
         if len(trace) >= cap:
             raise CegError("iteration cap exceeded; candidates must be "
                            "eliminated monotonically")
-        found = learner.infer_candidate(search, negatives, discarded)
+        found = learner.infer_candidate(search)
         if found is None:
             break
         candidate = found.formula
@@ -170,19 +168,19 @@ def infer(model: KripkeStructure, bound: int,
                                    alphabet, seed)
         if verdict is None:
             case, countermodel = 1, None
-            discarded.append(candidate)
+            search.discard(candidate)
             changed = []
         elif verdict[0] == "forward":
             # The candidate does not imply the hypothesis.
             case, countermodel = 3, verdict[1]
-            negatives.append(countermodel)
+            search.add_negative(countermodel)
             changed = [countermodel]
         else:
             case, countermodel = 2, verdict[1]
-            negatives.append(countermodel)
-            discarded.append(candidate)
+            search.add_negative(countermodel)
+            search.discard(candidate)
             hypothesis = candidate
-            changed = negatives
+            changed = search.sample.negatives
 
         entry = CegTraceEntry(len(trace) + 1, candidate, case, countermodel)
         trace.append(entry)

@@ -175,10 +175,10 @@ def build_normal_form(pool: VarPool, n: int,
     children first, and swap the operands of every `&` or `|` node whose
     left child got the higher number.  If that makes two nodes equal,
     merge them and start again, with fewer nodes; otherwise the DAG is
-    admitted.  So the guarantees of searching every formula carry over:
-    `learner.learn_minimal` still finds the minimum size of a consistent
-    formula; the floor argument of `learner.infer_candidate` only needs
-    the admitted set of a budget to shrink; and a formula strictly
+    admitted.  So the guarantees of searching every formula carry over.
+    The learner's one search (`learner.CandidateSearch`) still finds the
+    minimum size of a consistent formula, and its floor argument only
+    needs the admitted set of a budget to shrink.  A formula strictly
     implying an answer of `ceg.infer` has an admitted equivalent that
     does too, so language-minimality over the admitted formulas is
     language-minimality over all of them.

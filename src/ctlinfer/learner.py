@@ -1,35 +1,33 @@
 """Passive learning of minimal consistent ENF formulas from samples.
 
-`learn_minimal` searches size budgets 1..B in order, each on a fresh
-solver, and returns the first formula consistent with the sample: true on
-every initial state of every positive structure, false on some initial
-state of every negative one.  The encoding admits only normal-form DAGs
+A formula is consistent with a sample when it holds on every initial
+state of every positive structure and fails on some initial state of
+every negative one.  The encoding admits only normal-form DAGs
 (`encoder.build_normal_form`), each of exactly its budget's size, and
 every formula has an admitted equivalent of no larger size; because
-budgets are tried bottom-up, the result has minimal size.
+budgets are tried bottom-up, the first formula found has minimal size.
 
-`infer_candidate` is the inner search of the counterexample-guided loop:
-one distinguished positive structure, accumulated negative structures,
-and a discard set D of formulas that must not be proposed again.  Its
-state, a `CandidateSearch`, lives for the whole loop: negatives and D
-only grow, so each size budget keeps one solver that later negatives and
-blocks are appended to, and a budget proven UNSAT is never solved again
-(the floor; `infer_candidate` gives the soundness argument).  Each member
-of D is excluded by a blocking clause on its admitted DAG
+Both entry points run one search.  A `CandidateSearch` owns a growing
+sample and a discard set D of formulas that must not be proposed again,
+and tries the budgets 1..B in order (`CandidateSearch._next`).
+`learn_minimal` runs it once on a fixed sample.  The counterexample-guided
+loop keeps one search for the whole run and calls `infer_candidate` on
+it, handing it each new negative and discard once; the floor budget's
+solver takes them as appended clauses, and a budget proven UNSAT is never
+solved again.
+Each member of D is excluded by a blocking clause on its admitted DAG
 (`encoder.normal_dag`) at the budget matching its size.  A formula can
 still be admitted under another numbering of its operator nodes; such a
 renumbering is caught by re-checking every decoded formula against D and
-blocking that numbering before re-solving, so no discarded formula is
-ever returned.  Both searches share that decode loop (`_solve_budget`)
-and one encoding (`encoder.build_instance`, with `encoder.add_structure`
-appending later negatives).
+blocking that numbering before re-solving (`_solve_budget`), so no
+discarded formula is ever returned.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Container, Sequence
+from typing import Container
 
 from . import ctl, encoder
 from .ctl import CtlFormula, SyntaxDag
@@ -163,6 +161,101 @@ def _solve_budget(instance: encoder.EncodingInstance, backend: CdclSolver,
                                 instance.num_clauses, millis)
 
 
+class CandidateSearch:
+    """A growing sample and the size budgets 1..`bound` searched on it.
+
+    Negatives enter one at a time through `add_negative`, and formulas
+    that must not be proposed again through `discard`.  Each is appended
+    at once to the live solver of the floor budget, if there is one, and
+    otherwise goes into the next budget's instance.  So the clause set of
+    each budget only grows: a negative appends its variables, semantic
+    clauses and consistency clause, and a discard of the budget's own
+    size appends its blocking clause.  A budget that was UNSAT therefore
+    stays UNSAT, and `_next` never solves it again.
+    """
+
+    def __init__(self, sample: Sample, bound: int, seed: int | None = None):
+        if bound < 1:
+            raise ValueError("size budget must be at least 1")
+        self.sample = sample
+        self.bound = bound
+        self.seed = seed
+        self._discarded: set[CtlFormula] = set()
+        self._dags: list[SyntaxDag] = []
+        self._conflict = sample.has_conflict()
+        self._floor = 1
+        self._live: tuple[encoder.EncodingInstance, CdclSolver] | None = None
+
+    def add_negative(self, struct: KripkeStructure) -> None:
+        """Add a negative structure; from now on every answer fails it."""
+        self._conflict = self._conflict or Sample(
+            self.sample.positives, (struct,)).has_conflict()
+        self.sample = Sample(self.sample.positives,
+                             self.sample.negatives + (struct,))
+        if self._live is not None:
+            instance, backend = self._live
+            backend.add_clauses(
+                encoder.add_structure(instance, struct, negative=True))
+            backend.reserve(instance.num_vars)
+
+    def discard(self, formula: CtlFormula) -> None:
+        """Never propose `formula` again."""
+        self._discarded.add(formula)
+        dag = encoder.normal_dag(formula, self.sample.alphabet)
+        if dag is None:  # no budget admits it
+            return
+        self._dags.append(dag)
+        if self._live is not None:
+            instance, backend = self._live
+            blocks = encoder.build_block(instance.pool,
+                                         instance.size_budget, [dag])
+            instance.clauses += blocks
+            backend.add_clauses(blocks)
+
+    def _next(self) -> tuple[LearnResult | None, list[BudgetTrace]]:
+        """Smallest normal-form formula consistent with the sample and not
+        discarded (None when no such formula of size <= `bound` exists),
+        with the traces of the budgets solved to find it.
+
+        Soundness of the floor: the formulas a budget admits (consistent
+        and not discarded) only shrink, since its clause set only grows
+        and a decoded renumbering of a discarded formula is blocked for
+        good, that formula staying discarded.  So a budget that was UNSAT
+        stays UNSAT: it is dropped for good, and the search resumes at
+        the floor, the first budget not yet proven UNSAT.  No budget below
+        the floor admits a formula, so the first SAT budget is still the
+        minimum size, and a decoded formula of another size is a
+        `BackendFailure`.  The floor budget's solver lives from its first
+        use until it answers UNSAT, so at most one solver is alive at a
+        time.
+
+        A negative whose every initial state is bisimilar to an initial
+        state of a positive (`Sample.has_conflict`) leaves no separating
+        formula of any size.  That is decided once per negative, and from
+        then on the search answers None without solving.
+        """
+        budgets: list[BudgetTrace] = []
+        if self._conflict:
+            return None, budgets
+        while self._floor <= self.bound:
+            if self._live is None:
+                instance = encoder.build_instance(
+                    self._floor, self.sample.positives,
+                    self.sample.negatives, self._dags)
+                self._live = instance, encoder.load_backend(
+                    instance, CdclSolver(seed=self.seed))
+            instance, backend = self._live
+            formula, trace = _solve_budget(instance, backend,
+                                           self._discarded)
+            budgets.append(trace)
+            if formula is not None:
+                return (LearnResult(formula, instance.size_budget,
+                                    tuple(budgets)), budgets)
+            self._live = None
+            self._floor += 1
+        return None, budgets
+
+
 def learn_minimal(sample: Sample, max_size: int,
                   seed: int | None = None) -> LearnResult:
     """Minimal-size formula consistent with the sample.
@@ -173,133 +266,19 @@ def learn_minimal(sample: Sample, max_size: int,
     when every budget is unsatisfiable (immediately when the sample is
     self-contradictory).
     """
-    if max_size < 1:
-        raise ValueError("size budget must be at least 1")
-    if sample.has_conflict():
-        raise NoConsistentFormula([])
-    budgets: list[BudgetTrace] = []
-    for n in range(1, max_size + 1):
-        instance = encoder.build_instance(n, sample.positives,
-                                          sample.negatives)
-        backend = encoder.load_backend(instance, CdclSolver(seed=seed))
-        formula, trace = _solve_budget(instance, backend, ())
-        budgets.append(trace)
-        if formula is not None:
-            return LearnResult(formula, n, tuple(budgets))
-    raise NoConsistentFormula(budgets)
+    found, budgets = CandidateSearch(sample, max_size, seed)._next()
+    if found is None:
+        raise NoConsistentFormula(budgets)
+    return found
 
 
-class CandidateSearch:
-    """The state `infer_candidate` keeps across one CEG run: the model,
-    the size bound and the solver seed; the negatives and discarded
-    formulas seen so far; whether some negative conflicts with the model
-    (`Sample.has_conflict`); the floor, below which every budget is
-    UNSAT; and the floor budget's instance and solver once created."""
-
-    def __init__(self, model: KripkeStructure, bound: int,
-                 seed: int | None = None):
-        if bound < 1:
-            raise ValueError("size budget must be at least 1")
-        self.model = model
-        self.bound = bound
-        self.seed = seed
-        self._negatives: list[KripkeStructure] = []
-        self._discarded: list[CtlFormula] = []
-        self._discarded_set: set[CtlFormula] = set()
-        self._dags: list[SyntaxDag] = []
-        self._conflict = False
-        self._floor = 1
-        self._live: tuple[encoder.EncodingInstance, CdclSolver] | None = None
-        self._encoded = 0   # negatives in the live instance
-        self._blocked = 0   # DAGs the live instance has blocks for
-
-    def _update(self, negatives: Sequence[KripkeStructure],
-                discarded: Sequence[CtlFormula]) -> None:
-        if list(negatives[:len(self._negatives)]) != self._negatives:
-            raise ValueError("negatives must extend the ones already seen")
-        if list(discarded[:len(self._discarded)]) != self._discarded:
-            raise ValueError(
-                "discarded formulas must extend the ones already seen")
-        new = negatives[len(self._negatives):]
-        conflicts = [Sample((self.model,), (struct,)).has_conflict()
-                     for struct in new]
-        self._conflict = self._conflict or any(conflicts)
-        self._negatives.extend(new)
-        for formula in discarded[len(self._discarded):]:
-            self._discarded.append(formula)
-            self._discarded_set.add(formula)
-            dag = encoder.normal_dag(formula, self.model.alphabet)
-            if dag is not None:  # otherwise no budget admits it
-                self._dags.append(dag)
-
-    def _live_budget(self) -> tuple[encoder.EncodingInstance, CdclSolver]:
-        """The floor budget's instance and solver, created on first use
-        and brought up to date with the negatives and discards seen."""
-        n = self._floor
-        if self._live is None:
-            instance = encoder.build_instance(n, (self.model,),
-                                              self._negatives, self._dags)
-            backend = encoder.load_backend(instance,
-                                           CdclSolver(seed=self.seed))
-            self._live = instance, backend
-        else:
-            instance, backend = self._live
-            for struct in self._negatives[self._encoded:]:
-                backend.add_clauses(
-                    encoder.add_structure(instance, struct, negative=True))
-            blocks = encoder.build_block(instance.pool, n,
-                                         self._dags[self._blocked:])
-            instance.clauses += blocks
-            backend.add_clauses(blocks)
-            backend.reserve(instance.num_vars)
-        self._encoded = len(self._negatives)
-        self._blocked = len(self._dags)
-        return instance, backend
-
-
-def infer_candidate(search: CandidateSearch,
-                    negatives: Sequence[KripkeStructure] = (),
-                    discarded: Sequence[CtlFormula] = (),
-                    ) -> LearnResult | None:
-    """Smallest normal-form formula (`encoder.build_normal_form`) holding
-    on `search.model`, failing every structure in `negatives`, and
-    syntactically different from everything in `discarded`; None when no
-    such formula of size <= `search.bound` exists.  Every formula has a
-    normal-form equivalent of no larger size, but discarding a formula
-    discards none of its equivalents.
-
-    The search persists across calls.  `negatives` and `discarded` must
-    extend the sequences of the previous call on the same search (raises
-    `ValueError` otherwise).  Each budget's clause set then only grows:
-    a new negative appends its variables, semantic clauses and
-    consistency clause; a new discard of the budget's own size appends its
-    blocking clause; and a decoded renumbering of a discarded formula is
-    blocked for good, since that formula stays discarded.  The formulas a
-    budget admits (consistent and not discarded) only shrink, so a budget
-    that was UNSAT stays UNSAT: it is dropped for good, and the search
-    resumes at the floor, the first budget not yet proven UNSAT.  No
-    budget below the floor admits a formula, so the first SAT budget is
-    still the minimum size, and a decoded formula of another size is a
-    `BackendFailure`.  The floor budget's solver lives from its first use
-    until it answers UNSAT, so at most one solver is alive at a time.
-
-    A new negative whose every initial state is bisimilar to an initial
-    state of the model (`Sample.has_conflict`) leaves no separating
-    formula of any size.  That is decided once per negative, and from
-    then on the search answers None without solving.  The `budgets` of
-    the result trace the budgets solved by this call.
+def infer_candidate(search: CandidateSearch) -> LearnResult | None:
+    """The next candidate of the counterexample-guided loop: the smallest
+    normal-form formula (`encoder.build_normal_form`) consistent with
+    `search.sample` and syntactically different from every discarded
+    formula, or None when no such formula of size <= `search.bound`
+    exists.  Every formula has a normal-form equivalent of no larger
+    size, but discarding a formula discards none of its equivalents.
+    The `budgets` of the result trace the budgets solved by this call.
     """
-    search._update(negatives, discarded)
-    if search._conflict:
-        return None
-    budgets: list[BudgetTrace] = []
-    while search._floor <= search.bound:
-        instance, backend = search._live_budget()
-        formula, trace = _solve_budget(instance, backend,
-                                       search._discarded_set)
-        budgets.append(trace)
-        if formula is not None:
-            return LearnResult(formula, instance.size_budget, tuple(budgets))
-        search._live = None
-        search._floor += 1
-    return None
+    return search._next()[0]

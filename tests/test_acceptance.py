@@ -194,9 +194,11 @@ def test_criterion_5_candidate_inference_contract():
                          for _ in range(rng.randint(0, 2))]
             bound = rng.randint(1, 3)
             discarded = rng.sample(enum3, rng.randint(0, 6))
-            result = learner.infer_candidate(
-                learner.CandidateSearch(model, bound, seed=0), negatives,
-                discarded)
+            search = learner.CandidateSearch(
+                Sample((model,), tuple(negatives)), bound, seed=0)
+            for formula in discarded:
+                search.discard(formula)
+            result = learner.infer_candidate(search)
             # The search space is the normal form: every formula has an
             # admitted equivalent, but discarding an admitted formula
             # does not discard its non-admitted twins.

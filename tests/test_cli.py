@@ -115,17 +115,27 @@ class TestLearn:
         assert last_line(out) == "result: p"
 
     def test_budget_lines_cover_unsat_prefix(self, capsys):
-        code, out, _ = invoke(
-            capsys, "learn",
-            "--pos", str(FIX / "two_state_pq.kripke"),
-            str(FIX / "chain3.kripke"),
-            "--neg", str(FIX / "cycle2.kripke"),
-            "--max-size", "4", "--seed", "7")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0].startswith("budget 1: UNSAT")
-        assert lines[1].startswith("budget 2: UNSAT")
-        assert lines[2].startswith("budget 3: SAT")
+        runs = [
+            (["--pos", "two_state_pq.kripke", "chain3.kripke",
+              "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
+             ["budget 1: UNSAT (vars=15, clauses=47)",
+              "budget 2: UNSAT (vars=71, clauses=376)",
+              "budget 3: SAT (vars=130, clauses=749)",
+              "size: 3", "result: EX EX q"]),
+            (["--pos", "diamond.kripke", "--neg", "branching.kripke",
+              "--max-size", "4", "--seed", "0"],
+             ["budget 1: UNSAT (vars=15, clauses=46)",
+              "budget 2: UNSAT (vars=79, clauses=447)",
+              "budget 3: UNSAT (vars=146, clauses=892)",
+              "budget 4: SAT (vars=216, clauses=1395)",
+              "size: 4", "result: !EG !q"]),
+        ]
+        for args, expected in runs:
+            argv = [str(FIX / a) if a.endswith(".kripke") else a
+                    for a in args]
+            code, out, _ = invoke(capsys, "learn", *argv)
+            assert code == 0
+            assert out.splitlines() == expected
 
     def test_no_consistent_formula(self, capsys):
         code, out, _ = invoke(

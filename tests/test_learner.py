@@ -59,7 +59,7 @@ class TestSample:
                 assert helpers.brute_force_minimum(pos, neg, 3) is None
         assert conflicts >= 10
 
-    def test_needs_a_positive(self):
+    def test_needs_a_structure(self):
         with pytest.raises(ValueError):
             Sample(positives=())
 
@@ -131,21 +131,34 @@ class TestLearnMinimal:
         with pytest.raises(ValueError):
             learner.learn_minimal(sample_of(["selfloop_p.kripke"]), 0)
 
+    def test_negatives_only_sample(self):
+        """The alphabet comes from the sample, which has no positive."""
+        result = learner.learn_minimal(
+            sample_of([], ["selfloop_p.kripke"]), 3, seed=0)
+        assert result.formula == ctl.parse_ctl("!p")
+        assert [b.describe() for b in result.budgets] == [
+            "budget 1: UNSAT (vars=8, clauses=25)",
+            "budget 2: SAT (vars=23, clauses=89)"]
+
 
 def search(model, bound, negatives=(), discarded=(), seed=None):
     """One `infer_candidate` call on a fresh search."""
-    return learner.infer_candidate(
-        learner.CandidateSearch(model, bound, seed), negatives, discarded)
+    state = learner.CandidateSearch(Sample((model,), tuple(negatives)),
+                                    bound, seed)
+    for formula in discarded:
+        state.discard(formula)
+    return learner.infer_candidate(state)
 
 
 class TestInferCandidate:
     def test_discarded_formulas_are_avoided(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         p = ctl.Prop("p")
-        state = learner.CandidateSearch(m, 2, seed=3)
+        state = learner.CandidateSearch(Sample((m,)), 2, seed=3)
         first = learner.infer_candidate(state)
         assert first is not None and first.formula == p
-        second = learner.infer_candidate(state, discarded=(p,))
+        state.discard(p)
+        second = learner.infer_candidate(state)
         assert second is not None
         assert second.formula != p
         assert second.size == 2
@@ -222,23 +235,7 @@ class TestInferCandidate:
     def test_rejects_bad_bound(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         with pytest.raises(ValueError):
-            learner.CandidateSearch(m, 0)
-
-    def test_arguments_must_extend_the_previous_call(self):
-        m = helpers.load_fixture("selfloop_p.kripke")
-        neg = helpers.load_fixture("selfloop_empty.kripke")
-        p, q = ctl.Prop("p"), ctl.ExistsGlobally(ctl.Prop("p"))
-        state = learner.CandidateSearch(m, 2, seed=0)
-        learner.infer_candidate(state, [neg], [p])
-        learner.infer_candidate(state, [neg], [p, q])
-        for negatives, discarded in (([], [p, q]), ([m], [p, q]),
-                                     ([neg], [q]), ([neg], [q, p]),
-                                     ([neg], [])):
-            with pytest.raises(ValueError):
-                learner.infer_candidate(state, negatives, discarded)
-        # A rejected call leaves the search as it was.
-        got = learner.infer_candidate(state, [neg], [p, q])
-        assert got is not None and got.formula not in (p, q)
+            learner.CandidateSearch(Sample((m,)), 0)
 
     def test_persistent_search_matches_fresh_searches(self):
         """Negatives and discards arrive one at a time, as in the CEG loop;
@@ -249,20 +246,23 @@ class TestInferCandidate:
         while steps < 120:
             model = helpers.random_kripke(rng, 3, min_states=2)
             bound = rng.randint(2, 3)
-            state = learner.CandidateSearch(model, bound, seed=0)
+            state = learner.CandidateSearch(Sample((model,)), bound, seed=0)
             negatives, discarded = [], []
             last = None
             for _ in range(12):
                 if last is not None and rng.random() < 0.7:
                     discarded.append(last.formula)
+                    state.discard(discarded[-1])
                 elif rng.random() < 0.5:
                     discarded.append(helpers.random_enf(rng, ("p", "q"),
                                                         bound))
+                    state.discard(discarded[-1])
                 else:
                     negatives.append(helpers.random_kripke(
                         rng, 3, min_states=2))
+                    state.add_negative(negatives[-1])
                 steps += 1
-                last = learner.infer_candidate(state, negatives, discarded)
+                last = learner.infer_candidate(state)
                 fresh = search(model, bound, list(negatives),
                                list(discarded), seed=steps)
                 assert (last is None) == (fresh is None), steps
