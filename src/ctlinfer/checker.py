@@ -4,7 +4,8 @@ Satisfaction sets are computed bottom-up over the formula: Boolean
 connectives are set operations, EX is a predecessor image, and the two
 fixed points are iterated to stabilization.  E[f U g] grows from the g-set
 (least fixed point), EG f shrinks from the f-set (greatest fixed point);
-both stabilize within |S| + 1 steps.
+counting the starting set as the first approximant, both stabilize by the
+|S|-th (the argument is in `encoder.lower_node`).
 
 State sets are machine integers used as bitsets over state indices, which
 keeps the fixed-point loops cheap; the public functions expose frozensets.

@@ -10,9 +10,10 @@ together with their evaluation on every structure of the sample:
 * use variables `u(i, j)` with i < j say that node j reads node i;
 * evaluation variables `y(m, i, s)` say that state s of structure m
   satisfies the subformula rooted at node i;
-* step variables `ys(m, i, s, k)` with k in 1..|S|+1 unroll the EU/EG
-  fixed points of the operator nodes i >= 2, which stabilize within
-  |S| + 1 iterations;
+* step variables `ys(m, i, s, k)` with k in 2..|S|-1 are the inner
+  approximants of the EU/EG fixed points of the operator nodes i >= 2,
+  which `lower_node` unrolls to |S| approximants, the first read from
+  the operand and the last written into `y`;
 * operand-value variables `L(m, i, s)` / `R(m, i, s)` of the operator
   nodes i >= 2 equal the evaluation of the chosen left / right child.
 
@@ -277,11 +278,25 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
 
     The single CNF lowering of the CTL step semantics, for formula search
     (known structure) and bounded synthesis (symbolic structure).
-    `left`/`right` map a state to a child literal, `step(t, k)` is the
-    k-th EU/EG approximant (k in 1..depth + 1) and `successors(s, lit)`
-    lists literals whose disjunction says a successor t has `lit(t)`.
-    EU and EG emit their base (from `right` and `left`), then the steps,
-    then the link of the last approximant to `out`.
+    `left`/`right` map a state to a child literal, and `successors(s,
+    lit)` lists literals whose disjunction says a successor t has
+    `lit(t)`.  EU and EG unroll `depth` steps over the approximants X_1
+    .. X_{depth+1}: X_1 is the operand literal `base` (`right` for EU,
+    `left` for EG), `step(t, k)` is X_k for k in 2..depth, and the last
+    step is written into `out`.  At depth 0, `out <-> base`.
+
+    Soundness, with callers passing depth = |S| - 1 on a total structure
+    of |S| states, so that `out` is X_|S|:
+
+    * EU: X_k is the set of states with a witness path (through the left
+      operand into the right one) of at most k - 1 edges.  A shortest
+      witness path is loop-free, so it has at most |S| - 1 edges, and
+      X_|S| is the least fixed point.
+    * EG: X_k is the set of states with a k-state path that stays in the
+      operand's set.  A path of |S| states either repeats a state, or
+      visits every state, in which case the last state's successor is on
+      the path.  Either way it closes a lasso, so X_|S| is the greatest
+      fixed point.
     """
     if label == NOT_LABEL:
         clauses.extend(sat.equiv_not(out, left(s), guards))
@@ -292,16 +307,18 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
         clauses.extend(equiv(out, [left(s), right(s)], guards))
     else:
         base = right if label == EU_LABEL else left
-        clauses.extend(sat.equiv_lit(step(s, 1), base(s), guards))
+        if depth == 0:
+            clauses.extend(sat.equiv_lit(out, base(s), guards))
+        approx = lambda t, k: base(t) if k == 1 else step(t, k)
         for k in range(1, depth + 1):
-            reached = successors(s, lambda t: step(t, k))
+            reached = successors(s, lambda t: approx(t, k))
+            target = out if k == depth else step(s, k + 1)
             if label == EU_LABEL:
                 clauses.extend(sat.equiv_or_and_disj(
-                    step(s, k + 1), step(s, k), left(s), reached, guards))
+                    target, approx(s, k), left(s), reached, guards))
             else:
                 clauses.extend(sat.equiv_and_disj(
-                    step(s, k + 1), left(s), reached, guards))
-        clauses.extend(sat.equiv_lit(out, step(s, depth + 1), guards))
+                    target, left(s), reached, guards))
 
 
 def build_semantic(pool: VarPool, n: int, m: int,
@@ -352,7 +369,7 @@ def build_semantic(pool: VarPool, n: int, m: int,
         for s in states:
             for label in OPERATOR_LABELS:
                 lower_node(clauses, label, s, y[i](s), left, right, step,
-                           successors, struct.size,
+                           successors, struct.size - 1,
                            (pool.var("x", i, label),))
     return clauses
 
@@ -377,7 +394,7 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
             pool.var("y", m, i, s)
     for i in range(2, n + 1):
         for s in range(struct.size):
-            for k in range(1, struct.size + 2):
+            for k in range(2, struct.size):
                 pool.var("ys", m, i, s, k)
     for i in range(2, n + 1):
         for s in range(struct.size):

@@ -10,17 +10,20 @@ CNF instance over free transition and labeling variables is solved:
   over all states, each conjunct `t(s, s') & ...` introduced as a shared
   Tseitin product variable (full equivalence, numbered above the
   semantic variables);
-* EU/EG fixed points unroll into step variables over k = 1..m'+1.
+* EU/EG fixed points unroll to m' approximants, with step variables
+  `st(i, s, k)` for the inner ones, k = 2..m'-1.
 
 Operators are lowered by `encoder.lower_node`, the single home of the
 step semantics; only successors and propositions are symbolic here.
 
-Before any instance is built, `tableau.satisfiable` decides the ENF
-formula exactly when it has at most `tableau.MAX_ELEMENTARY` elementary
-formulas.  An unsatisfiable formula has no model of any size, so none
-within the budget either, and the answer is None with no solver; a
-satisfiable one goes on to the state sweep, so every returned structure
-is the one the sweep alone would return.
+`synthesize` builds the ENF formula's syntax DAG once, and both the
+tableau and every instance read it.  Before any instance is built,
+`tableau.satisfiable` decides the formula exactly when it has at most
+`tableau.MAX_ELEMENTARY` elementary formulas.  An unsatisfiable formula
+has no model of any size, so none within the budget either, and the
+answer is None with no solver; a satisfiable one goes on to the state
+sweep, so every returned structure is the one the sweep alone would
+return.
 
 Every synthesized structure is verified with the explicit-state checker
 before being returned; a verification failure is a hard internal error
@@ -92,7 +95,7 @@ def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
     for i, node in dag:
         if node.label in (ctl.EU_LABEL, ctl.EG_LABEL):
             for s in states:
-                for k in range(1, num_states + 2):
+                for k in range(2, num_states):
                     pool.var("st", i, s, k)
 
     clauses: list[Clause] = []
@@ -125,7 +128,7 @@ def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
         step = lambda s, k, i=i: pool.get("st", i, s, k)
         for s in states:
             lower_node(clauses, node.label, s, pool.get("h", i, s), left,
-                       right, step, successors, num_states)
+                       right, step, successors, num_states - 1)
 
     clauses.append((pool.get("h", dag.root, 0),))
     return pool, clauses
@@ -157,11 +160,10 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
         # structure, so the one-state self-loop decides it.
         trivial = _trivial_structure()
         return trivial if checker.holds(trivial, formula) else None
-    normalized = ctl.enf(formula, alphabet)
-    if (tableau.elementary_count(normalized) <= tableau.MAX_ELEMENTARY
-            and not tableau.satisfiable(normalized)):
+    dag = ctl.to_dag(ctl.enf(formula, alphabet))
+    if (tableau.elementary_count(dag) <= tableau.MAX_ELEMENTARY
+            and not tableau.satisfiable(dag)):
         return None
-    dag = ctl.to_dag(normalized)
     for num_states in range(1, max_states + 1):
         pool, clauses = _encode(dag, num_states, alphabet)
         backend = CdclSolver(seed=seed)

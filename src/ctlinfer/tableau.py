@@ -32,19 +32,19 @@ true.  Unsatisfiable therefore means no model of any size.  The converse
 paper; callers only rely on False.
 
 The procedure is exponential in the number of elementary formulas.  It
-works on the formula's syntax DAG (`ctl.to_dag`, which rejects non-ENF
-input).  Atom sets are ints used as bitsets over atom indices, as in
-`checker`: one mask per DAG node, and `allowed[a]` is an AND of the masks
-of the false EX targets of atom a.
+takes the formula's syntax DAG (`ctl.to_dag`, which rejects non-ENF
+input), the one `synth.synthesize` also encodes.  Atom sets are ints
+used as bitsets over atom indices, as in `checker`: one mask per DAG
+node, and `allowed[a]` is an AND of the masks of the false EX targets of
+atom a.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from . import ctl
 from .ctl import (AND_LABEL, EG_LABEL, EU_LABEL, EX_LABEL, NOT_LABEL,
-                  OR_LABEL, CtlFormula, SyntaxDag)
+                  OR_LABEL, SyntaxDag)
 
 __all__ = ["MAX_ELEMENTARY", "elementary_count", "satisfiable"]
 
@@ -63,9 +63,9 @@ def _elementary(dag: SyntaxDag) -> tuple[list[int], list[int]]:
     return props, list(nexts)
 
 
-def elementary_count(formula: CtlFormula) -> int:
-    """The number of elementary formulas of an ENF formula."""
-    props, nexts = _elementary(ctl.to_dag(formula))
+def elementary_count(dag: SyntaxDag) -> int:
+    """The number of elementary formulas of an ENF formula's DAG."""
+    props, nexts = _elementary(dag)
     return len(props) + len(nexts)
 
 
@@ -77,9 +77,8 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def satisfiable(formula: CtlFormula) -> bool:
-    """True iff some Kripke structure satisfies the ENF `formula`."""
-    dag = ctl.to_dag(formula)
+def satisfiable(dag: SyntaxDag) -> bool:
+    """True iff some Kripke structure satisfies the ENF formula of `dag`."""
     props, nexts = _elementary(dag)
     count = 1 << (len(props) + len(nexts))
     full = (1 << count) - 1

@@ -14,7 +14,7 @@ import functools
 import itertools
 import random
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ctlinfer import ctl, encoder, kripke
 from ctlinfer.ctl import (And, Const, CtlFormula, ExistsFinally,
@@ -137,6 +137,23 @@ def eg_prefix(m: KripkeStructure, phi: frozenset[int],
         return any(survives(t, depth - 1) for t in m.successors[s])
 
     return frozenset(s for s in range(m.size) if survives(s, k))
+
+
+def approximant_vars(k: int, size: int, operand: int,
+                     step: Callable[[int], int], out: int) -> list[int]:
+    """The variables that hold approximant k (1..size + 1) of an EU/EG
+    node at one state of a `size`-state structure, as `encoder.lower_node`
+    lays them out: the operand literal at k = 1, `step(k)` for 1 < k <
+    size, and the node's own variable `out` from k = size on, since the
+    unrolling stops there (at size 1, both the operand and `out`)."""
+    homes = []
+    if k == 1:
+        homes.append(operand)
+    if 1 < k < size:
+        homes.append(step(k))
+    if k >= size:
+        homes.append(out)
+    return homes
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,7 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                 backend.reserve(pool.count)
                 assert backend.solve(encoder.dag_literals(pool, dag))
                 model = backend.model()
+                operand = "R" if isinstance(f, ctl.ExistsUntil) else "L"
                 for k in range(1, struct.size + 2):
                     if isinstance(f, ctl.ExistsUntil):
                         expected = helpers.eu_prefix(struct, phi_set,
@@ -133,8 +134,13 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                     else:
                         expected = helpers.eg_prefix(struct, phi_set, k)
                     for s in range(struct.size):
-                        got = model[pool.get("ys", 0, dag.root, s, k)]
-                        assert got == (s in expected), (f, s, k)
+                        homes = helpers.approximant_vars(
+                            k, struct.size,
+                            pool.get(operand, 0, dag.root, s),
+                            lambda j: pool.get("ys", 0, dag.root, s, j),
+                            pool.get("y", 0, dag.root, s))
+                        for var in homes:
+                            assert model[var] == (s in expected), (f, s, k)
 
 
 def test_criterion_3_search_instances_round_trip_against_enumeration():

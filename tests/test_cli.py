@@ -119,16 +119,16 @@ class TestLearn:
             (["--pos", "two_state_pq.kripke", "chain3.kripke",
               "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
              ["budget 1: UNSAT (vars=15, clauses=47)",
-              "budget 2: UNSAT (vars=71, clauses=376)",
-              "budget 3: SAT (vars=130, clauses=749)",
+              "budget 2: UNSAT (vars=50, clauses=271)",
+              "budget 3: SAT (vars=88, clauses=539)",
               "size: 3", "result: EX EX q"]),
             (["--pos", "diamond.kripke", "--neg", "branching.kripke",
               "--max-size", "4", "--seed", "0"],
              ["budget 1: UNSAT (vars=15, clauses=46)",
-              "budget 2: UNSAT (vars=79, clauses=447)",
-              "budget 3: UNSAT (vars=146, clauses=892)",
-              "budget 4: SAT (vars=216, clauses=1395)",
-              "size: 4", "result: !EG !q"]),
+              "budget 2: UNSAT (vars=58, clauses=338)",
+              "budget 3: UNSAT (vars=104, clauses=674)",
+              "budget 4: SAT (vars=153, clauses=1068)",
+              "size: 4", "result: !EG !p"]),
         ]
         for args, expected in runs:
             argv = [str(FIX / a) if a.endswith(".kripke") else a

@@ -51,28 +51,36 @@ class TestBuildInstance:
         assert pool.get("l", 3, 1) != pool.get("r", 3, 1)
         # The use variables come before the first structure's.
         assert pool.get("u", 2, 3) < pool.get("y", 0, 1, 0)
-        # y exists for every node and state; ys for every operator node
-        # (not node 1, always a proposition), state and step up to |S|+1.
+        # y exists for every node and state; ys only for the operator
+        # nodes (not node 1, always a proposition) and the inner
+        # approximants k in 2..|S|-1: none on two states, k = 2 on three.
         for i in (1, 2, 3):
             for s in (0, 1):
                 pool.get("y", 0, i, s)
                 for k in (1, 2, 3):
-                    if i == 1:
-                        with pytest.raises(KeyError):
-                            pool.get("ys", 0, i, s, k)
-                    else:
+                    with pytest.raises(KeyError):
                         pool.get("ys", 0, i, s, k)
+            for s in (0, 1, 2):
+                pool.get("y", 1, i, s)
+                for k in (1, 2, 3, 4):
+                    if i == 1 or k != 2:
+                        with pytest.raises(KeyError):
+                            pool.get("ys", 1, i, s, k)
+                    else:
+                        pool.get("ys", 1, i, s, k)
         # The operand values L/R of the operator nodes come after the
-        # structure's ys and before the next structure's first y.
-        last_ys = max(pool.get("ys", 0, i, s, k) for i in (2, 3)
-                      for s in (0, 1) for k in (1, 2, 3))
+        # structure's y and ys and before the next structure's first y.
+        last_y = pool.get("y", 0, 3, 1)
+        last_ys = max(pool.get("ys", 1, i, s, 2) for i in (2, 3)
+                      for s in (0, 1, 2))
         for kind in ("L", "R"):
             for s in (0, 1):
                 with pytest.raises(KeyError):
                     pool.get(kind, 0, 1, s)
                 for i in (2, 3):
-                    assert (last_ys < pool.get(kind, 0, i, s)
+                    assert (last_y < pool.get(kind, 0, i, s)
                             < pool.get("y", 1, 1, 0))
+                    assert last_ys < pool.get(kind, 1, i, s)
 
     def test_semantic_clauses_read_one_child_choice(self):
         """Every clause of a structure reads at most one l/r literal: the
@@ -143,14 +151,43 @@ class TestSemantics:
             phi_set = checker.sat_set_table(struct, phi)[phi]
             psi_set = checker.sat_set_table(struct, psi)[psi]
             root = dag.root
+            operand = "R" if isinstance(f, ctl.ExistsUntil) else "L"
             for k in range(1, struct.size + 2):
                 if isinstance(f, ctl.ExistsUntil):
                     expected = helpers.eu_prefix(struct, phi_set, psi_set, k)
                 else:
                     expected = helpers.eg_prefix(struct, phi_set, k)
                 for s in range(struct.size):
-                    got = model[pool.get("ys", 0, root, s, k)]
-                    assert got == (s in expected), (f, k, s)
+                    homes = helpers.approximant_vars(
+                        k, struct.size, pool.get(operand, 0, root, s),
+                        lambda j: pool.get("ys", 0, root, s, j),
+                        pool.get("y", 0, root, s))
+                    for var in homes:
+                        assert model[var] == (s in expected), (f, k, s)
+
+    def test_unrolling_depth_reaches_the_fixed_points(self):
+        """`lower_node`'s depth claim against the path-enumeration
+        oracle: on |S| states, approximant |S| of EU and EG is already
+        their fixed point, for every pair of operand sets, and some pairs
+        need it (approximant |S| - 1 differs)."""
+        rng = random.Random(503)
+        short = 0
+        for _ in range(60):
+            struct = helpers.random_kripke(rng, max_states=5)
+            n = struct.size
+            subsets = [frozenset(s for s in range(n) if bits >> s & 1)
+                       for bits in range(1 << n)]
+            for phi in subsets:
+                eg = [helpers.eg_prefix(struct, phi, k)
+                      for k in range(max(n - 1, 1), n + 2)]
+                assert eg[-2] == eg[-1]
+                short += eg[0] != eg[-1]
+                for psi in subsets:
+                    eu = [helpers.eu_prefix(struct, phi, psi, k)
+                          for k in range(max(n - 1, 1), n + 2)]
+                    assert eu[-2] == eu[-1]
+                    short += eu[0] != eu[-1]
+        assert short > 0
 
 
 class TestConsistency:

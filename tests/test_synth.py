@@ -40,23 +40,40 @@ class TestSynthesize:
                      "E[p U q] & !EF q", "EX p & AX !p"):
             assert synth.synthesize(ctl.parse_ctl(text), max_states=4) is None
 
+    def test_builds_one_dag_per_call(self, monkeypatch):
+        """The tableau and every state count read the same DAG."""
+        built = []
+        to_dag = ctl.to_dag
+
+        def counting_to_dag(f):
+            built.append(f)
+            return to_dag(f)
+
+        monkeypatch.setattr(ctl, "to_dag", counting_to_dag)
+        for text, found in (("EG p & !p", False), ("EX p & EX !p", True)):
+            built.clear()
+            model = synth.synthesize(ctl.parse_ctl(text), max_states=3)
+            assert (model is not None) == found
+            assert len(built) == 1
+
     def test_satisfiable_beyond_the_budget(self):
         # Four successors with pairwise different labellings need four
         # states; the CNF itself proves there are none within three.
         f = ctl.parse_ctl("EX (p & q) & EX (p & !q) & EX (!p & q) "
                           "& EX (!p & !q)")
-        assert tableau.satisfiable(ctl.enf(f))
+        assert tableau.satisfiable(ctl.to_dag(ctl.enf(f)))
         assert synth.synthesize(f, max_states=3) is None
         assert synth.synthesize(f, max_states=4).size == 4
 
     def test_above_the_cap_only_the_sweep_runs(self, monkeypatch):
-        def no_tableau(formula):
+        def no_tableau(dag):
             raise AssertionError("the tableau ran above its cap")
 
         monkeypatch.setattr(tableau, "satisfiable", no_tableau)
         chains = ctl.parse_ctl(" & ".join(
             "EX " * k + "p" for k in range(1, tableau.MAX_ELEMENTARY + 1)))
-        assert tableau.elementary_count(chains) > tableau.MAX_ELEMENTARY
+        assert (tableau.elementary_count(ctl.to_dag(chains))
+                > tableau.MAX_ELEMENTARY)
         m = synth.synthesize(chains, max_states=2)
         assert m is not None and m.size == 1
         assert helpers.naive_holds(m, chains)
@@ -224,14 +241,20 @@ class TestEncode:
             pool, model = self.pinned_model(struct, dag)
             phi_set = helpers.naive_sat(struct, phi)
             psi_set = helpers.naive_sat(struct, psi)
+            root = dag.nodes[dag.root - 1]
+            operand = root.right if isinstance(f, ExistsUntil) else root.left
             for k in range(1, struct.size + 2):
                 if isinstance(f, ExistsUntil):
                     expected = helpers.eu_prefix(struct, phi_set, psi_set, k)
                 else:
                     expected = helpers.eg_prefix(struct, phi_set, k)
                 for s in range(struct.size):
-                    got = model[pool.get("st", dag.root, s, k)]
-                    assert got == (s in expected), (f, k, s)
+                    homes = helpers.approximant_vars(
+                        k, struct.size, pool.get("h", operand, s),
+                        lambda j: pool.get("st", dag.root, s, j),
+                        pool.get("h", dag.root, s))
+                    for var in homes:
+                        assert model[var] == (s in expected), (f, k, s)
             for i, _ in dag:
                 sub = ctl.SyntaxDag(dag.nodes[:i]).to_formula()
                 expected = helpers.naive_sat(struct, sub)
