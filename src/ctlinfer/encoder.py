@@ -45,6 +45,15 @@ Appending a structure to a built instance (a new negative in the
 learner's persistent search) therefore renumbers nothing, and every
 clause already loaded into a solver stays valid.
 
+Guards false at the root are not lowered: `build_semantic` leaves out
+every clause group whose guard variable its caller names as false at the
+root of the solver the clauses go to.  `build_instance` names the label
+variables that the structural and normal-form clauses fix false as they
+load (`root_false_labels`), and the learner, appending a negative to a
+live solver, names those false in that solver's root assignment
+(`CdclSolver.fixed`).  The solver would drop those clauses unread, so it
+stores, propagates and searches exactly as it would on the full stream.
+
 Blocking clauses exclude previously found formulas by negating the
 defining literals of their admitted DAGs (`normal_dag`).  They read only
 x/l/r variables, so they can be appended at any time, before or after
@@ -309,22 +318,55 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
         base = right if label == EU_LABEL else left
         if depth == 0:
             clauses.extend(sat.equiv_lit(out, base(s), guards))
-        approx = lambda t, k: base(t) if k == 1 else step(t, k)
+        cond = left(s)
         for k in range(1, depth + 1):
-            reached = successors(s, lambda t: approx(t, k))
+            approx = base if k == 1 else lambda t, k=k: step(t, k)
+            reached = successors(s, approx)
             target = out if k == depth else step(s, k + 1)
             if label == EU_LABEL:
                 clauses.extend(sat.equiv_or_and_disj(
-                    target, approx(s, k), left(s), reached, guards))
+                    target, approx(s), cond, reached, guards))
             else:
                 clauses.extend(sat.equiv_and_disj(
-                    target, left(s), reached, guards))
+                    target, cond, reached, guards))
 
 
-def build_semantic(pool: VarPool, n: int, m: int,
-                   struct: KripkeStructure) -> list[Clause]:
+def root_false_labels(pool: VarPool, n: int,
+                      alphabet: Sequence[str]) -> set[int]:
+    """The label variables that `build_structural` and `build_normal_form`
+    fix false at the root as they are loaded, before any solving.
+
+    * `x(2, &)`, `x(2, |)` and `x(2, EU)`: node 2 has the one child choice
+      j = 1, so `l(2, 1)` and `r(2, 1)` are unit clauses of the
+      exactly-one constraints, and the ordered-operand clause
+      `-x(2, &) | -l(2, 1)`, its `|` twin and the distinct-operand clause
+      `-x(2, EU) | -l(2, 1) | -r(2, 1)` load as units.
+    * `x(i, p_a)` for i >= 2 and alphabet rank a < i - 1: the
+      proposition-order clause `-x(i, p_a) | x(i - 1, p_0) | .. |
+      x(i - 1, p_{a-1})` is the unit `-x(i, p_0)` at a = 0, and for
+      a < i - 1 every `x(i - 1, p_b)` with b < a has b < i - 2, so by
+      induction on i it is false when the clause loads.
+    """
+    false = set()
+    if n >= 2:
+        false.update(pool.get("x", 2, lab)
+                     for lab in (AND_LABEL, OR_LABEL, EU_LABEL))
+    for i in range(2, n + 1):
+        false.update(pool.get("x", i, p) for p in alphabet[:i - 1])
+    return false
+
+
+def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
+                   false_at_root: Callable[[int], bool] | None = None,
+                   ) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
     node, label and state.
+
+    The structure's variables are allocated first, in a fixed order: `y`
+    for nodes 1..n, then `ys` and then `L`/`R` for nodes 2..n, so a
+    structure added to an instance numbers its variables after every
+    earlier one.  They are read back from tables, not looked up per
+    literal.
 
     The operand values `L(m, i, s)` and `R(m, i, s)` of an operator node
     i are tied to its children by `l(i, j) -> (L(m, i, s) <-> y(m, j, s))`
@@ -337,51 +379,89 @@ def build_semantic(pool: VarPool, n: int, m: int,
     chosen children's `y`.  So the models, projected on the x/l/r/u/y/ys
     variables, are exactly those of guarding each lowering by the label
     and the child choices it reads.
-    """
-    states = range(struct.size)
-    post = [sorted(struct.successors[s]) for s in states]
-    clauses: list[Clause] = []
 
-    y = [lambda s, i=i: pool.var("y", m, i, s) for i in range(n + 1)]
+    `false_at_root(var)` names guard variables that are false at the root
+    of the solver the clauses go to; every clause group guarded by one
+    (the proposition clauses and `lower_node` call under `x(i, lab)`, the
+    `L`/`R` ties under `l(i, j)`/`r(i, j)`) is left out.  That keeps the
+    solver's run identical:
+
+    * each skipped clause contains the negated guard, a literal true at
+      the root, so `CdclSolver.add_clauses` would drop it unread;
+    * root literals follow from the clause set alone, because assumptions
+      are decisions at level >= 1, so the model set is unchanged;
+    * the solver's stored clauses, trail and search are therefore
+      identical, and only the returned list shrinks.
+
+    By default nothing is skipped, so `build_semantic` called on its own
+    still describes every DAG.
+    """
+    size = struct.size
+    states = range(size)
+    post = [sorted(struct.successors[s]) for s in states]
+    y = [[]] + [[pool.var("y", m, i, s) for s in states]
+                for i in range(1, n + 1)]
+    steps = [[], []] + [[[pool.var("ys", m, i, s, k) for k in range(2, size)]
+                         for s in states] for i in range(2, n + 1)]
+    left: list[list[int]] = [[] for _ in range(n + 1)]
+    right: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(2, n + 1):
+        for s in states:
+            left[i].append(pool.var("L", m, i, s))
+            right[i].append(pool.var("R", m, i, s))
+    skip = false_at_root or (lambda var: False)
+    clauses: list[Clause] = []
 
     def successors(s: int, lit: Callable[[int], int]) -> list[int]:
         return [lit(t) for t in post[s]]
 
     for i in range(1, n + 1):
+        out = y[i]
         for p in struct.alphabet:
             guard = pool.var("x", i, p)
+            if skip(guard):
+                continue
             for s in states:
                 if p in struct.labels[s]:
-                    clauses.append((-guard, y[i](s)))
+                    clauses.append((-guard, out[s]))
                 else:
-                    clauses.append((-guard, -y[i](s)))
+                    clauses.append((-guard, -out[s]))
         if i == 1:
             continue  # node 1 is structurally a proposition
-        left = lambda s, i=i: pool.var("L", m, i, s)
-        right = lambda s, i=i: pool.var("R", m, i, s)
-        step = lambda s, k, i=i: pool.var("ys", m, i, s, k)
+        left_i, right_i, steps_i = left[i], right[i], steps[i]
         for j in range(1, i):
+            chose_l, chose_r = pool.var("l", i, j), pool.var("r", i, j)
+            keep_l, keep_r = not skip(chose_l), not skip(chose_r)
+            child = y[j]
             for s in states:
-                clauses.extend(sat.equiv_lit(left(s), y[j](s),
-                                             (pool.var("l", i, j),)))
-                clauses.extend(sat.equiv_lit(right(s), y[j](s),
-                                             (pool.var("r", i, j),)))
+                if keep_l:
+                    clauses.extend(sat.equiv_lit(left_i[s], child[s],
+                                                 (chose_l,)))
+                if keep_r:
+                    clauses.extend(sat.equiv_lit(right_i[s], child[s],
+                                                 (chose_r,)))
+        lowered = [(label, (guard,)) for label in OPERATOR_LABELS
+                   if not skip(guard := pool.var("x", i, label))]
+        step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
         for s in states:
-            for label in OPERATOR_LABELS:
-                lower_node(clauses, label, s, y[i](s), left, right, step,
-                           successors, struct.size - 1,
-                           (pool.var("x", i, label),))
+            for label, guards in lowered:
+                lower_node(clauses, label, s, out[s], left_i.__getitem__,
+                           right_i.__getitem__, step, successors, size - 1,
+                           guards)
     return clauses
 
 
 def add_structure(instance: EncodingInstance, struct: KripkeStructure,
-                  negative: bool) -> list[Clause]:
+                  negative: bool,
+                  false_at_root: Callable[[int], bool] | None = None,
+                  ) -> list[Clause]:
     """Append one sample structure to the instance and return its clauses.
 
     The structure takes the next index m.  Its `y`, `ys` and `L`/`R`
     variables are numbered after every variable already in the pool, so
     appending never renumbers earlier ones; its clauses are the semantic
-    ones of `build_semantic` and one consistency clause: the root holds on
+    ones of `build_semantic`, without the groups whose guard
+    `false_at_root` names, and one consistency clause: the root holds on
     every initial state of a positive, and fails on some initial state of
     a negative.
     """
@@ -389,19 +469,8 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
         raise ValueError("sample structures must share one alphabet")
     pool, n = instance.pool, instance.size_budget
     m = len(instance.positives) + len(instance.negatives)
-    for i in range(1, n + 1):
-        for s in range(struct.size):
-            pool.var("y", m, i, s)
-    for i in range(2, n + 1):
-        for s in range(struct.size):
-            for k in range(2, struct.size):
-                pool.var("ys", m, i, s, k)
-    for i in range(2, n + 1):
-        for s in range(struct.size):
-            pool.var("L", m, i, s)
-            pool.var("R", m, i, s)
-    clauses = build_semantic(pool, n, m, struct)
-    roots = [pool.var("y", m, n, s) for s in sorted(struct.initial)]
+    clauses = build_semantic(pool, n, m, struct, false_at_root)
+    roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
         clauses.append(tuple(-lit for lit in roots))
         instance.negatives += (struct,)
@@ -449,10 +518,11 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
         size_budget=n, alphabet=alphabet, positives=(), negatives=(),
         pool=pool, clauses=build_structural(pool, n, alphabet))
     instance.clauses += build_normal_form(pool, n, alphabet)
+    false = root_false_labels(pool, n, alphabet).__contains__
     for struct in positives:
-        add_structure(instance, struct, negative=False)
+        add_structure(instance, struct, negative=False, false_at_root=false)
     for struct in negatives:
-        add_structure(instance, struct, negative=True)
+        add_structure(instance, struct, negative=True, false_at_root=false)
     instance.clauses += build_block(pool, n, blocked)
     return instance
 

@@ -194,8 +194,9 @@ class CandidateSearch:
                              self.sample.negatives + (struct,))
         if self._live is not None:
             instance, backend = self._live
-            backend.add_clauses(
-                encoder.add_structure(instance, struct, negative=True))
+            backend.add_clauses(encoder.add_structure(
+                instance, struct, negative=True,
+                false_at_root=lambda var: backend.fixed(-var)))
             backend.reserve(instance.num_vars)
 
     def discard(self, formula: CtlFormula) -> None:

@@ -4,9 +4,11 @@ Variables are positive integers and literals are signed integers.  The
 encoders in this package lower their constraints to CNF by hand from a
 small vocabulary of guarded equivalences (`equiv_*` below); a guard list
 [g1, .., gk] prefixes every emitted clause with the negated guards, i.e.
-encodes g1 & .. & gk -> (equivalence).  The until/globally step shapes
-are used only by `encoder.lower_node`, the single home of the CTL step
-semantics for both formula search and bounded synthesis.
+encodes g1 & .. & gk -> (equivalence).  Each shape builds that prefix
+once per call.  The until/globally step shapes are used only by
+`encoder.lower_node`, the single home of the CTL step semantics for both
+formula search and bounded synthesis, and list a self-loop's literal once
+per clause.
 
 `CdclSolver` is the in-process default backend: a conflict-driven clause
 learning solver with two-watched-literal propagation, first-UIP conflict
@@ -17,8 +19,10 @@ Its interface takes signed literals; inside, literal v is `2v` and -v is
 `2v | 1` (the MiniSat layout), so negation is `^ 1`, the variable is
 `>> 1`, and one value array and the watch lists are indexed by literal.
 `add_clauses` loads a whole clause stream in one call, as the encoders
-do; `add_clause` is the one-clause case.  Instances can also be exported
-in DIMACS CNF format for external solvers via `to_dimacs`.
+do; `add_clause` is the one-clause case.  `fixed` tells whether a literal
+is true at the root, where `add_clauses` drops every clause containing
+it, so an encoder can leave such clauses out.  Instances can also be
+exported in DIMACS CNF format for external solvers via `to_dimacs`.
 """
 
 from __future__ import annotations
@@ -42,47 +46,47 @@ class BackendFailure(RuntimeError):
 # Clause shapes
 # ---------------------------------------------------------------------------
 
-def _guarded(guards: Sequence[int], clause: Iterable[int]) -> Clause:
-    return tuple(-g for g in guards) + tuple(clause)
-
-
 def exactly_one(lits: Sequence[int],
                 guards: Sequence[int] = ()) -> list[Clause]:
     """At-least-one plus pairwise at-most-one."""
-    out = [_guarded(guards, lits)]
+    pre = tuple(-g for g in guards)
+    out = [pre + tuple(lits)]
     for a in range(len(lits)):
+        neg_a = -lits[a]
         for b in range(a + 1, len(lits)):
-            out.append(_guarded(guards, (-lits[a], -lits[b])))
+            out.append(pre + (neg_a, -lits[b]))
     return out
 
 
 def equiv_lit(out_lit: int, in_lit: int,
               guards: Sequence[int] = ()) -> list[Clause]:
     """out <-> in."""
-    return [_guarded(guards, (-out_lit, in_lit)),
-            _guarded(guards, (out_lit, -in_lit))]
+    pre = tuple(-g for g in guards)
+    return [pre + (-out_lit, in_lit), pre + (out_lit, -in_lit)]
 
 
 def equiv_not(out_lit: int, in_lit: int,
               guards: Sequence[int] = ()) -> list[Clause]:
     """out <-> !in."""
-    return [_guarded(guards, (-out_lit, -in_lit)),
-            _guarded(guards, (out_lit, in_lit))]
+    pre = tuple(-g for g in guards)
+    return [pre + (-out_lit, -in_lit), pre + (out_lit, in_lit)]
 
 
 def equiv_and(out_lit: int, lits: Sequence[int],
               guards: Sequence[int] = ()) -> list[Clause]:
     """out <-> (l1 & .. & lk)."""
-    clauses = [_guarded(guards, (-out_lit, l)) for l in lits]
-    clauses.append(_guarded(guards, (out_lit,) + tuple(-l for l in lits)))
+    pre = tuple(-g for g in guards)
+    clauses = [pre + (-out_lit, l) for l in lits]
+    clauses.append(pre + (out_lit,) + tuple(-l for l in lits))
     return clauses
 
 
 def equiv_or(out_lit: int, lits: Sequence[int],
              guards: Sequence[int] = ()) -> list[Clause]:
     """out <-> (l1 | .. | lk)."""
-    clauses = [_guarded(guards, (out_lit, -l)) for l in lits]
-    clauses.append(_guarded(guards, (-out_lit,) + tuple(lits)))
+    pre = tuple(-g for g in guards)
+    clauses = [pre + (out_lit, -l) for l in lits]
+    clauses.append(pre + (-out_lit,) + tuple(lits))
     return clauses
 
 
@@ -92,13 +96,17 @@ def equiv_or_and_disj(out_lit: int, base_lit: int, cond_lit: int,
     """out <-> base | (cond & (d1 | .. | dk)).
 
     The unrolled until step: already reached, or the condition holds here
-    and some successor reached it one step earlier.
+    and some successor reached it one step earlier.  A disjunct equal to
+    `base` (a self-loop) is listed once, where `base` stands.
     """
-    clauses = [_guarded(guards, (-out_lit, base_lit, cond_lit)),
-               _guarded(guards, (-out_lit, base_lit) + tuple(disj)),
-               _guarded(guards, (out_lit, -base_lit))]
+    pre = tuple(-g for g in guards)
+    reached = (tuple(d for d in disj if d != base_lit) if base_lit in disj
+               else tuple(disj))
+    clauses = [pre + (-out_lit, base_lit, cond_lit),
+               pre + (-out_lit, base_lit) + reached,
+               pre + (out_lit, -base_lit)]
     for d in disj:
-        clauses.append(_guarded(guards, (out_lit, -cond_lit, -d)))
+        clauses.append(pre + (out_lit, -cond_lit, -d))
     return clauses
 
 
@@ -107,12 +115,14 @@ def equiv_and_disj(out_lit: int, cond_lit: int, disj: Sequence[int],
     """out <-> cond & (d1 | .. | dk).
 
     The unrolled globally step: the condition holds here and some
-    successor survived one step less.
+    successor survived one step less.  A disjunct equal to `cond` (a
+    self-loop) gives the clause with `-cond` once.
     """
-    clauses = [_guarded(guards, (-out_lit, cond_lit)),
-               _guarded(guards, (-out_lit,) + tuple(disj))]
+    pre = tuple(-g for g in guards)
+    clauses = [pre + (-out_lit, cond_lit), pre + (-out_lit,) + tuple(disj)]
     for d in disj:
-        clauses.append(_guarded(guards, (out_lit, -cond_lit, -d)))
+        clauses.append(pre + ((out_lit, -cond_lit) if d == cond_lit
+                              else (out_lit, -cond_lit, -d)))
     return clauses
 
 
@@ -205,6 +215,17 @@ class CdclSolver:
     @property
     def num_clauses(self) -> int:
         return len(self._clauses)
+
+    def fixed(self, lit: int) -> bool:
+        """True iff `lit` is true at decision level 0.
+
+        Between calls the solver sits at level 0, so its trail holds the
+        root assignment only.  A root literal follows from the clause set
+        alone (assumptions are decisions at level >= 1), and
+        `add_clauses` drops every clause containing it unread.
+        """
+        v = abs(lit)
+        return v <= self._nvars and self._val[(v << 1) | (lit < 0)] == 1
 
     def reserve(self, num_vars: int) -> None:
         """Declare variables up to `num_vars` even if no clause uses them."""

@@ -119,15 +119,15 @@ class TestLearn:
             (["--pos", "two_state_pq.kripke", "chain3.kripke",
               "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
              ["budget 1: UNSAT (vars=15, clauses=47)",
-              "budget 2: UNSAT (vars=50, clauses=271)",
-              "budget 3: SAT (vars=88, clauses=539)",
+              "budget 2: UNSAT (vars=50, clauses=182)",
+              "budget 3: SAT (vars=88, clauses=436)",
               "size: 3", "result: EX EX q"]),
             (["--pos", "diamond.kripke", "--neg", "branching.kripke",
               "--max-size", "4", "--seed", "0"],
              ["budget 1: UNSAT (vars=15, clauses=46)",
-              "budget 2: UNSAT (vars=58, clauses=338)",
-              "budget 3: UNSAT (vars=104, clauses=674)",
-              "budget 4: SAT (vars=153, clauses=1068)",
+              "budget 2: UNSAT (vars=58, clauses=212)",
+              "budget 3: UNSAT (vars=104, clauses=534)",
+              "budget 4: SAT (vars=153, clauses=914)",
               "size: 4", "result: !EG !p"]),
         ]
         for args, expected in runs:

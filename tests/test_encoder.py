@@ -111,6 +111,110 @@ class TestBuildInstance:
             encoder.build_instance(0, [m])
 
 
+class TestRootPruning:
+    """`build_instance` and `CandidateSearch.add_negative` leave out the
+    clause groups whose guard is false at the root; the solver must not
+    see a difference."""
+
+    SAMPLES = [
+        (["two_state_pq.kripke", "chain3.kripke"], ["cycle2.kripke"],
+         "diamond.kripke"),
+        (["diamond.kripke"], ["branching.kripke"], "sink_q.kripke"),
+        (["sink_q.kripke"], ["cycle2.kripke"], "two_init.kripke"),
+        (["full2.kripke"], [], "chain3.kripke"),
+        (["selfloop_p.kripke"], ["selfloop_empty.kripke"],
+         "selfloop_empty.kripke"),
+        (["mutex.kripke"], [], "mutex.kripke"),
+    ]
+
+    @staticmethod
+    def unpruned(pool, n, m, struct, negative):
+        """`build_semantic` with nothing skipped, plus the root clauses."""
+        clauses = encoder.build_semantic(pool, n, m, struct)
+        roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
+        if negative:
+            return clauses + [tuple(-lit for lit in roots)]
+        return clauses + [(lit,) for lit in roots]
+
+    @staticmethod
+    def same_state(a, b):
+        assert a.num_vars == b.num_vars
+        assert a._clauses == b._clauses
+        assert a._trail == b._trail
+
+    def test_pruned_instances_load_and_search_identically(self):
+        skipped = {"build": 0, "append": 0}
+        for pos_names, neg_names, extra_name in self.SAMPLES:
+            pos = [helpers.load_fixture(f) for f in pos_names]
+            neg = [helpers.load_fixture(f) for f in neg_names]
+            extra = helpers.load_fixture(extra_name)
+            alphabet = pos[0].alphabet
+            for n in (1, 2, 3, 4):
+                instance = encoder.build_instance(n, pos, neg)
+                pruned = encoder.load_backend(instance, CdclSolver(seed=0))
+                pool = VarPool()
+                stream = (encoder.build_structural(pool, n, alphabet)
+                          + encoder.build_normal_form(pool, n, alphabet))
+                for m, struct in enumerate(pos + neg):
+                    stream += self.unpruned(pool, n, m, struct,
+                                            m >= len(pos))
+                full = CdclSolver(seed=0)
+                full.add_clauses(stream)
+                full.reserve(pool.count)
+                skipped["build"] += len(stream) - instance.num_clauses
+                self.same_state(pruned, full)
+
+                assert pruned.solve() == full.solve()
+                appended = encoder.add_structure(
+                    instance, extra, negative=True,
+                    false_at_root=lambda var: pruned.fixed(-var))
+                pruned.add_clauses(appended)
+                pruned.reserve(instance.num_vars)
+                appended_full = self.unpruned(pool, n, len(pos + neg),
+                                              extra, True)
+                full.add_clauses(appended_full)
+                full.reserve(pool.count)
+                skipped["append"] += len(appended_full) - len(appended)
+                self.same_state(pruned, full)
+
+                verdict = pruned.solve()
+                assert verdict == full.solve()
+                assert pruned._conflicts == full._conflicts
+                if verdict:
+                    assert pruned.model() == full.model()
+        assert skipped["build"] > 0 and skipped["append"] > 0
+
+    def test_root_false_labels_match_the_loaded_clauses(self):
+        """The positional rule names exactly the label variables that the
+        structural and normal-form clauses fix false as they load."""
+        for size in (1, 2, 3):
+            alphabet = ("p", "q", "r")[:size]
+            for n in range(1, 7):
+                pool = VarPool()
+                backend = CdclSolver()
+                backend.add_clauses(
+                    encoder.build_structural(pool, n, alphabet)
+                    + encoder.build_normal_form(pool, n, alphabet))
+                labels = [pool.get("x", i, lab)
+                          for i in range(1, n + 1)
+                          for lab in alphabet + ctl.OPERATOR_LABELS]
+                fixed = {var for var in labels if backend.fixed(-var)}
+                expected = encoder.root_false_labels(pool, n, alphabet)
+                assert fixed == expected, (n, alphabet)
+
+    def test_no_clause_repeats_a_literal(self):
+        """Self-loops put a state among its own successors; the step
+        clauses still list each literal once."""
+        fixtures = sorted(helpers.FIXTURES.glob("*.kripke"))
+        for path in fixtures:
+            struct = helpers.load_fixture(path.name)
+            for n in (1, 2, 3):
+                instance = encoder.build_instance(n, [struct])
+                for clause in instance.clauses:
+                    assert len(set(clause)) == len(clause), (path.name,
+                                                             clause)
+
+
 class TestSemantics:
     def test_pinned_formula_forces_checker_values(self):
         """With the DAG fixed by assumptions, every evaluation variable

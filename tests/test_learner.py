@@ -138,7 +138,7 @@ class TestLearnMinimal:
         assert result.formula == ctl.parse_ctl("!p")
         assert [b.describe() for b in result.budgets] == [
             "budget 1: UNSAT (vars=8, clauses=25)",
-            "budget 2: SAT (vars=21, clauses=78)"]
+            "budget 2: SAT (vars=21, clauses=69)"]
 
 
 def search(model, bound, negatives=(), discarded=(), seed=None):
