@@ -37,22 +37,21 @@ one.
 
 Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
-was added, its y, then its ys, then its L/R variables.  `add_structure`
-appends one structure's variables, semantic clauses and consistency
-clause, and `build_instance` is the structural and normal-form clauses,
-`add_structure` once per positive and negative, then the blocks.
+was added, its y, then its ys, then its L/R variables.  Every instance
+owns the solver its clauses go to (`EncodingInstance.backend`), and each
+clause group is loaded into it as soon as it is built: `build_instance`
+is the structural and normal-form clauses (`load_backend`), then
+`add_structure` once per positive and negative, then `add_blocks`.
 Appending a structure to a built instance (a new negative in the
-learner's persistent search) therefore renumbers nothing, and every
-clause already loaded into a solver stays valid.
+learner's persistent search) goes the same way, renumbers nothing, and
+leaves every clause already loaded valid.
 
 Guards false at the root are not lowered: `build_semantic` leaves out
-every clause group whose guard variable its caller names as false at the
-root of the solver the clauses go to.  `build_instance` names the label
-variables that the structural and normal-form clauses fix false as they
-load (`root_false_labels`), and the learner, appending a negative to a
-live solver, names those false in that solver's root assignment
-(`CdclSolver.fixed`).  The solver would drop those clauses unread, so it
-stores, propagates and searches exactly as it would on the full stream.
+every clause group whose guard variable is false in the root assignment
+of the instance's own solver (`CdclSolver.fixed`), the one source of
+root knowledge on the build and the append path alike.  That solver
+would drop those clauses unread, so it stores, propagates and searches
+exactly as it would on the full stream.
 
 Blocking clauses exclude previously found formulas by negating the
 defining literals of their admitted DAGs (`normal_dag`).  They read only
@@ -75,7 +74,7 @@ from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-__all__ = ["VarPool", "lower_node", "add_structure",
+__all__ = ["VarPool", "lower_node", "add_structure", "add_blocks",
            "build_normal_form", "normal_dag", "build_instance",
            "load_backend", "decode_with_literals", "to_dimacs"]
 
@@ -123,6 +122,7 @@ class EncodingInstance:
     negatives: tuple[KripkeStructure, ...]
     pool: VarPool
     clauses: list[Clause] = field(default_factory=list)
+    backend: CdclSolver | None = None  # attached by `load_backend`
 
     @property
     def num_vars(self) -> int:
@@ -331,34 +331,8 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
                     target, cond, reached, guards))
 
 
-def root_false_labels(pool: VarPool, n: int,
-                      alphabet: Sequence[str]) -> set[int]:
-    """The label variables that `build_structural` and `build_normal_form`
-    fix false at the root as they are loaded, before any solving.
-
-    * `x(2, &)`, `x(2, |)` and `x(2, EU)`: node 2 has the one child choice
-      j = 1, so `l(2, 1)` and `r(2, 1)` are unit clauses of the
-      exactly-one constraints, and the ordered-operand clause
-      `-x(2, &) | -l(2, 1)`, its `|` twin and the distinct-operand clause
-      `-x(2, EU) | -l(2, 1) | -r(2, 1)` load as units.
-    * `x(i, p_a)` for i >= 2 and alphabet rank a < i - 1: the
-      proposition-order clause `-x(i, p_a) | x(i - 1, p_0) | .. |
-      x(i - 1, p_{a-1})` is the unit `-x(i, p_0)` at a = 0, and for
-      a < i - 1 every `x(i - 1, p_b)` with b < a has b < i - 2, so by
-      induction on i it is false when the clause loads.
-    """
-    false = set()
-    if n >= 2:
-        false.update(pool.get("x", 2, lab)
-                     for lab in (AND_LABEL, OR_LABEL, EU_LABEL))
-    for i in range(2, n + 1):
-        false.update(pool.get("x", i, p) for p in alphabet[:i - 1])
-    return false
-
-
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
-                   false_at_root: Callable[[int], bool] | None = None,
-                   ) -> list[Clause]:
+                   backend: CdclSolver) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
     node, label and state.
 
@@ -380,21 +354,22 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     variables, are exactly those of guarding each lowering by the label
     and the child choices it reads.
 
-    `false_at_root(var)` names guard variables that are false at the root
-    of the solver the clauses go to; every clause group guarded by one
-    (the proposition clauses and `lower_node` call under `x(i, lab)`, the
-    `L`/`R` ties under `l(i, j)`/`r(i, j)`) is left out.  That keeps the
-    solver's run identical:
+    Every clause group whose guard `backend.fixed(-guard)` names as false
+    at the root (the proposition clauses and `lower_node` call under
+    `x(i, lab)`, the `L`/`R` ties under `l(i, j)`/`r(i, j)`) is left out,
+    so the clauses must go into `backend` itself.  That keeps its run
+    identical:
 
     * each skipped clause contains the negated guard, a literal true at
-      the root, so `CdclSolver.add_clauses` would drop it unread;
+      the root of `backend`, so `CdclSolver.add_clauses` would drop it
+      unread;
     * root literals follow from the clause set alone, because assumptions
       are decisions at level >= 1, so the model set is unchanged;
     * the solver's stored clauses, trail and search are therefore
       identical, and only the returned list shrinks.
 
-    By default nothing is skipped, so `build_semantic` called on its own
-    still describes every DAG.
+    A solver that fixes nothing, such as a fresh `CdclSolver()`, leaves
+    nothing out.
     """
     size = struct.size
     states = range(size)
@@ -409,7 +384,6 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
         for s in states:
             left[i].append(pool.var("L", m, i, s))
             right[i].append(pool.var("R", m, i, s))
-    skip = false_at_root or (lambda var: False)
     clauses: list[Clause] = []
 
     def successors(s: int, lit: Callable[[int], int]) -> list[int]:
@@ -419,7 +393,7 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
         out = y[i]
         for p in struct.alphabet:
             guard = pool.var("x", i, p)
-            if skip(guard):
+            if backend.fixed(-guard):
                 continue
             for s in states:
                 if p in struct.labels[s]:
@@ -431,7 +405,8 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
         left_i, right_i, steps_i = left[i], right[i], steps[i]
         for j in range(1, i):
             chose_l, chose_r = pool.var("l", i, j), pool.var("r", i, j)
-            keep_l, keep_r = not skip(chose_l), not skip(chose_r)
+            keep_l = not backend.fixed(-chose_l)
+            keep_r = not backend.fixed(-chose_r)
             child = y[j]
             for s in states:
                 if keep_l:
@@ -441,7 +416,7 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
                     clauses.extend(sat.equiv_lit(right_i[s], child[s],
                                                  (chose_r,)))
         lowered = [(label, (guard,)) for label in OPERATOR_LABELS
-                   if not skip(guard := pool.var("x", i, label))]
+                   if not backend.fixed(-(guard := pool.var("x", i, label)))]
         step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
         for s in states:
             for label, guards in lowered:
@@ -452,24 +427,22 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
 
 
 def add_structure(instance: EncodingInstance, struct: KripkeStructure,
-                  negative: bool,
-                  false_at_root: Callable[[int], bool] | None = None,
-                  ) -> list[Clause]:
-    """Append one sample structure to the instance and return its clauses.
+                  negative: bool) -> None:
+    """Append one sample structure to the instance and load it.
 
     The structure takes the next index m.  Its `y`, `ys` and `L`/`R`
     variables are numbered after every variable already in the pool, so
     appending never renumbers earlier ones; its clauses are the semantic
-    ones of `build_semantic`, without the groups whose guard
-    `false_at_root` names, and one consistency clause: the root holds on
-    every initial state of a positive, and fails on some initial state of
-    a negative.
+    ones of `build_semantic`, pruned against the instance's solver, and
+    one consistency clause: the root holds on every initial state of a
+    positive, and fails on some initial state of a negative.  They go to
+    `instance.clauses` and into that solver.
     """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
-    pool, n = instance.pool, instance.size_budget
+    pool, n, backend = instance.pool, instance.size_budget, instance.backend
     m = len(instance.positives) + len(instance.negatives)
-    clauses = build_semantic(pool, n, m, struct, false_at_root)
+    clauses = build_semantic(pool, n, m, struct, backend)
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
         clauses.append(tuple(-lit for lit in roots))
@@ -478,7 +451,8 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
         clauses.extend((lit,) for lit in roots)
         instance.positives += (struct,)
     instance.clauses += clauses
-    return clauses
+    backend.add_clauses(clauses)
+    backend.reserve(pool.count)
 
 
 def dag_literals(pool: VarPool, dag: SyntaxDag) -> list[int]:
@@ -493,20 +467,22 @@ def dag_literals(pool: VarPool, dag: SyntaxDag) -> list[int]:
     return lits
 
 
-def build_block(pool: VarPool, n: int,
-                blocked: Iterable[SyntaxDag]) -> list[Clause]:
-    """One clause per blocked DAG of size exactly n; smaller DAGs emit
-    nothing at this budget."""
-    clauses: list[Clause] = []
-    for dag in blocked:
-        if dag.size == n:
-            clauses.append(tuple(-lit for lit in dag_literals(pool, dag)))
-    return clauses
+def add_blocks(instance: EncodingInstance,
+               blocked: Iterable[SyntaxDag]) -> None:
+    """Append and load one clause per blocked DAG of the budget's size;
+    other DAGs add nothing at this budget."""
+    clauses = [tuple(-lit for lit in dag_literals(instance.pool, dag))
+               for dag in blocked if dag.size == instance.size_budget]
+    instance.clauses += clauses
+    instance.backend.add_clauses(clauses)
 
 
 def build_instance(n: int, positives: Sequence[KripkeStructure],
                    negatives: Sequence[KripkeStructure] = (),
-                   blocked: Iterable[SyntaxDag] = ()) -> EncodingInstance:
+                   blocked: Iterable[SyntaxDag] = (),
+                   seed: int | None = None) -> EncodingInstance:
+    """The search instance at budget n, loaded into a fresh solver of the
+    given seed (`instance.backend`) one clause group at a time."""
     if n < 1:
         raise ValueError("size budget must be at least 1")
     structures = tuple(positives) + tuple(negatives)
@@ -518,19 +494,22 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
         size_budget=n, alphabet=alphabet, positives=(), negatives=(),
         pool=pool, clauses=build_structural(pool, n, alphabet))
     instance.clauses += build_normal_form(pool, n, alphabet)
-    false = root_false_labels(pool, n, alphabet).__contains__
+    load_backend(instance, CdclSolver(seed=seed))
     for struct in positives:
-        add_structure(instance, struct, negative=False, false_at_root=false)
+        add_structure(instance, struct, negative=False)
     for struct in negatives:
-        add_structure(instance, struct, negative=True, false_at_root=false)
-    instance.clauses += build_block(pool, n, blocked)
+        add_structure(instance, struct, negative=True)
+    add_blocks(instance, blocked)
     return instance
 
 
 def load_backend(instance: EncodingInstance,
                  backend: CdclSolver) -> CdclSolver:
+    """Load the instance's clauses into `backend` and attach it as the
+    solver every later clause of the instance goes to."""
     backend.add_clauses(instance.clauses)
     backend.reserve(instance.pool.count)
+    instance.backend = backend
     return backend
 
 

@@ -29,8 +29,8 @@ from .ctl import RESERVED_WORDS
 __all__ = [
     "KripkeStructure", "KripkeError", "ParseError", "NonTotalTransition",
     "UnknownState", "UnknownProposition", "EmptyInitial", "InvalidStructure",
-    "validate", "parse_kripke", "print_kripke", "inline_kripke",
-    "bisimulation_classes",
+    "check_alphabet", "validate", "parse_kripke", "print_kripke",
+    "inline_kripke", "bisimulation_classes",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -95,10 +95,7 @@ class KripkeStructure:
             raise InvalidStructure("a structure needs at least one state")
         if len(set(self.state_names)) != n:
             raise InvalidStructure("duplicate state names")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise InvalidStructure("duplicate propositions")
-        for name in self.alphabet:
-            _check_prop_name(name)
+        check_alphabet(self.alphabet)
         for name in self.state_names:
             if not _IDENT_RE.match(name):
                 raise InvalidStructure(f"invalid state name {name!r}")
@@ -132,12 +129,17 @@ class KripkeStructure:
             raise UnknownState(name) from None
 
 
-def _check_prop_name(name: str) -> None:
-    if not _IDENT_RE.match(name):
-        raise InvalidStructure(f"invalid proposition name {name!r}")
-    if name in RESERVED_WORDS:
-        raise InvalidStructure(
-            f"proposition name {name!r} is reserved by the formula syntax")
+def check_alphabet(alphabet: Sequence[str]) -> None:
+    """Reject duplicate, malformed or reserved proposition names."""
+    if len(set(alphabet)) != len(alphabet):
+        raise InvalidStructure("duplicate propositions")
+    for name in alphabet:
+        if not _IDENT_RE.match(name):
+            raise InvalidStructure(f"invalid proposition name {name!r}")
+        if name in RESERVED_WORDS:
+            raise InvalidStructure(
+                f"proposition name {name!r} is reserved by the formula "
+                "syntax")
 
 
 def validate(*, props: Sequence[str], states: Sequence[str],

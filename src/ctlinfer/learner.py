@@ -32,7 +32,7 @@ from typing import Container
 from . import ctl, encoder
 from .ctl import CtlFormula, SyntaxDag
 from .kripke import KripkeStructure, bisimulation_classes
-from .sat import BackendFailure, CdclSolver
+from .sat import BackendFailure
 
 __all__ = ["Sample", "BudgetTrace", "LearnResult", "AlphabetMismatch",
            "NoConsistentFormula", "CandidateSearch", "learn_minimal",
@@ -130,16 +130,17 @@ class LearnResult:
     budgets: tuple[BudgetTrace, ...]
 
 
-def _solve_budget(instance: encoder.EncodingInstance, backend: CdclSolver,
+def _solve_budget(instance: encoder.EncodingInstance,
                   discarded: Container[CtlFormula],
                   ) -> tuple[CtlFormula | None, BudgetTrace]:
-    """Solve, decode and re-block until the budget yields a formula not in
-    `discarded` (None once the budget has no model left), with its trace.
+    """Solve the instance's solver, decode and re-block until the budget
+    yields a formula not in `discarded` (None once the budget has no model
+    left), with its trace.
 
     Every admitted DAG has exactly n nodes, so a discarded formula decoded
     here is a renumbering of its blocked DAG; any other size is a broken
     encoding."""
-    n = instance.size_budget
+    n, backend = instance.size_budget, instance.backend
     started = time.perf_counter()
     formula = None
     while backend.solve():
@@ -184,7 +185,7 @@ class CandidateSearch:
         self._dags: list[SyntaxDag] = []
         self._conflict = sample.has_conflict()
         self._floor = 1
-        self._live: tuple[encoder.EncodingInstance, CdclSolver] | None = None
+        self._live: encoder.EncodingInstance | None = None
 
     def add_negative(self, struct: KripkeStructure) -> None:
         """Add a negative structure; from now on every answer fails it."""
@@ -193,11 +194,7 @@ class CandidateSearch:
         self.sample = Sample(self.sample.positives,
                              self.sample.negatives + (struct,))
         if self._live is not None:
-            instance, backend = self._live
-            backend.add_clauses(encoder.add_structure(
-                instance, struct, negative=True,
-                false_at_root=lambda var: backend.fixed(-var)))
-            backend.reserve(instance.num_vars)
+            encoder.add_structure(self._live, struct, negative=True)
 
     def discard(self, formula: CtlFormula) -> None:
         """Never propose `formula` again."""
@@ -207,11 +204,7 @@ class CandidateSearch:
             return
         self._dags.append(dag)
         if self._live is not None:
-            instance, backend = self._live
-            blocks = encoder.build_block(instance.pool,
-                                         instance.size_budget, [dag])
-            instance.clauses += blocks
-            backend.add_clauses(blocks)
+            encoder.add_blocks(self._live, [dag])
 
     def _next(self) -> tuple[LearnResult | None, list[BudgetTrace]]:
         """Smallest normal-form formula consistent with the sample and not
@@ -240,14 +233,11 @@ class CandidateSearch:
             return None, budgets
         while self._floor <= self.bound:
             if self._live is None:
-                instance = encoder.build_instance(
+                self._live = encoder.build_instance(
                     self._floor, self.sample.positives,
-                    self.sample.negatives, self._dags)
-                self._live = instance, encoder.load_backend(
-                    instance, CdclSolver(seed=self.seed))
-            instance, backend = self._live
-            formula, trace = _solve_budget(instance, backend,
-                                           self._discarded)
+                    self.sample.negatives, self._dags, seed=self.seed)
+            instance = self._live
+            formula, trace = _solve_budget(instance, self._discarded)
             budgets.append(trace)
             if formula is not None:
                 return (LearnResult(formula, instance.size_budget,

@@ -21,7 +21,8 @@ Its interface takes signed literals; inside, literal v is `2v` and -v is
 `add_clauses` loads a whole clause stream in one call, as the encoders
 do; `add_clause` is the one-clause case.  `fixed` tells whether a literal
 is true at the root, where `add_clauses` drops every clause containing
-it, so an encoder can leave such clauses out.  Instances can also be
+it, so an encoder can leave such clauses out of the stream it loads into
+that same solver.  Instances can also be
 exported in DIMACS CNF format for external solvers via `to_dimacs`.
 """
 
@@ -46,15 +47,13 @@ class BackendFailure(RuntimeError):
 # Clause shapes
 # ---------------------------------------------------------------------------
 
-def exactly_one(lits: Sequence[int],
-                guards: Sequence[int] = ()) -> list[Clause]:
+def exactly_one(lits: Sequence[int]) -> list[Clause]:
     """At-least-one plus pairwise at-most-one."""
-    pre = tuple(-g for g in guards)
-    out = [pre + tuple(lits)]
+    out = [tuple(lits)]
     for a in range(len(lits)):
         neg_a = -lits[a]
         for b in range(a + 1, len(lits)):
-            out.append(pre + (neg_a, -lits[b]))
+            out.append((neg_a, -lits[b]))
     return out
 
 

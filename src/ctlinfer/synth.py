@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 from . import checker, ctl, tableau
 from .ctl import And, CtlFormula, Not
 from .encoder import VarPool, lower_node
-from .kripke import KripkeStructure
+from .kripke import KripkeStructure, check_alphabet
 from .sat import CdclSolver, Clause, equiv_and, equiv_lit
 
 __all__ = ["SynthesisInconsistency", "synthesize", "implies", "equivalent"]
@@ -144,6 +144,8 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
     the budget.  It is exact (no model of any size) when the tableau
     refuted the formula, and otherwise not a proof that none exists
     beyond the budget; callers report it as a bounded verdict either way.
+    A given `alphabet` must pass `kripke.check_alphabet`, whether or not a
+    model is found.
     """
     if max_states < 1:
         raise ValueError("state budget must be at least 1")
@@ -152,6 +154,7 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
         alphabet = tuple(props)
     else:
         alphabet = tuple(alphabet)
+        check_alphabet(alphabet)
         missing = set(props) - set(alphabet)
         if missing:
             raise ValueError(f"alphabet is missing propositions {missing}")

@@ -22,7 +22,6 @@ from ctlinfer.ctl import (And, Const, CtlFormula, ExistsFinally,
                           ForallFinally, ForallGlobally, ForallNext,
                           ForallUntil, Implies, Not, Or, Prop)
 from ctlinfer.kripke import KripkeStructure
-from ctlinfer.sat import CdclSolver
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -356,9 +355,8 @@ def brute_force_minimum(positives: Sequence[KripkeStructure],
 # ---------------------------------------------------------------------------
 
 def solve_instance(instance: encoder.EncodingInstance,
-                   seed: int = 0) -> dict[int, bool] | None:
-    """A model of the instance from a fresh seeded solver, or None if
-    the instance is unsatisfiable."""
-    backend = CdclSolver(seed=seed)
-    encoder.load_backend(instance, backend)
+                   ) -> dict[int, bool] | None:
+    """A model of the instance from its own solver, or None if the
+    instance is unsatisfiable."""
+    backend = instance.backend
     return backend.model() if backend.solve() else None

@@ -117,12 +117,11 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
             for f in (ctl.ExistsUntil(p, q), ctl.ExistsGlobally(p)):
                 dag = ctl.to_dag(f)
                 pool = VarPool()
-                clauses = encoder.build_structural(pool, dag.size,
-                                                   struct.alphabet)
-                clauses += encoder.build_semantic(pool, dag.size, 0, struct)
                 backend = CdclSolver(seed=0)
-                for clause in clauses:
-                    backend.add_clause(clause)
+                backend.add_clauses(encoder.build_structural(
+                    pool, dag.size, struct.alphabet))
+                backend.add_clauses(encoder.build_semantic(
+                    pool, dag.size, 0, struct, backend))
                 backend.reserve(pool.count)
                 assert backend.solve(encoder.dag_literals(pool, dag))
                 model = backend.model()
@@ -156,7 +155,8 @@ def test_criterion_3_search_instances_round_trip_against_enumeration():
                 has_formula = any(
                     naive_consistent(f, positives, negatives, tables)
                     for f in admitted if ctl.size(f) == n)
-                instance = encoder.build_instance(n, positives, negatives)
+                instance = encoder.build_instance(n, positives, negatives,
+                                                  seed=0)
                 assignment = helpers.solve_instance(instance)
                 assert (assignment is not None) == has_formula, (seed, n)
                 if assignment is not None:

@@ -201,6 +201,15 @@ class TestSynth:
         assert code == 0
         assert "props: p q" in out.splitlines()
 
+    def test_malformed_props_are_usage_errors_without_a_model(self, capsys):
+        """Duplicate, malformed or reserved names are rejected before any
+        solving, so an unsatisfiable formula does not hide them."""
+        for props in ("p,1x", "p,p", "p,p,EX", "p,EX"):
+            code, out, err = invoke(capsys, "synth", "p & !p",
+                                    "--props", props)
+            assert_usage_error(code, err)
+            assert out == "", props
+
 
 class TestInfer:
     def test_infers_eg_p(self, capsys):

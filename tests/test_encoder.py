@@ -13,12 +13,12 @@ def semantic_instance(structures, n):
     formula of size n can be pinned with assumptions and its evaluation
     variables read back."""
     pool = VarPool()
-    clauses = encoder.build_structural(pool, n, structures[0].alphabet)
-    for m, struct in enumerate(structures):
-        clauses += encoder.build_semantic(pool, n, m, struct)
     backend = CdclSolver()
-    for clause in clauses:
-        backend.add_clause(clause)
+    backend.add_clauses(encoder.build_structural(pool, n,
+                                                 structures[0].alphabet))
+    for m, struct in enumerate(structures):
+        backend.add_clauses(encoder.build_semantic(pool, n, m, struct,
+                                                   backend))
     backend.reserve(pool.count)
     return pool, backend
 
@@ -89,12 +89,13 @@ class TestBuildInstance:
         cycle = helpers.load_fixture("cycle2.kripke")
         pool = VarPool()
         instance = encoder.EncodingInstance(4, sink.alphabet, (), (), pool)
-        clauses = (encoder.add_structure(instance, sink, negative=False)
-                   + encoder.add_structure(instance, cycle, negative=True))
+        encoder.load_backend(instance, CdclSolver())
+        encoder.add_structure(instance, sink, negative=False)
+        encoder.add_structure(instance, cycle, negative=True)
         choices = {var for key, var in pool.semantic_items()
                    if key[0] in ("l", "r")}
         assert choices
-        for clause in clauses:
+        for clause in instance.clauses:
             assert sum(abs(lit) in choices for lit in clause) <= 1, clause
 
     def test_rejects_mixed_alphabets(self):
@@ -113,8 +114,8 @@ class TestBuildInstance:
 
 class TestRootPruning:
     """`build_instance` and `CandidateSearch.add_negative` leave out the
-    clause groups whose guard is false at the root; the solver must not
-    see a difference."""
+    clause groups whose guard is false at the root of the instance's own
+    solver; that solver must not see a difference."""
 
     SAMPLES = [
         (["two_state_pq.kripke", "chain3.kripke"], ["cycle2.kripke"],
@@ -129,8 +130,9 @@ class TestRootPruning:
 
     @staticmethod
     def unpruned(pool, n, m, struct, negative):
-        """`build_semantic` with nothing skipped, plus the root clauses."""
-        clauses = encoder.build_semantic(pool, n, m, struct)
+        """`build_semantic` with nothing skipped, against a fresh solver
+        that fixes nothing, plus the root clauses."""
+        clauses = encoder.build_semantic(pool, n, m, struct, CdclSolver())
         roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
         if negative:
             return clauses + [tuple(-lit for lit in roots)]
@@ -150,8 +152,8 @@ class TestRootPruning:
             extra = helpers.load_fixture(extra_name)
             alphabet = pos[0].alphabet
             for n in (1, 2, 3, 4):
-                instance = encoder.build_instance(n, pos, neg)
-                pruned = encoder.load_backend(instance, CdclSolver(seed=0))
+                instance = encoder.build_instance(n, pos, neg, seed=0)
+                pruned = instance.backend
                 pool = VarPool()
                 stream = (encoder.build_structural(pool, n, alphabet)
                           + encoder.build_normal_form(pool, n, alphabet))
@@ -165,16 +167,14 @@ class TestRootPruning:
                 self.same_state(pruned, full)
 
                 assert pruned.solve() == full.solve()
-                appended = encoder.add_structure(
-                    instance, extra, negative=True,
-                    false_at_root=lambda var: pruned.fixed(-var))
-                pruned.add_clauses(appended)
-                pruned.reserve(instance.num_vars)
+                loaded = instance.num_clauses
+                encoder.add_structure(instance, extra, negative=True)
                 appended_full = self.unpruned(pool, n, len(pos + neg),
                                               extra, True)
                 full.add_clauses(appended_full)
                 full.reserve(pool.count)
-                skipped["append"] += len(appended_full) - len(appended)
+                skipped["append"] += (len(appended_full)
+                                      - (instance.num_clauses - loaded))
                 self.same_state(pruned, full)
 
                 verdict = pruned.solve()
@@ -184,23 +184,20 @@ class TestRootPruning:
                     assert pruned.model() == full.model()
         assert skipped["build"] > 0 and skipped["append"] > 0
 
-    def test_root_false_labels_match_the_loaded_clauses(self):
-        """The positional rule names exactly the label variables that the
-        structural and normal-form clauses fix false as they load."""
-        for size in (1, 2, 3):
-            alphabet = ("p", "q", "r")[:size]
-            for n in range(1, 7):
-                pool = VarPool()
-                backend = CdclSolver()
-                backend.add_clauses(
-                    encoder.build_structural(pool, n, alphabet)
-                    + encoder.build_normal_form(pool, n, alphabet))
-                labels = [pool.get("x", i, lab)
-                          for i in range(1, n + 1)
-                          for lab in alphabet + ctl.OPERATOR_LABELS]
-                fixed = {var for var in labels if backend.fixed(-var)}
-                expected = encoder.root_false_labels(pool, n, alphabet)
-                assert fixed == expected, (n, alphabet)
+    def test_build_path_is_the_append_path(self):
+        """Negatives built into an instance and negatives appended to it
+        afterwards give the same clauses and the same loaded solver."""
+        for pos_names, neg_names, extra_name in self.SAMPLES:
+            pos = [helpers.load_fixture(f) for f in pos_names]
+            neg = [helpers.load_fixture(f)
+                   for f in neg_names + [extra_name]]
+            for n in (1, 2, 3, 4):
+                built = encoder.build_instance(n, pos, neg)
+                appended = encoder.build_instance(n, pos)
+                for struct in neg:
+                    encoder.add_structure(appended, struct, negative=True)
+                assert built.clauses == appended.clauses
+                self.same_state(built.backend, appended.backend)
 
     def test_no_clause_repeats_a_literal(self):
         """Self-loops put a state among its own successors; the step
@@ -296,7 +293,8 @@ class TestSemantics:
 
 class TestConsistency:
     def build_and_solve(self, n, pos, neg=(), blocked=()):
-        instance = encoder.build_instance(n, pos, neg, blocked=blocked)
+        instance = encoder.build_instance(n, pos, neg, blocked=blocked,
+                                          seed=0)
         return instance, helpers.solve_instance(instance)
 
     def test_sat_iff_oracle_finds_consistent_formula(self):
@@ -349,10 +347,13 @@ class TestBlocking:
         assert assignment is None  # p was the only size-1 candidate
 
     def test_blocked_dag_only_applies_at_its_own_budget(self):
-        pool = VarPool()
+        m = helpers.load_fixture("selfloop_p.kripke")
         dag = ctl.to_dag(ctl.Prop("p"))
-        assert encoder.build_block(pool, 1, [dag]) != []
-        assert encoder.build_block(pool, 2, [dag]) == []
+        for n, blocks in ((1, 1), (2, 0)):
+            instance = encoder.build_instance(n, [m])
+            loaded = instance.num_clauses
+            encoder.add_blocks(instance, [dag])
+            assert instance.num_clauses - loaded == blocks
 
     def test_enumeration_by_blocking(self):
         """Blocking each decoded DAG enumerates, budget by budget, every
@@ -361,9 +362,8 @@ class TestBlocking:
         m = helpers.load_fixture("two_state_pq.kripke")
         seen = []
         for n in (1, 2, 3):
-            instance = encoder.build_instance(n, [m])
-            backend = CdclSolver(seed=1)
-            encoder.load_backend(instance, backend)
+            instance = encoder.build_instance(n, [m], seed=1)
+            backend = instance.backend
             for _ in range(30):
                 if not backend.solve():
                     break
@@ -394,9 +394,8 @@ class TestDecode:
         outside = 0
         for _ in range(40):
             f = helpers.random_enf(rng, m.alphabet, 3)
-            instance = encoder.build_instance(ctl.size(f), [m], [])
-            backend = CdclSolver(seed=2)
-            encoder.load_backend(instance, backend)
+            instance = encoder.build_instance(ctl.size(f), [m], [], seed=2)
+            backend = instance.backend
             dag = helpers.admitted_dag(f, m.alphabet)
             if dag is None:
                 outside += 1

@@ -6,7 +6,6 @@ import helpers
 from ctlinfer import ctl, encoder, kripke, learner
 from ctlinfer.kripke import KripkeStructure
 from ctlinfer.learner import NoConsistentFormula, Sample
-from ctlinfer.sat import CdclSolver
 
 
 def two_cycle_p():
@@ -112,7 +111,7 @@ class TestLearnMinimal:
         def no_solver(*args, **kwargs):
             raise AssertionError("the solver must not be started")
 
-        monkeypatch.setattr(learner, "CdclSolver", no_solver)
+        monkeypatch.setattr(encoder, "CdclSolver", no_solver)
         sample = Sample((helpers.load_fixture("selfloop_p.kripke"),),
                         (two_cycle_p(),))
         with pytest.raises(NoConsistentFormula) as err:
@@ -184,14 +183,14 @@ class TestInferCandidate:
                  ctl.parse_ctl("E[EX p U EG p]")]
         instance = encoder.build_instance(
             4, [m], blocked=[encoder.normal_dag(f, m.alphabet)
-                             for f in twins])
+                             for f in twins], seed=0)
         pool = instance.pool
-        instance.clauses.append((pool.get("x", 4, "EU"),))
+        pinned = [(pool.get("x", 4, "EU"),)]
         for i in (2, 3):
-            instance.clauses.append((pool.get("x", i, "EX"),
-                                     pool.get("x", i, "EG")))
-            instance.clauses.append((pool.get("l", i, 1),))
-        backend = encoder.load_backend(instance, CdclSolver(seed=0))
+            pinned.append((pool.get("x", i, "EX"), pool.get("x", i, "EG")))
+            pinned.append((pool.get("l", i, 1),))
+        instance.clauses += pinned
+        instance.backend.add_clauses(pinned)
         decoded = []
         decode = encoder.decode_with_literals
 
@@ -201,7 +200,7 @@ class TestInferCandidate:
             return got
 
         monkeypatch.setattr(encoder, "decode_with_literals", recording)
-        formula, trace = learner._solve_budget(instance, backend, set(twins))
+        formula, trace = learner._solve_budget(instance, set(twins))
         assert formula is None and not trace.satisfiable
         assert sorted(decoded, key=ctl.print_ctl) == twins
 
