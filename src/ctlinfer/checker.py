@@ -20,7 +20,7 @@ from .ctl import (And, Const, CtlFormula, ExistsGlobally, ExistsNext,
                   ExistsUntil, Not, NotInEnf, Or, Prop)
 from .kripke import KripkeStructure, UnknownProposition
 
-__all__ = ["sat_set_table", "holds"]
+__all__ = ["sat_set", "sat_set_table", "holds"]
 
 
 def _succ_masks(m: KripkeStructure) -> list[int]:
@@ -103,6 +103,11 @@ def _sat_mask(m: KripkeStructure, f: CtlFormula, succ: list[int],
 
 def _to_set(mask: int, size: int) -> frozenset[int]:
     return frozenset(s for s in range(size) if mask >> s & 1)
+
+
+def sat_set(m: KripkeStructure, f: CtlFormula) -> frozenset[int]:
+    """The states of `m` satisfying the ENF formula `f`."""
+    return _to_set(_sat_mask(m, f, _succ_masks(m), {}), m.size)
 
 
 def sat_set_table(m: KripkeStructure,

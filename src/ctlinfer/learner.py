@@ -188,9 +188,19 @@ class CandidateSearch:
         self._live: encoder.EncodingInstance | None = None
 
     def add_negative(self, struct: KripkeStructure) -> None:
-        """Add a negative structure; from now on every answer fails it."""
-        self._conflict = self._conflict or Sample(
-            self.sample.positives, (struct,)).has_conflict()
+        """Add a negative structure; from now on every answer fails it.
+
+        Unlike `__init__`, this runs no `Sample.has_conflict` check: the
+        counterexample-guided loop, its one caller, cannot hand over a
+        conflicting negative.  A case-3 witness satisfies !hypothesis and
+        a case-2 witness satisfies !candidate, while both formulas hold on
+        every initial state of the model, the one positive.  CTL holds
+        equally on bisimilar states, so the witness's initial state s0 is
+        bisimilar to none of the model's.  For any other caller, a
+        negative bisimilar to the positives makes every budget's instance
+        UNSAT, so the search reaches the same None, only without the
+        shortcut.
+        """
         self.sample = Sample(self.sample.positives,
                              self.sample.negatives + (struct,))
         if self._live is not None:
@@ -225,8 +235,9 @@ class CandidateSearch:
 
         A negative whose every initial state is bisimilar to an initial
         state of a positive (`Sample.has_conflict`) leaves no separating
-        formula of any size.  That is decided once per negative, and from
-        then on the search answers None without solving.
+        formula of any size.  That is decided once, on the sample the
+        search starts from, and a search that starts conflicting answers
+        None without solving.
         """
         budgets: list[BudgetTrace] = []
         if self._conflict:

@@ -1,7 +1,7 @@
 """Bounded synthesis of Kripke structures satisfying a CTL formula.
 
 The dual of formula search: the formula is fixed (as its ENF syntax DAG)
-and the structure is unknown.  For each state count m' = 1..max_states a
+and the structure is unknown.  For each state count m' = 2..max_states a
 CNF instance over free transition and labeling variables is solved:
 
 * `t(s, s')` and `lab(s, p)` describe the candidate structure, with a
@@ -16,21 +16,37 @@ CNF instance over free transition and labeling variables is solved:
 Operators are lowered by `encoder.lower_node`, the single home of the
 step semantics; only successors and propositions are symbolic here.
 
-`synthesize` builds the ENF formula's syntax DAG once, and both the
-tableau and every instance read it.  Before any instance is built,
+One state needs no CNF.  A total one-state structure must carry its
+self-loop, so there is one per labelling, and `synthesize` first runs the
+checker on the ENF formula over their disjoint union (`_self_loops`,
+built once per proposition set).  Truth at a state of a disjoint union
+depends only on that state's own component, so a state of the union
+satisfies the formula iff its self-loop alone does: the union decides
+the one-state case exactly, the sweep starts at 2 states, and the state
+count returned is still the minimum.  The union ranges over the
+formula's own propositions, not the whole alphabet: the others cannot
+change its truth, so they stay false, which is also the lowest labelling
+the whole alphabet's union would give.  A formula without propositions
+takes one truth value at every state of every total structure (with
+labels ignored, all of them are bisimilar), so the union of one
+self-loop decides it outright.
+
+Otherwise `synthesize` builds the ENF formula's syntax DAG once, and both
+the tableau and every instance read it.  Before any instance is built,
 `tableau.satisfiable` decides the formula exactly when it has at most
 `tableau.MAX_ELEMENTARY` elementary formulas.  An unsatisfiable formula
 has no model of any size, so none within the budget either, and the
 answer is None with no solver; a satisfiable one goes on to the state
-sweep, so every returned structure is the one the sweep alone would
-return.
+sweep.  Either way the returned structure has the fewest states of any
+model within the budget; which model of that size comes back is
+unspecified.
 
 Every synthesized structure is verified with the explicit-state checker
 before being returned; a verification failure is a hard internal error
 (`SynthesisInconsistency`), never a silent wrong answer.  A None result
 means "no model within the state budget" and is reported as such.  When
-the tableau decided it, no model of any size exists; otherwise it is not
-a proof that no larger model exists.
+the tableau or the proposition-free union decided it, no model of any size
+exists; otherwise it is not a proof that no larger model exists.
 
 `implies` and `equivalent` reduce bounded implication checking to
 synthesis of countermodels for f & !g; the constant `true` on either side
@@ -40,6 +56,7 @@ way as every other.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import checker, ctl, tableau
@@ -57,10 +74,17 @@ class SynthesisInconsistency(RuntimeError):
     """A synthesized structure failed checker verification (internal bug)."""
 
 
-def _trivial_structure() -> KripkeStructure:
+@lru_cache(maxsize=64)
+def _self_loops(props: tuple[str, ...]) -> KripkeStructure:
+    """The disjoint union of the 2^|props| one-state self-loops: state i is
+    labelled with the propositions props[k] whose bit k of i is set."""
+    count = 1 << len(props)
     return KripkeStructure(
-        alphabet=(), state_names=("s0",), initial=frozenset({0}),
-        labels=(frozenset(),), successors=(frozenset({0}),))
+        alphabet=props, state_names=tuple(f"s{i}" for i in range(count)),
+        initial=frozenset(range(count)),
+        labels=tuple(frozenset(p for k, p in enumerate(props) if i >> k & 1)
+                     for i in range(count)),
+        successors=tuple(frozenset({i}) for i in range(count)))
 
 
 def _decode_structure(assignment: dict[int, bool], pool: VarPool,
@@ -134,52 +158,66 @@ def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
     return pool, clauses
 
 
+def _sweep(dag: ctl.SyntaxDag, max_states: int, alphabet: Sequence[str],
+           seed: int | None) -> KripkeStructure | None:
+    """A model of the formula of `dag` with 2..`max_states` states, fewest
+    first, or None; the tableau refutes what it can before any solver."""
+    if (tableau.elementary_count(dag) <= tableau.MAX_ELEMENTARY
+            and not tableau.satisfiable(dag)):
+        return None
+    for num_states in range(2, max_states + 1):
+        pool, clauses = _encode(dag, num_states, alphabet)
+        backend = CdclSolver(seed=seed)
+        backend.add_clauses(clauses)
+        backend.reserve(pool.count)
+        if backend.solve():
+            return _decode_structure(backend.model(), pool, num_states,
+                                     alphabet)
+    return None
+
+
 def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
                alphabet: Sequence[str] | None = None,
                seed: int | None = None) -> KripkeStructure | None:
     """A structure satisfying `formula` with at most `max_states` states.
 
-    State counts are tried in increasing order, so a returned structure
-    has as few states as the encoding admits.  None means no model within
-    the budget.  It is exact (no model of any size) when the tableau
-    refuted the formula, and otherwise not a proof that none exists
-    beyond the budget; callers report it as a bounded verdict either way.
+    State counts are tried in increasing order, one state by the checker
+    and more by the sweep, so a returned structure has as few states as
+    any model within the budget.  None means no model within the budget.
+    It is exact (no model of any size) when the tableau refuted the
+    formula or it has no propositions, and otherwise not a proof that none
+    exists beyond the budget; callers report it as a bounded verdict
+    either way.
     A given `alphabet` must pass `kripke.check_alphabet`, whether or not a
     model is found.
     """
     if max_states < 1:
         raise ValueError("state budget must be at least 1")
-    props = sorted(ctl.propositions(formula))
+    props = tuple(sorted(ctl.propositions(formula)))
     if alphabet is None:
-        alphabet = tuple(props)
+        alphabet = props
     else:
         alphabet = tuple(alphabet)
         check_alphabet(alphabet)
         missing = set(props) - set(alphabet)
         if missing:
             raise ValueError(f"alphabet is missing propositions {missing}")
-    if not alphabet:
-        # A proposition-free formula has one truth value on every total
-        # structure, so the one-state self-loop decides it.
-        trivial = _trivial_structure()
-        return trivial if checker.holds(trivial, formula) else None
-    dag = ctl.to_dag(ctl.enf(formula, alphabet))
-    if (tableau.elementary_count(dag) <= tableau.MAX_ELEMENTARY
-            and not tableau.satisfiable(dag)):
+    target = ctl.enf(formula, props)
+    loops = _self_loops(props)
+    looped = checker.sat_set(loops, target)
+    if looped:
+        model = KripkeStructure(
+            alphabet=alphabet, state_names=("s0",), initial=frozenset({0}),
+            labels=(loops.labels[min(looped)],),
+            successors=(frozenset({0}),))
+    elif props:
+        model = _sweep(ctl.to_dag(target), max_states, alphabet, seed)
+    else:
         return None
-    for num_states in range(1, max_states + 1):
-        pool, clauses = _encode(dag, num_states, alphabet)
-        backend = CdclSolver(seed=seed)
-        backend.add_clauses(clauses)
-        backend.reserve(pool.count)
-        if not backend.solve():
-            continue
-        model = _decode_structure(backend.model(), pool, num_states, alphabet)
-        if not checker.holds(model, formula):
-            raise SynthesisInconsistency(
-                f"synthesized structure fails {ctl.print_ctl(formula)}")
-        return model
-    return None
+    if model is not None and not checker.holds(model, formula):
+        raise SynthesisInconsistency(
+            f"synthesized structure fails {ctl.print_ctl(formula)}")
+    return model
 
 
 def implies(f: CtlFormula, g: CtlFormula,

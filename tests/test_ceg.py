@@ -4,7 +4,7 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ceg, checker, ctl, kripke
+from ctlinfer import ceg, checker, ctl, kripke, learner
 from ctlinfer.ceg import CegReport, CertificationFailure
 
 
@@ -88,6 +88,24 @@ def test_bound_four_answer_passes_the_audit(name):
         # which one the search reaches depends on the solver's path.
         assert ctl.print_ctl(report.formula) in ("p & EX q", "p & !EX p",
                                                  "p & !q")
+
+
+@pytest.mark.parametrize("name", helpers.fixture_names())
+def test_negatives_never_conflict_with_the_model(name):
+    """Each countermodel falsifies the hypothesis or the candidate, both
+    of which hold on the model, so no negative is bisimilar to it."""
+    m = helpers.load_fixture(name)
+    checked = []
+
+    def check(entry):
+        if entry.countermodel is not None:
+            sample = learner.Sample((m,), (entry.countermodel,))
+            assert not sample.has_conflict(), entry
+            checked.append(entry)
+
+    for bound in (2, 3):
+        ceg.infer(m, bound, synth_states=5, seed=1, on_iteration=check)
+    assert checked
 
 
 def test_formula_space_bound_dominates_enumeration():

@@ -33,7 +33,9 @@ class TestSatSet:
             m = helpers.random_kripke(rng, max_states=5)
             f = ctl.enf(helpers.random_ctl(rng, m.alphabet, depth=3),
                         m.alphabet)
-            assert checker.sat_set_table(m, f)[f] == helpers.naive_sat(m, f)
+            expected = helpers.naive_sat(m, f)
+            assert checker.sat_set_table(m, f)[f] == expected
+            assert checker.sat_set(m, f) == expected
 
     def test_requires_enf(self):
         m = helpers.load_fixture("selfloop_p.kripke")

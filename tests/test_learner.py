@@ -231,6 +231,20 @@ class TestInferCandidate:
         m = helpers.load_fixture("selfloop_p.kripke")
         assert search(m, 2, negatives=(m,)) is None
 
+    def test_bisimilar_negative_added_later_returns_none(self, monkeypatch):
+        """`add_negative` skips the conflict check, and the budgets' UNSAT
+        answers reach the same None."""
+        m = helpers.load_fixture("selfloop_p.kripke")
+        state = learner.CandidateSearch(Sample((m,)), 3, seed=0)
+        assert learner.infer_candidate(state).formula == ctl.Prop("p")
+
+        def no_check(sample):
+            raise AssertionError("add_negative checked for a conflict")
+
+        monkeypatch.setattr(Sample, "has_conflict", no_check)
+        state.add_negative(two_cycle_p())
+        assert learner.infer_candidate(state) is None
+
     def test_rejects_bad_bound(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         with pytest.raises(ValueError):

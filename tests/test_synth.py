@@ -8,6 +8,19 @@ from ctlinfer.ctl import (And, ExistsGlobally, ExistsNext, ExistsUntil, Not,
                           Prop)
 from ctlinfer.sat import CdclSolver
 
+# Proposition-free formulas and whether they have a model.
+PROPOSITION_FREE = {
+    "true": True,
+    "false": False,
+    "!false": True,
+    "EX true": True,
+    "EG false": False,
+    "E[false U true]": True,
+    "A[true U false]": False,
+    "AG true": True,
+    "true -> false": False,
+}
+
 
 class TestSynthesize:
     def test_simple_satisfiable(self):
@@ -91,18 +104,7 @@ class TestSynthesize:
             synth.synthesize(ctl.parse_ctl("p"), alphabet=("q",))
 
     def test_proposition_free_formulas(self):
-        table = {
-            "true": True,
-            "false": False,
-            "!false": True,
-            "EX true": True,
-            "EG false": False,
-            "E[false U true]": True,
-            "A[true U false]": False,
-            "AG true": True,
-            "true -> false": False,
-        }
-        for text, expected in table.items():
+        for text, expected in PROPOSITION_FREE.items():
             m = synth.synthesize(ctl.parse_ctl(text))
             assert (m is not None) is expected, text
             assert m is None or m.size == 1
@@ -138,6 +140,57 @@ class TestSynthesize:
     def test_rejects_bad_budget(self):
         with pytest.raises(ValueError):
             synth.synthesize(Prop("p"), max_states=0)
+
+
+def one_state_cases(alphabet):
+    """Every ENF formula over `alphabet` up to size 3 and the
+    proposition-free table, each with whether some one-state structure
+    satisfies it by the naive checker."""
+    formulas = (ctl.enumerate_formulas(alphabet, 3)
+                + [ctl.parse_ctl(text) for text in PROPOSITION_FREE])
+    loops = list(helpers.all_structures(1, alphabet))
+    return [(f, any(helpers.naive_holds(m, f) for m in loops))
+            for f in formulas]
+
+
+ALPHABETS = [(), ("p",), ("p", "q")]
+
+
+class TestOneState:
+    """The checker pass over the self-loops decides the one-state case."""
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS)
+    def test_one_state_model_iff_a_self_loop_satisfies(self, alphabet):
+        for f, looped in one_state_cases(alphabet):
+            m = synth.synthesize(f, max_states=2, alphabet=alphabet, seed=0)
+            assert (m is not None and m.size == 1) == looped, (
+                ctl.print_ctl(f))
+            if m is not None:
+                assert m.alphabet == alphabet
+                assert helpers.naive_holds(m, f), ctl.print_ctl(f)
+
+    @pytest.mark.parametrize("alphabet", ALPHABETS)
+    def test_one_state_models_skip_dag_tableau_and_solver(self, alphabet,
+                                                          monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-state model went past the checker")
+
+        cases = [f for f, looped in one_state_cases(alphabet) if looped]
+        assert cases
+        monkeypatch.setattr(CdclSolver, "solve", forbidden)
+        monkeypatch.setattr(tableau, "satisfiable", forbidden)
+        monkeypatch.setattr(ctl, "to_dag", forbidden)
+        for f in cases:
+            m = synth.synthesize(f, max_states=3, alphabet=alphabet)
+            assert m is not None and m.size == 1, ctl.print_ctl(f)
+
+    def test_unused_propositions_stay_false(self):
+        m = synth.synthesize(ctl.parse_ctl("q | EX !q"), max_states=2,
+                             alphabet=("p", "q", "r"))
+        assert m.size == 1 and m.labels == (frozenset(),)
+        m = synth.synthesize(ctl.parse_ctl("q & EG q"), max_states=2,
+                             alphabet=("p", "q", "r"))
+        assert m.size == 1 and m.labels == (frozenset({"q"}),)
 
 
 class TestImplies:
