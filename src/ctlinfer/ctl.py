@@ -437,7 +437,7 @@ class DagNode:
 
 @dataclass(frozen=True)
 class SyntaxDag:
-    """Canonical DAG of an ENF formula.
+    """Syntax DAG of an ENF formula (`to_dag` gives the canonical one).
 
     Nodes are numbered 1..size with children strictly smaller than their
     parents and node 1 a proposition; `nodes[i - 1]` holds node i and the

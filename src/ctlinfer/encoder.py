@@ -22,8 +22,7 @@ The structural clauses (`build_structural`) and the semantic ones
 only the normal-form DAGs of `build_normal_form`: tight (every node is
 read), without duplicate nodes, with the propositions first and the
 operands of `&` and `|` ordered.  So every DAG it admits has exactly n
-distinct subformulas, and `normal_dag` gives a formula's admitted
-numbering.
+distinct subformulas.
 
 Semantic constraints are equivalences guarded by the label choice over
 the operand values, and the operand values are tied to the children by
@@ -41,7 +40,7 @@ was added, its y, then its ys, then its L/R variables.  Every instance
 owns the solver its clauses go to (`EncodingInstance.backend`), and each
 clause group is loaded into it as soon as it is built: `build_instance`
 is the structural and normal-form clauses (`load_backend`), then
-`add_structure` once per positive and negative, then `add_blocks`.
+`add_structure` once per positive and negative.
 Appending a structure to a built instance (a new negative in the
 learner's persistent search) goes the same way, renumbers nothing, and
 leaves every clause already loaded valid.
@@ -53,13 +52,10 @@ root knowledge on the build and the append path alike.  That solver
 would drop those clauses unread, so it stores, propagates and searches
 exactly as it would on the full stream.
 
-Blocking clauses exclude previously found formulas by negating the
-defining literals of their admitted DAGs (`normal_dag`).  They read only
-x/l/r variables, so they can be appended at any time, before or after
-further structures.  A blocked formula contributes a clause only at the
-budget equal to its own size, which is the only budget that admits it;
-there, renumberings of its operator nodes other than the blocked one are
-still admitted, and are excluded downstream by decode-and-recheck.
+A blocking clause (`add_block`) negates the defining literals of one
+decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
+only x/l/r variables, so it can be appended at any time, before or after
+further structures.
 """
 
 from __future__ import annotations
@@ -67,16 +63,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import ctl, sat
+from . import sat
 from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
                   NOT_LABEL, OPERATOR_LABELS, OR_LABEL, CtlFormula, DagNode,
                   SyntaxDag)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-__all__ = ["VarPool", "lower_node", "add_structure", "add_blocks",
-           "build_normal_form", "normal_dag", "build_instance",
-           "load_backend", "decode_with_literals", "to_dimacs"]
+__all__ = ["VarPool", "lower_node", "add_structure", "add_block",
+           "build_normal_form", "build_instance", "load_backend",
+           "decode_with_literals", "to_dimacs"]
 
 
 class VarPool:
@@ -150,10 +146,6 @@ def build_structural(pool: VarPool, n: int,
     return clauses
 
 
-# Labels whose operands the normal form orders, left below right.
-_ORDERED_LABELS = (AND_LABEL, OR_LABEL)
-
-
 def build_normal_form(pool: VarPool, n: int,
                       alphabet: Sequence[str]) -> list[Clause]:
     """Clauses admitting only normal-form DAGs among those of
@@ -202,7 +194,7 @@ def build_normal_form(pool: VarPool, n: int,
             clauses.append((-x(i, p),) + tuple(x(i - 1, q)
                                                for q in alphabet[:a]))
         for j in range(1, i):
-            for lab in _ORDERED_LABELS:
+            for lab in (AND_LABEL, OR_LABEL):
                 clauses.append((-x(i, lab), -left(i, j))
                                + tuple(right(i, k) for k in range(j + 1, i)))
             clauses.append((-x(i, EU_LABEL), -left(i, j), -right(i, j)))
@@ -232,50 +224,6 @@ def build_normal_form(pool: VarPool, n: int,
                                    if lab in BINARY_LABELS))
             clauses.append((-used, left(j, i), right(j, i)))
     return clauses
-
-
-def normal_dag(formula: CtlFormula,
-               alphabet: Sequence[str]) -> SyntaxDag | None:
-    """The formula's DAG numbered as `build_normal_form` admits it, or
-    None when it admits no numbering of the formula.
-
-    The propositions come first in alphabet order, then the operator
-    nodes, each as soon as its children and, for a right operand of `&`
-    or `|`, the matching left operand are numbered (lowest `to_dag`
-    number first).  When that order gets stuck, or breaks another rule,
-    so does every order.
-    """
-    dag = ctl.to_dag(formula)
-    nodes = dict(dag)
-    rank = {p: a for a, p in enumerate(alphabet)}
-    leaves = [i for i, node in dag if node.left is None]
-    if any(nodes[i].label not in rank for i in leaves):
-        return None
-    order = sorted(leaves, key=lambda i: rank[nodes[i].label])
-    needs = {i: {node.left, node.right} - {None}
-             for i, node in dag if node.left is not None}
-    for node in nodes.values():
-        if node.label in _ORDERED_LABELS and node.right in needs:
-            needs[node.right].add(node.left)
-    placed = set(order)
-    while len(order) < dag.size:
-        ready = [i for i in needs if i not in placed and needs[i] <= placed]
-        if not ready:
-            return None
-        order.append(min(ready))
-        placed.add(order[-1])
-    number = {old: new for new, old in enumerate(order, start=1)}
-    number[None] = None
-    result = SyntaxDag(tuple(
-        DagNode(nodes[i].label, number[nodes[i].left], number[nodes[i].right])
-        for i in order))
-    for node in result.nodes:
-        if (node.label in _ORDERED_LABELS and node.left >= node.right
-                or node.label == EU_LABEL and node.left == node.right
-                or node.label in (NOT_LABEL, EG_LABEL)
-                and result.nodes[node.left - 1].label == node.label):
-            return None
-    return result
 
 
 def lower_node(clauses: list[Clause], label: str, s: int, out: int,
@@ -363,8 +311,8 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     * each skipped clause contains the negated guard, a literal true at
       the root of `backend`, so `CdclSolver.add_clauses` would drop it
       unread;
-    * root literals follow from the clause set alone, because assumptions
-      are decisions at level >= 1, so the model set is unchanged;
+    * root literals follow from the clause set alone, so the model set
+      is unchanged;
     * the solver's stored clauses, trail and search are therefore
       identical, and only the returned list shrinks.
 
@@ -455,31 +403,16 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     backend.reserve(pool.count)
 
 
-def dag_literals(pool: VarPool, dag: SyntaxDag) -> list[int]:
-    """Defining literals of a DAG: labels always, children per arity."""
-    lits = []
-    for i, node in dag:
-        lits.append(pool.var("x", i, node.label))
-        if node.left is not None:
-            lits.append(pool.var("l", i, node.left))
-        if node.right is not None:
-            lits.append(pool.var("r", i, node.right))
-    return lits
-
-
-def add_blocks(instance: EncodingInstance,
-               blocked: Iterable[SyntaxDag]) -> None:
-    """Append and load one clause per blocked DAG of the budget's size;
-    other DAGs add nothing at this budget."""
-    clauses = [tuple(-lit for lit in dag_literals(instance.pool, dag))
-               for dag in blocked if dag.size == instance.size_budget]
-    instance.clauses += clauses
-    instance.backend.add_clauses(clauses)
+def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
+    """Append and load the clause excluding every assignment that makes
+    all of `lits` true."""
+    clause = tuple(-lit for lit in lits)
+    instance.clauses.append(clause)
+    instance.backend.add_clause(clause)
 
 
 def build_instance(n: int, positives: Sequence[KripkeStructure],
                    negatives: Sequence[KripkeStructure] = (),
-                   blocked: Iterable[SyntaxDag] = (),
                    seed: int | None = None) -> EncodingInstance:
     """The search instance at budget n, loaded into a fresh solver of the
     given seed (`instance.backend`) one clause group at a time."""
@@ -499,7 +432,6 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
         add_structure(instance, struct, negative=False)
     for struct in negatives:
         add_structure(instance, struct, negative=True)
-    add_blocks(instance, blocked)
     return instance
 
 
@@ -525,37 +457,27 @@ def _true_key(assignment: Mapping[int, bool], pool: VarPool, kind: str,
 def decode_with_literals(assignment: Mapping[int, bool],
                          instance: EncodingInstance,
                          ) -> tuple[CtlFormula, list[int]]:
-    """Formula rooted at node n plus the defining literals actually read.
-
-    Only nodes reachable from the root matter; negating the returned
-    literals excludes every assignment that reproduces this numbered DAG.
+    """Formula of the DAG the assignment picks, rooted at node n, plus the
+    literals that pick it: for each node in order its label, then the
+    children its arity reads.  Negating them (`add_block`) excludes
+    every assignment that picks this numbered DAG.
     """
     pool = instance.pool
     labels = instance.alphabet + OPERATOR_LABELS
-    built: dict[int, CtlFormula] = {}
+    nodes: list[DagNode] = []
     lits: list[int] = []
-
-    def build(i: int) -> CtlFormula:
-        if i in built:
-            return built[i]
+    for i in range(1, instance.size_budget + 1):
         lab = _true_key(assignment, pool, "x", i, labels)
         lits.append(pool.get("x", i, lab))
-        if lab not in OPERATOR_LABELS:
-            f = ctl.Prop(lab)
-        else:
-            j = _true_key(assignment, pool, "l", i, range(1, i))
-            lits.append(pool.get("l", i, j))
+        left = right = None
+        if lab in OPERATOR_LABELS:
+            left = _true_key(assignment, pool, "l", i, range(1, i))
+            lits.append(pool.get("l", i, left))
             if lab in BINARY_LABELS:
-                j2 = _true_key(assignment, pool, "r", i, range(1, i))
-                lits.append(pool.get("r", i, j2))
-                f = ctl.LABEL_CONSTRUCTORS[lab](build(j), build(j2))
-            else:
-                f = ctl.LABEL_CONSTRUCTORS[lab](build(j))
-        built[i] = f
-        return f
-
-    formula = build(instance.size_budget)
-    return formula, lits
+                right = _true_key(assignment, pool, "r", i, range(1, i))
+                lits.append(pool.get("r", i, right))
+        nodes.append(DagNode(lab, left, right))
+    return SyntaxDag(tuple(nodes)).to_formula(), lits
 
 
 def to_dimacs(instance: EncodingInstance) -> str:

@@ -15,12 +15,12 @@ loop keeps one search for the whole run and calls `infer_candidate` on
 it, handing it each new negative and discard once; the floor budget's
 solver takes them as appended clauses, and a budget proven UNSAT is never
 solved again.
-Each member of D is excluded by a blocking clause on its admitted DAG
-(`encoder.normal_dag`) at the budget matching its size.  A formula can
-still be admitted under another numbering of its operator nodes; such a
-renumbering is caught by re-checking every decoded formula against D and
-blocking that numbering before re-solving (`_solve_budget`), so no
-discarded formula is ever returned.
+A discard of the candidate just returned is blocked at once by the
+literals it was decoded with; a formula decoded later under another
+numbering, or discarded without being the last candidate, is caught by
+re-checking every decoded formula against D and blocking that numbering
+before re-solving (`_solve_budget`), so no discarded formula is ever
+returned.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Container
 
 from . import ctl, encoder
-from .ctl import CtlFormula, SyntaxDag
+from .ctl import CtlFormula
 from .kripke import KripkeStructure, bisimulation_classes
 from .sat import BackendFailure
 
@@ -132,47 +132,47 @@ class LearnResult:
 
 def _solve_budget(instance: encoder.EncodingInstance,
                   discarded: Container[CtlFormula],
-                  ) -> tuple[CtlFormula | None, BudgetTrace]:
+                  ) -> tuple[CtlFormula | None, list[int], BudgetTrace]:
     """Solve the instance's solver, decode and re-block until the budget
     yields a formula not in `discarded` (None once the budget has no model
-    left), with its trace.
+    left), with the literals it was decoded with and the budget's trace.
 
     Every admitted DAG has exactly n nodes, so a discarded formula decoded
-    here is a renumbering of its blocked DAG; any other size is a broken
+    here is a numbering of it not yet blocked; any other size is a broken
     encoding."""
     n, backend = instance.size_budget, instance.backend
     started = time.perf_counter()
-    formula = None
+    formula, lits = None, []
     while backend.solve():
         formula, lits = encoder.decode_with_literals(backend.model(),
                                                      instance)
         if formula not in discarded:
             break
-        # A discarded formula under another numbering of its operator
-        # nodes: exclude this numbering and look for a different one.
-        backend.add_clause([-lit for lit in lits])
-        formula = None
+        # A discarded formula under a numbering not yet blocked: exclude
+        # this numbering and look for a different one.
+        encoder.add_block(instance, lits)
+        formula, lits = None, []
     millis = (time.perf_counter() - started) * 1000.0
     if formula is not None and ctl.size(formula) != n:
         raise BackendFailure(
             f"decoded formula {ctl.print_ctl(formula)} has size "
             f"{ctl.size(formula)} at budget {n}; the normal form admits "
             "only DAGs of the budget's size")
-    return formula, BudgetTrace(n, formula is not None, instance.num_vars,
-                                instance.num_clauses, millis)
+    return formula, lits, BudgetTrace(n, formula is not None,
+                                      instance.num_vars,
+                                      instance.num_clauses, millis)
 
 
 class CandidateSearch:
     """A growing sample and the size budgets 1..`bound` searched on it.
 
     Negatives enter one at a time through `add_negative`, and formulas
-    that must not be proposed again through `discard`.  Each is appended
-    at once to the live solver of the floor budget, if there is one, and
-    otherwise goes into the next budget's instance.  So the clause set of
-    each budget only grows: a negative appends its variables, semantic
-    clauses and consistency clause, and a discard of the budget's own
-    size appends its blocking clause.  A budget that was UNSAT therefore
-    stays UNSAT, and `_next` never solves it again.
+    that must not be proposed again through `discard`.  A negative is
+    appended at once to the live solver of the floor budget, if there is
+    one, and otherwise goes into the next budget's instance; a discard
+    appends at most a blocking clause to the live solver.  So the clause
+    set of each budget only grows, a budget that was UNSAT stays UNSAT,
+    and `_next` never solves it again.
     """
 
     def __init__(self, sample: Sample, bound: int, seed: int | None = None):
@@ -182,7 +182,9 @@ class CandidateSearch:
         self.bound = bound
         self.seed = seed
         self._discarded: set[CtlFormula] = set()
-        self._dags: list[SyntaxDag] = []
+        # The candidate `_next` last returned, with the literals it was
+        # decoded with, until it is discarded.
+        self._last: tuple[CtlFormula, list[int]] | None = None
         self._conflict = sample.has_conflict()
         self._floor = 1
         self._live: encoder.EncodingInstance | None = None
@@ -207,14 +209,21 @@ class CandidateSearch:
             encoder.add_structure(self._live, struct, negative=True)
 
     def discard(self, formula: CtlFormula) -> None:
-        """Never propose `formula` again."""
+        """Never propose `formula` again.
+
+        Soundness: when `formula` is the candidate `_next` last returned,
+        the numbering it was decoded with is blocked at once in the live
+        solver, which decoded it.  Any other numbering of any discarded
+        formula is admitted only at the budget of the formula's size, and
+        `_solve_budget` re-checks every decoded formula against the
+        discard set and blocks such a numbering before the next solve.
+        So no discarded formula is returned, and the floor argument of
+        `_next` is unchanged.
+        """
         self._discarded.add(formula)
-        dag = encoder.normal_dag(formula, self.sample.alphabet)
-        if dag is None:  # no budget admits it
-            return
-        self._dags.append(dag)
-        if self._live is not None:
-            encoder.add_blocks(self._live, [dag])
+        if self._last is not None and self._last[0] == formula:
+            encoder.add_block(self._live, self._last[1])
+            self._last = None
 
     def _next(self) -> tuple[LearnResult | None, list[BudgetTrace]]:
         """Smallest normal-form formula consistent with the sample and not
@@ -240,17 +249,19 @@ class CandidateSearch:
         None without solving.
         """
         budgets: list[BudgetTrace] = []
+        self._last = None
         if self._conflict:
             return None, budgets
         while self._floor <= self.bound:
             if self._live is None:
                 self._live = encoder.build_instance(
                     self._floor, self.sample.positives,
-                    self.sample.negatives, self._dags, seed=self.seed)
+                    self.sample.negatives, seed=self.seed)
             instance = self._live
-            formula, trace = _solve_budget(instance, self._discarded)
+            formula, lits, trace = _solve_budget(instance, self._discarded)
             budgets.append(trace)
             if formula is not None:
+                self._last = formula, lits
                 return (LearnResult(formula, instance.size_budget,
                                     tuple(budgets)), budgets)
             self._live = None

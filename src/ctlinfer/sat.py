@@ -13,8 +13,8 @@ per clause.
 `CdclSolver` is the in-process default backend: a conflict-driven clause
 learning solver with two-watched-literal propagation, first-UIP conflict
 analysis, activity-based decisions, phase saving, Luby restarts and
-incremental solving under assumptions.  It is deterministic: the same
-clause stream, seed and assumption order always produce the same run.
+incremental solving.  It is deterministic: the same clause stream and
+seed always produce the same run.
 Its interface takes signed literals; inside, literal v is `2v` and -v is
 `2v | 1` (the MiniSat layout), so negation is `^ 1`, the variable is
 `>> 1`, and one value array and the watch lists are indexed by literal.
@@ -151,10 +151,6 @@ def _luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def _enc(lit: int) -> int:
-    return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
-
-
 _RESTART_BASE = 64
 _ACT_DECAY = 1.0 / 0.95
 _ACT_LIMIT = 1e100
@@ -165,9 +161,9 @@ class CdclSolver:
 
     `add_clause` and `add_clauses` may be called between `solve` calls;
     learned clauses are kept, which is sound because conflict analysis
-    derives consequences of the clause set alone (assumptions enter only
-    as retractable decisions).  An optional conflict budget turns runaway
-    searches into `BackendFailure` instead of wrong answers.
+    derives consequences of the clause set alone.  An optional conflict
+    budget turns runaway searches into `BackendFailure` instead of wrong
+    answers.
 
     Decisions pop a lazy heap of `(-activity[v], v)` entries, skipping
     stale ones (key not the current activity, or v assigned).  Invariant:
@@ -220,8 +216,7 @@ class CdclSolver:
 
         Between calls the solver sits at level 0, so its trail holds the
         root assignment only.  A root literal follows from the clause set
-        alone (assumptions are decisions at level >= 1), and
-        `add_clauses` drops every clause containing it unread.
+        alone, and `add_clauses` drops every clause containing it unread.
         """
         v = abs(lit)
         return v <= self._nvars and self._val[(v << 1) | (lit < 0)] == 1
@@ -467,13 +462,10 @@ class CdclSolver:
                     return v
         raise AssertionError("an unassigned variable has no heap entry")
 
-    def solve(self, assumptions: Sequence[int] = ()) -> bool:
-        """True iff the clause set is satisfiable under the assumptions."""
+    def solve(self) -> bool:
+        """True iff the clause set is satisfiable."""
         if self._unsat:
             return False
-        for a in assumptions:
-            self._ensure_var(abs(a))
-        assumed = [_enc(a) for a in assumptions]
         self._model = None
         self._cancel_until(0)
         if self._propagate() != -1:
@@ -515,18 +507,6 @@ class CdclSolver:
                 since_restart = 0
                 threshold = _luby(restarts + 1) * _RESTART_BASE
                 self._cancel_until(0)
-                continue
-            pending = None
-            for a in assumed:
-                if val[a] == -1:
-                    self._cancel_until(0)
-                    return False
-                if val[a] == 0:
-                    pending = a
-                    break
-            if pending is not None:
-                trail_lim.append(len(trail))
-                self._enqueue(pending, -1)
                 continue
             if len(trail) == self._nvars:
                 self._model = val[::2]

@@ -302,6 +302,24 @@ def _admitted_node(dag, i: int, node: ctl.DagNode) -> bool:
     return True
 
 
+def dag_literals(pool: encoder.VarPool, dag: ctl.SyntaxDag) -> list[int]:
+    """Defining literals of a DAG: labels always, children per arity."""
+    lits = []
+    for i, node in dag:
+        lits.append(pool.var("x", i, node.label))
+        if node.left is not None:
+            lits.append(pool.var("l", i, node.left))
+        if node.right is not None:
+            lits.append(pool.var("r", i, node.right))
+    return lits
+
+
+def pin_dag(solver, pool: encoder.VarPool, dag: ctl.SyntaxDag) -> None:
+    """Add the DAG's defining literals to `solver` as unit clauses, so
+    its models are exactly those that pick this numbered DAG."""
+    solver.add_clauses((lit,) for lit in dag_literals(pool, dag))
+
+
 def commuted(f: CtlFormula) -> CtlFormula:
     """f with the operands of every `&` and `|` sorted by printed form,
     so formulas equal up to commuting them map to one formula."""

@@ -123,7 +123,8 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                 backend.add_clauses(encoder.build_semantic(
                     pool, dag.size, 0, struct, backend))
                 backend.reserve(pool.count)
-                assert backend.solve(encoder.dag_literals(pool, dag))
+                helpers.pin_dag(backend, pool, dag)
+                assert backend.solve()
                 model = backend.model()
                 operand = "R" if isinstance(f, ctl.ExistsUntil) else "L"
                 for k in range(1, struct.size + 2):

@@ -10,7 +10,7 @@ from ctlinfer.sat import CdclSolver
 
 def semantic_instance(structures, n):
     """Structural plus semantic clauses only (no consistency), so any
-    formula of size n can be pinned with assumptions and its evaluation
+    formula of size n can be pinned with unit clauses and its evaluation
     variables read back."""
     pool = VarPool()
     backend = CdclSolver()
@@ -214,7 +214,7 @@ class TestRootPruning:
 
 class TestSemantics:
     def test_pinned_formula_forces_checker_values(self):
-        """With the DAG fixed by assumptions, every evaluation variable
+        """With the DAG pinned by unit clauses, every evaluation variable
         must equal the checker's satisfaction sets, node by node."""
         rng = random.Random(501)
         for _ in range(40):
@@ -223,8 +223,8 @@ class TestSemantics:
             f = helpers.random_enf(rng, structures[0].alphabet, 3)
             dag = ctl.to_dag(f)
             pool, backend = semantic_instance(structures, dag.size)
-            assumptions = encoder.dag_literals(pool, dag)
-            assert backend.solve(assumptions)
+            helpers.pin_dag(backend, pool, dag)
+            assert backend.solve()
             model = backend.model()
             for m_idx, struct in enumerate(structures):
                 table = checker.sat_set_table(struct, f)
@@ -247,7 +247,8 @@ class TestSemantics:
                 f = ctl.ExistsGlobally(phi)
             dag = ctl.to_dag(f)
             pool, backend = semantic_instance([struct], dag.size)
-            assert backend.solve(encoder.dag_literals(pool, dag))
+            helpers.pin_dag(backend, pool, dag)
+            assert backend.solve()
             model = backend.model()
             phi_set = checker.sat_set_table(struct, phi)[phi]
             psi_set = checker.sat_set_table(struct, psi)[psi]
@@ -292,9 +293,8 @@ class TestSemantics:
 
 
 class TestConsistency:
-    def build_and_solve(self, n, pos, neg=(), blocked=()):
-        instance = encoder.build_instance(n, pos, neg, blocked=blocked,
-                                          seed=0)
+    def build_and_solve(self, n, pos, neg=()):
+        instance = encoder.build_instance(n, pos, neg, seed=0)
         return instance, helpers.solve_instance(instance)
 
     def test_sat_iff_oracle_finds_consistent_formula(self):
@@ -341,19 +341,13 @@ class TestConsistency:
 class TestBlocking:
     def test_blocks_exact_formula(self):
         m = helpers.load_fixture("selfloop_p.kripke")
-        blocked = [ctl.to_dag(ctl.Prop("p"))]
-        instance, assignment = (
-            TestConsistency().build_and_solve(1, [m], blocked=blocked))
-        assert assignment is None  # p was the only size-1 candidate
-
-    def test_blocked_dag_only_applies_at_its_own_budget(self):
-        m = helpers.load_fixture("selfloop_p.kripke")
-        dag = ctl.to_dag(ctl.Prop("p"))
-        for n, blocks in ((1, 1), (2, 0)):
-            instance = encoder.build_instance(n, [m])
-            loaded = instance.num_clauses
-            encoder.add_blocks(instance, [dag])
-            assert instance.num_clauses - loaded == blocks
+        instance = encoder.build_instance(1, [m], seed=0)
+        pool, loaded = instance.pool, instance.num_clauses
+        encoder.add_block(instance, helpers.dag_literals(
+            pool, ctl.to_dag(ctl.Prop("p"))))
+        assert instance.clauses[loaded:] == [(-pool.get("x", 1, "p"),)]
+        # p was the only size-1 candidate.
+        assert helpers.solve_instance(instance) is None
 
     def test_enumeration_by_blocking(self):
         """Blocking each decoded DAG enumerates, budget by budget, every
@@ -387,8 +381,9 @@ class TestBlocking:
 
 class TestDecode:
     def test_roundtrip_via_assumptions(self):
-        """Pinning a formula's admitted DAG decodes to the formula when it
-        holds; a formula outside the normal form cannot be pinned."""
+        """Pinning a formula's admitted DAG with unit clauses decodes to
+        the formula when it holds; a formula outside the normal form
+        cannot be pinned."""
         rng = random.Random(505)
         m = helpers.load_fixture("full2.kripke")
         outside = 0
@@ -399,10 +394,11 @@ class TestDecode:
             dag = helpers.admitted_dag(f, m.alphabet)
             if dag is None:
                 outside += 1
-                assert not backend.solve(
-                    encoder.dag_literals(instance.pool, ctl.to_dag(f)))
+                helpers.pin_dag(backend, instance.pool, ctl.to_dag(f))
+                assert not backend.solve()
                 continue
-            if not backend.solve(encoder.dag_literals(instance.pool, dag)):
+            helpers.pin_dag(backend, instance.pool, dag)
+            if not backend.solve():
                 # f does not hold on the structure; consistency rules
                 # it out, which is fine for the roundtrip test.
                 assert not helpers.naive_holds(m, f)
@@ -467,22 +463,6 @@ class TestNormalForm:
                         if ctl.size(f) == n
                         and helpers.admitted_dag(f, self.ALPHABET)}
             assert set(self.admitted(n)) == expected
-
-    def test_normal_dag_matches_brute_force(self):
-        """`normal_dag` finds an admitted numbering exactly when one
-        exists, and the normal-form clauses admit the DAG it returns."""
-        foreign = ctl.parse_ctl("p & r")
-        assert encoder.normal_dag(foreign, self.ALPHABET) is None
-        backends = {n: self.normal_form_backend(n) for n in (1, 2, 3, 4)}
-        for f in ctl.enumerate_formulas(self.ALPHABET, 4):
-            dag = encoder.normal_dag(f, self.ALPHABET)
-            assert (dag is None) == (
-                helpers.admitted_dag(f, self.ALPHABET) is None), f
-            if dag is None:
-                continue
-            assert dag.to_formula() == f
-            instance, backend = backends[dag.size]
-            assert backend.solve(encoder.dag_literals(instance.pool, dag)), f
 
 
 class TestDimacsExport:

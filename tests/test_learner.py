@@ -140,6 +140,20 @@ class TestLearnMinimal:
             "budget 2: SAT (vars=21, clauses=69)"]
 
 
+def record_decodes(monkeypatch):
+    """The list every later `decode_with_literals` result is appended to."""
+    decoded = []
+    decode = encoder.decode_with_literals
+
+    def recording(assignment, instance):
+        got = decode(assignment, instance)
+        decoded.append(got)
+        return got
+
+    monkeypatch.setattr(encoder, "decode_with_literals", recording)
+    return decoded
+
+
 def search(model, bound, negatives=(), discarded=(), seed=None):
     """One `infer_candidate` call on a fresh search."""
     state = learner.CandidateSearch(Sample((model,), tuple(negatives)),
@@ -172,18 +186,16 @@ class TestInferCandidate:
             assert got is not None
             assert got.formula != p
 
-    def test_renumbered_discard_is_reblocked(self, monkeypatch):
-        """Nodes 2 and 3 below may swap numbers when both read only node 1,
-        so each of E[EX p U EG p] and E[EG p U EX p] has two admitted DAGs.
-        With only these admitted, discarding both (which blocks one DAG
-        each) leaves their other DAGs: each is decoded once, re-blocked,
-        and the budget ends UNSAT."""
+    @staticmethod
+    def pinned_twins():
+        """A budget-4 instance admitting only E[EX p U EG p] and
+        E[EG p U EX p], with one numbering of each blocked.  Nodes 2 and
+        3 may swap numbers when both read only node 1, so each twin has
+        two admitted DAGs, and one of each is left."""
         m = helpers.load_fixture("selfloop_p.kripke")
         twins = [ctl.parse_ctl("E[EG p U EX p]"),
                  ctl.parse_ctl("E[EX p U EG p]")]
-        instance = encoder.build_instance(
-            4, [m], blocked=[encoder.normal_dag(f, m.alphabet)
-                             for f in twins], seed=0)
+        instance = encoder.build_instance(4, [m], seed=0)
         pool = instance.pool
         pinned = [(pool.get("x", 4, "EU"),)]
         for i in (2, 3):
@@ -191,18 +203,51 @@ class TestInferCandidate:
             pinned.append((pool.get("l", i, 1),))
         instance.clauses += pinned
         instance.backend.add_clauses(pinned)
-        decoded = []
-        decode = encoder.decode_with_literals
+        for f in twins:
+            encoder.add_block(instance, helpers.dag_literals(
+                pool, helpers.admitted_dag(f, m.alphabet)))
+        return instance, twins
 
-        def recording(assignment, instance):
-            got = decode(assignment, instance)
-            decoded.append(got[0])
-            return got
+    def test_renumbered_discard_is_reblocked(self, monkeypatch):
+        """Discarding both twins leaves their unblocked DAGs: each is
+        decoded once, re-blocked, and the budget ends UNSAT."""
+        instance, twins = self.pinned_twins()
+        decoded = record_decodes(monkeypatch)
+        formula, lits, trace = learner._solve_budget(instance, set(twins))
+        assert formula is None and lits == [] and not trace.satisfiable
+        assert sorted((f for f, _ in decoded), key=ctl.print_ctl) == twins
 
-        monkeypatch.setattr(encoder, "decode_with_literals", recording)
-        formula, trace = learner._solve_budget(instance, set(twins))
-        assert formula is None and not trace.satisfiable
-        assert sorted(decoded, key=ctl.print_ctl) == twins
+    def test_reblocks_are_counted(self):
+        """Re-block clauses go to `instance.clauses`, so the trace and the
+        DIMACS export count them."""
+        instance, twins = self.pinned_twins()
+        loaded = instance.num_clauses
+        _, _, trace = learner._solve_budget(instance, set(twins))
+        assert instance.num_clauses == trace.clauses == loaded + 2
+        header = next(line for line in
+                      encoder.to_dimacs(instance).splitlines()
+                      if line.startswith("p cnf"))
+        assert header == f"p cnf {instance.num_vars} {loaded + 2}"
+
+    def test_discard_blocks_the_decoded_numbering(self, monkeypatch):
+        """Discarding the candidate just returned adds one clause to the
+        live instance, the negated literals it was decoded with, and the
+        next call never decodes that formula again."""
+        m = helpers.load_fixture("two_state_pq.kripke")
+        decoded = record_decodes(monkeypatch)
+        state = learner.CandidateSearch(Sample((m,)), 3, seed=1)
+        first = learner.infer_candidate(state)
+        assert first is not None
+        formula, lits = decoded[-1]
+        assert formula == first.formula
+        instance = state._live
+        loaded = instance.num_clauses
+        state.discard(formula)
+        assert instance.clauses[loaded:] == [tuple(-lit for lit in lits)]
+        decoded.clear()
+        second = learner.infer_candidate(state)
+        assert second is not None and second.formula != formula
+        assert decoded and formula not in [f for f, _ in decoded]
 
     def test_negatives_and_discards_together(self):
         m = helpers.load_fixture("selfloop_p.kripke")
@@ -244,6 +289,8 @@ class TestInferCandidate:
         monkeypatch.setattr(Sample, "has_conflict", no_check)
         state.add_negative(two_cycle_p())
         assert learner.infer_candidate(state) is None
+        # p is no longer the last candidate, and no solver is live.
+        state.discard(ctl.Prop("p"))
 
     def test_rejects_bad_bound(self):
         m = helpers.load_fixture("selfloop_p.kripke")

@@ -7,13 +7,10 @@ from ctlinfer import sat
 from ctlinfer.sat import BackendFailure, CdclSolver
 
 
-def brute_force(num_vars, clauses, assumptions=()):
+def brute_force(num_vars, clauses):
     """Exhaustive truth-table satisfiability check."""
-    fixed = {abs(a): a > 0 for a in assumptions}
     for bits in itertools.product([False, True], repeat=num_vars):
         assignment = {v + 1: bits[v] for v in range(num_vars)}
-        if any(assignment[v] != want for v, want in fixed.items()):
-            continue
         if all(any(assignment[abs(lit)] == (lit > 0) for lit in clause)
                for clause in clauses):
             return True
@@ -29,11 +26,9 @@ def random_cnf(rng, num_vars, num_clauses, width=3):
     return clauses
 
 
-def check_model(model, clauses, assumptions=()):
+def check_model(model, clauses):
     for clause in clauses:
         assert any(model[abs(lit)] == (lit > 0) for lit in clause), clause
-    for a in assumptions:
-        assert model[abs(a)] == (a > 0), a
 
 
 class TestBasics:
@@ -65,8 +60,8 @@ class TestBasics:
         assert solver.fixed(1) and solver.fixed(-2)
         assert not solver.fixed(-1) and not solver.fixed(2)
         assert not any(solver.fixed(lit) for lit in (3, -3, 4, -4, 5, -5))
-        assert solver.solve([3])
-        # Neither the assumption nor a decision is a root fact.
+        assert solver.solve()
+        # A decision is not a root fact.
         assert not any(solver.fixed(lit) for lit in (3, -3, 4, -4))
         solver.add_clause([-1, 5])
         assert solver.fixed(5)
@@ -120,23 +115,6 @@ class TestAgainstBruteForce:
             assert got == brute_force(num_vars, clauses), clauses
             if got:
                 check_model(solver.model(), clauses)
-
-    def test_with_assumptions(self):
-        rng = random.Random(2025)
-        for trial in range(150):
-            num_vars = rng.randint(2, 7)
-            clauses = random_cnf(rng, num_vars, rng.randint(1, 18))
-            solver = CdclSolver(seed=trial)
-            for clause in clauses:
-                solver.add_clause(clause)
-            for _ in range(4):
-                k = rng.randint(0, num_vars)
-                assumptions = [v if rng.random() < 0.5 else -v
-                               for v in rng.sample(range(1, num_vars + 1), k)]
-                got = solver.solve(assumptions)
-                assert got == brute_force(num_vars, clauses, assumptions)
-                if got:
-                    check_model(solver.model(), clauses, assumptions)
 
     def test_incremental_clause_addition(self):
         rng = random.Random(2026)
@@ -224,16 +202,13 @@ class TestAddClauses:
                 clauses.extend(batch)
                 assert batched.num_vars == single.num_vars
                 assert batched.num_clauses == single.num_clauses
-                k = rng.randint(0, num_vars)
-                assumptions = [v if rng.random() < 0.5 else -v
-                               for v in rng.sample(range(1, num_vars + 1), k)]
-                got = batched.solve(assumptions)
-                assert got == single.solve(assumptions)
-                assert got == brute_force(num_vars, clauses, assumptions)
+                got = batched.solve()
+                assert got == single.solve()
+                assert got == brute_force(num_vars, clauses)
                 assert batched._conflicts == single._conflicts
                 if got:
                     assert batched.model() == single.model()
-                    check_model(batched.model(), clauses, assumptions)
+                    check_model(batched.model(), clauses)
 
     @pytest.mark.parametrize("bad", [0, "3", 1.5, None])
     def test_bad_literal_in_a_batch_raises(self, bad):

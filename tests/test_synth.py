@@ -45,7 +45,7 @@ class TestSynthesize:
                                 max_states=4) is None
 
     def test_tableau_refutations_need_no_solver(self, monkeypatch):
-        def no_solver(self, assumptions=()):
+        def no_solver(self):
             raise AssertionError("a refuted formula reached the solver")
 
         monkeypatch.setattr(CdclSolver, "solve", no_solver)
@@ -207,7 +207,7 @@ class TestImplies:
         assert not helpers.naive_holds(w, ctl.parse_ctl("EG p"))
 
     def test_true_consequent_needs_no_solver(self, monkeypatch):
-        def no_solver(self, assumptions=()):
+        def no_solver(self):
             raise AssertionError("implies(f, true) called the solver")
 
         monkeypatch.setattr(CdclSolver, "solve", no_solver)
@@ -266,7 +266,8 @@ class TestEquivalent:
 
 class TestEncode:
     def pinned_model(self, struct, dag):
-        """Solve the synthesis instance with t/lab fixed to `struct`."""
+        """Solve the synthesis instance with t/lab fixed to `struct` by
+        unit clauses."""
         pool, clauses = synth._encode(dag, struct.size, struct.alphabet)
         backend = CdclSolver(seed=0)
         for clause in clauses:
@@ -278,7 +279,8 @@ class TestEncode:
         pins += [pool.get("lab", s, p) if p in struct.labels[s]
                  else -pool.get("lab", s, p)
                  for s in states for p in struct.alphabet]
-        assert backend.solve(pins)
+        backend.add_clauses((lit,) for lit in pins)
+        assert backend.solve()
         return pool, backend.model()
 
     def test_step_variables_match_prefix_semantics(self):
