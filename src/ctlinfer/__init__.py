@@ -17,7 +17,7 @@ from .ctl import parse_ctl, print_ctl, size
 from .kripke import KripkeStructure, parse_kripke, print_kripke
 from .learner import LearnResult, NoConsistentFormula, Sample, learn_minimal
 from .sat import BackendFailure, CdclSolver
-from .synth import SynthesisInconsistency, equivalent, implies, synthesize
+from .synth import SynthesisInconsistency, implies, synthesize
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,6 @@ __all__ = [
     "Sample",
     "SynthesisInconsistency",
     "__version__",
-    "equivalent",
     "holds",
     "implies",
     "infer",

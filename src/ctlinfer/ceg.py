@@ -7,32 +7,39 @@ every discarded formula.  The learner is not asked afresh: one
 `learner.CandidateSearch` serves the whole run and is handed each new
 negative and discard once, so it keeps its solver and every budget
 already proven UNSAT between iterations.  Each candidate is compared with
-the current hypothesis by one call to `synth.equivalent`, i.e. bounded
-countermodel synthesis in both directions; the trivial hypothesis takes
-the same path, since `synth.implies` settles "candidate implies true"
-without a solver:
+the current hypothesis by at most two `synth.implies` calls, i.e. bounded
+countermodel synthesis, first "candidate implies hypothesis", then
+"hypothesis implies candidate"; the trivial hypothesis takes the same
+path, since `synth.implies` settles "candidate implies true" without a
+solver:
 
-* case 1 - candidate and hypothesis are equivalent within the state
-  budget: discard the candidate and keep searching.  `synthesize` refutes
-  each direction with its tableau before any solver runs, so a case 1
-  costs no SAT sweep whenever the two are equivalent outright;
+* case 1 - the two imply each other within the state budget (both calls
+  answer None): discard the candidate and keep searching.  `synthesize`
+  refutes each direction with its tableau before any solver runs, so a
+  case 1 costs no SAT sweep whenever the two are equivalent outright;
 * case 2 - the candidate strictly strengthens the hypothesis (it implies
-  the hypothesis, and a witness satisfies the hypothesis but not the
-  candidate): the witness becomes a negative structure, the candidate is
-  discarded from future searches and becomes the new hypothesis;
-* case 3 - the candidate does not imply the hypothesis: the witness
-  (satisfying the candidate, falsifying the hypothesis) becomes a
+  the hypothesis, and the second call's witness satisfies the hypothesis
+  but not the candidate): the witness becomes a negative structure, the
+  candidate is discarded from future searches and becomes the new
+  hypothesis;
+* case 3 - the candidate does not imply the hypothesis: the first call's
+  witness (satisfying the candidate, falsifying the hypothesis) becomes a
   negative structure, which silently eliminates the candidate from future
   searches.
 
 Every iteration removes at least one formula from the finite candidate
 space of size <= bound, so the loop terminates; a hard cap derived from
-that space size guards the invariant.  Since all negative structures stay
-within the synthesis budget, every structure in N keeps failing the
-current hypothesis across strengthenings, and a violation raises
-`SynthesisInconsistency`.  The invariant is checked where it can break:
-after a case 2, every negative against the new hypothesis; after a case
-3, the appended negative; a case 1 changes neither the hypothesis nor N.
+that space size guards the invariant, and a candidate proposed twice
+raises `CegError`.  Since all negative structures stay within the
+synthesis budget, every structure in N keeps failing the current
+hypothesis across strengthenings, and a violation raises
+`SynthesisInconsistency`.  The invariant is checked where it can break,
+each time once: a new negative is checked by `synth.implies` itself,
+which verifies that its witness falsifies the hypothesis (case 3) or the
+candidate that becomes the hypothesis (case 2) before returning it; after
+a case 2 the loop checks every earlier negative against the new
+hypothesis, which re-verifies the learner's SAT answer with the checker;
+a case 1 changes neither the hypothesis nor N.
 
 The candidate space is the learner's normal form
 (`encoder.build_normal_form`), in which every formula of size <= bound
@@ -51,7 +58,7 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import checker, ctl, learner, synth
 from .ctl import CtlFormula
@@ -146,7 +153,6 @@ def infer(model: KripkeStructure, bound: int,
         raise ValueError("synthesis budget must be at least 1")
     alphabet = model.alphabet
     hypothesis: CtlFormula = ctl.TRUE
-    proposed: list[CtlFormula] = []
     trace: list[CegTraceEntry] = []
     cap = formula_space_bound(len(alphabet), bound) + 1
     search = learner.CandidateSearch(learner.Sample((model,)), bound, seed)
@@ -159,34 +165,35 @@ def infer(model: KripkeStructure, bound: int,
         if found is None:
             break
         candidate = found.formula
-        if candidate in proposed:
+        if any(entry.candidate == candidate for entry in trace):
             raise CegError(
                 f"candidate {ctl.print_ctl(candidate)} proposed twice")
-        proposed.append(candidate)
 
-        verdict = synth.equivalent(candidate, hypothesis, synth_states,
-                                   alphabet, seed)
-        if verdict is None:
-            case, countermodel = 1, None
-            search.discard(candidate)
-            changed = []
-        elif verdict[0] == "forward":
-            # The candidate does not imply the hypothesis.
-            case, countermodel = 3, verdict[1]
+        recheck: tuple[KripkeStructure, ...] = ()
+        countermodel = synth.implies(candidate, hypothesis, synth_states,
+                                     alphabet, seed)
+        if countermodel is not None:
+            case = 3
             search.add_negative(countermodel)
-            changed = [countermodel]
         else:
-            case, countermodel = 2, verdict[1]
-            search.add_negative(countermodel)
-            search.discard(candidate)
-            hypothesis = candidate
-            changed = search.sample.negatives
+            countermodel = synth.implies(hypothesis, candidate,
+                                         synth_states, alphabet, seed)
+            if countermodel is None:
+                case = 1
+                search.discard(candidate)
+            else:
+                # `implies` verified that the witness fails the candidate;
+                # the earlier negatives are checked against it below.
+                case, recheck = 2, search.sample.negatives
+                search.add_negative(countermodel)
+                search.discard(candidate)
+                hypothesis = candidate
 
         entry = CegTraceEntry(len(trace) + 1, candidate, case, countermodel)
         trace.append(entry)
         if on_iteration is not None:
             on_iteration(entry)
-        for struct in changed:
+        for struct in recheck:
             if checker.holds(struct, hypothesis):
                 raise SynthesisInconsistency(
                     "a negative structure satisfies the hypothesis")
@@ -207,8 +214,8 @@ def verify_solution(model: KripkeStructure, bound: int,
     Checks that the formula holds on the model, fits the size bound, and
     fails on every recorded negative structure.  When the bound is at
     most `_AUDIT_LIMIT` it additionally enumerates every ENF formula of
-    size <= bound holding on the model and confirms, by one
-    `synth.equivalent` call each, that none strictly implies the result
+    size <= bound holding on the model and confirms, by `synth.implies`
+    in both directions, that none strictly implies the result
     within the synthesis budget `result.synth_states` that `infer` ran
     with; the first violation raises `CertificationFailure` naming the
     violating formula.  A budget below 1 raises `ValueError`.
@@ -234,9 +241,10 @@ def verify_solution(model: KripkeStructure, bound: int,
             candidates_audited += 1
             if candidate == formula:
                 continue
-            verdict = synth.equivalent(candidate, formula, synth_states,
-                                       model.alphabet)
-            if verdict is not None and verdict[0] == "backward":
+            if (synth.implies(candidate, formula, synth_states,
+                              model.alphabet) is None
+                    and synth.implies(formula, candidate, synth_states,
+                                      model.alphabet) is not None):
                 raise CertificationFailure(
                     "a candidate strictly implies the result", candidate)
 

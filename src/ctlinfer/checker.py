@@ -70,10 +70,14 @@ def _eg_mask(succ: list[int], phi: int) -> int:
 
 
 def _sat_mask(m: KripkeStructure, f: CtlFormula, succ: list[int],
-              memo: dict[CtlFormula, int]) -> int:
-    got = memo.get(f)
+              memo: dict[int, tuple[CtlFormula, int]]) -> int:
+    """The satisfaction set of `f` as a bitmask.  `memo` maps the `id` of
+    each subterm evaluated so far (all alive while `f` is) to the subterm
+    and its mask, in the order the pass completed them: children first,
+    left before right."""
+    got = memo.get(id(f))
     if got is not None:
-        return got
+        return got[1]
     full = (1 << m.size) - 1
     if isinstance(f, Prop):
         mask = _label_mask(m, f.name)
@@ -97,7 +101,7 @@ def _sat_mask(m: KripkeStructure, f: CtlFormula, succ: list[int],
     else:
         raise NotInEnf(
             f"checker works on ENF formulas, got {ctl.print_ctl(f)}")
-    memo[f] = mask
+    memo[id(f)] = (f, mask)
     return mask
 
 
@@ -113,18 +117,11 @@ def sat_set(m: KripkeStructure, f: CtlFormula) -> frozenset[int]:
 def sat_set_table(m: KripkeStructure,
                   f: CtlFormula) -> dict[CtlFormula, frozenset[int]]:
     """Satisfaction sets for every subformula of `f`, children first."""
-    memo: dict[CtlFormula, int] = {}
+    memo: dict[int, tuple[CtlFormula, int]] = {}
     _sat_mask(m, f, _succ_masks(m), memo)
     table: dict[CtlFormula, frozenset[int]] = {}
-
-    def emit(g: CtlFormula) -> None:
-        if g in table:
-            return
-        for child in ctl.children(g):
-            emit(child)
-        table[g] = _to_set(memo[g], m.size)
-
-    emit(f)
+    for g, mask in memo.values():
+        table.setdefault(g, _to_set(mask, m.size))
     return table
 
 

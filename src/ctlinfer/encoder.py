@@ -256,7 +256,7 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
       fixed point.
     """
     if label == NOT_LABEL:
-        clauses.extend(sat.equiv_not(out, left(s), guards))
+        clauses.extend(sat.equiv_lit(out, -left(s), guards))
     elif label == EX_LABEL:
         clauses.extend(sat.equiv_or(out, successors(s, left), guards))
     elif label in (AND_LABEL, OR_LABEL):

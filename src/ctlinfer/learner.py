@@ -77,10 +77,6 @@ class Sample:
     def structures(self) -> tuple[KripkeStructure, ...]:
         return self.positives + self.negatives
 
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return self.structures[0].alphabet
-
     def has_conflict(self) -> bool:
         """True iff every initial state of some negative is bisimilar to
         some positive initial state.

@@ -33,8 +33,8 @@ import random
 from typing import Iterable, Sequence
 
 __all__ = ["BackendFailure", "CdclSolver", "to_dimacs", "exactly_one",
-           "equiv_lit", "equiv_not", "equiv_and", "equiv_or",
-           "equiv_or_and_disj", "equiv_and_disj"]
+           "equiv_lit", "equiv_and", "equiv_or", "equiv_or_and_disj",
+           "equiv_and_disj"]
 
 Clause = tuple[int, ...]
 
@@ -59,16 +59,9 @@ def exactly_one(lits: Sequence[int]) -> list[Clause]:
 
 def equiv_lit(out_lit: int, in_lit: int,
               guards: Sequence[int] = ()) -> list[Clause]:
-    """out <-> in."""
+    """out <-> in; a negated `in_lit` gives out <-> !in."""
     pre = tuple(-g for g in guards)
     return [pre + (-out_lit, in_lit), pre + (out_lit, -in_lit)]
-
-
-def equiv_not(out_lit: int, in_lit: int,
-              guards: Sequence[int] = ()) -> list[Clause]:
-    """out <-> !in."""
-    pre = tuple(-g for g in guards)
-    return [pre + (-out_lit, -in_lit), pre + (out_lit, in_lit)]
 
 
 def equiv_and(out_lit: int, lits: Sequence[int],

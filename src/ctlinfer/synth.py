@@ -48,10 +48,10 @@ means "no model within the state budget" and is reported as such.  When
 the tableau or the proposition-free union decided it, no model of any size
 exists; otherwise it is not a proof that no larger model exists.
 
-`implies` and `equivalent` reduce bounded implication checking to
-synthesis of countermodels for f & !g; the constant `true` on either side
-is settled there, so the CEG loop compares its trivial hypothesis the same
-way as every other.
+`implies` reduces bounded implication checking to synthesis of
+countermodels for f & !g; the constant `true` on either side is settled
+there, so the CEG loop compares its trivial hypothesis the same way as
+every other.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .encoder import VarPool, lower_node
 from .kripke import KripkeStructure, check_alphabet
 from .sat import CdclSolver, Clause, equiv_and, equiv_lit
 
-__all__ = ["SynthesisInconsistency", "synthesize", "implies", "equivalent"]
+__all__ = ["SynthesisInconsistency", "synthesize", "implies"]
 
 DEFAULT_MAX_STATES = 6
 
@@ -229,7 +229,8 @@ def implies(f: CtlFormula, g: CtlFormula,
     None means the implication holds on every structure with up to
     `max_states` states (a bounded verdict); when `synthesize`'s tableau
     refuted f & !g, the implication is valid outright.  A returned
-    structure satisfies f and falsifies g, checker-verified.
+    structure satisfies f and falsifies g, checker-verified; without an
+    `alphabet` it is labelled over the propositions of f and g.
 
     When g is `true` the answer is None without a solver, which is sound
     because no structure falsifies `true`; when f is `true` the
@@ -237,8 +238,6 @@ def implies(f: CtlFormula, g: CtlFormula,
     """
     if g == ctl.TRUE:
         return None
-    if alphabet is None:
-        alphabet = tuple(sorted(ctl.propositions(f) | ctl.propositions(g)))
     target = Not(g) if f == ctl.TRUE else And(f, Not(g))
     witness = synthesize(target, max_states, alphabet, seed)
     if witness is not None:
@@ -248,24 +247,3 @@ def implies(f: CtlFormula, g: CtlFormula,
                 "fails verification")
     return witness
 
-
-def equivalent(f: CtlFormula, g: CtlFormula,
-               max_states: int = DEFAULT_MAX_STATES,
-               alphabet: Sequence[str] | None = None,
-               seed: int | None = None,
-               ) -> tuple[str, KripkeStructure] | None:
-    """None when f and g agree on all structures within the budget.
-
-    That verdict is exact when the tableau refuted both directions, and
-    is still reported as bounded.  Otherwise ("forward", w) with w
-    satisfying f & !g, or ("backward", w) with w satisfying g & !f.
-    """
-    if alphabet is None:
-        alphabet = tuple(sorted(ctl.propositions(f) | ctl.propositions(g)))
-    witness = implies(f, g, max_states, alphabet, seed)
-    if witness is not None:
-        return ("forward", witness)
-    witness = implies(g, f, max_states, alphabet, seed)
-    if witness is not None:
-        return ("backward", witness)
-    return None

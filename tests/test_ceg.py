@@ -4,8 +4,9 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ceg, checker, ctl, kripke, learner
-from ctlinfer.ceg import CegReport, CertificationFailure
+from ctlinfer import ceg, checker, ctl, kripke, learner, synth
+from ctlinfer.ceg import (CegReport, CertificationFailure,
+                          SynthesisInconsistency)
 
 
 class TestInfer:
@@ -106,6 +107,55 @@ def test_negatives_never_conflict_with_the_model(name):
     for bound in (2, 3):
         ceg.infer(m, bound, synth_states=5, seed=1, on_iteration=check)
     assert checked
+
+
+@pytest.mark.parametrize("name", helpers.fixture_names())
+def test_no_structure_is_checked_twice_against_one_formula(name,
+                                                           monkeypatch):
+    """`synth.implies` verifies each witness it returns, so the loop does
+    not check the new negative again."""
+    m = helpers.load_fixture(name)
+    real_holds = checker.holds
+    seen = {}
+    repeats = []
+
+    def holds(struct, f):
+        key = (id(struct), f)
+        if key in seen:
+            repeats.append((struct, ctl.print_ctl(f)))
+        seen[key] = struct  # keeps the structure, so its id stays unique
+        return real_holds(struct, f)
+
+    monkeypatch.setattr(checker, "holds", holds)
+    for bound in (2, 3):
+        seen.clear()
+        ceg.infer(m, bound, synth_states=5)
+        assert repeats == [], bound
+
+
+def test_negative_satisfying_a_new_hypothesis_raises(monkeypatch):
+    """A fault injected after the first case 2: the learner proposes !p,
+    which the first negative satisfies, and synthesis wrongly finds that
+    !p implies p.  The check of the earlier negatives catches it."""
+    m = helpers.load_fixture("selfloop_p.kripke")
+    not_p = ctl.Not(ctl.Prop("p"))
+    real_candidate, real_implies = learner.infer_candidate, synth.implies
+    proposed = []
+
+    def infer_candidate(search):
+        found = (learner.LearnResult(not_p, 2, ()) if proposed
+                 else real_candidate(search))
+        proposed.append(found.formula)
+        return found
+
+    def implies(f, g, *args):
+        return None if f == not_p else real_implies(f, g, *args)
+
+    monkeypatch.setattr(learner, "infer_candidate", infer_candidate)
+    monkeypatch.setattr(synth, "implies", implies)
+    with pytest.raises(SynthesisInconsistency):
+        ceg.infer(m, 2)
+    assert proposed == [ctl.Prop("p"), not_p]
 
 
 def test_formula_space_bound_dominates_enumeration():

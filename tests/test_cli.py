@@ -84,6 +84,25 @@ class TestCheck:
         assert "SAT(q) = {s1}" in lines
         assert "SAT(E[p U q]) = {s0, s1}" in lines
 
+    def test_sets_output_is_pinned(self, capsys):
+        # Children first, left before right, each subformula once.
+        code, out, _ = invoke(capsys, "check", "--sets",
+                              str(FIX / "two_state_pq.kripke"), "A[p U q]")
+        assert code == 0
+        assert out.splitlines() == [
+            "SAT(q) = {s1}",
+            "SAT(!q) = {s0}",
+            "SAT(p) = {s0}",
+            "SAT(!p) = {s1}",
+            "SAT(!p & !q) = {}",
+            "SAT(E[!q U !p & !q]) = {}",
+            "SAT(!E[!q U !p & !q]) = {s0, s1}",
+            "SAT(EG !q) = {}",
+            "SAT(!EG !q) = {s0, s1}",
+            "SAT(!E[!q U !p & !q] & !EG !q) = {s0, s1}",
+            "result: holds",
+        ]
+
     def test_parse_error_is_usage(self, capsys):
         code, out, err = invoke(capsys, "check",
                                 str(FIX / "selfloop_p.kripke"), "p &")

@@ -284,7 +284,7 @@ class TestClauseHelpers:
             assert ok == (sum(bits) == 1)
 
     def test_equiv_not(self):
-        self.assert_equiv(sat.equiv_not(1, 2), 1,
+        self.assert_equiv(sat.equiv_lit(1, -2), 1,
                           lambda a: not a[2], 2)
 
     def test_equiv_and(self):
@@ -309,7 +309,7 @@ class TestClauseHelpers:
     def test_guards_relax_the_equivalence(self):
         # With the guard false every assignment of the remaining
         # variables is allowed; with it true the equivalence bites.
-        clauses = sat.equiv_not(1, 2, guards=(3,))
+        clauses = sat.equiv_lit(1, -2, guards=(3,))
         for bits in itertools.product([False, True], repeat=3):
             assignment = {v + 1: bits[v] for v in range(3)}
             ok = all(any(assignment[abs(l)] == (l > 0) for l in c)

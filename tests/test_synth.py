@@ -239,31 +239,6 @@ class TestImplies:
             assert (witness is not None) == refuted
 
 
-class TestEquivalent:
-    def test_equivalent_formulas(self):
-        p = Prop("p")
-        assert synth.equivalent(p, And(p, p), max_states=3) is None
-        assert synth.equivalent(ctl.parse_ctl("!!p"), p,
-                                max_states=3) is None
-
-    def test_direction_of_the_witness(self):
-        p, egp = Prop("p"), ExistsGlobally(Prop("p"))
-        got = synth.equivalent(egp, p, max_states=4)
-        assert got is not None
-        direction, witness = got
-        # EG p implies p, so only the backward direction can fail.
-        assert direction == "backward"
-        assert helpers.naive_holds(witness, p)
-        assert not helpers.naive_holds(witness, egp)
-
-    def test_forward_direction(self):
-        p, q = Prop("p"), Prop("q")
-        got = synth.equivalent(And(p, q), ctl.Or(p, q), max_states=3)
-        assert got is not None and got[0] == "backward"
-        got = synth.equivalent(ctl.Or(p, q), And(p, q), max_states=3)
-        assert got is not None and got[0] == "forward"
-
-
 class TestEncode:
     def pinned_model(self, struct, dag):
         """Solve the synthesis instance with t/lab fixed to `struct` by
