@@ -18,8 +18,9 @@ Standard output is machine-parseable: the final answer is the last line,
 prefixed `result: `.  Diagnostics go to standard error.  Exit codes:
 0 success, 1 negative verdict (fails / no model / no consistent formula),
 2 usage, parse or I/O errors (such as an unwritable output path), 3
-backend failure.  `--seed` makes backend decisions reproducible:
-identical invocations with the same seed produce identical output.
+backend or internal failure.  `--seed` makes backend decisions
+reproducible: identical invocations with the same seed produce identical
+output.
 """
 
 from __future__ import annotations
@@ -229,6 +230,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (BackendFailure, synth.SynthesisInconsistency,
             ceg.CegError) as err:
         print(f"backend failure: {err}", file=sys.stderr)
+        return EXIT_BACKEND
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_BACKEND
 
 

@@ -188,7 +188,15 @@ def size(f: CtlFormula) -> int:
 
 
 def propositions(f: CtlFormula) -> frozenset[str]:
-    return frozenset(g.name for g in subformulas(f) if isinstance(g, Prop))
+    """The proposition names in `f`, by a walk that hashes no subtree."""
+    names: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Prop):
+            names.add(g.name)
+        stack.extend(children(g))
+    return frozenset(names)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +425,6 @@ def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
 NOT_LABEL, AND_LABEL, OR_LABEL = "!", "&", "|"
 EX_LABEL, EU_LABEL, EG_LABEL = "EX", "EU", "EG"
 OPERATOR_LABELS = (NOT_LABEL, AND_LABEL, OR_LABEL, EX_LABEL, EU_LABEL, EG_LABEL)
-UNARY_LABELS = frozenset({NOT_LABEL, EX_LABEL, EG_LABEL})
 BINARY_LABELS = frozenset({AND_LABEL, OR_LABEL, EU_LABEL})
 
 _NODE_LABEL = {Not: NOT_LABEL, And: AND_LABEL, Or: OR_LABEL,

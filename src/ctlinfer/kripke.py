@@ -122,12 +122,6 @@ class KripkeStructure:
     def size(self) -> int:
         return len(self.state_names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.state_names.index(name)
-        except ValueError:
-            raise UnknownState(name) from None
-
 
 def check_alphabet(alphabet: Sequence[str]) -> None:
     """Reject duplicate, malformed or reserved proposition names."""

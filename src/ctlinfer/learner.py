@@ -181,8 +181,7 @@ class CandidateSearch:
         # The candidate `_next` last returned, with the literals it was
         # decoded with, until it is discarded.
         self._last: tuple[CtlFormula, list[int]] | None = None
-        self._conflict = sample.has_conflict()
-        self._floor = 1
+        self._floor = bound + 1 if sample.has_conflict() else 1
         self._live: encoder.EncodingInstance | None = None
 
     def add_negative(self, struct: KripkeStructure) -> None:
@@ -241,13 +240,11 @@ class CandidateSearch:
         A negative whose every initial state is bisimilar to an initial
         state of a positive (`Sample.has_conflict`) leaves no separating
         formula of any size.  That is decided once, on the sample the
-        search starts from, and a search that starts conflicting answers
-        None without solving.
+        search starts from: a search that starts conflicting starts with
+        its floor above `bound`, so it answers None without solving.
         """
         budgets: list[BudgetTrace] = []
         self._last = None
-        if self._conflict:
-            return None, budgets
         while self._floor <= self.bound:
             if self._live is None:
                 self._live = encoder.build_instance(

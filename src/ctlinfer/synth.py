@@ -34,12 +34,12 @@ self-loop decides it outright.
 Otherwise `synthesize` builds the ENF formula's syntax DAG once, and both
 the tableau and every instance read it.  Before any instance is built,
 `tableau.satisfiable` decides the formula exactly when it has at most
-`tableau.MAX_ELEMENTARY` elementary formulas.  An unsatisfiable formula
-has no model of any size, so none within the budget either, and the
-answer is None with no solver; a satisfiable one goes on to the state
-sweep.  Either way the returned structure has the fewest states of any
-model within the budget; which model of that size comes back is
-unspecified.
+`tableau.MAX_ELEMENTARY` elementary formulas (and answers None,
+undecided, above).  An unsatisfiable formula has no model of any size, so
+none within the budget either, and the answer is None with no solver; any
+other formula goes on to the state sweep.  Either way the returned
+structure has the fewest states of any model within the budget; which
+model of that size comes back is unspecified.
 
 Every synthesized structure is verified with the explicit-state checker
 before being returned; a verification failure is a hard internal error
@@ -162,8 +162,7 @@ def _sweep(dag: ctl.SyntaxDag, max_states: int, alphabet: Sequence[str],
            seed: int | None) -> KripkeStructure | None:
     """A model of the formula of `dag` with 2..`max_states` states, fewest
     first, or None; the tableau refutes what it can before any solver."""
-    if (tableau.elementary_count(dag) <= tableau.MAX_ELEMENTARY
-            and not tableau.satisfiable(dag)):
+    if tableau.satisfiable(dag) is False:
         return None
     for num_states in range(2, max_states + 1):
         pool, clauses = _encode(dag, num_states, alphabet)

@@ -31,12 +31,12 @@ true.  Unsatisfiable therefore means no model of any size.  The converse
 (a surviving atom yields a model) is the completeness half of the same
 paper; callers only rely on False.
 
-The procedure is exponential in the number of elementary formulas.  It
-takes the formula's syntax DAG (`ctl.to_dag`, which rejects non-ENF
-input), the one `synth.synthesize` also encodes.  Atom sets are ints
-used as bitsets over atom indices, as in `checker`: one mask per DAG
-node, and `allowed[a]` is an AND of the masks of the false EX targets of
-atom a.
+The procedure is exponential in the number of elementary formulas, so
+above `MAX_ELEMENTARY` of them it answers None, undecided.  It takes the
+formula's syntax DAG (`ctl.to_dag`, which rejects non-ENF input), the one
+`synth.synthesize` also encodes.  Atom sets are ints used as bitsets over
+atom indices, as in `checker`: one mask per DAG node, and `allowed[a]` is
+an AND of the masks of the false EX targets of atom a.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from typing import Iterator
 from .ctl import (AND_LABEL, EG_LABEL, EU_LABEL, EX_LABEL, NOT_LABEL,
                   OR_LABEL, SyntaxDag)
 
-__all__ = ["MAX_ELEMENTARY", "elementary_count", "satisfiable"]
+__all__ = ["MAX_ELEMENTARY", "satisfiable"]
 
-# Largest elementary-formula count `synth.synthesize` hands to the tableau
-# (2 ** 12 atoms); above it, bounded synthesis runs alone.
+# Largest elementary-formula count `satisfiable` decides (2 ** 12 atoms).
 MAX_ELEMENTARY = 12
 
 
@@ -63,12 +62,6 @@ def _elementary(dag: SyntaxDag) -> tuple[list[int], list[int]]:
     return props, list(nexts)
 
 
-def elementary_count(dag: SyntaxDag) -> int:
-    """The number of elementary formulas of an ENF formula's DAG."""
-    props, nexts = _elementary(dag)
-    return len(props) + len(nexts)
-
-
 def _members(mask: int) -> Iterator[int]:
     """Indices of the set bits of `mask`, lowest first."""
     while mask:
@@ -77,14 +70,19 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def satisfiable(dag: SyntaxDag) -> bool:
-    """True iff some Kripke structure satisfies the ENF formula of `dag`."""
+def satisfiable(dag: SyntaxDag) -> bool | None:
+    """True iff some Kripke structure satisfies the ENF formula of `dag`;
+    None, with no atom built, when it has more than `MAX_ELEMENTARY`
+    elementary formulas."""
     props, nexts = _elementary(dag)
-    count = 1 << (len(props) + len(nexts))
+    elementary = len(props) + len(nexts)
+    if elementary > MAX_ELEMENTARY:
+        return None
+    count = 1 << elementary
     full = (1 << count) - 1
     # Atom a makes elementary formula k true iff bit k of a is set.
     bit = [sum(1 << a for a in range(count) if a >> k & 1)
-           for k in range(len(props) + len(nexts))]
+           for k in range(elementary)]
     prop_bit = dict(zip(props, bit))
     next_bit = dict(zip(nexts, bit[len(props):]))
     truth = [0] * (dag.size + 1)  # by node; slot 0 stands for no child

@@ -372,6 +372,28 @@ def test_decode_audit_failure_exit_code(capsys, monkeypatch):
     assert code == 3
     assert "backend failure: assignment fixes 0 choices" in err
 
+
+def test_deep_formula_is_an_internal_error(capsys):
+    deep = "!" * 3000 + "p"
+    code, out, err = invoke(capsys, "check",
+                            str(FIX / "selfloop_p.kripke"), deep)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def explode(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli.ceg, "infer", explode)
+    code, out, err = invoke(capsys, "infer", str(FIX / "selfloop_p.kripke"),
+                            "--bound", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: KeyError: 'lost'\n"
+
+
 def test_seeded_runs_are_identical(capsys):
     argv = ["infer", str(FIX / "branching.kripke"),
             "--bound", "3", "--seed", "11"]

@@ -30,6 +30,17 @@ def test_propositions():
     assert ctl.propositions(ctl.TRUE) == set()
 
 
+def test_propositions_match_the_subformula_set():
+    rng = random.Random(31)
+    formulas = [helpers.random_ctl(rng, ("p", "q", "r"), 4)
+                for _ in range(500)]
+    for f in formulas:
+        assert ctl.propositions(f) == {
+            g.name for g in ctl.subformulas(f) if isinstance(g, Prop)}
+    seen = {type(g) for f in formulas for g in ctl.subformulas(f)}
+    assert {Const, ctl.ForallUntil, ctl.Implies} <= seen
+
+
 class TestParser:
     def test_precedence(self):
         assert ctl.parse_ctl("a | b & c") == Or(
@@ -211,6 +222,7 @@ def _all_dags(alphabet, n):
     enumerate_formulas: choose a label per node and children below it,
     then read the formula off the DAG."""
     labels = list(alphabet) + list(ctl.OPERATOR_LABELS)
+    unary = {ctl.NOT_LABEL, ctl.EX_LABEL, ctl.EG_LABEL}
     found = set()
 
     def extend(nodes):
@@ -221,7 +233,7 @@ def _all_dags(alphabet, n):
             return
         choices = list(alphabet) if i == 1 else labels
         for lab in choices:
-            if lab in ctl.UNARY_LABELS:
+            if lab in unary:
                 for j in range(1, i):
                     extend(nodes + [ctl.DagNode(lab, j)])
             elif lab in ctl.BINARY_LABELS:

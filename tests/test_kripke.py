@@ -22,7 +22,7 @@ class TestValidate:
         assert m.size == 2
         assert m.successors[0] == frozenset({1})
         assert m.labels[1] == frozenset({"q"})
-        assert m.index("s1") == 1
+        assert m.state_names.index("s1") == 1
 
     def test_missing_labels_default_empty(self):
         m = small(labels={})

@@ -276,6 +276,16 @@ class TestInferCandidate:
         m = helpers.load_fixture("selfloop_p.kripke")
         assert search(m, 2, negatives=(m,)) is None
 
+    def test_conflicting_sample_builds_no_instance(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a conflicting search built an instance")
+
+        monkeypatch.setattr(encoder, "build_instance", no_build)
+        m = helpers.load_fixture("selfloop_p.kripke")
+        state = learner.CandidateSearch(Sample((m,), (m,)), 3)
+        assert learner.infer_candidate(state) is None
+        assert learner.infer_candidate(state) is None
+
     def test_bisimilar_negative_added_later_returns_none(self, monkeypatch):
         """`add_negative` skips the conflict check, and the budgets' UNSAT
         answers reach the same None."""

@@ -4,6 +4,7 @@
 bounded synthesis with the tableau switched off (`sweep_only`).
 """
 
+import contextlib
 import importlib.util
 import random
 import sys
@@ -39,9 +40,13 @@ def random_targets(seed, count):
         yield f if i % 2 else And(f, Not(helpers.random_enf(rng, ALPHABET, 4)))
 
 
-@pytest.fixture
-def sweep_only(monkeypatch):
-    monkeypatch.setattr(tableau, "MAX_ELEMENTARY", -1)
+@contextlib.contextmanager
+def sweep_only():
+    """Bounded synthesis alone: with the cap at -1, `tableau.satisfiable`
+    answers None, undecided, and `synthesize` goes on to the sweep."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tableau, "MAX_ELEMENTARY", -1)
+        yield
 
 
 @pytest.mark.parametrize("text", UNSAT_CASES)
@@ -50,20 +55,34 @@ def test_each_rule_refutes_its_case(text):
 
 
 @pytest.mark.parametrize("text", SAT_CASES)
-def test_each_rule_keeps_its_case(text, sweep_only):
+def test_each_rule_keeps_its_case(text):
     f = enf(text)
     assert tableau.satisfiable(ctl.to_dag(f))
-    assert synth.synthesize(f, 3, ALPHABET) is not None
+    with sweep_only():
+        assert synth.synthesize(f, 3, ALPHABET) is not None
 
 
-def test_synthesized_models_are_satisfiable(sweep_only):
+def test_synthesized_models_are_satisfiable():
     found = 0
     for i, f in enumerate(random_targets(810, 120)):
-        model = synth.synthesize(f, 3 + i % 2, ALPHABET, seed=0)
+        with sweep_only():
+            model = synth.synthesize(f, 3 + i % 2, ALPHABET, seed=0)
         if model is not None:
             found += 1
             assert tableau.satisfiable(ctl.to_dag(f)), ctl.print_ctl(f)
     assert found > 80
+
+
+def test_undecided_exactly_above_the_cap():
+    undecided = []
+    for k in range(1, 14):
+        dag = ctl.to_dag(enf("EX " * k + "p & !p"))
+        props, nexts = tableau._elementary(dag)
+        above = len(props) + len(nexts) > tableau.MAX_ELEMENTARY
+        assert tableau.satisfiable(dag) is (None if above else True), k
+        if above:
+            undecided.append(k)
+    assert undecided == [12, 13]
 
 
 def test_unsatisfiable_formulas_hold_nowhere():
