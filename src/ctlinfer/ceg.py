@@ -16,7 +16,7 @@ solver:
 * case 1 - the two imply each other within the state budget (both calls
   answer None): discard the candidate and keep searching.  `synthesize`
   refutes each direction with its tableau before any solver runs, so a
-  case 1 costs no SAT sweep whenever the two are equivalent outright;
+  case 1 costs no state sweep whenever the two are equivalent outright;
 * case 2 - the candidate strictly strengthens the hypothesis (it implies
   the hypothesis, and the second call's witness satisfies the hypothesis
   but not the candidate): the witness becomes a negative structure, the

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -71,7 +74,8 @@ class TestSynthesize:
 
     def test_satisfiable_beyond_the_budget(self):
         # Four successors with pairwise different labellings need four
-        # states; the CNF itself proves there are none within three.
+        # states; the families of every 2- and 3-state structure over p, q
+        # hold no model, and the solver finds one at four states.
         f = ctl.parse_ctl("EX (p & q) & EX (p & !q) & EX (!p & q) "
                           "& EX (!p & !q)")
         assert tableau.satisfiable(ctl.to_dag(ctl.enf(f)))
@@ -190,6 +194,70 @@ class TestOneState:
         m = synth.synthesize(ctl.parse_ctl("q & EG q"), max_states=2,
                              alphabet=("p", "q", "r"))
         assert m.size == 1 and m.labels == (frozenset({"q"}),)
+
+
+class TestFamily:
+    """One pass over every structure of a size decides it as SAT does."""
+
+    @pytest.mark.parametrize("num_states", [2, 3])
+    def test_family_matches_the_sat_instance(self, num_states):
+        for f in ctl.enumerate_formulas(("p", "q"), 4):
+            dag = ctl.to_dag(f)
+            props = tuple(sorted(ctl.propositions(f)))
+            model = synth._family_model(dag, num_states, props, props)
+            expected = synth._solve(dag, num_states, props, 0)
+            assert (model is None) == (expected is None), ctl.print_ctl(f)
+            if model is not None:
+                assert model.size == num_states
+                assert model.initial == frozenset({0})
+                assert model.alphabet == props
+                assert helpers.naive_holds(model, f), ctl.print_ctl(f)
+
+    def test_family_matches_enumeration(self):
+        structures = list(helpers.all_structures(2, ("p",)))
+        for f in ctl.enumerate_formulas(("p",), 4):
+            model = synth._family_model(ctl.to_dag(f), 2, ("p",), ("p",))
+            expected = any(helpers.naive_holds(m, f) for m in structures)
+            assert (model is not None) == expected, ctl.print_ctl(f)
+
+    def test_other_propositions_stay_false(self):
+        f = ctl.parse_ctl("EX p & EX !p")
+        m = synth._family_model(ctl.to_dag(f), 2, ("p",), ("p", "q", "r"))
+        assert m.alphabet == ("p", "q", "r")
+        assert all(label <= {"p"} for label in m.labels)
+        assert helpers.naive_holds(m, f)
+
+    def test_above_the_cap_the_solver_decides(self, monkeypatch):
+        def no_family(*args):
+            raise AssertionError("a family above the cap was built")
+
+        monkeypatch.setattr(synth, "_family", no_family)
+        solve = CdclSolver.solve
+        verdicts = []
+
+        def counting_solve(self):
+            verdicts.append(solve(self))
+            return verdicts[-1]
+
+        monkeypatch.setattr(CdclSolver, "solve", counting_solve)
+        # Three successors with pairwise different p, q labellings need
+        # three states; seven propositions put both sizes above the cap.
+        f = ctl.parse_ctl("EX (p & q) & EX (p & !q) & EX !p "
+                          "& r & s & t & u & v")
+        assert synth._components(2, 7) > synth.FAMILY_CAP
+        m = synth.synthesize(f, max_states=4)
+        assert m is not None and m.size == 3
+        assert helpers.naive_holds(m, f)
+        assert verdicts == [False, True]
+
+    def test_import_builds_no_family(self):
+        src = os.path.dirname(os.path.dirname(synth.__file__))
+        code = ("import ctlinfer.synth as s; "
+                "print(s._family.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "0"
 
 
 class TestImplies:
