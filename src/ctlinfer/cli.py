@@ -98,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_structure(path: str) -> kripke.KripkeStructure:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise kripke.KripkeError(f"cannot read {path}: {err}") from err
     return kripke.parse_kripke(text)
 
@@ -224,7 +224,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(err.code or 0)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ValueError, OSError) as err:
+    except (ctl.CtlError, kripke.KripkeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (BackendFailure, synth.SynthesisInconsistency,

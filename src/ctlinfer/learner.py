@@ -31,7 +31,7 @@ from typing import Container
 
 from . import ctl, encoder
 from .ctl import CtlFormula
-from .kripke import KripkeStructure, bisimulation_classes
+from .kripke import KripkeError, KripkeStructure, bisimulation_classes
 from .sat import BackendFailure
 
 __all__ = ["Sample", "BudgetTrace", "LearnResult", "AlphabetMismatch",
@@ -39,7 +39,7 @@ __all__ = ["Sample", "BudgetTrace", "LearnResult", "AlphabetMismatch",
            "infer_candidate"]
 
 
-class AlphabetMismatch(ValueError):
+class AlphabetMismatch(KripkeError):
     """Sample structures must agree on one proposition alphabet."""
 
 

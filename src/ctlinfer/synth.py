@@ -1,56 +1,61 @@
 """Bounded synthesis of Kripke structures satisfying a CTL formula.
 
-The dual of formula search: the formula is fixed (as its ENF syntax DAG)
-and the structure is unknown.  `synthesize` tries state counts upward and
-decides each one exactly, in three stages:
+The dual of formula search: the formula is fixed (in ENF) and the
+structure is unknown.  `synthesize` tries state counts upward and decides
+each one exactly, in two stages:
 
-1. One state, by the checker.  A total one-state structure must carry its
-   self-loop, so there is one per labelling, and the checker runs once on
-   the ENF formula over their disjoint union (`_self_loops`, built once
-   per proposition set).  The union ranges over the formula's own
+1. One state, by its family (below).  A total one-state structure must
+   carry its self-loop, so the family is the disjoint union of one
+   self-loop per labelling.  It ranges over the formula's own
    propositions, not the whole alphabet: the others cannot change its
    truth, so they stay false, which is also the lowest labelling the whole
-   alphabet's union would give.  A formula without propositions takes one
-   truth value at every state of every total structure (with labels
-   ignored, all of them are bisimilar), so the union of one self-loop
+   alphabet's family would give.  A formula without propositions takes
+   one truth value at every state of every total structure (with labels
+   ignored, all of them are bisimilar), so the family of one self-loop
    decides it outright, constants included.
-2. The tableau.  Otherwise the ENF formula's syntax DAG is built once, and
-   every later stage reads it.  `tableau.satisfiable` decides the formula
+2. The tableau, then the sweep, m = 2..max_states.  The ENF formula's
+   syntax DAG is built once.  `tableau.satisfiable` decides the formula
    exactly when it has at most `tableau.MAX_ELEMENTARY` elementary
    formulas (and answers None, undecided, above).  An unsatisfiable
    formula has no model of any size, so none within the budget either,
-   and the answer is None with no sweep.
-3. The sweep, m = 2..max_states.  When the family of all total m-state
-   structures over the formula's k propositions has at most `FAMILY_CAP`
-   components, the DAG is evaluated once over their disjoint union
-   (`_family_model`); otherwise a CNF instance over free transition and
-   labelling variables is solved (`_solve`).
+   and the answer is None with no sweep.  Otherwise, when the family of
+   all total m-state structures over the formula's k propositions has at
+   most `FAMILY_CAP` components, it decides size m (`_family_model`);
+   above the cap a CNF instance over free transition and labelling
+   variables, built from the DAG, is solved (`_solve`).
 
-The family is bit-parallel.  Its structures are the components of one
+A family is bit-parallel.  Its structures are the components of one
 disjoint union, (2^m - 1)^m successor shapes (one nonempty successor set
-per state) times 2^(m*k) labellings, each with initial state 0.  A state
-set is a list of m ints, where bit c of entry a means "state a of
-component c"; `_family` builds the edge masks E[a][b] and label masks
-P[a][p] once per (m, k), lazily.  `EX T` is `[OR_b E[a][b] & T[b] for a]`,
-`!`, `&` and `|` act entry by entry, and EU and EG iterate to
-stabilisation as in `checker`.  The root's entry 0 holds the components
-whose initial state satisfies the formula; the lowest set bit picks one,
-decoded into a `KripkeStructure`.  This is exact: every total m-state
-structure with one initial state is isomorphic to some component (name
-its initial state 0), and truth at a state of a disjoint union depends
-only on that state's own component.
+per state) times 2^(m*k) labellings, each with initial state 0.  With C
+components, a state set is one int, where bit a*C + c means "state a of
+component c"; `_family` builds, once per (m, k) and lazily, one edge
+mask E_d per shift d = b - a of an edge a -> b and one label mask per
+proposition.  The formula is evaluated by `checker.evaluate`, the same
+code that checks single structures, with `EX T` the OR over the 2m - 1
+shifts of `shift(T, d*C) & E_d`.  The low C bits of the result hold the
+components whose initial state satisfies the formula; the lowest set bit
+picks one, decoded into a `KripkeStructure`.  This is exact: every total
+m-state structure with one initial state is isomorphic to some component
+(name its initial state 0), and truth at a state of a disjoint union
+depends only on that state's own component.  At m = 1, component c is
+the self-loop whose labelling has proposition p exactly when bit p of c
+is set, so the first model is the self-loop with the lowest labelling.
 
 `FAMILY_CAP` = 2^16 components keeps the family where it beats the solve
-it replaces.  Timed with CPython 3.11 on one core of a 2-core x86-64 host:
-one bitwise operation on a 2^16-bit int takes about 0.6 us, so evaluating
-a DAG of 20-odd nodes over a family under the cap takes 0.03-0.1 ms,
-against 0.5-1.2 ms for the CDCL solve of the same size; the masks of the
-largest families, (m, k) = (2, 6) and (3, 2), take 1-3 ms to build once,
-and all the families under the cap hold about 140 KB.  Just above the cap
-the two meet: at (2, 7) with 147,456 components and (3, 3) with 175,616,
-an evaluation takes 0.5-1 ms, as long as the solve, and each family costs
-30-45 ms to build; m = 4 starts at 810,000 components.  So the cap covers
-m = 2 for k <= 6 and m = 3 for k <= 2, and never m >= 4.
+it replaces.  Timed with CPython 3.11 on a shared 2-core x86-64 host, on
+ENF formulas of 24-44 DAG nodes with EX, EU and EG: evaluating a family
+under the cap takes 0.03-0.4 ms, the most at (m, k) = (3, 2), against
+0.7-5 ms for the CDCL solve of the same size; the masks of the largest
+families, (2, 6) and (3, 2), take 1-3 ms to build once, and all the
+families of m >= 2 under the cap hold about 310 KB.  The packed layout
+evaluates as fast as one list of m ints per set up to (2, 2), and up to
+1.6x slower at (3, 2), where each shift touches several times C bits.
+Just above the cap the two meet: at (2, 7) with 147,456 components and
+(3, 3) with 175,616, an evaluation takes 1.6-4 ms, as long as the solve,
+and each family costs 35-55 ms to build; m = 4 starts at 810,000
+components.  So the cap covers m = 2 for k <= 6 and m = 3 for k <= 2,
+and never m >= 4.  One state always goes to its family: 2^k components,
+one per labelling of the formula's own propositions.
 
 The CNF of the SAT sweep:
 
@@ -75,8 +80,9 @@ structure is verified with the explicit-state checker before being
 returned; a verification failure is a hard internal error
 (`SynthesisInconsistency`), never a silent wrong answer.  A None result
 means "no model within the state budget" and is reported as such.  When
-the tableau or the proposition-free union decided it, no model of any size
-exists; otherwise it is not a proof that no larger model exists.
+the tableau or the one-state family of a proposition-free formula decided
+it, no model of any size exists; otherwise it is not a proof that no
+larger model exists.
 
 `implies` reduces bounded implication checking to synthesis of
 countermodels for f & !g; the constant `true` on either side is settled
@@ -87,14 +93,12 @@ every other.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import and_, itemgetter, or_
 from typing import Callable, Sequence
 
 from . import checker, ctl, tableau
-from .ctl import (AND_LABEL, EG_LABEL, EU_LABEL, EX_LABEL, NOT_LABEL,
-                  OR_LABEL, And, CtlFormula, Not)
+from .ctl import And, CtlFormula, Not
 from .encoder import VarPool, lower_node
-from .kripke import KripkeStructure, check_alphabet
+from .kripke import KripkeStructure, UnknownProposition, check_alphabet
 from .sat import CdclSolver, Clause, equiv_and, equiv_lit
 
 __all__ = ["SynthesisInconsistency", "synthesize", "implies"]
@@ -107,19 +111,6 @@ FAMILY_CAP = 1 << 16
 
 class SynthesisInconsistency(RuntimeError):
     """A synthesized structure failed checker verification (internal bug)."""
-
-
-@lru_cache(maxsize=64)
-def _self_loops(props: tuple[str, ...]) -> KripkeStructure:
-    """The disjoint union of the 2^|props| one-state self-loops: state i is
-    labelled with the propositions props[k] whose bit k of i is set."""
-    count = 1 << len(props)
-    return KripkeStructure(
-        alphabet=props, state_names=tuple(f"s{i}" for i in range(count)),
-        initial=frozenset(range(count)),
-        labels=tuple(frozenset(p for k, p in enumerate(props) if i >> k & 1)
-                     for i in range(count)),
-        successors=tuple(frozenset({i}) for i in range(count)))
 
 
 def _rooted(alphabet: Sequence[str], labels: list[frozenset[str]],
@@ -145,13 +136,13 @@ def _repeat(block: int, period: int, total: int) -> int:
     return block * (((1 << total) - 1) // ((1 << period) - 1))
 
 
-Masks = tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=None)  # only the (m, k) under FAMILY_CAP are ever keys
-def _family(num_states: int, num_props: int) -> tuple[Masks, Masks]:
-    """Edge masks E[a][b] and label masks P[a][p] of the family of every
-    total `num_states`-state structure over `num_props` propositions.
+@lru_cache(maxsize=None)  # (1, k) and the (m, k) under FAMILY_CAP
+def _family(num_states: int,
+            num_props: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Edge masks E_d, d = 1-m..m-1, and label masks L_p of the family of
+    every total `num_states`-state structure over `num_props` propositions,
+    packed with state a of component c at bit a*C + c: E_d holds it when
+    c has the edge a -> a+d, and L_p when p labels it.
 
     Component c = shape + S * labelling, with S = (2^m - 1)^m shapes:
     digit a of `shape` in base 2^m - 1 is the successor set of state a
@@ -162,85 +153,58 @@ def _family(num_states: int, num_props: int) -> tuple[Masks, Masks]:
     base = (1 << m) - 1
     shapes = base ** m
     total = _components(m, k)
-    edges = []
+    edges = [0] * (2 * m - 1)
+    labels = [0] * k
     for a in range(m):
         run = base ** a  # consecutive shapes sharing digit a
-        row = []
         for b in range(m):
             block = 0
             for digit in range(base):
                 if (digit + 1) >> b & 1:
                     block |= ((1 << run) - 1) << (digit * run)
-            row.append(_repeat(block, run * base, total))
-        edges.append(tuple(row))
-    labels = []
-    for a in range(m):
-        row = []
+            edges[m - 1 + b - a] |= (_repeat(block, run * base, total)
+                                     << a * total)
         for p in range(k):
             run = shapes << (a * k + p)  # consecutive components sharing bit
-            row.append(_repeat(((1 << run) - 1) << run, 2 * run, total))
-        labels.append(tuple(row))
+            labels[p] |= (_repeat(((1 << run) - 1) << run, 2 * run, total)
+                          << a * total)
     return tuple(edges), tuple(labels)
 
 
-def _family_ex(edges: Masks, target: list[int]) -> list[int]:
-    """`EX target` over the family: entry a is OR_b E[a][b] & target[b]."""
-    image = []
-    for row in edges:
-        mask = 0
-        for edge, t in zip(row, target):
-            mask |= edge & t
-        image.append(mask)
-    return image
-
-
-def _family_model(dag: ctl.SyntaxDag, num_states: int, props: Sequence[str],
+def _family_model(f: CtlFormula, num_states: int, props: Sequence[str],
                   alphabet: Sequence[str]) -> KripkeStructure | None:
-    """A model of the formula of `dag` with exactly `num_states` states
-    over `props` (the others false), or None, by one evaluation of `dag`
+    """A model of the ENF formula `f` with exactly `num_states` states
+    over `props` (the others false), or None, by one `checker.evaluate`
     over the family (module docstring)."""
-    edges, labels = _family(num_states, len(props))
-    full = (1 << _components(num_states, len(props))) - 1
-    value: list[list[int]] = [[]]  # by node; slot 0 stands for no node
-    for _, node in dag:
-        left, right = value[node.left or 0], value[node.right or 0]
-        if node.left is None:
-            current = list(map(itemgetter(props.index(node.label)), labels))
-        elif node.label == NOT_LABEL:
-            current = list(map(full.__xor__, left))
-        elif node.label == AND_LABEL:
-            current = list(map(and_, left, right))
-        elif node.label == OR_LABEL:
-            current = list(map(or_, left, right))
-        elif node.label == EX_LABEL:
-            current = _family_ex(edges, left)
-        elif node.label == EU_LABEL:
-            current = right
-            while True:
-                step = _family_ex(edges, current)
-                grown = list(map(or_, right, map(and_, left, step)))
-                if grown == current:
-                    break
-                current = grown
-        else:
-            current = left
-            while True:
-                shrunk = list(map(and_, left, _family_ex(edges, current)))
-                if shrunk == current:
-                    break
-                current = shrunk
-        value.append(current)
+    m, total = num_states, _components(num_states, len(props))
+    edges, labels = _family(m, len(props))
+    label = dict(zip(props, labels))
+    stay = edges[m - 1]
+    down = [(d * total, edges[m - 1 + d]) for d in range(1, m)]
+    # an upward shift masks first, at the source, so it never widens T
+    up = [(d * total, edges[m - 1 - d] >> d * total) for d in range(1, m)]
 
-    found = value[dag.root][0]
+    def ex(target: int) -> int:
+        image = target & stay
+        for shift, edge in down:
+            image |= target >> shift & edge
+        for shift, edge in up:
+            image |= (target & edge) << shift
+        return image
+
+    found = checker.evaluate(f, label.__getitem__, ex,
+                             (1 << m * total) - 1, {})
+    found &= (1 << total) - 1  # initial state 0
     if not found:
         return None
     c = (found & -found).bit_length() - 1  # state a of component c is s<a>
     return _rooted(
         alphabet,
-        [frozenset(p for p, mask in zip(props, row) if mask >> c & 1)
-         for row in labels],
-        [frozenset(b for b, mask in enumerate(row) if mask >> c & 1)
-         for row in edges])
+        [frozenset(p for p in props if label[p] >> (a * total + c) & 1)
+         for a in range(m)],
+        [frozenset(b for b in range(m)
+                   if edges[m - 1 + b - a] >> (a * total + c) & 1)
+         for a in range(m)])
 
 
 def _decode_structure(assignment: dict[int, bool], pool: VarPool,
@@ -323,17 +287,23 @@ def _solve(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
     return _decode_structure(backend.model(), pool, num_states, alphabet)
 
 
-def _sweep(dag: ctl.SyntaxDag, max_states: int, props: Sequence[str],
+def _sweep(target: CtlFormula, max_states: int, props: Sequence[str],
            alphabet: Sequence[str],
            seed: int | None) -> KripkeStructure | None:
-    """A model of the formula of `dag` with 2..`max_states` states, fewest
-    first, or None; the tableau refutes what it can before any size, and
-    each size goes to the family under its cap and to the solver above."""
+    """A model of the ENF formula `target` with 1..`max_states` states,
+    fewest first, or None: one state by its family, which decides a
+    formula without propositions outright; then the tableau refutes what
+    it can, and each size goes to the family under its cap and to the
+    solver above."""
+    model = _family_model(target, 1, props, alphabet)
+    if model is not None or not props:
+        return model
+    dag = ctl.to_dag(target)
     if tableau.satisfiable(dag) is False:
         return None
     for num_states in range(2, max_states + 1):
         if _components(num_states, len(props)) <= FAMILY_CAP:
-            model = _family_model(dag, num_states, props, alphabet)
+            model = _family_model(target, num_states, props, alphabet)
         else:
             model = _solve(dag, num_states, alphabet, seed)
         if model is not None:
@@ -346,17 +316,17 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
                seed: int | None = None) -> KripkeStructure | None:
     """A structure satisfying `formula` with at most `max_states` states.
 
-    State counts are tried in increasing order, one state by the checker
-    and more by the sweep, each decided exactly, so a returned structure
-    has as few states as any model within the budget.  `seed` reaches only
-    the solver, which the sweep runs on sizes above `FAMILY_CAP`.  None
-    means no model within the budget.
+    State counts are tried in increasing order by the sweep, each decided
+    exactly, so a returned structure has as few states as any model within
+    the budget.  `seed` reaches only the solver, which the sweep runs on
+    sizes above `FAMILY_CAP`.  None means no model within the budget.
     It is exact (no model of any size) when the tableau refuted the
     formula or it has no propositions, and otherwise not a proof that none
     exists beyond the budget; callers report it as a bounded verdict
     either way.
     A given `alphabet` must pass `kripke.check_alphabet`, whether or not a
-    model is found.
+    model is found, and contain the formula's propositions
+    (`kripke.UnknownProposition` otherwise).
     """
     if max_states < 1:
         raise ValueError("state budget must be at least 1")
@@ -366,20 +336,11 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
     else:
         alphabet = tuple(alphabet)
         check_alphabet(alphabet)
-        missing = set(props) - set(alphabet)
-        if missing:
-            raise ValueError(f"alphabet is missing propositions {missing}")
-    target = ctl.enf(formula, props)
-    loops = _self_loops(props)
-    looped = checker.sat_set(loops, target)
-    if looped:
-        model = _rooted(alphabet, [loops.labels[min(looped)]],
-                        [frozenset({0})])
-    elif props:
-        model = _sweep(ctl.to_dag(target), max_states, props, alphabet,
-                       seed)
-    else:
-        return None
+        for prop in props:
+            if prop not in alphabet:
+                raise UnknownProposition(prop)
+    model = _sweep(ctl.enf(formula, props), max_states, props, alphabet,
+                   seed)
     if model is not None and not checker.holds(model, formula):
         raise SynthesisInconsistency(
             f"synthesized structure fails {ctl.print_ctl(formula)}")

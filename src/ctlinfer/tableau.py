@@ -34,10 +34,10 @@ paper; callers only rely on False.
 The procedure is exponential in the number of elementary formulas, so
 above `MAX_ELEMENTARY` of them it answers None, undecided.  It takes the
 formula's syntax DAG (`ctl.to_dag`, which rejects non-ENF input), the one
-`synth.synthesize` then evaluates over its families of small structures
-or encodes.  Atom sets are ints used as bitsets over atom indices, as in
-`checker`: one mask per DAG node, and `allowed[a]` is an AND of the masks
-of the false EX targets of atom a.
+`synth.synthesize` then encodes for the sizes above its families' cap.
+Atom sets are ints used as bitsets over atom indices, as in `checker`:
+one mask per DAG node, and `allowed[a]` is an AND of the masks of the
+false EX targets of atom a.
 """
 
 from __future__ import annotations

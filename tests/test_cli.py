@@ -121,6 +121,14 @@ class TestCheck:
         assert code == 2
         assert "no_such_file" in err
 
+    def test_undecodable_file_is_usage(self, capsys, tmp_path):
+        binary = tmp_path / "binary.kripke"
+        binary.write_bytes(b"kripke\nprops: p\xff\n")
+        code, out, err = invoke(capsys, "check", str(binary), "p")
+        assert_usage_error(code, err)
+        assert "binary.kripke" in err
+        assert out == ""
+
 
 class TestLearn:
     def test_minimal_formula_with_trace(self, capsys):
@@ -228,6 +236,12 @@ class TestSynth:
                                     "--props", props)
             assert_usage_error(code, err)
             assert out == "", props
+
+    def test_alphabet_missing_a_formula_proposition_is_usage(self, capsys):
+        code, out, err = invoke(capsys, "synth", "q", "--props", "p")
+        assert_usage_error(code, err)
+        assert "'q'" in err
+        assert out == ""
 
 
 class TestInfer:
@@ -382,16 +396,21 @@ def test_deep_formula_is_an_internal_error(capsys):
     assert err.startswith("internal error: RecursionError")
 
 
-def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+@pytest.mark.parametrize("exc, message", [
+    (KeyError("lost"), "KeyError: 'lost'"),
+    (ValueError("x"), "ValueError: x"),
+], ids=["KeyError", "ValueError"])
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch, exc,
+                                                   message):
     def explode(*args, **kwargs):
-        raise KeyError("lost")
+        raise exc
 
     monkeypatch.setattr(cli.ceg, "infer", explode)
     code, out, err = invoke(capsys, "infer", str(FIX / "selfloop_p.kripke"),
                             "--bound", "2")
     assert code == 3
     assert out == ""
-    assert err == "internal error: KeyError: 'lost'\n"
+    assert err == f"internal error: {message}\n"
 
 
 def test_seeded_runs_are_identical(capsys):

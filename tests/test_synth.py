@@ -160,7 +160,8 @@ ALPHABETS = [(), ("p",), ("p", "q")]
 
 
 class TestOneState:
-    """The checker pass over the self-loops decides the one-state case."""
+    """The one-state family, the union of the one-state self-loops, decides
+    the one-state case."""
 
     @pytest.mark.parametrize("alphabet", ALPHABETS)
     def test_one_state_model_iff_a_self_loop_satisfies(self, alphabet):
@@ -176,7 +177,7 @@ class TestOneState:
     def test_one_state_models_skip_dag_tableau_and_solver(self, alphabet,
                                                           monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("a one-state model went past the checker")
+            raise AssertionError("a one-state model went past its family")
 
         cases = [f for f, looped in one_state_cases(alphabet) if looped]
         assert cases
@@ -199,13 +200,12 @@ class TestOneState:
 class TestFamily:
     """One pass over every structure of a size decides it as SAT does."""
 
-    @pytest.mark.parametrize("num_states", [2, 3])
+    @pytest.mark.parametrize("num_states", [1, 2, 3])
     def test_family_matches_the_sat_instance(self, num_states):
         for f in ctl.enumerate_formulas(("p", "q"), 4):
-            dag = ctl.to_dag(f)
             props = tuple(sorted(ctl.propositions(f)))
-            model = synth._family_model(dag, num_states, props, props)
-            expected = synth._solve(dag, num_states, props, 0)
+            model = synth._family_model(f, num_states, props, props)
+            expected = synth._solve(ctl.to_dag(f), num_states, props, 0)
             assert (model is None) == (expected is None), ctl.print_ctl(f)
             if model is not None:
                 assert model.size == num_states
@@ -213,25 +213,30 @@ class TestFamily:
                 assert model.alphabet == props
                 assert helpers.naive_holds(model, f), ctl.print_ctl(f)
 
-    def test_family_matches_enumeration(self):
-        structures = list(helpers.all_structures(2, ("p",)))
+    @pytest.mark.parametrize("num_states", [1, 2])
+    def test_family_matches_enumeration(self, num_states):
+        structures = list(helpers.all_structures(num_states, ("p",)))
         for f in ctl.enumerate_formulas(("p",), 4):
-            model = synth._family_model(ctl.to_dag(f), 2, ("p",), ("p",))
+            model = synth._family_model(f, num_states, ("p",), ("p",))
             expected = any(helpers.naive_holds(m, f) for m in structures)
             assert (model is not None) == expected, ctl.print_ctl(f)
 
     def test_other_propositions_stay_false(self):
         f = ctl.parse_ctl("EX p & EX !p")
-        m = synth._family_model(ctl.to_dag(f), 2, ("p",), ("p", "q", "r"))
+        m = synth._family_model(ctl.enf(f), 2, ("p",), ("p", "q", "r"))
         assert m.alphabet == ("p", "q", "r")
         assert all(label <= {"p"} for label in m.labels)
         assert helpers.naive_holds(m, f)
 
     def test_above_the_cap_the_solver_decides(self, monkeypatch):
-        def no_family(*args):
-            raise AssertionError("a family above the cap was built")
+        family = synth._family
 
-        monkeypatch.setattr(synth, "_family", no_family)
+        def one_state_family(num_states, num_props):
+            if num_states > 1:
+                raise AssertionError("a family above the cap was built")
+            return family(num_states, num_props)
+
+        monkeypatch.setattr(synth, "_family", one_state_family)
         solve = CdclSolver.solve
         verdicts = []
 
