@@ -17,10 +17,10 @@ Subcommands:
 Standard output is machine-parseable: the final answer is the last line,
 prefixed `result: `.  Diagnostics go to standard error.  Exit codes:
 0 success, 1 negative verdict (fails / no model / no consistent formula),
-2 usage, parse or I/O errors (such as an unwritable output path), 3
-backend or internal failure.  `--seed` makes backend decisions
-reproducible: identical invocations with the same seed produce identical
-output.
+2 usage, parse or I/O errors (such as a formula nested past
+`ctl.MAX_NESTING` or an unwritable output path), 3 backend or internal
+failure.  `--seed` makes backend decisions reproducible: identical
+invocations with the same seed produce identical output.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ __all__ = [
     "Implies", "ExistsNext", "ExistsUntil", "ExistsGlobally",
     "ExistsFinally", "ForallNext", "ForallUntil", "ForallGlobally",
     "ForallFinally", "CtlError", "ParseError", "NotInEnf",
-    "RESERVED_WORDS", "parse_ctl", "print_ctl", "enf", "is_enf",
+    "RESERVED_WORDS", "MAX_NESTING", "parse_ctl", "print_ctl", "enf", "is_enf",
     "subformulas", "size", "propositions",
     "DagNode", "SyntaxDag", "to_dag", "enumerate_formulas",
 ]
@@ -51,7 +51,15 @@ class NotInEnf(CtlError):
 
 
 class CtlFormula:
-    """Base class for formula nodes.  Subclasses are frozen dataclasses."""
+    """Base class for formula nodes.
+
+    Nodes come in four shapes, each a frozen, slotted dataclass: `Prop`
+    (a name), `Const` (a truth value), `_Unary` (`operand`) and `_Binary`
+    (`left`, `right`).  The twelve operator classes are empty subclasses
+    of the last two, so they share their shape's `__init__`, `__eq__`,
+    `__hash__` and `__repr__`.  Equality still compares the class, and a
+    hash is that of the field tuple.
+    """
 
     __slots__ = ()
 
@@ -80,82 +88,38 @@ FALSE = Const(False)
 
 
 @dataclass(frozen=True, slots=True)
-class Not(CtlFormula):
+class _Unary(CtlFormula):
     operand: CtlFormula
 
 
 @dataclass(frozen=True, slots=True)
-class And(CtlFormula):
+class _Binary(CtlFormula):
     left: CtlFormula
     right: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
-class Or(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
+class Not(_Unary): __slots__ = ()
+class And(_Binary): __slots__ = ()
+class Or(_Binary): __slots__ = ()
+class Implies(_Binary): __slots__ = ()
+class ExistsNext(_Unary): __slots__ = ()
+class ExistsUntil(_Binary): __slots__ = ()
+class ExistsGlobally(_Unary): __slots__ = ()
+class ExistsFinally(_Unary): __slots__ = ()
+class ForallNext(_Unary): __slots__ = ()
+class ForallUntil(_Binary): __slots__ = ()
+class ForallGlobally(_Unary): __slots__ = ()
+class ForallFinally(_Unary): __slots__ = ()
 
-
-@dataclass(frozen=True, slots=True)
-class Implies(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ExistsNext(CtlFormula):
-    operand: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ExistsUntil(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ExistsGlobally(CtlFormula):
-    operand: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ExistsFinally(CtlFormula):
-    operand: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ForallNext(CtlFormula):
-    operand: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ForallUntil(CtlFormula):
-    left: CtlFormula
-    right: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ForallGlobally(CtlFormula):
-    operand: CtlFormula
-
-
-@dataclass(frozen=True, slots=True)
-class ForallFinally(CtlFormula):
-    operand: CtlFormula
-
-
-_UNARY = (Not, ExistsNext, ExistsGlobally, ExistsFinally,
-          ForallNext, ForallGlobally, ForallFinally)
-_BINARY = (And, Or, Implies, ExistsUntil, ForallUntil)
 
 # ENF fragment: propositions plus these connectives.
 _ENF_OPS = (Not, And, Or, ExistsNext, ExistsUntil, ExistsGlobally)
 
 
 def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
-    if isinstance(f, _UNARY):
+    if isinstance(f, _Unary):
         return (f.operand,)
-    if isinstance(f, _BINARY):
+    if isinstance(f, _Binary):
         return (f.left, f.right)
     return ()
 
@@ -211,8 +175,24 @@ def propositions(f: CtlFormula) -> frozenset[str]:
 #            | 'A' '[' formula 'U' formula ']'
 #            | atom
 #   atom    := 'true' | 'false' | name | '(' formula ')'
+#
+# Every walk of a formula (this parser, `enf`, `print_ctl`, `to_dag`,
+# `checker.evaluate`, hashing) recurses once per level, so `parse_ctl`
+# refuses more than `MAX_NESTING` prefix operators, until brackets and
+# parentheses around one token, or operators on one root-to-leaf path.
+# At the limit the deepest walk, `check --sets` on `A[` nested 64 deep
+# (ENF puts five nodes above each f of `A[f U g]`; hashing takes two
+# frames a node), uses about 650 of Python's default 1000 frames.
+
+MAX_NESTING = 64
 
 _TOKEN_RE = re.compile(r"->|[!&|()\[\]]|[A-Za-z_][A-Za-z0-9_]*")
+
+_PREFIX = {"!": Not, "EX": ExistsNext, "EG": ExistsGlobally,
+           "EF": ExistsFinally, "AX": ForallNext, "AG": ForallGlobally,
+           "AF": ForallFinally}
+
+_Parsed = tuple[CtlFormula, int]  # a subformula and its height
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
@@ -236,6 +216,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.idx = 0
+        self.depth = 0  # prefix operators, brackets and parentheses open
 
     def peek(self) -> str:
         return self.tokens[self.idx][0]
@@ -254,70 +235,89 @@ class _Parser:
             raise ParseError(f"expected {what}, found {got!r}", self.pos())
         self.take()
 
-    def formula(self) -> CtlFormula:
+    def enter(self) -> None:
+        """Take the token that opens one more level of nesting."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nested more than {MAX_NESTING} deep",
+                             self.pos())
+        self.take()
+        self.depth += 1
+
+    def node(self, ctor: type[CtlFormula], *parts: _Parsed) -> _Parsed:
+        """`ctor` over `parts`, and its height: the operators on its
+        longest root-to-leaf path."""
+        height = 1 + max(h for _, h in parts)
+        if height > MAX_NESTING:
+            raise ParseError(f"formula more than {MAX_NESTING} operators "
+                             f"deep", self.pos())
+        return ctor(*(f for f, _ in parts)), height
+
+    def formula(self) -> _Parsed:
         left = self.or_expr()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.formula())
+            return self.node(Implies, left, self.formula())
         return left
 
-    def or_expr(self) -> CtlFormula:
+    def or_expr(self) -> _Parsed:
         f = self.and_expr()
         while self.peek() == "|":
             self.take()
-            f = Or(f, self.and_expr())
+            f = self.node(Or, f, self.and_expr())
         return f
 
-    def and_expr(self) -> CtlFormula:
+    def and_expr(self) -> _Parsed:
         f = self.unary()
         while self.peek() == "&":
             self.take()
-            f = And(f, self.unary())
+            f = self.node(And, f, self.unary())
         return f
 
-    def unary(self) -> CtlFormula:
+    def unary(self) -> _Parsed:
         tok = self.peek()
-        if tok == "!":
-            self.take()
-            return Not(self.unary())
-        prefix = {"EX": ExistsNext, "EG": ExistsGlobally, "EF": ExistsFinally,
-                  "AX": ForallNext, "AG": ForallGlobally, "AF": ForallFinally}
-        if tok in prefix:
-            self.take()
-            return prefix[tok](self.unary())
-        if tok in ("E", "A"):
-            self.take()
+        if tok in _PREFIX:
+            self.enter()
+            f = self.node(_PREFIX[tok], self.unary())
+        elif tok in ("E", "A"):
+            self.enter()
             self.expect("[", "'[' after path quantifier")
             left = self.formula()
             self.expect("U", "'U' inside until")
             right = self.formula()
             self.expect("]", "']' closing until")
-            return (ExistsUntil if tok == "E" else ForallUntil)(left, right)
-        return self.atom()
+            f = self.node(ExistsUntil if tok == "E" else ForallUntil,
+                          left, right)
+        else:
+            return self.atom()
+        self.depth -= 1
+        return f
 
-    def atom(self) -> CtlFormula:
+    def atom(self) -> _Parsed:
         tok = self.peek()
         if tok == "(":
-            self.take()
+            self.enter()
             f = self.formula()
             self.expect(")", "closing parenthesis")
+            self.depth -= 1
             return f
         if tok == "true":
             self.take()
-            return TRUE
+            return TRUE, 0
         if tok == "false":
             self.take()
-            return FALSE
+            return FALSE, 0
         if tok and _IDENT_RE.match(tok) and tok not in RESERVED_WORDS:
             self.take()
-            return Prop(tok)
+            return Prop(tok), 0
         got = tok or "end of input"
         raise ParseError(f"expected a formula, found {got!r}", self.pos())
 
 
 def parse_ctl(text: str) -> CtlFormula:
+    """Parse the concrete syntax above; `ParseError` on malformed input or
+    input nested past `MAX_NESTING`."""
     parser = _Parser(text)
-    f = parser.formula()
+    f, _ = parser.formula()
     if parser.peek() != "":
         raise ParseError(f"unexpected trailing input {parser.peek()!r}",
                          parser.pos())
@@ -327,10 +327,8 @@ def parse_ctl(text: str) -> CtlFormula:
 # Precedence levels used by the printer; higher binds tighter.
 _PREC_IMPLIES, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5
 
-_UNARY_SYMBOL = {
-    Not: "!", ExistsNext: "EX ", ExistsGlobally: "EG ", ExistsFinally: "EF ",
-    ForallNext: "AX ", ForallGlobally: "AG ", ForallFinally: "AF ",
-}
+_UNARY_SYMBOL = {ctor: tok if tok == "!" else tok + " "
+                 for tok, ctor in _PREFIX.items()}
 
 
 def _fmt(f: CtlFormula, min_prec: int) -> str:
@@ -341,7 +339,7 @@ def _fmt(f: CtlFormula, min_prec: int) -> str:
     if isinstance(f, (ExistsUntil, ForallUntil)):
         q = "E" if isinstance(f, ExistsUntil) else "A"
         return f"{q}[{_fmt(f.left, 0)} U {_fmt(f.right, 0)}]"
-    if isinstance(f, _UNARY):
+    if isinstance(f, _Unary):
         text = _UNARY_SYMBOL[type(f)] + _fmt(f.operand, _PREC_UNARY)
         prec = _PREC_UNARY
     elif isinstance(f, And):
@@ -383,20 +381,12 @@ def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
             p = Prop(alphabet[0])
             return Or(p, Not(p)) if f.value else And(p, Not(p))
         return f
-    if isinstance(f, Not):
-        return Not(enf(f.operand, alphabet))
-    if isinstance(f, And):
-        return And(enf(f.left, alphabet), enf(f.right, alphabet))
-    if isinstance(f, Or):
-        return Or(enf(f.left, alphabet), enf(f.right, alphabet))
+    if isinstance(f, _ENF_OPS):
+        if isinstance(f, _Unary):
+            return type(f)(enf(f.operand, alphabet))
+        return type(f)(enf(f.left, alphabet), enf(f.right, alphabet))
     if isinstance(f, Implies):
         return Or(Not(enf(f.left, alphabet)), enf(f.right, alphabet))
-    if isinstance(f, ExistsNext):
-        return ExistsNext(enf(f.operand, alphabet))
-    if isinstance(f, ExistsUntil):
-        return ExistsUntil(enf(f.left, alphabet), enf(f.right, alphabet))
-    if isinstance(f, ExistsGlobally):
-        return ExistsGlobally(enf(f.operand, alphabet))
     if isinstance(f, ExistsFinally):
         return ExistsUntil(enf(TRUE, alphabet), enf(f.operand, alphabet))
     if isinstance(f, ForallNext):

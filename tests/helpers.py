@@ -241,6 +241,23 @@ def random_ctl(rng: random.Random, alphabet: Sequence[str],
                 random_ctl(rng, alphabet, depth - 1))
 
 
+# Formula text of each shape nested n levels deep: n prefix operators,
+# until brackets or parentheses around the innermost proposition, or n
+# operators on the longest root-to-leaf path.  `A[` nests on the left,
+# since ENF repeats the right operand of `A[f U g]` three times.
+NESTED_SHAPES: dict[str, Callable[[int], str]] = {
+    "parentheses": lambda n: "(" * n + "p" + ")" * n,
+    "negation": lambda n: "!" * n + "p",
+    "AG": lambda n: "AG " * n + "p",
+    "negated-parentheses": lambda n: ("!(" * (n // 2) + "!" * (n % 2) + "p"
+                                      + ")" * (n // 2)),
+    "E-until": lambda n: "E[p U " * n + "q" + "]" * n,
+    "A-until": lambda n: "A[" * n + "q" + " U p]" * n,
+    "conjunction": lambda n: " & ".join(["p"] * (n + 1)),
+    "implication": lambda n: " -> ".join(["p"] * (n + 1)),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _enf_formulas(alphabet: tuple[str, ...],
                   max_size: int) -> tuple[CtlFormula, ...]:

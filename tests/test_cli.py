@@ -10,7 +10,7 @@ import pytest
 
 import ctlinfer
 import helpers
-from ctlinfer import cli, kripke, learner, sat
+from ctlinfer import cli, ctl, kripke, learner, sat
 from ctlinfer.cli import run
 
 FIX = helpers.FIXTURES
@@ -387,13 +387,41 @@ def test_decode_audit_failure_exit_code(capsys, monkeypatch):
     assert "backend failure: assignment fixes 0 choices" in err
 
 
-def test_deep_formula_is_an_internal_error(capsys):
+def test_deep_formula_is_a_usage_error(capsys):
     deep = "!" * 3000 + "p"
     code, out, err = invoke(capsys, "check",
                             str(FIX / "selfloop_p.kripke"), deep)
-    assert code == 3
+    assert_usage_error(code, err)
     assert out == ""
-    assert err.startswith("internal error: RecursionError")
+    assert f"nested more than {ctl.MAX_NESTING} deep" in err
+
+
+NESTED_COMMANDS = {
+    "check": lambda f: ["check", str(FIX / "two_state_pq.kripke"), f],
+    "check-sets": lambda f: ["check", str(FIX / "two_state_pq.kripke"), f,
+                             "--sets"],
+    "synth": lambda f: ["synth", f, "--max-states", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NESTED_COMMANDS))
+@pytest.mark.parametrize("shape", sorted(helpers.NESTED_SHAPES))
+def test_formula_at_the_nesting_limit_is_answered(capsys, shape, command):
+    formula = helpers.NESTED_SHAPES[shape](ctl.MAX_NESTING)
+    code, out, err = invoke(capsys, *NESTED_COMMANDS[command](formula))
+    assert code in (0, 1), err
+    assert last_line(out).startswith("result: ")
+
+
+@pytest.mark.parametrize("command", sorted(NESTED_COMMANDS))
+@pytest.mark.parametrize("shape", sorted(helpers.NESTED_SHAPES))
+def test_formula_past_the_nesting_limit_is_a_usage_error(capsys, shape,
+                                                         command):
+    formula = helpers.NESTED_SHAPES[shape](ctl.MAX_NESTING + 1)
+    code, out, err = invoke(capsys, *NESTED_COMMANDS[command](formula))
+    assert_usage_error(code, err)
+    assert out == ""
+    assert f"more than {ctl.MAX_NESTING}" in err
 
 
 @pytest.mark.parametrize("exc, message", [

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -89,6 +90,85 @@ class TestParser:
     def test_rejects_stray_characters(self):
         with pytest.raises(ctl.ParseError):
             ctl.parse_ctl("p @ q")
+
+    @pytest.mark.parametrize("shape", sorted(helpers.NESTED_SHAPES))
+    def test_nesting_limit(self, shape):
+        build = helpers.NESTED_SHAPES[shape]
+        f = ctl.parse_ctl(build(ctl.MAX_NESTING))
+        assert ctl.parse_ctl(ctl.print_ctl(f)) == f
+        with pytest.raises(ctl.ParseError,
+                           match=f"more than {ctl.MAX_NESTING}"):
+            ctl.parse_ctl(build(ctl.MAX_NESTING + 1))
+
+    def test_nesting_error_points_at_the_opening_token(self):
+        with pytest.raises(ctl.ParseError) as err:
+            ctl.parse_ctl("p & " + "EX " * 70 + "p")
+        assert err.value.position == 5 + 3 * ctl.MAX_NESTING
+
+
+OPERATORS = [Not, And, ctl.Or, ctl.Implies, ExistsNext, ExistsUntil,
+             ExistsGlobally, ctl.ExistsFinally, ctl.ForallNext,
+             ctl.ForallUntil, ctl.ForallGlobally, ctl.ForallFinally]
+NODE_CLASSES = [Prop, Const] + OPERATORS
+
+
+def field_names(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def example_node(cls):
+    """A node of class `cls`: `p`, `true`, or an operator over p (and q)."""
+    if cls is Const:
+        return Const(True)
+    if cls is Prop:
+        return Prop("p")
+    return cls(*(Prop("p"), Prop("q"))[:len(field_names(cls))])
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+class TestNodeContract:
+    """Every node class keeps the behaviour of a frozen, slotted dataclass
+    of its own, whichever class generated the methods."""
+
+    def test_equality_is_class_sensitive(self, cls):
+        node = example_node(cls)
+        values = tuple(getattr(node, name) for name in field_names(cls))
+        assert node == cls(*values)
+        for other in NODE_CLASSES:
+            if other is not cls and field_names(other) == field_names(cls):
+                assert node != other(*values)
+                assert other(*values) != node
+
+    def test_hash_is_the_field_tuple_hash(self, cls):
+        node = example_node(cls)
+        assert hash(node) == hash(
+            tuple(getattr(node, name) for name in field_names(cls)))
+
+    def test_repr(self, cls):
+        fields = {
+            ("name",): "name='p'",
+            ("value",): "value=True",
+            ("operand",): "operand=Prop(name='p')",
+            ("left", "right"): "left=Prop(name='p'), right=Prop(name='q')",
+        }[field_names(cls)]
+        assert repr(example_node(cls)) == f"{cls.__name__}({fields})"
+
+    def test_frozen_without_dict(self, cls):
+        node = example_node(cls)
+        for name in field_names(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, name, Prop("r"))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(node, name)
+        assert not hasattr(node, "__dict__")
+
+
+@pytest.mark.parametrize("cls", OPERATORS, ids=lambda cls: cls.__name__)
+def test_operator_classes_define_no_methods(cls):
+    # The shape classes generate every method once; an operator class that
+    # carries its own would be a dataclass of its own again.
+    assert set(vars(cls)) <= {"__module__", "__qualname__", "__doc__",
+                              "__slots__"}
 
 
 def test_print_minimal_parentheses():
