@@ -253,11 +253,16 @@ class _Parser:
         return ctor(*(f for f, _ in parts)), height
 
     def formula(self) -> _Parsed:
-        left = self.or_expr()
-        if self.peek() == "->":
+        # A loop, not a recursion, so that a long `->` chain is refused by
+        # `node` before it can exhaust the stack.
+        operands = [self.or_expr()]
+        while self.peek() == "->":
             self.take()
-            return self.node(Implies, left, self.formula())
-        return left
+            operands.append(self.or_expr())
+        f = operands.pop()
+        while operands:
+            f = self.node(Implies, operands.pop(), f)
+        return f
 
     def or_expr(self) -> _Parsed:
         f = self.and_expr()

@@ -396,6 +396,16 @@ def test_deep_formula_is_a_usage_error(capsys):
     assert f"nested more than {ctl.MAX_NESTING} deep" in err
 
 
+@pytest.mark.parametrize("shape", sorted(helpers.NESTED_SHAPES))
+def test_every_shape_nested_3000_deep_is_a_usage_error(capsys, shape):
+    formula = helpers.NESTED_SHAPES[shape](3000)
+    code, out, err = invoke(capsys, "check",
+                            str(FIX / "selfloop_p.kripke"), formula)
+    assert_usage_error(code, err)
+    assert out == ""
+    assert f"more than {ctl.MAX_NESTING}" in err
+
+
 NESTED_COMMANDS = {
     "check": lambda f: ["check", str(FIX / "two_state_pq.kripke"), f],
     "check-sets": lambda f: ["check", str(FIX / "two_state_pq.kripke"), f,

@@ -100,6 +100,12 @@ class TestParser:
                            match=f"more than {ctl.MAX_NESTING}"):
             ctl.parse_ctl(build(ctl.MAX_NESTING + 1))
 
+    @pytest.mark.parametrize("shape", sorted(helpers.NESTED_SHAPES))
+    def test_far_past_the_limit_is_a_parse_error(self, shape):
+        with pytest.raises(ctl.ParseError,
+                           match=f"more than {ctl.MAX_NESTING}"):
+            ctl.parse_ctl(helpers.NESTED_SHAPES[shape](3000))
+
     def test_nesting_error_points_at_the_opening_token(self):
         with pytest.raises(ctl.ParseError) as err:
             ctl.parse_ctl("p & " + "EX " * 70 + "p")
