@@ -96,15 +96,10 @@ class TestParser:
         build = helpers.NESTED_SHAPES[shape]
         f = ctl.parse_ctl(build(ctl.MAX_NESTING))
         assert ctl.parse_ctl(ctl.print_ctl(f)) == f
-        with pytest.raises(ctl.ParseError,
-                           match=f"more than {ctl.MAX_NESTING}"):
-            ctl.parse_ctl(build(ctl.MAX_NESTING + 1))
-
-    @pytest.mark.parametrize("shape", sorted(helpers.NESTED_SHAPES))
-    def test_far_past_the_limit_is_a_parse_error(self, shape):
-        with pytest.raises(ctl.ParseError,
-                           match=f"more than {ctl.MAX_NESTING}"):
-            ctl.parse_ctl(helpers.NESTED_SHAPES[shape](3000))
+        for depth in (ctl.MAX_NESTING + 1, 3000):
+            with pytest.raises(ctl.ParseError,
+                               match=f"more than {ctl.MAX_NESTING}"):
+                ctl.parse_ctl(build(depth))
 
     def test_nesting_error_points_at_the_opening_token(self):
         with pytest.raises(ctl.ParseError) as err:
