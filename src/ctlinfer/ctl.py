@@ -5,8 +5,8 @@ and the temporal operators EX/EG/EU plus the usual derived forms (EF, AX,
 AG, AF, AU, implication, constants).  The learner and synthesizer work on
 the existential normal form (ENF) fragment: propositions, negation,
 conjunction, disjunction, EX, EU and EG.  `enf` rewrites any formula into
-that fragment; `to_dag` turns an ENF formula into its canonical syntax DAG
-in which identical subterms share one node.
+that fragment.  A formula is its own syntax DAG, in which identical
+subterms are one node; `subterms` lists its nodes, children first.
 
 Formula size is the number of *distinct* subformulas, i.e. the node count
 of the syntax DAG, not the node count of the tree.
@@ -15,8 +15,8 @@ of the syntax DAG, not the node count of the tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Sequence
 
 __all__ = [
     "CtlFormula", "Prop", "Const", "TRUE", "FALSE", "Not", "And", "Or",
@@ -24,8 +24,8 @@ __all__ = [
     "ExistsFinally", "ForallNext", "ForallUntil", "ForallGlobally",
     "ForallFinally", "CtlError", "ParseError", "NotInEnf",
     "RESERVED_WORDS", "MAX_NESTING", "parse_ctl", "print_ctl", "enf", "is_enf",
-    "subformulas", "size", "propositions",
-    "DagNode", "SyntaxDag", "to_dag", "enumerate_formulas",
+    "subterms", "subformulas", "size", "propositions", "label",
+    "enumerate_formulas",
 ]
 
 # Words the formula lexer claims for itself; they cannot name propositions.
@@ -58,16 +58,33 @@ class CtlFormula:
     (`left`, `right`).  The twelve operator classes are empty subclasses
     of the last two, so they share their shape's `__init__`, `__eq__`,
     `__hash__` and `__repr__`.  Equality still compares the class, and a
-    hash is that of the field tuple.
+    hash is that of the field tuple.  Assigning or deleting any attribute
+    raises `FrozenInstanceError`.
     """
 
     __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __str__(self) -> str:
         return print_ctl(self)
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(cls: type) -> type:
+    """`cls` as a frozen, slotted dataclass that keeps the base class's
+    `__setattr__` and `__delattr__`.  The generated ones call `super()`
+    with the class that `slots=True` replaces, so on a name that is not a
+    field they raised `TypeError`."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    del cls.__setattr__, cls.__delattr__
+    return cls
+
+
+@_frozen
 class Prop(CtlFormula):
     name: str
 
@@ -78,7 +95,7 @@ class Prop(CtlFormula):
             raise CtlError(f"proposition name {self.name!r} is a reserved word")
 
 
-@dataclass(frozen=True, slots=True)
+@_frozen
 class Const(CtlFormula):
     value: bool
 
@@ -87,15 +104,38 @@ TRUE = Const(True)
 FALSE = Const(False)
 
 
-@dataclass(frozen=True, slots=True)
-class _Unary(CtlFormula):
+class _Operator(CtlFormula):
+    """An operator node.  Its `__hash__` stores the field-tuple hash in
+    `_hash` the first time it is asked, so a formula-keyed dict hashes
+    each node of a shared subterm once, not once per path to it.  It is
+    lazy: computing it in `__init__` made `enf` about 70% slower."""
+
+    __slots__ = ("_hash",)
+
+
+@_frozen
+class _Unary(_Operator):
     operand: CtlFormula
 
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.operand,)))
+            return self._hash
 
-@dataclass(frozen=True, slots=True)
-class _Binary(CtlFormula):
+
+@_frozen
+class _Binary(_Operator):
     left: CtlFormula
     right: CtlFormula
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.left, self.right)))
+            return self._hash
 
 
 class Not(_Unary): __slots__ = ()
@@ -133,22 +173,32 @@ def is_enf(f: CtlFormula) -> bool:
     return False
 
 
-def subformulas(f: CtlFormula) -> frozenset[CtlFormula]:
-    """All distinct subformulas of `f`, including `f` itself."""
+def subterms(f: CtlFormula) -> list[CtlFormula]:
+    """Every distinct subformula of `f` once, children before parents and
+    left before right, `f` last: the nodes of `f`'s syntax DAG, numbered
+    as `checker.evaluate` completes them."""
     seen: set[CtlFormula] = set()
-    stack = [f]
+    order: list[CtlFormula] = []
+    stack: list[CtlFormula | None] = [f]
     while stack:
         g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        stack.extend(children(g))
-    return frozenset(seen)
+        if g is None:  # the children of the node below it are done
+            order.append(stack.pop())
+        elif g not in seen:
+            seen.add(g)
+            stack += (g, None)
+            stack.extend(children(g)[::-1])
+    return order
+
+
+def subformulas(f: CtlFormula) -> frozenset[CtlFormula]:
+    """All distinct subformulas of `f`, including `f` itself."""
+    return frozenset(subterms(f))
 
 
 def size(f: CtlFormula) -> int:
     """Formula size: the number of distinct subformulas (DAG node count)."""
-    return len(subformulas(f))
+    return len(subterms(f))
 
 
 def propositions(f: CtlFormula) -> frozenset[str]:
@@ -176,13 +226,16 @@ def propositions(f: CtlFormula) -> frozenset[str]:
 #            | atom
 #   atom    := 'true' | 'false' | name | '(' formula ')'
 #
-# Every walk of a formula (this parser, `enf`, `print_ctl`, `to_dag`,
-# `checker.evaluate`, hashing) recurses once per level, so `parse_ctl`
-# refuses more than `MAX_NESTING` prefix operators, until brackets and
-# parentheses around one token, or operators on one root-to-leaf path.
-# At the limit the deepest walk, `check --sets` on `A[` nested 64 deep
-# (ENF puts five nodes above each f of `A[f U g]`; hashing takes two
-# frames a node), uses about 650 of Python's default 1000 frames.
+# Every walk of a formula but `subterms` and `propositions` (this parser,
+# `enf`, `print_ctl`, `checker.evaluate`, and hashing on first use)
+# recurses once per level, so `parse_ctl` refuses more than `MAX_NESTING`
+# prefix operators, until brackets and parentheses around one token, or
+# operators on one root-to-leaf path.  At the limit the deepest walk is
+# the first hash of an ENF root: `synth` on `p & EX !p & ` and `A[` nested
+# 63 deep on the left hashes its ENF root before any child (in the
+# tableau's `subterms`), two frames a node, and ENF puts five nodes above
+# each f of `A[f U g]`.  It runs under a recursion limit of 641, of
+# Python's default 1000.
 
 MAX_NESTING = 64
 
@@ -413,10 +466,10 @@ def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
 
 
 # ---------------------------------------------------------------------------
-# Canonical syntax DAGs
+# Node labels
 # ---------------------------------------------------------------------------
 
-# Operator labels as they appear on DAG nodes.
+# Operator labels as the learner's encoding names syntax-DAG nodes.
 NOT_LABEL, AND_LABEL, OR_LABEL = "!", "&", "|"
 EX_LABEL, EU_LABEL, EG_LABEL = "EX", "EU", "EG"
 OPERATOR_LABELS = (NOT_LABEL, AND_LABEL, OR_LABEL, EX_LABEL, EU_LABEL, EG_LABEL)
@@ -429,77 +482,15 @@ _NODE_LABEL = {Not: NOT_LABEL, And: AND_LABEL, Or: OR_LABEL,
 LABEL_CONSTRUCTORS = {label: ctor for ctor, label in _NODE_LABEL.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class DagNode:
-    """One shared subterm: a proposition name or an operator label."""
-    label: str
-    left: int | None = None
-    right: int | None = None
-
-
-@dataclass(frozen=True)
-class SyntaxDag:
-    """Syntax DAG of an ENF formula (`to_dag` gives the canonical one).
-
-    Nodes are numbered 1..size with children strictly smaller than their
-    parents and node 1 a proposition; `nodes[i - 1]` holds node i and the
-    root is the last node.
-    """
-
-    nodes: tuple[DagNode, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def root(self) -> int:
-        return len(self.nodes)
-
-    def __iter__(self) -> Iterator[tuple[int, DagNode]]:
-        return ((i + 1, n) for i, n in enumerate(self.nodes))
-
-    def to_formula(self) -> CtlFormula:
-        built: dict[int, CtlFormula] = {}
-        for i, node in self:
-            if node.left is None:
-                built[i] = Prop(node.label)
-            elif node.right is None:
-                built[i] = LABEL_CONSTRUCTORS[node.label](built[node.left])
-            else:
-                built[i] = LABEL_CONSTRUCTORS[node.label](
-                    built[node.left], built[node.right])
-        return built[self.root]
-
-
-def to_dag(f: CtlFormula) -> SyntaxDag:
-    """Canonical syntax DAG of an ENF formula.
-
-    Numbering is a left-first post-order traversal with structural
-    sharing, so every child precedes its parent and the first node is the
-    leftmost proposition leaf.
-    """
-    if not is_enf(f):
+def label(f: CtlFormula) -> str:
+    """The label of `f` as a syntax-DAG node: its proposition's name or
+    its operator label; `NotInEnf` outside the ENF fragment."""
+    if isinstance(f, Prop):
+        return f.name
+    got = _NODE_LABEL.get(type(f))
+    if got is None:
         raise NotInEnf(f"not in existential normal form: {print_ctl(f)}")
-    index: dict[CtlFormula, int] = {}
-    nodes: list[DagNode] = []
-
-    def visit(g: CtlFormula) -> int:
-        got = index.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, Prop):
-            nodes.append(DagNode(g.name))
-        else:
-            kids = children(g)
-            left = visit(kids[0])
-            right = visit(kids[1]) if len(kids) == 2 else None
-            nodes.append(DagNode(_NODE_LABEL[type(g)], left, right))
-        index[g] = len(nodes)
-        return index[g]
-
-    visit(f)
-    return SyntaxDag(tuple(nodes))
+    return got
 
 
 # ---------------------------------------------------------------------------

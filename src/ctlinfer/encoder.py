@@ -65,8 +65,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sat
 from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
-                  NOT_LABEL, OPERATOR_LABELS, OR_LABEL, CtlFormula, DagNode,
-                  SyntaxDag)
+                  LABEL_CONSTRUCTORS, NOT_LABEL, OPERATOR_LABELS, OR_LABEL,
+                  CtlFormula, Prop)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
@@ -464,20 +464,21 @@ def decode_with_literals(assignment: Mapping[int, bool],
     """
     pool = instance.pool
     labels = instance.alphabet + OPERATOR_LABELS
-    nodes: list[DagNode] = []
+    built: list[CtlFormula] = []  # node i is built[i - 1]
     lits: list[int] = []
     for i in range(1, instance.size_budget + 1):
         lab = _true_key(assignment, pool, "x", i, labels)
         lits.append(pool.get("x", i, lab))
-        left = right = None
-        if lab in OPERATOR_LABELS:
-            left = _true_key(assignment, pool, "l", i, range(1, i))
-            lits.append(pool.get("l", i, left))
-            if lab in BINARY_LABELS:
-                right = _true_key(assignment, pool, "r", i, range(1, i))
-                lits.append(pool.get("r", i, right))
-        nodes.append(DagNode(lab, left, right))
-    return SyntaxDag(tuple(nodes)).to_formula(), lits
+        if lab not in OPERATOR_LABELS:
+            built.append(Prop(lab))
+            continue
+        children = []
+        for kind in ("l", "r") if lab in BINARY_LABELS else ("l",):
+            j = _true_key(assignment, pool, kind, i, range(1, i))
+            lits.append(pool.get(kind, i, j))
+            children.append(built[j - 1])
+        built.append(LABEL_CONSTRUCTORS[lab](*children))
+    return built[-1], lits
 
 
 def to_dimacs(instance: EncodingInstance) -> str:

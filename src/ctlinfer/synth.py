@@ -13,16 +13,17 @@ each one exactly, in two stages:
    one truth value at every state of every total structure (with labels
    ignored, all of them are bisimilar), so the family of one self-loop
    decides it outright, constants included.
-2. The tableau, then the sweep, m = 2..max_states.  The ENF formula's
-   syntax DAG is built once.  `tableau.satisfiable` decides the formula
-   exactly when it has at most `tableau.MAX_ELEMENTARY` elementary
-   formulas (and answers None, undecided, above).  An unsatisfiable
-   formula has no model of any size, so none within the budget either,
-   and the answer is None with no sweep.  Otherwise, when the family of
-   all total m-state structures over the formula's k propositions has at
-   most `FAMILY_CAP` components, it decides size m (`_family_model`);
-   above the cap a CNF instance over free transition and labelling
-   variables, built from the DAG, is solved (`_solve`).
+2. The tableau, then the sweep, m = 2..max_states, both on the ENF
+   formula, whose syntax DAG they walk by `ctl.subterms` (a node outside
+   ENF raises `ctl.NotInEnf`).  `tableau.satisfiable` decides the
+   formula exactly when it has at most `tableau.MAX_ELEMENTARY`
+   elementary formulas (and answers None, undecided, above).  An
+   unsatisfiable formula has no model of any size, so none within the
+   budget either, and the answer is None with no sweep.  Otherwise, when
+   the family of all total m-state structures over the formula's k
+   propositions has at most `FAMILY_CAP` components, it decides size m
+   (`_family_model`); above the cap a CNF instance over free transition
+   and labelling variables, built from the DAG, is solved (`_solve`).
 
 A family is bit-parallel.  Its structures are the components of one
 disjoint union, (2^m - 1)^m successor shapes (one nonempty successor set
@@ -61,12 +62,12 @@ The CNF of the SAT sweep:
 
 * `t(s, s')` and `lab(s, p)` describe the candidate structure, with a
   totality clause per state and a single fixed initial state s0;
-* `h(i, s)` evaluates DAG node i in state s; successor disjunctions range
+* `h(g, s)` evaluates DAG node g in state s; successor disjunctions range
   over all states, each conjunct `t(s, s') & ...` introduced as a shared
   Tseitin product variable (full equivalence, numbered above the
   semantic variables);
 * EU/EG fixed points unroll to m' approximants, with step variables
-  `st(i, s, k)` for the inner ones, k = 2..m'-1.
+  `st(g, s, k)` for the inner ones, k = 2..m'-1.
 
 Operators are lowered by `encoder.lower_node`, the single home of the
 step semantics; only successors and propositions are symbolic here.  The
@@ -219,8 +220,9 @@ def _decode_structure(assignment: dict[int, bool], pool: VarPool,
          for s in states])
 
 
-def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
+def _encode(f: CtlFormula, num_states: int, alphabet: Sequence[str],
             ) -> tuple[VarPool, list[Clause]]:
+    nodes = ctl.subterms(f)
     pool = VarPool()
     states = range(num_states)
     for s in states:
@@ -229,14 +231,14 @@ def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
     for s in states:
         for p in alphabet:
             pool.var("lab", s, p)
-    for i, _ in dag:
+    for g in nodes:
         for s in states:
-            pool.var("h", i, s)
-    for i, node in dag:
-        if node.label in (ctl.EU_LABEL, ctl.EG_LABEL):
+            pool.var("h", g, s)
+    for g in nodes:
+        if isinstance(g, (ctl.ExistsUntil, ctl.ExistsGlobally)):
             for s in states:
                 for k in range(2, num_states):
-                    pool.var("st", i, s, k)
+                    pool.var("st", g, s, k)
 
     clauses: list[Clause] = []
     for s in states:
@@ -257,28 +259,29 @@ def _encode(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
         # t(s, s') & lit(s'), one shared product per pair
         return [product(pool.get("t", s, t), lit(t)) for t in states]
 
-    for i, node in dag:
-        if node.left is None:
+    for g in nodes:
+        if isinstance(g, ctl.Prop):
             for s in states:
-                clauses.extend(equiv_lit(pool.get("h", i, s),
-                                         pool.get("lab", s, node.label)))
+                clauses.extend(equiv_lit(pool.get("h", g, s),
+                                         pool.get("lab", s, g.name)))
             continue
-        left = lambda s, j=node.left: pool.get("h", j, s)
-        right = lambda s, j=node.right: pool.get("h", j, s)
-        step = lambda s, k, i=i: pool.get("st", i, s, k)
+        label = ctl.label(g)
+        left = lambda s, j=ctl.children(g)[0]: pool.get("h", j, s)
+        right = lambda s, j=getattr(g, "right", None): pool.get("h", j, s)
+        step = lambda s, k, g=g: pool.get("st", g, s, k)
         for s in states:
-            lower_node(clauses, node.label, s, pool.get("h", i, s), left,
+            lower_node(clauses, label, s, pool.get("h", g, s), left,
                        right, step, successors, num_states - 1)
 
-    clauses.append((pool.get("h", dag.root, 0),))
+    clauses.append((pool.get("h", f, 0),))
     return pool, clauses
 
 
-def _solve(dag: ctl.SyntaxDag, num_states: int, alphabet: Sequence[str],
+def _solve(f: CtlFormula, num_states: int, alphabet: Sequence[str],
            seed: int | None) -> KripkeStructure | None:
-    """A model of the formula of `dag` with exactly `num_states` states,
+    """A model of the ENF formula `f` with exactly `num_states` states,
     or None, by one CDCL solve of its `_encode` instance."""
-    pool, clauses = _encode(dag, num_states, alphabet)
+    pool, clauses = _encode(f, num_states, alphabet)
     backend = CdclSolver(seed=seed)
     backend.add_clauses(clauses)
     backend.reserve(pool.count)
@@ -298,14 +301,13 @@ def _sweep(target: CtlFormula, max_states: int, props: Sequence[str],
     model = _family_model(target, 1, props, alphabet)
     if model is not None or not props:
         return model
-    dag = ctl.to_dag(target)
-    if tableau.satisfiable(dag) is False:
+    if tableau.satisfiable(target) is False:
         return None
     for num_states in range(2, max_states + 1):
         if _components(num_states, len(props)) <= FAMILY_CAP:
             model = _family_model(target, num_states, props, alphabet)
         else:
-            model = _solve(dag, num_states, alphabet, seed)
+            model = _solve(target, num_states, alphabet, seed)
         if model is not None:
             return model
     return None

@@ -33,33 +33,39 @@ paper; callers only rely on False.
 
 The procedure is exponential in the number of elementary formulas, so
 above `MAX_ELEMENTARY` of them it answers None, undecided.  It takes the
-formula's syntax DAG (`ctl.to_dag`, which rejects non-ENF input), the one
-`synth.synthesize` then encodes for the sizes above its families' cap.
-Atom sets are ints used as bitsets over atom indices, as in `checker`:
-one mask per DAG node, and `allowed[a]` is an AND of the masks of the
-false EX targets of atom a.
+ENF formula and walks its syntax DAG (`ctl.subterms`); any other node
+raises `ctl.NotInEnf`.  Atom sets are ints used as bitsets over atom
+indices, as in `checker`: one mask per DAG node, and `allowed[a]` is an
+AND of the masks of the false EX targets of atom a.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .ctl import (AND_LABEL, EG_LABEL, EU_LABEL, EX_LABEL, NOT_LABEL,
-                  OR_LABEL, SyntaxDag)
+from .ctl import (And, CtlFormula, ExistsGlobally, ExistsNext, ExistsUntil,
+                  Not, NotInEnf, Or, Prop, print_ctl, subterms)
 
 __all__ = ["MAX_ELEMENTARY", "satisfiable"]
 
 # Largest elementary-formula count `satisfiable` decides (2 ** 12 atoms).
 MAX_ELEMENTARY = 12
 
+_TEMPORAL = (ExistsNext, ExistsUntil, ExistsGlobally)
+_ENF = (Prop, Not, And, Or, *_TEMPORAL)
 
-def _elementary(dag: SyntaxDag) -> tuple[list[int], list[int]]:
-    """The proposition leaves of `dag`, and the nodes j whose `EX j` is
-    elementary (EX operands, and every EU and EG node)."""
-    props = [i for i, node in dag if node.left is None]
-    nexts = dict.fromkeys(node.left if node.label == EX_LABEL else i
-                          for i, node in dag
-                          if node.label in (EX_LABEL, EU_LABEL, EG_LABEL))
+
+def _elementary(nodes: list[CtlFormula],
+                ) -> tuple[list[CtlFormula], list[CtlFormula]]:
+    """The propositions among `nodes`, and the subformulas g whose `EX g`
+    is elementary (EX operands, and every EU and EG node).  `NotInEnf`
+    names the first node outside ENF, a smallest one."""
+    for g in nodes:
+        if not isinstance(g, _ENF):
+            raise NotInEnf(f"not in existential normal form: {print_ctl(g)}")
+    props = [g for g in nodes if isinstance(g, Prop)]
+    nexts = dict.fromkeys(g.operand if isinstance(g, ExistsNext) else g
+                          for g in nodes if isinstance(g, _TEMPORAL))
     return props, list(nexts)
 
 
@@ -71,11 +77,12 @@ def _members(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def satisfiable(dag: SyntaxDag) -> bool | None:
-    """True iff some Kripke structure satisfies the ENF formula of `dag`;
+def satisfiable(f: CtlFormula) -> bool | None:
+    """True iff some Kripke structure satisfies the ENF formula `f`;
     None, with no atom built, when it has more than `MAX_ELEMENTARY`
     elementary formulas."""
-    props, nexts = _elementary(dag)
+    nodes = subterms(f)
+    props, nexts = _elementary(nodes)
     elementary = len(props) + len(nexts)
     if elementary > MAX_ELEMENTARY:
         return None
@@ -84,31 +91,28 @@ def satisfiable(dag: SyntaxDag) -> bool | None:
     # Atom a makes elementary formula k true iff bit k of a is set.
     bit = [sum(1 << a for a in range(count) if a >> k & 1)
            for k in range(elementary)]
-    prop_bit = dict(zip(props, bit))
     next_bit = dict(zip(nexts, bit[len(props):]))
-    truth = [0] * (dag.size + 1)  # by node; slot 0 stands for no child
+    truth = dict(zip(props, bit))  # by node
     until, globally = [], []
-    for i, node in dag:
-        if node.left is None:
-            truth[i] = prop_bit[i]
-            continue
-        left, right = truth[node.left], truth[node.right or 0]
-        if node.label == NOT_LABEL:
-            truth[i] = full ^ left
-        elif node.label == AND_LABEL:
-            truth[i] = left & right
-        elif node.label == OR_LABEL:
-            truth[i] = left | right
-        elif node.label == EX_LABEL:
-            truth[i] = next_bit[node.left]
-        elif node.label == EU_LABEL:
-            truth[i] = right | (left & next_bit[i])
-            until.append((truth[i], left, right))
-        else:
-            truth[i] = left & next_bit[i]
-            globally.append((truth[i], left))
+    for g in nodes:
+        if isinstance(g, Not):
+            truth[g] = full ^ truth[g.operand]
+        elif isinstance(g, And):
+            truth[g] = truth[g.left] & truth[g.right]
+        elif isinstance(g, Or):
+            truth[g] = truth[g.left] | truth[g.right]
+        elif isinstance(g, ExistsNext):
+            truth[g] = next_bit[g.operand]
+        elif isinstance(g, ExistsUntil):
+            left, right = truth[g.left], truth[g.right]
+            truth[g] = right | (left & next_bit[g])
+            until.append((truth[g], left, right))
+        elif isinstance(g, ExistsGlobally):
+            left = truth[g.operand]
+            truth[g] = left & next_bit[g]
+            globally.append((truth[g], left))
 
-    targets = [(k, truth[j]) for k, j in enumerate(nexts, len(props))]
+    targets = [(k, truth[g]) for k, g in enumerate(nexts, len(props))]
     allowed, demands = [], []
     for a in range(count):
         succ = full
@@ -149,5 +153,5 @@ def satisfiable(dag: SyntaxDag) -> bool | None:
                         grown = True
             keep &= escape | holds
         if keep == alive:
-            return bool(alive & truth[dag.root])
+            return bool(alive & truth[f])
         alive = keep

@@ -274,64 +274,78 @@ def random_enf(rng: random.Random, alphabet: Sequence[str],
 # The learner's normal form, by brute force
 # ---------------------------------------------------------------------------
 
+# A numbered syntax DAG: node i is `dag[i - 1]`, a `(label, left, right)`
+# tuple whose children are node numbers, None where the arity has none.
+Dag = tuple[tuple[str, int | None, int | None], ...]
+
+
+def dag_nodes(f: CtlFormula) -> Dag:
+    """f's syntax DAG, numbered in `ctl.subterms` order."""
+    subs = ctl.subterms(f)
+    number = {g: i for i, g in enumerate(subs, start=1)}
+    nodes = []
+    for g in subs:
+        kids = [number[k] for k in ctl.children(g)] + [None, None]
+        nodes.append((ctl.label(g), kids[0], kids[1]))
+    return tuple(nodes)
+
+
 @functools.lru_cache(maxsize=None)
-def admitted_dag(f: CtlFormula,
-                 alphabet: tuple[str, ...]) -> ctl.SyntaxDag | None:
+def admitted_dag(f: CtlFormula, alphabet: tuple[str, ...]) -> Dag | None:
     """A numbering of f's syntax DAG that the learner's normal form admits,
     found by trying every order of its nodes, or None if there is none.
 
     Admitted: children below parents, the propositions first in alphabet
     order, `&`/`|` operands ordered left below right, `EU` operands
-    distinct, and no `!` under `!` or `EG` under `EG`.  `to_dag` already
-    shares equal subterms and holds only nodes the root reaches.
+    distinct, and no `!` under `!` or `EG` under `EG`.  `ctl.subterms`
+    already lists equal subterms once and only nodes the root reaches.
     """
-    nodes = ctl.to_dag(f).nodes
+    nodes = dag_nodes(f)
     rank = {p: a for a, p in enumerate(alphabet)}
     for order in itertools.permutations(range(1, len(nodes) + 1)):
         number = {old: new for new, old in enumerate(order, start=1)}
         number[None] = None
-        dag = tuple(ctl.DagNode(nodes[old - 1].label,
-                                number[nodes[old - 1].left],
-                                number[nodes[old - 1].right])
-                    for old in order)
-        leaves = [node.label for node in dag if node.left is None]
-        if any(node.left is not None for node in dag[:len(leaves)]):
+        dag = tuple((nodes[old - 1][0], number[nodes[old - 1][1]],
+                     number[nodes[old - 1][2]]) for old in order)
+        leaves = [label for label, left, _ in dag if left is None]
+        if any(left is not None for _, left, _ in dag[:len(leaves)]):
             continue
         if [rank[p] for p in leaves] != sorted({rank[p] for p in leaves}):
             continue
         if all(_admitted_node(dag, i, node)
                for i, node in enumerate(dag, start=1)):
-            return ctl.SyntaxDag(dag)
+            return dag
     return None
 
 
-def _admitted_node(dag, i: int, node: ctl.DagNode) -> bool:
-    if node.left is None:
+def _admitted_node(dag: Dag, i: int, node: tuple) -> bool:
+    label, left, right = node
+    if left is None:
         return True
-    if node.left >= i or (node.right or 0) >= i:
+    if left >= i or (right or 0) >= i:
         return False
-    if node.label in ("&", "|"):
-        return node.left < node.right
-    if node.label == "EU":
-        return node.left != node.right
-    if node.label in ("!", "EG"):
-        return dag[node.left - 1].label != node.label
+    if label in ("&", "|"):
+        return left < right
+    if label == "EU":
+        return left != right
+    if label in ("!", "EG"):
+        return dag[left - 1][0] != label
     return True
 
 
-def dag_literals(pool: encoder.VarPool, dag: ctl.SyntaxDag) -> list[int]:
+def dag_literals(pool: encoder.VarPool, dag: Dag) -> list[int]:
     """Defining literals of a DAG: labels always, children per arity."""
     lits = []
-    for i, node in dag:
-        lits.append(pool.var("x", i, node.label))
-        if node.left is not None:
-            lits.append(pool.var("l", i, node.left))
-        if node.right is not None:
-            lits.append(pool.var("r", i, node.right))
+    for i, (label, left, right) in enumerate(dag, start=1):
+        lits.append(pool.var("x", i, label))
+        if left is not None:
+            lits.append(pool.var("l", i, left))
+        if right is not None:
+            lits.append(pool.var("r", i, right))
     return lits
 
 
-def pin_dag(solver, pool: encoder.VarPool, dag: ctl.SyntaxDag) -> None:
+def pin_dag(solver, pool: encoder.VarPool, dag: Dag) -> None:
     """Add the DAG's defining literals to `solver` as unit clauses, so
     its models are exactly those that pick this numbered DAG."""
     solver.add_clauses((lit,) for lit in dag_literals(pool, dag))

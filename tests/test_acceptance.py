@@ -115,13 +115,13 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
             phi_set = checker.sat_set_table(struct, p)[p]
             psi_set = checker.sat_set_table(struct, q)[q]
             for f in (ctl.ExistsUntil(p, q), ctl.ExistsGlobally(p)):
-                dag = ctl.to_dag(f)
+                dag = helpers.dag_nodes(f)
                 pool = VarPool()
                 backend = CdclSolver(seed=0)
                 backend.add_clauses(encoder.build_structural(
-                    pool, dag.size, struct.alphabet))
+                    pool, len(dag), struct.alphabet))
                 backend.add_clauses(encoder.build_semantic(
-                    pool, dag.size, 0, struct, backend))
+                    pool, len(dag), 0, struct, backend))
                 backend.reserve(pool.count)
                 helpers.pin_dag(backend, pool, dag)
                 assert backend.solve()
@@ -136,9 +136,9 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                     for s in range(struct.size):
                         homes = helpers.approximant_vars(
                             k, struct.size,
-                            pool.get(operand, 0, dag.root, s),
-                            lambda j: pool.get("ys", 0, dag.root, s, j),
-                            pool.get("y", 0, dag.root, s))
+                            pool.get(operand, 0, len(dag), s),
+                            lambda j: pool.get("ys", 0, len(dag), s, j),
+                            pool.get("y", 0, len(dag), s))
                         for var in homes:
                             assert model[var] == (s in expected), (f, s, k)
 
@@ -263,15 +263,16 @@ def test_criterion_8_shared_leaf_dag_and_size_six():
     with criterion(8, "EX p | E[p U EG q]"):
         f = ctl.parse_ctl("EX p | E[p U EG q]")
         assert ctl.size(f) == 6
-        dag = ctl.to_dag(f)
-        assert dag.size == 6
-        p_nodes = [i for i, node in dag if node.label == "p"]
+        dag = helpers.dag_nodes(f)
+        assert len(dag) == 6
+        p_nodes = [i for i, (label, _, _) in enumerate(dag, start=1)
+                   if label == "p"]
         assert len(p_nodes) == 1, "the p leaf must be shared"
         (p_index,) = p_nodes
-        ex_node = next(node for _, node in dag if node.label == "EX")
-        eu_node = next(node for _, node in dag if node.label == "EU")
-        assert ex_node.left == p_index
-        assert eu_node.left == p_index
+        _, ex_left, _ = next(node for node in dag if node[0] == "EX")
+        _, eu_left, _ = next(node for node in dag if node[0] == "EU")
+        assert ex_left == p_index
+        assert eu_left == p_index
 
 
 def test_criterion_9_cli_examples_are_reproducible(capsys):

@@ -425,6 +425,26 @@ def test_formula_past_the_nesting_limit_is_a_usage_error(capsys, shape,
     assert f"more than {ctl.MAX_NESTING}" in err
 
 
+# `enf` repeats g three times in `A[f U g]`, so A-until nested on the right
+# k deep has 3^k paths to its innermost operand, over a DAG of O(k) nodes.
+# Not a `helpers.NESTED_SHAPES` shape: `check --sets` prints every path.
+RIGHT_NESTED_UNTIL = ("p & EX !p & " + "A[p U " * (ctl.MAX_NESTING - 1) + "q"
+                      + "]" * (ctl.MAX_NESTING - 1))
+
+
+@pytest.mark.parametrize("command, result", [
+    ("check", "result: holds"),
+    ("synth", "result: model with 2 states"),
+])
+def test_right_nested_until_is_answered(command, result):
+    # In a subprocess with a timeout, so that a walk that does not share
+    # the repeated operand fails the test instead of hanging it.
+    proc = run_module(*NESTED_COMMANDS[command](RIGHT_NESTED_UNTIL),
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert last_line(proc.stdout) == result
+
+
 @pytest.mark.parametrize("exc, message", [
     (KeyError("lost"), "KeyError: 'lost'"),
     (ValueError("x"), "ValueError: x"),
@@ -465,13 +485,14 @@ def test_seeded_learn_output_ignores_the_clock(capsys, monkeypatch):
     assert first == second
 
 
-def run_module(*argv, **env):
+def run_module(*argv, timeout=None, **env):
     # Run the package under test, also when pytest put it on sys.path.
     src = os.path.dirname(os.path.dirname(ctlinfer.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ctlinfer", *argv], capture_output=True,
-        text=True, env={**os.environ, "PYTHONPATH": path, **env})
+        text=True, env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=timeout)
 
 
 def test_console_entry_point():

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import random
 
 import pytest
@@ -156,12 +158,22 @@ class TestNodeContract:
 
     def test_frozen_without_dict(self, cls):
         node = example_node(cls)
-        for name in field_names(cls):
+        hash(node)  # an operator caches its hash in `_hash`
+        for name in field_names(cls) + ("x", "_hash"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, Prop("r"))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(node, name)
+        assert node == example_node(cls)
         assert not hasattr(node, "__dict__")
+
+    def test_pickle_and_copy_keep_equality_and_hash(self, cls):
+        node = example_node(cls)
+        for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node),
+                       copy.deepcopy(node)):
+            assert type(copied) is cls
+            assert copied == node
+            assert hash(copied) == hash(node)
 
 
 @pytest.mark.parametrize("cls", OPERATORS, ids=lambda cls: cls.__name__)
@@ -264,65 +276,91 @@ def test_evaluate_constant():
 
 
 class TestSyntaxDag:
+    """`ctl.subterms` lists a formula's syntax DAG: each distinct subterm
+    once, children first, left before right, the formula last."""
+
     def test_canonical_numbering(self):
-        dag = ctl.to_dag(ctl.parse_ctl("EX p | E[p U EG q]"))
-        assert dag.size == 6
-        assert [n.label for _, n in dag] == ["p", "EX", "q", "EG", "EU", "|"]
-        ex, eu, root = dag.nodes[1], dag.nodes[4], dag.nodes[5]
-        assert ex.left == 1 and ex.right is None
-        assert eu.left == 1 and eu.right == 4  # the p leaf is shared
-        assert (root.left, root.right) == (2, 5)
+        f = ctl.parse_ctl("EX p | E[p U EG q]")
+        subs = ctl.subterms(f)
+        assert len(subs) == 6
+        assert [ctl.label(g) for g in subs] == ["p", "EX", "q", "EG", "EU",
+                                                "|"]
+        p, ex, q, eg, eu, root = subs
+        assert root == f
+        assert ex.operand == p
+        assert (eu.left, eu.right) == (p, eg)  # the p leaf is shared
+        assert (root.left, root.right) == (ex, eu)
 
     def test_children_strictly_below_and_first_node_prop(self):
         rng = random.Random(11)
         for _ in range(200):
             f = helpers.random_enf(rng, ("p", "q"), 4)
-            dag = ctl.to_dag(f)
-            first = dag.nodes[0]
-            assert first.left is None and first.right is None
-            assert first.label in ("p", "q")
-            for i, node in dag:
-                for child in (node.left, node.right):
-                    assert child is None or child < i
+            subs = ctl.subterms(f)
+            assert isinstance(subs[0], Prop)
+            assert subs[0].name in ("p", "q")
+            for i, g in enumerate(subs):
+                for child in ctl.children(g):
+                    assert subs.index(child) < i
 
     def test_roundtrip(self):
         rng = random.Random(12)
         for _ in range(200):
             f = helpers.random_enf(rng, ("p", "q"), 4)
-            assert ctl.to_dag(f).to_formula() == f
+            subs = ctl.subterms(f)
+            assert subs[-1] == f
+            assert len(set(subs)) == len(subs) == ctl.size(f)
+            assert set(subs) == ctl.subformulas(f)
+            built = []
+            for label, left, right in helpers.dag_nodes(f):
+                if left is None:
+                    built.append(Prop(label))
+                else:
+                    operands = [built[j - 1] for j in (left, right) if j]
+                    built.append(ctl.LABEL_CONSTRUCTORS[label](*operands))
+            assert built == subs
 
     def test_rejects_sugar(self):
         with pytest.raises(ctl.NotInEnf):
-            ctl.to_dag(ctl.parse_ctl("AX p"))
+            ctl.label(ctl.parse_ctl("AX p"))
         with pytest.raises(ctl.NotInEnf):
-            ctl.to_dag(ctl.TRUE)
+            ctl.label(ctl.TRUE)
+
+    def test_shared_subterms_are_walked_once(self):
+        # 2^60 paths, 61 nodes: subterms and hashing visit each node once.
+        f = Prop("p")
+        for _ in range(60):
+            f = And(f, f)
+        subs = ctl.subterms(f)
+        assert len(subs) == ctl.size(f) == 61
+        assert subs[-1] is f
+        assert hash(f) == hash((f.left, f.right))
 
 
 def _all_dags(alphabet, n):
     """Independent DAG-space enumeration used to cross-check
     enumerate_formulas: choose a label per node and children below it,
-    then read the formula off the DAG."""
+    and build each node's formula from its children's."""
     labels = list(alphabet) + list(ctl.OPERATOR_LABELS)
     unary = {ctl.NOT_LABEL, ctl.EX_LABEL, ctl.EG_LABEL}
     found = set()
 
-    def extend(nodes):
-        i = len(nodes) + 1
+    def extend(built):
+        i = len(built) + 1
         if i > n:
-            dag = ctl.SyntaxDag(tuple(nodes))
-            found.add(dag.to_formula())
+            found.add(built[-1])
             return
         choices = list(alphabet) if i == 1 else labels
         for lab in choices:
+            ctor = ctl.LABEL_CONSTRUCTORS.get(lab)
             if lab in unary:
                 for j in range(1, i):
-                    extend(nodes + [ctl.DagNode(lab, j)])
+                    extend(built + [ctor(built[j - 1])])
             elif lab in ctl.BINARY_LABELS:
                 for j in range(1, i):
                     for j2 in range(1, i):
-                        extend(nodes + [ctl.DagNode(lab, j, j2)])
+                        extend(built + [ctor(built[j - 1], built[j2 - 1])])
             else:
-                extend(nodes + [ctl.DagNode(lab)])
+                extend(built + [Prop(lab)])
 
     extend([])
     return found

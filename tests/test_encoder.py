@@ -221,15 +221,14 @@ class TestSemantics:
             structures = [helpers.random_kripke(rng, max_states=3)
                           for _ in range(rng.randint(1, 2))]
             f = helpers.random_enf(rng, structures[0].alphabet, 3)
-            dag = ctl.to_dag(f)
-            pool, backend = semantic_instance(structures, dag.size)
+            dag = helpers.dag_nodes(f)
+            pool, backend = semantic_instance(structures, len(dag))
             helpers.pin_dag(backend, pool, dag)
             assert backend.solve()
             model = backend.model()
             for m_idx, struct in enumerate(structures):
                 table = checker.sat_set_table(struct, f)
-                for i, node in dag:
-                    sub = ctl.SyntaxDag(dag.nodes[:i]).to_formula()
+                for i, sub in enumerate(ctl.subterms(f), start=1):
                     expected = table[sub]
                     for s in range(struct.size):
                         got = model[pool.get("y", m_idx, i, s)]
@@ -245,14 +244,14 @@ class TestSemantics:
                 f = ctl.ExistsUntil(phi, psi)
             else:
                 f = ctl.ExistsGlobally(phi)
-            dag = ctl.to_dag(f)
-            pool, backend = semantic_instance([struct], dag.size)
+            dag = helpers.dag_nodes(f)
+            pool, backend = semantic_instance([struct], len(dag))
             helpers.pin_dag(backend, pool, dag)
             assert backend.solve()
             model = backend.model()
             phi_set = checker.sat_set_table(struct, phi)[phi]
             psi_set = checker.sat_set_table(struct, psi)[psi]
-            root = dag.root
+            root = len(dag)
             operand = "R" if isinstance(f, ctl.ExistsUntil) else "L"
             for k in range(1, struct.size + 2):
                 if isinstance(f, ctl.ExistsUntil):
@@ -344,7 +343,7 @@ class TestBlocking:
         instance = encoder.build_instance(1, [m], seed=0)
         pool, loaded = instance.pool, instance.num_clauses
         encoder.add_block(instance, helpers.dag_literals(
-            pool, ctl.to_dag(ctl.Prop("p"))))
+            pool, helpers.dag_nodes(ctl.Prop("p"))))
         assert instance.clauses[loaded:] == [(-pool.get("x", 1, "p"),)]
         # p was the only size-1 candidate.
         assert helpers.solve_instance(instance) is None
@@ -394,7 +393,7 @@ class TestDecode:
             dag = helpers.admitted_dag(f, m.alphabet)
             if dag is None:
                 outside += 1
-                helpers.pin_dag(backend, instance.pool, ctl.to_dag(f))
+                helpers.pin_dag(backend, instance.pool, helpers.dag_nodes(f))
                 assert not backend.solve()
                 continue
             helpers.pin_dag(backend, instance.pool, dag)

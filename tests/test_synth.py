@@ -56,21 +56,21 @@ class TestSynthesize:
                      "E[p U q] & !EF q", "EX p & AX !p"):
             assert synth.synthesize(ctl.parse_ctl(text), max_states=4) is None
 
-    def test_builds_one_dag_per_call(self, monkeypatch):
-        """The tableau and every state count read the same DAG."""
-        built = []
-        to_dag = ctl.to_dag
+    def test_runs_the_tableau_once_per_call(self, monkeypatch):
+        """The tableau runs at most once, however many sizes follow it."""
+        calls = []
+        satisfiable = tableau.satisfiable
 
-        def counting_to_dag(f):
-            built.append(f)
-            return to_dag(f)
+        def counting_satisfiable(f):
+            calls.append(f)
+            return satisfiable(f)
 
-        monkeypatch.setattr(ctl, "to_dag", counting_to_dag)
+        monkeypatch.setattr(tableau, "satisfiable", counting_satisfiable)
         for text, found in (("EG p & !p", False), ("EX p & EX !p", True)):
-            built.clear()
+            calls.clear()
             model = synth.synthesize(ctl.parse_ctl(text), max_states=3)
             assert (model is not None) == found
-            assert len(built) == 1
+            assert len(calls) == 1
 
     def test_satisfiable_beyond_the_budget(self):
         # Four successors with pairwise different labellings need four
@@ -78,7 +78,7 @@ class TestSynthesize:
         # hold no model, and the solver finds one at four states.
         f = ctl.parse_ctl("EX (p & q) & EX (p & !q) & EX (!p & q) "
                           "& EX (!p & !q)")
-        assert tableau.satisfiable(ctl.to_dag(ctl.enf(f)))
+        assert tableau.satisfiable(ctl.enf(f))
         assert synth.synthesize(f, max_states=3) is None
         assert synth.synthesize(f, max_states=4).size == 4
 
@@ -89,7 +89,7 @@ class TestSynthesize:
         monkeypatch.setattr(tableau, "_members", no_atoms)
         chains = ctl.parse_ctl(" & ".join(
             "EX " * k + "p" for k in range(1, tableau.MAX_ELEMENTARY + 1)))
-        assert tableau.satisfiable(ctl.to_dag(chains)) is None
+        assert tableau.satisfiable(chains) is None
         m = synth.synthesize(chains, max_states=2)
         assert m is not None and m.size == 1
         assert helpers.naive_holds(m, chains)
@@ -183,7 +183,7 @@ class TestOneState:
         assert cases
         monkeypatch.setattr(CdclSolver, "solve", forbidden)
         monkeypatch.setattr(tableau, "satisfiable", forbidden)
-        monkeypatch.setattr(ctl, "to_dag", forbidden)
+        monkeypatch.setattr(ctl, "subterms", forbidden)
         for f in cases:
             m = synth.synthesize(f, max_states=3, alphabet=alphabet)
             assert m is not None and m.size == 1, ctl.print_ctl(f)
@@ -205,7 +205,7 @@ class TestFamily:
         for f in ctl.enumerate_formulas(("p", "q"), 4):
             props = tuple(sorted(ctl.propositions(f)))
             model = synth._family_model(f, num_states, props, props)
-            expected = synth._solve(ctl.to_dag(f), num_states, props, 0)
+            expected = synth._solve(f, num_states, props, 0)
             assert (model is None) == (expected is None), ctl.print_ctl(f)
             if model is not None:
                 assert model.size == num_states
@@ -312,10 +312,15 @@ class TestImplies:
 
 
 class TestEncode:
-    def pinned_model(self, struct, dag):
-        """Solve the synthesis instance with t/lab fixed to `struct` by
-        unit clauses."""
-        pool, clauses = synth._encode(dag, struct.size, struct.alphabet)
+    def test_rejects_sugar(self):
+        for text in ("AX p", "EF p", "p -> q"):
+            with pytest.raises(ctl.NotInEnf):
+                synth._encode(ctl.parse_ctl(text), 2, ("p", "q"))
+
+    def pinned_model(self, struct, f):
+        """Solve the synthesis instance of `f` with t/lab fixed to `struct`
+        by unit clauses."""
+        pool, clauses = synth._encode(f, struct.size, struct.alphabet)
         backend = CdclSolver(seed=0)
         for clause in clauses:
             backend.add_clause(clause)
@@ -339,12 +344,10 @@ class TestEncode:
             f = rng.choice([ExistsUntil(phi, psi), ExistsGlobally(phi)])
             if 0 not in helpers.naive_sat(struct, f):
                 continue  # the instance asserts the formula at s0
-            dag = ctl.to_dag(f)
-            pool, model = self.pinned_model(struct, dag)
+            pool, model = self.pinned_model(struct, f)
             phi_set = helpers.naive_sat(struct, phi)
             psi_set = helpers.naive_sat(struct, psi)
-            root = dag.nodes[dag.root - 1]
-            operand = root.right if isinstance(f, ExistsUntil) else root.left
+            operand = f.right if isinstance(f, ExistsUntil) else f.operand
             for k in range(1, struct.size + 2):
                 if isinstance(f, ExistsUntil):
                     expected = helpers.eu_prefix(struct, phi_set, psi_set, k)
@@ -353,13 +356,12 @@ class TestEncode:
                 for s in range(struct.size):
                     homes = helpers.approximant_vars(
                         k, struct.size, pool.get("h", operand, s),
-                        lambda j: pool.get("st", dag.root, s, j),
-                        pool.get("h", dag.root, s))
+                        lambda j: pool.get("st", f, s, j),
+                        pool.get("h", f, s))
                     for var in homes:
                         assert model[var] == (s in expected), (f, k, s)
-            for i, _ in dag:
-                sub = ctl.SyntaxDag(dag.nodes[:i]).to_formula()
+            for sub in ctl.subterms(f):
                 expected = helpers.naive_sat(struct, sub)
                 for s in range(struct.size):
-                    assert model[pool.get("h", i, s)] == (s in expected)
+                    assert model[pool.get("h", sub, s)] == (s in expected)
             checked += 1

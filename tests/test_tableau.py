@@ -51,13 +51,13 @@ def sweep_only():
 
 @pytest.mark.parametrize("text", UNSAT_CASES)
 def test_each_rule_refutes_its_case(text):
-    assert not tableau.satisfiable(ctl.to_dag(enf(text)))
+    assert not tableau.satisfiable(enf(text))
 
 
 @pytest.mark.parametrize("text", SAT_CASES)
 def test_each_rule_keeps_its_case(text):
     f = enf(text)
-    assert tableau.satisfiable(ctl.to_dag(f))
+    assert tableau.satisfiable(f)
     with sweep_only():
         assert synth.synthesize(f, 3, ALPHABET) is not None
 
@@ -69,17 +69,17 @@ def test_synthesized_models_are_satisfiable():
             model = synth.synthesize(f, 3 + i % 2, ALPHABET, seed=0)
         if model is not None:
             found += 1
-            assert tableau.satisfiable(ctl.to_dag(f)), ctl.print_ctl(f)
+            assert tableau.satisfiable(f), ctl.print_ctl(f)
     assert found > 80
 
 
 def test_undecided_exactly_above_the_cap():
     undecided = []
     for k in range(1, 14):
-        dag = ctl.to_dag(enf("EX " * k + "p & !p"))
-        props, nexts = tableau._elementary(dag)
+        f = enf("EX " * k + "p & !p")
+        props, nexts = tableau._elementary(ctl.subterms(f))
         above = len(props) + len(nexts) > tableau.MAX_ELEMENTARY
-        assert tableau.satisfiable(dag) is (None if above else True), k
+        assert tableau.satisfiable(f) is (None if above else True), k
         if above:
             undecided.append(k)
     assert undecided == [12, 13]
@@ -92,7 +92,7 @@ def test_unsatisfiable_formulas_hold_nowhere():
     structures += [helpers.random_kripke(rng, 5, ALPHABET, min_states=3)
                    for _ in range(60)]
     refuted = [f for f in random_targets(812, 240)
-               if not tableau.satisfiable(ctl.to_dag(f))]
+               if not tableau.satisfiable(f)]
     assert len(refuted) > 25
     for f in refuted:
         for m in structures:
@@ -107,8 +107,8 @@ def test_benchmark_pairs_have_their_hand_argued_verdicts(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     verdicts = [
-        tableau.satisfiable(ctl.to_dag(ctl.enf(
-            And(ctl.parse_ctl(f), Not(ctl.parse_ctl(g))), ALPHABET)))
+        tableau.satisfiable(ctl.enf(
+            And(ctl.parse_ctl(f), Not(ctl.parse_ctl(g))), ALPHABET))
         for f, g, _, _ in workloads.SYNTH_PAIRS]
     expected = [size is not None for _, _, _, size in workloads.SYNTH_PAIRS]
     assert verdicts == expected
@@ -117,4 +117,4 @@ def test_benchmark_pairs_have_their_hand_argued_verdicts(monkeypatch):
 
 def test_rejects_sugar():
     with pytest.raises(ctl.NotInEnf):
-        tableau.satisfiable(ctl.to_dag(ctl.parse_ctl("AX p")))
+        tableau.satisfiable(ctl.parse_ctl("AX p"))
