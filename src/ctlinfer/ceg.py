@@ -57,8 +57,7 @@ enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import checker, ctl, learner, synth
 from .ctl import CtlFormula
@@ -87,16 +86,14 @@ class CertificationFailure(Exception):
         self.violating = violating
 
 
-@dataclass(frozen=True)
-class CegTraceEntry:
+class CegTraceEntry(NamedTuple):
     iteration: int
     candidate: CtlFormula
     case: int
     countermodel: KripkeStructure | None
 
 
-@dataclass(frozen=True)
-class CegReport:
+class CegReport(NamedTuple):
     formula: CtlFormula
     iterations: int
     trace: tuple[CegTraceEntry, ...]
@@ -110,8 +107,7 @@ class CegReport:
                      if e.countermodel is not None)
 
 
-@dataclass(frozen=True)
-class Certification:
+class Certification(NamedTuple):
     formula: CtlFormula
     size: int
     bound: int

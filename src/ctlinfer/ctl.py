@@ -15,12 +15,12 @@ of the syntax DAG, not the node count of the tree.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from typing import Sequence
 
 __all__ = [
-    "CtlFormula", "Prop", "Const", "TRUE", "FALSE", "Not", "And", "Or",
-    "Implies", "ExistsNext", "ExistsUntil", "ExistsGlobally",
+    "FrozenRecord", "CtlFormula", "Prop", "Const", "TRUE", "FALSE", "Not",
+    "And", "Or", "Implies", "ExistsNext", "ExistsUntil", "ExistsGlobally",
     "ExistsFinally", "ForallNext", "ForallUntil", "ForallGlobally",
     "ForallFinally", "CtlError", "ParseError", "NotInEnf",
     "RESERVED_WORDS", "MAX_NESTING", "parse_ctl", "print_ctl", "enf", "is_enf",
@@ -28,9 +28,11 @@ __all__ = [
     "enumerate_formulas",
 ]
 
-# Words the formula lexer claims for itself; they cannot name propositions.
+# Words the formula lexer claims for itself, and `EU`, the learner's label
+# for E-until (`OPERATOR_LABELS`), which names the same SAT variables as a
+# proposition of that name would; none of them can name a proposition.
 RESERVED_WORDS = frozenset(
-    {"true", "false", "E", "A", "U", "EX", "EG", "EF", "AX", "AG", "AF"}
+    {"true", "false", "E", "A", "U", "EX", "EG", "EU", "EF", "AX", "AG", "AF"}
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -50,19 +52,20 @@ class NotInEnf(CtlError):
     """Raised when an operation requires an ENF formula but got sugar."""
 
 
-class CtlFormula:
-    """Base class for formula nodes.
+class FrozenRecord:
+    """An immutable, slotted record whose fields are its `__match_args__`,
+    set once by `__init__` through `object.__setattr__`.
 
-    Nodes come in four shapes, each a frozen, slotted dataclass: `Prop`
-    (a name), `Const` (a truth value), `_Unary` (`operand`) and `_Binary`
-    (`left`, `right`).  The twelve operator classes are empty subclasses
-    of the last two, so they share their shape's `__init__`, `__eq__`,
-    `__hash__` and `__repr__`.  Equality still compares the class, and a
-    hash is that of the field tuple.  Assigning or deleting any attribute
-    raises `FrozenInstanceError`.
+    Assigning or deleting any attribute raises `FrozenInstanceError`, and
+    copies and pickles rebuild a record from its fields.  Equality
+    compares the class and then the field tuple, a hash is that of the
+    field tuple, and the `repr` reads `Name(field=value, ...)`: the
+    behaviour of a frozen dataclass, without generating its code at
+    import.
     """
 
     __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -70,34 +73,82 @@ class CtlFormula:
     def __delattr__(self, name: str) -> None:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class CtlFormula(FrozenRecord):
+    """Base class for formula nodes.
+
+    Nodes come in four shapes, each a `FrozenRecord` with a hand-written
+    `__init__`, `__eq__` and `__hash__`: `Prop` (a name), `Const` (a truth
+    value), `_Unary` (`operand`) and `_Binary` (`left`, `right`).  The
+    twelve operator classes are empty subclasses of the last two, so they
+    share their shape's methods.  Equality still compares the class, and
+    a hash is that of the field tuple.
+    """
+
+    __slots__ = ()
+
     def __str__(self) -> str:
         return print_ctl(self)
 
 
-def _frozen(cls: type) -> type:
-    """`cls` as a frozen, slotted dataclass that keeps the base class's
-    `__setattr__` and `__delattr__`.  The generated ones call `super()`
-    with the class that `slots=True` replaces, so on a name that is not a
-    field they raised `TypeError`."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    del cls.__setattr__, cls.__delattr__
-    return cls
+# Sets a field of a formula node; a module global, which Python looks up
+# faster than `object` and then its attribute.
+_setattr = object.__setattr__
 
 
-@_frozen
 class Prop(CtlFormula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
 
-    def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise CtlError(f"invalid proposition name {self.name!r}")
-        if self.name in RESERVED_WORDS:
-            raise CtlError(f"proposition name {self.name!r} is a reserved word")
+    def __init__(self, name: str) -> None:
+        if not _IDENT_RE.match(name):
+            raise CtlError(f"invalid proposition name {name!r}")
+        if name in RESERVED_WORDS:
+            raise CtlError(f"proposition name {name!r} is a reserved word")
+        _setattr(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
 
-@_frozen
 class Const(CtlFormula):
-    value: bool
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _setattr(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
 TRUE = Const(True)
@@ -113,28 +164,46 @@ class _Operator(CtlFormula):
     __slots__ = ("_hash",)
 
 
-@_frozen
 class _Unary(_Operator):
-    operand: CtlFormula
+    __slots__ = ("operand",)
+    __match_args__ = ("operand",)
+
+    def __init__(self, operand: CtlFormula) -> None:
+        _setattr(self, "operand", operand)
+
+    def __eq__(self, other: object) -> bool:
+        # A tuple compares its items by identity first, so two references
+        # to one shared subterm are not walked.
+        if other.__class__ is self.__class__:
+            return (self.operand,) == (other.operand,)
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.operand,)))
+            _setattr(self, "_hash", hash((self.operand,)))
             return self._hash
 
 
-@_frozen
 class _Binary(_Operator):
-    left: CtlFormula
-    right: CtlFormula
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: CtlFormula, right: CtlFormula) -> None:
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.left, self.right)))
+            _setattr(self, "_hash", hash((self.left, self.right)))
             return self._hash
 
 

@@ -60,7 +60,6 @@ further structures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sat
@@ -110,15 +109,22 @@ class VarPool:
                 if key is not None)
 
 
-@dataclass
 class EncodingInstance:
-    size_budget: int
-    alphabet: tuple[str, ...]
-    positives: tuple[KripkeStructure, ...]
-    negatives: tuple[KripkeStructure, ...]
-    pool: VarPool
-    clauses: list[Clause] = field(default_factory=list)
-    backend: CdclSolver | None = None  # attached by `load_backend`
+    __slots__ = ("size_budget", "alphabet", "positives", "negatives",
+                 "pool", "clauses", "backend")
+
+    def __init__(self, size_budget: int, alphabet: tuple[str, ...],
+                 positives: tuple[KripkeStructure, ...],
+                 negatives: tuple[KripkeStructure, ...], pool: VarPool,
+                 clauses: list[Clause] | None = None,
+                 backend: CdclSolver | None = None) -> None:
+        self.size_budget = size_budget
+        self.alphabet = alphabet
+        self.positives = positives
+        self.negatives = negatives
+        self.pool = pool
+        self.clauses = [] if clauses is None else clauses
+        self.backend = backend  # attached by `load_backend`
 
     @property
     def num_vars(self) -> int:

@@ -21,10 +21,9 @@ entries, and every parse runs through `validate`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .ctl import RESERVED_WORDS
+from .ctl import _IDENT_RE, RESERVED_WORDS, FrozenRecord
 
 __all__ = [
     "KripkeStructure", "KripkeError", "ParseError", "NonTotalTransition",
@@ -32,9 +31,6 @@ __all__ = [
     "check_alphabet", "validate", "parse_kripke", "print_kripke",
     "inline_kripke", "bisimulation_classes",
 ]
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 class KripkeError(ValueError):
     """Base class for structure-level errors."""
@@ -74,8 +70,7 @@ class InvalidStructure(KripkeError):
     """Malformed structure description (duplicates, bad identifiers)."""
 
 
-@dataclass(frozen=True)
-class KripkeStructure:
+class KripkeStructure(FrozenRecord):
     """A validated Kripke structure.
 
     `successors[s]` is the post set of state index s, `labels[s]` the set
@@ -83,13 +78,18 @@ class KripkeStructure:
     invariants, so instances are total and well-formed by construction.
     """
 
-    alphabet: tuple[str, ...]
-    state_names: tuple[str, ...]
-    initial: frozenset[int]
-    labels: tuple[frozenset[str], ...]
-    successors: tuple[frozenset[int], ...]
+    __slots__ = __match_args__ = ("alphabet", "state_names", "initial",
+                                  "labels", "successors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, alphabet: tuple[str, ...],
+                 state_names: tuple[str, ...], initial: frozenset[int],
+                 labels: tuple[frozenset[str], ...],
+                 successors: tuple[frozenset[int], ...]) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "state_names", state_names)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "successors", successors)
         n = len(self.state_names)
         if n == 0:
             raise InvalidStructure("a structure needs at least one state")
@@ -132,8 +132,7 @@ def check_alphabet(alphabet: Sequence[str]) -> None:
             raise InvalidStructure(f"invalid proposition name {name!r}")
         if name in RESERVED_WORDS:
             raise InvalidStructure(
-                f"proposition name {name!r} is reserved by the formula "
-                "syntax")
+                f"proposition name {name!r} is a reserved word")
 
 
 def validate(*, props: Sequence[str], states: Sequence[str],

@@ -26,11 +26,10 @@ returned.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Container
+from typing import Container, NamedTuple
 
 from . import ctl, encoder
-from .ctl import CtlFormula
+from .ctl import CtlFormula, FrozenRecord
 from .kripke import KripkeError, KripkeStructure, bisimulation_classes
 from .sat import BackendFailure
 
@@ -57,14 +56,15 @@ class NoConsistentFormula(Exception):
         self.budgets = budgets
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(FrozenRecord):
     """Positive and negative structures over a shared alphabet."""
 
-    positives: tuple[KripkeStructure, ...]
-    negatives: tuple[KripkeStructure, ...] = ()
+    __slots__ = __match_args__ = ("positives", "negatives")
 
-    def __post_init__(self) -> None:
+    def __init__(self, positives: tuple[KripkeStructure, ...],
+                 negatives: tuple[KripkeStructure, ...] = ()) -> None:
+        object.__setattr__(self, "positives", positives)
+        object.__setattr__(self, "negatives", negatives)
         if not self.positives and not self.negatives:
             raise ValueError("sample must contain at least one structure")
         alphabet = self.structures[0].alphabet
@@ -101,8 +101,7 @@ class Sample:
                    for m, cls in zip(self.negatives, neg_classes))
 
 
-@dataclass(frozen=True)
-class BudgetTrace:
+class BudgetTrace(NamedTuple):
     """Outcome of one size budget: SAT/UNSAT plus solver statistics."""
 
     size: int
@@ -119,8 +118,7 @@ class BudgetTrace:
                 f"clauses={self.clauses})")
 
 
-@dataclass(frozen=True)
-class LearnResult:
+class LearnResult(NamedTuple):
     formula: CtlFormula
     size: int
     budgets: tuple[BudgetTrace, ...]

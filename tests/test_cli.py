@@ -364,6 +364,29 @@ class TestUsage:
         assert out == ""
 
 
+EU_LOOP = ("kripke\nprops: EU\nstates: s\ninit: s\nlabels: s: EU\n"
+           "trans: s -> s\n")
+
+
+def test_operator_label_is_not_a_proposition(capsys, tmp_path):
+    """`EU`, the learner's E-until label, is refused as a proposition name
+    by every command, not learned as one."""
+    eu_loop = tmp_path / "eu_loop.kripke"
+    eu_loop.write_text(EU_LOOP)
+    commands = [
+        ["check", str(FIX / "selfloop_p.kripke"), "EU"],
+        ["check", str(eu_loop), "p"],
+        ["learn", "--pos", str(eu_loop), "--max-size", "2"],
+        ["infer", str(eu_loop), "--bound", "2"],
+        ["synth", "p", "--props", "p,EU"],
+    ]
+    for argv in commands:
+        code, out, err = invoke(capsys, *argv)
+        assert_usage_error(code, err)
+        assert "'EU'" in err, argv
+        assert out == "", argv
+
+
 def test_backend_failure_exit_code(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise sat.BackendFailure("conflict budget exhausted")

@@ -44,6 +44,21 @@ def test_propositions_match_the_subformula_set():
     assert {Const, ctl.ForallUntil, ctl.Implies} <= seen
 
 
+def test_identifier_operator_labels_are_reserved():
+    # A proposition named like an operator label would share the learner's
+    # x(i, label) variable with that operator.
+    named = {lab for lab in ctl.OPERATOR_LABELS if ctl._IDENT_RE.match(lab)}
+    assert named == {"EX", "EU", "EG"}
+    assert named <= ctl.RESERVED_WORDS
+    for name in named:
+        with pytest.raises(ctl.CtlError, match="reserved"):
+            Prop(name)
+        with pytest.raises(ctl.ParseError):
+            ctl.parse_ctl(f"p & {name}")
+    with pytest.raises(ctl.ParseError, match="found 'EU'"):
+        ctl.parse_ctl("p & EU")
+
+
 class TestParser:
     def test_precedence(self):
         assert ctl.parse_ctl("a | b & c") == Or(
@@ -116,7 +131,7 @@ NODE_CLASSES = [Prop, Const] + OPERATORS
 
 
 def field_names(cls):
-    return tuple(f.name for f in dataclasses.fields(cls))
+    return cls.__match_args__
 
 
 def example_node(cls):
@@ -131,7 +146,7 @@ def example_node(cls):
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 class TestNodeContract:
     """Every node class keeps the behaviour of a frozen, slotted dataclass
-    of its own, whichever class generated the methods."""
+    of its own, though its shape class defines the methods by hand."""
 
     def test_equality_is_class_sensitive(self, cls):
         node = example_node(cls)
@@ -178,8 +193,8 @@ class TestNodeContract:
 
 @pytest.mark.parametrize("cls", OPERATORS, ids=lambda cls: cls.__name__)
 def test_operator_classes_define_no_methods(cls):
-    # The shape classes generate every method once; an operator class that
-    # carries its own would be a dataclass of its own again.
+    # The shape classes define every method once; an operator class
+    # carries none of its own.
     assert set(vars(cls)) <= {"__module__", "__qualname__", "__doc__",
                               "__slots__"}
 

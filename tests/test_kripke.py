@@ -54,9 +54,16 @@ class TestValidate:
             small(props=["p", "p"])
 
     def test_rejects_reserved_proposition_names(self):
-        for name in ("EX", "true", "U", "AG"):
+        for name in ("EX", "true", "U", "AG", "EU"):
             with pytest.raises(kripke.InvalidStructure):
                 small(props=["p", name], labels={})
+
+    def test_parse_rejects_an_operator_label_as_a_proposition(self):
+        # `EU` is the learner's E-until label, so a proposition of that
+        # name would share its SAT variables.
+        with pytest.raises(kripke.InvalidStructure, match="'EU'"):
+            kripke.parse_kripke("kripke\nprops: EU\nstates: s\ninit: s\n"
+                                "labels: s: EU\ntrans: s -> s\n")
 
     def test_rejects_bad_identifiers(self):
         with pytest.raises(kripke.InvalidStructure):
