@@ -15,7 +15,6 @@ of the syntax DAG, not the node count of the tree.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
 from typing import Sequence
 
 __all__ = [
@@ -67,10 +66,14 @@ class FrozenRecord:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
+    # `dataclasses` is imported only here: it imports `inspect`, which
+    # would more than double the package's import time.
     def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
@@ -97,11 +100,12 @@ class CtlFormula(FrozenRecord):
     """Base class for formula nodes.
 
     Nodes come in four shapes, each a `FrozenRecord` with a hand-written
-    `__init__`, `__eq__` and `__hash__`: `Prop` (a name), `Const` (a truth
-    value), `_Unary` (`operand`) and `_Binary` (`left`, `right`).  The
-    twelve operator classes are empty subclasses of the last two, so they
-    share their shape's methods.  Equality still compares the class, and
-    a hash is that of the field tuple.
+    `__init__` and `__hash__`: `Prop` (a name), `Const` (a truth value),
+    `_Unary` (`operand`) and `_Binary` (`left`, `right`).  `Prop` and
+    `Const` have their own `__eq__`, and the two operator shapes share
+    `_Operator.__eq__`.  The twelve operator classes are empty subclasses
+    of the last two, so they share their shape's methods.  Equality still
+    compares the class, and a hash is that of the field tuple.
     """
 
     __slots__ = ()
@@ -163,6 +167,52 @@ class _Operator(CtlFormula):
 
     __slots__ = ("_hash",)
 
+    def _same_dag(self, other: _Operator) -> bool:
+        """Equality of two distinct operator nodes of one class, deciding
+        each pair of nodes below them once.
+
+        Two separately built copies of a shared DAG are equal without
+        being one object, and comparing them field by field would walk
+        every path through the DAG, 3^k paths for `A[f U g]` nested k
+        deep in ENF.  So nodes whose cached hashes differ are unequal at
+        once, and equal-hash pairs are walked by an explicit stack that
+        skips identical nodes and pairs already taken up.  Taking a pair
+        up before its children are compared is sound, since the syntax
+        DAG is acyclic and the walk returns False at the first differing
+        pair: it returns True only after comparing every pair it took.
+        """
+        if hash(self) != hash(other):
+            return False
+        # Hashing a node cached `_hash` on every operator node below it.
+        taken: set[tuple[int, int]] = set()
+        pairs = [(self, other)]
+        while pairs:
+            f, g = pairs.pop()
+            if isinstance(f, _Unary):
+                kids = ((f.operand, g.operand),)
+            else:
+                kids = ((f.left, g.left), (f.right, g.right))
+            for a, b in kids:
+                if a is b:
+                    continue
+                if a.__class__ is not b.__class__:
+                    return False
+                if not isinstance(a, _Operator):
+                    if a != b:
+                        return False
+                elif a._hash != b._hash:
+                    return False
+                elif (key := (id(a), id(b))) not in taken:
+                    taken.add(key)
+                    pairs.append((a, b))
+        return True
+
+
+# The `__eq__` of the two operator shapes settles children that are
+# identical, of different classes or propositions at once, which is most
+# unequal pairs a formula-keyed dict meets (`Not`, `ExistsNext` and
+# `ExistsGlobally` of one operand share a hash), and leaves the rest to
+# `_same_dag`.
 
 class _Unary(_Operator):
     __slots__ = ("operand",)
@@ -172,11 +222,16 @@ class _Unary(_Operator):
         _setattr(self, "operand", operand)
 
     def __eq__(self, other: object) -> bool:
-        # A tuple compares its items by identity first, so two references
-        # to one shared subterm are not walked.
-        if other.__class__ is self.__class__:
-            return (self.operand,) == (other.operand,)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.operand, other.operand
+        if a is b:
+            return True
+        if a.__class__ is not b.__class__:
+            return False
+        if not isinstance(a, _Operator):
+            return a == b
+        return self._same_dag(other)
 
     def __hash__(self) -> int:
         try:
@@ -195,9 +250,16 @@ class _Binary(_Operator):
         _setattr(self, "right", right)
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b, c, d = self.left, other.left, self.right, other.right
+        if a.__class__ is not b.__class__ or c.__class__ is not d.__class__:
+            return False
+        if a is b and c is d:
+            return True
+        if not (isinstance(a, _Operator) or isinstance(c, _Operator)):
+            return a == b and c == d
+        return self._same_dag(other)
 
     def __hash__(self) -> int:
         try:

@@ -4,7 +4,11 @@ An instance at size budget n describes the syntax DAGs with nodes 1..n
 (children strictly below parents, node 1 a proposition, node n the root)
 together with their evaluation on every structure of the sample:
 
-* label variables `x(i, lab)` pick one proposition or operator per node;
+* label variables `x(i, lab)` pick one label per node, from the node's
+  domain `label_domain(n, i, alphabet)`: the labels node i can take in
+  some normal-form DAG (propositions only at node 1, operators only at
+  the root, no binary operator at node 2), so no other `x(i, lab)`
+  exists;
 * child variables `l(i, j)` / `r(i, j)` with j < i pick the children of
   every node i >= 2 (exactly one each, even where the arity ignores them);
 * use variables `u(i, j)` with i < j say that node j reads node i;
@@ -15,14 +19,18 @@ together with their evaluation on every structure of the sample:
   which `lower_node` unrolls to |S| approximants, the first read from
   the operand and the last written into `y`;
 * operand-value variables `L(m, i, s)` / `R(m, i, s)` of the operator
-  nodes i >= 2 equal the evaluation of the chosen left / right child.
+  nodes i >= 2 equal the evaluation of the chosen left / right child;
+  node 2 takes no binary label, so it has no `R`.
 
 The structural clauses (`build_structural`) and the semantic ones
-(`build_semantic`) describe every such DAG.  A search instance admits
-only the normal-form DAGs of `build_normal_form`: tight (every node is
-read), without duplicate nodes, with the propositions first and the
-operands of `&` and `|` ordered.  So every DAG it admits has exactly n
-distinct subformulas.
+(`build_semantic`) describe every such DAG whose labels lie in the
+domains.  A search instance admits only the normal-form DAGs of
+`build_normal_form`: tight (every node is read), without duplicate
+nodes, with the propositions first and the operands of `&` and `|`
+ordered.  So every DAG it admits has exactly n distinct subformulas.
+The domains are owned by that normal form: they leave out exactly the
+labels no admitted DAG takes (the argument is in its docstring), so the
+instance admits the same DAGs with fewer variables and clauses.
 
 Semantic constraints are equivalences guarded by the label choice over
 the operand values, and the operand values are tied to the children by
@@ -50,7 +58,10 @@ every clause group whose guard variable is false in the root assignment
 of the instance's own solver (`CdclSolver.fixed`), the one source of
 root knowledge on the build and the append path alike.  That solver
 would drop those clauses unread, so it stores, propagates and searches
-exactly as it would on the full stream.
+exactly as it would on the full stream.  The guards false at the root
+before the first solve were the labels the domains now leave out, so
+the clauses skipped come from the append path, once the search has
+learned root literals.
 
 A blocking clause (`add_block`) negates the defining literals of one
 decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
@@ -135,15 +146,33 @@ class EncodingInstance:
         return len(self.clauses)
 
 
+_UNARY_LABELS = tuple(lab for lab in OPERATOR_LABELS
+                      if lab not in BINARY_LABELS)
+
+
+def label_domain(n: int, i: int, alphabet: Sequence[str]) -> tuple[str, ...]:
+    """The labels node i of a budget-n DAG can take in the normal form
+    (`build_normal_form`), propositions first, in alphabet order.
+
+    Node 1 is a proposition, and the root of a budget n >= 2 an operator.
+    Node 2 reads node 1 only, so it is no `&`, `|` or `EU`.  Any other
+    node i is an operator or one of `alphabet[i - 1:]`: propositions come
+    first, in alphabet order.
+    """
+    props = () if 1 < i == n else tuple(alphabet[i - 1:])
+    if i == 1:
+        return props
+    return props + (_UNARY_LABELS if i == 2 else OPERATOR_LABELS)
+
+
 def build_structural(pool: VarPool, n: int,
                      alphabet: Sequence[str]) -> list[Clause]:
-    """Exactly-one label and child choices; node 1 is a proposition."""
-    labels = tuple(alphabet) + OPERATOR_LABELS
+    """Exactly-one label choice over each node's `label_domain`, and
+    exactly-one child choices."""
     clauses: list[Clause] = []
     for i in range(1, n + 1):
-        clauses.extend(sat.exactly_one([pool.var("x", i, lab)
-                                        for lab in labels]))
-    clauses.append(tuple(pool.var("x", 1, p) for p in alphabet))
+        clauses.extend(sat.exactly_one([
+            pool.var("x", i, lab) for lab in label_domain(n, i, alphabet)]))
     for i in range(2, n + 1):
         clauses.extend(sat.exactly_one([pool.var("l", i, j)
                                         for j in range(1, i)]))
@@ -190,25 +219,52 @@ def build_normal_form(pool: VarPool, n: int,
     implying an answer of `ceg.infer` has an admitted equivalent that
     does too, so language-minimality over the admitted formulas is
     language-minimality over all of them.
+
+    The clauses name only the labels of each node's `label_domain`, and
+    the instance has no other label variable.  That admits the same DAGs
+    as label variables for every proposition and operator at every node
+    would, because no DAG meeting the bullets above takes a label left
+    out:
+
+    * an operator at node 1 would read a node below 1, and there is none;
+    * a proposition at node i >= 2 follows one at node i - 1 earlier in
+      the alphabet, so by induction node i carries `alphabet[a]` only for
+      a >= i - 1;
+    * a proposition at the root n >= 2 makes every node a proposition, so
+      no operator reads node 1 and tightness fails;
+    * node 2 can read node 1 only, so l(2) = r(2) = 1, which neither `&`
+      and `|` (l < r) nor `EU` (l != r) allows.
+
+    With the full label set those variables are false in every model, and
+    the search found that by propagation, only later; the domains leave
+    them out before any clause is built.
     """
     x = lambda i, lab: pool.var("x", i, lab)
     left = lambda i, j: pool.var("l", i, j)
     right = lambda i, j: pool.var("r", i, j)
+    domain = [()] + [label_domain(n, i, alphabet) for i in range(1, n + 1)]
     clauses: list[Clause] = []
     for i in range(2, n + 1):
         for a, p in enumerate(alphabet):
-            clauses.append((-x(i, p),) + tuple(x(i - 1, q)
-                                               for q in alphabet[:a]))
+            if p in domain[i]:
+                clauses.append((-x(i, p),) + tuple(
+                    x(i - 1, q) for q in alphabet[:a] if q in domain[i - 1]))
         for j in range(1, i):
             for lab in (AND_LABEL, OR_LABEL):
-                clauses.append((-x(i, lab), -left(i, j))
-                               + tuple(right(i, k) for k in range(j + 1, i)))
-            clauses.append((-x(i, EU_LABEL), -left(i, j), -right(i, j)))
+                if lab in domain[i]:
+                    clauses.append((-x(i, lab), -left(i, j)) + tuple(
+                        right(i, k) for k in range(j + 1, i)))
+            if EU_LABEL in domain[i]:
+                clauses.append((-x(i, EU_LABEL), -left(i, j),
+                                -right(i, j)))
             for lab in (NOT_LABEL, EG_LABEL):
-                clauses.append((-x(i, lab), -left(i, j), -x(j, lab)))
+                if lab in domain[j]:
+                    clauses.append((-x(i, lab), -left(i, j), -x(j, lab)))
     for i in range(2, n + 1):
         for i2 in range(i + 1, n + 1):
-            for lab in OPERATOR_LABELS:
+            for lab in domain[i]:
+                if lab not in OPERATOR_LABELS or lab not in domain[i2]:
+                    continue
                 for j in range(1, i):
                     same = (-x(i, lab), -x(i2, lab), -left(i, j),
                             -left(i2, j))
@@ -223,10 +279,10 @@ def build_normal_form(pool: VarPool, n: int,
                              for j in range(i + 1, n + 1)))
         for j in range(i + 1, n + 1):
             used = pool.var("u", i, j)
-            clauses.append((-used,) + tuple(x(j, lab)
-                                            for lab in OPERATOR_LABELS))
+            ops = [lab for lab in domain[j] if lab in OPERATOR_LABELS]
+            clauses.append((-used,) + tuple(x(j, lab) for lab in ops))
             clauses.append((-used, left(j, i))
-                           + tuple(x(j, lab) for lab in OPERATOR_LABELS
+                           + tuple(x(j, lab) for lab in ops
                                    if lab in BINARY_LABELS))
             clauses.append((-used, left(j, i), right(j, i)))
     return clauses
@@ -288,13 +344,13 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
                    backend: CdclSolver) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
-    node, label and state.
+    node, label of the node's `label_domain`, and state.
 
     The structure's variables are allocated first, in a fixed order: `y`
-    for nodes 1..n, then `ys` and then `L`/`R` for nodes 2..n, so a
-    structure added to an instance numbers its variables after every
-    earlier one.  They are read back from tables, not looked up per
-    literal.
+    for nodes 1..n, then `ys` and then `L`/`R` for nodes 2..n (no `R` at
+    node 2, whose `label_domain` has no binary operator), so a structure
+    added to an instance numbers its variables after every earlier one.
+    They are read back from tables, not looked up per literal.
 
     The operand values `L(m, i, s)` and `R(m, i, s)` of an operator node
     i are tied to its children by `l(i, j) -> (L(m, i, s) <-> y(m, j, s))`
@@ -306,7 +362,8 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     `l(i, j)` and one `r(i, j)` true, which forces `L` and `R` to the
     chosen children's `y`.  So the models, projected on the x/l/r/u/y/ys
     variables, are exactly those of guarding each lowering by the label
-    and the child choices it reads.
+    and the child choices it reads.  Node 2 only takes `!`, `EX` and
+    `EG`, whose lowerings read no `right`.
 
     Every clause group whose guard `backend.fixed(-guard)` names as false
     at the root (the proposition clauses and `lower_node` call under
@@ -337,7 +394,8 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     for i in range(2, n + 1):
         for s in states:
             left[i].append(pool.var("L", m, i, s))
-            right[i].append(pool.var("R", m, i, s))
+            if i > 2:  # node 2 takes no binary label, so reads no right
+                right[i].append(pool.var("R", m, i, s))
     clauses: list[Clause] = []
 
     def successors(s: int, lit: Callable[[int], int]) -> list[int]:
@@ -345,7 +403,10 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
 
     for i in range(1, n + 1):
         out = y[i]
-        for p in struct.alphabet:
+        domain = label_domain(n, i, struct.alphabet)
+        for p in domain:
+            if p in OPERATOR_LABELS:
+                break  # the propositions come first
             guard = pool.var("x", i, p)
             if backend.fixed(-guard):
                 continue
@@ -360,7 +421,7 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
         for j in range(1, i):
             chose_l, chose_r = pool.var("l", i, j), pool.var("r", i, j)
             keep_l = not backend.fixed(-chose_l)
-            keep_r = not backend.fixed(-chose_r)
+            keep_r = i > 2 and not backend.fixed(-chose_r)
             child = y[j]
             for s in states:
                 if keep_l:
@@ -369,8 +430,9 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
                 if keep_r:
                     clauses.extend(sat.equiv_lit(right_i[s], child[s],
                                                  (chose_r,)))
-        lowered = [(label, (guard,)) for label in OPERATOR_LABELS
-                   if not backend.fixed(-(guard := pool.var("x", i, label)))]
+        lowered = [(label, (guard,)) for label in domain
+                   if label in OPERATOR_LABELS
+                   and not backend.fixed(-(guard := pool.var("x", i, label)))]
         step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
         for s in states:
             for label, guards in lowered:
@@ -468,12 +530,12 @@ def decode_with_literals(assignment: Mapping[int, bool],
     children its arity reads.  Negating them (`add_block`) excludes
     every assignment that picks this numbered DAG.
     """
-    pool = instance.pool
-    labels = instance.alphabet + OPERATOR_LABELS
+    pool, n = instance.pool, instance.size_budget
     built: list[CtlFormula] = []  # node i is built[i - 1]
     lits: list[int] = []
-    for i in range(1, instance.size_budget + 1):
-        lab = _true_key(assignment, pool, "x", i, labels)
+    for i in range(1, n + 1):
+        lab = _true_key(assignment, pool, "x", i,
+                        label_domain(n, i, instance.alphabet))
         lits.append(pool.get("x", i, lab))
         if lab not in OPERATOR_LABELS:
             built.append(Prop(lab))

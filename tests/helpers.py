@@ -333,15 +333,29 @@ def _admitted_node(dag: Dag, i: int, node: tuple) -> bool:
     return True
 
 
+def dag_formulas(dag: Dag) -> list[CtlFormula]:
+    """The subformula rooted at each node of a numbered DAG, node 1 first."""
+    built: list[CtlFormula] = []
+    for label, left, right in dag:
+        if left is None:
+            built.append(Prop(label))
+            continue
+        kids = [built[k - 1] for k in (left, right) if k is not None]
+        built.append(ctl.LABEL_CONSTRUCTORS[label](*kids))
+    return built
+
+
 def dag_literals(pool: encoder.VarPool, dag: Dag) -> list[int]:
-    """Defining literals of a DAG: labels always, children per arity."""
+    """Defining literals of a DAG: labels always, children per arity.
+    A label outside its node's `encoder.label_domain` has no variable, so
+    naming it raises `KeyError`."""
     lits = []
     for i, (label, left, right) in enumerate(dag, start=1):
-        lits.append(pool.var("x", i, label))
+        lits.append(pool.get("x", i, label))
         if left is not None:
-            lits.append(pool.var("l", i, left))
+            lits.append(pool.get("l", i, left))
         if right is not None:
-            lits.append(pool.var("r", i, right))
+            lits.append(pool.get("r", i, right))
     return lits
 
 

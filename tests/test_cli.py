@@ -145,17 +145,17 @@ class TestLearn:
         runs = [
             (["--pos", "two_state_pq.kripke", "chain3.kripke",
               "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
-             ["budget 1: UNSAT (vars=15, clauses=47)",
-              "budget 2: UNSAT (vars=50, clauses=182)",
-              "budget 3: SAT (vars=88, clauses=436)",
+             ["budget 1: UNSAT (vars=9, clauses=19)",
+              "budget 2: UNSAT (vars=32, clauses=101)",
+              "budget 3: SAT (vars=69, clauses=346)",
               "size: 3", "result: EX EX q"]),
             (["--pos", "diamond.kripke", "--neg", "branching.kripke",
               "--max-size", "4", "--seed", "0"],
-             ["budget 1: UNSAT (vars=15, clauses=46)",
-              "budget 2: UNSAT (vars=58, clauses=212)",
-              "budget 3: UNSAT (vars=104, clauses=534)",
-              "budget 4: SAT (vars=153, clauses=914)",
-              "size: 4", "result: !EG !p"]),
+             ["budget 1: UNSAT (vars=9, clauses=18)",
+              "budget 2: UNSAT (vars=40, clauses=131)",
+              "budget 3: UNSAT (vars=85, clauses=444)",
+              "budget 4: SAT (vars=132, clauses=804)",
+              "size: 4", "result: !EG !q"]),
         ]
         for args, expected in runs:
             argv = [str(FIX / a) if a.endswith(".kripke") else a

@@ -189,6 +189,27 @@ class TestNodeContract:
             assert hash(copied) == hash(node)
 
 
+def test_equal_copies_of_a_deep_dag_compare_in_linear_time():
+    """Two separately parsed copies of `A[p U ...]` 30 deep are equal
+    without being one object; in ENF each has 3^30 root-to-leaf paths,
+    so only an equality that compares each pair of nodes once answers."""
+    text = "A[p U " * 30 + "q" + "]" * 30
+    first, second = (ctl.enf(ctl.parse_ctl(text)) for _ in range(2))
+    assert first is not second
+    assert first == second and second == first
+    assert hash(first) == hash(second)
+    other = ctl.enf(ctl.parse_ctl("A[p U " * 30 + "p" + "]" * 30))
+    assert first != other
+    # `EX q` and `EG q` share the field-tuple hash, so these two differ
+    # only at the bottom of equal-hash pairs.
+    ex, eg = (ctl.enf(ctl.parse_ctl("A[p U " * 30 + op + " q" + "]" * 30))
+              for op in ("EX", "EG"))
+    assert hash(ex) == hash(eg)
+    assert ex != eg and eg != ex
+    assert ctl.size(ctl.Or(first, second)) == ctl.size(first) + 1
+    assert ctl.subterms(ctl.And(first, second))[-2] is first
+
+
 @pytest.mark.parametrize("cls", OPERATORS, ids=lambda cls: cls.__name__)
 def test_operator_classes_define_no_methods(cls):
     # The shape classes define every method once; an operator class

@@ -69,7 +69,8 @@ class TestBuildInstance:
                     else:
                         pool.get("ys", 1, i, s, k)
         # The operand values L/R of the operator nodes come after the
-        # structure's y and ys and before the next structure's first y.
+        # structure's y and ys and before the next structure's first y;
+        # node 2 takes no binary label, so it has no R.
         last_y = pool.get("y", 0, 3, 1)
         last_ys = max(pool.get("ys", 1, i, s, 2) for i in (2, 3)
                       for s in (0, 1, 2))
@@ -77,10 +78,25 @@ class TestBuildInstance:
             for s in (0, 1):
                 with pytest.raises(KeyError):
                     pool.get(kind, 0, 1, s)
-                for i in (2, 3):
+                for i in (2, 3) if kind == "L" else (3,):
                     assert (last_y < pool.get(kind, 0, i, s)
                             < pool.get("y", 1, 1, 0))
                     assert last_ys < pool.get(kind, 1, i, s)
+        for s in (0, 1):
+            with pytest.raises(KeyError):
+                pool.get("R", 0, 2, s)
+        # Label variables exist for each node's `label_domain` only: node
+        # 1 no operator, node 2 no binary operator, the root no
+        # proposition.
+        labels = {key[1:] for key, _ in pool.semantic_items()
+                  if key[0] == "x"}
+        assert labels == ({(1, "p"), (1, "q"), (2, "q"), (2, "!"),
+                           (2, "EX"), (2, "EG")}
+                          | {(3, lab) for lab in ctl.OPERATOR_LABELS})
+        for i in (1, 2, 3):
+            assert encoder.label_domain(3, i, ("p", "q")) == tuple(
+                lab for lab in ("p", "q") + ctl.OPERATOR_LABELS
+                if (i, lab) in labels)
 
     def test_semantic_clauses_read_one_child_choice(self):
         """Every clause of a structure reads at most one l/r literal: the
@@ -182,7 +198,9 @@ class TestRootPruning:
                 assert pruned._conflicts == full._conflicts
                 if verdict:
                     assert pruned.model() == full.model()
-        assert skipped["build"] > 0 and skipped["append"] > 0
+        # Before the first solve the root fixes no guard of a domain label
+        # false, so only the append path leaves clauses out.
+        assert skipped["append"] > 0
 
     def test_build_path_is_the_append_path(self):
         """Negatives built into an instance and negatives appended to it
@@ -214,25 +232,34 @@ class TestRootPruning:
 
 class TestSemantics:
     def test_pinned_formula_forces_checker_values(self):
-        """With the DAG pinned by unit clauses, every evaluation variable
-        must equal the checker's satisfaction sets, node by node."""
+        """With an admitted DAG pinned by unit clauses, every evaluation
+        variable must equal the checker's satisfaction sets, node by
+        node.  The DAG is an admitted numbering of the formula's normal
+        form; a formula without one has no label variables to pin."""
         rng = random.Random(501)
+        pinned = 0
         for _ in range(40):
             structures = [helpers.random_kripke(rng, max_states=3)
                           for _ in range(rng.randint(1, 2))]
-            f = helpers.random_enf(rng, structures[0].alphabet, 3)
-            dag = helpers.dag_nodes(f)
+            alphabet = structures[0].alphabet
+            f = helpers.normal_form(helpers.random_enf(rng, alphabet, 3))
+            dag = helpers.admitted_dag(f, alphabet)
+            if dag is None:
+                continue
+            pinned += 1
+            nodes = helpers.dag_formulas(dag)
             pool, backend = semantic_instance(structures, len(dag))
             helpers.pin_dag(backend, pool, dag)
             assert backend.solve()
             model = backend.model()
             for m_idx, struct in enumerate(structures):
-                table = checker.sat_set_table(struct, f)
-                for i, sub in enumerate(ctl.subterms(f), start=1):
+                table = checker.sat_set_table(struct, nodes[-1])
+                for i, sub in enumerate(nodes, start=1):
                     expected = table[sub]
                     for s in range(struct.size):
                         got = model[pool.get("y", m_idx, i, s)]
                         assert got == (s in expected), (f, i, s)
+        assert pinned > 30
 
     def test_step_variables_match_prefix_semantics(self):
         rng = random.Random(502)
@@ -380,20 +407,25 @@ class TestBlocking:
 
 class TestDecode:
     def test_roundtrip_via_assumptions(self):
-        """Pinning a formula's admitted DAG with unit clauses decodes to
-        the formula when it holds; a formula outside the normal form
-        cannot be pinned."""
+        """Pinning the admitted DAG of a formula's normal form with unit
+        clauses decodes to that formula when it holds; a numbering outside
+        the normal form names a label variable the instance does not
+        have, or, where it has them all, admits no model."""
         rng = random.Random(505)
         m = helpers.load_fixture("full2.kripke")
         outside = 0
         for _ in range(40):
-            f = helpers.random_enf(rng, m.alphabet, 3)
+            f = helpers.normal_form(helpers.random_enf(rng, m.alphabet, 3))
             instance = encoder.build_instance(ctl.size(f), [m], [], seed=2)
             backend = instance.backend
             dag = helpers.admitted_dag(f, m.alphabet)
             if dag is None:
                 outside += 1
-                helpers.pin_dag(backend, instance.pool, helpers.dag_nodes(f))
+                try:
+                    helpers.pin_dag(backend, instance.pool,
+                                    helpers.dag_nodes(f))
+                except KeyError:
+                    continue
                 assert not backend.solve()
                 continue
             helpers.pin_dag(backend, instance.pool, dag)
@@ -410,18 +442,18 @@ class TestDecode:
 class TestNormalForm:
     ALPHABET = ("p", "q")
 
-    def normal_form_backend(self, n):
+    def normal_form_backend(self, n, alphabet=ALPHABET):
         """A solver over the structural and normal-form clauses alone."""
         pool = VarPool()
-        clauses = (encoder.build_structural(pool, n, self.ALPHABET)
-                   + encoder.build_normal_form(pool, n, self.ALPHABET))
-        instance = encoder.EncodingInstance(n, self.ALPHABET, (), (), pool,
+        clauses = (encoder.build_structural(pool, n, alphabet)
+                   + encoder.build_normal_form(pool, n, alphabet))
+        instance = encoder.EncodingInstance(n, alphabet, (), (), pool,
                                             clauses)
         return instance, encoder.load_backend(instance, CdclSolver(seed=3))
 
-    def admitted(self, n):
+    def admitted(self, n, alphabet=ALPHABET):
         """Every formula decoded at budget n, one blocked DAG at a time."""
-        instance, backend = self.normal_form_backend(n)
+        instance, backend = self.normal_form_backend(n, alphabet)
         found = []
         while backend.solve():
             f, lits = encoder.decode_with_literals(backend.model(), instance)
@@ -457,11 +489,16 @@ class TestNormalForm:
         assert rewritten > 0
 
     def test_decoded_formulas_are_the_admitted_ones(self):
-        for n in (1, 2, 3):
-            expected = {f for f in ctl.enumerate_formulas(self.ALPHABET, n)
-                        if ctl.size(f) == n
-                        and helpers.admitted_dag(f, self.ALPHABET)}
-            assert set(self.admitted(n)) == expected
+        """The label domains lose no admitted DAG: budgets 1-4 over (p, q)
+        and over (p) decode exactly the formulas of the budget's size that
+        have a numbering the normal form admits, found by trying every
+        numbering."""
+        for alphabet in (self.ALPHABET, ("p",)):
+            formulas = helpers._enf_formulas(alphabet, 4)
+            for n in (1, 2, 3, 4):
+                expected = {f for f in formulas if ctl.size(f) == n
+                            and helpers.admitted_dag(f, alphabet)}
+                assert set(self.admitted(n, alphabet)) == expected, n
 
 
 class TestDimacsExport:

@@ -136,8 +136,8 @@ class TestLearnMinimal:
             sample_of([], ["selfloop_p.kripke"]), 3, seed=0)
         assert result.formula == ctl.parse_ctl("!p")
         assert [b.describe() for b in result.budgets] == [
-            "budget 1: UNSAT (vars=8, clauses=25)",
-            "budget 2: SAT (vars=21, clauses=69)"]
+            "budget 1: UNSAT (vars=2, clauses=3)",
+            "budget 2: SAT (vars=10, clauses=21)"]
 
 
 def record_decodes(monkeypatch):

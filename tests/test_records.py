@@ -33,16 +33,29 @@ print(ctlinfer.print_ctl(ctlinfer.infer(model, 2).formula))
 """
 
 
-def test_import_and_infer_generate_no_dataclass():
+def fresh_python(*argv):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = os.path.dirname(os.path.dirname(ctlinfer.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_DATACLASS,
-         str(helpers.FIXTURES / "selfloop_p.kripke")],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_import_and_infer_generate_no_dataclass():
+    proc = fresh_python("-c", NO_DATACLASS,
+                        str(helpers.FIXTURES / "selfloop_p.kripke"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "EG p\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """`ctl` imports `dataclasses` (and with it `inspect`) only to raise
+    `FrozenInstanceError`, not at import."""
+    proc = fresh_python("-c", "import sys, ctlinfer; print(sorted("
+                        "{'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def pq():
