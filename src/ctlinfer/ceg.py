@@ -15,8 +15,12 @@ solver:
 
 * case 1 - the two imply each other within the state budget (both calls
   answer None): discard the candidate and keep searching.  `synthesize`
-  refutes each direction with its tableau before any solver runs, so a
-  case 1 costs no state sweep whenever the two are equivalent outright;
+  evaluates the one- and two-state families of each direction, then
+  refutes it with its tableau before any larger size, so a case 1 costs
+  no sweep above two states whenever the two are equivalent outright.
+  The normal form already leaves out every candidate with a subterm that
+  a rewrite rule (`encoder.REWRITE_RULES`) shrinks, so the equivalent
+  candidates left are those no rule of at most 4 nodes names;
 * case 2 - the candidate strictly strengthens the hypothesis (it implies
   the hypothesis, and the second call's witness satisfies the hypothesis
   but not the candidate): the witness becomes a negative structure, the
@@ -43,7 +47,8 @@ a case 1 changes neither the hypothesis nor N.
 
 The candidate space is the learner's normal form
 (`encoder.build_normal_form`), in which every formula of size <= bound
-has an equivalent of no larger size.  A formula holding on the model and
+has an equivalent of no larger size, the rewrite rules included: each
+rule drops a node and adds none.  A formula holding on the model and
 strictly implying the result would therefore have such an equivalent in
 the space, which also holds and strictly implies it; so
 language-minimality over the normal form implies it over all formulas.

@@ -27,7 +27,21 @@ The structural clauses (`build_structural`) and the semantic ones
 domains.  A search instance admits only the normal-form DAGs of
 `build_normal_form`: tight (every node is read), without duplicate
 nodes, with the propositions first and the operands of `&` and `|`
-ordered.  So every DAG it admits has exactly n distinct subformulas.
+ordered, and without an instance of a rewrite rule psi = phi of
+`REWRITE_RULES`.  So every DAG it admits has exactly n distinct
+subformulas.
+
+The rule table holds every minimal schema psi of at most 4 DAG nodes,
+over the metavariables a and b, that `tableau.satisfiable` proves
+equivalent to a proper sub-DAG phi of itself (by refuting psi xor phi),
+such as a & EG a = EG a, E[a U EG a] = EG a and !!a = a.  CTL validity
+is closed under uniform substitution, so a rule proved for propositions
+holds for every formula put in for a and b.  Rewriting psi to phi drops
+psi's root and adds no node, so excluding the instances of psi keeps an
+equivalent of every formula at no larger size (`build_normal_form`).
+Such a candidate is equivalent to a smaller one that the learner
+proposes first, so the CEG loop mostly found it equivalent to its
+hypothesis and discarded it (case 1); now it never sees it.
 The domains are owned by that normal form: they leave out exactly the
 labels no admitted DAG takes (the argument is in its docstring), so the
 instance admits the same DAGs with fewer variables and clauses.
@@ -71,17 +85,18 @@ further structures.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sat
-from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
+from .ctl import (AND_LABEL, BINARY_LABELS, EU_LABEL, EX_LABEL,
                   LABEL_CONSTRUCTORS, NOT_LABEL, OPERATOR_LABELS, OR_LABEL,
                   CtlFormula, Prop)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-__all__ = ["VarPool", "lower_node", "add_structure", "add_block",
-           "build_normal_form", "build_instance", "load_backend",
+__all__ = ["VarPool", "REWRITE_RULES", "lower_node", "add_structure",
+           "add_block", "build_normal_form", "build_instance", "load_backend",
            "decode_with_literals", "to_dimacs"]
 
 
@@ -165,6 +180,91 @@ def label_domain(n: int, i: int, alphabet: Sequence[str]) -> tuple[str, ...]:
     return props + (_UNARY_LABELS if i == 2 else OPERATOR_LABELS)
 
 
+# The rewrite rules psi = phi of the normal form, as `build_normal_form`
+# compiles them: psi's syntax DAG, children first, each node a metavariable
+# ("a" or "b") or a label with the indices of the nodes it reads; then the
+# index of phi, a proper sub-DAG of psi.  Derived and proved by the tableau
+# (module docstring); kept as literals, so importing parses nothing.
+REWRITE_RULES: tuple[tuple[tuple, int], ...] = (
+    # E[a U a] = a
+    (("a", ("EU", 0, 0)), 0),
+    # !!a = a
+    (("a", ("!", 0), ("!", 1)), 0),
+    # EG EG a = EG a
+    (("a", ("EG", 0), ("EG", 1)), 1),
+    # a & EG a = EG a
+    (("a", ("EG", 0), ("&", 0, 1)), 1),
+    # a | EG a = a
+    (("a", ("EG", 0), ("|", 0, 1)), 0),
+    # E[a U EG a] = EG a
+    (("a", ("EG", 0), ("EU", 0, 1)), 1),
+    # E[EG a U a] = a
+    (("a", ("EG", 0), ("EU", 1, 0)), 0),
+    # EG EX EG a = EX EG a
+    (("a", ("EG", 0), ("EX", 1), ("EG", 2)), 2),
+    # EX (a & !a) = a & !a
+    (("a", ("!", 0), ("&", 0, 1), ("EX", 2)), 2),
+    # EG (a & !a) = a & !a
+    (("a", ("!", 0), ("&", 0, 1), ("EG", 2)), 2),
+    # EX (a | !a) = a | !a
+    (("a", ("!", 0), ("|", 0, 1), ("EX", 2)), 2),
+    # EG (a | !a) = a | !a
+    (("a", ("!", 0), ("|", 0, 1), ("EG", 2)), 2),
+    # a & EX EG a = EG a
+    (("a", ("EG", 0), ("EX", 1), ("&", 0, 2)), 1),
+    # a & (a & b) = a & b
+    (("a", "b", ("&", 0, 1), ("&", 0, 2)), 2),
+    # a | a & b = a
+    (("a", "b", ("&", 0, 1), ("|", 0, 2)), 0),
+    # a & (a | b) = a
+    (("a", "b", ("|", 0, 1), ("&", 0, 2)), 0),
+    # a | (a | b) = a | b
+    (("a", "b", ("|", 0, 1), ("|", 0, 2)), 2),
+    # E[a U a | b] = a | b
+    (("a", "b", ("|", 0, 1), ("EU", 0, 2)), 2),
+    # E[a U E[a U b]] = E[a U b]
+    (("a", "b", ("EU", 0, 1), ("EU", 0, 2)), 2),
+    # E[a U a & !a] = a & !a
+    (("a", ("!", 0), ("&", 0, 1), ("EU", 0, 2)), 2),
+    # E[a U a & EX a] = a & EX a
+    (("a", ("EX", 0), ("&", 0, 1), ("EU", 0, 2)), 2),
+    # a & E[b U a] = a
+    (("a", "b", ("EU", 1, 0), ("&", 0, 2)), 0),
+    # a | E[b U a] = E[b U a]
+    (("a", "b", ("EU", 1, 0), ("|", 0, 2)), 2),
+    # E[a U E[b U a]] = E[b U a]
+    (("a", "b", ("EU", 1, 0), ("EU", 0, 2)), 2),
+    # E[!a U a & !a] = a & !a
+    (("a", ("!", 0), ("&", 0, 1), ("EU", 1, 2)), 2),
+    # EX a & E[EX a U a] = EX a
+    (("a", ("EX", 0), ("EU", 1, 0), ("&", 1, 2)), 1),
+    # EX a | E[EX a U a] = E[EX a U a]
+    (("a", ("EX", 0), ("EU", 1, 0), ("|", 1, 2)), 2),
+    # EG a & EX a = EG a
+    (("a", ("EG", 0), ("EX", 0), ("&", 1, 2)), 1),
+    # EG a | EX a = EX a
+    (("a", ("EG", 0), ("EX", 0), ("|", 1, 2)), 2),
+    # E[EG a U EX a] = EX a
+    (("a", ("EG", 0), ("EX", 0), ("EU", 1, 2)), 2),
+    # EG a & EX EG a = EG a
+    (("a", ("EG", 0), ("EX", 1), ("&", 1, 2)), 1),
+    # EG a | EX EG a = EX EG a
+    (("a", ("EG", 0), ("EX", 1), ("|", 1, 2)), 2),
+    # E[EG a U EX EG a] = EX EG a
+    (("a", ("EG", 0), ("EX", 1), ("EU", 1, 2)), 2),
+    # E[!EX a U a] = a
+    (("a", ("EX", 0), ("!", 1), ("EU", 2, 0)), 0),
+    # E[EX EG a U EG a] = EX EG a
+    (("a", ("EG", 0), ("EX", 1), ("EU", 2, 1)), 2),
+    # E[a & b U a] = a
+    (("a", "b", ("&", 0, 1), ("EU", 2, 0)), 0),
+    # E[E[a U b] U b] = E[a U b]
+    (("a", "b", ("EU", 0, 1), ("EU", 2, 1)), 2),
+    # E[a | EX a U a] = a | EX a
+    (("a", ("EX", 0), ("|", 0, 1), ("EU", 2, 0)), 2),
+)
+
+
 def build_structural(pool: VarPool, n: int,
                      alphabet: Sequence[str]) -> list[Clause]:
     """Exactly-one label choice over each node's `label_domain`, and
@@ -188,10 +288,12 @@ def build_normal_form(pool: VarPool, n: int,
 
     * propositions first, in alphabet order: a proposition node i >= 2
       follows a proposition node earlier in the alphabet;
-    * ordered, distinct operands: `&` and `|` read l(i) < r(i), and `EU`
-      reads l(i) != r(i);
-    * no stacked `!` or `EG`: such a node does not read a node of its own
-      label;
+    * ordered operands: `&` and `|` read l(i) < r(i);
+    * no rule instance: no placement of the pattern psi of a rule psi =
+      phi of `REWRITE_RULES` (`_placements`) is in the DAG.  Each
+      placement gives one clause, which negates the labels and child
+      choices it names.  One of them is E[a U a] = a, so `EU` reads
+      l(i) != r(i);
     * no duplicate operator nodes: no two have the same label and the same
       children that the arity reads (the first bullet already keeps
       propositions apart);
@@ -202,23 +304,35 @@ def build_normal_form(pool: VarPool, n: int,
     Every admitted DAG has n distinct subformulas, since no node is
     unreachable from the root and no two nodes denote the same formula.
 
+    The rules are every minimal schema psi of at most 4 DAG nodes over
+    the metavariables a and b that is equivalent to a proper sub-DAG phi,
+    proved by `tableau.satisfiable` refuting psi xor phi.  Minimal: no
+    proper sub-DAG of psi is itself an instance of a rule, and no rule is
+    a substitution instance of another (so !!EG a, say, is left to !!a).
+    CTL validity is closed under uniform substitution, so psi = phi holds
+    for every instance, whatever formulas a and b stand for.
+    `tests/test_encoder.py` derives the table again and compares.
+
     Soundness: every formula of size <= n has an equivalent admitted
-    formula of no larger size.  Rewrite x & x, x | x and E[x U x] to x,
-    !!x to x and EG EG x to EG x, at every occurrence at once (in the
-    DAG: redirect the node's readers to its child), merge duplicate nodes
+    formula of no larger size.  Rewrite x & x and x | x to x, and each
+    instance of a rule psi to its instance of phi, at every occurrence
+    at once (in the DAG: redirect the readers of psi's root to phi's node;
+    psi's root is dropped and no node is added), merge duplicate nodes
     and drop unreachable ones.  Each step keeps the semantics and lowers
     the node count, so this terminates.  Then number the propositions
     first in alphabet order and the operator nodes in any order with
     children first, and swap the operands of every `&` or `|` node whose
-    left child got the higher number.  If that makes two nodes equal,
-    merge them and start again, with fewer nodes; otherwise the DAG is
-    admitted.  So the guarantees of searching every formula carry over.
-    The learner's one search (`learner.CandidateSearch`) still finds the
-    minimum size of a consistent formula, and its floor argument only
-    needs the admitted set of a budget to shrink.  A formula strictly
-    implying an answer of `ceg.infer` has an admitted equivalent that
-    does too, so language-minimality over the admitted formulas is
-    language-minimality over all of them.
+    left child got the higher number.  A placement puts `&`/`|` operands
+    in that order too, so the swaps make no new rule instance.  If they
+    make two nodes equal, merge them and start again, with fewer nodes;
+    otherwise the DAG is admitted.  So the guarantees of searching every
+    formula carry over.  The learner's one search
+    (`learner.CandidateSearch`) still finds the minimum size of a
+    consistent formula, and its floor argument only needs the admitted
+    set of a budget to shrink.  A formula strictly implying an answer of
+    `ceg.infer` has an admitted equivalent that does too, so
+    language-minimality over the admitted formulas is language-minimality
+    over all of them.
 
     The clauses name only the labels of each node's `label_domain`, and
     the instance has no other label variable.  That admits the same DAGs
@@ -233,7 +347,7 @@ def build_normal_form(pool: VarPool, n: int,
     * a proposition at the root n >= 2 makes every node a proposition, so
       no operator reads node 1 and tightness fails;
     * node 2 can read node 1 only, so l(2) = r(2) = 1, which neither `&`
-      and `|` (l < r) nor `EU` (l != r) allows.
+      and `|` (l < r) nor `EU` (the rule E[a U a] = a) allows.
 
     With the full label set those variables are false in every model, and
     the search found that by propagation, only later; the domains leave
@@ -254,12 +368,8 @@ def build_normal_form(pool: VarPool, n: int,
                 if lab in domain[i]:
                     clauses.append((-x(i, lab), -left(i, j)) + tuple(
                         right(i, k) for k in range(j + 1, i)))
-            if EU_LABEL in domain[i]:
-                clauses.append((-x(i, EU_LABEL), -left(i, j),
-                                -right(i, j)))
-            for lab in (NOT_LABEL, EG_LABEL):
-                if lab in domain[j]:
-                    clauses.append((-x(i, lab), -left(i, j), -x(j, lab)))
+    for keys in _rule_clauses(n):
+        clauses.append(tuple(-pool.var(*key) for key in keys))
     for i in range(2, n + 1):
         for i2 in range(i + 1, n + 1):
             for lab in domain[i]:
@@ -286,6 +396,85 @@ def build_normal_form(pool: VarPool, n: int,
                                    if lab in BINARY_LABELS))
             clauses.append((-used, left(j, i), right(j, i)))
     return clauses
+
+
+@lru_cache(maxsize=None)
+def _rule_clauses(n: int) -> tuple[tuple[tuple, ...], ...]:
+    """The clauses of `REWRITE_RULES` at budget n, one per placement of a
+    rule's pattern (`_placements`), each as the keys of the label and
+    child-choice variables it negates.
+
+    A pattern holds no proposition, so its placements depend on the
+    operator labels of each node's `label_domain` alone, and those on n
+    and i alone; so the clauses are built once per budget and shared by
+    every alphabet.
+    """
+    domain = [()] + [label_domain(n, i, ()) for i in range(1, n + 1)]
+    clauses = []
+    for pattern, _ in REWRITE_RULES:
+        for placed in _placements(pattern, n, domain):
+            keys: dict[tuple, None] = {}
+            for i, (lab, *kids) in placed:
+                keys[("x", i, lab)] = None
+                for kind, j in zip("lr", kids):
+                    if j is not None:
+                        keys[(kind, i, j)] = None
+            clauses.append(tuple(keys))
+    return tuple(clauses)
+
+
+def _placements(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
+                ) -> Iterable[list[tuple[int, tuple]]]:
+    """Each way to place the rule pattern `pattern` (`REWRITE_RULES`) in
+    a budget-n DAG whose node i takes a label of `domain[i]`, as the list
+    of its operator nodes, root first: DAG node i with its label and the
+    DAG nodes it reads, `&`/`|` operands in the order the normal form
+    numbers them, and None for a child the placement leaves open.
+
+    A metavariable goes to any node, since it may stand for any formula,
+    and an operator node to any node above its children that no other
+    operator node of the placement holds.  Two operator nodes could share
+    a DAG node only with one label and equal children, which takes two
+    nodes of one label off one root path, each with its own child: five
+    pattern nodes, and a rule has at most 4.  A metavariable that only
+    one operand of a `!`, `EX`, `EG` or `EU` node reads is left open:
+    every node below that one may take it, so its placements together
+    exclude what the one without its child literal does.  A placement is
+    left out when it names a label outside the domain (that variable does
+    not exist) or an `&`/`|` that reads one node twice, which the operand
+    order already excludes.
+    """
+    readers: dict[int, list[str]] = {}  # a label per operand read
+    for lab, *kids in (node for node in pattern if not isinstance(node, str)):
+        for kid in kids:
+            readers.setdefault(kid, []).append(lab)
+    place: list[int | None] = [None] * len(pattern)
+
+    def extend(k: int, placed: list[tuple[int, tuple]],
+               ) -> Iterable[list[tuple[int, tuple]]]:
+        if k == len(pattern):
+            yield placed
+            return
+        if isinstance(pattern[k], str):  # a metavariable
+            if readers[k][1:] or readers[k][0] in (AND_LABEL, OR_LABEL):
+                for i in range(1, n + 1):
+                    place[k] = i
+                    yield from extend(k + 1, placed)
+            else:
+                yield from extend(k + 1, placed)
+            return
+        lab, *kids = pattern[k]
+        below = [place[c] for c in kids]
+        if lab in (AND_LABEL, OR_LABEL):
+            if below[0] == below[1]:
+                return
+            below.sort()
+        for i in range(max(j or 1 for j in below) + 1, n + 1):
+            if lab in domain[i] and all(i != j for j, _ in placed):
+                place[k] = i
+                yield from extend(k + 1, [(i, (lab, *below))] + placed)
+
+    return extend(0, [])
 
 
 def lower_node(clauses: list[Clause], label: str, s: int, out: int,

@@ -2,7 +2,7 @@
 
 The dual of formula search: the formula is fixed (in ENF) and the
 structure is unknown.  `synthesize` tries state counts upward and decides
-each one exactly, in two stages:
+each one exactly, in three stages:
 
 1. One state, by its family (below).  A total one-state structure must
    carry its self-loop, so the family is the disjoint union of one
@@ -13,17 +13,23 @@ each one exactly, in two stages:
    one truth value at every state of every total structure (with labels
    ignored, all of them are bisimilar), so the family of one self-loop
    decides it outright, constants included.
-2. The tableau, then the sweep, m = 2..max_states, both on the ENF
-   formula, whose syntax DAG they walk by `ctl.subterms` (a node outside
-   ENF raises `ctl.NotInEnf`).  `tableau.satisfiable` decides the
-   formula exactly when it has at most `tableau.MAX_ELEMENTARY`
-   elementary formulas (and answers None, undecided, above).  An
-   unsatisfiable formula has no model of any size, so none within the
-   budget either, and the answer is None with no sweep.  Otherwise, when
-   the family of all total m-state structures over the formula's k
-   propositions has at most `FAMILY_CAP` components, it decides size m
-   (`_family_model`); above the cap a CNF instance over free transition
-   and labelling variables, built from the DAG, is solved (`_solve`).
+2. Two states by their family, when it is under the cap (below), since
+   most satisfiable formulas the CEG loop asks about have a model there.
+3. The tableau, then the sweep over the sizes left, up to max_states,
+   both on the ENF formula, whose syntax DAG they walk by `ctl.subterms`
+   (a node outside ENF raises `ctl.NotInEnf`).  `tableau.satisfiable`
+   decides the formula exactly when it has at most
+   `tableau.MAX_ELEMENTARY` elementary formulas (and answers None,
+   undecided, above).  An unsatisfiable formula has no model of any
+   size, so none within the budget either, and the answer is None with
+   no further sweep.  Otherwise, when the family of all total m-state
+   structures over the formula's k propositions has at most
+   `FAMILY_CAP` components, it decides size m (`_family_model`); above
+   the cap a CNF instance over free transition and labelling variables,
+   built from the DAG, is solved (`_solve`).  So the tableau runs at
+   most once per call, and not at all when a one- or two-state family
+   finds a model; sizes are still tried fewest first, since the tableau
+   finds no model, only refutes.
 
 A family is bit-parallel.  Its structures are the components of one
 disjoint union, (2^m - 1)^m successor shapes (one nonempty successor set
@@ -295,15 +301,22 @@ def _sweep(target: CtlFormula, max_states: int, props: Sequence[str],
            seed: int | None) -> KripkeStructure | None:
     """A model of the ENF formula `target` with 1..`max_states` states,
     fewest first, or None: one state by its family, which decides a
-    formula without propositions outright; then the tableau refutes what
-    it can, and each size goes to the family under its cap and to the
+    formula without propositions outright; then two states by their
+    family when it is under the cap; then the tableau refutes what it
+    can, and each size left goes to the family under its cap and to the
     solver above."""
     model = _family_model(target, 1, props, alphabet)
     if model is not None or not props:
         return model
+    sizes = range(2, max_states + 1)
+    if sizes and _components(2, len(props)) <= FAMILY_CAP:
+        model = _family_model(target, 2, props, alphabet)
+        if model is not None:
+            return model
+        sizes = sizes[1:]
     if tableau.satisfiable(target) is False:
         return None
-    for num_states in range(2, max_states + 1):
+    for num_states in sizes:
         if _components(num_states, len(props)) <= FAMILY_CAP:
             model = _family_model(target, num_states, props, alphabet)
         else:

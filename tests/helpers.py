@@ -16,7 +16,7 @@ import random
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from ctlinfer import ctl, encoder, kripke
+from ctlinfer import ctl, encoder, kripke, tableau
 from ctlinfer.ctl import (And, Const, CtlFormula, ExistsFinally,
                           ExistsGlobally, ExistsNext, ExistsUntil,
                           ForallFinally, ForallGlobally, ForallNext,
@@ -290,16 +290,132 @@ def dag_nodes(f: CtlFormula) -> Dag:
     return tuple(nodes)
 
 
+def commuted(f: CtlFormula,
+             key: Callable[[CtlFormula], object] = ctl.print_ctl,
+             ) -> CtlFormula:
+    """f with the operands of every `&` and `|` sorted by `key`, printed
+    form by default, so formulas equal up to commuting them map to one
+    formula."""
+    if isinstance(f, Prop):
+        return f
+    kids = [commuted(g, key) for g in ctl.children(f)]
+    if isinstance(f, (And, Or)):
+        kids.sort(key=key)
+    return type(f)(*kids)
+
+
+def substituted(f: CtlFormula, binding: dict[str, CtlFormula],
+                ) -> CtlFormula:
+    """f with each proposition named in `binding` replaced by its
+    formula."""
+    if isinstance(f, Prop):
+        return binding.get(f.name, f)
+    return type(f)(*(substituted(g, binding) for g in ctl.children(f)))
+
+
+def _bindings(pattern: CtlFormula, f: CtlFormula,
+              binding: dict[str, CtlFormula]) -> Iterable[dict]:
+    """Every extension of `binding` that substitutes formulas for the
+    propositions of `pattern` (its metavariables) to turn it into f, up
+    to commuting the operands of `&` and `|`."""
+    if isinstance(pattern, Prop):
+        bound = binding.get(pattern.name)
+        if bound is None:
+            yield {**binding, pattern.name: f}
+        elif bound == f:
+            yield binding
+        return
+    if type(pattern) is not type(f):
+        return
+    kids = ctl.children(f)
+    orders = [kids]
+    if isinstance(f, (And, Or)) and kids[0] != kids[1]:
+        orders.append(kids[::-1])
+    for order in orders:
+        partial = [binding]
+        for p, g in zip(ctl.children(pattern), order):
+            partial = [more for got in partial
+                       for more in _bindings(p, g, got)]
+        yield from partial
+
+
+def matches(pattern: CtlFormula, f: CtlFormula) -> bool:
+    """Whether f is an instance of the schema `pattern` up to commuting
+    the operands of `&` and `|`."""
+    return next(iter(_bindings(pattern, f, {})), None) is not None
+
+
+def _representative(f: CtlFormula) -> CtlFormula:
+    """The one schema kept of f's class up to commuting `&`/`|` operands
+    (smaller operand left) and swapping the metavariables a and b."""
+    a, b = Prop("a"), Prop("b")
+    return min((commuted(substituted(f, names),
+                         key=lambda g: (ctl.size(g), ctl.print_ctl(g)))
+                for names in ({}, {"a": b, "b": a})),
+               key=ctl.print_ctl)
+
+
+def equivalent(f: CtlFormula, g: CtlFormula) -> bool:
+    """Whether the tableau refutes f xor g, proving f and g equivalent."""
+    return tableau.satisfiable(Or(And(f, Not(g)), And(g, Not(f)))) is False
+
+
 @functools.lru_cache(maxsize=None)
-def admitted_dag(f: CtlFormula, alphabet: tuple[str, ...]) -> Dag | None:
+def derived_rules(max_nodes: int = 4,
+                  ) -> tuple[tuple[CtlFormula, CtlFormula], ...]:
+    """The rewrite rules psi = phi of the learner's normal form, derived
+    afresh: psi ranges over the ENF schemas over metavariables a and b
+    with at most `max_nodes` DAG nodes, and phi over psi's proper
+    subterms, in `ctl.subterms` order; a pair is a rule when the tableau
+    refutes psi xor phi.
+
+    A schema is tried once per class up to commuting `&`/`|` operands and
+    renaming its metavariables, and not when an `&` or `|` reads one
+    subterm twice (the operand order excludes those).  A schema is
+    minimal when no proper subterm matches an earlier rule, and a minimal
+    one that matches another minimal rule's psi is an instance of that
+    more general rule and dropped.  Schemas are tried by size, so every
+    rule a proper subterm could match comes earlier.
+    """
+    found: list[tuple[CtlFormula, CtlFormula]] = []
+    for psi in ctl.enumerate_formulas(("a", "b"), max_nodes):
+        subs = ctl.subterms(psi)
+        if (_representative(psi) != psi
+                or any(isinstance(g, (And, Or)) and g.left == g.right
+                       for g in subs)
+                or any(matches(rule, g) for g in subs[:-1]
+                       for rule, _ in found)):
+            continue
+        phi = next((g for g in subs[:-1] if equivalent(psi, g)), None)
+        if phi is not None:
+            found.append((psi, phi))
+    return tuple((psi, phi) for psi, phi in found
+                 if not any(other is not psi and matches(other, psi)
+                            for other, _ in found))
+
+
+def has_rule_instance(f: CtlFormula) -> bool:
+    """Whether some subterm of f matches a rule of `derived_rules`."""
+    return any(matches(psi, g) for g in ctl.subterms(f)
+               for psi, _ in derived_rules())
+
+
+@functools.lru_cache(maxsize=None)
+def admitted_dag(f: CtlFormula, alphabet: tuple[str, ...],
+                 rules: bool = True) -> Dag | None:
     """A numbering of f's syntax DAG that the learner's normal form admits,
     found by trying every order of its nodes, or None if there is none.
 
     Admitted: children below parents, the propositions first in alphabet
     order, `&`/`|` operands ordered left below right, `EU` operands
-    distinct, and no `!` under `!` or `EG` under `EG`.  `ctl.subterms`
-    already lists equal subterms once and only nodes the root reaches.
+    distinct, no `!` under `!` or `EG` under `EG`, and, with `rules`, no
+    subterm that a rule of `derived_rules` matches.  Without `rules` it is
+    the normal form before the rule table, which wrote those three rules
+    by hand.  `ctl.subterms` already lists equal subterms once and only
+    nodes the root reaches.
     """
+    if rules and has_rule_instance(f):
+        return None
     nodes = dag_nodes(f)
     rank = {p: a for a, p in enumerate(alphabet)}
     for order in itertools.permutations(range(1, len(nodes) + 1)):
@@ -365,30 +481,23 @@ def pin_dag(solver, pool: encoder.VarPool, dag: Dag) -> None:
     solver.add_clauses((lit,) for lit in dag_literals(pool, dag))
 
 
-def commuted(f: CtlFormula) -> CtlFormula:
-    """f with the operands of every `&` and `|` sorted by printed form,
-    so formulas equal up to commuting them map to one formula."""
-    if isinstance(f, Prop):
-        return f
-    kids = [commuted(g) for g in ctl.children(f)]
-    if isinstance(f, (And, Or)):
-        kids.sort(key=ctl.print_ctl)
-    return type(f)(*kids)
-
-
 def normal_form(f: CtlFormula) -> CtlFormula:
-    """f rewritten bottom-up by the normal form's rules: x & x, x | x and
-    E[x U x] to x, !!x to x, EG EG x to EG x, then `commuted`."""
+    """f rewritten bottom-up by the normal form's rules, then `commuted`:
+    x & x and x | x to x, and each instance of a rule psi = phi of
+    `derived_rules` to its instance of phi.  A node's children are
+    rewritten first, so only the node itself can match a rule, and the
+    instance of phi, a proper subterm up to commuting, is rewritten
+    already."""
     if isinstance(f, Prop):
         return f
-    kids = [normal_form(g) for g in ctl.children(f)]
-    if len(kids) == 2 and kids[0] == kids[1]:
+    node = commuted(type(f)(*(normal_form(g) for g in ctl.children(f))))
+    kids = ctl.children(node)
+    if isinstance(node, (And, Or)) and kids[0] == kids[1]:
         return kids[0]
-    if isinstance(f, Not) and isinstance(kids[0], Not):
-        return kids[0].operand
-    if isinstance(f, ExistsGlobally) and isinstance(kids[0], ExistsGlobally):
-        return kids[0]
-    return commuted(type(f)(*kids))
+    for psi, phi in derived_rules():
+        for binding in _bindings(psi, node, {}):
+            return commuted(substituted(phi, binding))
+    return node
 
 
 # ---------------------------------------------------------------------------

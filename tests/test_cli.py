@@ -147,14 +147,14 @@ class TestLearn:
               "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
              ["budget 1: UNSAT (vars=9, clauses=19)",
               "budget 2: UNSAT (vars=32, clauses=101)",
-              "budget 3: SAT (vars=69, clauses=346)",
+              "budget 3: SAT (vars=69, clauses=350)",
               "size: 3", "result: EX EX q"]),
             (["--pos", "diamond.kripke", "--neg", "branching.kripke",
               "--max-size", "4", "--seed", "0"],
              ["budget 1: UNSAT (vars=9, clauses=18)",
               "budget 2: UNSAT (vars=40, clauses=131)",
-              "budget 3: UNSAT (vars=85, clauses=444)",
-              "budget 4: SAT (vars=132, clauses=804)",
+              "budget 3: UNSAT (vars=85, clauses=448)",
+              "budget 4: SAT (vars=132, clauses=865)",
               "size: 4", "result: !EG !q"]),
         ]
         for args, expected in runs:

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -439,34 +440,73 @@ class TestDecode:
         assert 0 < outside < 40
 
 
+@functools.lru_cache(maxsize=None)
+def decoded_formulas(n, alphabet):
+    """Every formula the structural and normal-form clauses admit at
+    budget n, decoded one blocked DAG at a time."""
+    pool = VarPool()
+    clauses = (encoder.build_structural(pool, n, alphabet)
+               + encoder.build_normal_form(pool, n, alphabet))
+    instance = encoder.EncodingInstance(n, alphabet, (), (), pool, clauses)
+    backend = encoder.load_backend(instance, CdclSolver(seed=3))
+    found = []
+    while backend.solve():
+        f, lits = encoder.decode_with_literals(backend.model(), instance)
+        found.append(f)
+        backend.add_clause([-lit for lit in lits])
+    return tuple(found)
+
+
+def row_nodes(row):
+    """The formula at each node of a `REWRITE_RULES` row, over
+    propositions named after its metavariables."""
+    built = []
+    for node in row[0]:
+        if isinstance(node, str):
+            built.append(ctl.Prop(node))
+        else:
+            label, *kids = node
+            built.append(ctl.LABEL_CONSTRUCTORS[label](
+                *(built[k] for k in kids)))
+    return built
+
+
+class TestRewriteRules:
+    def test_every_row_is_proved_by_the_tableau(self):
+        """Each row lists its pattern's syntax DAG once per node, children
+        first, and the tableau refutes psi xor phi for a proper sub-DAG
+        phi; the three rules the normal form once wrote by hand are
+        rows."""
+        texts = set()
+        for row in encoder.REWRITE_RULES:
+            nodes = row_nodes(row)
+            psi, phi = nodes[-1], nodes[row[1]]
+            assert nodes == ctl.subterms(psi), row
+            assert phi != psi
+            assert helpers.equivalent(psi, phi), row
+            texts.add((ctl.print_ctl(psi), ctl.print_ctl(phi)))
+        assert {("E[a U a]", "a"), ("!!a", "a"),
+                ("EG EG a", "EG a")} <= texts
+
+    def test_the_table_is_the_derived_one(self):
+        """Enumerating the schemas again and proving each by the tableau
+        (`helpers.derived_rules`) gives the committed table, row for row."""
+        rows = [(nodes[-1], nodes[row[1]])
+                for row in encoder.REWRITE_RULES
+                for nodes in [row_nodes(row)]]
+        assert rows == list(helpers.derived_rules())
+
+
 class TestNormalForm:
     ALPHABET = ("p", "q")
-
-    def normal_form_backend(self, n, alphabet=ALPHABET):
-        """A solver over the structural and normal-form clauses alone."""
-        pool = VarPool()
-        clauses = (encoder.build_structural(pool, n, alphabet)
-                   + encoder.build_normal_form(pool, n, alphabet))
-        instance = encoder.EncodingInstance(n, alphabet, (), (), pool,
-                                            clauses)
-        return instance, encoder.load_backend(instance, CdclSolver(seed=3))
-
-    def admitted(self, n, alphabet=ALPHABET):
-        """Every formula decoded at budget n, one blocked DAG at a time."""
-        instance, backend = self.normal_form_backend(n, alphabet)
-        found = []
-        while backend.solve():
-            f, lits = encoder.decode_with_literals(backend.model(), instance)
-            found.append(f)
-            backend.add_clause([-lit for lit in lits])
-        return found
 
     def test_against_the_rewrites(self):
         """Budgets 1-3 over (p, q): every admitted formula has exactly the
         budget's size, no two are commuted twins, and every formula is
         admitted up to commuting `&`/`|` or rewrites to a smaller one
-        that is; the rewrites keep the semantics."""
-        decoded = {n: self.admitted(n) for n in (1, 2, 3)}
+        that is; the rewrites, rule instances included, keep the
+        semantics."""
+        decoded = {n: decoded_formulas(n, self.ALPHABET) for n in (1, 2, 3)}
         canonical = set()
         for n, found in decoded.items():
             assert {ctl.size(f) for f in found} <= {n}
@@ -489,16 +529,38 @@ class TestNormalForm:
         assert rewritten > 0
 
     def test_decoded_formulas_are_the_admitted_ones(self):
-        """The label domains lose no admitted DAG: budgets 1-4 over (p, q)
-        and over (p) decode exactly the formulas of the budget's size that
-        have a numbering the normal form admits, found by trying every
-        numbering."""
+        """The differential check of the label domains and the rule
+        table: budgets 1-4 over (p, q) and over (p) decode exactly the
+        formulas of the budget's size that the normal form before the
+        rules admits (found by trying every numbering), less those with a
+        subterm that a derived rule matches."""
         for alphabet in (self.ALPHABET, ("p",)):
             formulas = helpers._enf_formulas(alphabet, 4)
+            excluded = 0
             for n in (1, 2, 3, 4):
-                expected = {f for f in formulas if ctl.size(f) == n
-                            and helpers.admitted_dag(f, alphabet)}
-                assert set(self.admitted(n, alphabet)) == expected, n
+                before = {f for f in formulas if ctl.size(f) == n
+                          and helpers.admitted_dag(f, alphabet, rules=False)}
+                expected = {f for f in before
+                            if not helpers.has_rule_instance(f)}
+                excluded += len(before) - len(expected)
+                assert set(decoded_formulas(n, alphabet)) == expected, n
+            assert excluded > 0
+
+    @pytest.mark.parametrize("alphabet", [ALPHABET, ("p",)])
+    def test_excluded_formulas_have_admitted_equivalents(self, alphabet):
+        """Every formula of size <= 4 that a rule excludes from the normal
+        form before the rules has a decoded equivalent of smaller size:
+        its `helpers.normal_form`, which the tableau proves equivalent."""
+        decoded = {helpers.commuted(f) for n in (1, 2, 3, 4)
+                   for f in decoded_formulas(n, alphabet)}
+        excluded = [f for f in helpers._enf_formulas(alphabet, 4)
+                    if helpers.admitted_dag(f, alphabet, rules=False)
+                    and helpers.has_rule_instance(f)]
+        assert excluded
+        for f in excluded:
+            g = helpers.normal_form(f)
+            assert g in decoded and ctl.size(g) < ctl.size(f), f
+            assert helpers.equivalent(f, g), f
 
 
 class TestDimacsExport:

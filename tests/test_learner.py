@@ -188,18 +188,21 @@ class TestInferCandidate:
 
     @staticmethod
     def pinned_twins():
-        """A budget-4 instance admitting only E[EX p U EG p] and
-        E[EG p U EX p], with one numbering of each blocked.  Nodes 2 and
-        3 may swap numbers when both read only node 1, so each twin has
-        two admitted DAGs, and one of each is left."""
-        m = helpers.load_fixture("selfloop_p.kripke")
-        twins = [ctl.parse_ctl("E[EG p U EX p]"),
-                 ctl.parse_ctl("E[EX p U EG p]")]
+        """A budget-4 instance admitting only E[!p U EX p] and
+        E[EX p U !p], with one numbering of each blocked.  Nodes 2 and 3
+        may swap numbers when both read only node 1, so each twin has two
+        admitted DAGs, and one of each is left.  Both twins hold on the
+        structure: its initial state has no p and a p successor."""
+        m = kripke.parse_kripke(
+            "kripke\nprops: p\nstates: s0 s1\ninit: s0\n"
+            "labels: s0: ; s1: p\ntrans: s0 -> s1 ; s1 -> s1\n")
+        twins = [ctl.parse_ctl("E[!p U EX p]"),
+                 ctl.parse_ctl("E[EX p U !p]")]
         instance = encoder.build_instance(4, [m], seed=0)
         pool = instance.pool
         pinned = [(pool.get("x", 4, "EU"),)]
         for i in (2, 3):
-            pinned.append((pool.get("x", i, "EX"), pool.get("x", i, "EG")))
+            pinned.append((pool.get("x", i, "EX"), pool.get("x", i, "!")))
             pinned.append((pool.get("l", i, 1),))
         instance.clauses += pinned
         instance.backend.add_clauses(pinned)
