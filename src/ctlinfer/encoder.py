@@ -13,7 +13,8 @@ together with their evaluation on every structure of the sample:
   every node i >= 2 (exactly one each, even where the arity ignores them);
 * use variables `u(i, j)` with i < j say that node j reads node i;
 * evaluation variables `y(m, i, s)` say that state s of structure m
-  satisfies the subformula rooted at node i;
+  satisfies the subformula rooted at node i; the root's exist at the
+  initial states only;
 * step variables `ys(m, i, s, k)` with k in 2..|S|-1 are the inner
   approximants of the EU/EG fixed points of the operator nodes i >= 2,
   which `lower_node` unrolls to |S| approximants, the first read from
@@ -49,20 +50,27 @@ instance admits the same DAGs with fewer variables and clauses.
 Semantic constraints are equivalences guarded by the label choice over
 the operand values, and the operand values are tied to the children by
 equivalences guarded by the child choice; so once the x/l/r variables
-are fixed all L/R/y/ys values are forced.  The label part comes from
-`lower_node`, the single home of the EX/EU/EG step semantics, which
-bounded synthesis (`synth`) also lowers its symbolic structures with.
-Consistency requires the root to hold in every initial state of the
-positive structures and to fail in some initial state of each negative
-one.
+are fixed all L/R/y/ys values below the root are forced.  The label part
+comes from `lower_node`, the single home of the EX/EU/EG step semantics,
+which bounded synthesis (`synth`) also lowers its symbolic structures
+with.  Consistency requires the root to hold in every initial state of
+the positive structures and to fail in some initial state of each
+negative one.  That clause is the root's only reader, so the root is
+lowered one-sided, in the polarity-based clause form of Plaisted &
+Greenbaum (1986): on a positive its `y` only implies its definition, on
+a negative it only follows from it (`build_semantic`).  So the x/l/r
+variables do not force the root's `y` and `ys` values; they bound them
+on the side the consistency clause reads, and the instance admits the
+same DAGs.
 
 Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
-was added, its y, then its ys, then its L/R variables.  Every instance
-owns the solver its clauses go to (`EncodingInstance.backend`), and each
-clause group is loaded into it as soon as it is built: `build_instance`
-is the structural and normal-form clauses (`load_backend`), then
-`add_structure` once per positive and negative.
+was added, its y (the root's at its initial states only), then its ys,
+then its L/R variables.  Every instance owns the solver its clauses go
+to (`EncodingInstance.backend`), and each clause group is loaded into
+it as soon as it is built: `build_instance` is the structural and
+normal-form clauses (`load_backend`), then `add_structure` once per
+positive and negative, its consistency clause first.
 Appending a structure to a built instance (a new negative in the
 learner's persistent search) goes the same way, renumbers nothing, and
 leaves every clause already loaded valid.
@@ -89,7 +97,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import sat
-from .ctl import (AND_LABEL, BINARY_LABELS, EU_LABEL, EX_LABEL,
+from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
                   LABEL_CONSTRUCTORS, NOT_LABEL, OPERATOR_LABELS, OR_LABEL,
                   CtlFormula, Prop)
 from .kripke import KripkeStructure
@@ -477,11 +485,12 @@ def _placements(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
     return extend(0, [])
 
 
-def lower_node(clauses: list[Clause], label: str, s: int, out: int,
+def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
                left: Callable[[int], int], right: Callable[[int], int],
                step: Callable[[int, int], int],
                successors: Callable[[int, Callable[[int], int]], list[int]],
-               depth: int, guards: Sequence[int] = ()) -> None:
+               depth: int, guards: Sequence[int] = (),
+               polarity: int = 0) -> None:
     """Append an operator node's semantics at state s.
 
     The single CNF lowering of the CTL step semantics, for formula search
@@ -491,7 +500,17 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
     `lit(t)`.  EU and EG unroll `depth` steps over the approximants X_1
     .. X_{depth+1}: X_1 is the operand literal `base` (`right` for EU,
     `left` for EG), `step(t, k)` is X_k for k in 2..depth, and the last
-    step is written into `out`.  At depth 0, `out <-> base`.
+    step is written into `out`.  At depth 0, `out <-> base`.  An `out`
+    of None says the node has no variable at s: only the inner EU/EG
+    groups, those writing X_2 .. X_depth, are lowered, for the states
+    whose `out` reads them.
+
+    `polarity` is that of the `sat.equiv_*` shapes, and every group
+    takes it: +1 lowers out -> definition and X_k -> its step, -1 the
+    converse, 0 both.  `lower_node` writes `out` and never reads it, and
+    each definition reads the approximants, `successors` and the
+    operands in one sign (`!` aside, which negates its operand), so a
+    caller that reads `out` in one sign needs only that direction.
 
     Soundness, with callers passing depth = |S| - 1 on a total structure
     of |S| states, so that `out` is X_|S|:
@@ -505,33 +524,40 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int,
       visits every state, in which case the last state's successor is on
       the path.  Either way it closes a lasso, so X_|S| is the greatest
       fixed point.
+
+    The definition of each approximant is monotone in the one before, so
+    at polarity +1 a true X_k (by induction on k) implies the state is in
+    the k-th approximant, and at -1 a false X_k implies it is not.
     """
+    if out is None and label not in (EU_LABEL, EG_LABEL):
+        return  # no inner groups
     if label == NOT_LABEL:
-        clauses.extend(sat.equiv_lit(out, -left(s), guards))
+        clauses.extend(sat.equiv_lit(out, -left(s), guards, polarity))
     elif label == EX_LABEL:
-        clauses.extend(sat.equiv_or(out, successors(s, left), guards))
+        clauses.extend(sat.equiv_or(out, successors(s, left), guards,
+                                    polarity))
     elif label in (AND_LABEL, OR_LABEL):
         equiv = sat.equiv_and if label == AND_LABEL else sat.equiv_or
-        clauses.extend(equiv(out, [left(s), right(s)], guards))
+        clauses.extend(equiv(out, [left(s), right(s)], guards, polarity))
     else:
         base = right if label == EU_LABEL else left
         if depth == 0:
-            clauses.extend(sat.equiv_lit(out, base(s), guards))
+            clauses.extend(sat.equiv_lit(out, base(s), guards, polarity))
         cond = left(s)
-        for k in range(1, depth + 1):
+        for k in range(1, depth + 1 if out is not None else depth):
             approx = base if k == 1 else lambda t, k=k: step(t, k)
             reached = successors(s, approx)
             target = out if k == depth else step(s, k + 1)
             if label == EU_LABEL:
                 clauses.extend(sat.equiv_or_and_disj(
-                    target, approx(s), cond, reached, guards))
+                    target, approx(s), cond, reached, guards, polarity))
             else:
                 clauses.extend(sat.equiv_and_disj(
-                    target, cond, reached, guards))
+                    target, cond, reached, guards, polarity))
 
 
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
-                   backend: CdclSolver) -> list[Clause]:
+                   backend: CdclSolver, polarity: int = 0) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
     node, label of the node's `label_domain`, and state.
 
@@ -554,6 +580,25 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     and the child choices it reads.  Node 2 only takes `!`, `EX` and
     `EG`, whose lowerings read no `right`.
 
+    A nonzero `polarity` lowers the root, node n, one-sided, with the
+    polarity of `lower_node`: +1 for a positive structure, whose
+    consistency clause reads the root's `y` true, -1 for a negative one,
+    which reads it false.  The root's `y` then exists at the initial
+    states only, the only ones that clause reads; at every other state
+    only the inner EU/EG groups are lowered, which the initial states'
+    lowerings read through their successors.  At budget 1 the root is a
+    proposition, and its clauses at the initial states keep one side too.
+    Every other node keeps both sides at every state: `!` can read it,
+    so the sign its readers read it in is unknown.  Soundness: no node
+    reads the root, and `lower_node` writes `out` and never reads it, so
+    the other nodes' values are still forced by the x/l/r variables.  At
+    +1 a true root `y` implies the root formula holds at that state, and
+    at -1 a false one implies it fails (`lower_node`); the true values
+    satisfy either side.  So the models projected on x/l/r/u are
+    unchanged, each budget admits the same DAGs, and the floor,
+    minimality and language-minimality arguments of the learner stand.
+    Polarity 0, the default, lowers every node two-sided at every state.
+
     Every clause group whose guard `backend.fixed(-guard)` names as false
     at the root (the proposition clauses and `lower_node` call under
     `x(i, lab)`, the `L`/`R` ties under `l(i, j)`/`r(i, j)`) is left out,
@@ -574,8 +619,9 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     size = struct.size
     states = range(size)
     post = [sorted(struct.successors[s]) for s in states]
-    y = [[]] + [[pool.var("y", m, i, s) for s in states]
-                for i in range(1, n + 1)]
+    y = [[]] + [[pool.var("y", m, i, s)
+                 if i < n or not polarity or s in struct.initial else None
+                 for s in states] for i in range(1, n + 1)]
     steps = [[], []] + [[[pool.var("ys", m, i, s, k) for k in range(2, size)]
                          for s in states] for i in range(2, n + 1)]
     left: list[list[int]] = [[] for _ in range(n + 1)]
@@ -592,6 +638,7 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
 
     for i in range(1, n + 1):
         out = y[i]
+        sign = polarity if i == n else 0
         domain = label_domain(n, i, struct.alphabet)
         for p in domain:
             if p in OPERATOR_LABELS:
@@ -600,10 +647,11 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
             if backend.fixed(-guard):
                 continue
             for s in states:
-                if p in struct.labels[s]:
-                    clauses.append((-guard, out[s]))
-                else:
-                    clauses.append((-guard, -out[s]))
+                if out[s] is None:
+                    continue
+                lit = out[s] if p in struct.labels[s] else -out[s]
+                if lit * sign <= 0:  # the side the polarity keeps
+                    clauses.append((-guard, lit))
         if i == 1:
             continue  # node 1 is structurally a proposition
         left_i, right_i, steps_i = left[i], right[i], steps[i]
@@ -627,7 +675,7 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
             for label, guards in lowered:
                 lower_node(clauses, label, s, out[s], left_i.__getitem__,
                            right_i.__getitem__, step, successors, size - 1,
-                           guards)
+                           guards, sign)
     return clauses
 
 
@@ -637,24 +685,31 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
 
     The structure takes the next index m.  Its `y`, `ys` and `L`/`R`
     variables are numbered after every variable already in the pool, so
-    appending never renumbers earlier ones; its clauses are the semantic
-    ones of `build_semantic`, pruned against the instance's solver, and
-    one consistency clause: the root holds on every initial state of a
-    positive, and fails on some initial state of a negative.  They go to
-    `instance.clauses` and into that solver.
+    appending never renumbers earlier ones.  Its clauses are one
+    consistency clause, first: the root holds on every initial state of a
+    positive, and fails on some initial state of a negative; then the
+    semantic ones of `build_semantic`, pruned against the instance's
+    solver, with the root's polarity that clause reads it in (+1 for a
+    positive, -1 for a negative).  They go to `instance.clauses` and into
+    that solver, which simplifies them against the root literals the
+    consistency clause fixes: a positive's root units, or a negative's
+    with one initial state, strip the root's literal from every one-sided
+    clause that reads it.
     """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
     pool, n, backend = instance.pool, instance.size_budget, instance.backend
     m = len(instance.positives) + len(instance.negatives)
-    clauses = build_semantic(pool, n, m, struct, backend)
+    semantic = build_semantic(pool, n, m, struct, backend,
+                              -1 if negative else 1)
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
-        clauses.append(tuple(-lit for lit in roots))
+        clauses = [tuple(-lit for lit in roots)]
         instance.negatives += (struct,)
     else:
-        clauses.extend((lit,) for lit in roots)
+        clauses = [(lit,) for lit in roots]
         instance.positives += (struct,)
+    clauses += semantic
     instance.clauses += clauses
     backend.add_clauses(clauses)
     backend.reserve(pool.count)

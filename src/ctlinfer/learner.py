@@ -92,7 +92,12 @@ class Sample(FrozenRecord):
         propositions, !, & and EX).  Their disjunction over the finitely
         many p holds on all positives and fails at n, and the conjunction
         of these over all N separates the sample.
+
+        A sample without negatives has no conflict, so it is answered
+        without the bisimulation pass; every `ceg.infer` starts from one.
         """
+        if not self.negatives:
+            return False
         classes = bisimulation_classes(self.structures)
         pos_classes = {cls[s] for m, cls in zip(self.positives, classes)
                        for s in m.initial}

@@ -5,10 +5,15 @@ encoders in this package lower their constraints to CNF by hand from a
 small vocabulary of guarded equivalences (`equiv_*` below); a guard list
 [g1, .., gk] prefixes every emitted clause with the negated guards, i.e.
 encodes g1 & .. & gk -> (equivalence).  Each shape builds that prefix
-once per call.  The until/globally step shapes are used only by
-`encoder.lower_node`, the single home of the CTL step semantics for both
-formula search and bounded synthesis, and list a self-loop's literal once
-per clause.
+once per call.  A `polarity` keeps one direction of the equivalence, in
+the polarity-based clause form of Plaisted & Greenbaum (J. Symbolic
+Computation, 1986): +1 only the clauses containing `-out` (out implies
+its definition), -1 only those containing `+out` (the definition implies
+out), and 0, the default, both.  A caller that reads `out` only in one
+sign needs only that direction.  The until/globally step shapes are
+used only by `encoder.lower_node`, the single home of the CTL step
+semantics for both formula search and bounded synthesis, and list a
+self-loop's literal once per clause.
 
 `CdclSolver` is the in-process default backend: a conflict-driven clause
 learning solver with two-watched-literal propagation, first-UIP conflict
@@ -57,34 +62,39 @@ def exactly_one(lits: Sequence[int]) -> list[Clause]:
     return out
 
 
-def equiv_lit(out_lit: int, in_lit: int,
-              guards: Sequence[int] = ()) -> list[Clause]:
+def equiv_lit(out_lit: int, in_lit: int, guards: Sequence[int] = (),
+              polarity: int = 0) -> list[Clause]:
     """out <-> in; a negated `in_lit` gives out <-> !in."""
     pre = tuple(-g for g in guards)
-    return [pre + (-out_lit, in_lit), pre + (out_lit, -in_lit)]
-
-
-def equiv_and(out_lit: int, lits: Sequence[int],
-              guards: Sequence[int] = ()) -> list[Clause]:
-    """out <-> (l1 & .. & lk)."""
-    pre = tuple(-g for g in guards)
-    clauses = [pre + (-out_lit, l) for l in lits]
-    clauses.append(pre + (out_lit,) + tuple(-l for l in lits))
+    clauses = [pre + (-out_lit, in_lit)] if polarity >= 0 else []
+    if polarity <= 0:
+        clauses.append(pre + (out_lit, -in_lit))
     return clauses
 
 
-def equiv_or(out_lit: int, lits: Sequence[int],
-             guards: Sequence[int] = ()) -> list[Clause]:
+def equiv_and(out_lit: int, lits: Sequence[int], guards: Sequence[int] = (),
+              polarity: int = 0) -> list[Clause]:
+    """out <-> (l1 & .. & lk)."""
+    pre = tuple(-g for g in guards)
+    clauses = [pre + (-out_lit, l) for l in lits] if polarity >= 0 else []
+    if polarity <= 0:
+        clauses.append(pre + (out_lit,) + tuple(-l for l in lits))
+    return clauses
+
+
+def equiv_or(out_lit: int, lits: Sequence[int], guards: Sequence[int] = (),
+             polarity: int = 0) -> list[Clause]:
     """out <-> (l1 | .. | lk)."""
     pre = tuple(-g for g in guards)
-    clauses = [pre + (out_lit, -l) for l in lits]
-    clauses.append(pre + (-out_lit,) + tuple(lits))
+    clauses = [pre + (out_lit, -l) for l in lits] if polarity <= 0 else []
+    if polarity >= 0:
+        clauses.append(pre + (-out_lit,) + tuple(lits))
     return clauses
 
 
 def equiv_or_and_disj(out_lit: int, base_lit: int, cond_lit: int,
-                      disj: Sequence[int],
-                      guards: Sequence[int] = ()) -> list[Clause]:
+                      disj: Sequence[int], guards: Sequence[int] = (),
+                      polarity: int = 0) -> list[Clause]:
     """out <-> base | (cond & (d1 | .. | dk)).
 
     The unrolled until step: already reached, or the condition holds here
@@ -92,18 +102,22 @@ def equiv_or_and_disj(out_lit: int, base_lit: int, cond_lit: int,
     `base` (a self-loop) is listed once, where `base` stands.
     """
     pre = tuple(-g for g in guards)
-    reached = (tuple(d for d in disj if d != base_lit) if base_lit in disj
-               else tuple(disj))
-    clauses = [pre + (-out_lit, base_lit, cond_lit),
-               pre + (-out_lit, base_lit) + reached,
-               pre + (out_lit, -base_lit)]
-    for d in disj:
-        clauses.append(pre + (out_lit, -cond_lit, -d))
+    clauses = []
+    if polarity >= 0:
+        reached = (tuple(d for d in disj if d != base_lit)
+                   if base_lit in disj else tuple(disj))
+        clauses += [pre + (-out_lit, base_lit, cond_lit),
+                    pre + (-out_lit, base_lit) + reached]
+    if polarity <= 0:
+        clauses.append(pre + (out_lit, -base_lit))
+        for d in disj:
+            clauses.append(pre + (out_lit, -cond_lit, -d))
     return clauses
 
 
 def equiv_and_disj(out_lit: int, cond_lit: int, disj: Sequence[int],
-                   guards: Sequence[int] = ()) -> list[Clause]:
+                   guards: Sequence[int] = (),
+                   polarity: int = 0) -> list[Clause]:
     """out <-> cond & (d1 | .. | dk).
 
     The unrolled globally step: the condition holds here and some
@@ -111,10 +125,14 @@ def equiv_and_disj(out_lit: int, cond_lit: int, disj: Sequence[int],
     self-loop) gives the clause with `-cond` once.
     """
     pre = tuple(-g for g in guards)
-    clauses = [pre + (-out_lit, cond_lit), pre + (-out_lit,) + tuple(disj)]
-    for d in disj:
-        clauses.append(pre + ((out_lit, -cond_lit) if d == cond_lit
-                              else (out_lit, -cond_lit, -d)))
+    clauses = []
+    if polarity >= 0:
+        clauses += [pre + (-out_lit, cond_lit),
+                    pre + (-out_lit,) + tuple(disj)]
+    if polarity <= 0:
+        for d in disj:
+            clauses.append(pre + ((out_lit, -cond_lit) if d == cond_lit
+                                  else (out_lit, -cond_lit, -d)))
     return clauses
 
 

@@ -70,14 +70,31 @@ The CNF of the SAT sweep:
   totality clause per state and a single fixed initial state s0;
 * `h(g, s)` evaluates DAG node g in state s; successor disjunctions range
   over all states, each conjunct `t(s, s') & ...` introduced as a shared
-  Tseitin product variable (full equivalence, numbered above the
-  semantic variables);
+  Tseitin product variable (numbered above the semantic variables);
 * EU/EG fixed points unroll to m' approximants, with step variables
-  `st(g, s, k)` for the inner ones, k = 2..m'-1.
+  `st(g, s, k)` for the inner ones, k = 2..m'-1;
+* the root holds at s0, a unit clause.
 
 Operators are lowered by `encoder.lower_node`, the single home of the
-step semantics; only successors and propositions are symbolic here.  The
-solver's `seed` reaches only these instances, so it affects only the
+step semantics; only successors and propositions are symbolic here.
+Each node is lowered, its proposition ties included, with its polarity
+(`sat`'s clause form after Plaisted & Greenbaum): the root's is +1, `!`
+flips it for its operand, any other operator passes it on, and a node
+read in both signs gets 0.  At +1 only `h -> definition` is emitted, at
+-1 only `definition -> h`, at 0 both.  A product emits each direction
+once, the first time a reader of that sign needs it.
+
+Soundness: given a model of the CNF, take the structure its t/lab
+variables describe.  By induction children first, a true `h(g, s)` at a
++1 node means g holds at s, and a false one at a -1 node means g fails
+at s (both at a 0 node): each definition reads its operands, products
+and approximants in one sign, the sign their own polarity serves, and
+the EU/EG approximants are bounded as in `lower_node`'s unrolling
+argument.  The root is +1 and asserted at s0, so the structure is a
+model.  Conversely the true valuation of every variable satisfies the
+two-sided CNF, and so the one-sided one.  So each size is still decided
+exactly, and the checker still verifies every returned structure.
+The solver's `seed` reaches only these instances, so it affects only the
 sizes the SAT sweep handles.
 
 Sizes are tried upward and each is decided exactly, so the returned
@@ -246,38 +263,56 @@ def _encode(f: CtlFormula, num_states: int, alphabet: Sequence[str],
                 for k in range(2, num_states):
                     pool.var("st", g, s, k)
 
+    # Each node's polarity, readers first: the root is +1, `!` flips it,
+    # and a node read in both signs gets 0.
+    polarity = {f: 1}
+    for g in reversed(nodes):
+        sign = -polarity[g] if isinstance(g, Not) else polarity[g]
+        for child in ctl.children(g):
+            polarity[child] = (sign if polarity.get(child, sign) == sign
+                               else 0)
+
     clauses: list[Clause] = []
     for s in states:
         clauses.append(tuple(pool.get("t", s, t) for t in states))
 
-    products: dict[tuple[int, int], int] = {}
+    # (a, b) -> its product variable and the sides of it emitted so far
+    products: dict[tuple[int, int], tuple[int, set[int]]] = {}
 
-    def product(a: int, b: int) -> int:
+    def product(a: int, b: int, sign: int) -> int:
         key = (a, b) if a <= b else (b, a)
         got = products.get(key)
         if got is None:
-            got = pool.fresh()
-            clauses.extend(equiv_and(got, [a, b]))
-            products[key] = got
-        return got
-
-    def successors(s: int, lit: Callable[[int], int]) -> list[int]:
-        # t(s, s') & lit(s'), one shared product per pair
-        return [product(pool.get("t", s, t), lit(t)) for t in states]
+            got = products[key] = (pool.fresh(), set())
+        var, emitted = got
+        for side in (1, -1):
+            if sign != -side and side not in emitted:
+                clauses.extend(equiv_and(var, [a, b], (), side))
+                emitted.add(side)
+        return var
 
     for g in nodes:
+        sign = polarity[g]
         if isinstance(g, ctl.Prop):
             for s in states:
                 clauses.extend(equiv_lit(pool.get("h", g, s),
-                                         pool.get("lab", s, g.name)))
+                                         pool.get("lab", s, g.name), (),
+                                         sign))
             continue
+
+        def successors(s: int, lit: Callable[[int], int],
+                       sign: int = sign) -> list[int]:
+            # t(s, s') & lit(s'), one shared product per pair
+            return [product(pool.get("t", s, t), lit(t), sign)
+                    for t in states]
+
         label = ctl.label(g)
         left = lambda s, j=ctl.children(g)[0]: pool.get("h", j, s)
         right = lambda s, j=getattr(g, "right", None): pool.get("h", j, s)
         step = lambda s, k, g=g: pool.get("st", g, s, k)
         for s in states:
             lower_node(clauses, label, s, pool.get("h", g, s), left,
-                       right, step, successors, num_states - 1)
+                       right, step, successors, num_states - 1, (), sign)
 
     clauses.append((pool.get("h", f, 0),))
     return pool, clauses

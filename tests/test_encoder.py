@@ -6,6 +6,7 @@ import pytest
 import helpers
 from ctlinfer import checker, ctl, encoder
 from ctlinfer.encoder import VarPool
+from ctlinfer.kripke import KripkeStructure
 from ctlinfer.sat import CdclSolver
 
 
@@ -52,17 +53,27 @@ class TestBuildInstance:
         assert pool.get("l", 3, 1) != pool.get("r", 3, 1)
         # The use variables come before the first structure's.
         assert pool.get("u", 2, 3) < pool.get("y", 0, 1, 0)
-        # y exists for every node and state; ys only for the operator
-        # nodes (not node 1, always a proposition) and the inner
-        # approximants k in 2..|S|-1: none on two states, k = 2 on three.
+        # y exists for every node below the root at every state, and for
+        # the root, read only by the consistency clause, at the initial
+        # state s0 only; ys only for the operator nodes (not node 1,
+        # always a proposition) and the inner approximants k in
+        # 2..|S|-1: none on two states, k = 2 on three.
         for i in (1, 2, 3):
             for s in (0, 1):
-                pool.get("y", 0, i, s)
+                if i < 3 or s == 0:
+                    pool.get("y", 0, i, s)
+                else:
+                    with pytest.raises(KeyError):
+                        pool.get("y", 0, i, s)
                 for k in (1, 2, 3):
                     with pytest.raises(KeyError):
                         pool.get("ys", 0, i, s, k)
             for s in (0, 1, 2):
-                pool.get("y", 1, i, s)
+                if i < 3 or s == 0:
+                    pool.get("y", 1, i, s)
+                else:
+                    with pytest.raises(KeyError):
+                        pool.get("y", 1, i, s)
                 for k in (1, 2, 3, 4):
                     if i == 1 or k != 2:
                         with pytest.raises(KeyError):
@@ -72,7 +83,7 @@ class TestBuildInstance:
         # The operand values L/R of the operator nodes come after the
         # structure's y and ys and before the next structure's first y;
         # node 2 takes no binary label, so it has no R.
-        last_y = pool.get("y", 0, 3, 1)
+        last_y = pool.get("y", 0, 3, 0)
         last_ys = max(pool.get("ys", 1, i, s, 2) for i in (2, 3)
                       for s in (0, 1, 2))
         for kind in ("L", "R"):
@@ -147,13 +158,15 @@ class TestRootPruning:
 
     @staticmethod
     def unpruned(pool, n, m, struct, negative):
-        """`build_semantic` with nothing skipped, against a fresh solver
-        that fixes nothing, plus the root clauses."""
-        clauses = encoder.build_semantic(pool, n, m, struct, CdclSolver())
+        """The root clauses, then `build_semantic` with the structure's
+        side and nothing skipped, against a fresh solver that fixes
+        nothing."""
+        clauses = encoder.build_semantic(pool, n, m, struct, CdclSolver(),
+                                         -1 if negative else 1)
         roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
         if negative:
-            return clauses + [tuple(-lit for lit in roots)]
-        return clauses + [(lit,) for lit in roots]
+            return [tuple(-lit for lit in roots)] + clauses
+        return [(lit,) for lit in roots] + clauses
 
     @staticmethod
     def same_state(a, b):
@@ -404,6 +417,72 @@ class TestBlocking:
         canonical = {helpers.commuted(f) for f in seen}
         for f in holding:
             assert helpers.normal_form(f) in canonical, f
+
+
+def several_initial(rng, alphabet):
+    """A random structure of 2-3 states with at least two initial ones."""
+    m = helpers.random_kripke(rng, 3, alphabet, min_states=2)
+    return KripkeStructure(
+        alphabet=m.alphabet, state_names=m.state_names,
+        initial=frozenset(rng.sample(range(m.size), rng.randint(2, m.size))),
+        labels=m.labels, successors=m.successors)
+
+
+def blocked_formulas(backend, instance):
+    """Every formula the loaded solver admits, one blocked DAG at a
+    time; each admitted formula has one admitted numbering."""
+    found = set()
+    while backend.solve():
+        f, lits = encoder.decode_with_literals(backend.model(), instance)
+        assert f not in found, f
+        found.add(f)
+        backend.add_clause([-lit for lit in lits])
+    return found
+
+
+class TestOneSidedRoot:
+    def test_blocking_matches_the_oracle_and_the_two_sided_stream(self):
+        """The differential check of the root's polarity: on samples
+        whose negatives have several initial states, blocking enumeration
+        at budgets 1-3 decodes exactly the admitted formulas of the
+        budget's size that the naive checker finds consistent, and the
+        same set as the two-sided stream (`build_semantic` without a
+        side, then the consistency clauses)."""
+        rng = random.Random(507)
+        alphabet = ("p", "q")
+        formulas = helpers._enf_formulas(alphabet, 3)
+        found = 0
+        for _ in range(10):
+            pos = [helpers.random_kripke(rng, 3, alphabet)
+                   for _ in range(rng.randint(0, 2))]
+            neg = [several_initial(rng, alphabet)
+                   for _ in range(rng.randint(1, 2))]
+            for n in (1, 2, 3):
+                expected = {f for f in formulas if ctl.size(f) == n
+                            and helpers.admitted_dag(f, alphabet)
+                            and helpers.consistent_by_oracle(f, pos, neg)}
+                instance = encoder.build_instance(n, pos, neg, seed=4)
+                assert blocked_formulas(instance.backend,
+                                        instance) == expected, n
+                pool = VarPool()
+                two_sided = encoder.EncodingInstance(
+                    n, alphabet, (), (), pool,
+                    encoder.build_structural(pool, n, alphabet)
+                    + encoder.build_normal_form(pool, n, alphabet))
+                backend = encoder.load_backend(two_sided, CdclSolver(seed=4))
+                for m, struct in enumerate(pos + neg):
+                    backend.add_clauses(encoder.build_semantic(
+                        pool, n, m, struct, backend))
+                    roots = [pool.get("y", m, n, s)
+                             for s in sorted(struct.initial)]
+                    if m < len(pos):
+                        backend.add_clauses((lit,) for lit in roots)
+                    else:
+                        backend.add_clause([-lit for lit in roots])
+                backend.reserve(pool.count)
+                assert blocked_formulas(backend, two_sided) == expected, n
+                found += len(expected)
+        assert found > 20
 
 
 class TestDecode:

@@ -45,6 +45,16 @@ class TestSample:
         assert not Sample((loop,), (both,)).has_conflict()
         assert Sample((loop, empty), (both,)).has_conflict()
 
+    def test_positives_only_sample_runs_no_bisimulation(self, monkeypatch):
+        def forbidden(structures):
+            raise AssertionError("a sample without negatives was refined")
+
+        monkeypatch.setattr(learner, "bisimulation_classes", forbidden)
+        assert not sample_of(["selfloop_p.kripke",
+                              "selfloop_empty.kripke"]).has_conflict()
+        result = learner.learn_minimal(sample_of(["two_state_pq.kripke"]), 2)
+        assert result.formula == ctl.Prop("p")
+
     def test_conflicts_have_no_separating_formula(self):
         rng = random.Random(2024)
         conflicts = 0
@@ -137,7 +147,7 @@ class TestLearnMinimal:
         assert result.formula == ctl.parse_ctl("!p")
         assert [b.describe() for b in result.budgets] == [
             "budget 1: UNSAT (vars=2, clauses=3)",
-            "budget 2: SAT (vars=10, clauses=21)"]
+            "budget 2: SAT (vars=10, clauses=18)"]
 
 
 def record_decodes(monkeypatch):

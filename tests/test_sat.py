@@ -306,6 +306,36 @@ class TestClauseHelpers:
         self.assert_equiv(clauses, 1,
                           lambda a: a[2] and (a[3] or a[4]), 4)
 
+    def test_polarity_keeps_one_implication(self):
+        """+1 keeps exactly the clauses with -out, which encode out ->
+        definition; -1 those with +out, definition -> out; together they
+        are the two-sided clauses.  A self-loop disjunct (4 = base or
+        cond) is covered too."""
+        shapes = [
+            (lambda p: sat.equiv_lit(1, -2, (), p), lambda a: not a[2]),
+            (lambda p: sat.equiv_and(1, [2, 3], (), p),
+             lambda a: a[2] and a[3]),
+            (lambda p: sat.equiv_or(1, [2, 3], (), p),
+             lambda a: a[2] or a[3]),
+            (lambda p: sat.equiv_or_and_disj(1, 2, 3, [2, 4], (), p),
+             lambda a: a[2] or (a[3] and (a[2] or a[4]))),
+            (lambda p: sat.equiv_and_disj(1, 2, [2, 4], (), p),
+             lambda a: a[2] and (a[2] or a[4])),
+        ]
+        for build, definition in shapes:
+            both, ahead, back = build(0), build(1), build(-1)
+            assert set(both) == set(ahead) | set(back)
+            assert all(-1 in c and 1 not in c for c in ahead)
+            assert all(1 in c and -1 not in c for c in back)
+            for bits in itertools.product([False, True], repeat=4):
+                a = {v + 1: bits[v] for v in range(4)}
+                for clauses, holds in (
+                        (ahead, not a[1] or definition(a)),
+                        (back, a[1] or not definition(a))):
+                    ok = all(any(a[abs(l)] == (l > 0) for l in c)
+                             for c in clauses)
+                    assert ok == holds
+
     def test_guards_relax_the_equivalence(self):
         # With the guard false every assignment of the remaining
         # variables is allowed; with it true the equivalence bites.

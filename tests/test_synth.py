@@ -8,7 +8,7 @@ import pytest
 import helpers
 from ctlinfer import ctl, synth, tableau
 from ctlinfer.ctl import (And, ExistsGlobally, ExistsNext, ExistsUntil, Not,
-                          Prop)
+                          Or, Prop)
 from ctlinfer.sat import CdclSolver
 
 # Proposition-free formulas and whether they have a model.
@@ -267,6 +267,33 @@ class TestFamily:
         assert out.strip() == "0"
 
 
+class TestOneSidedSweep:
+    @pytest.mark.parametrize("alphabet", [("p", "q"), ("p", "q", "r")])
+    def test_solver_matches_the_family(self, alphabet):
+        """The differential check of the sweep's polarities: on random
+        ENF formulas f & !g, the shape `implies` synthesizes, whose sugar
+        puts subterms under `!` and in both signs, the one-sided CNF has
+        a model of m = 2 or 3 states exactly when the family has one, and
+        every model found holds."""
+        rng = random.Random(708 + len(alphabet))
+        models = 0
+        for _ in range(60):
+            f = ctl.enf(And(helpers.random_ctl(rng, alphabet, 3),
+                            Not(helpers.random_ctl(rng, alphabet, 3))),
+                        alphabet)
+            for m in (2, 3):
+                family = synth._family_model(f, m, alphabet, alphabet)
+                solved = synth._solve(f, m, alphabet, 0)
+                assert (family is None) == (solved is None), (
+                    ctl.print_ctl(f), m)
+                for model in (family, solved):
+                    if model is not None:
+                        assert model.size == m
+                        assert helpers.naive_holds(model, f)
+                models += solved is not None
+        assert 20 < models < 100  # of 120 (formula, m) pairs
+
+
 class TestImplies:
     def test_valid_implication_has_no_countermodel(self):
         assert synth.implies(ctl.parse_ctl("EG p"), Prop("p"),
@@ -321,7 +348,7 @@ class TestEncode:
 
     def pinned_model(self, struct, f):
         """Solve the synthesis instance of `f` with t/lab fixed to `struct`
-        by unit clauses."""
+        by unit clauses; None when that structure falsifies `f`."""
         pool, clauses = synth._encode(f, struct.size, struct.alphabet)
         backend = CdclSolver(seed=0)
         for clause in clauses:
@@ -334,36 +361,51 @@ class TestEncode:
                  else -pool.get("lab", s, p)
                  for s in states for p in struct.alphabet]
         backend.add_clauses((lit,) for lit in pins)
-        assert backend.solve()
-        return pool, backend.model()
+        return pool, backend.model() if backend.solve() else None
 
     def test_step_variables_match_prefix_semantics(self):
+        """Under `f | !f` every subterm of f is read in both signs
+        (polarity 0), so with t/lab pinned every h and st variable of f
+        equals its approximant.  Instanced alone, f is read at +1: the
+        instance is SAT exactly when f holds at s0, and a true variable
+        implies its approximant, a one-sided bound."""
         rng = random.Random(606)
         phi, psi = Prop("p"), Prop("q")
-        checked = 0
-        while checked < 40:
+        one_sided = 0
+        for _ in range(40):
             struct = helpers.random_kripke(rng, max_states=3)
             f = rng.choice([ExistsUntil(phi, psi), ExistsGlobally(phi)])
-            if 0 not in helpers.naive_sat(struct, f):
-                continue  # the instance asserts the formula at s0
-            pool, model = self.pinned_model(struct, f)
-            phi_set = helpers.naive_sat(struct, phi)
-            psi_set = helpers.naive_sat(struct, psi)
-            operand = f.right if isinstance(f, ExistsUntil) else f.operand
-            for k in range(1, struct.size + 2):
-                if isinstance(f, ExistsUntil):
-                    expected = helpers.eu_prefix(struct, phi_set, psi_set, k)
-                else:
-                    expected = helpers.eg_prefix(struct, phi_set, k)
-                for s in range(struct.size):
-                    homes = helpers.approximant_vars(
-                        k, struct.size, pool.get("h", operand, s),
-                        lambda j: pool.get("st", f, s, j),
-                        pool.get("h", f, s))
-                    for var in homes:
-                        assert model[var] == (s in expected), (f, k, s)
-            for sub in ctl.subterms(f):
-                expected = helpers.naive_sat(struct, sub)
-                for s in range(struct.size):
-                    assert model[pool.get("h", sub, s)] == (s in expected)
-            checked += 1
+            holds = 0 in helpers.naive_sat(struct, f)
+            for target in (Or(f, Not(f)), f):
+                exact = target != f
+                pool, model = self.pinned_model(struct, target)
+                assert (model is not None) == (exact or holds), (f, target)
+                if model is None:
+                    continue
+                one_sided += not exact
+
+                def agrees(var, truth, exact=exact, model=model):
+                    return model[var] == truth if exact else (
+                        truth or not model[var])
+
+                phi_set = helpers.naive_sat(struct, phi)
+                psi_set = helpers.naive_sat(struct, psi)
+                operand = f.right if isinstance(f, ExistsUntil) else f.operand
+                for k in range(1, struct.size + 2):
+                    if isinstance(f, ExistsUntil):
+                        expected = helpers.eu_prefix(struct, phi_set,
+                                                     psi_set, k)
+                    else:
+                        expected = helpers.eg_prefix(struct, phi_set, k)
+                    for s in range(struct.size):
+                        homes = helpers.approximant_vars(
+                            k, struct.size, pool.get("h", operand, s),
+                            lambda j: pool.get("st", f, s, j),
+                            pool.get("h", f, s))
+                        for var in homes:
+                            assert agrees(var, s in expected), (f, k, s)
+                for sub in ctl.subterms(f):
+                    expected = helpers.naive_sat(struct, sub)
+                    for s in range(struct.size):
+                        assert agrees(pool.get("h", sub, s), s in expected)
+        assert one_sided > 10
