@@ -146,6 +146,10 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _states(count: int) -> str:
+    return f"{count} state" if count == 1 else f"{count} states"
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     f = ctl.parse_ctl(args.formula)
     alphabet = None
@@ -155,11 +159,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise ctl.CtlError("--max-states must be at least 1")
     model = synth.synthesize(f, args.max_states, alphabet, seed=args.seed)
     if model is None:
-        print(f"result: no model up to {args.max_states} states")
+        print(f"result: no model up to {_states(args.max_states)}")
         return EXIT_NEGATIVE
     sys.stdout.write(kripke.print_kripke(model))
-    noun = "state" if model.size == 1 else "states"
-    print(f"result: model with {model.size} {noun}")
+    print(f"result: model with {_states(model.size)}")
     return EXIT_OK
 
 

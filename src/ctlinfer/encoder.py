@@ -75,16 +75,6 @@ Appending a structure to a built instance (a new negative in the
 learner's persistent search) goes the same way, renumbers nothing, and
 leaves every clause already loaded valid.
 
-Guards false at the root are not lowered: `build_semantic` leaves out
-every clause group whose guard variable is false in the root assignment
-of the instance's own solver (`CdclSolver.fixed`), the one source of
-root knowledge on the build and the append path alike.  That solver
-would drop those clauses unread, so it stores, propagates and searches
-exactly as it would on the full stream.  The guards false at the root
-before the first solve were the labels the domains now leave out, so
-the clauses skipped come from the append path, once the search has
-learned root literals.
-
 A blocking clause (`add_block`) negates the defining literals of one
 decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
 only x/l/r variables, so it can be appended at any time, before or after
@@ -557,7 +547,7 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
 
 
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
-                   backend: CdclSolver, polarity: int = 0) -> list[Clause]:
+                   polarity: int = 0) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
     node, label of the node's `label_domain`, and state.
 
@@ -598,23 +588,6 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     unchanged, each budget admits the same DAGs, and the floor,
     minimality and language-minimality arguments of the learner stand.
     Polarity 0, the default, lowers every node two-sided at every state.
-
-    Every clause group whose guard `backend.fixed(-guard)` names as false
-    at the root (the proposition clauses and `lower_node` call under
-    `x(i, lab)`, the `L`/`R` ties under `l(i, j)`/`r(i, j)`) is left out,
-    so the clauses must go into `backend` itself.  That keeps its run
-    identical:
-
-    * each skipped clause contains the negated guard, a literal true at
-      the root of `backend`, so `CdclSolver.add_clauses` would drop it
-      unread;
-    * root literals follow from the clause set alone, so the model set
-      is unchanged;
-    * the solver's stored clauses, trail and search are therefore
-      identical, and only the returned list shrinks.
-
-    A solver that fixes nothing, such as a fresh `CdclSolver()`, leaves
-    nothing out.
     """
     size = struct.size
     states = range(size)
@@ -644,8 +617,6 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
             if p in OPERATOR_LABELS:
                 break  # the propositions come first
             guard = pool.var("x", i, p)
-            if backend.fixed(-guard):
-                continue
             for s in states:
                 if out[s] is None:
                     continue
@@ -657,19 +628,14 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
         left_i, right_i, steps_i = left[i], right[i], steps[i]
         for j in range(1, i):
             chose_l, chose_r = pool.var("l", i, j), pool.var("r", i, j)
-            keep_l = not backend.fixed(-chose_l)
-            keep_r = i > 2 and not backend.fixed(-chose_r)
             child = y[j]
             for s in states:
-                if keep_l:
-                    clauses.extend(sat.equiv_lit(left_i[s], child[s],
-                                                 (chose_l,)))
-                if keep_r:
+                clauses.extend(sat.equiv_lit(left_i[s], child[s], (chose_l,)))
+                if i > 2:
                     clauses.extend(sat.equiv_lit(right_i[s], child[s],
                                                  (chose_r,)))
-        lowered = [(label, (guard,)) for label in domain
-                   if label in OPERATOR_LABELS
-                   and not backend.fixed(-(guard := pool.var("x", i, label)))]
+        lowered = [(label, (pool.var("x", i, label),)) for label in domain
+                   if label in OPERATOR_LABELS]
         step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
         for s in states:
             for label, guards in lowered:
@@ -688,20 +654,19 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     appending never renumbers earlier ones.  Its clauses are one
     consistency clause, first: the root holds on every initial state of a
     positive, and fails on some initial state of a negative; then the
-    semantic ones of `build_semantic`, pruned against the instance's
-    solver, with the root's polarity that clause reads it in (+1 for a
-    positive, -1 for a negative).  They go to `instance.clauses` and into
-    that solver, which simplifies them against the root literals the
-    consistency clause fixes: a positive's root units, or a negative's
-    with one initial state, strip the root's literal from every one-sided
-    clause that reads it.
+    semantic ones of `build_semantic`, with the root's polarity that
+    clause reads it in (+1 for a positive, -1 for a negative).  They go
+    to `instance.clauses` and into the instance's solver, which
+    simplifies them against the root literals the consistency clause
+    fixes: a positive's root units, or a negative's with one initial
+    state, strip the root's literal from every one-sided clause that
+    reads it.
     """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
     pool, n, backend = instance.pool, instance.size_budget, instance.backend
     m = len(instance.positives) + len(instance.negatives)
-    semantic = build_semantic(pool, n, m, struct, backend,
-                              -1 if negative else 1)
+    semantic = build_semantic(pool, n, m, struct, -1 if negative else 1)
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
         clauses = [tuple(-lit for lit in roots)]

@@ -107,7 +107,11 @@ class Sample(FrozenRecord):
 
 
 class BudgetTrace(NamedTuple):
-    """Outcome of one size budget: SAT/UNSAT plus solver statistics."""
+    """Outcome of one size budget: SAT/UNSAT plus solver statistics.
+
+    `variables` and `clauses` count the instance's whole clause stream,
+    which `cnf-dump` writes, with the clauses the solver drops on loading
+    as satisfied at the root."""
 
     size: int
     satisfiable: bool

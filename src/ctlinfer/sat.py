@@ -24,11 +24,8 @@ Its interface takes signed literals; inside, literal v is `2v` and -v is
 `2v | 1` (the MiniSat layout), so negation is `^ 1`, the variable is
 `>> 1`, and one value array and the watch lists are indexed by literal.
 `add_clauses` loads a whole clause stream in one call, as the encoders
-do; `add_clause` is the one-clause case.  `fixed` tells whether a literal
-is true at the root, where `add_clauses` drops every clause containing
-it, so an encoder can leave such clauses out of the stream it loads into
-that same solver.  Instances can also be
-exported in DIMACS CNF format for external solvers via `to_dimacs`.
+do; `add_clause` is the one-clause case.  Instances can also be exported
+in DIMACS CNF format for external solvers via `to_dimacs`.
 """
 
 from __future__ import annotations
@@ -221,16 +218,6 @@ class CdclSolver:
     @property
     def num_clauses(self) -> int:
         return len(self._clauses)
-
-    def fixed(self, lit: int) -> bool:
-        """True iff `lit` is true at decision level 0.
-
-        Between calls the solver sits at level 0, so its trail holds the
-        root assignment only.  A root literal follows from the clause set
-        alone, and `add_clauses` drops every clause containing it unread.
-        """
-        v = abs(lit)
-        return v <= self._nvars and self._val[(v << 1) | (lit < 0)] == 1
 
     def reserve(self, num_vars: int) -> None:
         """Declare variables up to `num_vars` even if no clause uses them."""

@@ -121,7 +121,7 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                 backend.add_clauses(encoder.build_structural(
                     pool, len(dag), struct.alphabet))
                 backend.add_clauses(encoder.build_semantic(
-                    pool, len(dag), 0, struct, backend))
+                    pool, len(dag), 0, struct))
                 backend.reserve(pool.count)
                 helpers.pin_dag(backend, pool, dag)
                 assert backend.solve()

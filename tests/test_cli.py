@@ -145,7 +145,7 @@ class TestLearn:
         runs = [
             (["--pos", "two_state_pq.kripke", "chain3.kripke",
               "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
-             ["budget 1: UNSAT (vars=5, clauses=7)",
+             ["budget 1: UNSAT (vars=5, clauses=8)",
               "budget 2: UNSAT (vars=28, clauses=60)",
               "budget 3: SAT (vars=65, clauses=248)",
               "size: 3", "result: EX EX q"]),
@@ -219,9 +219,12 @@ class TestSynth:
         assert last_line(out) == f"result: model with {m.size} states"
 
     def test_no_model(self, capsys):
-        code, out, _ = invoke(capsys, "synth", "p & !p", "--max-states", "3")
-        assert code == 1
-        assert last_line(out) == "result: no model up to 3 states"
+        for formula, states, bound in (("p & !p", "3", "3 states"),
+                                       ("false", "1", "1 state")):
+            code, out, _ = invoke(capsys, "synth", formula,
+                                  "--max-states", states)
+            assert code == 1
+            assert last_line(out) == f"result: no model up to {bound}"
 
     def test_props_flag_extends_alphabet(self, capsys):
         code, out, _ = invoke(capsys, "synth", "p", "--props", "p,q")

@@ -19,8 +19,7 @@ def semantic_instance(structures, n):
     backend.add_clauses(encoder.build_structural(pool, n,
                                                  structures[0].alphabet))
     for m, struct in enumerate(structures):
-        backend.add_clauses(encoder.build_semantic(pool, n, m, struct,
-                                                   backend))
+        backend.add_clauses(encoder.build_semantic(pool, n, m, struct))
     backend.reserve(pool.count)
     return pool, backend
 
@@ -140,10 +139,11 @@ class TestBuildInstance:
             encoder.build_instance(0, [m])
 
 
-class TestRootPruning:
-    """`build_instance` and `CandidateSearch.add_negative` leave out the
-    clause groups whose guard is false at the root of the instance's own
-    solver; that solver must not see a difference."""
+class TestClauseStream:
+    """`build_instance` and `add_structure` load exactly the clause stream
+    built without a solver: the structural clauses, the normal form, then
+    for each structure its consistency clause followed by
+    `build_semantic` with the structure's side."""
 
     SAMPLES = [
         (["two_state_pq.kripke", "chain3.kripke"], ["cycle2.kripke"],
@@ -157,11 +157,10 @@ class TestRootPruning:
     ]
 
     @staticmethod
-    def unpruned(pool, n, m, struct, negative):
-        """The root clauses, then `build_semantic` with the structure's
-        side and nothing skipped, against a fresh solver that fixes
-        nothing."""
-        clauses = encoder.build_semantic(pool, n, m, struct, CdclSolver(),
+    def structure_stream(pool, n, m, struct, negative):
+        """The consistency clause of structure m, then `build_semantic`
+        with the root's polarity that clause reads it in."""
+        clauses = encoder.build_semantic(pool, n, m, struct,
                                          -1 if negative else 1)
         roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
         if negative:
@@ -174,8 +173,10 @@ class TestRootPruning:
         assert a._clauses == b._clauses
         assert a._trail == b._trail
 
-    def test_pruned_instances_load_and_search_identically(self):
-        skipped = {"build": 0, "append": 0}
+    def test_instances_load_exactly_the_clause_stream(self):
+        """On the build path and again after appending a negative, the
+        instance holds the stream, and its solver stores, propagates and
+        searches as a fresh solver of the same seed loaded with it."""
         for pos_names, neg_names, extra_name in self.SAMPLES:
             pos = [helpers.load_fixture(f) for f in pos_names]
             neg = [helpers.load_fixture(f) for f in neg_names]
@@ -183,38 +184,33 @@ class TestRootPruning:
             alphabet = pos[0].alphabet
             for n in (1, 2, 3, 4):
                 instance = encoder.build_instance(n, pos, neg, seed=0)
-                pruned = instance.backend
+                loaded = instance.backend
                 pool = VarPool()
                 stream = (encoder.build_structural(pool, n, alphabet)
                           + encoder.build_normal_form(pool, n, alphabet))
                 for m, struct in enumerate(pos + neg):
-                    stream += self.unpruned(pool, n, m, struct,
-                                            m >= len(pos))
-                full = CdclSolver(seed=0)
-                full.add_clauses(stream)
-                full.reserve(pool.count)
-                skipped["build"] += len(stream) - instance.num_clauses
-                self.same_state(pruned, full)
+                    stream += self.structure_stream(pool, n, m, struct,
+                                                    m >= len(pos))
+                assert instance.clauses == stream
+                fresh = CdclSolver(seed=0)
+                fresh.add_clauses(stream)
+                fresh.reserve(pool.count)
+                self.same_state(loaded, fresh)
 
-                assert pruned.solve() == full.solve()
-                loaded = instance.num_clauses
+                assert loaded.solve() == fresh.solve()
+                appended = self.structure_stream(pool, n, len(pos + neg),
+                                                 extra, True)
                 encoder.add_structure(instance, extra, negative=True)
-                appended_full = self.unpruned(pool, n, len(pos + neg),
-                                              extra, True)
-                full.add_clauses(appended_full)
-                full.reserve(pool.count)
-                skipped["append"] += (len(appended_full)
-                                      - (instance.num_clauses - loaded))
-                self.same_state(pruned, full)
+                assert instance.clauses == stream + appended
+                fresh.add_clauses(appended)
+                fresh.reserve(pool.count)
+                self.same_state(loaded, fresh)
 
-                verdict = pruned.solve()
-                assert verdict == full.solve()
-                assert pruned._conflicts == full._conflicts
+                verdict = loaded.solve()
+                assert verdict == fresh.solve()
+                assert loaded._conflicts == fresh._conflicts
                 if verdict:
-                    assert pruned.model() == full.model()
-        # Before the first solve the root fixes no guard of a domain label
-        # false, so only the append path leaves clauses out.
-        assert skipped["append"] > 0
+                    assert loaded.model() == fresh.model()
 
     def test_build_path_is_the_append_path(self):
         """Negatives built into an instance and negatives appended to it
@@ -472,7 +468,7 @@ class TestOneSidedRoot:
                 backend = encoder.load_backend(two_sided, CdclSolver(seed=4))
                 for m, struct in enumerate(pos + neg):
                     backend.add_clauses(encoder.build_semantic(
-                        pool, n, m, struct, backend))
+                        pool, n, m, struct))
                     roots = [pool.get("y", m, n, s)
                              for s in sorted(struct.initial)]
                     if m < len(pos):

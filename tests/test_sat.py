@@ -54,18 +54,6 @@ class TestBasics:
         solver.add_clause([-1])
         assert not solver.solve()
 
-    def test_fixed_reads_the_root_assignment_only(self):
-        solver = CdclSolver()
-        solver.add_clauses([[1], [-1, -2], [2, 3, 4]])
-        assert solver.fixed(1) and solver.fixed(-2)
-        assert not solver.fixed(-1) and not solver.fixed(2)
-        assert not any(solver.fixed(lit) for lit in (3, -3, 4, -4, 5, -5))
-        assert solver.solve()
-        # A decision is not a root fact.
-        assert not any(solver.fixed(lit) for lit in (3, -3, 4, -4))
-        solver.add_clause([-1, 5])
-        assert solver.fixed(5)
-
     def test_tautologies_are_dropped(self):
         solver = CdclSolver()
         solver.add_clause([1, -1])
