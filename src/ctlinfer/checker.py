@@ -51,16 +51,15 @@ def _ex_mask(succ: list[int], target: int) -> int:
 
 def evaluate(f: CtlFormula, leaf: Callable[[str], int],
              ex: Callable[[int], int], full: int,
-             memo: dict[int, tuple[CtlFormula, int]]) -> int:
+             memo: dict[CtlFormula, int]) -> int:
     """The satisfaction set of the ENF formula `f` as a bitmask, given the
     set `leaf(p)` of each proposition p, the image `ex(T)` of `EX` over
-    any set T, and the set `full` of all states.  `memo` maps the `id` of
-    each subterm evaluated so far (all alive while `f` is) to the subterm
-    and its mask, in the order the pass completed them: children first,
-    left before right."""
-    got = memo.get(id(f))
+    any set T, and the set `full` of all states.  `memo` maps each
+    subterm evaluated so far to its mask, in the order the pass completed
+    them: children first, left before right."""
+    got = memo.get(f)
     if got is not None:
-        return got[1]
+        return got
     if isinstance(f, Prop):
         mask = leaf(f.name)
     elif isinstance(f, Const):
@@ -93,12 +92,12 @@ def evaluate(f: CtlFormula, leaf: Callable[[str], int],
     else:
         raise NotInEnf(
             f"checker works on ENF formulas, got {ctl.print_ctl(f)}")
-    memo[id(f)] = (f, mask)
+    memo[f] = mask
     return mask
 
 
 def _sat_mask(m: KripkeStructure, f: CtlFormula,
-              memo: dict[int, tuple[CtlFormula, int]]) -> int:
+              memo: dict[CtlFormula, int]) -> int:
     succ = [sum(1 << t for t in post) for post in m.successors]
     return evaluate(f, partial(_label_mask, m), partial(_ex_mask, succ),
                     (1 << m.size) - 1, memo)
@@ -116,12 +115,9 @@ def sat_set(m: KripkeStructure, f: CtlFormula) -> frozenset[int]:
 def sat_set_table(m: KripkeStructure,
                   f: CtlFormula) -> dict[CtlFormula, frozenset[int]]:
     """Satisfaction sets for every subformula of `f`, children first."""
-    memo: dict[int, tuple[CtlFormula, int]] = {}
+    memo: dict[CtlFormula, int] = {}
     _sat_mask(m, f, memo)
-    table: dict[CtlFormula, frozenset[int]] = {}
-    for g, mask in memo.values():
-        table.setdefault(g, _to_set(mask, m.size))
-    return table
+    return {g: _to_set(mask, m.size) for g, mask in memo.items()}
 
 
 def holds(m: KripkeStructure, f: CtlFormula) -> bool:

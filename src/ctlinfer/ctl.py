@@ -5,8 +5,9 @@ and the temporal operators EX/EG/EU plus the usual derived forms (EF, AX,
 AG, AF, AU, implication, constants).  The learner and synthesizer work on
 the existential normal form (ENF) fragment: propositions, negation,
 conjunction, disjunction, EX, EU and EG.  `enf` rewrites any formula into
-that fragment.  A formula is its own syntax DAG, in which identical
-subterms are one node; `subterms` lists its nodes, children first.
+that fragment.  Equal formulas are one object (`CtlFormula`), so a
+formula is its own syntax DAG, in which identical subterms are one node;
+`subterms` lists its nodes, children first.
 
 Formula size is the number of *distinct* subformulas, i.e. the node count
 of the syntax DAG, not the node count of the tree.
@@ -53,14 +54,15 @@ class NotInEnf(CtlError):
 
 class FrozenRecord:
     """An immutable, slotted record whose fields are its `__match_args__`,
-    set once by `__init__` through `object.__setattr__`.
+    set once by `__init__` (a formula's `__new__`) through
+    `object.__setattr__`.
 
     Assigning or deleting any attribute raises `FrozenInstanceError`, and
-    copies and pickles rebuild a record from its fields.  Equality
-    compares the class and then the field tuple, a hash is that of the
-    field tuple, and the `repr` reads `Name(field=value, ...)`: the
-    behaviour of a frozen dataclass, without generating its code at
-    import.
+    copies and pickles call the class on the fields, which for a formula
+    returns the one node it already is.  Equality compares the class and
+    then the field tuple, a hash is that of the field tuple, and the
+    `repr` reads `Name(field=value, ...)`: the behaviour of a frozen
+    dataclass, without generating its code at import.
     """
 
     __slots__ = ()
@@ -99,23 +101,39 @@ class FrozenRecord:
 class CtlFormula(FrozenRecord):
     """Base class for formula nodes.
 
-    Nodes come in four shapes, each a `FrozenRecord` with a hand-written
-    `__init__` and `__hash__`: `Prop` (a name), `Const` (a truth value),
-    `_Unary` (`operand`) and `_Binary` (`left`, `right`).  `Prop` and
-    `Const` have their own `__eq__`, and the two operator shapes share
-    `_Operator.__eq__`.  The twelve operator classes are empty subclasses
-    of the last two, so they share their shape's methods.  Equality still
-    compares the class, and a hash is that of the field tuple.
+    Nodes come in four shapes, each a `FrozenRecord`: `Prop` (a name),
+    `Const` (a truth value), `_Unary` (`operand`) and `_Binary` (`left`,
+    `right`).  The twelve operator classes are empty subclasses of the
+    last two, so they share their shape's methods.
+
+    Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+    hash-consing", 2006): each shape's `__new__` looks up its class and
+    field tuple in `_NODES` and builds a node only on a miss, so each
+    distinct formula is built once and lives as long as the process.
+    By induction on height, structurally equal formulas are the same
+    object: equal leaves have one key, and equal operator nodes have
+    one class and equal children, which are identical by induction, so
+    one key as well.  Equality and hashing are therefore those of
+    `object`: identity is the structural equality, and a formula is its
+    syntax DAG by construction.
     """
 
     __slots__ = ()
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return print_ctl(self)
 
 
-# Sets a field of a formula node; a module global, which Python looks up
-# faster than `object` and then its attribute.
+# The one node of each class and field tuple (`CtlFormula`).  A node is
+# inserted by `setdefault`, so two threads that build one formula still
+# get one node.
+_NODES: dict[tuple, CtlFormula] = {}
+
+# Allocate a formula node and set its fields; module globals, which
+# Python looks up faster than `object` and then its attribute.
+_new = object.__new__
 _setattr = object.__setattr__
 
 
@@ -123,150 +141,57 @@ class Prop(CtlFormula):
     __slots__ = ("name",)
     __match_args__ = ("name",)
 
-    def __init__(self, name: str) -> None:
-        if not _IDENT_RE.match(name):
-            raise CtlError(f"invalid proposition name {name!r}")
-        if name in RESERVED_WORDS:
-            raise CtlError(f"proposition name {name!r} is a reserved word")
-        _setattr(self, "name", name)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name,))
+    def __new__(cls, name: str) -> Prop:
+        node = _NODES.get(key := (cls, name))
+        if node is None:
+            if not _IDENT_RE.match(name):
+                raise CtlError(f"invalid proposition name {name!r}")
+            if name in RESERVED_WORDS:
+                raise CtlError(f"proposition name {name!r} is a reserved word")
+            _setattr(node := _new(cls), "name", name)
+            node = _NODES.setdefault(key, node)
+        return node
 
 
 class Const(CtlFormula):
     __slots__ = ("value",)
     __match_args__ = ("value",)
 
-    def __init__(self, value: bool) -> None:
-        _setattr(self, "value", value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
+    def __new__(cls, value: bool) -> Const:
+        node = _NODES.get(key := (cls, value))
+        if node is None:
+            _setattr(node := _new(cls), "value", value)
+            node = _NODES.setdefault(key, node)
+        return node
 
 
 TRUE = Const(True)
 FALSE = Const(False)
 
 
-class _Operator(CtlFormula):
-    """An operator node.  Its `__hash__` stores the field-tuple hash in
-    `_hash` the first time it is asked, so a formula-keyed dict hashes
-    each node of a shared subterm once, not once per path to it.  It is
-    lazy: computing it in `__init__` made `enf` about 70% slower."""
-
-    __slots__ = ("_hash",)
-
-    def _same_dag(self, other: _Operator) -> bool:
-        """Equality of two distinct operator nodes of one class, deciding
-        each pair of nodes below them once.
-
-        Two separately built copies of a shared DAG are equal without
-        being one object, and comparing them field by field would walk
-        every path through the DAG, 3^k paths for `A[f U g]` nested k
-        deep in ENF.  So nodes whose cached hashes differ are unequal at
-        once, and equal-hash pairs are walked by an explicit stack that
-        skips identical nodes and pairs already taken up.  Taking a pair
-        up before its children are compared is sound, since the syntax
-        DAG is acyclic and the walk returns False at the first differing
-        pair: it returns True only after comparing every pair it took.
-        """
-        if hash(self) != hash(other):
-            return False
-        # Hashing a node cached `_hash` on every operator node below it.
-        taken: set[tuple[int, int]] = set()
-        pairs = [(self, other)]
-        while pairs:
-            f, g = pairs.pop()
-            if isinstance(f, _Unary):
-                kids = ((f.operand, g.operand),)
-            else:
-                kids = ((f.left, g.left), (f.right, g.right))
-            for a, b in kids:
-                if a is b:
-                    continue
-                if a.__class__ is not b.__class__:
-                    return False
-                if not isinstance(a, _Operator):
-                    if a != b:
-                        return False
-                elif a._hash != b._hash:
-                    return False
-                elif (key := (id(a), id(b))) not in taken:
-                    taken.add(key)
-                    pairs.append((a, b))
-        return True
-
-
-# The `__eq__` of the two operator shapes settles children that are
-# identical, of different classes or propositions at once, which is most
-# unequal pairs a formula-keyed dict meets (`Not`, `ExistsNext` and
-# `ExistsGlobally` of one operand share a hash), and leaves the rest to
-# `_same_dag`.
-
-class _Unary(_Operator):
+class _Unary(CtlFormula):
     __slots__ = ("operand",)
     __match_args__ = ("operand",)
 
-    def __init__(self, operand: CtlFormula) -> None:
-        _setattr(self, "operand", operand)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        a, b = self.operand, other.operand
-        if a is b:
-            return True
-        if a.__class__ is not b.__class__:
-            return False
-        if not isinstance(a, _Operator):
-            return a == b
-        return self._same_dag(other)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            _setattr(self, "_hash", hash((self.operand,)))
-            return self._hash
+    def __new__(cls, operand: CtlFormula) -> _Unary:
+        node = _NODES.get(key := (cls, operand))
+        if node is None:
+            _setattr(node := _new(cls), "operand", operand)
+            node = _NODES.setdefault(key, node)
+        return node
 
 
-class _Binary(_Operator):
+class _Binary(CtlFormula):
     __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
-    def __init__(self, left: CtlFormula, right: CtlFormula) -> None:
-        _setattr(self, "left", left)
-        _setattr(self, "right", right)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        a, b, c, d = self.left, other.left, self.right, other.right
-        if a.__class__ is not b.__class__ or c.__class__ is not d.__class__:
-            return False
-        if a is b and c is d:
-            return True
-        if not (isinstance(a, _Operator) or isinstance(c, _Operator)):
-            return a == b and c == d
-        return self._same_dag(other)
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            _setattr(self, "_hash", hash((self.left, self.right)))
-            return self._hash
+    def __new__(cls, left: CtlFormula, right: CtlFormula) -> _Binary:
+        node = _NODES.get(key := (cls, left, right))
+        if node is None:
+            _setattr(node := _new(cls), "left", left)
+            _setattr(node, "right", right)
+            node = _NODES.setdefault(key, node)
+        return node
 
 
 class Not(_Unary): __slots__ = ()
@@ -333,14 +258,18 @@ def size(f: CtlFormula) -> int:
 
 
 def propositions(f: CtlFormula) -> frozenset[str]:
-    """The proposition names in `f`, by a walk that hashes no subtree."""
+    """The proposition names in `f`, visiting each DAG node once."""
     names: set[str] = set()
+    seen = {f}
     stack = [f]
     while stack:
         g = stack.pop()
         if isinstance(g, Prop):
             names.add(g.name)
-        stack.extend(children(g))
+        for h in children(g):
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
     return frozenset(names)
 
 
@@ -358,15 +287,17 @@ def propositions(f: CtlFormula) -> frozenset[str]:
 #   atom    := 'true' | 'false' | name | '(' formula ')'
 #
 # Every walk of a formula but `subterms` and `propositions` (this parser,
-# `enf`, `print_ctl`, `checker.evaluate`, and hashing on first use)
-# recurses once per level, so `parse_ctl` refuses more than `MAX_NESTING`
-# prefix operators, until brackets and parentheses around one token, or
-# operators on one root-to-leaf path.  At the limit the deepest walk is
-# the first hash of an ENF root: `synth` on `p & EX !p & ` and `A[` nested
-# 63 deep on the left hashes its ENF root before any child (in the
-# tableau's `subterms`), two frames a node, and ENF puts five nodes above
-# each f of `A[f U g]`.  It runs under a recursion limit of 641, of
-# Python's default 1000.
+# `enf`, `print_ctl`, `checker.evaluate`) recurses once per level, so
+# `parse_ctl` refuses more than `MAX_NESTING` prefix operators, until
+# brackets and parentheses around one token, or operators on one
+# root-to-leaf path.  The deepest walks are this parser, four frames a
+# nesting level (`formula`, `or_expr`, `and_expr`, `unary`), and
+# `checker.evaluate` over the ENF, one frame a node, where ENF puts up to
+# five nodes above each f of `A[f U g]`.  On `synth` of `p & EX !p & `
+# and `A[p U ` nested 63 deep, both peak at 261 frames in all on
+# CPython 3.11 (the evaluation counting its leaf callback); nested 64
+# deep on the left instead, `A[A[... U p] U p]`, the evaluation peaks at
+# 324.  Python's default recursion limit is 1000.
 
 MAX_NESTING = 64
 

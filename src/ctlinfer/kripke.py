@@ -198,8 +198,8 @@ def parse_kripke(text: str) -> KripkeStructure:
 
     def need(pos: int, expectation: str) -> tuple[int, str]:
         if pos >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise ParseError(f"expected {expectation}", last + 1, 1)
+            after = lines[-1][0] + 1 if lines else 1
+            raise ParseError(f"expected {expectation}", after, 1)
         return lines[pos]
 
     lineno, header = need(0, "'kripke' header")

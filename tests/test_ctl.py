@@ -33,6 +33,14 @@ def test_propositions():
     assert ctl.propositions(ctl.TRUE) == set()
 
 
+def test_propositions_visit_each_shared_node_once():
+    # 2^60 root-to-leaf paths, 61 nodes.
+    f = Prop("p")
+    for _ in range(60):
+        f = And(f, f)
+    assert ctl.propositions(f) == {"p"}
+
+
 def test_propositions_match_the_subformula_set():
     rng = random.Random(31)
     formulas = [helpers.random_ctl(rng, ("p", "q", "r"), 4)
@@ -155,10 +163,11 @@ class TestNodeContract:
                 assert node != other(*values)
                 assert other(*values) != node
 
-    def test_hash_is_the_field_tuple_hash(self, cls):
+    def test_equal_fields_give_one_node(self, cls):
         node = example_node(cls)
-        assert hash(node) == hash(
-            tuple(getattr(node, name) for name in field_names(cls)))
+        values = tuple(getattr(node, name) for name in field_names(cls))
+        assert cls(*values) is node
+        assert hash(node) == object.__hash__(node)
 
     def test_repr(self, cls):
         fields = {
@@ -171,7 +180,6 @@ class TestNodeContract:
 
     def test_frozen_without_dict(self, cls):
         node = example_node(cls)
-        hash(node)  # an operator caches its hash in `_hash`
         for name in field_names(cls) + ("x", "_hash"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(node, name, Prop("r"))
@@ -185,29 +193,30 @@ class TestNodeContract:
         for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node),
                        copy.deepcopy(node)):
             assert type(copied) is cls
+            assert copied is node
             assert copied == node
             assert hash(copied) == hash(node)
 
 
-def test_equal_copies_of_a_deep_dag_compare_in_linear_time():
-    """Two separately parsed copies of `A[p U ...]` 30 deep are equal
-    without being one object; in ENF each has 3^30 root-to-leaf paths,
-    so only an equality that compares each pair of nodes once answers."""
+def test_equal_formulas_are_one_node():
+    """Two separately parsed copies of `A[p U ...]` 30 deep are one
+    object.  In ENF each has 3^30 root-to-leaf paths, so every check is
+    computed into a bool first: a failing `assert` would print the
+    `repr`, which walks them all."""
     text = "A[p U " * 30 + "q" + "]" * 30
     first, second = (ctl.enf(ctl.parse_ctl(text)) for _ in range(2))
-    assert first is not second
-    assert first == second and second == first
-    assert hash(first) == hash(second)
+    same = first is second
+    assert same
     other = ctl.enf(ctl.parse_ctl("A[p U " * 30 + "p" + "]" * 30))
-    assert first != other
-    # `EX q` and `EG q` share the field-tuple hash, so these two differ
-    # only at the bottom of equal-hash pairs.
+    differ = first != other
+    assert differ
     ex, eg = (ctl.enf(ctl.parse_ctl("A[p U " * 30 + op + " q" + "]" * 30))
               for op in ("EX", "EG"))
-    assert hash(ex) == hash(eg)
-    assert ex != eg and eg != ex
+    differ = ex != eg and eg != ex
+    assert differ
     assert ctl.size(ctl.Or(first, second)) == ctl.size(first) + 1
-    assert ctl.subterms(ctl.And(first, second))[-2] is first
+    last_but_one = ctl.subterms(ctl.And(first, second))[-2] is first
+    assert last_but_one
 
 
 @pytest.mark.parametrize("cls", OPERATORS, ids=lambda cls: cls.__name__)
@@ -366,8 +375,8 @@ class TestSyntaxDag:
             f = And(f, f)
         subs = ctl.subterms(f)
         assert len(subs) == ctl.size(f) == 61
-        assert subs[-1] is f
-        assert hash(f) == hash((f.left, f.right))
+        last, one_node = subs[-1] is f, f is And(f.left, f.right)
+        assert last and one_node
 
 
 def _all_dags(alphabet, n):

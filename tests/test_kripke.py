@@ -109,6 +109,15 @@ class TestParse:
                                 "labels:\ntrans: s0 -> s0")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("text, line", [
+        ("", 1), ("# only a comment\n", 1), ("kripke\nprops: p\n", 3)])
+    def test_missing_line_is_reported_after_the_last_one(self, text, line):
+        # Empty input has no line to come after, so it reports line 1.
+        with pytest.raises(kripke.ParseError) as err:
+            kripke.parse_kripke(text)
+        assert err.value.line == line
+        assert f"(line {line}, column 1)" in str(err.value)
+
     def test_duplicate_entry_fails(self):
         with pytest.raises(kripke.ParseError) as err:
             kripke.parse_kripke(
