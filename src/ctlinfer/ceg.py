@@ -29,7 +29,29 @@ solver:
 * case 3 - the candidate does not imply the hypothesis: the first call's
   witness (satisfying the candidate, falsifying the hypothesis) becomes a
   negative structure, which silently eliminates the candidate from future
-  searches.
+  searches.  Every candidate that holds at a state where the hypothesis
+  fails is a case 3, and the rooted negatives below prune those the
+  loop already knows such a state for.
+
+Rooted negatives.  After every case 2 the loop makes one checker pass
+per structure, over the model and every negative, to find the states
+where the new hypothesis h fails; after every case 3 it makes the same
+pass over the new negative.  Each such state s, except a negative's own
+initial states, goes to the search as a rooted negative (structure
+index, state): every later candidate must fail at s
+(`learner.CandidateSearch.add_rooted`).  Soundness: a formula true at s
+does not imply h, and the structure re-rooted at s is the witness; it has
+no more states than the synthesis budget, since the pass skips
+structures larger than that.  Every later hypothesis fails at s too,
+being a later candidate, so the formula implies none of them: it could
+only ever be a case 3, and it never strictly implies the answer.  Each
+budget's clause set only grows, so the learner's floor argument holds.
+A candidate pruned this way costs no iteration, no learner solve and no
+`synth.implies` call, and adds no negative structure; on its host
+structure a rooted negative is a unit clause and the root's lowering at
+s (`encoder.add_rooted`).  Each trace entry records the rooted negatives
+its iteration added, and `verify_solution` checks that the result fails
+at every one of them.
 
 Every iteration removes at least one formula from the finite candidate
 space of size <= bound, so the loop terminates; a hard cap derived from
@@ -41,7 +63,7 @@ hypothesis across strengthenings, and a violation raises
 each time once: a new negative is checked by `synth.implies` itself,
 which verifies that its witness falsifies the hypothesis (case 3) or the
 candidate that becomes the hypothesis (case 2) before returning it; after
-a case 2 the loop checks every earlier negative against the new
+a case 2 the pass above checks every negative against the new
 hypothesis, which re-verifies the learner's SAT answer with the checker;
 a case 1 changes neither the hypothesis nor N.
 
@@ -96,6 +118,9 @@ class CegTraceEntry(NamedTuple):
     candidate: CtlFormula
     case: int
     countermodel: KripkeStructure | None
+    # The rooted negatives (structure index, state) the iteration added:
+    # index 0 is the model, index k the k-th negative.
+    rooted: tuple[tuple[int, int], ...] = ()
 
 
 class CegReport(NamedTuple):
@@ -110,6 +135,10 @@ class CegReport(NamedTuple):
     def negatives(self) -> tuple[KripkeStructure, ...]:
         return tuple(e.countermodel for e in self.trace
                      if e.countermodel is not None)
+
+    @property
+    def rooted(self) -> tuple[tuple[int, int], ...]:
+        return tuple(r for e in self.trace for r in e.rooted)
 
 
 class Certification(NamedTuple):
@@ -170,7 +199,9 @@ def infer(model: KripkeStructure, bound: int,
             raise CegError(
                 f"candidate {ctl.print_ctl(candidate)} proposed twice")
 
-        recheck: tuple[KripkeStructure, ...] = ()
+        # The structures from `first` on are searched for rooted
+        # negatives: the new negative after a case 3, all after a case 2.
+        first = len(search.sample.structures)
         countermodel = synth.implies(candidate, hypothesis, synth_states,
                                      alphabet, seed)
         if countermodel is not None:
@@ -185,19 +216,18 @@ def infer(model: KripkeStructure, bound: int,
             else:
                 # `implies` verified that the witness fails the candidate;
                 # the earlier negatives are checked against it below.
-                case, recheck = 2, search.sample.negatives
+                case = 2
                 search.add_negative(countermodel)
                 search.discard(candidate)
                 hypothesis = candidate
+                first = 0
 
-        entry = CegTraceEntry(len(trace) + 1, candidate, case, countermodel)
+        rooted = _root_failures(search, first, hypothesis, synth_states)
+        entry = CegTraceEntry(len(trace) + 1, candidate, case, countermodel,
+                              rooted)
         trace.append(entry)
         if on_iteration is not None:
             on_iteration(entry)
-        for struct in recheck:
-            if checker.holds(struct, hypothesis):
-                raise SynthesisInconsistency(
-                    "a negative structure satisfies the hypothesis")
 
     certification = (
         f"strictness certified against countermodels of at most "
@@ -208,12 +238,46 @@ def infer(model: KripkeStructure, bound: int,
                      synth_states=synth_states, certification=certification)
 
 
+def _root_failures(search: learner.CandidateSearch, first: int,
+                   hypothesis: CtlFormula, synth_states: int,
+                   ) -> tuple[tuple[int, int], ...]:
+    """Hand the search a rooted negative at every state where
+    `hypothesis` fails, of each structure of `search.sample.structures`
+    from number `first` on, that it does not have yet, and return those.
+
+    One checker pass per structure.  A negative's own initial states are
+    left out, since the negative already asks every answer to fail at
+    one of them, and so are structures of more than `synth_states`
+    states, where the re-rooted structure may exceed the synthesis budget
+    (the soundness argument is in the module docstring).  A negative
+    whose every initial state satisfies the hypothesis raises
+    `SynthesisInconsistency`.
+    """
+    structures = search.sample.structures
+    added = []
+    for m in range(first, len(structures)):
+        struct = structures[m]
+        sat = checker.sat_set(struct, hypothesis)
+        if m and struct.initial <= sat:
+            raise SynthesisInconsistency(
+                "a negative structure satisfies the hypothesis")
+        if struct.size > synth_states:
+            continue
+        for s in range(struct.size):
+            if (s not in sat and s not in struct.initial
+                    and (m, s) not in search.rooted):
+                search.add_rooted(m, s)
+                added.append((m, s))
+    return tuple(added)
+
+
 def verify_solution(model: KripkeStructure, bound: int,
                     result: CegReport) -> Certification:
     """Re-derive the guarantees of an inference result.
 
-    Checks that the formula holds on the model, fits the size bound, and
-    fails on every recorded negative structure.  When the bound is at
+    Checks that the formula holds on the model, fits the size bound,
+    fails on every recorded negative structure, and fails at the state of
+    every recorded rooted negative.  When the bound is at
     most `_AUDIT_LIMIT` it additionally enumerates every ENF formula of
     size <= bound holding on the model and confirms, by `synth.implies`
     in both directions, that none strictly implies the result
@@ -254,6 +318,14 @@ def verify_solution(model: KripkeStructure, bound: int,
         if checker.holds(struct, formula):
             raise CertificationFailure(
                 "a negative structure satisfies the result", formula)
+    structures = (model,) + negatives
+    sat_sets: dict[int, frozenset[int]] = {}
+    for m, s in result.rooted:
+        if m not in sat_sets:
+            sat_sets[m] = checker.sat_set(structures[m], ctl.enf(formula))
+        if s in sat_sets[m]:
+            raise CertificationFailure(
+                "the result holds at a rooted negative state", formula)
     return Certification(
         formula=formula, size=ctl.size(formula), bound=bound,
         synth_states=synth_states, negatives_checked=len(negatives),

@@ -492,39 +492,52 @@ def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
 
     Universal operators are eliminated by the standard dualities; EF f
     becomes E[true U f].  ENF formulas are returned unchanged, so `enf` is
-    idempotent.
+    idempotent.  Each node is rewritten once per call, keyed by itself
+    (equal formulas are one node), so the time is linear in the number of
+    distinct subformulas, not in the number of root-to-leaf paths.
     """
-    if isinstance(f, Prop):
-        return f
-    if isinstance(f, Const):
-        if alphabet:
-            p = Prop(alphabet[0])
-            return Or(p, Not(p)) if f.value else And(p, Not(p))
-        return f
-    if isinstance(f, _ENF_OPS):
-        if isinstance(f, _Unary):
-            return type(f)(enf(f.operand, alphabet))
-        return type(f)(enf(f.left, alphabet), enf(f.right, alphabet))
-    if isinstance(f, Implies):
-        return Or(Not(enf(f.left, alphabet)), enf(f.right, alphabet))
-    if isinstance(f, ExistsFinally):
-        return ExistsUntil(enf(TRUE, alphabet), enf(f.operand, alphabet))
-    if isinstance(f, ForallNext):
-        return Not(ExistsNext(Not(enf(f.operand, alphabet))))
-    if isinstance(f, ForallGlobally):
-        # AG f = !EF !f
-        inner = Not(enf(f.operand, alphabet))
-        return Not(ExistsUntil(enf(TRUE, alphabet), inner))
-    if isinstance(f, ForallFinally):
-        return Not(ExistsGlobally(Not(enf(f.operand, alphabet))))
-    if isinstance(f, ForallUntil):
-        # A[f U g] = !E[!g U (!f & !g)] & !EG !g
-        lhs = enf(f.left, alphabet)
-        rhs = enf(f.right, alphabet)
-        not_g = Not(rhs)
-        return And(Not(ExistsUntil(not_g, And(Not(lhs), not_g))),
-                   Not(ExistsGlobally(not_g)))
-    raise CtlError(f"unknown formula node {f!r}")
+    memo: dict[CtlFormula, CtlFormula] = {}
+
+    def rewrite(f: CtlFormula) -> CtlFormula:
+        got = memo.get(f)
+        if got is not None:
+            return got
+        if isinstance(f, Prop):
+            got = f
+        elif isinstance(f, Const):
+            if alphabet:
+                p = Prop(alphabet[0])
+                got = Or(p, Not(p)) if f.value else And(p, Not(p))
+            else:
+                got = f
+        elif isinstance(f, _ENF_OPS):
+            if isinstance(f, _Unary):
+                got = type(f)(rewrite(f.operand))
+            else:
+                got = type(f)(rewrite(f.left), rewrite(f.right))
+        elif isinstance(f, Implies):
+            got = Or(Not(rewrite(f.left)), rewrite(f.right))
+        elif isinstance(f, ExistsFinally):
+            got = ExistsUntil(rewrite(TRUE), rewrite(f.operand))
+        elif isinstance(f, ForallNext):
+            got = Not(ExistsNext(Not(rewrite(f.operand))))
+        elif isinstance(f, ForallGlobally):
+            # AG f = !EF !f
+            got = Not(ExistsUntil(rewrite(TRUE), Not(rewrite(f.operand))))
+        elif isinstance(f, ForallFinally):
+            got = Not(ExistsGlobally(Not(rewrite(f.operand))))
+        elif isinstance(f, ForallUntil):
+            # A[f U g] = !E[!g U (!f & !g)] & !EG !g
+            not_g = Not(rewrite(f.right))
+            got = And(Not(ExistsUntil(not_g, And(Not(rewrite(f.left)),
+                                                 not_g))),
+                      Not(ExistsGlobally(not_g)))
+        else:
+            raise CtlError(f"unknown formula node {f!r}")
+        memo[f] = got
+        return got
+
+    return rewrite(f)
 
 
 # ---------------------------------------------------------------------------

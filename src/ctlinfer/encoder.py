@@ -63,17 +63,26 @@ variables do not force the root's `y` and `ys` values; they bound them
 on the side the consistency clause reads, and the instance admits the
 same DAGs.
 
+A rooted negative (m, s) (`add_rooted`) asks the root to fail at state s
+of structure m, which need not be initial: the unit clause -y(m, n, s).
+It is anchored on the host structure's variables, so where the root has
+no `y` at s it costs that variable and the root's lowering at s at
+polarity -1, not a structure of its own.  The counterexample-guided loop
+adds one at each state where its hypothesis fails (`ceg`).
+
 Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
 was added, its y (the root's at its initial states only), then its ys,
-then its L/R variables.  Every instance owns the solver its clauses go
-to (`EncodingInstance.backend`), and each clause group is loaded into
-it as soon as it is built: `build_instance` is the structural and
-normal-form clauses (`load_backend`), then `add_structure` once per
-positive and negative, its consistency clause first.
-Appending a structure to a built instance (a new negative in the
-learner's persistent search) goes the same way, renumbers nothing, and
-leaves every clause already loaded valid.
+then its L/R variables; a rooted negative's root `y` comes after every
+variable allocated before it.  Every instance owns the solver its
+clauses go to (`EncodingInstance.backend`), and each clause group is
+loaded into it as soon as it is built: `build_instance` is the
+structural and normal-form clauses (`load_backend`), then `add_structure`
+once per positive and negative, its consistency clause first, then
+`add_rooted` once per rooted negative.  Appending a structure or a
+rooted negative to a built instance (the learner's persistent search)
+goes the same way, renumbers nothing, and leaves every clause already
+loaded valid.
 
 A blocking clause (`add_block`) negates the defining literals of one
 decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
@@ -94,8 +103,8 @@ from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
 __all__ = ["VarPool", "REWRITE_RULES", "lower_node", "add_structure",
-           "add_block", "build_normal_form", "build_instance", "load_backend",
-           "decode_with_literals", "to_dimacs"]
+           "add_rooted", "add_block", "build_normal_form", "build_instance",
+           "load_backend", "decode_with_literals", "to_dimacs"]
 
 
 class VarPool:
@@ -135,7 +144,7 @@ class VarPool:
 
 class EncodingInstance:
     __slots__ = ("size_budget", "alphabet", "positives", "negatives",
-                 "pool", "clauses", "backend")
+                 "pool", "clauses", "backend", "rooted")
 
     def __init__(self, size_budget: int, alphabet: tuple[str, ...],
                  positives: tuple[KripkeStructure, ...],
@@ -149,6 +158,9 @@ class EncodingInstance:
         self.pool = pool
         self.clauses = [] if clauses is None else clauses
         self.backend = backend  # attached by `load_backend`
+        # The rooted negatives (structure index, state), in the order
+        # `add_rooted` appended them.
+        self.rooted: tuple[tuple[int, int], ...] = ()
 
     @property
     def num_vars(self) -> int:
@@ -480,7 +492,7 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
                step: Callable[[int, int], int],
                successors: Callable[[int, Callable[[int], int]], list[int]],
                depth: int, guards: Sequence[int] = (),
-               polarity: int = 0) -> None:
+               polarity: int = 0, inner: bool = True) -> None:
     """Append an operator node's semantics at state s.
 
     The single CNF lowering of the CTL step semantics, for formula search
@@ -493,7 +505,9 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
     step is written into `out`.  At depth 0, `out <-> base`.  An `out`
     of None says the node has no variable at s: only the inner EU/EG
     groups, those writing X_2 .. X_depth, are lowered, for the states
-    whose `out` reads them.
+    whose `out` reads them.  With `inner` False only the group writing
+    `out` is lowered, for a caller that lowered the inner ones at s
+    before (`add_rooted`).
 
     `polarity` is that of the `sat.equiv_*` shapes, and every group
     takes it: +1 lowers out -> definition and X_k -> its step, -1 the
@@ -534,7 +548,8 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
         if depth == 0:
             clauses.extend(sat.equiv_lit(out, base(s), guards, polarity))
         cond = left(s)
-        for k in range(1, depth + 1 if out is not None else depth):
+        first = 1 if inner else max(depth, 1)
+        for k in range(first, depth + 1 if out is not None else depth):
             approx = base if k == 1 else lambda t, k=k: step(t, k)
             reached = successors(s, approx)
             target = out if k == depth else step(s, k + 1)
@@ -680,6 +695,87 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     backend.reserve(pool.count)
 
 
+def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
+    """Append and load a rooted negative: the root fails at state s of
+    structure number m.  A rooted negative already added adds nothing.
+
+    Its clauses are the unit clause -y(m, n, s) on the root's evaluation
+    variable, first, so that the solver strips y from the clauses after
+    it, as with a consistency clause (`add_structure`).  The root has a
+    `y` at the initial states only (`build_semantic`), so at any other
+    state s the variable is created and the root's labels are lowered at
+    s at polarity -1 (`lower_node`): a false y(m, n, s) then implies that
+    the root formula fails at s.  Their EU/EG groups read the root's
+    approximants at the other states on the -1 side.  A negative's root
+    has that side at every state, since `build_semantic` lowers it at -1,
+    so only the group writing y is added.  A positive's root has only the
+    +1 side, so the first rooted negative on a positive adds the -1 side
+    of the inner groups at every state, once.  At an initial state, a
+    negative's y is lowered at -1 already and needs the unit clause only,
+    and not even that if s is the negative's only initial state, whose
+    consistency clause is that unit clause; a positive's has the unit
+    clause y, which this one contradicts, as it should.
+
+    Soundness: the clauses read the x/l/r variables and the operand
+    values of the root at s, which those variables force, and the root's
+    approximants, which the true evaluation satisfies on either side.  So
+    the DAGs admitted after the append are exactly those admitted before
+    whose root formula fails at s.  No clause reads y(m, n, s) but these,
+    and no clause of the instance is emitted again.
+    """
+    if (m, s) in instance.rooted:
+        return
+    pool, n, backend = instance.pool, instance.size_budget, instance.backend
+    struct = (instance.positives + instance.negatives)[m]
+    negative = m >= len(instance.positives)
+    clauses: list[Clause] = []
+    if s not in struct.initial:
+        root = pool.var("y", m, n, s)
+        clauses.append((-root,))
+        dual = not negative and all(
+            r != m or t in struct.initial for r, t in instance.rooted)
+        _lower_root(clauses, pool, n, m, struct, s, root, dual)
+    elif not negative or len(struct.initial) > 1:
+        clauses.append((-pool.get("y", m, n, s),))
+    instance.rooted += ((m, s),)
+    instance.clauses += clauses
+    backend.add_clauses(clauses)
+    backend.reserve(pool.count)
+
+
+def _lower_root(clauses: list[Clause], pool: VarPool, n: int, m: int,
+                struct: KripkeStructure, s: int, root: int,
+                dual: bool) -> None:
+    """The root's labels at state s of structure m at polarity -1, written
+    into `root`, with the -1 side of its inner EU/EG groups at every state
+    when `dual` (`add_rooted`)."""
+    domain = label_domain(n, n, struct.alphabet)
+    for p in domain:
+        if p in OPERATOR_LABELS:
+            break  # the propositions come first; only at budget 1
+        if p in struct.labels[s]:
+            clauses.append((-pool.get("x", n, p), root))
+    depth = struct.size - 1
+    left = lambda t: pool.get("L", m, n, t)
+    right = lambda t: pool.get("R", m, n, t)
+    step = lambda t, k: pool.get("ys", m, n, t, k)
+    post = [sorted(succ) for succ in struct.successors]
+
+    def successors(t: int, lit: Callable[[int], int]) -> list[int]:
+        return [lit(u) for u in post[t]]
+
+    for label in domain:
+        if label not in OPERATOR_LABELS:
+            continue
+        guards = (pool.get("x", n, label),)
+        if dual and label in (EU_LABEL, EG_LABEL):
+            for t in range(struct.size):
+                lower_node(clauses, label, t, None, left, right, step,
+                           successors, depth, guards, -1)
+        lower_node(clauses, label, s, root, left, right, step, successors,
+                   depth, guards, -1, inner=False)
+
+
 def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
     """Append and load the clause excluding every assignment that makes
     all of `lits` true."""
@@ -690,9 +786,12 @@ def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
 
 def build_instance(n: int, positives: Sequence[KripkeStructure],
                    negatives: Sequence[KripkeStructure] = (),
-                   seed: int | None = None) -> EncodingInstance:
+                   seed: int | None = None,
+                   rooted: Iterable[tuple[int, int]] = ()) -> EncodingInstance:
     """The search instance at budget n, loaded into a fresh solver of the
-    given seed (`instance.backend`) one clause group at a time."""
+    given seed (`instance.backend`) one clause group at a time: the
+    structures, then the rooted negatives (structure index, state) in
+    order (`add_rooted`)."""
     if n < 1:
         raise ValueError("size budget must be at least 1")
     structures = tuple(positives) + tuple(negatives)
@@ -709,6 +808,8 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
         add_structure(instance, struct, negative=False)
     for struct in negatives:
         add_structure(instance, struct, negative=True)
+    for m, s in rooted:
+        add_rooted(instance, m, s)
     return instance
 
 

@@ -14,7 +14,11 @@ and tries the budgets 1..B in order (`CandidateSearch._next`).
 loop keeps one search for the whole run and calls `infer_candidate` on
 it, handing it each new negative and discard once; the floor budget's
 solver takes them as appended clauses, and a budget proven UNSAT is never
-solved again.
+solved again.  The loop also hands it rooted negatives: states, of the
+model or of a negative, at which every answer must fail
+(`CandidateSearch.add_rooted`).  Each costs its host structure's budget
+one unit clause and the root's lowering at that state
+(`encoder.add_rooted`), not a structure of its own.
 A discard of the candidate just returned is blocked at once by the
 literals it was decoded with; a formula decoded later under another
 numbering, or discarded without being the last candidate, is caught by
@@ -169,13 +173,28 @@ def _solve_budget(instance: encoder.EncodingInstance,
 class CandidateSearch:
     """A growing sample and the size budgets 1..`bound` searched on it.
 
-    Negatives enter one at a time through `add_negative`, and formulas
-    that must not be proposed again through `discard`.  A negative is
+    Negatives enter one at a time through `add_negative`, rooted
+    negatives through `add_rooted`, and formulas that must not be
+    proposed again through `discard`.  A negative or rooted negative is
     appended at once to the live solver of the floor budget, if there is
-    one, and otherwise goes into the next budget's instance; a discard
-    appends at most a blocking clause to the live solver.  So the clause
-    set of each budget only grows, a budget that was UNSAT stays UNSAT,
-    and `_next` never solves it again.
+    one, and every later budget's instance replays them, the rooted ones
+    right after the structures; a discard appends at most a blocking
+    clause to the live solver.  So the clause set of each budget only
+    grows, a budget that was UNSAT stays UNSAT, and `_next` never solves
+    it again.
+
+    A rooted negative (m, s) asks every answer to fail at state s of
+    structure m of `sample.structures` (positives first), initial or not
+    (`encoder.add_rooted`).  The counterexample-guided loop adds one for
+    each state s, within its synthesis budget, at which its hypothesis h
+    fails.  Soundness there: a formula f true at s does not imply h.  The
+    structure re-rooted at s, cut to the states reachable from s,
+    satisfies f and falsifies h, and has at most as many states as that
+    budget.  Every later hypothesis is an answer of this search, so it
+    fails at s too, and the same structure shows that f implies none of
+    them.  So f could only ever be a case 3, and it never strictly
+    implies the loop's answer.  Rooted negatives only add clauses, so the
+    floor argument of `_next` stands.
     """
 
     def __init__(self, sample: Sample, bound: int, seed: int | None = None):
@@ -190,6 +209,7 @@ class CandidateSearch:
         self._last: tuple[CtlFormula, list[int]] | None = None
         self._floor = bound + 1 if sample.has_conflict() else 1
         self._live: encoder.EncodingInstance | None = None
+        self.rooted: tuple[tuple[int, int], ...] = ()
 
     def add_negative(self, struct: KripkeStructure) -> None:
         """Add a negative structure; from now on every answer fails it.
@@ -209,6 +229,13 @@ class CandidateSearch:
                              self.sample.negatives + (struct,))
         if self._live is not None:
             encoder.add_structure(self._live, struct, negative=True)
+
+    def add_rooted(self, m: int, s: int) -> None:
+        """Add a rooted negative: from now on every answer fails at state
+        s of structure number m of `sample.structures`."""
+        self.rooted += ((m, s),)
+        if self._live is not None:
+            encoder.add_rooted(self._live, m, s)
 
     def discard(self, formula: CtlFormula) -> None:
         """Never propose `formula` again.
@@ -256,7 +283,8 @@ class CandidateSearch:
             if self._live is None:
                 self._live = encoder.build_instance(
                     self._floor, self.sample.positives,
-                    self.sample.negatives, seed=self.seed)
+                    self.sample.negatives, seed=self.seed,
+                    rooted=self.rooted)
             instance = self._live
             formula, lits, trace = _solve_budget(instance, self._discarded)
             budgets.append(trace)

@@ -157,6 +157,61 @@ def test_negative_satisfying_a_new_hypothesis_raises(monkeypatch):
     assert proposed == [ctl.Prop("p"), not_p]
 
 
+def assert_rooted_states_are_sound(m, bound, synth_states, report):
+    """Under the naive checker, each rooted negative's state falsifies
+    the hypothesis current after the iteration that added it and the
+    final answer; none is a negative's initial state or lies in a
+    structure above the synthesis budget.  Then `verify_solution`,
+    whose enumeration audit covers bounds up to 4, passes.  Returns the
+    number of rooted negatives."""
+    structures = (m,) + report.negatives
+    hypothesis = ctl.TRUE
+    for entry in report.trace:
+        if entry.case == 2:
+            hypothesis = entry.candidate
+        for k, s in entry.rooted:
+            struct = structures[k]
+            assert struct.size <= synth_states
+            assert s not in struct.initial
+            assert s not in helpers.naive_sat(struct, hypothesis), entry
+            assert s not in helpers.naive_sat(struct, report.formula), entry
+    assert len(set(report.rooted)) == len(report.rooted)
+    cert = ceg.verify_solution(m, bound, report)
+    assert cert.audited
+    return len(report.rooted)
+
+
+class TestRootedNegatives:
+    """The differential check of pruning by rooted negatives: the answers
+    and every pruning state, against the naive checker and the
+    enumeration audit."""
+
+    @pytest.mark.parametrize("name", helpers.fixture_names())
+    def test_fixtures(self, name):
+        m = helpers.load_fixture(name)
+        for bound in (2, 3):
+            report = ceg.infer(m, bound, synth_states=4, seed=1)
+            assert_rooted_states_are_sound(m, bound, 4, report)
+
+    def test_random_models(self):
+        rng = random.Random(3101)
+        rooted = 0
+        for _ in range(20):
+            m = helpers.random_kripke(rng, max_states=3, min_states=2)
+            bound = rng.randint(2, 3)
+            report = ceg.infer(m, bound, synth_states=3,
+                               seed=rng.randrange(100))
+            rooted += assert_rooted_states_are_sound(m, bound, 3, report)
+        assert rooted > 20
+
+    def test_report_collects_the_rooted_negatives_of_its_trace(self):
+        m = helpers.load_fixture("selfloop_p.kripke")
+        report = ceg.infer(m, 2, synth_states=4, seed=0)
+        assert report.rooted
+        assert report.rooted == tuple(r for e in report.trace
+                                      for r in e.rooted)
+
+
 def test_formula_space_bound_dominates_enumeration():
     for num_props, bound in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]:
         alphabet = tuple("pq"[:num_props])
@@ -185,6 +240,18 @@ class TestVerifySolution:
             ceg.verify_solution(m, 2, corrupted)
         assert "strictly implies" in str(err.value)
         assert err.value.violating == ctl.ExistsGlobally(ctl.Prop("p"))
+
+    def test_result_holding_at_a_rooted_state_is_flagged(self):
+        # The model's initial state satisfies the result, so recording it
+        # as a rooted negative leaves a report that only this check fails.
+        m, report = self.certified_report()
+        last = report.trace[-1]
+        corrupted = report._replace(trace=report.trace[:-1] + (
+            last._replace(rooted=last.rooted + ((0, 0),)),))
+        with pytest.raises(CertificationFailure) as err:
+            ceg.verify_solution(m, 2, corrupted)
+        assert "rooted negative" in str(err.value)
+        assert err.value.violating == report.formula
 
     def test_non_holding_result_is_flagged(self):
         m, report = self.certified_report()

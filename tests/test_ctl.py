@@ -1,7 +1,10 @@
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +263,25 @@ def test_print_parse_roundtrip_property(f):
     assert ctl.parse_ctl(ctl.print_ctl(f)) == f
 
 
+# Builds both deep inputs, then rewrites and checks them on two_state_pq,
+# where each holds: s0 (p) -> s1 (q) -> s1.
+DEEP_ENF = """
+from ctlinfer import checker, ctl, kripke
+p, q = ctl.Prop("p"), ctl.Prop("q")
+until, chain = q, p
+for _ in range(40):
+    until = ctl.ForallUntil(p, until)
+for _ in range(60):
+    chain = ctl.And(chain, chain)
+m = kripke.parse_kripke("kripke\\nprops: p q\\nstates: s0 s1\\n"
+                        "init: s0\\nlabels: s0: p ; s1: q\\n"
+                        "trans: s0 -> s1 ; s1 -> s1\\n")
+once = ctl.enf(until)
+print(ctl.enf(once) is once, checker.holds(m, once),
+      ctl.enf(chain) is chain, checker.holds(m, chain))
+"""
+
+
 class TestEnf:
     def test_operator_set(self):
         rng = random.Random(5)
@@ -292,6 +314,23 @@ class TestEnf:
         assert ctl.print_ctl(ctl.enf(ctl.parse_ctl("AF p"))) == "!EG !p"
         assert ctl.print_ctl(
             ctl.enf(ctl.parse_ctl("EF p"), ("p",))) == "E[p | !p U p]"
+
+    def test_deep_shared_inputs_take_linear_time(self):
+        """`enf` rewrites each node once per call: the ENF of a 40-deep
+        right-nested A-until reads each level's `!g` three times, and a
+        60-deep `And(f, f)` chain reads each level twice, so a walk of
+        every root-to-leaf path takes 3^40 and 2^60 steps.  In a
+        subprocess with a timeout, so that such a walk fails the test
+        instead of hanging it."""
+        src = os.path.dirname(os.path.dirname(ctl.__file__))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", DEEP_ENF], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True True True True\n"
+
 
 
 def test_evaluate_constant():

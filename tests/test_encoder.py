@@ -481,6 +481,60 @@ class TestOneSidedRoot:
         assert found > 20
 
 
+class TestRootedNegatives:
+    def test_blocking_matches_the_oracle_on_both_paths(self):
+        """The differential check of `add_rooted`: on random samples with
+        rooted negatives at random states (of a positive with one initial
+        state and of a negative, initial or not, each twice), blocking
+        enumeration at budgets 1-3
+        decodes exactly the admitted formulas of the budget's size that
+        the naive checker finds consistent and false at every rooted
+        state.  That holds with the rooted negatives built into the
+        instance and appended to its solver after a solve, and both
+        paths load the same clauses, none of them twice."""
+        rng = random.Random(3102)
+        alphabet = ("p", "q")
+        formulas = helpers._enf_formulas(alphabet, 3)
+        found = 0
+        for _ in range(24):
+            m = helpers.random_kripke(rng, 3, alphabet, min_states=3)
+            pos = [KripkeStructure(
+                alphabet=m.alphabet, state_names=m.state_names,
+                initial=frozenset({0}), labels=m.labels,
+                successors=m.successors)]
+            neg = [helpers.random_kripke(rng, 3, alphabet)
+                   for _ in range(rng.randint(0, 1))]
+            structures = pos + neg
+            rooted = [(0, rng.randrange(3)) for _ in range(rng.randint(1, 2))]
+            if neg:
+                rooted.append((1, rng.randrange(neg[0].size)))
+            rooted *= 2
+            for n in (1, 2, 3):
+                expected = {
+                    f for f in formulas if ctl.size(f) == n
+                    and helpers.admitted_dag(f, alphabet)
+                    and helpers.consistent_by_oracle(f, pos, neg)
+                    and not any(s in helpers.naive_sat(structures[m], f)
+                                for m, s in rooted)}
+                built = encoder.build_instance(n, pos, neg, seed=5,
+                                               rooted=rooted)
+                appended = encoder.build_instance(n, pos, neg, seed=5)
+                appended.backend.solve()
+                for m, s in rooted:
+                    before = len(appended.clauses)
+                    encoder.add_rooted(appended, m, s)
+                    added = appended.clauses[before:]
+                    assert len(set(added)) == len(added)
+                    assert not set(added) & set(appended.clauses[:before])
+                assert built.clauses == appended.clauses
+                assert built.rooted == tuple(dict.fromkeys(rooted))
+                for instance in (built, appended):
+                    assert blocked_formulas(instance.backend,
+                                            instance) == expected, n
+                found += len(expected)
+        assert found > 20
+
+
 class TestDecode:
     def test_roundtrip_via_assumptions(self):
         """Pinning the admitted DAG of a formula's normal form with unit

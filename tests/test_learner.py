@@ -320,6 +320,44 @@ class TestInferCandidate:
         with pytest.raises(ValueError):
             learner.CandidateSearch(Sample((m,)), 0)
 
+    def test_rooted_negatives_reach_the_live_and_every_later_budget(self):
+        """Rooted negatives added after the first answer, then a discard of
+        every answer: the search returns exactly the admitted formulas of
+        size <= 3 that hold on the model and fail at every rooted state,
+        each once and smallest first, from the live budget and from the
+        budgets built after it."""
+        alphabet = ("p", "q")
+        formulas = helpers._enf_formulas(alphabet, 3)
+        rng = random.Random(3103)
+        answers = 0
+        for _ in range(10):
+            m = helpers.random_kripke(rng, 3, alphabet, min_states=3)
+            model = KripkeStructure(
+                alphabet=m.alphabet, state_names=m.state_names,
+                initial=frozenset({0}), labels=m.labels,
+                successors=m.successors)
+            state = learner.CandidateSearch(Sample((model,)), 3, seed=0)
+            first = learner.infer_candidate(state).formula
+            rooted = rng.sample([(0, 1), (0, 2)], rng.randint(1, 2))
+            for m, s in rooted:
+                state.add_rooted(m, s)
+            state.discard(first)
+            seen = []
+            while (found := learner.infer_candidate(state)) is not None:
+                seen.append(found.formula)
+                state.discard(found.formula)
+            expected = {f for f in formulas
+                        if f != first and helpers.admitted_dag(f, alphabet)
+                        and helpers.naive_holds(model, f)
+                        and not any(s in helpers.naive_sat(model, f)
+                                    for _, s in rooted)}
+            assert len(seen) == len(set(seen))
+            assert set(seen) == expected
+            sizes = [ctl.size(f) for f in seen]
+            assert sizes == sorted(sizes)
+            answers += len(seen)
+        assert answers > 20
+
     def test_persistent_search_matches_fresh_searches(self):
         """Negatives and discards arrive one at a time, as in the CEG loop;
         after each step the persistent answer keeps the contract, and its
