@@ -40,18 +40,18 @@ pass over the new negative.  Each such state s, except a negative's own
 initial states, goes to the search as a rooted negative (structure
 index, state): every later candidate must fail at s
 (`learner.CandidateSearch.add_rooted`).  Soundness: a formula true at s
-does not imply h, and the structure re-rooted at s is the witness; it has
-no more states than the synthesis budget, since the pass skips
-structures larger than that.  Every later hypothesis fails at s too,
-being a later candidate, so the formula implies none of them: it could
-only ever be a case 3, and it never strictly implies the answer.  Each
-budget's clause set only grows, so the learner's floor argument holds.
+does not imply h, and the structure re-rooted at s, cut to the states
+reachable from s, is the witness; it has no more states than the
+synthesis budget, since the pass skips structures larger than that.
+Every later hypothesis fails at s too, being a later candidate, so the
+formula implies none of them: it could only ever be a case 3, and it
+never strictly implies the answer.  Each budget's clause set only
+grows, so the learner's floor argument holds.
 A candidate pruned this way costs no iteration, no learner solve and no
-`synth.implies` call, and adds no negative structure; on its host
-structure a rooted negative is a unit clause and the root's lowering at
-s (`encoder.add_rooted`).  Each trace entry records the rooted negatives
-its iteration added, and `verify_solution` checks that the result fails
-at every one of them.
+`synth.implies` call, and adds no negative structure, only clauses on
+its host structure (`encoder.add_rooted`).  Each trace entry records the
+rooted negatives its iteration added, and `verify_solution` checks that
+the result fails at every one of them.
 
 Every iteration removes at least one formula from the finite candidate
 space of size <= bound, so the loop terminates; a hard cap derived from
@@ -231,11 +231,15 @@ def infer(model: KripkeStructure, bound: int,
 
     certification = (
         f"strictness certified against countermodels of at most "
-        f"{synth_states} states; candidate space of size <= {bound} "
-        f"exhausted in {len(trace)} iterations")
+        f"{_counted(synth_states, 'state')}; candidate space of size <= "
+        f"{bound} exhausted in {_counted(len(trace), 'iteration')}")
     return CegReport(formula=hypothesis, iterations=len(trace),
                      trace=tuple(trace), bound=bound,
                      synth_states=synth_states, certification=certification)
+
+
+def _counted(count: int, noun: str) -> str:
+    return f"{count} {noun}" if count == 1 else f"{count} {noun}s"
 
 
 def _root_failures(search: learner.CandidateSearch, first: int,

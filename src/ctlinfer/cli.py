@@ -19,8 +19,8 @@ prefixed `result: `.  Diagnostics go to standard error.  Exit codes:
 0 success, 1 negative verdict (fails / no model / no consistent formula),
 2 usage, parse or I/O errors (such as a formula nested past
 `ctl.MAX_NESTING` or an unwritable output path), 3 backend or internal
-failure.  `--seed` makes backend decisions reproducible: identical
-invocations with the same seed produce identical output.
+failure.  `--seed` (`learn`, `synth`, `infer`) sets the solver's
+tie-breaking; every run is deterministic, seeded or not.
 """
 
 from __future__ import annotations
@@ -173,13 +173,18 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     if args.synth_states < 1:
         raise ctl.CtlError("--synth-states must be at least 1")
     trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else None
+    structures = [m]  # as rooted negatives index them: model, negatives
 
     def emit(entry: ceg.CegTraceEntry) -> None:
-        inline = (kripke.inline_kripke(entry.countermodel)
-                  if entry.countermodel is not None else "-")
+        inline = "-"
+        if entry.countermodel is not None:
+            structures.append(entry.countermodel)
+            inline = kripke.inline_kripke(entry.countermodel)
+        rooted = " ".join(f"{k}:{structures[k].state_names[s]}"
+                          for k, s in entry.rooted) or "-"
         line = (f"iter {entry.iteration}: candidate "
                 f"{ctl.print_ctl(entry.candidate)} | case {entry.case} | "
-                f"countermodel {inline}")
+                f"rooted {rooted} | countermodel {inline}")
         print(line, file=trace_file if trace_file else sys.stderr)
 
     try:

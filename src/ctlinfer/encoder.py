@@ -57,32 +57,22 @@ with.  Consistency requires the root to hold in every initial state of
 the positive structures and to fail in some initial state of each
 negative one.  That clause is the root's only reader, so the root is
 lowered one-sided, in the polarity-based clause form of Plaisted &
-Greenbaum (1986): on a positive its `y` only implies its definition, on
-a negative it only follows from it (`build_semantic`).  So the x/l/r
-variables do not force the root's `y` and `ys` values; they bound them
-on the side the consistency clause reads, and the instance admits the
-same DAGs.
-
-A rooted negative (m, s) (`add_rooted`) asks the root to fail at state s
-of structure m, which need not be initial: the unit clause -y(m, n, s).
-It is anchored on the host structure's variables, so where the root has
-no `y` at s it costs that variable and the root's lowering at s at
-polarity -1, not a structure of its own.  The counterexample-guided loop
-adds one at each state where its hypothesis fails (`ceg`).
+Greenbaum (1986), by the same routines for a structure
+(`build_semantic`) and for a rooted negative, a state at which the root
+must fail (`add_rooted`).
 
 Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
-was added, its y (the root's at its initial states only), then its ys,
-then its L/R variables; a rooted negative's root `y` comes after every
-variable allocated before it.  Every instance owns the solver its
-clauses go to (`EncodingInstance.backend`), and each clause group is
-loaded into it as soon as it is built: `build_instance` is the
-structural and normal-form clauses (`load_backend`), then `add_structure`
-once per positive and negative, its consistency clause first, then
-`add_rooted` once per rooted negative.  Appending a structure or a
-rooted negative to a built instance (the learner's persistent search)
-goes the same way, renumbers nothing, and leaves every clause already
-loaded valid.
+was added, which is its index m, its y (the root's at its initial states
+only), then its ys, then its L/R variables; a rooted negative's root `y`
+comes after every variable allocated before it.  Every instance owns
+the solver its clauses go to (`EncodingInstance.backend`), and each
+clause group is loaded into it as soon as it is built: `build_instance`
+is the structural and normal-form clauses (`load_backend`), then
+`add_structure` once per positive and negative, then `add_rooted` once
+per rooted negative.  Appending to a built instance (the learner's
+persistent search) goes the same way, renumbers nothing, and leaves
+every clause already loaded valid.
 
 A blocking clause (`add_block`) negates the defining literals of one
 decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
@@ -101,6 +91,11 @@ from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
                   CtlFormula, Prop)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
+
+# How `lower_node` reads literals: by state, by state and step, by edge.
+StateLit = Callable[[int], int]
+StepLit = Callable[[int, int], int]
+Successors = Callable[[int, StateLit], list[int]]
 
 __all__ = ["VarPool", "REWRITE_RULES", "lower_node", "add_structure",
            "add_rooted", "add_block", "build_normal_form", "build_instance",
@@ -143,23 +138,21 @@ class VarPool:
 
 
 class EncodingInstance:
-    __slots__ = ("size_budget", "alphabet", "positives", "negatives",
-                 "pool", "clauses", "backend", "rooted")
+    __slots__ = ("size_budget", "alphabet", "pool", "clauses", "backend",
+                 "structures", "sides", "rooted")
 
     def __init__(self, size_budget: int, alphabet: tuple[str, ...],
-                 positives: tuple[KripkeStructure, ...],
-                 negatives: tuple[KripkeStructure, ...], pool: VarPool,
-                 clauses: list[Clause] | None = None,
-                 backend: CdclSolver | None = None) -> None:
+                 pool: VarPool, clauses: list[Clause] | None = None) -> None:
         self.size_budget = size_budget
         self.alphabet = alphabet
-        self.positives = positives
-        self.negatives = negatives
         self.pool = pool
         self.clauses = [] if clauses is None else clauses
-        self.backend = backend  # attached by `load_backend`
-        # The rooted negatives (structure index, state), in the order
-        # `add_rooted` appended them.
+        self.backend: CdclSolver | None = None  # attached by `load_backend`
+        # The structures in the order added (their index m), the side their
+        # root's approximants have (a `lower_node` polarity), the (m, state)
+        # of each rooted negative recorded.
+        self.structures: tuple[KripkeStructure, ...] = ()
+        self.sides: list[int] = []
         self.rooted: tuple[tuple[int, int], ...] = ()
 
     @property
@@ -488,10 +481,8 @@ def _placements(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
 
 
 def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
-               left: Callable[[int], int], right: Callable[[int], int],
-               step: Callable[[int, int], int],
-               successors: Callable[[int, Callable[[int], int]], list[int]],
-               depth: int, guards: Sequence[int] = (),
+               left: StateLit, right: StateLit, step: StepLit,
+               successors: Successors, depth: int, guards: Sequence[int] = (),
                polarity: int = 0, inner: bool = True) -> None:
     """Append an operator node's semantics at state s.
 
@@ -561,16 +552,60 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
                     target, cond, reached, guards, polarity))
 
 
+def _successors(struct: KripkeStructure) -> Successors:
+    """The `successors` argument of `lower_node` on a known structure."""
+    post = [sorted(succ) for succ in struct.successors]
+
+    def successors(s: int, lit: StateLit) -> list[int]:
+        return [lit(t) for t in post[s]]
+
+    return successors
+
+
+def _lower_propositions(clauses: list[Clause], pool: VarPool, i: int,
+                        domain: Sequence[str], labels: Sequence[frozenset],
+                        out: Sequence[int | None], states: Iterable[int],
+                        sign: int) -> None:
+    """Append the proposition labels of node i's `domain` at each state s
+    of `states` where the node has a variable `out[s]`, given the state's
+    `labels[s]`, on the side the polarity `sign` keeps (`lower_node`)."""
+    for p in domain:
+        if p in OPERATOR_LABELS:
+            break  # the propositions come first
+        guard = pool.var("x", i, p)
+        for s in states:
+            if out[s] is None:
+                continue
+            lit = out[s] if p in labels[s] else -out[s]
+            if lit * sign <= 0:  # the side the polarity keeps
+                clauses.append((-guard, lit))
+
+
+def _lower_operators(clauses: list[Clause], pool: VarPool, i: int,
+                     domain: Sequence[str], out: Sequence[int | None],
+                     states: Iterable[int], left: StateLit, right: StateLit,
+                     step: StepLit, successors: Successors,
+                     depth: int, sign: int, inner: bool = True) -> None:
+    """Append node i's operator labels through `lower_node` at each of
+    `states`, at polarity `sign` and guarded by the label alone: the group
+    writing a variable `out[s]`, and the inner EU/EG groups when `inner`."""
+    lowered = [(label, (pool.var("x", i, label),)) for label in domain
+               if label in OPERATOR_LABELS]
+    for s in states:
+        target = out[s]
+        for label, guards in lowered:
+            lower_node(clauses, label, s, target, left, right, step,
+                       successors, depth, guards, sign, inner)
+
+
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
                    polarity: int = 0) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
     node, label of the node's `label_domain`, and state.
 
-    The structure's variables are allocated first, in a fixed order: `y`
-    for nodes 1..n, then `ys` and then `L`/`R` for nodes 2..n (no `R` at
-    node 2, whose `label_domain` has no binary operator), so a structure
-    added to an instance numbers its variables after every earlier one.
-    They are read back from tables, not looked up per literal.
+    The structure's variables are allocated first, in the layout of the
+    module docstring, and read back from tables, not looked up per
+    literal.
 
     The operand values `L(m, i, s)` and `R(m, i, s)` of an operator node
     i are tied to its children by `l(i, j) -> (L(m, i, s) <-> y(m, j, s))`
@@ -606,7 +641,6 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     """
     size = struct.size
     states = range(size)
-    post = [sorted(struct.successors[s]) for s in states]
     y = [[]] + [[pool.var("y", m, i, s)
                  if i < n or not polarity or s in struct.initial else None
                  for s in states] for i in range(1, n + 1)]
@@ -619,25 +653,14 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
             left[i].append(pool.var("L", m, i, s))
             if i > 2:  # node 2 takes no binary label, so reads no right
                 right[i].append(pool.var("R", m, i, s))
+    successors = _successors(struct)
     clauses: list[Clause] = []
-
-    def successors(s: int, lit: Callable[[int], int]) -> list[int]:
-        return [lit(t) for t in post[s]]
-
     for i in range(1, n + 1):
         out = y[i]
         sign = polarity if i == n else 0
         domain = label_domain(n, i, struct.alphabet)
-        for p in domain:
-            if p in OPERATOR_LABELS:
-                break  # the propositions come first
-            guard = pool.var("x", i, p)
-            for s in states:
-                if out[s] is None:
-                    continue
-                lit = out[s] if p in struct.labels[s] else -out[s]
-                if lit * sign <= 0:  # the side the polarity keeps
-                    clauses.append((-guard, lit))
+        _lower_propositions(clauses, pool, i, domain, struct.labels, out,
+                            states, sign)
         if i == 1:
             continue  # node 1 is structurally a proposition
         left_i, right_i, steps_i = left[i], right[i], steps[i]
@@ -649,72 +672,68 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
                 if i > 2:
                     clauses.extend(sat.equiv_lit(right_i[s], child[s],
                                                  (chose_r,)))
-        lowered = [(label, (pool.var("x", i, label),)) for label in domain
-                   if label in OPERATOR_LABELS]
-        step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
-        for s in states:
-            for label, guards in lowered:
-                lower_node(clauses, label, s, out[s], left_i.__getitem__,
-                           right_i.__getitem__, step, successors, size - 1,
-                           guards, sign)
+        _lower_operators(clauses, pool, i, domain, out, states,
+                         left_i.__getitem__, right_i.__getitem__,
+                         lambda t, k, steps_i=steps_i: steps_i[t][k - 2],
+                         successors, size - 1, sign)
     return clauses
+
+
+def _load(instance: EncodingInstance, clauses: list[Clause]) -> None:
+    """Append `clauses` to the instance and load them into its solver."""
+    instance.clauses += clauses
+    instance.backend.add_clauses(clauses)
+    instance.backend.reserve(instance.pool.count)
 
 
 def add_structure(instance: EncodingInstance, struct: KripkeStructure,
                   negative: bool) -> None:
-    """Append one sample structure to the instance and load it.
+    """Append and load one sample structure as structure m, the next index.
 
-    The structure takes the next index m.  Its `y`, `ys` and `L`/`R`
-    variables are numbered after every variable already in the pool, so
-    appending never renumbers earlier ones.  Its clauses are one
-    consistency clause, first: the root holds on every initial state of a
-    positive, and fails on some initial state of a negative; then the
-    semantic ones of `build_semantic`, with the root's polarity that
-    clause reads it in (+1 for a positive, -1 for a negative).  They go
-    to `instance.clauses` and into the instance's solver, which
-    simplifies them against the root literals the consistency clause
-    fixes: a positive's root units, or a negative's with one initial
-    state, strip the root's literal from every one-sided clause that
-    reads it.
+    Its clauses are one consistency clause, first: the root holds on
+    every initial state of a positive, and fails on some initial state of
+    a negative; then `build_semantic` at the side that clause reads the
+    root in (+1 or -1), which the instance records (`instance.sides`).
+    The solver strips the root literals the consistency clause fixes from
+    the one-sided clauses after it.  A negative with one initial state s0
+    is recorded as the rooted negative (m, s0), whose unit clause its
+    consistency clause is.
     """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
-    pool, n, backend = instance.pool, instance.size_budget, instance.backend
-    m = len(instance.positives) + len(instance.negatives)
-    semantic = build_semantic(pool, n, m, struct, -1 if negative else 1)
+    pool, n = instance.pool, instance.size_budget
+    m = len(instance.structures)
+    side = -1 if negative else 1
+    semantic = build_semantic(pool, n, m, struct, side)
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
         clauses = [tuple(-lit for lit in roots)]
-        instance.negatives += (struct,)
+        if len(roots) == 1:
+            instance.rooted += ((m, min(struct.initial)),)
     else:
         clauses = [(lit,) for lit in roots]
-        instance.positives += (struct,)
-    clauses += semantic
-    instance.clauses += clauses
-    backend.add_clauses(clauses)
-    backend.reserve(pool.count)
+    instance.structures += (struct,)
+    instance.sides.append(side)
+    _load(instance, clauses + semantic)
 
 
 def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     """Append and load a rooted negative: the root fails at state s of
-    structure number m.  A rooted negative already added adds nothing.
+    structure number m.  A rooted negative already recorded adds nothing.
 
-    Its clauses are the unit clause -y(m, n, s) on the root's evaluation
-    variable, first, so that the solver strips y from the clauses after
-    it, as with a consistency clause (`add_structure`).  The root has a
-    `y` at the initial states only (`build_semantic`), so at any other
-    state s the variable is created and the root's labels are lowered at
-    s at polarity -1 (`lower_node`): a false y(m, n, s) then implies that
+    Its clauses are the unit clause -y(m, n, s), first, so that the
+    solver strips y from the clauses after it; then the root's -1 side at
+    s, if it is missing.  The root has a `y` only at the initial states
+    (`build_semantic`) and at earlier rooted negatives.  At an initial
+    state a negative's `y` has the -1 side already, and a positive's is
+    fixed true by its consistency clause, which the unit clause
+    contradicts, as it should.  Anywhere else the `y` is new, and the
+    root's labels are lowered into it at s at polarity -1, as
+    `build_semantic` lowers them: a false y(m, n, s) then implies that
     the root formula fails at s.  Their EU/EG groups read the root's
-    approximants at the other states on the -1 side.  A negative's root
-    has that side at every state, since `build_semantic` lowers it at -1,
-    so only the group writing y is added.  A positive's root has only the
-    +1 side, so the first rooted negative on a positive adds the -1 side
-    of the inner groups at every state, once.  At an initial state, a
-    negative's y is lowered at -1 already and needs the unit clause only,
-    and not even that if s is the negative's only initial state, whose
-    consistency clause is that unit clause; a positive's has the unit
-    clause y, which this one contradicts, as it should.
+    approximants on the -1 side, which a negative's have at every state;
+    a positive's have only the +1 side (`instance.sides`) until its first
+    such lowering adds the other, at every state.
 
     Soundness: the clauses read the x/l/r variables and the operand
     values of the root at s, which those variables force, and the root's
@@ -725,73 +744,42 @@ def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     """
     if (m, s) in instance.rooted:
         return
-    pool, n, backend = instance.pool, instance.size_budget, instance.backend
-    struct = (instance.positives + instance.negatives)[m]
-    negative = m >= len(instance.positives)
-    clauses: list[Clause] = []
-    if s not in struct.initial:
-        root = pool.var("y", m, n, s)
-        clauses.append((-root,))
-        dual = not negative and all(
-            r != m or t in struct.initial for r, t in instance.rooted)
-        _lower_root(clauses, pool, n, m, struct, s, root, dual)
-    elif not negative or len(struct.initial) > 1:
-        clauses.append((-pool.get("y", m, n, s),))
+    pool, n = instance.pool, instance.size_budget
+    struct = instance.structures[m]
+    allocated = pool.count
+    root = pool.var("y", m, n, s)
+    clauses: list[Clause] = [(-root,)]
+    if pool.count > allocated:  # a new `y`, so without its -1 side
+        inner = instance.sides[m] > 0
+        instance.sides[m] = min(instance.sides[m], 0)
+        out: list[int | None] = [None] * struct.size
+        out[s] = root
+        domain = label_domain(n, n, struct.alphabet)
+        _lower_propositions(clauses, pool, n, domain, struct.labels, out,
+                            (s,), -1)
+        _lower_operators(clauses, pool, n, domain, out,
+                         range(struct.size) if inner else (s,),
+                         lambda t: pool.get("L", m, n, t),
+                         lambda t: pool.get("R", m, n, t),
+                         lambda t, k: pool.get("ys", m, n, t, k),
+                         _successors(struct), struct.size - 1, -1, inner)
     instance.rooted += ((m, s),)
-    instance.clauses += clauses
-    backend.add_clauses(clauses)
-    backend.reserve(pool.count)
-
-
-def _lower_root(clauses: list[Clause], pool: VarPool, n: int, m: int,
-                struct: KripkeStructure, s: int, root: int,
-                dual: bool) -> None:
-    """The root's labels at state s of structure m at polarity -1, written
-    into `root`, with the -1 side of its inner EU/EG groups at every state
-    when `dual` (`add_rooted`)."""
-    domain = label_domain(n, n, struct.alphabet)
-    for p in domain:
-        if p in OPERATOR_LABELS:
-            break  # the propositions come first; only at budget 1
-        if p in struct.labels[s]:
-            clauses.append((-pool.get("x", n, p), root))
-    depth = struct.size - 1
-    left = lambda t: pool.get("L", m, n, t)
-    right = lambda t: pool.get("R", m, n, t)
-    step = lambda t, k: pool.get("ys", m, n, t, k)
-    post = [sorted(succ) for succ in struct.successors]
-
-    def successors(t: int, lit: Callable[[int], int]) -> list[int]:
-        return [lit(u) for u in post[t]]
-
-    for label in domain:
-        if label not in OPERATOR_LABELS:
-            continue
-        guards = (pool.get("x", n, label),)
-        if dual and label in (EU_LABEL, EG_LABEL):
-            for t in range(struct.size):
-                lower_node(clauses, label, t, None, left, right, step,
-                           successors, depth, guards, -1)
-        lower_node(clauses, label, s, root, left, right, step, successors,
-                   depth, guards, -1, inner=False)
+    _load(instance, clauses)
 
 
 def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
     """Append and load the clause excluding every assignment that makes
     all of `lits` true."""
-    clause = tuple(-lit for lit in lits)
-    instance.clauses.append(clause)
-    instance.backend.add_clause(clause)
+    _load(instance, [tuple(-lit for lit in lits)])
 
 
 def build_instance(n: int, positives: Sequence[KripkeStructure],
                    negatives: Sequence[KripkeStructure] = (),
                    seed: int | None = None,
                    rooted: Iterable[tuple[int, int]] = ()) -> EncodingInstance:
-    """The search instance at budget n, loaded into a fresh solver of the
-    given seed (`instance.backend`) one clause group at a time: the
-    structures, then the rooted negatives (structure index, state) in
-    order (`add_rooted`)."""
+    """The search instance at budget n, with the rooted negatives
+    (structure index, state), loaded into a fresh solver of the given
+    seed as the module docstring sets out."""
     if n < 1:
         raise ValueError("size budget must be at least 1")
     structures = tuple(positives) + tuple(negatives)
@@ -799,9 +787,8 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
         raise ValueError("sample must contain at least one structure")
     alphabet = structures[0].alphabet
     pool = VarPool()
-    instance = EncodingInstance(
-        size_budget=n, alphabet=alphabet, positives=(), negatives=(),
-        pool=pool, clauses=build_structural(pool, n, alphabet))
+    instance = EncodingInstance(n, alphabet, pool,
+                                build_structural(pool, n, alphabet))
     instance.clauses += build_normal_form(pool, n, alphabet)
     load_backend(instance, CdclSolver(seed=seed))
     for struct in positives:
@@ -860,9 +847,10 @@ def decode_with_literals(assignment: Mapping[int, bool],
 
 
 def to_dimacs(instance: EncodingInstance) -> str:
+    negatives = instance.sides.count(-1)
     comments = [f"size budget {instance.size_budget}, "
-                f"{len(instance.positives)} positive / "
-                f"{len(instance.negatives)} negative structures"]
+                f"{len(instance.structures) - negatives} positive / "
+                f"{negatives} negative structures"]
     for key, idx in instance.pool.semantic_items():
         comments.append(" ".join(str(part) for part in key) + f" {idx}")
     return sat.to_dimacs(instance.pool.count, instance.clauses, comments)

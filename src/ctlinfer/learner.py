@@ -14,17 +14,13 @@ and tries the budgets 1..B in order (`CandidateSearch._next`).
 loop keeps one search for the whole run and calls `infer_candidate` on
 it, handing it each new negative and discard once; the floor budget's
 solver takes them as appended clauses, and a budget proven UNSAT is never
-solved again.  The loop also hands it rooted negatives: states, of the
-model or of a negative, at which every answer must fail
-(`CandidateSearch.add_rooted`).  Each costs its host structure's budget
-one unit clause and the root's lowering at that state
-(`encoder.add_rooted`), not a structure of its own.
-A discard of the candidate just returned is blocked at once by the
-literals it was decoded with; a formula decoded later under another
-numbering, or discarded without being the last candidate, is caught by
-re-checking every decoded formula against D and blocking that numbering
-before re-solving (`_solve_budget`), so no discarded formula is ever
-returned.
+solved again.  The loop also hands it rooted negatives, states at which
+every answer must fail (`ceg`, `encoder.add_rooted`).  A discard of the
+candidate just returned is blocked at once by the literals it was
+decoded with; a formula decoded later under another numbering, or
+discarded without being the last candidate, is caught by re-checking
+every decoded formula against D and blocking that numbering before
+re-solving (`_solve_budget`), so no discarded formula is ever returned.
 """
 
 from __future__ import annotations
@@ -181,20 +177,7 @@ class CandidateSearch:
     right after the structures; a discard appends at most a blocking
     clause to the live solver.  So the clause set of each budget only
     grows, a budget that was UNSAT stays UNSAT, and `_next` never solves
-    it again.
-
-    A rooted negative (m, s) asks every answer to fail at state s of
-    structure m of `sample.structures` (positives first), initial or not
-    (`encoder.add_rooted`).  The counterexample-guided loop adds one for
-    each state s, within its synthesis budget, at which its hypothesis h
-    fails.  Soundness there: a formula f true at s does not imply h.  The
-    structure re-rooted at s, cut to the states reachable from s,
-    satisfies f and falsifies h, and has at most as many states as that
-    budget.  Every later hypothesis is an answer of this search, so it
-    fails at s too, and the same structure shows that f implies none of
-    them.  So f could only ever be a case 3, and it never strictly
-    implies the loop's answer.  Rooted negatives only add clauses, so the
-    floor argument of `_next` stands.
+    it again.  Rooted negatives are argued in `ceg` and `encoder.add_rooted`.
     """
 
     def __init__(self, sample: Sample, bound: int, seed: int | None = None):

@@ -10,7 +10,7 @@ import pytest
 
 import ctlinfer
 import helpers
-from ctlinfer import cli, ctl, kripke, learner, sat
+from ctlinfer import ceg, cli, ctl, kripke, learner, sat
 from ctlinfer.cli import run
 
 FIX = helpers.FIXTURES
@@ -275,6 +275,45 @@ class TestInfer:
                       if not line.endswith("countermodel -"))
         text = inline.split(" | countermodel ", 1)[1]
         kripke.parse_kripke(text.replace(" / ", "\n"))
+
+    def test_trace_lists_the_rooted_negatives(self, capsys, tmp_path):
+        """Each trace line names the rooted negatives of its iteration as
+        structure index and state name, the model being 0 and the k-th
+        negative k, or `-`; together they are the report's `rooted`."""
+        path = tmp_path / "trace.txt"
+        model = helpers.load_fixture("two_state_pq.kripke")
+        code, _, _ = invoke(
+            capsys, "infer", str(FIX / "two_state_pq.kripke"), "--bound", "4",
+            "--seed", "1", "--trace", str(path))
+        assert code == 0
+        report = ceg.infer(model, 4, seed=1)
+        structures = (model,) + report.negatives
+        lines = path.read_text().splitlines()
+        assert len(lines) == len(report.trace)
+        listed = []
+        for line, entry in zip(lines, report.trace):
+            field = line.split(" | rooted ", 1)[1].split(" | countermodel ")[0]
+            names = [] if field == "-" else field.split(" ")
+            assert names == [f"{k}:{structures[k].state_names[s]}"
+                             for k, s in entry.rooted]
+            listed += names
+        assert lines[0].split(" | ")[2] == "rooted 0:s1"
+        assert len(listed) == len(report.rooted) > 1
+
+    def test_certification_counts_one_state_and_one_iteration(self, capsys):
+        code, out, _ = invoke(
+            capsys, "infer", str(FIX / "selfloop_p.kripke"), "--bound", "2",
+            "--synth-states", "1")
+        assert code == 0
+        assert ("certification: strictness certified against countermodels "
+                "of at most 1 state; candidate space of size <= 2 exhausted "
+                "in 3 iterations") in out.splitlines()
+        code, out, _ = invoke(
+            capsys, "infer", str(FIX / "branching.kripke"), "--bound", "2")
+        assert code == 0
+        assert ("certification: strictness certified against countermodels "
+                "of at most 6 states; candidate space of size <= 2 exhausted "
+                "in 1 iteration") in out.splitlines()
 
     def test_trace_goes_to_stderr_without_flag(self, capsys):
         code, out, err = invoke(

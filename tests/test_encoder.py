@@ -115,7 +115,7 @@ class TestBuildInstance:
         sink = helpers.load_fixture("sink_q.kripke")
         cycle = helpers.load_fixture("cycle2.kripke")
         pool = VarPool()
-        instance = encoder.EncodingInstance(4, sink.alphabet, (), (), pool)
+        instance = encoder.EncodingInstance(4, sink.alphabet, pool)
         encoder.load_backend(instance, CdclSolver())
         encoder.add_structure(instance, sink, negative=False)
         encoder.add_structure(instance, cycle, negative=True)
@@ -462,7 +462,7 @@ class TestOneSidedRoot:
                                         instance) == expected, n
                 pool = VarPool()
                 two_sided = encoder.EncodingInstance(
-                    n, alphabet, (), (), pool,
+                    n, alphabet, pool,
                     encoder.build_structural(pool, n, alphabet)
                     + encoder.build_normal_form(pool, n, alphabet))
                 backend = encoder.load_backend(two_sided, CdclSolver(seed=4))
@@ -527,12 +527,47 @@ class TestRootedNegatives:
                     assert len(set(added)) == len(added)
                     assert not set(added) & set(appended.clauses[:before])
                 assert built.clauses == appended.clauses
-                assert built.rooted == tuple(dict.fromkeys(rooted))
+                # A negative with one initial state is the rooted
+                # negative at that state, recorded with the structure.
+                own = [(1, s) for s in neg[0].initial
+                       if len(neg[0].initial) == 1] if neg else []
+                assert built.rooted == tuple(dict.fromkeys(own + rooted))
                 for instance in (built, appended):
                     assert blocked_formulas(instance.backend,
                                             instance) == expected, n
                 found += len(expected)
         assert found > 20
+
+    def test_a_positive_added_after_a_negative_keeps_its_index(self):
+        """Structure m is the m-th structure added, whatever its sign: on
+        a negative built into the instance and a positive appended after
+        it, rooted negatives at the positive's states admit exactly the
+        formulas the naive checker finds consistent and false there."""
+        chain = helpers.load_fixture("chain3.kripke")
+        pq = helpers.load_fixture("two_state_pq.kripke")
+        formulas = helpers._enf_formulas(pq.alphabet, 3)
+        rng = random.Random(3207)
+        samples = [([chain], pq)] + [
+            ([helpers.random_kripke(rng, 3)],
+             helpers.random_kripke(rng, 3, min_states=2)) for _ in range(8)]
+        found = 0
+        for neg, pos in samples:
+            states = [s for s in range(pos.size) if s not in pos.initial]
+            for n in (1, 2, 3):
+                expected = {
+                    f for f in formulas if ctl.size(f) == n
+                    and helpers.admitted_dag(f, pq.alphabet)
+                    and helpers.consistent_by_oracle(f, [pos], neg)
+                    and not helpers.naive_sat(pos, f) & set(states)}
+                instance = encoder.build_instance(n, [], neg, seed=6)
+                encoder.add_structure(instance, pos, negative=False)
+                for s in states:
+                    encoder.add_rooted(instance, 1, s)
+                assert instance.structures == (neg[0], pos)
+                assert blocked_formulas(instance.backend,
+                                        instance) == expected, n
+                found += len(expected)
+        assert found > 5
 
 
 class TestDecode:
@@ -576,7 +611,7 @@ def decoded_formulas(n, alphabet):
     pool = VarPool()
     clauses = (encoder.build_structural(pool, n, alphabet)
                + encoder.build_normal_form(pool, n, alphabet))
-    instance = encoder.EncodingInstance(n, alphabet, (), (), pool, clauses)
+    instance = encoder.EncodingInstance(n, alphabet, pool, clauses)
     backend = encoder.load_backend(instance, CdclSolver(seed=3))
     found = []
     while backend.solve():

@@ -143,8 +143,8 @@ class TestKripkeStructure:
 def test_encoding_instance_is_mutable_with_defaults():
     pool = encoder.VarPool()
     first = encoder.EncodingInstance(size_budget=2, alphabet=("p",),
-                                     positives=(), negatives=(), pool=pool)
-    second = encoder.EncodingInstance(2, ("p",), (), (), pool)
+                                     pool=pool)
+    second = encoder.EncodingInstance(2, ("p",), pool)
     assert first.clauses == [] and first.clauses is not second.clauses
     assert first.backend is None
     first.clauses.append((1,))
