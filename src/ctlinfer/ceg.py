@@ -53,17 +53,18 @@ its host structure (`encoder.add_rooted`).  Each trace entry records the
 rooted negatives its iteration added, and `verify_solution` checks that
 the result fails at every one of them.
 
-Every iteration removes at least one formula from the finite candidate
-space of size <= bound, so the loop terminates; a hard cap derived from
-that space size guards the invariant, and a candidate proposed twice
-raises `CegError`.  Since all negative structures stay within the
-synthesis budget, every structure in N keeps failing the current
-hypothesis across strengthenings, and a violation raises
-`SynthesisInconsistency`.  The invariant is checked where it can break,
-each time once: a new negative is checked by `synth.implies` itself,
-which verifies that its witness falsifies the hypothesis (case 3) or the
-candidate that becomes the hypothesis (case 2) before returning it; after
-a case 2 the pass above checks every negative against the new
+The learner returns only formulas of size <= bound, and a candidate
+proposed twice raises `CegError`, so each iteration takes a new formula
+from the finite candidate space of size <= bound and the loop
+terminates; that repeat check is its one termination guard.  Since all
+negative structures stay within the synthesis budget, every structure in
+N keeps failing the current hypothesis across strengthenings, and a
+violation raises `SynthesisInconsistency`.  The invariant is checked
+where it can break, each time once: a new negative is checked by
+`synth.synthesize`, which verifies its witness against the target of
+`synth.implies` before returning it, so the witness falsifies the
+hypothesis (case 3) or the candidate that becomes the hypothesis (case
+2); after a case 2 the pass above checks every negative against the new
 hypothesis, which re-verifies the learner's SAT answer with the checker;
 a case 1 changes neither the hypothesis nor N.
 
@@ -93,7 +94,7 @@ from .synth import DEFAULT_MAX_STATES, SynthesisInconsistency
 
 __all__ = ["CegTraceEntry", "CegReport", "Certification", "CegError",
            "CertificationFailure", "SynthesisInconsistency", "infer",
-           "verify_solution", "formula_space_bound"]
+           "verify_solution"]
 
 # Largest size bound whose candidates `verify_solution` enumerates.
 _AUDIT_LIMIT = 4
@@ -151,19 +152,6 @@ class Certification(NamedTuple):
     candidates_audited: int
 
 
-def formula_space_bound(num_props: int, bound: int) -> int:
-    """Upper bound on the number of syntax DAGs with at most `bound`
-    nodes: node 1 picks a proposition, every later node a label and two
-    children below it.  Loose, but finite; used as an iteration cap."""
-    total = 0
-    for n in range(1, bound + 1):
-        count = num_props
-        for i in range(2, n + 1):
-            count *= (num_props + len(ctl.OPERATOR_LABELS)) * (i - 1) ** 2
-        total += count
-    return total
-
-
 def infer(model: KripkeStructure, bound: int,
           synth_states: int = DEFAULT_MAX_STATES, seed: int | None = None,
           on_iteration: Callable[[CegTraceEntry], None] | None = None,
@@ -184,13 +172,9 @@ def infer(model: KripkeStructure, bound: int,
     alphabet = model.alphabet
     hypothesis: CtlFormula = ctl.TRUE
     trace: list[CegTraceEntry] = []
-    cap = formula_space_bound(len(alphabet), bound) + 1
     search = learner.CandidateSearch(learner.Sample((model,)), bound, seed)
 
     while True:
-        if len(trace) >= cap:
-            raise CegError("iteration cap exceeded; candidates must be "
-                           "eliminated monotonically")
         found = learner.infer_candidate(search)
         if found is None:
             break
@@ -214,7 +198,7 @@ def infer(model: KripkeStructure, bound: int,
                 case = 1
                 search.discard(candidate)
             else:
-                # `implies` verified that the witness fails the candidate;
+                # `synthesize` verified that the witness fails the candidate;
                 # the earlier negatives are checked against it below.
                 case = 2
                 search.add_negative(countermodel)

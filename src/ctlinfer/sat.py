@@ -258,7 +258,7 @@ class CdclSolver:
             clause: list[int] | None = []
             top = 0
             for lit in lits:
-                if lit == 0 or not isinstance(lit, int):
+                if lit == 0 or type(lit) is not int:
                     self._ensure_var(top >> 1)
                     raise ValueError(f"bad literal {lit!r}")
                 e = (lit << 1) if lit > 0 else ((-lit << 1) | 1)

@@ -68,6 +68,8 @@ The CNF of the SAT sweep:
 
 * `t(s, s')` and `lab(s, p)` describe the candidate structure, with a
   totality clause per state and a single fixed initial state s0;
+  `lab(s, p)` exists for the target's own propositions only, the others
+  staying false as in the families, since they cannot change its truth;
 * `h(g, s)` evaluates DAG node g in state s; successor disjunctions range
   over all states, each conjunct `t(s, s') & ...` introduced as a shared
   Tseitin product variable (numbered above the semantic variables);
@@ -109,9 +111,9 @@ it, no model of any size exists; otherwise it is not a proof that no
 larger model exists.
 
 `implies` reduces bounded implication checking to synthesis of
-countermodels for f & !g; the constant `true` on either side is settled
-there, so the CEG loop compares its trivial hypothesis the same way as
-every other.
+countermodels for f & !g, whose verified witness it returns as it is; the
+constant `true` on either side is settled there, so the CEG loop compares
+its trivial hypothesis the same way as every other.
 """
 
 from __future__ import annotations
@@ -231,19 +233,7 @@ def _family_model(f: CtlFormula, num_states: int, props: Sequence[str],
          for a in range(m)])
 
 
-def _decode_structure(assignment: dict[int, bool], pool: VarPool,
-                      num_states: int,
-                      alphabet: Sequence[str]) -> KripkeStructure:
-    states = range(num_states)
-    return _rooted(
-        alphabet,
-        [frozenset(p for p in alphabet if assignment[pool.get("lab", s, p)])
-         for s in states],
-        [frozenset(t for t in states if assignment[pool.get("t", s, t)])
-         for s in states])
-
-
-def _encode(f: CtlFormula, num_states: int, alphabet: Sequence[str],
+def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
             ) -> tuple[VarPool, list[Clause]]:
     nodes = ctl.subterms(f)
     pool = VarPool()
@@ -252,7 +242,7 @@ def _encode(f: CtlFormula, num_states: int, alphabet: Sequence[str],
         for t in states:
             pool.var("t", s, t)
     for s in states:
-        for p in alphabet:
+        for p in props:
             pool.var("lab", s, p)
     for g in nodes:
         for s in states:
@@ -318,17 +308,26 @@ def _encode(f: CtlFormula, num_states: int, alphabet: Sequence[str],
     return pool, clauses
 
 
-def _solve(f: CtlFormula, num_states: int, alphabet: Sequence[str],
+def _solve(f: CtlFormula, num_states: int, props: Sequence[str],
+           alphabet: Sequence[str],
            seed: int | None) -> KripkeStructure | None:
-    """A model of the ENF formula `f` with exactly `num_states` states,
-    or None, by one CDCL solve of its `_encode` instance."""
-    pool, clauses = _encode(f, num_states, alphabet)
+    """A model of the ENF formula `f` with exactly `num_states` states
+    over `props` (the others false), or None, by one CDCL solve of its
+    `_encode` instance."""
+    pool, clauses = _encode(f, num_states, props)
     backend = CdclSolver(seed=seed)
     backend.add_clauses(clauses)
     backend.reserve(pool.count)
     if not backend.solve():
         return None
-    return _decode_structure(backend.model(), pool, num_states, alphabet)
+    value = backend.model()
+    states = range(num_states)
+    return _rooted(
+        alphabet,
+        [frozenset(p for p in props if value[pool.get("lab", s, p)])
+         for s in states],
+        [frozenset(t for t in states if value[pool.get("t", s, t)])
+         for s in states])
 
 
 def _sweep(target: CtlFormula, max_states: int, props: Sequence[str],
@@ -355,7 +354,7 @@ def _sweep(target: CtlFormula, max_states: int, props: Sequence[str],
         if _components(num_states, len(props)) <= FAMILY_CAP:
             model = _family_model(target, num_states, props, alphabet)
         else:
-            model = _solve(target, num_states, alphabet, seed)
+            model = _solve(target, num_states, props, alphabet, seed)
         if model is not None:
             return model
     return None
@@ -405,22 +404,16 @@ def implies(f: CtlFormula, g: CtlFormula,
 
     None means the implication holds on every structure with up to
     `max_states` states (a bounded verdict); when `synthesize`'s tableau
-    refuted f & !g, the implication is valid outright.  A returned
-    structure satisfies f and falsifies g, checker-verified; without an
-    `alphabet` it is labelled over the propositions of f and g.
+    refuted f & !g, the implication is valid outright.  Without an
+    `alphabet` a countermodel is labelled over the propositions of f and g.
 
-    When g is `true` the answer is None without a solver, which is sound
-    because no structure falsifies `true`; when f is `true` the
-    countermodel is a model of !g alone.
+    The reduction is the whole check: None when g is `true`, which no
+    structure falsifies, else `synthesize`'s answer for f & !g (for !g when
+    f is `true`).  `synthesize` checker-verifies what it returns against
+    that target, and its structures have the one initial state s0, so a
+    countermodel satisfies f and falsifies g with no second check.
     """
     if g == ctl.TRUE:
         return None
     target = Not(g) if f == ctl.TRUE else And(f, Not(g))
-    witness = synthesize(target, max_states, alphabet, seed)
-    if witness is not None:
-        if not checker.holds(witness, f) or checker.holds(witness, g):
-            raise SynthesisInconsistency(
-                f"countermodel of {ctl.print_ctl(f)} -> {ctl.print_ctl(g)} "
-                "fails verification")
-    return witness
-
+    return synthesize(target, max_states, alphabet, seed)

@@ -111,25 +111,45 @@ def test_negatives_never_conflict_with_the_model(name):
 @pytest.mark.parametrize("name", helpers.fixture_names())
 def test_no_structure_is_checked_twice_against_one_formula(name,
                                                            monkeypatch):
-    """`synth.implies` verifies each witness it returns, so the loop does
-    not check the new negative again."""
+    """`synthesize` verifies each structure it returns against its
+    target, the f & !g of `synth.implies`, which returns it as it is; so
+    a run makes one `checker.holds` call per synthesized structure, and
+    neither `implies` nor the loop checks the new negative again."""
     m = helpers.load_fixture(name)
     real_holds = checker.holds
     seen = {}
     repeats = []
 
     def holds(struct, f):
-        key = (id(struct), f)
-        if key in seen:
+        if id(struct) in seen:
             repeats.append((struct, ctl.print_ctl(f)))
-        seen[key] = struct  # keeps the structure, so its id stays unique
+        seen[id(struct)] = struct  # keeps it alive, so its id stays unique
         return real_holds(struct, f)
 
     monkeypatch.setattr(checker, "holds", holds)
     for bound in (2, 3):
         seen.clear()
-        ceg.infer(m, bound, synth_states=5)
+        report = ceg.infer(m, bound, synth_states=5)
         assert repeats == [], bound
+        assert sorted(seen) == sorted(map(id, report.negatives)), bound
+
+
+def test_a_candidate_proposed_twice_raises(monkeypatch):
+    """The repeat check is the loop's one termination guard: a learner
+    that proposes `p` a second time, after it became the hypothesis,
+    stops the run."""
+    m = helpers.load_fixture("selfloop_p.kripke")
+    p = ctl.Prop("p")
+    proposed = []
+
+    def infer_candidate(search):
+        proposed.append(p)
+        return learner.LearnResult(p, 1, ())
+
+    monkeypatch.setattr(learner, "infer_candidate", infer_candidate)
+    with pytest.raises(ceg.CegError, match="proposed twice"):
+        ceg.infer(m, 2)
+    assert proposed == [p, p]
 
 
 def test_negative_satisfying_a_new_hypothesis_raises(monkeypatch):
@@ -210,13 +230,6 @@ class TestRootedNegatives:
         assert report.rooted
         assert report.rooted == tuple(r for e in report.trace
                                       for r in e.rooted)
-
-
-def test_formula_space_bound_dominates_enumeration():
-    for num_props, bound in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]:
-        alphabet = tuple("pq"[:num_props])
-        exact = len(ctl.enumerate_formulas(alphabet, bound))
-        assert ceg.formula_space_bound(num_props, bound) >= exact
 
 
 class TestVerifySolution:

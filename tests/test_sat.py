@@ -211,6 +211,12 @@ class TestAddClauses:
         assert batched.num_vars == single.num_vars == 5
         assert batched.num_clauses == single.num_clauses == 1
 
+    @pytest.mark.parametrize("clause", [[True], [1, True]])
+    def test_a_bool_is_not_a_literal(self, clause):
+        # `True == 1`, so a bool would otherwise load as variable 1.
+        with pytest.raises(ValueError):
+            CdclSolver().add_clause(clause)
+
 
 def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
     # With a limit this small the activities overflow every few

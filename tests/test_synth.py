@@ -207,7 +207,7 @@ class TestFamily:
         for f in ctl.enumerate_formulas(("p", "q"), 4):
             props = tuple(sorted(ctl.propositions(f)))
             model = synth._family_model(f, num_states, props, props)
-            expected = synth._solve(f, num_states, props, 0)
+            expected = synth._solve(f, num_states, props, props, 0)
             assert (model is None) == (expected is None), ctl.print_ctl(f)
             if model is not None:
                 assert model.size == num_states
@@ -283,7 +283,7 @@ class TestOneSidedSweep:
                         alphabet)
             for m in (2, 3):
                 family = synth._family_model(f, m, alphabet, alphabet)
-                solved = synth._solve(f, m, alphabet, 0)
+                solved = synth._solve(f, m, alphabet, alphabet, 0)
                 assert (family is None) == (solved is None), (
                     ctl.print_ctl(f), m)
                 for model in (family, solved):
@@ -292,6 +292,35 @@ class TestOneSidedSweep:
                         assert helpers.naive_holds(model, f)
                 models += solved is not None
         assert 20 < models < 100  # of 120 (formula, m) pairs
+
+    def test_the_sweep_labels_only_the_target_propositions(self,
+                                                           monkeypatch):
+        """Four successors with pairwise different p, q labellings need
+        four states, above every family over two propositions, so the
+        solver decides size 4; r is in the alphabet only, so it gets no
+        `lab` variable and labels no state."""
+        encode = synth._encode
+        pools = []
+
+        def spy(f, num_states, props):
+            pool, clauses = encode(f, num_states, props)
+            pools.append(pool)
+            return pool, clauses
+
+        monkeypatch.setattr(synth, "_encode", spy)
+        f = ctl.parse_ctl("EX (p & q) & EX (p & !q) & EX (!p & q) "
+                          "& EX (!p & !q)")
+        m = synth.synthesize(f, 4, ("p", "q", "r"))
+        assert m is not None and m.size == 4
+        assert m.alphabet == ("p", "q", "r")
+        assert all("r" not in label for label in m.labels)
+        assert helpers.naive_holds(m, f)
+        assert pools
+        for pool in pools:
+            keys = [key for key, _ in pool.semantic_items()]
+            assert ("lab", 0, "p") in keys
+            assert not any(key[0] == "lab" and key[2] == "r"
+                           for key in keys)
 
 
 class TestImplies:
