@@ -2,12 +2,15 @@
 
 Formulas are immutable trees built from propositions, Boolean connectives
 and the temporal operators EX/EG/EU plus the usual derived forms (EF, AX,
-AG, AF, AU, implication, constants).  The learner and synthesizer work on
-the existential normal form (ENF) fragment: propositions, negation,
-conjunction, disjunction, EX, EU and EG.  `enf` rewrites any formula into
-that fragment.  Equal formulas are one object (`CtlFormula`), so a
-formula is its own syntax DAG, in which identical subterms are one node;
-`subterms` lists its nodes, children first.
+AG, AF, AU, implication, constants).  The checker, the tableau and the
+synthesizer work on the existential normal form (ENF) fragment:
+propositions, the constants `true` and `false`, negation, conjunction,
+disjunction, EX, EU and EG.  `enf` rewrites any formula into that
+fragment, keeping its constants.  The learner's candidates are the
+constant-free part of it (`label`, `enumerate_formulas`).  Equal formulas
+are one object (`CtlFormula`), so a formula is its own syntax DAG, in
+which identical subterms are one node; `subterms` lists its nodes,
+children first.
 
 Formula size is the number of *distinct* subformulas, i.e. the node count
 of the syntax DAG, not the node count of the tree.
@@ -208,7 +211,7 @@ class ForallGlobally(_Unary): __slots__ = ()
 class ForallFinally(_Unary): __slots__ = ()
 
 
-# ENF fragment: propositions plus these connectives.
+# ENF fragment: propositions and constants plus these connectives.
 _ENF_OPS = (Not, And, Or, ExistsNext, ExistsUntil, ExistsGlobally)
 
 
@@ -221,8 +224,9 @@ def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
 
 
 def is_enf(f: CtlFormula) -> bool:
-    """True iff `f` uses only ENF connectives over propositions."""
-    if isinstance(f, Prop):
+    """True iff `f` uses only ENF connectives over propositions and
+    constants."""
+    if isinstance(f, (Prop, Const)):
         return True
     if isinstance(f, _ENF_OPS):
         return all(is_enf(g) for g in children(f))
@@ -487,14 +491,16 @@ def print_ctl(f: CtlFormula) -> str:
 # Existential normal form
 # ---------------------------------------------------------------------------
 
-def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
-    """Rewrite into the existential fragment {!, &, |, EX, EU, EG}.
+def enf(f: CtlFormula) -> CtlFormula:
+    """Rewrite into the existential fragment {!, &, |, EX, EU, EG} over
+    propositions and the constants `true` and `false`.
 
     Universal operators are eliminated by the standard dualities; EF f
-    becomes E[true U f].  ENF formulas are returned unchanged, so `enf` is
-    idempotent.  Each node is rewritten once per call, keyed by itself
-    (equal formulas are one node), so the time is linear in the number of
-    distinct subformulas, not in the number of root-to-leaf paths.
+    becomes E[true U f].  Constants stay as they are.  ENF formulas are
+    returned unchanged, so `enf` is idempotent.  Each node is rewritten
+    once per call, keyed by itself (equal formulas are one node), so the
+    time is linear in the number of distinct subformulas, not in the
+    number of root-to-leaf paths.
     """
     memo: dict[CtlFormula, CtlFormula] = {}
 
@@ -502,14 +508,8 @@ def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
         got = memo.get(f)
         if got is not None:
             return got
-        if isinstance(f, Prop):
+        if isinstance(f, (Prop, Const)):
             got = f
-        elif isinstance(f, Const):
-            if alphabet:
-                p = Prop(alphabet[0])
-                got = Or(p, Not(p)) if f.value else And(p, Not(p))
-            else:
-                got = f
         elif isinstance(f, _ENF_OPS):
             if isinstance(f, _Unary):
                 got = type(f)(rewrite(f.operand))
@@ -518,12 +518,12 @@ def enf(f: CtlFormula, alphabet: Sequence[str] | None = None) -> CtlFormula:
         elif isinstance(f, Implies):
             got = Or(Not(rewrite(f.left)), rewrite(f.right))
         elif isinstance(f, ExistsFinally):
-            got = ExistsUntil(rewrite(TRUE), rewrite(f.operand))
+            got = ExistsUntil(TRUE, rewrite(f.operand))
         elif isinstance(f, ForallNext):
             got = Not(ExistsNext(Not(rewrite(f.operand))))
         elif isinstance(f, ForallGlobally):
             # AG f = !EF !f
-            got = Not(ExistsUntil(rewrite(TRUE), Not(rewrite(f.operand))))
+            got = Not(ExistsUntil(TRUE, Not(rewrite(f.operand))))
         elif isinstance(f, ForallFinally):
             got = Not(ExistsGlobally(Not(rewrite(f.operand))))
         elif isinstance(f, ForallUntil):
@@ -558,23 +558,27 @@ LABEL_CONSTRUCTORS = {label: ctor for ctor, label in _NODE_LABEL.items()}
 
 
 def label(f: CtlFormula) -> str:
-    """The label of `f` as a syntax-DAG node: its proposition's name or
-    its operator label; `NotInEnf` outside the ENF fragment."""
+    """The label of `f` as a node of the learner's syntax DAG: its
+    proposition's name or its operator label.  `NotInEnf` outside the ENF
+    fragment, and for `true` and `false`, which are ENF but have no label:
+    the learner's candidates contain no constants."""
     if isinstance(f, Prop):
         return f.name
     got = _NODE_LABEL.get(type(f))
     if got is None:
-        raise NotInEnf(f"not in existential normal form: {print_ctl(f)}")
+        raise NotInEnf(f"the learner has no label for {print_ctl(f)}: it "
+                       f"has no constant labels and no sugar")
     return got
 
 
 # ---------------------------------------------------------------------------
-# Bounded enumeration of the ENF fragment
+# Bounded enumeration of the constant-free ENF fragment
 # ---------------------------------------------------------------------------
 
 def enumerate_formulas(alphabet: Sequence[str],
                        max_size: int) -> list[CtlFormula]:
-    """All ENF formulas over `alphabet` with size up to `max_size`.
+    """All constant-free ENF formulas over `alphabet` with size up to
+    `max_size`: the learner's candidate space.
 
     Returned in non-decreasing size order with every child preceding its
     parents.  Size is DAG size, so `And(f, g)` weighs |sub(f) u sub(g)| + 1

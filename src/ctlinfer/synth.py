@@ -16,9 +16,9 @@ each one exactly, in three stages:
 2. Two states by their family, when it is under the cap (below), since
    most satisfiable formulas the CEG loop asks about have a model there.
 3. The tableau, then the sweep over the sizes left, up to max_states,
-   both on the ENF formula, whose syntax DAG they walk by `ctl.subterms`
-   (a node outside ENF raises `ctl.NotInEnf`).  `tableau.satisfiable`
-   decides the formula exactly when it has at most
+   both on the ENF formula, constants included, whose syntax DAG they
+   walk by `ctl.subterms` (a node outside ENF raises `ctl.NotInEnf`).
+   `tableau.satisfiable` decides the formula exactly when it has at most
    `tableau.MAX_ELEMENTARY` elementary formulas (and answers None,
    undecided, above).  An unsatisfiable formula has no model of any
    size, so none within the budget either, and the answer is None with
@@ -70,7 +70,8 @@ The CNF of the SAT sweep:
   totality clause per state and a single fixed initial state s0;
   `lab(s, p)` exists for the target's own propositions only, the others
   staying false as in the families, since they cannot change its truth;
-* `h(g, s)` evaluates DAG node g in state s; successor disjunctions range
+* `h(g, s)` evaluates DAG node g in state s, and a unit clause fixes it
+  at every s when g is `true` or `false`; successor disjunctions range
   over all states, each conjunct `t(s, s') & ...` introduced as a shared
   Tseitin product variable (numbered above the semantic variables);
 * EU/EG fixed points unroll to m' approximants, with step variables
@@ -111,9 +112,11 @@ it, no model of any size exists; otherwise it is not a proof that no
 larger model exists.
 
 `implies` reduces bounded implication checking to synthesis of
-countermodels for f & !g, whose verified witness it returns as it is; the
-constant `true` on either side is settled there, so the CEG loop compares
-its trivial hypothesis the same way as every other.
+countermodels for f & !g, whose verified witness it returns as it is.
+That target is built for every f, the constant `true` included, and
+keeps its constants through `ctl.enf`, so the CEG loop compares its
+trivial hypothesis the same way as every other.  Only g = `true`, which
+no structure falsifies, is answered before synthesis, with None.
 """
 
 from __future__ import annotations
@@ -283,6 +286,10 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
 
     for g in nodes:
         sign = polarity[g]
+        if isinstance(g, ctl.Const):
+            truth = 1 if g.value else -1
+            clauses.extend((truth * pool.get("h", g, s),) for s in states)
+            continue
         if isinstance(g, ctl.Prop):
             for s in states:
                 clauses.extend(equiv_lit(pool.get("h", g, s),
@@ -388,8 +395,7 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
         for prop in props:
             if prop not in alphabet:
                 raise UnknownProposition(prop)
-    model = _sweep(ctl.enf(formula, props), max_states, props, alphabet,
-                   seed)
+    model = _sweep(ctl.enf(formula), max_states, props, alphabet, seed)
     if model is not None and not checker.holds(model, formula):
         raise SynthesisInconsistency(
             f"synthesized structure fails {ctl.print_ctl(formula)}")
@@ -408,12 +414,11 @@ def implies(f: CtlFormula, g: CtlFormula,
     `alphabet` a countermodel is labelled over the propositions of f and g.
 
     The reduction is the whole check: None when g is `true`, which no
-    structure falsifies, else `synthesize`'s answer for f & !g (for !g when
-    f is `true`).  `synthesize` checker-verifies what it returns against
-    that target, and its structures have the one initial state s0, so a
-    countermodel satisfies f and falsifies g with no second check.
+    structure falsifies, else `synthesize`'s answer for f & !g, whatever f
+    is, `true` included.  `synthesize` checker-verifies what it returns
+    against that target, and its structures have the one initial state s0,
+    so a countermodel satisfies f and falsifies g with no second check.
     """
     if g == ctl.TRUE:
         return None
-    target = Not(g) if f == ctl.TRUE else And(f, Not(g))
-    return synthesize(target, max_states, alphabet, seed)
+    return synthesize(And(f, Not(g)), max_states, alphabet, seed)

@@ -7,7 +7,8 @@ specialised to ENF formulas:
 * The elementary formulas are the propositions, every `EX psi`
   subformula, and `EX u` for each EU/EG subformula u.  An atom is one
   truth assignment to them; every other subformula follows locally, since
-  `E[f U g] = g | (f & EX E[f U g])` and `EG f = f & EX EG f`.
+  `E[f U g] = g | (f & EX E[f U g])` and `EG f = f & EX EG f`, and the
+  constants `true` and `false` hold in every atom and in none.
 * A -> B is allowed when every `EX psi` that is false in A has psi false
   in B.
 * Atoms are deleted until nothing changes: an atom with no allowed
@@ -33,18 +34,19 @@ paper; callers only rely on False.
 
 The procedure is exponential in the number of elementary formulas, so
 above `MAX_ELEMENTARY` of them it answers None, undecided.  It takes the
-ENF formula and walks its syntax DAG (`ctl.subterms`); any other node
-raises `ctl.NotInEnf`.  Atom sets are ints used as bitsets over atom
-indices, as in `checker`: one mask per DAG node, and `allowed[a]` is an
-AND of the masks of the false EX targets of atom a.
+ENF formula, constants included, as `ctl.enf` returns it and
+`checker.evaluate` reads it, and walks its syntax DAG (`ctl.subterms`);
+any other node raises `ctl.NotInEnf`.  Atom sets are ints used as
+bitsets over atom indices, as in `checker`: one mask per DAG node, and
+`allowed[a]` is an AND of the masks of the false EX targets of atom a.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .ctl import (And, CtlFormula, ExistsGlobally, ExistsNext, ExistsUntil,
-                  Not, NotInEnf, Or, Prop, print_ctl, subterms)
+from .ctl import (And, Const, CtlFormula, ExistsGlobally, ExistsNext,
+                  ExistsUntil, Not, NotInEnf, Or, Prop, print_ctl, subterms)
 
 __all__ = ["MAX_ELEMENTARY", "satisfiable"]
 
@@ -52,7 +54,7 @@ __all__ = ["MAX_ELEMENTARY", "satisfiable"]
 MAX_ELEMENTARY = 12
 
 _TEMPORAL = (ExistsNext, ExistsUntil, ExistsGlobally)
-_ENF = (Prop, Not, And, Or, *_TEMPORAL)
+_ENF = (Prop, Const, Not, And, Or, *_TEMPORAL)
 
 
 def _elementary(nodes: list[CtlFormula],
@@ -95,7 +97,9 @@ def satisfiable(f: CtlFormula) -> bool | None:
     truth = dict(zip(props, bit))  # by node
     until, globally = [], []
     for g in nodes:
-        if isinstance(g, Not):
+        if isinstance(g, Const):
+            truth[g] = full if g.value else 0
+        elif isinstance(g, Not):
             truth[g] = full ^ truth[g.operand]
         elif isinstance(g, And):
             truth[g] = truth[g.left] & truth[g.right]

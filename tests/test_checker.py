@@ -7,7 +7,7 @@ from ctlinfer import checker, ctl, kripke
 
 
 def sat_names(m, text):
-    f = ctl.enf(ctl.parse_ctl(text), m.alphabet)
+    f = ctl.enf(ctl.parse_ctl(text))
     return {m.state_names[s] for s in checker.sat_set_table(m, f)[f]}
 
 
@@ -31,8 +31,7 @@ class TestSatSet:
         rng = random.Random(99)
         for _ in range(150):
             m = helpers.random_kripke(rng, max_states=5)
-            f = ctl.enf(helpers.random_ctl(rng, m.alphabet, depth=3),
-                        m.alphabet)
+            f = ctl.enf(helpers.random_ctl(rng, m.alphabet, depth=3))
             expected = helpers.naive_sat(m, f)
             assert checker.sat_set_table(m, f)[f] == expected
             assert checker.sat_set(m, f) == expected
@@ -77,7 +76,7 @@ class TestHolds:
 class TestSatSetTable:
     def test_children_first_and_complete(self):
         m = helpers.load_fixture("mutex.kripke")
-        f = ctl.enf(ctl.parse_ctl("E[r U c] | EX c"), m.alphabet)
+        f = ctl.enf(ctl.parse_ctl("E[r U c] | EX c"))
         table = checker.sat_set_table(m, f)
         assert set(table) == ctl.subformulas(f)
         seen = set()

@@ -287,33 +287,32 @@ class TestEnf:
         rng = random.Random(5)
         for _ in range(200):
             f = helpers.random_ctl(rng, ("p", "q"), depth=4)
-            assert ctl.is_enf(ctl.enf(f, ("p", "q")))
+            assert ctl.is_enf(ctl.enf(f))
 
     def test_idempotent(self):
         rng = random.Random(6)
         for _ in range(100):
             f = helpers.random_ctl(rng, ("p", "q"), depth=3)
-            g = ctl.enf(f, ("p", "q"))
-            assert ctl.enf(g, ("p", "q")) == g
+            g = ctl.enf(f)
+            assert ctl.enf(g) == g
 
     def test_preserves_semantics(self):
         rng = random.Random(7)
         for _ in range(120):
             m = helpers.random_kripke(rng, max_states=4)
             f = helpers.random_ctl(rng, m.alphabet, depth=3)
-            g = ctl.enf(f, m.alphabet)
+            g = ctl.enf(f)
             assert helpers.naive_sat(m, f) == helpers.naive_sat(m, g)
 
-    def test_constants_without_alphabet_stay(self):
+    def test_constants_stay(self):
         g = ctl.enf(ctl.parse_ctl("EF true"))
-        assert ctl.TRUE in ctl.subformulas(g)
-        assert not ctl.is_enf(g)
+        assert g == ctl.ExistsUntil(ctl.TRUE, ctl.TRUE)
+        assert ctl.is_enf(g)
 
     def test_known_rewrites(self):
         assert ctl.print_ctl(ctl.enf(ctl.parse_ctl("AX p"))) == "!EX !p"
         assert ctl.print_ctl(ctl.enf(ctl.parse_ctl("AF p"))) == "!EG !p"
-        assert ctl.print_ctl(
-            ctl.enf(ctl.parse_ctl("EF p"), ("p",))) == "E[p | !p U p]"
+        assert ctl.print_ctl(ctl.enf(ctl.parse_ctl("EF p"))) == "E[true U p]"
 
     def test_deep_shared_inputs_take_linear_time(self):
         """`enf` rewrites each node once per call: the ENF of a 40-deep

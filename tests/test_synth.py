@@ -279,8 +279,7 @@ class TestOneSidedSweep:
         models = 0
         for _ in range(60):
             f = ctl.enf(And(helpers.random_ctl(rng, alphabet, 3),
-                            Not(helpers.random_ctl(rng, alphabet, 3))),
-                        alphabet)
+                            Not(helpers.random_ctl(rng, alphabet, 3))))
             for m in (2, 3):
                 family = synth._family_model(f, m, alphabet, alphabet)
                 solved = synth._solve(f, m, alphabet, alphabet, 0)
@@ -321,6 +320,31 @@ class TestOneSidedSweep:
             assert ("lab", 0, "p") in keys
             assert not any(key[0] == "lab" and key[2] == "r"
                            for key in keys)
+
+    def test_constants_reach_the_solver(self, monkeypatch):
+        """Four successors with pairwise different p, q, r labellings need
+        four states, and three propositions put sizes 3 and 4 above every
+        family, so the solver decides both; `AG true` keeps its `true`
+        through `ctl.enf` and reaches the CNF, where a unit clause fixes
+        it."""
+        encode = synth._encode
+        encoded = []
+
+        def spy(f, num_states, props):
+            encoded.append(f)
+            return encode(f, num_states, props)
+
+        monkeypatch.setattr(synth, "_encode", spy)
+        f = ctl.parse_ctl("EX (p & q & r) & EX (p & !q & !r) "
+                          "& EX (!p & q & !r) & EX (!p & !q & r) & AG true")
+        m = synth.synthesize(f, 4, ("p", "q", "r"))
+        assert m is not None and m.size == 4
+        assert helpers.naive_holds(m, f)
+        assert any(isinstance(g, ctl.Const)
+                   for g in ctl.subterms(encoded[-1]))
+        encoded.clear()
+        assert synth.synthesize(f, 3, ("p", "q", "r")) is None
+        assert len(encoded) == 1
 
 
 class TestImplies:

@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 from ctlinfer import ctl, synth, tableau
-from ctlinfer.ctl import And, Not
+from ctlinfer.ctl import And, Not, Or, Prop
 
 ALPHABET = ("p", "q")
 WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,7 +29,7 @@ SAT_CASES = ["AX p", "EX p & EX !p", "E[p U q] & EG !q", "AF !q & EX q"]
 
 
 def enf(text):
-    return ctl.enf(ctl.parse_ctl(text), ALPHABET)
+    return ctl.enf(ctl.parse_ctl(text))
 
 
 def random_targets(seed, count):
@@ -108,11 +108,46 @@ def test_benchmark_pairs_have_their_hand_argued_verdicts(monkeypatch):
     spec.loader.exec_module(workloads)
     verdicts = [
         tableau.satisfiable(ctl.enf(
-            And(ctl.parse_ctl(f), Not(ctl.parse_ctl(g))), ALPHABET))
+            And(ctl.parse_ctl(f), Not(ctl.parse_ctl(g)))))
         for f, g, _, _ in workloads.SYNTH_PAIRS]
     expected = [size is not None for _, _, _, size in workloads.SYNTH_PAIRS]
     assert verdicts == expected
     assert expected.count(False) == 9 and expected.count(True) == 5
+
+
+@pytest.mark.parametrize("text, verdict", [
+    ("true", True), ("EF p & !AF p", True), ("false", False),
+    ("EX true & EX false", False), ("E[p U q] & !EF q", False)])
+def test_constants_are_leaves(text, verdict):
+    """`ctl.enf` keeps `true` and `false`, and the tableau reads them as
+    the checker does: true in every atom, and in none."""
+    assert tableau.satisfiable(enf(text)) is verdict
+
+
+def without_constants(f):
+    """f with `true` as `p | !p` and `false` as `p & !p`: the same
+    formula without constant leaves, the reference the tableau's reading
+    of `true` and `false` is checked against."""
+    p = Prop("p")
+    if isinstance(f, ctl.Const):
+        return Or(p, Not(p)) if f.value else And(p, Not(p))
+    if isinstance(f, Prop):
+        return f
+    return type(f)(*map(without_constants, ctl.children(f)))
+
+
+def test_constants_match_their_tautologies():
+    rng = random.Random(813)
+    with_constants = 0
+    for _ in range(200):
+        f = helpers.random_ctl(rng, ALPHABET, depth=3)
+        with_constants += ctl.TRUE in ctl.subformulas(f) or (
+            ctl.FALSE in ctl.subformulas(f))
+        verdict = tableau.satisfiable(ctl.enf(f))
+        assert verdict is not None
+        assert verdict == tableau.satisfiable(
+            ctl.enf(without_constants(f))), ctl.print_ctl(f)
+    assert with_constants > 40
 
 
 def test_rejects_sugar():
