@@ -15,9 +15,11 @@ solver:
 
 * case 1 - the two imply each other within the state budget (both calls
   answer None): discard the candidate and keep searching.  `synthesize`
-  evaluates the one- and two-state families of each direction, then
-  refutes it with its tableau before any larger size, so a case 1 costs
-  no sweep above two states whenever the two are equivalent outright.
+  decides one and two states of each direction, by their families under
+  `synth.FAMILY_CAP` (two states up to 6 propositions) and by the solver
+  above, then refutes it with its tableau before any larger size, so a
+  case 1 costs no sweep above two states whenever the two are equivalent
+  outright.
   The normal form already leaves out every candidate with a subterm that
   a rewrite rule (`encoder.REWRITE_RULES`) shrinks, so the equivalent
   candidates left are those no rule of at most 4 nodes names;

@@ -225,12 +225,8 @@ def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
 
 def is_enf(f: CtlFormula) -> bool:
     """True iff `f` uses only ENF connectives over propositions and
-    constants."""
-    if isinstance(f, (Prop, Const)):
-        return True
-    if isinstance(f, _ENF_OPS):
-        return all(is_enf(g) for g in children(f))
-    return False
+    constants, visiting each DAG node once."""
+    return all(isinstance(g, (Prop, Const, *_ENF_OPS)) for g in subterms(f))
 
 
 def subterms(f: CtlFormula) -> list[CtlFormula]:
@@ -290,10 +286,10 @@ def propositions(f: CtlFormula) -> frozenset[str]:
 #            | atom
 #   atom    := 'true' | 'false' | name | '(' formula ')'
 #
-# Every walk of a formula but `subterms` and `propositions` (this parser,
-# `enf`, `print_ctl`, `checker.evaluate`) recurses once per level, so
-# `parse_ctl` refuses more than `MAX_NESTING` prefix operators, until
-# brackets and parentheses around one token, or operators on one
+# Every walk of a formula but `subterms`, `propositions` and `is_enf`
+# (this parser, `enf`, `print_ctl`, `checker.evaluate`) recurses once per
+# level, so `parse_ctl` refuses more than `MAX_NESTING` prefix operators,
+# until brackets and parentheses around one token, or operators on one
 # root-to-leaf path.  The deepest walks are this parser, four frames a
 # nesting level (`formula`, `or_expr`, `and_expr`, `unary`), and
 # `checker.evaluate` over the ENF, one frame a node, where ENF puts up to

@@ -1,35 +1,33 @@
 """Bounded synthesis of Kripke structures satisfying a CTL formula.
 
 The dual of formula search: the formula is fixed (in ENF) and the
-structure is unknown.  `synthesize` tries state counts upward and decides
-each one exactly, in three stages:
+structure is unknown.  `synthesize` tries the state counts 1..max_states,
+fewest first, and decides each one exactly by one rule: when the family
+of all total m-state structures over the formula's k propositions has at
+most `FAMILY_CAP` components, one evaluation over that family decides
+size m (`_family_model`); above the cap a CNF instance over free
+transition and labelling variables, built from the formula's syntax DAG,
+is solved (`_solve`).  One state is no exception.  A total one-state
+structure must carry its self-loop, so its family is the disjoint union
+of one self-loop per labelling, 2^k components, and the solver takes
+one state when k > 16.  Both range over the formula's own propositions,
+not the whole alphabet: the others cannot change its truth, so they stay
+false, which is also the lowest labelling the whole alphabet's family
+would give.
 
-1. One state, by its family (below).  A total one-state structure must
-   carry its self-loop, so the family is the disjoint union of one
-   self-loop per labelling.  It ranges over the formula's own
-   propositions, not the whole alphabet: the others cannot change its
-   truth, so they stay false, which is also the lowest labelling the whole
-   alphabet's family would give.  A formula without propositions takes
-   one truth value at every state of every total structure (with labels
-   ignored, all of them are bisimilar), so the family of one self-loop
-   decides it outright, constants included.
-2. Two states by their family, when it is under the cap (below), since
-   most satisfiable formulas the CEG loop asks about have a model there.
-3. The tableau, then the sweep over the sizes left, up to max_states,
-   both on the ENF formula, constants included, whose syntax DAG they
-   walk by `ctl.subterms` (a node outside ENF raises `ctl.NotInEnf`).
-   `tableau.satisfiable` decides the formula exactly when it has at most
-   `tableau.MAX_ELEMENTARY` elementary formulas (and answers None,
-   undecided, above).  An unsatisfiable formula has no model of any
-   size, so none within the budget either, and the answer is None with
-   no further sweep.  Otherwise, when the family of all total m-state
-   structures over the formula's k propositions has at most
-   `FAMILY_CAP` components, it decides size m (`_family_model`); above
-   the cap a CNF instance over free transition and labelling variables,
-   built from the DAG, is solved (`_solve`).  So the tableau runs at
-   most once per call, and not at all when a one- or two-state family
-   finds a model; sizes are still tried fewest first, since the tableau
-   finds no model, only refutes.
+Two facts end the sweep early.  A formula without propositions takes one
+truth value at every state of every total structure (with labels
+ignored, all of them are bisimilar), so one state decides it outright,
+constants included.  And just before size 3, `tableau.satisfiable` runs
+once on the ENF formula, constants included, whose syntax DAG it walks
+by `ctl.subterms` as the SAT instance does (a node outside ENF raises
+`ctl.NotInEnf`).  It decides the formula exactly when it has at most
+`tableau.MAX_ELEMENTARY` elementary formulas (and answers None,
+undecided, above).  An unsatisfiable formula has no model of any size,
+so none within the budget either, and the answer is None with no further
+sweep.  The tableau finds no model, only refutes, so it does not run
+before sizes 1 and 2, where most satisfiable formulas the CEG loop asks
+about have a model, nor at all when max_states <= 2.
 
 A family is bit-parallel.  Its structures are the components of one
 disjoint union, (2^m - 1)^m successor shapes (one nonempty successor set
@@ -61,8 +59,12 @@ Just above the cap the two meet: at (2, 7) with 147,456 components and
 (3, 3) with 175,616, an evaluation takes 1.6-4 ms, as long as the solve,
 and each family costs 35-55 ms to build; m = 4 starts at 810,000
 components.  So the cap covers m = 2 for k <= 6 and m = 3 for k <= 2,
-and never m >= 4.  One state always goes to its family: 2^k components,
-one per labelling of the formula's own propositions.
+and never m >= 4.  At m = 1 the cap covers k <= 16: the masks of the
+one-state family take 8 ms to build at k = 16, 30 ms at 17 and 115 ms
+at 18, about 4x for each added proposition, while with cached masks its
+evaluation takes 0.03-0.4 ms against 0.14-0.9 ms for the one-state solve
+at k = 2..17 (conjunctions, disjunctions and EU over the propositions,
+with EX and EG), 0.7-0.8 ms of it at k = 17, just above the cap.
 
 The CNF of the SAT sweep:
 
@@ -107,9 +109,9 @@ structure is verified with the explicit-state checker before being
 returned; a verification failure is a hard internal error
 (`SynthesisInconsistency`), never a silent wrong answer.  A None result
 means "no model within the state budget" and is reported as such.  When
-the tableau or the one-state family of a proposition-free formula decided
-it, no model of any size exists; otherwise it is not a proof that no
-larger model exists.
+the tableau refuted the formula, or it has no propositions, no model of
+any size exists; otherwise it is not a proof that no larger model
+exists.
 
 `implies` reduces bounded implication checking to synthesis of
 countermodels for f & !g, whose verified witness it returns as it is.
@@ -165,7 +167,7 @@ def _repeat(block: int, period: int, total: int) -> int:
     return block * (((1 << total) - 1) // ((1 << period) - 1))
 
 
-@lru_cache(maxsize=None)  # (1, k) and the (m, k) under FAMILY_CAP
+@lru_cache(maxsize=None)  # only the (m, k) under FAMILY_CAP
 def _family(num_states: int,
             num_props: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Edge masks E_d, d = 1-m..m-1, and label masks L_p of the family of
@@ -341,28 +343,17 @@ def _sweep(target: CtlFormula, max_states: int, props: Sequence[str],
            alphabet: Sequence[str],
            seed: int | None) -> KripkeStructure | None:
     """A model of the ENF formula `target` with 1..`max_states` states,
-    fewest first, or None: one state by its family, which decides a
-    formula without propositions outright; then two states by their
-    family when it is under the cap; then the tableau refutes what it
-    can, and each size left goes to the family under its cap and to the
-    solver above."""
-    model = _family_model(target, 1, props, alphabet)
-    if model is not None or not props:
-        return model
-    sizes = range(2, max_states + 1)
-    if sizes and _components(2, len(props)) <= FAMILY_CAP:
-        model = _family_model(target, 2, props, alphabet)
-        if model is not None:
-            return model
-        sizes = sizes[1:]
-    if tableau.satisfiable(target) is False:
-        return None
-    for num_states in sizes:
+    fewest first, or None: each size goes to its family under the cap and
+    to the solver above; one state decides a formula without propositions
+    outright, and the tableau refutes what it can before three."""
+    for num_states in range(1, max_states + 1):
+        if num_states == 3 and tableau.satisfiable(target) is False:
+            return None
         if _components(num_states, len(props)) <= FAMILY_CAP:
             model = _family_model(target, num_states, props, alphabet)
         else:
             model = _solve(target, num_states, props, alphabet, seed)
-        if model is not None:
+        if model is not None or not props:
             return model
     return None
 
@@ -375,10 +366,11 @@ def synthesize(formula: CtlFormula, max_states: int = DEFAULT_MAX_STATES,
     State counts are tried in increasing order by the sweep, each decided
     exactly, so a returned structure has as few states as any model within
     the budget.  `seed` reaches only the solver, which the sweep runs on
-    sizes above `FAMILY_CAP`.  None means no model within the budget.
-    It is exact (no model of any size) when the tableau refuted the
-    formula or it has no propositions, and otherwise not a proof that none
-    exists beyond the budget; callers report it as a bounded verdict
+    the sizes whose family is above `FAMILY_CAP`, one state included.
+    None means no model within the budget.  It is exact (no model of any
+    size) when the formula has no propositions or the tableau, which runs
+    once before three states, refuted it, and otherwise not a proof that
+    none exists beyond the budget; callers report it as a bounded verdict
     either way.
     A given `alphabet` must pass `kripke.check_alphabet`, whether or not a
     model is found, and contain the formula's propositions

@@ -278,7 +278,8 @@ m = kripke.parse_kripke("kripke\\nprops: p q\\nstates: s0 s1\\n"
                         "trans: s0 -> s1 ; s1 -> s1\\n")
 once = ctl.enf(until)
 print(ctl.enf(once) is once, checker.holds(m, once),
-      ctl.enf(chain) is chain, checker.holds(m, chain))
+      ctl.enf(chain) is chain, checker.holds(m, chain),
+      ctl.is_enf(once), ctl.is_enf(chain))
 """
 
 
@@ -315,12 +316,12 @@ class TestEnf:
         assert ctl.print_ctl(ctl.enf(ctl.parse_ctl("EF p"))) == "E[true U p]"
 
     def test_deep_shared_inputs_take_linear_time(self):
-        """`enf` rewrites each node once per call: the ENF of a 40-deep
-        right-nested A-until reads each level's `!g` three times, and a
-        60-deep `And(f, f)` chain reads each level twice, so a walk of
-        every root-to-leaf path takes 3^40 and 2^60 steps.  In a
-        subprocess with a timeout, so that such a walk fails the test
-        instead of hanging it."""
+        """`enf` rewrites and `is_enf` visits each node once per call: the
+        ENF of a 40-deep right-nested A-until reads each level's `!g`
+        three times, and a 60-deep `And(f, f)` chain reads each level
+        twice, so a walk of every root-to-leaf path takes 3^40 and 2^60
+        steps.  In a subprocess with a timeout, so that such a walk fails
+        the test instead of hanging it."""
         src = os.path.dirname(os.path.dirname(ctl.__file__))
         path = os.pathsep.join(filter(None, [src,
                                              os.environ.get("PYTHONPATH")]))
@@ -328,7 +329,7 @@ class TestEnf:
             [sys.executable, "-c", DEEP_ENF], capture_output=True, text=True,
             timeout=60, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "True True True True\n"
+        assert proc.stdout == "True True True True True True\n"
 
 
 

@@ -257,6 +257,31 @@ class TestFamily:
         assert helpers.naive_holds(m, f)
         assert verdicts == [False, True]
 
+    def test_no_family_above_the_cap_is_built(self, monkeypatch):
+        """One state included: over 17 propositions the one-state family
+        has 2^17 components, so the solver decides one state."""
+        family = synth._family
+
+        def capped_family(num_states, num_props):
+            assert (synth._components(num_states, num_props)
+                    <= synth.FAMILY_CAP), "a family above the cap was built"
+            return family(num_states, num_props)
+
+        solve = synth._solve
+        sizes = []
+
+        def spy(f, num_states, *args):
+            sizes.append(num_states)
+            return solve(f, num_states, *args)
+
+        monkeypatch.setattr(synth, "_family", capped_family)
+        monkeypatch.setattr(synth, "_solve", spy)
+        f = ctl.parse_ctl(" & ".join(f"p{i}" for i in range(17)))
+        m = synth.synthesize(f)
+        assert m is not None and m.size == 1
+        assert helpers.naive_holds(m, f)
+        assert sizes == [1]
+
     def test_import_builds_no_family(self):
         src = os.path.dirname(os.path.dirname(synth.__file__))
         code = ("import ctlinfer.synth as s; "
