@@ -41,7 +41,10 @@ where the new hypothesis h fails; after every case 3 it makes the same
 pass over the new negative.  Each such state s, except a negative's own
 initial states, goes to the search as a rooted negative (structure
 index, state): every later candidate must fail at s
-(`learner.CandidateSearch.add_rooted`).  Soundness: a formula true at s
+(`learner.CandidateSearch.add_rooted`).  The search is the one record of
+them: it holds each pair once and replays it into every later budget,
+and the pass hands over only pairs it does not hold, so each appears in
+the trace once.  Soundness: a formula true at s
 does not imply h, and the structure re-rooted at s, cut to the states
 reachable from s, is the witness; it has no more states than the
 synthesis budget, since the pass skips structures larger than that.

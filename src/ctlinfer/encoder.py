@@ -139,7 +139,7 @@ class VarPool:
 
 class EncodingInstance:
     __slots__ = ("size_budget", "alphabet", "pool", "clauses", "backend",
-                 "structures", "sides", "rooted")
+                 "structures", "sides")
 
     def __init__(self, size_budget: int, alphabet: tuple[str, ...],
                  pool: VarPool, clauses: list[Clause] | None = None) -> None:
@@ -148,12 +148,10 @@ class EncodingInstance:
         self.pool = pool
         self.clauses = [] if clauses is None else clauses
         self.backend: CdclSolver | None = None  # attached by `load_backend`
-        # The structures in the order added (their index m), the side their
-        # root's approximants have (a `lower_node` polarity), the (m, state)
-        # of each rooted negative recorded.
+        # The structures in the order added (their index m) and the side
+        # their root's approximants have (a `lower_node` polarity).
         self.structures: tuple[KripkeStructure, ...] = ()
         self.sides: list[int] = []
-        self.rooted: tuple[tuple[int, int], ...] = ()
 
     @property
     def num_vars(self) -> int:
@@ -696,8 +694,9 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     root in (+1 or -1), which the instance records (`instance.sides`).
     The solver strips the root literals the consistency clause fixes from
     the one-sided clauses after it.  A negative with one initial state s0
-    is recorded as the rooted negative (m, s0), whose unit clause its
-    consistency clause is.
+    asks what the rooted negative (m, s0) would, but is not recorded as
+    one: the encoder keeps no record of rooted negatives, and no caller
+    hands over a negative's initial state (`ceg._root_failures`).
     """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
@@ -708,8 +707,6 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
         clauses = [tuple(-lit for lit in roots)]
-        if len(roots) == 1:
-            instance.rooted += ((m, min(struct.initial)),)
     else:
         clauses = [(lit,) for lit in roots]
     instance.structures += (struct,)
@@ -719,7 +716,9 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
 
 def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     """Append and load a rooted negative: the root fails at state s of
-    structure number m.  A rooted negative already recorded adds nothing.
+    structure number m.  Every call emits its clauses: the search removes
+    duplicates, handing each instance each pair once
+    (`learner.CandidateSearch.add_rooted`).
 
     Its clauses are the unit clause -y(m, n, s), first, so that the
     solver strips y from the clauses after it; then the root's -1 side at
@@ -740,10 +739,10 @@ def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     approximants, which the true evaluation satisfies on either side.  So
     the DAGs admitted after the append are exactly those admitted before
     whose root formula fails at s.  No clause reads y(m, n, s) but these,
-    and no clause of the instance is emitted again.
+    and a pair handed once emits no clause of the instance again, unless
+    it is a negative's only initial state, whose unit clause is that
+    negative's consistency clause.
     """
-    if (m, s) in instance.rooted:
-        return
     pool, n = instance.pool, instance.size_budget
     struct = instance.structures[m]
     allocated = pool.count
@@ -763,7 +762,6 @@ def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
                          lambda t: pool.get("R", m, n, t),
                          lambda t, k: pool.get("ys", m, n, t, k),
                          _successors(struct), struct.size - 1, -1, inner)
-    instance.rooted += ((m, s),)
     _load(instance, clauses)
 
 

@@ -178,6 +178,11 @@ class CandidateSearch:
     clause to the live solver.  So the clause set of each budget only
     grows, a budget that was UNSAT stays UNSAT, and `_next` never solves
     it again.  Rooted negatives are argued in `ceg` and `encoder.add_rooted`.
+
+    The search is the one record of rooted negatives: `rooted` keeps each
+    (structure number, state) pair once, in the order added, and
+    `add_rooted` ignores a pair it holds, so each instance is handed each
+    pair once; the encoder emits whatever it is handed.
     """
 
     def __init__(self, sample: Sample, bound: int, seed: int | None = None):
@@ -192,7 +197,7 @@ class CandidateSearch:
         self._last: tuple[CtlFormula, list[int]] | None = None
         self._floor = bound + 1 if sample.has_conflict() else 1
         self._live: encoder.EncodingInstance | None = None
-        self.rooted: tuple[tuple[int, int], ...] = ()
+        self.rooted: dict[tuple[int, int], None] = {}
 
     def add_negative(self, struct: KripkeStructure) -> None:
         """Add a negative structure; from now on every answer fails it.
@@ -215,8 +220,11 @@ class CandidateSearch:
 
     def add_rooted(self, m: int, s: int) -> None:
         """Add a rooted negative: from now on every answer fails at state
-        s of structure number m of `sample.structures`."""
-        self.rooted += ((m, s),)
+        s of structure number m of `sample.structures`.  A pair already
+        held adds nothing."""
+        if (m, s) in self.rooted:
+            return
+        self.rooted[m, s] = None
         if self._live is not None:
             encoder.add_rooted(self._live, m, s)
 

@@ -224,6 +224,23 @@ class TestRootedNegatives:
             rooted += assert_rooted_states_are_sound(m, bound, 3, report)
         assert rooted > 20
 
+    def test_structures_above_the_synthesis_budget_are_not_rooted(self):
+        """chain3 has 3 states, so at a synthesis budget of 2 the pass
+        roots no state of structure 0, the model, although the case-2
+        hypotheses fail at its states 1 and 2; the states of the
+        negatives, which fit the budget, are still rooted."""
+        m = helpers.load_fixture("chain3.kripke")
+        report = ceg.infer(m, 3, synth_states=2, seed=1)
+        failing = set()
+        for entry in report.trace:
+            if entry.case == 2:
+                failing |= set(range(m.size)) - checker.sat_set(
+                    m, entry.candidate)
+        assert m.size > 2 and failing == {1, 2}
+        assert report.rooted
+        assert all(k > 0 for k, _ in report.rooted)
+        assert_rooted_states_are_sound(m, 3, 2, report)
+
     def test_report_collects_the_rooted_negatives_of_its_trace(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         report = ceg.infer(m, 2, synth_states=4, seed=0)
@@ -264,6 +281,20 @@ class TestVerifySolution:
         with pytest.raises(CertificationFailure) as err:
             ceg.verify_solution(m, 2, corrupted)
         assert "rooted negative" in str(err.value)
+        assert err.value.violating == report.formula
+
+    def test_negative_satisfying_the_result_is_flagged(self):
+        # The model satisfies the result, so recording it as a case's
+        # countermodel leaves a report that only this check fails.
+        m, report = self.certified_report()
+        k = next(i for i, e in enumerate(report.trace)
+                 if e.countermodel is not None)
+        corrupted = report._replace(trace=report.trace[:k] + (
+            report.trace[k]._replace(countermodel=m),) + report.trace[k + 1:])
+        with pytest.raises(CertificationFailure) as err:
+            ceg.verify_solution(m, 2, corrupted)
+        assert str(err.value).startswith(
+            "a negative structure satisfies the result")
         assert err.value.violating == report.formula
 
     def test_non_holding_result_is_flagged(self):

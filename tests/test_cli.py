@@ -393,6 +393,23 @@ class TestUsage:
         assert code == 2
         assert "bound" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["learn", "--pos", str(FIX / "selfloop_p.kripke"),
+          "--max-size", "0"], "--max-size"),
+        (["synth", "EX p", "--max-states", "0"], "--max-states"),
+        (["cnf-dump", "--pos", str(FIX / "selfloop_p.kripke"),
+          "--size", "0", "{out}"], "--size"),
+    ])
+    def test_zero_budgets_are_usage_errors(self, capsys, tmp_path, argv,
+                                           flag):
+        target = tmp_path / "omega.cnf"
+        argv = [str(target) if arg == "{out}" else arg for arg in argv]
+        code, out, err = invoke(capsys, *argv)
+        assert_usage_error(code, err)
+        assert flag in err
+        assert out == ""
+        assert not target.exists()
+
     def test_bad_synth_states_values(self, capsys, tmp_path):
         # An empty alphabet has no candidate, so only this check sees
         # the budget.

@@ -485,13 +485,15 @@ class TestRootedNegatives:
     def test_blocking_matches_the_oracle_on_both_paths(self):
         """The differential check of `add_rooted`: on random samples with
         rooted negatives at random states (of a positive with one initial
-        state and of a negative, initial or not, each twice), blocking
-        enumeration at budgets 1-3
-        decodes exactly the admitted formulas of the budget's size that
-        the naive checker finds consistent and false at every rooted
-        state.  That holds with the rooted negatives built into the
-        instance and appended to its solver after a solve, and both
-        paths load the same clauses, none of them twice."""
+        state and of a negative, initial or not), each handed over once,
+        as `learner.CandidateSearch` hands them, blocking enumeration at
+        budgets 1-3 decodes exactly the admitted formulas of the budget's
+        size that the naive checker finds consistent and false at every
+        rooted state.  That holds with the rooted negatives built into the
+        instance and appended to its solver after a solve, and both paths
+        load the same clauses, none of them twice except the unit clause
+        at a negative's only initial state, which is its consistency
+        clause."""
         rng = random.Random(3102)
         alphabet = ("p", "q")
         formulas = helpers._enf_formulas(alphabet, 3)
@@ -508,7 +510,9 @@ class TestRootedNegatives:
             rooted = [(0, rng.randrange(3)) for _ in range(rng.randint(1, 2))]
             if neg:
                 rooted.append((1, rng.randrange(neg[0].size)))
-            rooted *= 2
+            rooted = list(dict.fromkeys(rooted))
+            own = {(1, s) for s in neg[0].initial
+                   if len(neg[0].initial) == 1} if neg else set()
             for n in (1, 2, 3):
                 expected = {
                     f for f in formulas if ctl.size(f) == n
@@ -525,13 +529,9 @@ class TestRootedNegatives:
                     encoder.add_rooted(appended, m, s)
                     added = appended.clauses[before:]
                     assert len(set(added)) == len(added)
-                    assert not set(added) & set(appended.clauses[:before])
+                    repeated = set(added) & set(appended.clauses[:before])
+                    assert len(repeated) == ((m, s) in own)
                 assert built.clauses == appended.clauses
-                # A negative with one initial state is the rooted
-                # negative at that state, recorded with the structure.
-                own = [(1, s) for s in neg[0].initial
-                       if len(neg[0].initial) == 1] if neg else []
-                assert built.rooted == tuple(dict.fromkeys(own + rooted))
                 for instance in (built, appended):
                     assert blocked_formulas(instance.backend,
                                             instance) == expected, n

@@ -70,6 +70,43 @@ class TestValidate:
             small(props=["p-q"], labels={})
 
 
+class TestConstructor:
+    """The checks `KripkeStructure` makes itself, which `validate` cannot
+    reach: it builds only index-based fields from unique, known names."""
+
+    @staticmethod
+    def build(**overrides):
+        base = dict(alphabet=("p",), state_names=("s0", "s1"),
+                    initial=frozenset({0}),
+                    labels=(frozenset({"p"}), frozenset()),
+                    successors=(frozenset({1}), frozenset({0})))
+        base.update(overrides)
+        return KripkeStructure(**base)
+
+    def test_accepts_well_formed(self):
+        assert self.build().size == 2
+
+    @pytest.mark.parametrize("overrides, error, message", [
+        (dict(state_names=(), labels=(), successors=()),
+         kripke.InvalidStructure, "at least one state"),
+        (dict(state_names=("s0", "s0")), kripke.InvalidStructure,
+         "duplicate state names"),
+        (dict(state_names=("s0", "s-1")), kripke.InvalidStructure,
+         "invalid state name 's-1'"),
+        (dict(labels=(frozenset(),)), kripke.InvalidStructure,
+         "cover every state"),
+        (dict(successors=(frozenset({1}),)), kripke.InvalidStructure,
+         "cover every state"),
+        (dict(initial=frozenset({2})), kripke.UnknownState, "'2'"),
+        (dict(initial=frozenset({-1})), kripke.UnknownState, "'-1'"),
+        (dict(successors=(frozenset({1}), frozenset({0, 2}))),
+         kripke.UnknownState, "'2'"),
+    ])
+    def test_rejects_a_broken_invariant(self, overrides, error, message):
+        with pytest.raises(error, match=message):
+            self.build(**overrides)
+
+
 class TestParse:
     def test_fixture_corpus_roundtrips(self):
         names = helpers.fixture_names()
@@ -97,6 +134,28 @@ class TestParse:
             "kripke\nprops: p\nstates: a b\ninit: a\n"
             "labels: a: ; b:\ntrans: a -> b ; b -> a")
         assert m.labels == (frozenset(), frozenset())
+
+    def test_empty_entries_between_separators_are_accepted(self):
+        m = kripke.parse_kripke(
+            "kripke\nprops: p\nstates: a b\ninit: a\n"
+            "labels: ; a: p ; ; b: ;\ntrans: a -> b ; ; b -> a ;")
+        assert m.labels == (frozenset({"p"}), frozenset())
+        assert m.successors == (frozenset({1}), frozenset({0}))
+
+    def test_label_entry_without_colon_fails(self):
+        with pytest.raises(kripke.ParseError, match="followed by ':'") as err:
+            kripke.parse_kripke(
+                "kripke\nprops: p\nstates: a b\ninit: a\n"
+                "labels: a: p ; b p\ntrans: a -> b ; b -> a")
+        assert (err.value.line, err.value.column) == (5, 16)
+
+    def test_empty_init_section_fails(self):
+        with pytest.raises(kripke.ParseError,
+                           match="empty 'init:' section") as err:
+            kripke.parse_kripke(
+                "kripke\nprops: p\nstates: a\ninit:\n"
+                "labels: a: p\ntrans: a -> a")
+        assert (err.value.line, err.value.column) == (4, 1)
 
     def test_missing_section_fails(self):
         with pytest.raises(kripke.ParseError):

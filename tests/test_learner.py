@@ -358,6 +358,36 @@ class TestInferCandidate:
             answers += len(seen)
         assert answers > 20
 
+    def test_a_repeated_rooted_negative_is_held_once(self, monkeypatch):
+        """The search is the one record of rooted negatives: a pair it
+        holds loads no clause into the live solver when added again, and
+        the next budget's instance replays each pair once, in the order
+        first added, as a fresh build handed each pair once does."""
+        model = helpers.load_fixture("chain3.kripke")
+        state = learner.CandidateSearch(Sample((model,)), 3, seed=0)
+        found = learner.infer_candidate(state)
+        assert found.size == 1
+        state.add_rooted(0, 2)
+        state.add_rooted(0, 1)
+        live = state._live
+        loaded = len(live.clauses)
+
+        def no_load(clauses):
+            raise AssertionError("a held rooted negative was loaded again")
+
+        monkeypatch.setattr(live.backend, "add_clauses", no_load)
+        state.add_rooted(0, 2)
+        monkeypatch.undo()
+        assert len(live.clauses) == loaded
+        assert list(state.rooted) == [(0, 2), (0, 1)]
+        while found.size == 1:
+            state.discard(found.formula)
+            found = learner.infer_candidate(state)
+        assert found.size == 2 and state._live is not live
+        fresh = encoder.build_instance(2, (model,), seed=0,
+                                       rooted=[(0, 2), (0, 1)])
+        assert state._live.clauses == fresh.clauses
+
     def test_persistent_search_matches_fresh_searches(self):
         """Negatives and discards arrive one at a time, as in the CEG loop;
         after each step the persistent answer keeps the contract, and its
