@@ -270,8 +270,8 @@ def verify_solution(model: KripkeStructure, bound: int,
 
     Checks that the formula holds on the model, fits the size bound,
     fails on every recorded negative structure, and fails at the state of
-    every recorded rooted negative.  When the bound is at
-    most `_AUDIT_LIMIT` it additionally enumerates every ENF formula of
+    every recorded rooted negative.  After those, when the bound is at
+    most `_AUDIT_LIMIT`, it enumerates every ENF formula of
     size <= bound holding on the model and confirms, by `synth.implies`
     in both directions, that none strictly implies the result
     within the synthesis budget `result.synth_states` that `infer` ran
@@ -289,6 +289,20 @@ def verify_solution(model: KripkeStructure, bound: int,
         raise CertificationFailure(
             f"result exceeds the size bound {bound}", formula)
 
+    negatives = result.negatives
+    for struct in negatives:
+        if checker.holds(struct, formula):
+            raise CertificationFailure(
+                "a negative structure satisfies the result", formula)
+    structures = (model,) + negatives
+    sat_sets: dict[int, frozenset[int]] = {}
+    for m, s in result.rooted:
+        if m not in sat_sets:
+            sat_sets[m] = checker.sat_set(structures[m], ctl.enf(formula))
+        if s in sat_sets[m]:
+            raise CertificationFailure(
+                "the result holds at a rooted negative state", formula)
+
     audited = False
     candidates_audited = 0
     if bound <= _AUDIT_LIMIT:
@@ -305,20 +319,6 @@ def verify_solution(model: KripkeStructure, bound: int,
                                       model.alphabet) is not None):
                 raise CertificationFailure(
                     "a candidate strictly implies the result", candidate)
-
-    negatives = result.negatives
-    for struct in negatives:
-        if checker.holds(struct, formula):
-            raise CertificationFailure(
-                "a negative structure satisfies the result", formula)
-    structures = (model,) + negatives
-    sat_sets: dict[int, frozenset[int]] = {}
-    for m, s in result.rooted:
-        if m not in sat_sets:
-            sat_sets[m] = checker.sat_set(structures[m], ctl.enf(formula))
-        if s in sat_sets[m]:
-            raise CertificationFailure(
-                "the result holds at a rooted negative state", formula)
     return Certification(
         formula=formula, size=ctl.size(formula), bound=bound,
         synth_states=synth_states, negatives_checked=len(negatives),

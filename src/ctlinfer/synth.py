@@ -65,6 +65,12 @@ at 18, about 4x for each added proposition, while with cached masks its
 evaluation takes 0.03-0.4 ms against 0.14-0.9 ms for the one-state solve
 at k = 2..17 (conjunctions, disjunctions and EU over the propositions,
 with EX and EG), 0.7-0.8 ms of it at k = 17, just above the cap.
+Re-timed once the solver's CNF kept `h` only where read (the same host
+and kind of formula, the fastest of five runs each): under the cap the
+solve of m >= 2 takes 0.4-4.7 ms against 0.02-0.7 ms for the family;
+at (2, 7) the family takes 0.4-1.4 ms and the solve 0.5-2.2 ms, at
+(3, 3) 1.7-5.2 ms and 1.6-5.1 ms.  So the two still meet just above the
+cap.  One state is unchanged, since every node is read at its one state.
 
 The CNF of the SAT sweep:
 
@@ -72,12 +78,19 @@ The CNF of the SAT sweep:
   totality clause per state and a single fixed initial state s0;
   `lab(s, p)` exists for the target's own propositions only, the others
   staying false as in the families, since they cannot change its truth;
-* `h(g, s)` evaluates DAG node g in state s, and a unit clause fixes it
-  at every s when g is `true` or `false`; successor disjunctions range
-  over all states, each conjunct `t(s, s') & ...` introduced as a shared
-  Tseitin product variable (numbered above the semantic variables);
+* `h(g, s)` evaluates DAG node g in state s, only at the states where g
+  is read: the root at s0, an operand of `!`, `&` or `|` where its
+  reader is read, an operand of EX, EU or EG at every state, since the
+  successors are symbolic, and a node with several readers at the union
+  (always s0 alone or every state).  Where it exists, a unit clause
+  fixes it when g is `true` or `false`, and `lab` ties it when g is a
+  proposition; successor disjunctions range over all states, each
+  conjunct `t(s, s') & ...` introduced as a shared Tseitin product
+  variable (numbered above the semantic variables) when a kept lowering
+  first asks for it;
 * EU/EG fixed points unroll to m' approximants, with step variables
-  `st(g, s, k)` for the inner ones, k = 2..m'-1;
+  `st(g, s, k)` for the inner ones, k = 2..m'-1, at every state whether
+  or not g is read there (`lower_node` with no `out`);
 * the root holds at s0, a unit clause.
 
 Operators are lowered by `encoder.lower_node`, the single home of the
@@ -97,8 +110,14 @@ and approximants in one sign, the sign their own polarity serves, and
 the EU/EG approximants are bounded as in `lower_node`'s unrolling
 argument.  The root is +1 and asserted at s0, so the structure is a
 model.  Conversely the true valuation of every variable satisfies the
-two-sided CNF, and so the one-sided one.  So each size is still decided
-exactly, and the checker still verifies every returned structure.
+two-sided CNF, and so the one-sided one.  Reading only where read keeps
+both directions: a kept `h(g, s)`'s definition reads only kept pairs
+(`!`, `&` and `|` read their operands at their own state, EX, EU and EG
+read theirs and the approximants at every state), and a dropped
+variable occurs in no kept clause.  So the induction runs on the kept
+clauses alone, and the models, projected on t/lab, are those of the CNF
+with every `h(g, s)`: each size is still decided exactly, and the
+checker still verifies every returned structure.
 The solver's `seed` reaches only these instances, so it affects only the
 sizes the SAT sweep handles.
 
@@ -138,6 +157,9 @@ DEFAULT_MAX_STATES = 6
 
 # Most components a family the sweep evaluates may have (module docstring).
 FAMILY_CAP = 1 << 16
+
+# The operators whose successors are symbolic in the SAT sweep's CNF.
+_TEMPORAL = (ctl.ExistsNext, ctl.ExistsUntil, ctl.ExistsGlobally)
 
 
 class SynthesisInconsistency(RuntimeError):
@@ -241,8 +263,21 @@ def _family_model(f: CtlFormula, num_states: int, props: Sequence[str],
 def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
             ) -> tuple[VarPool, list[Clause]]:
     nodes = ctl.subterms(f)
-    pool = VarPool()
     states = range(num_states)
+    # Each node's polarity and reach, readers first: the root is +1 and
+    # read at s0, `!` flips the polarity, and a node read in both signs
+    # gets 0; EX, EU and EG read their operands at every state, the others
+    # at their own.  Node g is read at the states 0 .. reach[g] - 1.
+    polarity, reach = {f: 1}, {f: 1}
+    for g in reversed(nodes):
+        sign = -polarity[g] if isinstance(g, Not) else polarity[g]
+        width = num_states if isinstance(g, _TEMPORAL) else reach[g]
+        for child in ctl.children(g):
+            polarity[child] = (sign if polarity.get(child, sign) == sign
+                               else 0)
+            reach[child] = max(reach.get(child, 0), width)
+
+    pool = VarPool()
     for s in states:
         for t in states:
             pool.var("t", s, t)
@@ -250,22 +285,13 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
         for p in props:
             pool.var("lab", s, p)
     for g in nodes:
-        for s in states:
+        for s in range(reach[g]):
             pool.var("h", g, s)
     for g in nodes:
         if isinstance(g, (ctl.ExistsUntil, ctl.ExistsGlobally)):
             for s in states:
                 for k in range(2, num_states):
                     pool.var("st", g, s, k)
-
-    # Each node's polarity, readers first: the root is +1, `!` flips it,
-    # and a node read in both signs gets 0.
-    polarity = {f: 1}
-    for g in reversed(nodes):
-        sign = -polarity[g] if isinstance(g, Not) else polarity[g]
-        for child in ctl.children(g):
-            polarity[child] = (sign if polarity.get(child, sign) == sign
-                               else 0)
 
     clauses: list[Clause] = []
     for s in states:
@@ -287,13 +313,13 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
         return var
 
     for g in nodes:
-        sign = polarity[g]
+        sign, read = polarity[g], range(reach[g])
         if isinstance(g, ctl.Const):
             truth = 1 if g.value else -1
-            clauses.extend((truth * pool.get("h", g, s),) for s in states)
+            clauses.extend((truth * pool.get("h", g, s),) for s in read)
             continue
         if isinstance(g, ctl.Prop):
-            for s in states:
+            for s in read:
                 clauses.extend(equiv_lit(pool.get("h", g, s),
                                          pool.get("lab", s, g.name), (),
                                          sign))
@@ -309,9 +335,10 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
         left = lambda s, j=ctl.children(g)[0]: pool.get("h", j, s)
         right = lambda s, j=getattr(g, "right", None): pool.get("h", j, s)
         step = lambda s, k, g=g: pool.get("st", g, s, k)
-        for s in states:
-            lower_node(clauses, label, s, pool.get("h", g, s), left,
-                       right, step, successors, num_states - 1, (), sign)
+        for s in states:  # where g is not read, EU/EG approximants only
+            out = pool.get("h", g, s) if s in read else None
+            lower_node(clauses, label, s, out, left, right, step,
+                       successors, num_states - 1, (), sign)
 
     clauses.append((pool.get("h", f, 0),))
     return pool, clauses

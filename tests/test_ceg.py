@@ -264,8 +264,10 @@ class TestVerifySolution:
         assert cert.negatives_checked == len(report.negatives)
 
     def test_weaker_result_is_flagged(self):
+        # The recorded negatives refute `p | p` before the audit runs, so
+        # the report keeps none, and only the audit can see it.
         m, report = self.certified_report()
-        corrupted = report._replace(formula=ctl.parse_ctl("p | p"))
+        corrupted = report._replace(formula=ctl.parse_ctl("p | p"), trace=())
         with pytest.raises(CertificationFailure) as err:
             ceg.verify_solution(m, 2, corrupted)
         assert "strictly implies" in str(err.value)
@@ -296,6 +298,22 @@ class TestVerifySolution:
         assert str(err.value).startswith(
             "a negative structure satisfies the result")
         assert err.value.violating == report.formula
+
+    def test_cheap_checks_refute_before_the_audit(self, monkeypatch):
+        # A negative satisfying the result is refuted without enumerating
+        # a single audit candidate, at a bound the audit covers.
+        m, report = self.certified_report()
+        k = next(i for i, e in enumerate(report.trace)
+                 if e.countermodel is not None)
+        corrupted = report._replace(trace=report.trace[:k] + (
+            report.trace[k]._replace(countermodel=m),) + report.trace[k + 1:])
+
+        def no_audit(*args):
+            raise AssertionError("the audit ran before the cheap checks")
+
+        monkeypatch.setattr(ctl, "enumerate_formulas", no_audit)
+        with pytest.raises(CertificationFailure, match="negative structure"):
+            ceg.verify_solution(m, 2, corrupted)
 
     def test_non_holding_result_is_flagged(self):
         m, report = self.certified_report()

@@ -424,6 +424,33 @@ class TestEncode:
             with pytest.raises(ctl.NotInEnf):
                 synth._encode(ctl.parse_ctl(text), 2, ("p", "q"))
 
+    @pytest.mark.parametrize("text, at_s0, everywhere", [
+        ("p & EX q", ("p & EX q", "p", "EX q"), ("q",)),
+        ("!EX !p", ("!EX !p", "EX !p"), ("!p", "p")),
+        ("E[p U q] & q", ("E[p U q] & q", "E[p U q]"), ("p", "q")),
+    ])
+    def test_h_exists_only_where_read(self, text, at_s0, everywhere):
+        """The root is read at s0, `!` and `&` read their operands where
+        they are read, and EX and EU at every state; an EU keeps its
+        approximants at every state.  At one state, the size the solver
+        takes over more than 16 propositions, every node has its h."""
+        f = ctl.parse_ctl(text)
+        for m in (1, 3):
+            pool, _ = synth._encode(f, m, ("p", "q"))
+            read: dict[ctl.CtlFormula, list[int]] = {}
+            steps = set()
+            for key, _ in pool.semantic_items():
+                if key[0] == "h":
+                    read.setdefault(key[1], []).append(key[2])
+                elif key[0] == "st":
+                    steps.add(key[2])
+            expected = {ctl.parse_ctl(g): [0] for g in at_s0}
+            expected.update((ctl.parse_ctl(g), list(range(m)))
+                            for g in everywhere)
+            assert read == expected, m
+            until = any(isinstance(g, ExistsUntil) for g in ctl.subterms(f))
+            assert steps == (set(range(m)) if until and m > 2 else set())
+
     def pinned_model(self, struct, f):
         """Solve the synthesis instance of `f` with t/lab fixed to `struct`
         by unit clauses; None when that structure falsifies `f`."""
@@ -446,7 +473,11 @@ class TestEncode:
         (polarity 0), so with t/lab pinned every h and st variable of f
         equals its approximant.  Instanced alone, f is read at +1: the
         instance is SAT exactly when f holds at s0, and a true variable
-        implies its approximant, a one-sided bound."""
+        implies its approximant, a one-sided bound.  Either way the root f
+        has its h at s0 only, its approximants at every state, and its
+        operand, read through the successors, an h at every state.  With
+        random ENF targets, the pinned instance is SAT exactly when the
+        target holds at s0."""
         rng = random.Random(606)
         phi, psi = Prop("p"), Prop("q")
         one_sided = 0
@@ -479,11 +510,22 @@ class TestEncode:
                         homes = helpers.approximant_vars(
                             k, struct.size, pool.get("h", operand, s),
                             lambda j: pool.get("st", f, s, j),
-                            pool.get("h", f, s))
+                            pool.get("h", f, 0) if s == 0 else None)
                         for var in homes:
-                            assert agrees(var, s in expected), (f, k, s)
-                for sub in ctl.subterms(f):
-                    expected = helpers.naive_sat(struct, sub)
-                    for s in range(struct.size):
-                        assert agrees(pool.get("h", sub, s), s in expected)
+                            if var is not None:
+                                assert agrees(var, s in expected), (f, k, s)
+                h = {key[1:]: var for key, var in pool.semantic_items()
+                     if key[0] == "h"}
+                assert [s for g, s in h if g == f] == [0]
+                for sub in ctl.children(f):
+                    assert [s for g, s in h if g == sub] == list(
+                        range(struct.size))
+                for (sub, s), var in h.items():
+                    assert agrees(var, s in helpers.naive_sat(struct, sub))
         assert one_sided > 10
+        for _ in range(60):
+            struct = helpers.random_kripke(rng, max_states=3)
+            g = ctl.enf(helpers.random_ctl(rng, ("p", "q"), 3))
+            _, model = self.pinned_model(struct, g)
+            assert (model is not None) == (
+                0 in helpers.naive_sat(struct, g)), ctl.print_ctl(g)
