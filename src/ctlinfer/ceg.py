@@ -177,6 +177,7 @@ def infer(model: KripkeStructure, bound: int,
     alphabet = model.alphabet
     hypothesis: CtlFormula = ctl.TRUE
     trace: list[CegTraceEntry] = []
+    proposed: set[CtlFormula] = set()
     search = learner.CandidateSearch(learner.Sample((model,)), bound, seed)
 
     while True:
@@ -184,9 +185,10 @@ def infer(model: KripkeStructure, bound: int,
         if found is None:
             break
         candidate = found.formula
-        if any(entry.candidate == candidate for entry in trace):
+        if candidate in proposed:
             raise CegError(
                 f"candidate {ctl.print_ctl(candidate)} proposed twice")
+        proposed.add(candidate)
 
         # The structures from `first` on are searched for rooted
         # negatives: the new negative after a case 3, all after a case 2.

@@ -78,43 +78,52 @@ The CNF of the SAT sweep:
   totality clause per state and a single fixed initial state s0;
   `lab(s, p)` exists for the target's own propositions only, the others
   staying false as in the families, since they cannot change its truth;
-* `h(g, s)` evaluates DAG node g in state s, only at the states where g
-  is read: the root at s0, an operand of `!`, `&` or `|` where its
-  reader is read, an operand of EX, EU or EG at every state, since the
-  successors are symbolic, and a node with several readers at the union
-  (always s0 alone or every state).  Where it exists, a unit clause
-  fixes it when g is `true` or `false`, and `lab` ties it when g is a
-  proposition; successor disjunctions range over all states, each
-  conjunct `t(s, s') & ...` introduced as a shared Tseitin product
-  variable (numbered above the semantic variables) when a kept lowering
-  first asks for it;
+* a node's literal at state s is folded where it can be, as in bounded
+  model checking (Biere, Cimatti, Clarke & Zhu, TACAS 1999): a
+  proposition p reads `lab(s, p)`, `!g` reads the negation of g's
+  literal, and `true` and `false` read one variable `true` and its
+  negation, fixed by a unit clause; none of them has a variable or a
+  tie clause of its own;
+* `h(g, s)` evaluates an `&`, `|`, EX, EU or EG node g in state s, only
+  at the states where g is read: the root at s0, an operand of `!`, `&`
+  or `|` where its reader is read, an operand of EX, EU or EG at every
+  state, since the successors are symbolic, and a node with several
+  readers at the union (always s0 alone or every state); successor
+  disjunctions range over all states, each conjunct `t(s, s') & ...`
+  introduced as a shared Tseitin product variable (numbered above the
+  semantic variables) when a kept lowering first asks for it;
 * EU/EG fixed points unroll to m' approximants, with step variables
   `st(g, s, k)` for the inner ones, k = 2..m'-1, at every state whether
   or not g is read there (`lower_node` with no `out`);
-* the root holds at s0, a unit clause.
+* the root's literal holds at s0, a unit clause.
 
 Operators are lowered by `encoder.lower_node`, the single home of the
 step semantics; only successors and propositions are symbolic here.
-Each node is lowered, its proposition ties included, with its polarity
-(`sat`'s clause form after Plaisted & Greenbaum): the root's is +1, `!`
-flips it for its operand, any other operator passes it on, and a node
-read in both signs gets 0.  At +1 only `h -> definition` is emitted, at
--1 only `definition -> h`, at 0 both.  A product emits each direction
-once, the first time a reader of that sign needs it.
+Each operator is lowered with its node's polarity (`sat`'s clause form
+after Plaisted & Greenbaum): the root's is +1, `!` flips it for its
+operand, any other operator passes it on, and a node read in both signs
+gets 0.  At +1 only `h -> definition` is emitted, at -1 only
+`definition -> h`, at 0 both.  A product emits each direction once, the
+first time a reader of that sign needs it.  The folded literals are
+exact equalities (the `true` variable is fixed true), so folding them
+changes no model projected on t/lab, and a `!` that reads `-h(g, s)`
+reads g in the sign its flipped polarity serves.
 
 Soundness: given a model of the CNF, take the structure its t/lab
-variables describe.  By induction children first, a true `h(g, s)` at a
-+1 node means g holds at s, and a false one at a -1 node means g fails
-at s (both at a 0 node): each definition reads its operands, products
-and approximants in one sign, the sign their own polarity serves, and
-the EU/EG approximants are bounded as in `lower_node`'s unrolling
-argument.  The root is +1 and asserted at s0, so the structure is a
-model.  Conversely the true valuation of every variable satisfies the
-two-sided CNF, and so the one-sided one.  Reading only where read keeps
-both directions: a kept `h(g, s)`'s definition reads only kept pairs
-(`!`, `&` and `|` read their operands at their own state, EX, EU and EG
-read theirs and the approximants at every state), and a dropped
-variable occurs in no kept clause.  So the induction runs on the kept
+variables describe.  By induction children first, a true literal of
+node g at s at a +1 node means g holds at s, and a false one at a -1
+node means g fails at s (both at a 0 node): a folded literal is exact,
+`-h(g, s)` for `!g` at +1 is a false `h` at g's -1 and the converse, each
+definition reads its operands, products and approximants in one sign,
+the sign their own polarity serves, and the EU/EG approximants are
+bounded as in `lower_node`'s unrolling argument.  The root is +1 and
+its literal asserted at s0, so the structure is a model.  Conversely the
+true valuation of every variable satisfies the two-sided CNF, and so
+the one-sided one.  Reading only where read keeps both directions: a
+kept `h(g, s)`'s definition reads only kept pairs (`&` and `|` read
+their operands at their own state, as `!` does through its literal, EX,
+EU and EG read theirs and the approximants at every state), and a
+dropped variable occurs in no kept clause.  So the induction runs on the kept
 clauses alone, and the models, projected on t/lab, are those of the CNF
 with every `h(g, s)`: each size is still decided exactly, and the
 checker still verifies every returned structure.
@@ -149,7 +158,7 @@ from . import checker, ctl, tableau
 from .ctl import And, CtlFormula, Not
 from .encoder import VarPool, lower_node
 from .kripke import KripkeStructure, UnknownProposition, check_alphabet
-from .sat import CdclSolver, Clause, equiv_and, equiv_lit
+from .sat import CdclSolver, Clause, equiv_and
 
 __all__ = ["SynthesisInconsistency", "synthesize", "implies"]
 
@@ -158,8 +167,10 @@ DEFAULT_MAX_STATES = 6
 # Most components a family the sweep evaluates may have (module docstring).
 FAMILY_CAP = 1 << 16
 
-# The operators whose successors are symbolic in the SAT sweep's CNF.
+# The operators whose successors are symbolic in the SAT sweep's CNF, and
+# the nodes that have no h variable there (their literal is folded).
 _TEMPORAL = (ctl.ExistsNext, ctl.ExistsUntil, ctl.ExistsGlobally)
+_FOLDED = (ctl.Prop, Not, ctl.Const)
 
 
 class SynthesisInconsistency(RuntimeError):
@@ -284,18 +295,36 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
     for s in states:
         for p in props:
             pool.var("lab", s, p)
+    true = (pool.var("true") if any(isinstance(g, ctl.Const) for g in nodes)
+            else None)
     for g in nodes:
-        for s in range(reach[g]):
-            pool.var("h", g, s)
+        if not isinstance(g, _FOLDED):
+            for s in range(reach[g]):
+                pool.var("h", g, s)
     for g in nodes:
         if isinstance(g, (ctl.ExistsUntil, ctl.ExistsGlobally)):
             for s in states:
                 for k in range(2, num_states):
                     pool.var("st", g, s, k)
 
+    def literal(g: CtlFormula, s: int) -> int:
+        """Node g's literal at state s: under its `!`s, which negate it,
+        a proposition's `lab`, the `true` variable for a constant, or an
+        operator's h."""
+        sign = 1
+        while isinstance(g, Not):
+            g, sign = g.operand, -sign
+        if isinstance(g, ctl.Prop):
+            return sign * pool.get("lab", s, g.name)
+        if isinstance(g, ctl.Const):
+            return sign * true if g.value else -sign * true
+        return sign * pool.get("h", g, s)
+
     clauses: list[Clause] = []
     for s in states:
         clauses.append(tuple(pool.get("t", s, t) for t in states))
+    if true is not None:
+        clauses.append((true,))
 
     # (a, b) -> its product variable and the sides of it emitted so far
     products: dict[tuple[int, int], tuple[int, set[int]]] = {}
@@ -313,17 +342,9 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
         return var
 
     for g in nodes:
+        if isinstance(g, _FOLDED):
+            continue
         sign, read = polarity[g], range(reach[g])
-        if isinstance(g, ctl.Const):
-            truth = 1 if g.value else -1
-            clauses.extend((truth * pool.get("h", g, s),) for s in read)
-            continue
-        if isinstance(g, ctl.Prop):
-            for s in read:
-                clauses.extend(equiv_lit(pool.get("h", g, s),
-                                         pool.get("lab", s, g.name), (),
-                                         sign))
-            continue
 
         def successors(s: int, lit: Callable[[int], int],
                        sign: int = sign) -> list[int]:
@@ -332,15 +353,15 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
                     for t in states]
 
         label = ctl.label(g)
-        left = lambda s, j=ctl.children(g)[0]: pool.get("h", j, s)
-        right = lambda s, j=getattr(g, "right", None): pool.get("h", j, s)
+        left = lambda s, j=ctl.children(g)[0]: literal(j, s)
+        right = lambda s, j=getattr(g, "right", None): literal(j, s)
         step = lambda s, k, g=g: pool.get("st", g, s, k)
         for s in states:  # where g is not read, EU/EG approximants only
             out = pool.get("h", g, s) if s in read else None
             lower_node(clauses, label, s, out, left, right, step,
                        successors, num_states - 1, (), sign)
 
-    clauses.append((pool.get("h", f, 0),))
+    clauses.append((literal(f, 0),))
     return pool, clauses
 
 

@@ -37,13 +37,29 @@ above `MAX_ELEMENTARY` of them it answers None, undecided.  It takes the
 ENF formula, constants included, as `ctl.enf` returns it and
 `checker.evaluate` reads it, and walks its syntax DAG (`ctl.subterms`);
 any other node raises `ctl.NotInEnf`.  Atom sets are ints used as
-bitsets over atom indices, as in `checker`: one mask per DAG node, and
-`allowed[a]` is an AND of the masks of the false EX targets of atom a.
+bitsets over atom indices, as in `checker`: one mask per DAG node, each
+elementary formula's built arithmetically, as runs of 2^k atoms.
+
+Elimination runs by EX part.  The propositions are the low bits of an
+atom, so the 2^P atoms that share the bits of the X `EX` elementary
+formulas, their EX part, form one contiguous block.  An atom's allowed
+successors (an AND of the masks of its false EX targets) and its EX
+demands (its true ones) depend on its EX part alone, so they are built
+once per block: 2^X entries instead of 2^(P+X).  Each rule then acts on
+a whole block, masked by the set it ranges over: the successor and
+witness rule deletes a block's surviving atoms together; the EU fixpoint
+adds a block's surviving f-atoms once the block has an allowed successor
+in the set reached so far; the AF fixpoint adds a block's surviving
+atoms where `EG f` is false once the block is witnessed inside the set.
+This decides as eliminating atom by atom does: each rule's condition on
+an atom reads only its allowed successors and demands, the same for
+every atom of its block, so a block step is the steps of its atoms taken
+together; and the deletion loop and each fixpoint are unique (the
+greatest and least fixpoints of monotone operators), whatever the order
+of their additions.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from .ctl import (And, Const, CtlFormula, ExistsGlobally, ExistsNext,
                   ExistsUntil, Not, NotInEnf, Or, Prop, print_ctl, subterms)
@@ -71,12 +87,21 @@ def _elementary(nodes: list[CtlFormula],
     return props, list(nexts)
 
 
-def _members(mask: int) -> Iterator[int]:
-    """Indices of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _blocks(width: int, targets: list[int],
+            full: int) -> list[tuple[int, int, list[int]]]:
+    """Per EX part x, the atoms x * width .. (x + 1) * width - 1 that
+    share it: their mask, their allowed successors (outside every false
+    EX target) and their EX demands (the true ones), given each `EX psi`'s
+    target, the atoms where psi holds."""
+    blocks = []
+    for x in range(1 << len(targets)):
+        succ = full
+        for j, target in enumerate(targets):
+            if not x >> j & 1:
+                succ &= ~target
+        blocks.append((((1 << width) - 1) << x * width, succ,
+                       [t for j, t in enumerate(targets) if x >> j & 1]))
+    return blocks
 
 
 def satisfiable(f: CtlFormula) -> bool | None:
@@ -90,9 +115,10 @@ def satisfiable(f: CtlFormula) -> bool | None:
         return None
     count = 1 << elementary
     full = (1 << count) - 1
-    # Atom a makes elementary formula k true iff bit k of a is set.
-    bit = [sum(1 << a for a in range(count) if a >> k & 1)
-           for k in range(elementary)]
+    # Atom a makes elementary formula k true iff bit k of a is set: runs
+    # of 2^k atoms, alternately without and with it.
+    bit = [full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+           for run in (1 << k for k in range(elementary))]
     next_bit = dict(zip(nexts, bit[len(props):]))
     truth = dict(zip(props, bit))  # by node
     until, globally = [], []
@@ -116,34 +142,27 @@ def satisfiable(f: CtlFormula) -> bool | None:
             truth[g] = left & next_bit[g]
             globally.append((truth[g], left))
 
-    targets = [(k, truth[g]) for k, g in enumerate(nexts, len(props))]
-    allowed, demands = [], []
-    for a in range(count):
-        succ = full
-        for k, target in targets:
-            if not a >> k & 1:
-                succ &= ~target
-        allowed.append(succ)
-        demands.append([t for k, t in targets if a >> k & 1])
+    blocks = _blocks(1 << len(props), [truth[g] for g in nexts], full)
 
-    def witnessed(a: int, inside: int) -> bool:
-        succ = allowed[a] & inside
-        return bool(succ) and all(succ & t for t in demands[a])
+    def witnessed(succ: int, demands: list[int], inside: int) -> bool:
+        succ &= inside
+        return bool(succ) and all(succ & t for t in demands)
 
     alive = full
     while True:
         keep = alive
-        for a in _members(alive):
-            if not witnessed(a, alive):
-                keep &= ~(1 << a)
+        for block, succ, demands in blocks:
+            if alive & block and not witnessed(succ, demands, alive):
+                keep &= ~block
         for holds, left, right in until:
             reach = keep & right
             grown = True
             while grown:
                 grown = False
-                for a in _members(keep & left & ~reach):
-                    if allowed[a] & reach:
-                        reach |= 1 << a
+                for block, succ, _ in blocks:
+                    new = keep & left & block & ~reach
+                    if new and succ & reach:
+                        reach |= new
                         grown = True
             keep &= reach | ~holds
         for holds, operand in globally:
@@ -151,9 +170,10 @@ def satisfiable(f: CtlFormula) -> bool | None:
             grown = True
             while grown:
                 grown = False
-                for a in _members(keep & ~holds & ~escape):
-                    if witnessed(a, escape):
-                        escape |= 1 << a
+                for block, succ, demands in blocks:
+                    new = keep & ~holds & block & ~escape
+                    if new and witnessed(succ, demands, escape):
+                        escape |= new
                         grown = True
             keep &= escape | holds
         if keep == alive:

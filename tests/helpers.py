@@ -523,6 +523,96 @@ def brute_force_minimum(positives: Sequence[KripkeStructure],
 
 
 # ---------------------------------------------------------------------------
+# Tableau elimination atom by atom
+# ---------------------------------------------------------------------------
+
+def tableau_by_atom(f: CtlFormula, max_elementary: int) -> bool | None:
+    """Emerson & Halpern elimination over the ENF formula f, one atom at a
+    time: the reference the tableau's block-wise elimination is checked
+    against.  None above `max_elementary` elementary formulas (the
+    propositions, then each EX operand and each EU/EG node)."""
+    nodes = ctl.subterms(f)
+    temporal = (ExistsNext, ExistsUntil, ExistsGlobally)
+    props = [g for g in nodes if isinstance(g, Prop)]
+    nexts = list(dict.fromkeys(g.operand if isinstance(g, ExistsNext) else g
+                               for g in nodes if isinstance(g, temporal)))
+    elementary = len(props) + len(nexts)
+    if elementary > max_elementary:
+        return None
+    count = 1 << elementary
+    full = (1 << count) - 1
+    bit = [sum(1 << a for a in range(count) if a >> k & 1)
+           for k in range(elementary)]
+    next_bit = dict(zip(nexts, bit[len(props):]))
+    truth = dict(zip(props, bit))
+    until, globally = [], []
+    for g in nodes:
+        if isinstance(g, Const):
+            truth[g] = full if g.value else 0
+        elif isinstance(g, Not):
+            truth[g] = full ^ truth[g.operand]
+        elif isinstance(g, And):
+            truth[g] = truth[g.left] & truth[g.right]
+        elif isinstance(g, Or):
+            truth[g] = truth[g.left] | truth[g.right]
+        elif isinstance(g, ExistsNext):
+            truth[g] = next_bit[g.operand]
+        elif isinstance(g, ExistsUntil):
+            truth[g] = truth[g.right] | (truth[g.left] & next_bit[g])
+            until.append((truth[g], truth[g.left], truth[g.right]))
+        elif isinstance(g, ExistsGlobally):
+            truth[g] = truth[g.operand] & next_bit[g]
+            globally.append((truth[g], truth[g.operand]))
+
+    targets = [(k, truth[g]) for k, g in enumerate(nexts, len(props))]
+    allowed, demands = [], []
+    for a in range(count):
+        succ = full
+        for k, target in targets:
+            if not a >> k & 1:
+                succ &= ~target
+        allowed.append(succ)
+        demands.append([t for k, t in targets if a >> k & 1])
+
+    def members(mask: int) -> list[int]:
+        return [a for a in range(count) if mask >> a & 1]
+
+    def witnessed(a: int, inside: int) -> bool:
+        succ = allowed[a] & inside
+        return bool(succ) and all(succ & t for t in demands[a])
+
+    alive = full
+    while True:
+        keep = alive
+        for a in members(alive):
+            if not witnessed(a, alive):
+                keep &= ~(1 << a)
+        for holds, left, right in until:
+            reach = keep & right
+            grown = True
+            while grown:
+                grown = False
+                for a in members(keep & left & ~reach):
+                    if allowed[a] & reach:
+                        reach |= 1 << a
+                        grown = True
+            keep &= reach | ~holds
+        for holds, operand in globally:
+            escape = keep & ~operand
+            grown = True
+            while grown:
+                grown = False
+                for a in members(keep & ~holds & ~escape):
+                    if witnessed(a, escape):
+                        escape |= 1 << a
+                        grown = True
+            keep &= escape | holds
+        if keep == alive:
+            return bool(alive & truth[f])
+        alive = keep
+
+
+# ---------------------------------------------------------------------------
 # Solving one search instance
 # ---------------------------------------------------------------------------
 

@@ -85,10 +85,10 @@ class TestSynthesize:
         assert synth.synthesize(f, max_states=4).size == 4
 
     def test_above_the_cap_only_the_sweep_runs(self, monkeypatch):
-        def no_atoms(mask):
+        def no_atoms(width, targets, full):
             raise AssertionError("the tableau ran above its cap")
 
-        monkeypatch.setattr(tableau, "_members", no_atoms)
+        monkeypatch.setattr(tableau, "_blocks", no_atoms)
         chains = ctl.parse_ctl(" & ".join(
             "EX " * k + "p" for k in range(1, tableau.MAX_ELEMENTARY + 1)))
         assert tableau.satisfiable(chains) is None
@@ -424,32 +424,70 @@ class TestEncode:
             with pytest.raises(ctl.NotInEnf):
                 synth._encode(ctl.parse_ctl(text), 2, ("p", "q"))
 
+    @staticmethod
+    def literal(pool, g, s):
+        """Node g's literal at state s in the folded layout: a proposition
+        reads its `lab`, `!` negates its operand's literal, a constant
+        reads the one variable `true`, and every other node its h."""
+        sign = 1
+        while isinstance(g, Not):
+            g, sign = g.operand, -sign
+        if isinstance(g, Prop):
+            return sign * pool.get("lab", s, g.name)
+        if isinstance(g, ctl.Const):
+            return sign * (1 if g.value else -1) * pool.get("true")
+        return sign * pool.get("h", g, s)
+
     @pytest.mark.parametrize("text, at_s0, everywhere", [
-        ("p & EX q", ("p & EX q", "p", "EX q"), ("q",)),
-        ("!EX !p", ("!EX !p", "EX !p"), ("!p", "p")),
-        ("E[p U q] & q", ("E[p U q] & q", "E[p U q]"), ("p", "q")),
+        ("p & EX q", ("p & EX q", "EX q"), ()),
+        ("!EX !p", ("EX !p",), ()),
+        ("E[p U q] & q", ("E[p U q] & q", "E[p U q]"), ()),
+        ("EX (p & !q) & !EG (p | q)",
+         ("EX (p & !q) & !EG (p | q)", "EX (p & !q)", "EG (p | q)"),
+         ("p & !q", "p | q")),
+        ("EX true & !false", ("EX true & !false", "EX true"), ()),
     ])
     def test_h_exists_only_where_read(self, text, at_s0, everywhere):
-        """The root is read at s0, `!` and `&` read their operands where
-        they are read, and EX and EU at every state; an EU keeps its
-        approximants at every state.  At one state, the size the solver
-        takes over more than 16 propositions, every node has its h."""
+        """Only `&`, `|`, EX, EU and EG nodes have an h: a proposition
+        reads its `lab`, `!g` reads the negation of g's literal, and the
+        constants read one variable, fixed true by a unit clause.  The
+        root is read at s0, `!` and `&` read their operands where they
+        are read, and EX, EU and EG at every state; an EU or EG keeps
+        its approximants at every state.  At one state, the size the solver
+        takes over more than 16 propositions, every operator has its h.
+        The last clause asserts the root's literal at s0, and a `&`
+        read at +1 reads each operand's literal, `-h(g, s)` for `!g`."""
         f = ctl.parse_ctl(text)
         for m in (1, 3):
-            pool, _ = synth._encode(f, m, ("p", "q"))
+            pool, clauses = synth._encode(f, m, ("p", "q"))
             read: dict[ctl.CtlFormula, list[int]] = {}
-            steps = set()
+            steps, others = set(), []
             for key, _ in pool.semantic_items():
                 if key[0] == "h":
                     read.setdefault(key[1], []).append(key[2])
                 elif key[0] == "st":
                     steps.add(key[2])
+                elif key[0] not in ("t", "lab"):
+                    others.append(key)
             expected = {ctl.parse_ctl(g): [0] for g in at_s0}
             expected.update((ctl.parse_ctl(g), list(range(m)))
                             for g in everywhere)
             assert read == expected, m
-            until = any(isinstance(g, ExistsUntil) for g in ctl.subterms(f))
-            assert steps == (set(range(m)) if until and m > 2 else set())
+            fixpoint = any(isinstance(g, (ExistsUntil, ExistsGlobally))
+                           for g in ctl.subterms(f))
+            assert steps == (set(range(m)) if fixpoint and m > 2 else set())
+            constants = any(isinstance(g, ctl.Const)
+                            for g in ctl.subterms(f))
+            assert others == ([("true",)] if constants else [])
+            if constants:
+                assert (pool.get("true"),) in clauses
+            assert clauses[-1] == (self.literal(pool, f, 0),)
+            for g, states in read.items():
+                if isinstance(g, And):
+                    for s in states:
+                        for child in ctl.children(g):
+                            assert (-pool.get("h", g, s),
+                                    self.literal(pool, child, s)) in clauses
 
     def pinned_model(self, struct, f):
         """Solve the synthesis instance of `f` with t/lab fixed to `struct`
@@ -473,9 +511,10 @@ class TestEncode:
         (polarity 0), so with t/lab pinned every h and st variable of f
         equals its approximant.  Instanced alone, f is read at +1: the
         instance is SAT exactly when f holds at s0, and a true variable
-        implies its approximant, a one-sided bound.  Either way the root f
-        has its h at s0 only, its approximants at every state, and its
-        operand, read through the successors, an h at every state.  With
+        implies its approximant, a one-sided bound.  Either way f has its
+        h at s0 only and its approximants at every state, while its
+        proposition operands, read through the successors, have no h:
+        approximant 1 is their `lab`, and `!f` reads `-h(f, s0)`.  With
         random ENF targets, the pinned instance is SAT exactly when the
         target holds at s0."""
         rng = random.Random(606)
@@ -493,9 +532,9 @@ class TestEncode:
                     continue
                 one_sided += not exact
 
-                def agrees(var, truth, exact=exact, model=model):
-                    return model[var] == truth if exact else (
-                        truth or not model[var])
+                def agrees(lit, truth, exact=exact, model=model):
+                    value = model[abs(lit)] == (lit > 0)
+                    return value == truth if exact else truth or not value
 
                 phi_set = helpers.naive_sat(struct, phi)
                 psi_set = helpers.naive_sat(struct, psi)
@@ -508,7 +547,7 @@ class TestEncode:
                         expected = helpers.eg_prefix(struct, phi_set, k)
                     for s in range(struct.size):
                         homes = helpers.approximant_vars(
-                            k, struct.size, pool.get("h", operand, s),
+                            k, struct.size, self.literal(pool, operand, s),
                             lambda j: pool.get("st", f, s, j),
                             pool.get("h", f, 0) if s == 0 else None)
                         for var in homes:
@@ -517,11 +556,11 @@ class TestEncode:
                 h = {key[1:]: var for key, var in pool.semantic_items()
                      if key[0] == "h"}
                 assert [s for g, s in h if g == f] == [0]
-                for sub in ctl.children(f):
-                    assert [s for g, s in h if g == sub] == list(
-                        range(struct.size))
+                assert [g for g, _ in h if g != f and g != target] == []
                 for (sub, s), var in h.items():
                     assert agrees(var, s in helpers.naive_sat(struct, sub))
+                if exact:
+                    assert agrees(self.literal(pool, Not(f), 0), not holds)
         assert one_sided > 10
         for _ in range(60):
             struct = helpers.random_kripke(rng, max_states=3)

@@ -150,6 +150,44 @@ def test_constants_match_their_tautologies():
     assert with_constants > 40
 
 
+def test_blocks_match_the_per_atom_elimination():
+    """Eliminating atoms a whole EX part at a time gives the verdicts of
+    eliminating them one by one (`helpers.tableau_by_atom`), None
+    included, on random targets over three propositions with constants,
+    from one elementary formula to past the cap."""
+    rng = random.Random(814)
+    verdicts, sizes, constants = set(), set(), 0
+    for _ in range(1000):
+        f = ctl.enf(helpers.random_ctl(rng, ("p", "q", "r"),
+                                       rng.choice([2, 3, 4, 5, 6])))
+        props, nexts = tableau._elementary(ctl.subterms(f))
+        sizes.add(len(props) + len(nexts))
+        constants += any(isinstance(g, ctl.Const) for g in ctl.subterms(f))
+        verdict = tableau.satisfiable(f)
+        assert verdict is helpers.tableau_by_atom(
+            f, tableau.MAX_ELEMENTARY), ctl.print_ctl(f)
+        verdicts.add(verdict)
+    assert verdicts == {True, False, None}
+    assert set(range(tableau.MAX_ELEMENTARY + 2)) <= sizes
+    assert constants > 200
+    # Only f-atoms extend an E[f U g] path: here every atom with a
+    # q-successor lies outside p.
+    f = enf("!q & E[p U q] & AG (p -> AX !q)")
+    assert tableau.satisfiable(f) is helpers.tableau_by_atom(
+        f, tableau.MAX_ELEMENTARY) is False
+
+
+def test_refutes_at_its_cap_over_many_propositions():
+    """Ten propositions and two EX parts: 12 elementary formulas, the
+    cap, in 4 blocks of 1,024 atoms."""
+    f = enf(" & ".join(f"p{i}" for i in range(10))
+            + " & EG p0 & !E[p1 U p0]")
+    props, nexts = tableau._elementary(ctl.subterms(f))
+    assert (len(props), len(nexts)) == (10, 2)
+    assert tableau.satisfiable(f) is False
+    assert helpers.tableau_by_atom(f, tableau.MAX_ELEMENTARY) is False
+
+
 def test_rejects_sugar():
     with pytest.raises(ctl.NotInEnf):
         tableau.satisfiable(ctl.parse_ctl("AX p"))
