@@ -53,10 +53,10 @@ formula implies none of them: it could only ever be a case 3, and it
 never strictly implies the answer.  Each budget's clause set only
 grows, so the learner's floor argument holds.
 A candidate pruned this way costs no iteration, no learner solve and no
-`synth.implies` call, and adds no negative structure, only clauses on
-its host structure (`encoder.add_rooted`).  Each trace entry records the
-rooted negatives its iteration added, and `verify_solution` checks that
-the result fails at every one of them.
+`synth.implies` call, and adds no negative structure, only one unit
+clause (`encoder.add_rooted`).  Each trace entry records the rooted
+negatives its iteration added, and `verify_solution` checks that the
+result fails at every one of them.
 
 The learner returns only formulas of size <= bound, and a candidate
 proposed twice raises `CegError`, so each iteration takes a new formula

@@ -259,18 +259,7 @@ def size(f: CtlFormula) -> int:
 
 def propositions(f: CtlFormula) -> frozenset[str]:
     """The proposition names in `f`, visiting each DAG node once."""
-    names: set[str] = set()
-    seen = {f}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Prop):
-            names.add(g.name)
-        for h in children(g):
-            if h not in seen:
-                seen.add(h)
-                stack.append(h)
-    return frozenset(names)
+    return frozenset(g.name for g in subterms(f) if isinstance(g, Prop))
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +275,19 @@ def propositions(f: CtlFormula) -> frozenset[str]:
 #            | atom
 #   atom    := 'true' | 'false' | name | '(' formula ')'
 #
-# Every walk of a formula but `subterms`, `propositions` and `is_enf`
-# (this parser, `enf`, `print_ctl`, `checker.evaluate`) recurses once per
-# level, so `parse_ctl` refuses more than `MAX_NESTING` prefix operators,
-# until brackets and parentheses around one token, or operators on one
-# root-to-leaf path.  The deepest walks are this parser, four frames a
-# nesting level (`formula`, `or_expr`, `and_expr`, `unary`), and
-# `checker.evaluate` over the ENF, one frame a node, where ENF puts up to
-# five nodes above each f of `A[f U g]`.  On `synth` of `p & EX !p & `
-# and `A[p U ` nested 63 deep, both peak at 261 frames in all on
-# CPython 3.11 (the evaluation counting its leaf callback); nested 64
-# deep on the left instead, `A[A[... U p] U p]`, the evaluation peaks at
-# 324.  Python's default recursion limit is 1000.
+# Every walk of a formula but `subterms`, which `is_enf` and
+# `propositions` read (this parser, `enf`, `print_ctl`,
+# `checker.evaluate`), recurses once per level, so `parse_ctl` refuses
+# more than `MAX_NESTING` prefix operators, until brackets and
+# parentheses around one token, or operators on one root-to-leaf path.
+# The deepest walks are this parser, four frames a nesting level
+# (`formula`, `or_expr`, `and_expr`, `unary`), and `checker.evaluate`
+# over the ENF, one frame a node, where ENF puts up to five nodes above
+# each f of `A[f U g]`.  On `synth` of `p & EX !p & ` and `A[p U `
+# nested 63 deep, both peak at 261 frames in all on CPython 3.11 (the
+# evaluation counting its leaf callback); nested 64 deep on the left
+# instead, `A[A[... U p] U p]`, the evaluation peaks at 324.  Python's
+# default recursion limit is 1000.
 
 MAX_NESTING = 64
 

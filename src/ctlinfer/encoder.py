@@ -13,8 +13,7 @@ together with their evaluation on every structure of the sample:
   every node i >= 2 (exactly one each, even where the arity ignores them);
 * use variables `u(i, j)` with i < j say that node j reads node i;
 * evaluation variables `y(m, i, s)` say that state s of structure m
-  satisfies the subformula rooted at node i; the root's exist at the
-  initial states only;
+  satisfies the subformula rooted at node i;
 * step variables `ys(m, i, s, k)` with k in 2..|S|-1 are the inner
   approximants of the EU/EG fixed points of the operator nodes i >= 2,
   which `lower_node` unrolls to |S| approximants, the first read from
@@ -50,25 +49,24 @@ instance admits the same DAGs with fewer variables and clauses.
 Semantic constraints are equivalences guarded by the label choice over
 the operand values, and the operand values are tied to the children by
 equivalences guarded by the child choice; so once the x/l/r variables
-are fixed all L/R/y/ys values below the root are forced.  The label part
-comes from `lower_node`, the single home of the EX/EU/EG step semantics,
-which bounded synthesis (`synth`) also lowers its symbolic structures
-with.  Consistency requires the root to hold in every initial state of
-the positive structures and to fail in some initial state of each
-negative one.  That clause is the root's only reader, so the root is
-lowered one-sided, in the polarity-based clause form of Plaisted &
-Greenbaum (1986), by the same routines for a structure
-(`build_semantic`) and for a rooted negative, a state at which the root
-must fail (`add_rooted`).
+are fixed all L/R/y/ys values are forced, but a negative's root.  The
+label part comes from `lower_node`, the single home of the EX/EU/EG
+step semantics, which bounded synthesis (`synth`) also lowers its
+symbolic structures with.  Consistency requires the root to hold in
+every initial state of the positive structures and to fail in some
+initial state of each negative one.  A rooted negative, a state at
+which the root must fail, is one unit clause on the root's `y` there
+(`add_rooted`).  So nothing reads a negative's root true, and its root
+is lowered one-sided, in the polarity-based clause form of Plaisted &
+Greenbaum (1986).
 
 Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
-was added, which is its index m, its y (the root's at its initial states
-only), then its ys, then its L/R variables; a rooted negative's root `y`
-comes after every variable allocated before it.  Every instance owns
-the solver its clauses go to (`EncodingInstance.backend`), and each
-clause group is loaded into it as soon as it is built: `build_instance`
-is the structural and normal-form clauses (`load_backend`), then
+was added, which is its index m, its y, then its ys, then its L/R
+variables.  Every instance owns the solver its clauses go to
+(`EncodingInstance.backend`), and each clause group is loaded into it
+as soon as it is built: `build_instance` is the structural and
+normal-form clauses (`load_backend`), then
 `add_structure` once per positive and negative, then `add_rooted` once
 per rooted negative.  Appending to a built instance (the learner's
 persistent search) goes the same way, renumbers nothing, and leaves
@@ -106,40 +104,35 @@ class VarPool:
     """Interns tuple keys as contiguous variable indices starting at 1.
 
     Auxiliary variables (`fresh`) are always numbered above the semantic
-    variables allocated before them.
+    variables allocated before them, and never enter the key table, which
+    so lists the semantic variables in index order.
     """
 
     def __init__(self) -> None:
         self._index: dict[tuple, int] = {}
-        self._keys: list[tuple | None] = []
+        self.count = 0
 
     def var(self, *key) -> int:
         got = self._index.get(key)
         if got is None:
-            self._keys.append(key)
-            got = len(self._keys)
-            self._index[key] = got
+            self.count += 1
+            got = self._index[key] = self.count
         return got
 
     def get(self, *key) -> int:
         return self._index[key]
 
     def fresh(self) -> int:
-        self._keys.append(None)
-        return len(self._keys)
-
-    @property
-    def count(self) -> int:
-        return len(self._keys)
+        self.count += 1
+        return self.count
 
     def semantic_items(self) -> Iterable[tuple[tuple, int]]:
-        return ((key, i + 1) for i, key in enumerate(self._keys)
-                if key is not None)
+        return self._index.items()
 
 
 class EncodingInstance:
     __slots__ = ("size_budget", "alphabet", "pool", "clauses", "backend",
-                 "structures", "sides")
+                 "structures", "negatives")
 
     def __init__(self, size_budget: int, alphabet: tuple[str, ...],
                  pool: VarPool, clauses: list[Clause] | None = None) -> None:
@@ -148,10 +141,10 @@ class EncodingInstance:
         self.pool = pool
         self.clauses = [] if clauses is None else clauses
         self.backend: CdclSolver | None = None  # attached by `load_backend`
-        # The structures in the order added (their index m) and the side
-        # their root's approximants have (a `lower_node` polarity).
+        # The structures in the order added (their index m), and how many
+        # of them are negatives.
         self.structures: tuple[KripkeStructure, ...] = ()
-        self.sides: list[int] = []
+        self.negatives = 0
 
     @property
     def num_vars(self) -> int:
@@ -481,7 +474,7 @@ def _placements(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
 def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
                left: StateLit, right: StateLit, step: StepLit,
                successors: Successors, depth: int, guards: Sequence[int] = (),
-               polarity: int = 0, inner: bool = True) -> None:
+               polarity: int = 0) -> None:
     """Append an operator node's semantics at state s.
 
     The single CNF lowering of the CTL step semantics, for formula search
@@ -494,9 +487,7 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
     step is written into `out`.  At depth 0, `out <-> base`.  An `out`
     of None says the node has no variable at s: only the inner EU/EG
     groups, those writing X_2 .. X_depth, are lowered, for the states
-    whose `out` reads them.  With `inner` False only the group writing
-    `out` is lowered, for a caller that lowered the inner ones at s
-    before (`add_rooted`).
+    whose `out` reads them.
 
     `polarity` is that of the `sat.equiv_*` shapes, and every group
     takes it: +1 lowers out -> definition and X_k -> its step, -1 the
@@ -537,8 +528,7 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
         if depth == 0:
             clauses.extend(sat.equiv_lit(out, base(s), guards, polarity))
         cond = left(s)
-        first = 1 if inner else max(depth, 1)
-        for k in range(first, depth + 1 if out is not None else depth):
+        for k in range(1, depth + 1 if out is not None else depth):
             approx = base if k == 1 else lambda t, k=k: step(t, k)
             reached = successors(s, approx)
             target = out if k == depth else step(s, k + 1)
@@ -550,54 +540,8 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
                     target, cond, reached, guards, polarity))
 
 
-def _successors(struct: KripkeStructure) -> Successors:
-    """The `successors` argument of `lower_node` on a known structure."""
-    post = [sorted(succ) for succ in struct.successors]
-
-    def successors(s: int, lit: StateLit) -> list[int]:
-        return [lit(t) for t in post[s]]
-
-    return successors
-
-
-def _lower_propositions(clauses: list[Clause], pool: VarPool, i: int,
-                        domain: Sequence[str], labels: Sequence[frozenset],
-                        out: Sequence[int | None], states: Iterable[int],
-                        sign: int) -> None:
-    """Append the proposition labels of node i's `domain` at each state s
-    of `states` where the node has a variable `out[s]`, given the state's
-    `labels[s]`, on the side the polarity `sign` keeps (`lower_node`)."""
-    for p in domain:
-        if p in OPERATOR_LABELS:
-            break  # the propositions come first
-        guard = pool.var("x", i, p)
-        for s in states:
-            if out[s] is None:
-                continue
-            lit = out[s] if p in labels[s] else -out[s]
-            if lit * sign <= 0:  # the side the polarity keeps
-                clauses.append((-guard, lit))
-
-
-def _lower_operators(clauses: list[Clause], pool: VarPool, i: int,
-                     domain: Sequence[str], out: Sequence[int | None],
-                     states: Iterable[int], left: StateLit, right: StateLit,
-                     step: StepLit, successors: Successors,
-                     depth: int, sign: int, inner: bool = True) -> None:
-    """Append node i's operator labels through `lower_node` at each of
-    `states`, at polarity `sign` and guarded by the label alone: the group
-    writing a variable `out[s]`, and the inner EU/EG groups when `inner`."""
-    lowered = [(label, (pool.var("x", i, label),)) for label in domain
-               if label in OPERATOR_LABELS]
-    for s in states:
-        target = out[s]
-        for label, guards in lowered:
-            lower_node(clauses, label, s, target, left, right, step,
-                       successors, depth, guards, sign, inner)
-
-
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
-                   polarity: int = 0) -> list[Clause]:
+                   negative: bool = False) -> list[Clause]:
     """Guarded evaluation equivalences of structure number m for every
     node, label of the node's `label_domain`, and state.
 
@@ -618,30 +562,16 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     and the child choices it reads.  Node 2 only takes `!`, `EX` and
     `EG`, whose lowerings read no `right`.
 
-    A nonzero `polarity` lowers the root, node n, one-sided, with the
-    polarity of `lower_node`: +1 for a positive structure, whose
-    consistency clause reads the root's `y` true, -1 for a negative one,
-    which reads it false.  The root's `y` then exists at the initial
-    states only, the only ones that clause reads; at every other state
-    only the inner EU/EG groups are lowered, which the initial states'
-    lowerings read through their successors.  At budget 1 the root is a
-    proposition, and its clauses at the initial states keep one side too.
-    Every other node keeps both sides at every state: `!` can read it,
-    so the sign its readers read it in is unknown.  Soundness: no node
-    reads the root, and `lower_node` writes `out` and never reads it, so
-    the other nodes' values are still forced by the x/l/r variables.  At
-    +1 a true root `y` implies the root formula holds at that state, and
-    at -1 a false one implies it fails (`lower_node`); the true values
-    satisfy either side.  So the models projected on x/l/r/u are
-    unchanged, each budget admits the same DAGs, and the floor,
-    minimality and language-minimality arguments of the learner stand.
-    Polarity 0, the default, lowers every node two-sided at every state.
+    Every node is lowered two-sided at every state, so the x/l/r
+    variables force every `y`, except the root of a `negative`, node n,
+    which is lowered at polarity -1 (`lower_node`): nothing reads a
+    negative's root `y` true, and a false one implies that the root
+    formula fails at that state.
     """
     size = struct.size
     states = range(size)
-    y = [[]] + [[pool.var("y", m, i, s)
-                 if i < n or not polarity or s in struct.initial else None
-                 for s in states] for i in range(1, n + 1)]
+    y = [[]] + [[pool.var("y", m, i, s) for s in states]
+                for i in range(1, n + 1)]
     steps = [[], []] + [[[pool.var("ys", m, i, s, k) for k in range(2, size)]
                          for s in states] for i in range(2, n + 1)]
     left: list[list[int]] = [[] for _ in range(n + 1)]
@@ -651,14 +581,22 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
             left[i].append(pool.var("L", m, i, s))
             if i > 2:  # node 2 takes no binary label, so reads no right
                 right[i].append(pool.var("R", m, i, s))
-    successors = _successors(struct)
+    post = [sorted(succ) for succ in struct.successors]
+    successors = lambda s, lit: [lit(t) for t in post[s]]
     clauses: list[Clause] = []
     for i in range(1, n + 1):
         out = y[i]
-        sign = polarity if i == n else 0
+        sign = -1 if negative and i == n else 0
         domain = label_domain(n, i, struct.alphabet)
-        _lower_propositions(clauses, pool, i, domain, struct.labels, out,
-                            states, sign)
+        for p in domain:
+            if p in OPERATOR_LABELS:
+                break  # the propositions come first
+            guard = pool.var("x", i, p)
+            for s in states:
+                if p in struct.labels[s]:
+                    clauses.append((-guard, out[s]))
+                elif not sign:
+                    clauses.append((-guard, -out[s]))
         if i == 1:
             continue  # node 1 is structurally a proposition
         left_i, right_i, steps_i = left[i], right[i], steps[i]
@@ -670,10 +608,14 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
                 if i > 2:
                     clauses.extend(sat.equiv_lit(right_i[s], child[s],
                                                  (chose_r,)))
-        _lower_operators(clauses, pool, i, domain, out, states,
-                         left_i.__getitem__, right_i.__getitem__,
-                         lambda t, k, steps_i=steps_i: steps_i[t][k - 2],
-                         successors, size - 1, sign)
+        lowered = [(label, (pool.var("x", i, label),)) for label in domain
+                   if label in OPERATOR_LABELS]
+        step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
+        for s in states:
+            for label, guards in lowered:
+                lower_node(clauses, label, s, out[s], left_i.__getitem__,
+                           right_i.__getitem__, step, successors, size - 1,
+                           guards, sign)
     return clauses
 
 
@@ -690,79 +632,39 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
 
     Its clauses are one consistency clause, first: the root holds on
     every initial state of a positive, and fails on some initial state of
-    a negative; then `build_semantic` at the side that clause reads the
-    root in (+1 or -1), which the instance records (`instance.sides`).
-    The solver strips the root literals the consistency clause fixes from
-    the one-sided clauses after it.  A negative with one initial state s0
-    asks what the rooted negative (m, s0) would, but is not recorded as
-    one: the encoder keeps no record of rooted negatives, and no caller
-    hands over a negative's initial state (`ceg._root_failures`).
+    a negative; then `build_semantic`.  The solver drops the clauses
+    after it that the root literals it fixes satisfy.  A negative with
+    one initial state s0 asks what the rooted negative (m, s0) would, but
+    is not recorded as one: the encoder keeps no record of rooted
+    negatives, and no caller hands over a negative's initial state
+    (`ceg._root_failures`).
     """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
     pool, n = instance.pool, instance.size_budget
     m = len(instance.structures)
-    side = -1 if negative else 1
-    semantic = build_semantic(pool, n, m, struct, side)
+    semantic = build_semantic(pool, n, m, struct, negative)
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
         clauses = [tuple(-lit for lit in roots)]
     else:
         clauses = [(lit,) for lit in roots]
     instance.structures += (struct,)
-    instance.sides.append(side)
+    instance.negatives += negative
     _load(instance, clauses + semantic)
 
 
 def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     """Append and load a rooted negative: the root fails at state s of
-    structure number m.  Every call emits its clauses: the search removes
-    duplicates, handing each instance each pair once
-    (`learner.CandidateSearch.add_rooted`).
+    structure number m, the unit clause -y(m, n, s).
 
-    Its clauses are the unit clause -y(m, n, s), first, so that the
-    solver strips y from the clauses after it; then the root's -1 side at
-    s, if it is missing.  The root has a `y` only at the initial states
-    (`build_semantic`) and at earlier rooted negatives.  At an initial
-    state a negative's `y` has the -1 side already, and a positive's is
-    fixed true by its consistency clause, which the unit clause
-    contradicts, as it should.  Anywhere else the `y` is new, and the
-    root's labels are lowered into it at s at polarity -1, as
-    `build_semantic` lowers them: a false y(m, n, s) then implies that
-    the root formula fails at s.  Their EU/EG groups read the root's
-    approximants on the -1 side, which a negative's have at every state;
-    a positive's have only the +1 side (`instance.sides`) until its first
-    such lowering adds the other, at every state.
-
-    Soundness: the clauses read the x/l/r variables and the operand
-    values of the root at s, which those variables force, and the root's
-    approximants, which the true evaluation satisfies on either side.  So
-    the DAGs admitted after the append are exactly those admitted before
-    whose root formula fails at s.  No clause reads y(m, n, s) but these,
-    and a pair handed once emits no clause of the instance again, unless
-    it is a negative's only initial state, whose unit clause is that
-    negative's consistency clause.
+    Soundness: a positive's root `y` is forced by the x/l/r variables,
+    like any other node's.  On a negative, a false `y` implies that the
+    root formula fails at s (`build_semantic`), and no clause reads the
+    `y` true.  So the DAGs admitted after the append are exactly those
+    admitted before whose root formula fails at s.
     """
-    pool, n = instance.pool, instance.size_budget
-    struct = instance.structures[m]
-    allocated = pool.count
-    root = pool.var("y", m, n, s)
-    clauses: list[Clause] = [(-root,)]
-    if pool.count > allocated:  # a new `y`, so without its -1 side
-        inner = instance.sides[m] > 0
-        instance.sides[m] = min(instance.sides[m], 0)
-        out: list[int | None] = [None] * struct.size
-        out[s] = root
-        domain = label_domain(n, n, struct.alphabet)
-        _lower_propositions(clauses, pool, n, domain, struct.labels, out,
-                            (s,), -1)
-        _lower_operators(clauses, pool, n, domain, out,
-                         range(struct.size) if inner else (s,),
-                         lambda t: pool.get("L", m, n, t),
-                         lambda t: pool.get("R", m, n, t),
-                         lambda t, k: pool.get("ys", m, n, t, k),
-                         _successors(struct), struct.size - 1, -1, inner)
-    _load(instance, clauses)
+    _load(instance, [(-instance.pool.get("y", m, instance.size_budget, s),)])
 
 
 def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
@@ -845,7 +747,7 @@ def decode_with_literals(assignment: Mapping[int, bool],
 
 
 def to_dimacs(instance: EncodingInstance) -> str:
-    negatives = instance.sides.count(-1)
+    negatives = instance.negatives
     comments = [f"size budget {instance.size_budget}, "
                 f"{len(instance.structures) - negatives} positive / "
                 f"{negatives} negative structures"]

@@ -182,7 +182,7 @@ class CandidateSearch:
     The search is the one record of rooted negatives: `rooted` keeps each
     (structure number, state) pair once, in the order added, and
     `add_rooted` ignores a pair it holds, so each instance is handed each
-    pair once; the encoder emits whatever it is handed.
+    pair once, as the one unit clause the encoder emits for it.
     """
 
     def __init__(self, sample: Sample, bound: int, seed: int | None = None):

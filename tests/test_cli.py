@@ -145,17 +145,17 @@ class TestLearn:
         runs = [
             (["--pos", "two_state_pq.kripke", "chain3.kripke",
               "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
-             ["budget 1: UNSAT (vars=5, clauses=8)",
-              "budget 2: UNSAT (vars=28, clauses=60)",
-              "budget 3: SAT (vars=65, clauses=248)",
+             ["budget 1: UNSAT (vars=9, clauses=17)",
+              "budget 2: UNSAT (vars=32, clauses=93)",
+              "budget 3: SAT (vars=69, clauses=332)",
               "size: 3", "result: EX EX q"]),
             (["--pos", "diamond.kripke", "--neg", "branching.kripke",
               "--max-size", "4", "--seed", "0"],
-             ["budget 1: UNSAT (vars=4, clauses=6)",
-              "budget 2: UNSAT (vars=35, clauses=71)",
-              "budget 3: UNSAT (vars=80, clauses=303)",
-              "budget 4: SAT (vars=127, clauses=720)",
-              "size: 4", "result: !EG !p"]),
+             ["budget 1: UNSAT (vars=9, clauses=14)",
+              "budget 2: UNSAT (vars=40, clauses=113)",
+              "budget 3: UNSAT (vars=85, clauses=409)",
+              "budget 4: SAT (vars=132, clauses=826)",
+              "size: 4", "result: !EG !q"]),
         ]
         for args, expected in runs:
             argv = [str(FIX / a) if a.endswith(".kripke") else a

@@ -41,6 +41,23 @@ class TestVarPool:
         assert aux == 2
         assert dict(pool.semantic_items()) == {("x", 1, "p"): 1}
 
+    def test_semantic_items_are_in_index_order(self):
+        """With fresh variables interleaved, the semantic keys come in
+        index order and skip the fresh ones, as the `cnf-dump` comment
+        header lists them."""
+        pool = VarPool()
+        keys = [("x", i) for i in range(6)]
+        fresh = []
+        for k, key in enumerate(keys):
+            pool.var(*key)
+            if k % 2:
+                fresh.append(pool.fresh())
+        pool.var(*keys[0])
+        items = list(pool.semantic_items())
+        assert [key for key, _ in items] == keys
+        assert [idx for _, idx in items] == sorted(
+            set(range(1, pool.count + 1)) - set(fresh))
+
 
 class TestBuildInstance:
     def test_var_layout(self):
@@ -52,27 +69,18 @@ class TestBuildInstance:
         assert pool.get("l", 3, 1) != pool.get("r", 3, 1)
         # The use variables come before the first structure's.
         assert pool.get("u", 2, 3) < pool.get("y", 0, 1, 0)
-        # y exists for every node below the root at every state, and for
-        # the root, read only by the consistency clause, at the initial
-        # state s0 only; ys only for the operator nodes (not node 1,
-        # always a proposition) and the inner approximants k in
-        # 2..|S|-1: none on two states, k = 2 on three.
+        # y exists for every node, the root included, at every state; ys
+        # only for the operator nodes (not node 1, always a proposition)
+        # and the inner approximants k in 2..|S|-1: none on two states,
+        # k = 2 on three.
         for i in (1, 2, 3):
             for s in (0, 1):
-                if i < 3 or s == 0:
-                    pool.get("y", 0, i, s)
-                else:
-                    with pytest.raises(KeyError):
-                        pool.get("y", 0, i, s)
+                pool.get("y", 0, i, s)
                 for k in (1, 2, 3):
                     with pytest.raises(KeyError):
                         pool.get("ys", 0, i, s, k)
             for s in (0, 1, 2):
-                if i < 3 or s == 0:
-                    pool.get("y", 1, i, s)
-                else:
-                    with pytest.raises(KeyError):
-                        pool.get("y", 1, i, s)
+                pool.get("y", 1, i, s)
                 for k in (1, 2, 3, 4):
                     if i == 1 or k != 2:
                         with pytest.raises(KeyError):
@@ -82,7 +90,7 @@ class TestBuildInstance:
         # The operand values L/R of the operator nodes come after the
         # structure's y and ys and before the next structure's first y;
         # node 2 takes no binary label, so it has no R.
-        last_y = pool.get("y", 0, 3, 0)
+        last_y = pool.get("y", 0, 3, 1)
         last_ys = max(pool.get("ys", 1, i, s, 2) for i in (2, 3)
                       for s in (0, 1, 2))
         for kind in ("L", "R"):
@@ -143,7 +151,7 @@ class TestClauseStream:
     """`build_instance` and `add_structure` load exactly the clause stream
     built without a solver: the structural clauses, the normal form, then
     for each structure its consistency clause followed by
-    `build_semantic` with the structure's side."""
+    `build_semantic` with the structure's sign."""
 
     SAMPLES = [
         (["two_state_pq.kripke", "chain3.kripke"], ["cycle2.kripke"],
@@ -159,9 +167,9 @@ class TestClauseStream:
     @staticmethod
     def structure_stream(pool, n, m, struct, negative):
         """The consistency clause of structure m, then `build_semantic`
-        with the root's polarity that clause reads it in."""
+        of the structure's sign."""
         clauses = encoder.build_semantic(pool, n, m, struct,
-                                         -1 if negative else 1)
+                                         negative=negative)
         roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
         if negative:
             return [tuple(-lit for lit in roots)] + clauses
@@ -442,8 +450,8 @@ class TestOneSidedRoot:
         whose negatives have several initial states, blocking enumeration
         at budgets 1-3 decodes exactly the admitted formulas of the
         budget's size that the naive checker finds consistent, and the
-        same set as the two-sided stream (`build_semantic` without a
-        side, then the consistency clauses)."""
+        same set as the two-sided stream (`build_semantic` by default,
+        then the consistency clauses)."""
         rng = random.Random(507)
         alphabet = ("p", "q")
         formulas = helpers._enf_formulas(alphabet, 3)
@@ -491,9 +499,8 @@ class TestRootedNegatives:
         size that the naive checker finds consistent and false at every
         rooted state.  That holds with the rooted negatives built into the
         instance and appended to its solver after a solve, and both paths
-        load the same clauses, none of them twice except the unit clause
-        at a negative's only initial state, which is its consistency
-        clause."""
+        load the same clauses: each rooted negative the one unit clause
+        -y(m, n, s)."""
         rng = random.Random(3102)
         alphabet = ("p", "q")
         formulas = helpers._enf_formulas(alphabet, 3)
@@ -511,8 +518,6 @@ class TestRootedNegatives:
             if neg:
                 rooted.append((1, rng.randrange(neg[0].size)))
             rooted = list(dict.fromkeys(rooted))
-            own = {(1, s) for s in neg[0].initial
-                   if len(neg[0].initial) == 1} if neg else set()
             for n in (1, 2, 3):
                 expected = {
                     f for f in formulas if ctl.size(f) == n
@@ -527,10 +532,8 @@ class TestRootedNegatives:
                 for m, s in rooted:
                     before = len(appended.clauses)
                     encoder.add_rooted(appended, m, s)
-                    added = appended.clauses[before:]
-                    assert len(set(added)) == len(added)
-                    repeated = set(added) & set(appended.clauses[:before])
-                    assert len(repeated) == ((m, s) in own)
+                    assert appended.clauses[before:] == [
+                        (-appended.pool.get("y", m, n, s),)]
                 assert built.clauses == appended.clauses
                 for instance in (built, appended):
                     assert blocked_formulas(instance.backend,

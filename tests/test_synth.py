@@ -185,7 +185,7 @@ class TestOneState:
         assert cases
         monkeypatch.setattr(CdclSolver, "solve", forbidden)
         monkeypatch.setattr(tableau, "satisfiable", forbidden)
-        monkeypatch.setattr(ctl, "subterms", forbidden)
+        monkeypatch.setattr(synth, "_encode", forbidden)
         for f in cases:
             m = synth.synthesize(f, max_states=3, alphabet=alphabet)
             assert m is not None and m.size == 1, ctl.print_ctl(f)
