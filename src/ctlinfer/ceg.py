@@ -260,8 +260,7 @@ def _root_failures(search: learner.CandidateSearch, first: int,
             continue
         for s in range(struct.size):
             if (s not in sat and s not in struct.initial
-                    and (m, s) not in search.rooted):
-                search.add_rooted(m, s)
+                    and search.add_rooted(m, s)):
                 added.append((m, s))
     return tuple(added)
 

@@ -116,9 +116,6 @@ def _state_set(m: kripke.KripkeStructure, states: frozenset[int]) -> str:
 def _cmd_check(args: argparse.Namespace) -> int:
     m = _load_structure(args.model)
     f = ctl.parse_ctl(args.formula)
-    for name in sorted(ctl.propositions(f)):
-        if name not in m.alphabet:
-            raise kripke.UnknownProposition(name)
     if args.sets:
         table = checker.sat_set_table(m, ctl.enf(f))
         for sub, states in table.items():

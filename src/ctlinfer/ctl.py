@@ -57,8 +57,9 @@ class NotInEnf(CtlError):
 
 class FrozenRecord:
     """An immutable, slotted record whose fields are its `__match_args__`,
-    set once by `__init__` (a formula's `__new__`) through
-    `object.__setattr__`.
+    set once, in that order, by `_fill`, the one place that writes them:
+    a record's `__init__` calls it, and so does `CtlFormula.__new__` for
+    a new formula node.
 
     Assigning or deleting any attribute raises `FrozenInstanceError`, and
     copies and pickles call the class on the fields, which for a formula
@@ -70,6 +71,14 @@ class FrozenRecord:
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def _fill(self, *values: object) -> None:
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     # `dataclasses` is imported only here: it imports `inspect`, which
     # would more than double the package's import time.
@@ -107,12 +116,15 @@ class CtlFormula(FrozenRecord):
     Nodes come in four shapes, each a `FrozenRecord`: `Prop` (a name),
     `Const` (a truth value), `_Unary` (`operand`) and `_Binary` (`left`,
     `right`).  The twelve operator classes are empty subclasses of the
-    last two, so they share their shape's methods.
+    last two.  A shape declares only its fields; every node is built by
+    the one constructor below, which takes the fields positionally.
 
     Nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
-    hash-consing", 2006): each shape's `__new__` looks up its class and
-    field tuple in `_NODES` and builds a node only on a miss, so each
-    distinct formula is built once and lives as long as the process.
+    hash-consing", 2006): `__new__` looks up the class and field tuple
+    in `_NODES` and builds a node only on a miss, so each distinct
+    formula is built once and lives as long as the process.  A new node
+    is checked (`_check`) before it is inserted, and a wrong number of
+    fields raises `TypeError`; either way nothing is stored.
     By induction on height, structurally equal formulas are the same
     object: equal leaves have one key, and equal operator nodes have
     one class and equal children, which are identical by induction, so
@@ -125,6 +137,19 @@ class CtlFormula(FrozenRecord):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
+    def __new__(cls, *fields: object) -> CtlFormula:
+        node = _NODES.get(key := (cls,) + fields)
+        if node is None:
+            node = _new(cls)
+            node._fill(*fields)
+            node._check()
+            node = _NODES.setdefault(key, node)
+        return node
+
+    def _check(self) -> None:
+        """Refuse a new node whose fields are invalid; the default
+        accepts every node."""
+
     def __str__(self) -> str:
         return print_ctl(self)
 
@@ -134,38 +159,24 @@ class CtlFormula(FrozenRecord):
 # get one node.
 _NODES: dict[tuple, CtlFormula] = {}
 
-# Allocate a formula node and set its fields; module globals, which
-# Python looks up faster than `object` and then its attribute.
+# Allocate a formula node; a module global, which Python looks up faster
+# than `object` and then its attribute.
 _new = object.__new__
-_setattr = object.__setattr__
 
 
 class Prop(CtlFormula):
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
+    __slots__ = __match_args__ = ("name",)
 
-    def __new__(cls, name: str) -> Prop:
-        node = _NODES.get(key := (cls, name))
-        if node is None:
-            if not _IDENT_RE.match(name):
-                raise CtlError(f"invalid proposition name {name!r}")
-            if name in RESERVED_WORDS:
-                raise CtlError(f"proposition name {name!r} is a reserved word")
-            _setattr(node := _new(cls), "name", name)
-            node = _NODES.setdefault(key, node)
-        return node
+    def _check(self) -> None:
+        if not _IDENT_RE.match(self.name):
+            raise CtlError(f"invalid proposition name {self.name!r}")
+        if self.name in RESERVED_WORDS:
+            raise CtlError(
+                f"proposition name {self.name!r} is a reserved word")
 
 
 class Const(CtlFormula):
-    __slots__ = ("value",)
-    __match_args__ = ("value",)
-
-    def __new__(cls, value: bool) -> Const:
-        node = _NODES.get(key := (cls, value))
-        if node is None:
-            _setattr(node := _new(cls), "value", value)
-            node = _NODES.setdefault(key, node)
-        return node
+    __slots__ = __match_args__ = ("value",)
 
 
 TRUE = Const(True)
@@ -173,28 +184,11 @@ FALSE = Const(False)
 
 
 class _Unary(CtlFormula):
-    __slots__ = ("operand",)
-    __match_args__ = ("operand",)
-
-    def __new__(cls, operand: CtlFormula) -> _Unary:
-        node = _NODES.get(key := (cls, operand))
-        if node is None:
-            _setattr(node := _new(cls), "operand", operand)
-            node = _NODES.setdefault(key, node)
-        return node
+    __slots__ = __match_args__ = ("operand",)
 
 
 class _Binary(CtlFormula):
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
-
-    def __new__(cls, left: CtlFormula, right: CtlFormula) -> _Binary:
-        node = _NODES.get(key := (cls, left, right))
-        if node is None:
-            _setattr(node := _new(cls), "left", left)
-            _setattr(node, "right", right)
-            node = _NODES.setdefault(key, node)
-        return node
+    __slots__ = __match_args__ = ("left", "right")
 
 
 class Not(_Unary): __slots__ = ()
@@ -287,7 +281,11 @@ def propositions(f: CtlFormula) -> frozenset[str]:
 # nested 63 deep, both peak at 261 frames in all on CPython 3.11 (the
 # evaluation counting its leaf callback); nested 64 deep on the left
 # instead, `A[A[... U p] U p]`, the evaluation peaks at 324.  Python's
-# default recursion limit is 1000.
+# default recursion limit is 1000.  The limit guards parsed text only: a
+# formula built with the constructors may nest deeper, and a chain of
+# 1,000 EX then raises `RecursionError` in `enf`, `print_ctl`,
+# `checker.holds` and `synth.synthesize` (900 pass), while `size` and
+# `tableau.satisfiable`, which walk `subterms`, take 2,000.
 
 MAX_NESTING = 64
 

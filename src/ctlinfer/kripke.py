@@ -85,11 +85,7 @@ class KripkeStructure(FrozenRecord):
                  state_names: tuple[str, ...], initial: frozenset[int],
                  labels: tuple[frozenset[str], ...],
                  successors: tuple[frozenset[int], ...]) -> None:
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "state_names", state_names)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "successors", successors)
+        self._fill(alphabet, state_names, initial, labels, successors)
         n = len(self.state_names)
         if n == 0:
             raise InvalidStructure("a structure needs at least one state")

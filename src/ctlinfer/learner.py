@@ -63,8 +63,7 @@ class Sample(FrozenRecord):
 
     def __init__(self, positives: tuple[KripkeStructure, ...],
                  negatives: tuple[KripkeStructure, ...] = ()) -> None:
-        object.__setattr__(self, "positives", positives)
-        object.__setattr__(self, "negatives", negatives)
+        self._fill(positives, negatives)
         if not self.positives and not self.negatives:
             raise ValueError("sample must contain at least one structure")
         alphabet = self.structures[0].alphabet
@@ -218,15 +217,16 @@ class CandidateSearch:
         if self._live is not None:
             encoder.add_structure(self._live, struct, negative=True)
 
-    def add_rooted(self, m: int, s: int) -> None:
+    def add_rooted(self, m: int, s: int) -> bool:
         """Add a rooted negative: from now on every answer fails at state
         s of structure number m of `sample.structures`.  A pair already
-        held adds nothing."""
+        held adds nothing.  Returns whether the pair is new."""
         if (m, s) in self.rooted:
-            return
+            return False
         self.rooted[m, s] = None
         if self._live is not None:
             encoder.add_rooted(self._live, m, s)
+        return True
 
     def discard(self, formula: CtlFormula) -> None:
         """Never propose `formula` again.

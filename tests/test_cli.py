@@ -116,6 +116,16 @@ class TestCheck:
         assert code == 2
         assert "nope" in err
 
+    @pytest.mark.parametrize("sets", [(), ("--sets",)], ids=["plain", "sets"])
+    def test_unknown_proposition_prints_nothing_but_the_error(self, capsys,
+                                                              sets):
+        # The checker's own refusal, before any line is printed.
+        code, out, err = invoke(capsys, "check", *sets,
+                                str(FIX / "selfloop_p.kripke"), "q")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: unknown proposition 'q'"]
+
     def test_missing_file_is_usage(self, capsys):
         code, _, err = invoke(capsys, "check", "no_such_file.kripke", "p")
         assert code == 2

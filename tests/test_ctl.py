@@ -230,6 +230,31 @@ def test_operator_classes_define_no_methods(cls):
                               "__slots__"}
 
 
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+def test_a_wrong_field_count_raises_and_stores_no_node(cls):
+    p = Prop("p")
+    nodes = len(ctl._NODES)
+    for count in {0, 1, 2, 3} - {len(field_names(cls))}:
+        with pytest.raises(TypeError):
+            cls(*(p,) * count)
+    assert len(ctl._NODES) == nodes
+
+
+@pytest.mark.parametrize("name", ["", "1p", "p q", "p-q", "p\n", "true",
+                                  "A", "EX", "EU"])
+def test_an_invalid_or_reserved_name_raises_and_stores_no_node(name):
+    nodes = len(ctl._NODES)
+    with pytest.raises(ctl.CtlError):
+        Prop(name)
+    assert len(ctl._NODES) == nodes
+    assert (Prop, name) not in ctl._NODES
+
+
+def test_a_constant_is_one_node_per_truth_value():
+    assert Const(1) is Const(True) is ctl.TRUE
+    assert Const(0) is Const(False) is ctl.FALSE
+
+
 def test_print_minimal_parentheses():
     cases = {
         "a | b & c": "a | b & c",

@@ -367,8 +367,8 @@ class TestInferCandidate:
         state = learner.CandidateSearch(Sample((model,)), 3, seed=0)
         found = learner.infer_candidate(state)
         assert found.size == 1
-        state.add_rooted(0, 2)
-        state.add_rooted(0, 1)
+        assert state.add_rooted(0, 2) is True
+        assert state.add_rooted(0, 1) is True
         live = state._live
         loaded = len(live.clauses)
 
@@ -376,7 +376,7 @@ class TestInferCandidate:
             raise AssertionError("a held rooted negative was loaded again")
 
         monkeypatch.setattr(live.backend, "add_clauses", no_load)
-        state.add_rooted(0, 2)
+        assert state.add_rooted(0, 2) is False
         monkeypatch.undo()
         assert len(live.clauses) == loaded
         assert list(state.rooted) == [(0, 2), (0, 1)]
