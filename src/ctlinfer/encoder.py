@@ -63,7 +63,8 @@ Greenbaum (1986).
 Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
 was added, which is its index m, its y, then its ys, then its L/R
-variables.  Every instance owns the solver its clauses go to
+variables.  Literals are in `sat`'s encoded form, and `VarPool` hands
+out the positive ones.  Every instance owns the solver its clauses go to
 (`EncodingInstance.backend`), and each clause group is loaded into it
 as soon as it is built: `build_instance` is the structural and
 normal-form clauses (`load_backend`), then
@@ -101,7 +102,9 @@ __all__ = ["VarPool", "REWRITE_RULES", "lower_node", "add_structure",
 
 
 class VarPool:
-    """Interns tuple keys as contiguous variable indices starting at 1.
+    """Interns tuple keys as contiguous variables 1, 2, .., `count`, and
+    hands out each one's positive literal `2v` (the literal form of
+    `sat`).
 
     Auxiliary variables (`fresh`) are always numbered above the semantic
     variables allocated before them, and never enter the key table, which
@@ -116,7 +119,7 @@ class VarPool:
         got = self._index.get(key)
         if got is None:
             self.count += 1
-            got = self._index[key] = self.count
+            got = self._index[key] = self.count << 1
         return got
 
     def get(self, *key) -> int:
@@ -124,7 +127,7 @@ class VarPool:
 
     def fresh(self) -> int:
         self.count += 1
-        return self.count
+        return self.count << 1
 
     def semantic_items(self) -> Iterable[tuple[tuple, int]]:
         return self._index.items()
@@ -355,40 +358,40 @@ def build_normal_form(pool: VarPool, n: int,
     for i in range(2, n + 1):
         for a, p in enumerate(alphabet):
             if p in domain[i]:
-                clauses.append((-x(i, p),) + tuple(
+                clauses.append((x(i, p) ^ 1,) + tuple(
                     x(i - 1, q) for q in alphabet[:a] if q in domain[i - 1]))
         for j in range(1, i):
             for lab in (AND_LABEL, OR_LABEL):
                 if lab in domain[i]:
-                    clauses.append((-x(i, lab), -left(i, j)) + tuple(
+                    clauses.append((x(i, lab) ^ 1, left(i, j) ^ 1) + tuple(
                         right(i, k) for k in range(j + 1, i)))
     for keys in _rule_clauses(n):
-        clauses.append(tuple(-pool.var(*key) for key in keys))
+        clauses.append(tuple(pool.var(*key) ^ 1 for key in keys))
     for i in range(2, n + 1):
         for i2 in range(i + 1, n + 1):
             for lab in domain[i]:
                 if lab not in OPERATOR_LABELS or lab not in domain[i2]:
                     continue
                 for j in range(1, i):
-                    same = (-x(i, lab), -x(i2, lab), -left(i, j),
-                            -left(i2, j))
+                    same = (x(i, lab) ^ 1, x(i2, lab) ^ 1, left(i, j) ^ 1,
+                            left(i2, j) ^ 1)
                     if lab not in BINARY_LABELS:
                         clauses.append(same)
                         continue
                     for j2 in range(1, i):
-                        clauses.append(same + (-right(i, j2),
-                                               -right(i2, j2)))
+                        clauses.append(same + (right(i, j2) ^ 1,
+                                               right(i2, j2) ^ 1))
     for i in range(1, n):
         clauses.append(tuple(pool.var("u", i, j)
                              for j in range(i + 1, n + 1)))
         for j in range(i + 1, n + 1):
-            used = pool.var("u", i, j)
+            unused = pool.var("u", i, j) ^ 1
             ops = [lab for lab in domain[j] if lab in OPERATOR_LABELS]
-            clauses.append((-used,) + tuple(x(j, lab) for lab in ops))
-            clauses.append((-used, left(j, i))
+            clauses.append((unused,) + tuple(x(j, lab) for lab in ops))
+            clauses.append((unused, left(j, i))
                            + tuple(x(j, lab) for lab in ops
                                    if lab in BINARY_LABELS))
-            clauses.append((-used, left(j, i), right(j, i)))
+            clauses.append((unused, left(j, i), right(j, i)))
     return clauses
 
 
@@ -473,7 +476,7 @@ def _placements(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
 
 def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
                left: StateLit, right: StateLit, step: StepLit,
-               successors: Successors, depth: int, guards: Sequence[int] = (),
+               successors: Successors, depth: int, pre: Clause = (),
                polarity: int = 0) -> None:
     """Append an operator node's semantics at state s.
 
@@ -489,12 +492,13 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
     groups, those writing X_2 .. X_depth, are lowered, for the states
     whose `out` reads them.
 
-    `polarity` is that of the `sat.equiv_*` shapes, and every group
-    takes it: +1 lowers out -> definition and X_k -> its step, -1 the
-    converse, 0 both.  `lower_node` writes `out` and never reads it, and
-    each definition reads the approximants, `successors` and the
-    operands in one sign (`!` aside, which negates its operand), so a
-    caller that reads `out` in one sign needs only that direction.
+    `pre` and `polarity` are those of the `sat.equiv_*` shapes, the
+    negated guards that prefix every clause and the direction kept, and
+    every group takes them: +1 lowers out -> definition and X_k -> its
+    step, -1 the converse, 0 both.  `lower_node` writes `out` and never
+    reads it, and each definition reads the approximants, `successors`
+    and the operands in one sign (`!` aside, which negates its operand),
+    so a caller that reads `out` in one sign needs only that direction.
 
     Soundness, with callers passing depth = |S| - 1 on a total structure
     of |S| states, so that `out` is X_|S|:
@@ -516,17 +520,16 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
     if out is None and label not in (EU_LABEL, EG_LABEL):
         return  # no inner groups
     if label == NOT_LABEL:
-        clauses.extend(sat.equiv_lit(out, -left(s), guards, polarity))
+        clauses.extend(sat.equiv_lit(out, left(s) ^ 1, pre, polarity))
     elif label == EX_LABEL:
-        clauses.extend(sat.equiv_or(out, successors(s, left), guards,
-                                    polarity))
+        clauses.extend(sat.equiv_or(out, successors(s, left), pre, polarity))
     elif label in (AND_LABEL, OR_LABEL):
         equiv = sat.equiv_and if label == AND_LABEL else sat.equiv_or
-        clauses.extend(equiv(out, [left(s), right(s)], guards, polarity))
+        clauses.extend(equiv(out, [left(s), right(s)], pre, polarity))
     else:
         base = right if label == EU_LABEL else left
         if depth == 0:
-            clauses.extend(sat.equiv_lit(out, base(s), guards, polarity))
+            clauses.extend(sat.equiv_lit(out, base(s), pre, polarity))
         cond = left(s)
         for k in range(1, depth + 1 if out is not None else depth):
             approx = base if k == 1 else lambda t, k=k: step(t, k)
@@ -534,10 +537,10 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
             target = out if k == depth else step(s, k + 1)
             if label == EU_LABEL:
                 clauses.extend(sat.equiv_or_and_disj(
-                    target, approx(s), cond, reached, guards, polarity))
+                    target, approx(s), cond, reached, pre, polarity))
             else:
                 clauses.extend(sat.equiv_and_disj(
-                    target, cond, reached, guards, polarity))
+                    target, cond, reached, pre, polarity))
 
 
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
@@ -591,39 +594,39 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
         for p in domain:
             if p in OPERATOR_LABELS:
                 break  # the propositions come first
-            guard = pool.var("x", i, p)
+            unlabelled = pool.var("x", i, p) ^ 1
             for s in states:
                 if p in struct.labels[s]:
-                    clauses.append((-guard, out[s]))
+                    clauses.append((unlabelled, out[s]))
                 elif not sign:
-                    clauses.append((-guard, -out[s]))
+                    clauses.append((unlabelled, out[s] ^ 1))
         if i == 1:
             continue  # node 1 is structurally a proposition
         left_i, right_i, steps_i = left[i], right[i], steps[i]
         for j in range(1, i):
-            chose_l, chose_r = pool.var("l", i, j), pool.var("r", i, j)
+            not_l = (pool.var("l", i, j) ^ 1,)
+            not_r = (pool.var("r", i, j) ^ 1,)
             child = y[j]
             for s in states:
-                clauses.extend(sat.equiv_lit(left_i[s], child[s], (chose_l,)))
+                clauses.extend(sat.equiv_lit(left_i[s], child[s], not_l))
                 if i > 2:
-                    clauses.extend(sat.equiv_lit(right_i[s], child[s],
-                                                 (chose_r,)))
-        lowered = [(label, (pool.var("x", i, label),)) for label in domain
+                    clauses.extend(sat.equiv_lit(right_i[s], child[s], not_r))
+        lowered = [(label, (pool.var("x", i, label) ^ 1,)) for label in domain
                    if label in OPERATOR_LABELS]
         step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
         for s in states:
-            for label, guards in lowered:
+            for label, pre in lowered:
                 lower_node(clauses, label, s, out[s], left_i.__getitem__,
                            right_i.__getitem__, step, successors, size - 1,
-                           guards, sign)
+                           pre, sign)
     return clauses
 
 
 def _load(instance: EncodingInstance, clauses: list[Clause]) -> None:
     """Append `clauses` to the instance and load them into its solver."""
     instance.clauses += clauses
-    instance.backend.add_clauses(clauses)
     instance.backend.reserve(instance.pool.count)
+    instance.backend.load(clauses)
 
 
 def add_structure(instance: EncodingInstance, struct: KripkeStructure,
@@ -646,7 +649,7 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     semantic = build_semantic(pool, n, m, struct, negative)
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
     if negative:
-        clauses = [tuple(-lit for lit in roots)]
+        clauses = [tuple(lit ^ 1 for lit in roots)]
     else:
         clauses = [(lit,) for lit in roots]
     instance.structures += (struct,)
@@ -656,7 +659,7 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
 
 def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     """Append and load a rooted negative: the root fails at state s of
-    structure number m, the unit clause -y(m, n, s).
+    structure number m, the unit clause !y(m, n, s).
 
     Soundness: a positive's root `y` is forced by the x/l/r variables,
     like any other node's.  On a negative, a false `y` implies that the
@@ -664,13 +667,14 @@ def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     `y` true.  So the DAGs admitted after the append are exactly those
     admitted before whose root formula fails at s.
     """
-    _load(instance, [(-instance.pool.get("y", m, instance.size_budget, s),)])
+    _load(instance,
+          [(instance.pool.get("y", m, instance.size_budget, s) ^ 1,)])
 
 
 def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
     """Append and load the clause excluding every assignment that makes
     all of `lits` true."""
-    _load(instance, [tuple(-lit for lit in lits)])
+    _load(instance, [tuple(lit ^ 1 for lit in lits)])
 
 
 def build_instance(n: int, positives: Sequence[KripkeStructure],
@@ -704,15 +708,15 @@ def load_backend(instance: EncodingInstance,
                  backend: CdclSolver) -> CdclSolver:
     """Load the instance's clauses into `backend` and attach it as the
     solver every later clause of the instance goes to."""
-    backend.add_clauses(instance.clauses)
     backend.reserve(instance.pool.count)
+    backend.load(instance.clauses)
     instance.backend = backend
     return backend
 
 
 def _true_key(assignment: Mapping[int, bool], pool: VarPool, kind: str,
               i: int, candidates: Iterable) -> object:
-    hits = [c for c in candidates if assignment[pool.get(kind, i, c)]]
+    hits = [c for c in candidates if assignment[pool.get(kind, i, c) >> 1]]
     if len(hits) != 1:
         raise BackendFailure(
             f"assignment fixes {len(hits)} choices for {kind}({i})")
@@ -751,6 +755,6 @@ def to_dimacs(instance: EncodingInstance) -> str:
     comments = [f"size budget {instance.size_budget}, "
                 f"{len(instance.structures) - negatives} positive / "
                 f"{negatives} negative structures"]
-    for key, idx in instance.pool.semantic_items():
-        comments.append(" ".join(str(part) for part in key) + f" {idx}")
+    for key, lit in instance.pool.semantic_items():
+        comments.append(" ".join(str(part) for part in key) + f" {lit >> 1}")
     return sat.to_dimacs(instance.pool.count, instance.clauses, comments)

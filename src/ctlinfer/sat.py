@@ -1,17 +1,26 @@
 """Propositional satisfiability backend and CNF building blocks.
 
-Variables are positive integers and literals are signed integers.  The
-encoders in this package lower their constraints to CNF by hand from a
-small vocabulary of guarded equivalences (`equiv_*` below); a guard list
-[g1, .., gk] prefixes every emitted clause with the negated guards, i.e.
-encodes g1 & .. & gk -> (equivalence).  Each shape builds that prefix
-once per call.  A `polarity` keeps one direction of the equivalence, in
+Literals are encoded as in MiniSat (Een & Sorensson, SAT 2003): variable
+v >= 1 has the positive literal `2v` and the negative `2v | 1`, so
+negation is `^ 1`, the variable is `>> 1`, and one value array and the
+watch lists are indexed by literal.  It is the library's one literal
+form: `encoder.VarPool` hands out positive literals and every clause the
+encoders build is in it.  Signed integers (v and -v) appear only at the
+solver's public `add_clause`/`add_clauses`, which encode them, and in
+DIMACS (`to_dimacs`).
+
+The encoders in this package lower their constraints to CNF by hand from
+a small vocabulary of guarded equivalences (`equiv_*` below).  Each shape
+takes a ready-made clause prefix `pre`, the negated guards
+(g1 ^ 1, .., gk ^ 1), and prefixes every clause it emits with it, i.e.
+encodes g1 & .. & gk -> (equivalence); a caller builds the prefix once
+per guard.  A `polarity` keeps one direction of the equivalence, in
 the polarity-based clause form of Plaisted & Greenbaum (J. Symbolic
-Computation, 1986): +1 only the clauses containing `-out` (out implies
-its definition), -1 only those containing `+out` (the definition implies
-out), and 0, the default, both.  A caller that reads `out` only in one
-sign needs only that direction.  The until/globally step shapes are
-used only by `encoder.lower_node`, the single home of the CTL step
+Computation, 1986): +1 only the clauses containing `out ^ 1` (out
+implies its definition), -1 only those containing `out` (the definition
+implies out), and 0, the default, both.  A caller that reads `out` only
+in one sign needs only that direction.  The until/globally step shapes
+are used only by `encoder.lower_node`, the single home of the CTL step
 semantics for both formula search and bounded synthesis, and list a
 self-loop's literal once per clause.
 
@@ -19,13 +28,12 @@ self-loop's literal once per clause.
 learning solver with two-watched-literal propagation, first-UIP conflict
 analysis, activity-based decisions, phase saving, Luby restarts and
 incremental solving.  It is deterministic: the same clause stream and
-seed always produce the same run.
-Its interface takes signed literals; inside, literal v is `2v` and -v is
-`2v | 1` (the MiniSat layout), so negation is `^ 1`, the variable is
-`>> 1`, and one value array and the watch lists are indexed by literal.
-`add_clauses` loads a whole clause stream in one call, as the encoders
-do; `add_clause` is the one-clause case.  Instances can also be exported
-in DIMACS CNF format for external solvers via `to_dimacs`.
+seed always produce the same run.  Its one loading core, `load`, takes
+encoded clauses over variables already declared (`reserve`), as the
+encoders load them; the signed `add_clauses` and `add_clause` check and
+encode their literals, declare the variables and hand over to it.
+Instances can also be exported in DIMACS CNF format for external solvers
+via `to_dimacs`.
 """
 
 from __future__ import annotations
@@ -53,44 +61,42 @@ def exactly_one(lits: Sequence[int]) -> list[Clause]:
     """At-least-one plus pairwise at-most-one."""
     out = [tuple(lits)]
     for a in range(len(lits)):
-        neg_a = -lits[a]
+        neg_a = lits[a] ^ 1
         for b in range(a + 1, len(lits)):
-            out.append((neg_a, -lits[b]))
+            out.append((neg_a, lits[b] ^ 1))
     return out
 
 
-def equiv_lit(out_lit: int, in_lit: int, guards: Sequence[int] = (),
+def equiv_lit(out_lit: int, in_lit: int, pre: Clause = (),
               polarity: int = 0) -> list[Clause]:
     """out <-> in; a negated `in_lit` gives out <-> !in."""
-    pre = tuple(-g for g in guards)
-    clauses = [pre + (-out_lit, in_lit)] if polarity >= 0 else []
+    clauses = [pre + (out_lit ^ 1, in_lit)] if polarity >= 0 else []
     if polarity <= 0:
-        clauses.append(pre + (out_lit, -in_lit))
+        clauses.append(pre + (out_lit, in_lit ^ 1))
     return clauses
 
 
-def equiv_and(out_lit: int, lits: Sequence[int], guards: Sequence[int] = (),
+def equiv_and(out_lit: int, lits: Sequence[int], pre: Clause = (),
               polarity: int = 0) -> list[Clause]:
     """out <-> (l1 & .. & lk)."""
-    pre = tuple(-g for g in guards)
-    clauses = [pre + (-out_lit, l) for l in lits] if polarity >= 0 else []
+    clauses = ([pre + (out_lit ^ 1, l) for l in lits] if polarity >= 0
+               else [])
     if polarity <= 0:
-        clauses.append(pre + (out_lit,) + tuple(-l for l in lits))
+        clauses.append(pre + (out_lit,) + tuple(l ^ 1 for l in lits))
     return clauses
 
 
-def equiv_or(out_lit: int, lits: Sequence[int], guards: Sequence[int] = (),
+def equiv_or(out_lit: int, lits: Sequence[int], pre: Clause = (),
              polarity: int = 0) -> list[Clause]:
     """out <-> (l1 | .. | lk)."""
-    pre = tuple(-g for g in guards)
-    clauses = [pre + (out_lit, -l) for l in lits] if polarity <= 0 else []
+    clauses = [pre + (out_lit, l ^ 1) for l in lits] if polarity <= 0 else []
     if polarity >= 0:
-        clauses.append(pre + (-out_lit,) + tuple(lits))
+        clauses.append(pre + (out_lit ^ 1,) + tuple(lits))
     return clauses
 
 
 def equiv_or_and_disj(out_lit: int, base_lit: int, cond_lit: int,
-                      disj: Sequence[int], guards: Sequence[int] = (),
+                      disj: Sequence[int], pre: Clause = (),
                       polarity: int = 0) -> list[Clause]:
     """out <-> base | (cond & (d1 | .. | dk)).
 
@@ -98,38 +104,35 @@ def equiv_or_and_disj(out_lit: int, base_lit: int, cond_lit: int,
     and some successor reached it one step earlier.  A disjunct equal to
     `base` (a self-loop) is listed once, where `base` stands.
     """
-    pre = tuple(-g for g in guards)
     clauses = []
     if polarity >= 0:
         reached = (tuple(d for d in disj if d != base_lit)
                    if base_lit in disj else tuple(disj))
-        clauses += [pre + (-out_lit, base_lit, cond_lit),
-                    pre + (-out_lit, base_lit) + reached]
+        clauses += [pre + (out_lit ^ 1, base_lit, cond_lit),
+                    pre + (out_lit ^ 1, base_lit) + reached]
     if polarity <= 0:
-        clauses.append(pre + (out_lit, -base_lit))
+        clauses.append(pre + (out_lit, base_lit ^ 1))
         for d in disj:
-            clauses.append(pre + (out_lit, -cond_lit, -d))
+            clauses.append(pre + (out_lit, cond_lit ^ 1, d ^ 1))
     return clauses
 
 
 def equiv_and_disj(out_lit: int, cond_lit: int, disj: Sequence[int],
-                   guards: Sequence[int] = (),
-                   polarity: int = 0) -> list[Clause]:
+                   pre: Clause = (), polarity: int = 0) -> list[Clause]:
     """out <-> cond & (d1 | .. | dk).
 
     The unrolled globally step: the condition holds here and some
     successor survived one step less.  A disjunct equal to `cond` (a
-    self-loop) gives the clause with `-cond` once.
+    self-loop) gives the clause with `cond ^ 1` once.
     """
-    pre = tuple(-g for g in guards)
     clauses = []
     if polarity >= 0:
-        clauses += [pre + (-out_lit, cond_lit),
-                    pre + (-out_lit,) + tuple(disj)]
+        clauses += [pre + (out_lit ^ 1, cond_lit),
+                    pre + (out_lit ^ 1,) + tuple(disj)]
     if polarity <= 0:
         for d in disj:
-            clauses.append(pre + ((out_lit, -cond_lit) if d == cond_lit
-                                  else (out_lit, -cond_lit, -d)))
+            clauses.append(pre + ((out_lit, cond_lit ^ 1) if d == cond_lit
+                                  else (out_lit, cond_lit ^ 1, d ^ 1)))
     return clauses
 
 
@@ -139,10 +142,12 @@ def equiv_and_disj(out_lit: int, cond_lit: int, disj: Sequence[int],
 
 def to_dimacs(num_vars: int, clauses: Sequence[Sequence[int]],
               comments: Iterable[str] = ()) -> str:
+    """DIMACS CNF text of encoded clauses, with literals written signed."""
     lines = [f"c {c}" for c in comments]
     lines.append(f"p cnf {num_vars} {len(clauses)}")
     for clause in clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
+        lines.append(" ".join(f"-{l >> 1}" if l & 1 else str(l >> 1)
+                              for l in clause) + " 0")
     return "\n".join(lines) + "\n"
 
 
@@ -165,13 +170,13 @@ _ACT_LIMIT = 1e100
 
 
 class CdclSolver:
-    """Incremental CDCL solver over integer literals.
+    """Incremental CDCL solver over encoded literals.
 
-    `add_clause` and `add_clauses` may be called between `solve` calls;
-    learned clauses are kept, which is sound because conflict analysis
-    derives consequences of the clause set alone.  An optional conflict
-    budget turns runaway searches into `BackendFailure` instead of wrong
-    answers.
+    `load`, `add_clause` and `add_clauses` may be called between `solve`
+    calls; learned clauses are kept, which is sound because conflict
+    analysis derives consequences of the clause set alone.  An optional
+    conflict budget turns runaway searches into `BackendFailure` instead
+    of wrong answers.
 
     Decisions pop a lazy heap of `(-activity[v], v)` entries, skipping
     stale ones (key not the current activity, or v assigned).  Invariant:
@@ -220,12 +225,10 @@ class CdclSolver:
         return len(self._clauses)
 
     def reserve(self, num_vars: int) -> None:
-        """Declare variables up to `num_vars` even if no clause uses them."""
-        self._ensure_var(num_vars)
-
-    def _ensure_var(self, v: int) -> None:
+        """Declare variables up to `num_vars`, as `load` needs of every
+        literal it takes."""
         # A stored model covers only the variables it was found over.
-        while self._nvars < v:
+        while self._nvars < num_vars:
             self._model = None
             self._nvars += 1
             jitter = self._rng.random() * 1e-6 if self._rng else 0.0
@@ -245,43 +248,47 @@ class CdclSolver:
         self.add_clauses((lits,))
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        """Add each clause in turn, as `add_clause` on each would.
+        """Add each clause of signed literals in turn, as `add_clause` on
+        each would: declare its variables and `load` it encoded."""
+        for lits in clauses:
+            clause = []
+            top = 0
+            for lit in lits:
+                if lit == 0 or type(lit) is not int:
+                    self.reserve(top)
+                    raise ValueError(f"bad literal {lit!r}")
+                clause.append(lit << 1 if lit > 0 else -lit << 1 | 1)
+                top = max(top, abs(lit))
+            self.reserve(top)
+            self.load((clause,))
+
+    def load(self, clauses: Iterable[Sequence[int]]) -> None:
+        """Add each clause of encoded literals over declared variables.
 
         Repeated literals are dropped and literals false at the root are
-        removed; tautologies and clauses true at the root are skipped.
+        removed; tautologies and clauses true at the root are skipped.  A
+        stored model stays through tautologies only.
         """
         self._cancel_until(0)
         val = self._val
         clause_db = self._clauses
         watches = self._watches
         for lits in clauses:
-            clause: list[int] | None = []
-            top = 0
-            for lit in lits:
-                if lit == 0 or type(lit) is not int:
-                    self._ensure_var(top >> 1)
-                    raise ValueError(f"bad literal {lit!r}")
-                e = (lit << 1) if lit > 0 else ((-lit << 1) | 1)
-                if e ^ 1 in clause:
-                    clause = None
-                    break
-                if e not in clause:
-                    clause.append(e)
-                    if e > top:
-                        top = e
-            if top >> 1 > self._nvars:
-                self._ensure_var(top >> 1)
-            if clause is None:
-                continue  # tautology
-            self._model = None
             reduced: list[int] = []
-            for e in clause:
+            for e in lits:
                 x = val[e]
-                if x == 1:
-                    break  # satisfied at the root level
                 if x == 0:
-                    reduced.append(e)
+                    if e not in reduced:
+                        if e ^ 1 in reduced:
+                            break  # a tautology
+                        reduced.append(e)
+                elif x == 1:
+                    if self._model is not None and all(
+                            l ^ 1 not in lits for l in lits):
+                        self._model = None
+                    break  # true at the root
             else:
+                self._model = None
                 if not reduced:
                     self._unsat = True
                 elif len(reduced) == 1:

@@ -106,14 +106,14 @@ gets 0.  At +1 only `h -> definition` is emitted, at -1 only
 `definition -> h`, at 0 both.  A product emits each direction once, the
 first time a reader of that sign needs it.  The folded literals are
 exact equalities (the `true` variable is fixed true), so folding them
-changes no model projected on t/lab, and a `!` that reads `-h(g, s)`
+changes no model projected on t/lab, and a `!` that reads `!h(g, s)`
 reads g in the sign its flipped polarity serves.
 
 Soundness: given a model of the CNF, take the structure its t/lab
 variables describe.  By induction children first, a true literal of
 node g at s at a +1 node means g holds at s, and a false one at a -1
 node means g fails at s (both at a 0 node): a folded literal is exact,
-`-h(g, s)` for `!g` at +1 is a false `h` at g's -1 and the converse, each
+`!h(g, s)` for `!g` at +1 is a false `h` at g's -1 and the converse, each
 definition reads its operands, products and approximants in one sign,
 the sign their own polarity serves, and the EU/EG approximants are
 bounded as in `lower_node`'s unrolling argument.  The root is +1 and
@@ -308,17 +308,17 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
                     pool.var("st", g, s, k)
 
     def literal(g: CtlFormula, s: int) -> int:
-        """Node g's literal at state s: under its `!`s, which negate it,
-        a proposition's `lab`, the `true` variable for a constant, or an
-        operator's h."""
-        sign = 1
+        """Node g's literal at state s: under its `!`s, each of which
+        flips the sign bit, a proposition's `lab`, the `true` variable for
+        a constant, or an operator's h."""
+        negated = 0
         while isinstance(g, Not):
-            g, sign = g.operand, -sign
+            g, negated = g.operand, negated ^ 1
         if isinstance(g, ctl.Prop):
-            return sign * pool.get("lab", s, g.name)
+            return pool.get("lab", s, g.name) ^ negated
         if isinstance(g, ctl.Const):
-            return sign * true if g.value else -sign * true
-        return sign * pool.get("h", g, s)
+            return true ^ negated ^ (not g.value)
+        return pool.get("h", g, s) ^ negated
 
     clauses: list[Clause] = []
     for s in states:
@@ -373,17 +373,17 @@ def _solve(f: CtlFormula, num_states: int, props: Sequence[str],
     `_encode` instance."""
     pool, clauses = _encode(f, num_states, props)
     backend = CdclSolver(seed=seed)
-    backend.add_clauses(clauses)
     backend.reserve(pool.count)
+    backend.load(clauses)
     if not backend.solve():
         return None
     value = backend.model()
     states = range(num_states)
     return _rooted(
         alphabet,
-        [frozenset(p for p in props if value[pool.get("lab", s, p)])
+        [frozenset(p for p in props if value[pool.get("lab", s, p) >> 1])
          for s in states],
-        [frozenset(t for t in states if value[pool.get("t", s, t)])
+        [frozenset(t for t in states if value[pool.get("t", s, t) >> 1])
          for s in states])
 
 

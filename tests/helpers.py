@@ -140,7 +140,7 @@ def eg_prefix(m: KripkeStructure, phi: frozenset[int],
 
 def approximant_vars(k: int, size: int, operand: int,
                      step: Callable[[int], int], out: int) -> list[int]:
-    """The variables that hold approximant k (1..size + 1) of an EU/EG
+    """The literals that hold approximant k (1..size + 1) of an EU/EG
     node at one state of a `size`-state structure, as `encoder.lower_node`
     lays them out: the operand literal at k = 1, `step(k)` for 1 < k <
     size, and the node's own variable `out` from k = size on, since the
@@ -478,7 +478,7 @@ def dag_literals(pool: encoder.VarPool, dag: Dag) -> list[int]:
 def pin_dag(solver, pool: encoder.VarPool, dag: Dag) -> None:
     """Add the DAG's defining literals to `solver` as unit clauses, so
     its models are exactly those that pick this numbered DAG."""
-    solver.add_clauses((lit,) for lit in dag_literals(pool, dag))
+    solver.add_clauses((signed(lit),) for lit in dag_literals(pool, dag))
 
 
 def normal_form(f: CtlFormula) -> CtlFormula:
@@ -610,6 +610,47 @@ def tableau_by_atom(f: CtlFormula, max_elementary: int) -> bool | None:
         if keep == alive:
             return bool(alive & truth[f])
         alive = keep
+
+
+# ---------------------------------------------------------------------------
+# Literals and clause loading
+# ---------------------------------------------------------------------------
+
+def signed(lit: int) -> int:
+    """The signed (DIMACS) form of an encoded literal: `2v` is v and
+    `2v + 1` is -v."""
+    return -(lit >> 1) if lit & 1 else lit >> 1
+
+
+def reference_load(database: list[list[int]], trail: list[int],
+                   batch: Iterable[Sequence[int]]) -> tuple[bool, bool]:
+    """Load `batch`, clauses of encoded literals, into a clause `database`
+    and a root `trail` (the literals true at the root), as the solver's
+    loader states it does, clause by clause and each clause whole: a
+    tautology is skipped, repeated literals are dropped, a clause with a
+    literal true at the root is skipped, and literals false there are
+    removed; what is left is stored, put on the trail if it is one
+    literal, or makes the instance unsatisfiable if it is none.
+
+    Returns whether every clause of the batch was a tautology, so that a
+    stored model stays, and whether some clause was left empty."""
+    only_tautologies, emptied = True, False
+    for clause in batch:
+        lits = list(dict.fromkeys(clause))
+        if any(lit ^ 1 in lits for lit in lits):
+            continue
+        only_tautologies = False
+        true = set(trail)
+        if any(lit in true for lit in lits):
+            continue
+        rest = [lit for lit in lits if lit ^ 1 not in true]
+        if not rest:
+            emptied = True
+        elif len(rest) == 1:
+            trail.append(rest[0])
+        else:
+            database.append(rest)
+    return only_tautologies, emptied
 
 
 # ---------------------------------------------------------------------------

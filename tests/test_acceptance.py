@@ -117,12 +117,12 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
             for f in (ctl.ExistsUntil(p, q), ctl.ExistsGlobally(p)):
                 dag = helpers.dag_nodes(f)
                 pool = VarPool()
+                clauses = (encoder.build_structural(
+                    pool, len(dag), struct.alphabet)
+                    + encoder.build_semantic(pool, len(dag), 0, struct))
                 backend = CdclSolver(seed=0)
-                backend.add_clauses(encoder.build_structural(
-                    pool, len(dag), struct.alphabet))
-                backend.add_clauses(encoder.build_semantic(
-                    pool, len(dag), 0, struct))
                 backend.reserve(pool.count)
+                backend.load(clauses)
                 helpers.pin_dag(backend, pool, dag)
                 assert backend.solve()
                 model = backend.model()
@@ -139,8 +139,9 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                             pool.get(operand, 0, len(dag), s),
                             lambda j: pool.get("ys", 0, len(dag), s, j),
                             pool.get("y", 0, len(dag), s))
-                        for var in homes:
-                            assert model[var] == (s in expected), (f, s, k)
+                        for lit in homes:
+                            assert model[lit >> 1] == (s in expected), (
+                                f, s, k)
 
 
 def test_criterion_3_search_instances_round_trip_against_enumeration():

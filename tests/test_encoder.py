@@ -15,12 +15,12 @@ def semantic_instance(structures, n):
     formula of size n can be pinned with unit clauses and its evaluation
     variables read back."""
     pool = VarPool()
-    backend = CdclSolver()
-    backend.add_clauses(encoder.build_structural(pool, n,
-                                                 structures[0].alphabet))
+    clauses = encoder.build_structural(pool, n, structures[0].alphabet)
     for m, struct in enumerate(structures):
-        backend.add_clauses(encoder.build_semantic(pool, n, m, struct))
+        clauses += encoder.build_semantic(pool, n, m, struct)
+    backend = CdclSolver()
     backend.reserve(pool.count)
+    backend.load(clauses)
     return pool, backend
 
 
@@ -29,7 +29,7 @@ class TestVarPool:
         pool = VarPool()
         a = pool.var("x", 1, "p")
         b = pool.var("x", 1, "q")
-        assert a == 1 and b == 2
+        assert helpers.signed(a) == 1 and helpers.signed(b) == 2
         assert pool.var("x", 1, "p") == a
         assert pool.get("x", 1, "q") == b
         assert pool.count == 2
@@ -38,8 +38,9 @@ class TestVarPool:
         pool = VarPool()
         pool.var("x", 1, "p")
         aux = pool.fresh()
-        assert aux == 2
-        assert dict(pool.semantic_items()) == {("x", 1, "p"): 1}
+        assert helpers.signed(aux) == 2
+        assert {key: helpers.signed(lit) for key, lit
+                in pool.semantic_items()} == {("x", 1, "p"): 1}
 
     def test_semantic_items_are_in_index_order(self):
         """With fresh variables interleaved, the semantic keys come in
@@ -55,8 +56,8 @@ class TestVarPool:
         pool.var(*keys[0])
         items = list(pool.semantic_items())
         assert [key for key, _ in items] == keys
-        assert [idx for _, idx in items] == sorted(
-            set(range(1, pool.count + 1)) - set(fresh))
+        assert [helpers.signed(lit) for _, lit in items] == sorted(
+            set(range(1, pool.count + 1)) - set(map(helpers.signed, fresh)))
 
 
 class TestBuildInstance:
@@ -127,11 +128,12 @@ class TestBuildInstance:
         encoder.load_backend(instance, CdclSolver())
         encoder.add_structure(instance, sink, negative=False)
         encoder.add_structure(instance, cycle, negative=True)
-        choices = {var for key, var in pool.semantic_items()
+        choices = {helpers.signed(lit) for key, lit in pool.semantic_items()
                    if key[0] in ("l", "r")}
         assert choices
         for clause in instance.clauses:
-            assert sum(abs(lit) in choices for lit in clause) <= 1, clause
+            assert sum(abs(helpers.signed(lit)) in choices
+                       for lit in clause) <= 1, clause
 
     def test_rejects_mixed_alphabets(self):
         a = helpers.load_fixture("selfloop_p.kripke")
@@ -172,7 +174,7 @@ class TestClauseStream:
                                          negative=negative)
         roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
         if negative:
-            return [tuple(-lit for lit in roots)] + clauses
+            return [tuple(lit ^ 1 for lit in roots)] + clauses
         return [(lit,) for lit in roots] + clauses
 
     @staticmethod
@@ -201,7 +203,8 @@ class TestClauseStream:
                                                     m >= len(pos))
                 assert instance.clauses == stream
                 fresh = CdclSolver(seed=0)
-                fresh.add_clauses(stream)
+                fresh.add_clauses([tuple(map(helpers.signed, clause))
+                                   for clause in stream])
                 fresh.reserve(pool.count)
                 self.same_state(loaded, fresh)
 
@@ -210,7 +213,8 @@ class TestClauseStream:
                                                  extra, True)
                 encoder.add_structure(instance, extra, negative=True)
                 assert instance.clauses == stream + appended
-                fresh.add_clauses(appended)
+                fresh.add_clauses([tuple(map(helpers.signed, clause))
+                                   for clause in appended])
                 fresh.reserve(pool.count)
                 self.same_state(loaded, fresh)
 
@@ -275,7 +279,7 @@ class TestSemantics:
                 for i, sub in enumerate(nodes, start=1):
                     expected = table[sub]
                     for s in range(struct.size):
-                        got = model[pool.get("y", m_idx, i, s)]
+                        got = model[pool.get("y", m_idx, i, s) >> 1]
                         assert got == (s in expected), (f, i, s)
         assert pinned > 30
 
@@ -308,8 +312,8 @@ class TestSemantics:
                         k, struct.size, pool.get(operand, 0, root, s),
                         lambda j: pool.get("ys", 0, root, s, j),
                         pool.get("y", 0, root, s))
-                    for var in homes:
-                        assert model[var] == (s in expected), (f, k, s)
+                    for lit in homes:
+                        assert model[lit >> 1] == (s in expected), (f, k, s)
 
     def test_unrolling_depth_reaches_the_fixed_points(self):
         """`lower_node`'s depth claim against the path-enumeration
@@ -389,7 +393,9 @@ class TestBlocking:
         pool, loaded = instance.pool, instance.num_clauses
         encoder.add_block(instance, helpers.dag_literals(
             pool, helpers.dag_nodes(ctl.Prop("p"))))
-        assert instance.clauses[loaded:] == [(-pool.get("x", 1, "p"),)]
+        assert [tuple(map(helpers.signed, clause))
+                for clause in instance.clauses[loaded:]] == [
+                    (-helpers.signed(pool.get("x", 1, "p")),)]
         # p was the only size-1 candidate.
         assert helpers.solve_instance(instance) is None
 
@@ -411,7 +417,7 @@ class TestBlocking:
                 assert f not in seen
                 assert helpers.naive_holds(m, f)
                 seen.append(f)
-                backend.add_clause([-lit for lit in lits])
+                backend.add_clause([-helpers.signed(lit) for lit in lits])
             else:
                 pytest.fail("blocking never exhausted the budget")
         holding = [f for f in ctl.enumerate_formulas(m.alphabet, 3)
@@ -440,7 +446,7 @@ def blocked_formulas(backend, instance):
         f, lits = encoder.decode_with_literals(backend.model(), instance)
         assert f not in found, f
         found.add(f)
-        backend.add_clause([-lit for lit in lits])
+        backend.add_clause([-helpers.signed(lit) for lit in lits])
     return found
 
 
@@ -475,9 +481,10 @@ class TestOneSidedRoot:
                     + encoder.build_normal_form(pool, n, alphabet))
                 backend = encoder.load_backend(two_sided, CdclSolver(seed=4))
                 for m, struct in enumerate(pos + neg):
-                    backend.add_clauses(encoder.build_semantic(
-                        pool, n, m, struct))
-                    roots = [pool.get("y", m, n, s)
+                    backend.add_clauses(
+                        tuple(map(helpers.signed, clause)) for clause
+                        in encoder.build_semantic(pool, n, m, struct))
+                    roots = [helpers.signed(pool.get("y", m, n, s))
                              for s in sorted(struct.initial)]
                     if m < len(pos):
                         backend.add_clauses((lit,) for lit in roots)
@@ -532,8 +539,9 @@ class TestRootedNegatives:
                 for m, s in rooted:
                     before = len(appended.clauses)
                     encoder.add_rooted(appended, m, s)
-                    assert appended.clauses[before:] == [
-                        (-appended.pool.get("y", m, n, s),)]
+                    assert [tuple(map(helpers.signed, clause)) for clause
+                            in appended.clauses[before:]] == [
+                        (-helpers.signed(appended.pool.get("y", m, n, s)),)]
                 assert built.clauses == appended.clauses
                 for instance in (built, appended):
                     assert blocked_formulas(instance.backend,
@@ -620,7 +628,7 @@ def decoded_formulas(n, alphabet):
     while backend.solve():
         f, lits = encoder.decode_with_literals(backend.model(), instance)
         found.append(f)
-        backend.add_clause([-lit for lit in lits])
+        backend.add_clause([-helpers.signed(lit) for lit in lits])
     return tuple(found)
 
 
@@ -745,3 +753,8 @@ class TestDimacsExport:
         # Semantic variables are documented in the comment header.
         assert any(l.startswith("c x 1 p ") for l in comments)
         assert any(l.startswith("c y 0 ") for l in comments)
+        # The body and the header's variable numbers are signed.
+        assert body == [" ".join(str(helpers.signed(lit)) for lit in clause)
+                        + " 0" for clause in instance.clauses]
+        assert (f"c x 1 p {helpers.signed(instance.pool.get('x', 1, 'p'))}"
+                in comments)

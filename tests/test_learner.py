@@ -215,7 +215,7 @@ class TestInferCandidate:
             pinned.append((pool.get("x", i, "EX"), pool.get("x", i, "!")))
             pinned.append((pool.get("l", i, 1),))
         instance.clauses += pinned
-        instance.backend.add_clauses(pinned)
+        instance.backend.load(pinned)
         for f in twins:
             encoder.add_block(instance, helpers.dag_literals(
                 pool, helpers.admitted_dag(f, m.alphabet)))
@@ -256,7 +256,9 @@ class TestInferCandidate:
         instance = state._live
         loaded = instance.num_clauses
         state.discard(formula)
-        assert instance.clauses[loaded:] == [tuple(-lit for lit in lits)]
+        assert [tuple(map(helpers.signed, clause))
+                for clause in instance.clauses[loaded:]] == [
+                    tuple(-helpers.signed(lit) for lit in lits)]
         decoded.clear()
         second = learner.infer_candidate(state)
         assert second is not None and second.formula != formula
@@ -375,7 +377,7 @@ class TestInferCandidate:
         def no_load(clauses):
             raise AssertionError("a held rooted negative was loaded again")
 
-        monkeypatch.setattr(live.backend, "add_clauses", no_load)
+        monkeypatch.setattr(live.backend, "load", no_load)
         assert state.add_rooted(0, 2) is False
         monkeypatch.undo()
         assert len(live.clauses) == loaded

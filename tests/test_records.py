@@ -147,7 +147,7 @@ def test_encoding_instance_is_mutable_with_defaults():
     second = encoder.EncodingInstance(2, ("p",), pool)
     assert first.clauses == [] and first.clauses is not second.clauses
     assert first.backend is None
-    first.clauses.append((1,))
+    first.clauses.append((pool.var("x", 1, "p"),))
     first.size_budget = 3
     assert (first.size_budget, first.num_clauses) == (3, 1)
     assert second.num_clauses == 0

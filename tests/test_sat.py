@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import helpers
 from ctlinfer import sat
 from ctlinfer.sat import BackendFailure, CdclSolver
 
@@ -207,15 +208,73 @@ class TestAddClauses:
         single.add_clause(batch[0])
         with pytest.raises(ValueError):
             single.add_clause(batch[1])
-        # The variables named before the bad literal are declared.
+        # The variables named before the bad literal are declared, and
+        # only the clauses before the bad one are loaded.
         assert batched.num_vars == single.num_vars == 5
         assert batched.num_clauses == single.num_clauses == 1
+        assert batched._clauses == single._clauses == [[2, 4]]
 
     @pytest.mark.parametrize("clause", [[True], [1, True]])
     def test_a_bool_is_not_a_literal(self, clause):
         # `True == 1`, so a bool would otherwise load as variable 1.
         with pytest.raises(ValueError):
             CdclSolver().add_clause(clause)
+
+
+def has_model(solver):
+    try:
+        solver.model()
+    except RuntimeError:
+        return False
+    return True
+
+
+class TestLoad:
+    def test_matches_the_reference_loader(self):
+        """`load`, and the signed `add_clauses` that hands over to it,
+        against `helpers.reference_load`: on seeded streams of every
+        shape, some batches tautologies only, interleaved with solves,
+        each batch leaves the stored clauses and the root trail the
+        reference gives, keeps a model exactly when it is tautologies
+        only, and every solve agrees with brute force."""
+        rng = random.Random(2030)
+        kept = dropped = 0
+        for trial in range(200):
+            num_vars = rng.randint(1, 8)
+            solver = CdclSolver(seed=trial)
+            solver.reserve(num_vars)  # the signed path declares nothing
+            database, trail, clauses = [], [], []
+            for _ in range(6):
+                if rng.random() < 0.2:
+                    batch = [(v, -v) for v in rng.sample(
+                        range(1, num_vars + 1), rng.randint(1, num_vars))]
+                else:
+                    batch = clause_stream(rng, num_vars, rng.randint(0, 8))
+                encoded = [tuple(2 * abs(l) + (l < 0) for l in c)
+                           for c in batch]
+                assert signed_clauses(encoded) == batch
+                before = has_model(solver)
+                if rng.random() < 0.5:
+                    solver.load(encoded)
+                else:
+                    solver.add_clauses(batch)
+                only_tautologies, emptied = helpers.reference_load(
+                    database, trail, encoded)
+                assert solver._clauses == database
+                assert solver._trail == trail
+                assert has_model(solver) == (before and only_tautologies)
+                kept += before and only_tautologies
+                dropped += before and not only_tautologies
+                clauses.extend(batch)
+                got = solver.solve()
+                assert got == brute_force(num_vars, clauses)
+                assert not (emptied and got)
+                if got:
+                    check_model(solver.model(), clauses)
+                # A solve learns clauses and root literals; go on from them.
+                database = [list(c) for c in solver._clauses]
+                trail = list(solver._trail)
+        assert kept > 20 and dropped > 20
 
 
 def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
@@ -260,9 +319,17 @@ def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
     assert rescales >= 15
 
 
+def signed_clauses(clauses):
+    """Encoded clauses with their literals signed, for truth tables."""
+    return [tuple(map(helpers.signed, clause)) for clause in clauses]
+
+
 class TestClauseHelpers:
+    """The shapes take encoded literals, `2v` for v and `2v + 1` for -v."""
+
     def assert_equiv(self, clauses, out, definition, num_vars):
         """Check clause set encodes out <-> definition by truth table."""
+        clauses = signed_clauses(clauses)
         for bits in itertools.product([False, True], repeat=num_vars):
             assignment = {v + 1: bits[v] for v in range(num_vars)}
             ok = all(any(assignment[abs(l)] == (l > 0) for l in c)
@@ -270,7 +337,7 @@ class TestClauseHelpers:
             assert ok == (assignment[out] == definition(assignment))
 
     def test_exactly_one(self):
-        clauses = sat.exactly_one([1, 2, 3])
+        clauses = signed_clauses(sat.exactly_one([2, 4, 6]))
         for bits in itertools.product([False, True], repeat=3):
             assignment = {v + 1: bits[v] for v in range(3)}
             ok = all(any(assignment[abs(l)] == (l > 0) for l in c)
@@ -278,25 +345,25 @@ class TestClauseHelpers:
             assert ok == (sum(bits) == 1)
 
     def test_equiv_not(self):
-        self.assert_equiv(sat.equiv_lit(1, -2), 1,
+        self.assert_equiv(sat.equiv_lit(2, 5), 1,
                           lambda a: not a[2], 2)
 
     def test_equiv_and(self):
-        self.assert_equiv(sat.equiv_and(1, [2, 3]), 1,
+        self.assert_equiv(sat.equiv_and(2, [4, 6]), 1,
                           lambda a: a[2] and a[3], 3)
 
     def test_equiv_or(self):
-        self.assert_equiv(sat.equiv_or(1, [2, 3]), 1,
+        self.assert_equiv(sat.equiv_or(2, [4, 6]), 1,
                           lambda a: a[2] or a[3], 3)
 
     def test_equiv_or_and_disj(self):
         # out <-> base | (cond & (d1 | d2))
-        clauses = sat.equiv_or_and_disj(1, 2, 3, [4, 5])
+        clauses = sat.equiv_or_and_disj(2, 4, 6, [8, 10])
         self.assert_equiv(clauses, 1,
                           lambda a: a[2] or (a[3] and (a[4] or a[5])), 5)
 
     def test_equiv_and_disj(self):
-        clauses = sat.equiv_and_disj(1, 2, [3, 4])
+        clauses = sat.equiv_and_disj(2, 4, [6, 8])
         self.assert_equiv(clauses, 1,
                           lambda a: a[2] and (a[3] or a[4]), 4)
 
@@ -306,18 +373,18 @@ class TestClauseHelpers:
         are the two-sided clauses.  A self-loop disjunct (4 = base or
         cond) is covered too."""
         shapes = [
-            (lambda p: sat.equiv_lit(1, -2, (), p), lambda a: not a[2]),
-            (lambda p: sat.equiv_and(1, [2, 3], (), p),
+            (lambda p: sat.equiv_lit(2, 5, (), p), lambda a: not a[2]),
+            (lambda p: sat.equiv_and(2, [4, 6], (), p),
              lambda a: a[2] and a[3]),
-            (lambda p: sat.equiv_or(1, [2, 3], (), p),
+            (lambda p: sat.equiv_or(2, [4, 6], (), p),
              lambda a: a[2] or a[3]),
-            (lambda p: sat.equiv_or_and_disj(1, 2, 3, [2, 4], (), p),
+            (lambda p: sat.equiv_or_and_disj(2, 4, 6, [4, 8], (), p),
              lambda a: a[2] or (a[3] and (a[2] or a[4]))),
-            (lambda p: sat.equiv_and_disj(1, 2, [2, 4], (), p),
+            (lambda p: sat.equiv_and_disj(2, 4, [4, 8], (), p),
              lambda a: a[2] and (a[2] or a[4])),
         ]
         for build, definition in shapes:
-            both, ahead, back = build(0), build(1), build(-1)
+            both, ahead, back = (signed_clauses(build(p)) for p in (0, 1, -1))
             assert set(both) == set(ahead) | set(back)
             assert all(-1 in c and 1 not in c for c in ahead)
             assert all(1 in c and -1 not in c for c in back)
@@ -332,8 +399,9 @@ class TestClauseHelpers:
 
     def test_guards_relax_the_equivalence(self):
         # With the guard false every assignment of the remaining
-        # variables is allowed; with it true the equivalence bites.
-        clauses = sat.equiv_lit(1, -2, guards=(3,))
+        # variables is allowed; with it true the equivalence bites.  The
+        # prefix is the negated guard, -3.
+        clauses = signed_clauses(sat.equiv_lit(2, 5, pre=(7,)))
         for bits in itertools.product([False, True], repeat=3):
             assignment = {v + 1: bits[v] for v in range(3)}
             ok = all(any(assignment[abs(l)] == (l > 0) for l in c)
@@ -351,7 +419,8 @@ def test_luby_prefix():
 
 class TestDimacs:
     def test_header_and_body(self):
-        text = sat.to_dimacs(3, [(1, -2), (2, 3), (-1,)], ["note"])
+        # The encoded clauses of (1, -2), (2, 3) and (-1,).
+        text = sat.to_dimacs(3, [(2, 5), (4, 6), (3,)], ["note"])
         lines = text.strip().splitlines()
         assert lines[0] == "c note"
         assert lines[1] == "p cnf 3 3"
@@ -360,10 +429,14 @@ class TestDimacs:
     def test_clause_count_matches(self):
         rng = random.Random(9)
         clauses = random_cnf(rng, 5, 12)
-        text = sat.to_dimacs(5, clauses)
+        encoded = [tuple(2 * abs(l) + (l < 0) for l in c) for c in clauses]
+        assert signed_clauses(encoded) == clauses
+        text = sat.to_dimacs(5, encoded)
         lines = text.strip().splitlines()
         header = lines[0].split()
         assert header[:2] == ["p", "cnf"]
         assert int(header[3]) == len(clauses)
         assert len(lines) - 1 == len(clauses)
         assert all(line.endswith(" 0") for line in lines[1:])
+        assert [tuple(map(int, line.split()[:-1]))
+                for line in lines[1:]] == clauses

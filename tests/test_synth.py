@@ -426,17 +426,19 @@ class TestEncode:
 
     @staticmethod
     def literal(pool, g, s):
-        """Node g's literal at state s in the folded layout: a proposition
-        reads its `lab`, `!` negates its operand's literal, a constant
-        reads the one variable `true`, and every other node its h."""
+        """Node g's literal at state s in the folded layout, signed: a
+        proposition reads its `lab`, `!` negates its operand's literal, a
+        constant reads the one variable `true`, and every other node its
+        h."""
         sign = 1
         while isinstance(g, Not):
             g, sign = g.operand, -sign
         if isinstance(g, Prop):
-            return sign * pool.get("lab", s, g.name)
+            return sign * helpers.signed(pool.get("lab", s, g.name))
         if isinstance(g, ctl.Const):
-            return sign * (1 if g.value else -1) * pool.get("true")
-        return sign * pool.get("h", g, s)
+            return (sign * (1 if g.value else -1)
+                    * helpers.signed(pool.get("true")))
+        return sign * helpers.signed(pool.get("h", g, s))
 
     @pytest.mark.parametrize("text, at_s0, everywhere", [
         ("p & EX q", ("p & EX q", "EX q"), ()),
@@ -460,6 +462,7 @@ class TestEncode:
         f = ctl.parse_ctl(text)
         for m in (1, 3):
             pool, clauses = synth._encode(f, m, ("p", "q"))
+            clauses = [tuple(map(helpers.signed, c)) for c in clauses]
             read: dict[ctl.CtlFormula, list[int]] = {}
             steps, others = set(), []
             for key, _ in pool.semantic_items():
@@ -480,13 +483,13 @@ class TestEncode:
                             for g in ctl.subterms(f))
             assert others == ([("true",)] if constants else [])
             if constants:
-                assert (pool.get("true"),) in clauses
+                assert (helpers.signed(pool.get("true")),) in clauses
             assert clauses[-1] == (self.literal(pool, f, 0),)
             for g, states in read.items():
                 if isinstance(g, And):
                     for s in states:
                         for child in ctl.children(g):
-                            assert (-pool.get("h", g, s),
+                            assert (-helpers.signed(pool.get("h", g, s)),
                                     self.literal(pool, child, s)) in clauses
 
     def pinned_model(self, struct, f):
@@ -495,13 +498,14 @@ class TestEncode:
         pool, clauses = synth._encode(f, struct.size, struct.alphabet)
         backend = CdclSolver(seed=0)
         for clause in clauses:
-            backend.add_clause(clause)
+            backend.add_clause(map(helpers.signed, clause))
         backend.reserve(pool.count)
         states = range(struct.size)
-        pins = [pool.get("t", s, t) if t in struct.successors[s]
-                else -pool.get("t", s, t) for s in states for t in states]
-        pins += [pool.get("lab", s, p) if p in struct.labels[s]
-                 else -pool.get("lab", s, p)
+        t = lambda s, u: helpers.signed(pool.get("t", s, u))
+        lab = lambda s, p: helpers.signed(pool.get("lab", s, p))
+        pins = [t(s, u) if u in struct.successors[s] else -t(s, u)
+                for s in states for u in states]
+        pins += [lab(s, p) if p in struct.labels[s] else -lab(s, p)
                  for s in states for p in struct.alphabet]
         backend.add_clauses((lit,) for lit in pins)
         return pool, backend.model() if backend.solve() else None
@@ -548,13 +552,14 @@ class TestEncode:
                     for s in range(struct.size):
                         homes = helpers.approximant_vars(
                             k, struct.size, self.literal(pool, operand, s),
-                            lambda j: pool.get("st", f, s, j),
-                            pool.get("h", f, 0) if s == 0 else None)
+                            lambda j: helpers.signed(pool.get("st", f, s, j)),
+                            helpers.signed(pool.get("h", f, 0)) if s == 0
+                            else None)
                         for var in homes:
                             if var is not None:
                                 assert agrees(var, s in expected), (f, k, s)
-                h = {key[1:]: var for key, var in pool.semantic_items()
-                     if key[0] == "h"}
+                h = {key[1:]: helpers.signed(lit)
+                     for key, lit in pool.semantic_items() if key[0] == "h"}
                 assert [s for g, s in h if g == f] == [0]
                 assert [g for g, _ in h if g != f and g != target] == []
                 for (sub, s), var in h.items():
