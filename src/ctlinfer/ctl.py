@@ -486,42 +486,42 @@ def enf(f: CtlFormula) -> CtlFormula:
     time is linear in the number of distinct subformulas, not in the
     number of root-to-leaf paths.
     """
-    memo: dict[CtlFormula, CtlFormula] = {}
+    return _enf(f, {})
 
-    def rewrite(f: CtlFormula) -> CtlFormula:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if isinstance(f, (Prop, Const)):
-            got = f
-        elif isinstance(f, _ENF_OPS):
-            if isinstance(f, _Unary):
-                got = type(f)(rewrite(f.operand))
-            else:
-                got = type(f)(rewrite(f.left), rewrite(f.right))
-        elif isinstance(f, Implies):
-            got = Or(Not(rewrite(f.left)), rewrite(f.right))
-        elif isinstance(f, ExistsFinally):
-            got = ExistsUntil(TRUE, rewrite(f.operand))
-        elif isinstance(f, ForallNext):
-            got = Not(ExistsNext(Not(rewrite(f.operand))))
-        elif isinstance(f, ForallGlobally):
-            # AG f = !EF !f
-            got = Not(ExistsUntil(TRUE, Not(rewrite(f.operand))))
-        elif isinstance(f, ForallFinally):
-            got = Not(ExistsGlobally(Not(rewrite(f.operand))))
-        elif isinstance(f, ForallUntil):
-            # A[f U g] = !E[!g U (!f & !g)] & !EG !g
-            not_g = Not(rewrite(f.right))
-            got = And(Not(ExistsUntil(not_g, And(Not(rewrite(f.left)),
-                                                 not_g))),
-                      Not(ExistsGlobally(not_g)))
-        else:
-            raise CtlError(f"unknown formula node {f!r}")
-        memo[f] = got
+
+def _enf(f: CtlFormula, memo: dict[CtlFormula, CtlFormula]) -> CtlFormula:
+    """`enf` of f, each node rewritten once per `memo`."""
+    got = memo.get(f)
+    if got is not None:
         return got
-
-    return rewrite(f)
+    if isinstance(f, (Prop, Const)):
+        got = f
+    elif isinstance(f, _ENF_OPS):
+        if isinstance(f, _Unary):
+            got = type(f)(_enf(f.operand, memo))
+        else:
+            got = type(f)(_enf(f.left, memo), _enf(f.right, memo))
+    elif isinstance(f, Implies):
+        got = Or(Not(_enf(f.left, memo)), _enf(f.right, memo))
+    elif isinstance(f, ExistsFinally):
+        got = ExistsUntil(TRUE, _enf(f.operand, memo))
+    elif isinstance(f, ForallNext):
+        got = Not(ExistsNext(Not(_enf(f.operand, memo))))
+    elif isinstance(f, ForallGlobally):
+        # AG f = !EF !f
+        got = Not(ExistsUntil(TRUE, Not(_enf(f.operand, memo))))
+    elif isinstance(f, ForallFinally):
+        got = Not(ExistsGlobally(Not(_enf(f.operand, memo))))
+    elif isinstance(f, ForallUntil):
+        # A[f U g] = !E[!g U (!f & !g)] & !EG !g
+        not_g = Not(_enf(f.right, memo))
+        got = And(Not(ExistsUntil(not_g, And(Not(_enf(f.left, memo)),
+                                             not_g))),
+                  Not(ExistsGlobally(not_g)))
+    else:
+        raise CtlError(f"unknown formula node {f!r}")
+    memo[f] = got
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,11 @@ self-loop's literal once per clause.
 learning solver with two-watched-literal propagation, first-UIP conflict
 analysis, activity-based decisions, phase saving, Luby restarts and
 incremental solving.  It is deterministic: the same clause stream and
-seed always produce the same run.  Its one loading core, `load`, takes
+seed always produce the same run.  Its search is one loop in `solve`
+over clause references: the watch lists and the reasons hold the clause
+lists themselves, a decision or a root unit has reason None, and a
+two-literal clause is settled in the watch scan itself, with no search
+for a replacement watch.  Its one loading core, `load`, takes
 encoded clauses over variables already declared (`reserve`), as the
 encoders load them; the signed `add_clauses` and `add_clause` check and
 encode their literals, declare the variables and hand over to it.
@@ -178,6 +182,21 @@ class CdclSolver:
     conflict budget turns runaway searches into `BackendFailure` instead
     of wrong answers.
 
+    A clause is a list of literals watched on its first two.  `_clauses`
+    stores every clause of two or more literals, loaded or learned, in
+    the order it came; the watch lists and `_reason` hold those lists
+    themselves, not indices into the store.  A variable set by a decision
+    or by a unit at the root has reason None.
+
+    `solve` is one loop over local variables.  Each pass propagates the
+    trail from `_qhead` (the first pass settles the root); then, on a
+    conflict, it analyses it, backjumps and asserts the learned clause;
+    otherwise it restarts on the Luby schedule, returns a full assignment,
+    or decides.  Propagation scans a watch list in order and compacts it
+    in place.  The search for a replacement watch starts at the third
+    literal; a two-literal clause has none, so the scan settles it at
+    once: satisfied, unit or conflicting.
+
     Decisions pop a lazy heap of `(-activity[v], v)` entries, skipping
     stale ones (key not the current activity, or v assigned).  Invariant:
     every unassigned variable has a current entry, and `_queued[v]` is set
@@ -195,10 +214,10 @@ class CdclSolver:
                  max_conflicts: int | None = None):
         self._nvars = 0
         self._clauses: list[list[int]] = []
-        self._watches: list[list[int]] = [[], []]
+        self._watches: list[list[list[int]]] = [[], []]
         self._val = [0, 0]        # literal -> 0 unassigned / 1 true / -1 false
         self._level = [0]
-        self._reason = [-1]
+        self._reason: list[list[int] | None] = [None]
         self._phase = bytearray(b"\x01")   # var -> sign bit of saved phase
         self._activity = [0.0]
         self._act_inc = 1.0
@@ -227,20 +246,27 @@ class CdclSolver:
     def reserve(self, num_vars: int) -> None:
         """Declare variables up to `num_vars`, as `load` needs of every
         literal it takes."""
+        first = self._nvars + 1
+        new = num_vars - self._nvars
+        if new <= 0:
+            return
         # A stored model covers only the variables it was found over.
-        while self._nvars < num_vars:
-            self._model = None
-            self._nvars += 1
-            jitter = self._rng.random() * 1e-6 if self._rng else 0.0
-            self._val += (0, 0)
-            self._level.append(0)
-            self._reason.append(-1)
-            self._phase.append(1)
-            self._activity.append(jitter)
-            self._watches += ([], [])
-            self._seen.append(0)
-            self._queued.append(1)
-            heapq.heappush(self._heap, (-jitter, self._nvars))
+        self._model = None
+        self._nvars = num_vars
+        rng = self._rng
+        jitter = ([rng.random() * 1e-6 for _ in range(new)] if rng
+                  else [0.0] * new)
+        self._val += [0] * (2 * new)
+        self._level += [0] * new
+        self._reason += [None] * new
+        self._phase += b"\x01" * new
+        self._activity += jitter
+        self._watches += [[] for _ in range(2 * new)]
+        self._seen += bytes(new)
+        self._queued += b"\x01" * new
+        heap = self._heap
+        for v, act in enumerate(jitter, first):
+            heapq.heappush(heap, (-act, v))
 
     # -- clause input ------------------------------------------------------
 
@@ -292,24 +318,29 @@ class CdclSolver:
                 if not reduced:
                     self._unsat = True
                 elif len(reduced) == 1:
-                    self._enqueue(reduced[0], -1)
+                    self._enqueue(reduced[0])
                 else:
-                    watches[reduced[0]].append(len(clause_db))
-                    watches[reduced[1]].append(len(clause_db))
+                    watches[reduced[0]].append(reduced)
+                    watches[reduced[1]].append(reduced)
                     clause_db.append(reduced)
 
     # -- trail -------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: int) -> None:
+    def _enqueue(self, lit: int) -> None:
+        """Set `lit` true at the root, with no reason."""
         val = self._val
         val[lit] = 1
         val[lit ^ 1] = -1
         v = lit >> 1
-        self._level[v] = len(self._trail_lim)
-        self._reason[v] = reason
+        self._level[v] = 0
+        self._reason[v] = None
         self._trail.append(lit)
 
     def _cancel_until(self, level: int) -> None:
+        """Undo the assignments above `level`, saving their phases and
+        queueing their variables for decisions.  Every literal below the
+        mark has been propagated, so `solve` resumes with `_qhead` at the
+        end of the trail."""
         trail_lim = self._trail_lim
         if len(trail_lim) > level:
             trail = self._trail
@@ -317,69 +348,18 @@ class CdclSolver:
             val = self._val
             phase = self._phase
             queued = self._queued
+            activity = self._activity
+            heap = self._heap
+            push = heapq.heappush
             for lit in trail[mark:]:
                 v = lit >> 1
                 phase[v] = lit & 1
                 val[lit] = val[lit ^ 1] = 0
                 if not queued[v]:
                     queued[v] = 1
-                    heapq.heappush(self._heap, (-self._activity[v], v))
+                    push(heap, (-activity[v], v))
             del trail[mark:]
             del trail_lim[level:]
-        self._qhead = min(self._qhead, len(self._trail))
-
-    # -- propagation -------------------------------------------------------
-
-    def _propagate(self) -> int:
-        clauses = self._clauses
-        watches = self._watches
-        val = self._val
-        level = self._level
-        reason = self._reason
-        trail = self._trail
-        current = len(self._trail_lim)
-        qhead = self._qhead
-        while qhead < len(trail):
-            neg = trail[qhead] ^ 1
-            qhead += 1
-            # Compact wl in place.  It cannot grow meanwhile: a clause only
-            # moves its watch to a literal that is not false, and neg is.
-            wl = watches[neg]
-            i = j = 0
-            for ci in wl:
-                i += 1
-                lits = clauses[ci]
-                first = lits[0]
-                if first == neg:
-                    first = lits[1]
-                    lits[0] = first
-                    lits[1] = neg
-                if val[first] == 1:
-                    wl[j] = ci
-                    j += 1
-                    continue
-                for k in range(2, len(lits)):
-                    lk = lits[k]
-                    if val[lk] != -1:
-                        lits[1] = lk
-                        lits[k] = neg
-                        watches[lk].append(ci)
-                        break
-                else:
-                    wl[j] = ci
-                    j += 1
-                    if val[first] == -1:
-                        wl[j:] = wl[i:]
-                        self._qhead = qhead
-                        return ci
-                    val[first] = 1
-                    val[first ^ 1] = -1
-                    level[first >> 1] = current
-                    reason[first >> 1] = ci
-                    trail.append(first)
-            del wl[j:]
-        self._qhead = qhead
-        return -1
 
     # -- conflict analysis -------------------------------------------------
 
@@ -399,9 +379,12 @@ class CdclSolver:
                 heap.append((-activity[u], u))
         heapq.heapify(heap)
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
-        clauses = self._clauses
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        """The first-UIP clause learned from the conflicting clause
+        `confl`, asserting literal first and the literal of the highest
+        level below the current one second, with that level."""
         level = self._level
+        reason = self._reason
         trail = self._trail
         activity = self._activity
         queued = self._queued
@@ -413,7 +396,7 @@ class CdclSolver:
         p = 0
         idx = len(trail) - 1
         current = len(self._trail_lim)
-        clause = clauses[confl]
+        clause = confl
         while True:
             for q in clause:
                 if q == p:
@@ -442,30 +425,23 @@ class CdclSolver:
             if counter == 0:
                 learnt[0] = p ^ 1
                 break
-            clause = clauses[self._reason[v]]
+            clause = reason[v]
         for v in cleared:
             seen[v] = 0
-        if len(learnt) == 1:
-            return learnt, 0
-        # Watch the highest-level literal besides the asserting one.
-        best = max(range(1, len(learnt)), key=lambda k: level[learnt[k] >> 1])
-        learnt[1], learnt[best] = learnt[best], learnt[1]
-        return learnt, level[learnt[1] >> 1]
+        # Watch the first literal of the highest level besides the
+        # asserting one.
+        best = 1
+        blevel = 0
+        for k in range(1, len(learnt)):
+            lv = level[learnt[k] >> 1]
+            if lv > blevel:
+                best = k
+                blevel = lv
+        if blevel:
+            learnt[1], learnt[best] = learnt[best], learnt[1]
+        return learnt, blevel
 
     # -- search ------------------------------------------------------------
-
-    def _pick_branch_var(self) -> int:
-        heap = self._heap
-        activity = self._activity
-        queued = self._queued
-        val = self._val
-        while heap:
-            key, v = heapq.heappop(heap)
-            if key == -activity[v]:
-                queued[v] = 0
-                if val[v << 1] == 0:
-                    return v
-        raise AssertionError("an unassigned variable has no heap entry")
 
     def solve(self) -> bool:
         """True iff the clause set is satisfiable."""
@@ -473,19 +449,74 @@ class CdclSolver:
             return False
         self._model = None
         self._cancel_until(0)
-        if self._propagate() != -1:
-            self._unsat = True
-            return False
         val = self._val
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        activity = self._activity
+        queued = self._queued
+        heap = self._heap
+        watches = self._watches
         trail = self._trail
         trail_lim = self._trail_lim
+        heappop = heapq.heappop
+        qhead = self._qhead
         since_restart = 0
         restarts = 0
         threshold = _luby(1) * _RESTART_BASE
         while True:
-            confl = self._propagate()
-            if confl != -1:
-                if not trail_lim:
+            confl = None
+            current = len(trail_lim)
+            while qhead < len(trail):
+                neg = trail[qhead] ^ 1
+                qhead += 1
+                # Compact wl in place.  It cannot grow meanwhile: a clause
+                # only moves its watch to a literal that is not false, and
+                # neg is.
+                wl = watches[neg]
+                i = j = 0
+                for lits in wl:
+                    i += 1
+                    first = lits[0]
+                    if first == neg:
+                        first = lits[1]
+                        lits[0] = first
+                        lits[1] = neg
+                    x = val[first]
+                    if x == 1:
+                        wl[j] = lits
+                        j += 1
+                        continue
+                    # A while loop: a range per clause cost more than
+                    # the search itself, which averages 1.3-1.4 steps.
+                    k = 2
+                    n = len(lits)
+                    while k < n:
+                        lk = lits[k]
+                        if val[lk] != -1:
+                            lits[1] = lk
+                            lits[k] = neg
+                            watches[lk].append(lits)
+                            break
+                        k += 1
+                    else:
+                        wl[j] = lits
+                        j += 1
+                        if x == -1:
+                            confl = lits
+                            break
+                        val[first] = 1
+                        val[first ^ 1] = -1
+                        v = first >> 1
+                        level[v] = current
+                        reason[v] = lits
+                        trail.append(first)
+                del wl[j:i]
+                if confl is not None:
+                    break
+            if confl is not None:
+                if not current:
+                    self._qhead = qhead
                     self._unsat = True
                     return False
                 self._conflicts += 1
@@ -493,18 +524,25 @@ class CdclSolver:
                 if (self._max_conflicts is not None
                         and self._conflicts > self._max_conflicts):
                     self._cancel_until(0)
+                    self._qhead = len(trail)
                     raise BackendFailure(
                         f"conflict limit {self._max_conflicts} exceeded")
                 learnt, blevel = self._analyze(confl)
                 self._cancel_until(blevel)
+                qhead = len(trail)
+                lit = learnt[0]
+                v = lit >> 1
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0], -1)
+                    reason[v] = None
                 else:
-                    ci = len(self._clauses)
                     self._clauses.append(learnt)
-                    self._watches[learnt[0]].append(ci)
-                    self._watches[learnt[1]].append(ci)
-                    self._enqueue(learnt[0], ci)
+                    watches[lit].append(learnt)
+                    watches[learnt[1]].append(learnt)
+                    reason[v] = learnt
+                val[lit] = 1
+                val[lit ^ 1] = -1
+                level[v] = blevel
+                trail.append(lit)
                 self._act_inc *= _ACT_DECAY
                 continue
             if since_restart >= threshold:
@@ -512,14 +550,27 @@ class CdclSolver:
                 since_restart = 0
                 threshold = _luby(restarts + 1) * _RESTART_BASE
                 self._cancel_until(0)
+                qhead = len(trail)
                 continue
             if len(trail) == self._nvars:
                 self._model = val[::2]
                 self._cancel_until(0)
+                self._qhead = len(trail)
                 return True
-            v = self._pick_branch_var()
+            # Decide the most active unassigned variable in its saved phase.
+            while True:
+                key, v = heappop(heap)
+                if key == -activity[v]:
+                    queued[v] = 0
+                    if val[v << 1] == 0:
+                        break
             trail_lim.append(len(trail))
-            self._enqueue((v << 1) | self._phase[v], -1)
+            lit = (v << 1) | phase[v]
+            val[lit] = 1
+            val[lit ^ 1] = -1
+            level[v] = current + 1
+            reason[v] = None
+            trail.append(lit)
 
     def model(self) -> dict[int, bool]:
         """Satisfying assignment of the last successful `solve`."""

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import os
 import pickle
 import random
@@ -220,6 +221,24 @@ def test_equal_formulas_are_one_node():
     assert ctl.size(ctl.Or(first, second)) == ctl.size(first) + 1
     last_but_one = ctl.subterms(ctl.And(first, second))[-2] is first
     assert last_but_one
+
+
+def test_enf_leaves_no_reference_cycle():
+    """`enf` of a formula with universal operators, implications and EF
+    leaves nothing for the cycle collector: its recursion holds the memo
+    as an argument, not as a closure cell of a self-calling function."""
+    f = ctl.parse_ctl("AG (p -> AF q) & A[p U EF !q] & AX p")
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        got = ctl.enf(f)
+        garbage = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert ctl.is_enf(got) and got != f
+    assert garbage == 0
 
 
 @pytest.mark.parametrize("cls", OPERATORS, ids=lambda cls: cls.__name__)

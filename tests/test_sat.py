@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 import helpers
-from ctlinfer import sat
+from ctlinfer import ctl, encoder, sat
 from ctlinfer.sat import BackendFailure, CdclSolver
 
 
@@ -18,10 +19,10 @@ def brute_force(num_vars, clauses):
     return False
 
 
-def random_cnf(rng, num_vars, num_clauses, width=3):
+def random_cnf(rng, num_vars, num_clauses, width=3, min_width=1):
     clauses = []
     for _ in range(num_clauses):
-        k = rng.randint(1, width)
+        k = rng.randint(min_width, width)
         vs = rng.sample(range(1, num_vars + 1), min(k, num_vars))
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return clauses
@@ -104,6 +105,32 @@ class TestAgainstBruteForce:
             assert got == brute_force(num_vars, clauses), clauses
             if got:
                 check_model(solver.model(), clauses)
+        # All-binary CNFs, with a unit now and then, loaded in batches with
+        # a solve after each.  Units against a binary chain make the root
+        # propagation itself conflict: UNSAT with no conflict counted.
+        root_conflicts = 0
+        for trial in range(300):
+            num_vars = rng.randint(2, 10)
+            solver = CdclSolver(seed=trial if trial % 3 else None)
+            clauses = []
+            for _ in range(4):
+                batch = random_cnf(rng, num_vars,
+                                   rng.randint(1, 2 * num_vars), 2, 2)
+                if rng.random() < 0.4:
+                    batch.append((rng.choice((-1, 1))
+                                  * rng.randint(1, num_vars),))
+                before = solver._conflicts
+                solver.add_clauses(batch)
+                emptied = solver._unsat
+                clauses.extend(batch)
+                got = solver.solve()
+                assert got == brute_force(num_vars, clauses), clauses
+                if not got:
+                    root_conflicts += (not emptied
+                                       and solver._conflicts == before)
+                    break
+                check_model(solver.model(), clauses)
+        assert root_conflicts > 20
 
     def test_incremental_clause_addition(self):
         rng = random.Random(2026)
@@ -440,3 +467,102 @@ class TestDimacs:
         assert all(line.endswith(" 0") for line in lines[1:])
         assert [tuple(map(int, line.split()[:-1]))
                 for line in lines[1:]] == clauses
+
+
+
+def trajectory(solver, step):
+    """Solve after each `step(solver, runs)` that returns True, having
+    loaded more clauses; per solve the verdict, the conflict count so
+    far, the clauses it learned (each sorted, in the order learned) and
+    the model."""
+    runs = []
+    while step(solver, runs):
+        before = solver.num_clauses
+        got = solver.solve()
+        model = solver.model() if got else None
+        runs.append((got, solver._conflicts,
+                     [sorted(c) for c in solver._clauses[before:]],
+                     None if model is None else sorted(model.items())))
+    return runs
+
+
+def digest(runs):
+    return hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
+
+
+# Taken from the solver before its search became one loop.
+RANDOM_VERDICTS = ("SS SS SU SS SS SU SS SS SS SU SU SU SS SU SS SS SS SS "
+                   "SU SU SS SS SU SS SS SS SS SS SU SU SS SU SU SU SS SS "
+                   "SS SS SS SS SS SU SS SS SU SU SS SU SS SU")
+RANDOM_CONFLICTS = [1, 12, 1, 11, 1, 14, 0, 9, 1, 16, 1, 22, 1, 25, 0, 17,
+                    0, 2, 1, 18, 0, 14, 1, 3, 0, 4, 0, 15, 1, 11, 0, 26,
+                    1, 24, 0, 4, 0, 9, 0, 4, 0, 27, 0, 4, 1, 13, 0, 30, 0, 17]
+RANDOM_DIGEST = "625ec1c7ffd41f86"
+DIAMOND_FORMULAS = ["EX EG q", "EX EG p", "!EG q", "!EG p", "EG EX q"]
+DIAMOND_CONFLICTS = [4, 4, 5, 5, 7, 9]
+DIAMOND_DIGEST = "368dbb7f13d9c79b"
+
+
+class TestSearchTrajectory:
+    """Pins of the search itself, not only of its answers: the same clause
+    stream must give the same conflicts, learned clauses and models.  A
+    change to the kernel that keeps every decision keeps them."""
+
+    def test_random_cnfs(self):
+        """50 seeded CNFs of widths 2 and 3, each loaded in two halves
+        with a solve after each (the second only while SAT)."""
+        rng = random.Random(4242)
+        verdicts, conflicts, everything, kinds = [], [], [], set()
+        for trial in range(50):
+            width = 2 + trial % 2
+            if width == 2:
+                num_vars = rng.randint(20, 40)
+                ratio = rng.uniform(0.9, 1.6)
+            else:
+                num_vars = rng.randint(20, 32)
+                ratio = rng.uniform(3.8, 5.0)
+            clauses = random_cnf(rng, num_vars, int(num_vars * ratio),
+                                 width, width)
+            half = len(clauses) // 2
+            batches = [clauses[half:], clauses[:half]]
+
+            def step(solver, runs):
+                if not batches or (runs and not runs[-1][0]):
+                    return False
+                solver.add_clauses(batches.pop())
+                return True
+
+            runs = trajectory(CdclSolver(seed=trial if trial % 4 else None),
+                              step)
+            verdicts.append("".join("S" if r[0] else "U" for r in runs))
+            conflicts.append(runs[-1][1])
+            kinds.add((width, runs[-1][0]))
+            everything.append(runs)
+        assert kinds == {(2, True), (2, False), (3, True), (3, False)}
+        assert " ".join(verdicts) == RANDOM_VERDICTS
+        assert conflicts == RANDOM_CONFLICTS
+        assert digest(everything) == RANDOM_DIGEST
+
+    def test_learner_instance_under_blocks(self):
+        """The unseeded budget-3 learner instance of `diamond`, re-solved
+        after blocking each DAG it decodes, as the learner's re-block
+        loop does."""
+        instance = encoder.build_instance(
+            3, [helpers.load_fixture("diamond.kripke")])
+        formulas = []
+
+        def step(solver, runs):
+            if not runs:
+                return True
+            if not runs[-1][0] or len(runs) == 6:
+                return False
+            formula, lits = encoder.decode_with_literals(solver.model(),
+                                                         instance)
+            formulas.append(ctl.print_ctl(formula))
+            encoder.add_block(instance, lits)
+            return True
+
+        runs = trajectory(instance.backend, step)
+        assert formulas == DIAMOND_FORMULAS
+        assert [r[1] for r in runs] == DIAMOND_CONFLICTS
+        assert digest(runs) == DIAMOND_DIGEST
