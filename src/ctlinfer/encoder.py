@@ -65,18 +65,25 @@ first, then the u variables, then, for each structure in the order it
 was added, which is its index m, its y, then its ys, then its L/R
 variables.  Literals are in `sat`'s encoded form, and `VarPool` hands
 out the positive ones.  Every instance owns the solver its clauses go to
-(`EncodingInstance.backend`), and each clause group is loaded into it
-as soon as it is built: `build_instance` is the structural and
-normal-form clauses (`load_backend`), then
-`add_structure` once per positive and negative, then `add_rooted` once
-per rooted negative.  Appending to a built instance (the learner's
-persistent search) goes the same way, renumbers nothing, and leaves
-every clause already loaded valid.
+(`EncodingInstance.backend`).  `build_instance` builds one stream: the
+structural and normal-form clauses, then each positive and negative's
+clauses as `add_structure` appends them, then each rooted negative's
+unit clause as `add_rooted` appends it; and it loads the whole stream
+into a fresh solver at once (`load_backend`).  Appending to a built
+instance (the learner's persistent search) loads each appended group as
+soon as it is built, gives the clauses the build would have given,
+renumbers nothing, and leaves every clause already loaded valid.
 
 A blocking clause (`add_block`) negates the defining literals of one
 decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
 only x/l/r variables, so it can be appended at any time, before or after
 further structures.
+
+The builders, here and in `sat`'s shapes, fill their lists and clauses
+with plain loops.  Most lists are short (a structure of one or two
+states, a node's one or two successors), and on CPython 3.11 a
+comprehension's own call then costs more than the work inside it
+(`BENCH_lists.json` has the measurements).
 """
 
 from __future__ import annotations
@@ -91,10 +98,9 @@ from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
-# How `lower_node` reads literals: by state, by state and step, by edge.
-StateLit = Callable[[int], int]
-StepLit = Callable[[int, int], int]
-Successors = Callable[[int, StateLit], list[int]]
+# How `lower_node` reads a successor disjunction: state s and per-state
+# literals to the literals of the successors of s.
+Successors = Callable[[int, Sequence[int]], list[int]]
 
 __all__ = ["VarPool", "REWRITE_RULES", "lower_node", "add_structure",
            "add_rooted", "add_block", "build_normal_form", "build_instance",
@@ -350,48 +356,60 @@ def build_normal_form(pool: VarPool, n: int,
     the search found that by propagation, only later; the domains leave
     them out before any clause is built.
     """
-    x = lambda i, lab: pool.var("x", i, lab)
-    left = lambda i, j: pool.var("l", i, j)
-    right = lambda i, j: pool.var("r", i, j)
+    var = pool.var
     domain = [()] + [label_domain(n, i, alphabet) for i in range(1, n + 1)]
     clauses: list[Clause] = []
     for i in range(2, n + 1):
         for a, p in enumerate(alphabet):
             if p in domain[i]:
-                clauses.append((x(i, p) ^ 1,) + tuple(
-                    x(i - 1, q) for q in alphabet[:a] if q in domain[i - 1]))
+                clause = [var("x", i, p) ^ 1]
+                for q in alphabet[:a]:
+                    if q in domain[i - 1]:
+                        clause.append(var("x", i - 1, q))
+                clauses.append(tuple(clause))
         for j in range(1, i):
             for lab in (AND_LABEL, OR_LABEL):
                 if lab in domain[i]:
-                    clauses.append((x(i, lab) ^ 1, left(i, j) ^ 1) + tuple(
-                        right(i, k) for k in range(j + 1, i)))
+                    clause = [var("x", i, lab) ^ 1, var("l", i, j) ^ 1]
+                    for k in range(j + 1, i):
+                        clause.append(var("r", i, k))
+                    clauses.append(tuple(clause))
     for keys in _rule_clauses(n):
-        clauses.append(tuple(pool.var(*key) ^ 1 for key in keys))
+        clause = []
+        for key in keys:
+            clause.append(var(*key) ^ 1)
+        clauses.append(tuple(clause))
     for i in range(2, n + 1):
         for i2 in range(i + 1, n + 1):
             for lab in domain[i]:
                 if lab not in OPERATOR_LABELS or lab not in domain[i2]:
                     continue
                 for j in range(1, i):
-                    same = (x(i, lab) ^ 1, x(i2, lab) ^ 1, left(i, j) ^ 1,
-                            left(i2, j) ^ 1)
+                    same = (var("x", i, lab) ^ 1, var("x", i2, lab) ^ 1,
+                            var("l", i, j) ^ 1, var("l", i2, j) ^ 1)
                     if lab not in BINARY_LABELS:
                         clauses.append(same)
                         continue
                     for j2 in range(1, i):
-                        clauses.append(same + (right(i, j2) ^ 1,
-                                               right(i2, j2) ^ 1))
+                        clauses.append(same + (var("r", i, j2) ^ 1,
+                                               var("r", i2, j2) ^ 1))
     for i in range(1, n):
-        clauses.append(tuple(pool.var("u", i, j)
-                             for j in range(i + 1, n + 1)))
+        clause = []
         for j in range(i + 1, n + 1):
-            unused = pool.var("u", i, j) ^ 1
-            ops = [lab for lab in domain[j] if lab in OPERATOR_LABELS]
-            clauses.append((unused,) + tuple(x(j, lab) for lab in ops))
-            clauses.append((unused, left(j, i))
-                           + tuple(x(j, lab) for lab in ops
-                                   if lab in BINARY_LABELS))
-            clauses.append((unused, left(j, i), right(j, i)))
+            clause.append(var("u", i, j))
+        clauses.append(tuple(clause))
+        for j in range(i + 1, n + 1):
+            unused = var("u", i, j) ^ 1
+            ops = [unused]
+            binary = [unused, var("l", j, i)]
+            for lab in domain[j]:
+                if lab in OPERATOR_LABELS:
+                    ops.append(var("x", j, lab))
+                    if lab in BINARY_LABELS:
+                        binary.append(var("x", j, lab))
+            clauses.append(tuple(ops))
+            clauses.append(tuple(binary))
+            clauses.append((unused, var("l", j, i), var("r", j, i)))
     return clauses
 
 
@@ -445,52 +463,61 @@ def _placements(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
     for lab, *kids in (node for node in pattern if not isinstance(node, str)):
         for kid in kids:
             readers.setdefault(kid, []).append(lab)
-    place: list[int | None] = [None] * len(pattern)
+    return _extend(pattern, n, domain, readers, [None] * len(pattern), 0, [])
 
-    def extend(k: int, placed: list[tuple[int, tuple]],
-               ) -> Iterable[list[tuple[int, tuple]]]:
-        if k == len(pattern):
-            yield placed
-            return
-        if isinstance(pattern[k], str):  # a metavariable
-            if readers[k][1:] or readers[k][0] in (AND_LABEL, OR_LABEL):
-                for i in range(1, n + 1):
-                    place[k] = i
-                    yield from extend(k + 1, placed)
-            else:
-                yield from extend(k + 1, placed)
-            return
-        lab, *kids = pattern[k]
-        below = [place[c] for c in kids]
-        if lab in (AND_LABEL, OR_LABEL):
-            if below[0] == below[1]:
-                return
-            below.sort()
-        for i in range(max(j or 1 for j in below) + 1, n + 1):
-            if lab in domain[i] and all(i != j for j, _ in placed):
+
+def _extend(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
+            readers: Mapping[int, list[str]], place: list[int | None],
+            k: int, placed: list[tuple[int, tuple]],
+            ) -> Iterable[list[tuple[int, tuple]]]:
+    """The placements of `_placements` that extend `placed`, the operator
+    nodes of pattern nodes 0..k-1 placed so far, root first, with
+    `place[c]` the DAG node of pattern node c < k (None if left open)."""
+    if k == len(pattern):
+        yield placed
+        return
+    if isinstance(pattern[k], str):  # a metavariable
+        if readers[k][1:] or readers[k][0] in (AND_LABEL, OR_LABEL):
+            for i in range(1, n + 1):
                 place[k] = i
-                yield from extend(k + 1, [(i, (lab, *below))] + placed)
-
-    return extend(0, [])
+                yield from _extend(pattern, n, domain, readers, place, k + 1,
+                                   placed)
+        else:
+            yield from _extend(pattern, n, domain, readers, place, k + 1,
+                               placed)
+        return
+    lab, *kids = pattern[k]
+    below = [place[c] for c in kids]
+    if lab in (AND_LABEL, OR_LABEL):
+        if below[0] == below[1]:
+            return
+        below.sort()
+    for i in range(max(j or 1 for j in below) + 1, n + 1):
+        if lab in domain[i] and all(i != j for j, _ in placed):
+            place[k] = i
+            yield from _extend(pattern, n, domain, readers, place, k + 1,
+                               [(i, (lab, *below))] + placed)
 
 
 def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
-               left: StateLit, right: StateLit, step: StepLit,
-               successors: Successors, depth: int, pre: Clause = (),
-               polarity: int = 0) -> None:
-    """Append an operator node's semantics at state s.
+               left: Sequence[int], right: Sequence[int],
+               steps: Sequence[Sequence[int]], successors: Successors,
+               depth: int, pre: Clause = (), polarity: int = 0) -> None:
+    """Append an operator node's semantics at state s to `clauses`, the
+    sink of the `sat.equiv_*` shapes it lowers to.
 
     The single CNF lowering of the CTL step semantics, for formula search
     (known structure) and bounded synthesis (symbolic structure).
-    `left`/`right` map a state to a child literal, and `successors(s,
-    lit)` lists literals whose disjunction says a successor t has
-    `lit(t)`.  EU and EG unroll `depth` steps over the approximants X_1
-    .. X_{depth+1}: X_1 is the operand literal `base` (`right` for EU,
-    `left` for EG), `step(t, k)` is X_k for k in 2..depth, and the last
-    step is written into `out`.  At depth 0, `out <-> base`.  An `out`
-    of None says the node has no variable at s: only the inner EU/EG
-    groups, those writing X_2 .. X_depth, are lowered, for the states
-    whose `out` reads them.
+    `left`/`right` list the child literals state by state (a list need
+    only cover s for `!`, `&` and `|`), and `successors(s, lits)` lists
+    literals whose disjunction says a successor t has `lits[t]`.  EU and
+    EG unroll `depth` steps over the approximants X_1 .. X_{depth+1}:
+    X_1 is the operand's list `base` (`right` for EU, `left` for EG),
+    `steps[k - 2]` lists X_k state by state for k in 2..depth, and the
+    last step is written into `out`.  At depth 0, `out <-> base`.  An
+    `out` of None says the node has no variable at s: only the inner
+    EU/EG groups, those writing X_2 .. X_depth, are lowered, for the
+    states whose `out` reads them.
 
     `pre` and `polarity` are those of the `sat.equiv_*` shapes, the
     negated guards that prefix every clause and the direction kept, and
@@ -520,27 +547,29 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
     if out is None and label not in (EU_LABEL, EG_LABEL):
         return  # no inner groups
     if label == NOT_LABEL:
-        clauses.extend(sat.equiv_lit(out, left(s) ^ 1, pre, polarity))
+        sat.equiv_lit(clauses, out, left[s] ^ 1, pre, polarity)
     elif label == EX_LABEL:
-        clauses.extend(sat.equiv_or(out, successors(s, left), pre, polarity))
+        sat.equiv_or(clauses, out, successors(s, left), pre, polarity)
     elif label in (AND_LABEL, OR_LABEL):
         equiv = sat.equiv_and if label == AND_LABEL else sat.equiv_or
-        clauses.extend(equiv(out, [left(s), right(s)], pre, polarity))
+        equiv(clauses, out, (left[s], right[s]), pre, polarity)
     else:
-        base = right if label == EU_LABEL else left
+        until = label == EU_LABEL
+        approx = right if until else left  # X_1
         if depth == 0:
-            clauses.extend(sat.equiv_lit(out, base(s), pre, polarity))
-        cond = left(s)
+            sat.equiv_lit(clauses, out, approx[s], pre, polarity)
+        cond = left[s]
         for k in range(1, depth + 1 if out is not None else depth):
-            approx = base if k == 1 else lambda t, k=k: step(t, k)
             reached = successors(s, approx)
-            target = out if k == depth else step(s, k + 1)
-            if label == EU_LABEL:
-                clauses.extend(sat.equiv_or_and_disj(
-                    target, approx(s), cond, reached, pre, polarity))
+            target = out if k == depth else steps[k - 1][s]
+            if until:
+                sat.equiv_or_and_disj(clauses, target, approx[s], cond,
+                                      reached, pre, polarity)
             else:
-                clauses.extend(sat.equiv_and_disj(
-                    target, cond, reached, pre, polarity))
+                sat.equiv_and_disj(clauses, target, cond, reached, pre,
+                                   polarity)
+            if k < depth:
+                approx = steps[k - 1]  # X_{k+1}
 
 
 def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
@@ -549,8 +578,8 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     node, label of the node's `label_domain`, and state.
 
     The structure's variables are allocated first, in the layout of the
-    module docstring, and read back from tables, not looked up per
-    literal.
+    module docstring, into per-state literal lists that `lower_node`
+    reads.
 
     The operand values `L(m, i, s)` and `R(m, i, s)` of an operator node
     i are tied to its children by `l(i, j) -> (L(m, i, s) <-> y(m, j, s))`
@@ -573,27 +602,49 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     """
     size = struct.size
     states = range(size)
-    y = [[]] + [[pool.var("y", m, i, s) for s in states]
-                for i in range(1, n + 1)]
-    steps = [[], []] + [[[pool.var("ys", m, i, s, k) for k in range(2, size)]
-                         for s in states] for i in range(2, n + 1)]
-    left: list[list[int]] = [[] for _ in range(n + 1)]
-    right: list[list[int]] = [[] for _ in range(n + 1)]
+    # Node i's literals state by state: y[i], the approximants
+    # steps[i][k - 2] and the operand values left[i] and right[i].
+    y: list[list[int]] = [[]]
+    for i in range(1, n + 1):
+        y.append([])
+        for s in states:
+            y[i].append(pool.var("y", m, i, s))
+    steps: list[list[list[int]]] = [[], []]
     for i in range(2, n + 1):
+        steps.append([])
+        for k in range(2, size):
+            steps[i].append([])
+        for s in states:  # allocated state by state
+            for k in range(2, size):
+                steps[i][k - 2].append(pool.var("ys", m, i, s, k))
+    # Node 2 takes no binary label, so it reads no right.
+    left: list[list[int]] = [[], []]
+    right: list[list[int]] = [[], [], []]
+    for i in range(2, n + 1):
+        left.append([])
+        if i > 2:
+            right.append([])
         for s in states:
             left[i].append(pool.var("L", m, i, s))
-            if i > 2:  # node 2 takes no binary label, so reads no right
+            if i > 2:
                 right[i].append(pool.var("R", m, i, s))
     post = [sorted(succ) for succ in struct.successors]
-    successors = lambda s, lit: [lit(t) for t in post[s]]
+
+    def successors(s: int, lits: Sequence[int]) -> list[int]:
+        reached = []
+        for t in post[s]:
+            reached.append(lits[t])
+        return reached
+
     clauses: list[Clause] = []
     for i in range(1, n + 1):
         out = y[i]
         sign = -1 if negative and i == n else 0
-        domain = label_domain(n, i, struct.alphabet)
-        for p in domain:
+        lowered = []  # each operator label with its negated guard
+        for p in label_domain(n, i, struct.alphabet):
             if p in OPERATOR_LABELS:
-                break  # the propositions come first
+                lowered.append((p, (pool.var("x", i, p) ^ 1,)))
+                continue
             unlabelled = pool.var("x", i, p) ^ 1
             for s in states:
                 if p in struct.labels[s]:
@@ -608,17 +659,13 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
             not_r = (pool.var("r", i, j) ^ 1,)
             child = y[j]
             for s in states:
-                clauses.extend(sat.equiv_lit(left_i[s], child[s], not_l))
+                sat.equiv_lit(clauses, left_i[s], child[s], not_l)
                 if i > 2:
-                    clauses.extend(sat.equiv_lit(right_i[s], child[s], not_r))
-        lowered = [(label, (pool.var("x", i, label) ^ 1,)) for label in domain
-                   if label in OPERATOR_LABELS]
-        step = lambda t, k, steps_i=steps_i: steps_i[t][k - 2]
+                    sat.equiv_lit(clauses, right_i[s], child[s], not_r)
         for s in states:
             for label, pre in lowered:
-                lower_node(clauses, label, s, out[s], left_i.__getitem__,
-                           right_i.__getitem__, step, successors, size - 1,
-                           pre, sign)
+                lower_node(clauses, label, s, out[s], left_i, right_i,
+                           steps_i, successors, size - 1, pre, sign)
     return clauses
 
 
@@ -627,6 +674,31 @@ def _load(instance: EncodingInstance, clauses: list[Clause]) -> None:
     instance.clauses += clauses
     instance.backend.reserve(instance.pool.count)
     instance.backend.load(clauses)
+
+
+def _append_structure(instance: EncodingInstance, struct: KripkeStructure,
+                       negative: bool, clauses: list[Clause]) -> None:
+    """Record `struct` as the instance's structure m, the next index, and
+    append its clauses to `clauses`: one consistency clause, first, then
+    `build_semantic` (`add_structure`)."""
+    if struct.alphabet != instance.alphabet:
+        raise ValueError("sample structures must share one alphabet")
+    pool, n = instance.pool, instance.size_budget
+    m = len(instance.structures)
+    semantic = build_semantic(pool, n, m, struct, negative)
+    roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
+    if negative:
+        clauses.append(tuple(lit ^ 1 for lit in roots))
+    else:
+        clauses += [(lit,) for lit in roots]
+    clauses += semantic
+    instance.structures += (struct,)
+    instance.negatives += negative
+
+
+def _rooted_clause(instance: EncodingInstance, m: int, s: int) -> Clause:
+    """The unit clause of the rooted negative (m, s), !y(m, n, s)."""
+    return (instance.pool.get("y", m, instance.size_budget, s) ^ 1,)
 
 
 def add_structure(instance: EncodingInstance, struct: KripkeStructure,
@@ -642,19 +714,9 @@ def add_structure(instance: EncodingInstance, struct: KripkeStructure,
     negatives, and no caller hands over a negative's initial state
     (`ceg._root_failures`).
     """
-    if struct.alphabet != instance.alphabet:
-        raise ValueError("sample structures must share one alphabet")
-    pool, n = instance.pool, instance.size_budget
-    m = len(instance.structures)
-    semantic = build_semantic(pool, n, m, struct, negative)
-    roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
-    if negative:
-        clauses = [tuple(lit ^ 1 for lit in roots)]
-    else:
-        clauses = [(lit,) for lit in roots]
-    instance.structures += (struct,)
-    instance.negatives += negative
-    _load(instance, clauses + semantic)
+    clauses: list[Clause] = []
+    _append_structure(instance, struct, negative, clauses)
+    _load(instance, clauses)
 
 
 def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
@@ -667,8 +729,7 @@ def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     `y` true.  So the DAGs admitted after the append are exactly those
     admitted before whose root formula fails at s.
     """
-    _load(instance,
-          [(instance.pool.get("y", m, instance.size_budget, s) ^ 1,)])
+    _load(instance, [_rooted_clause(instance, m, s)])
 
 
 def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
@@ -683,7 +744,8 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
                    rooted: Iterable[tuple[int, int]] = ()) -> EncodingInstance:
     """The search instance at budget n, with the rooted negatives
     (structure index, state), loaded into a fresh solver of the given
-    seed as the module docstring sets out."""
+    seed as the module docstring sets out: the stream the append path
+    gives, built whole and then loaded at once (`load_backend`)."""
     if n < 1:
         raise ValueError("size budget must be at least 1")
     structures = tuple(positives) + tuple(negatives)
@@ -691,16 +753,15 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
         raise ValueError("sample must contain at least one structure")
     alphabet = structures[0].alphabet
     pool = VarPool()
-    instance = EncodingInstance(n, alphabet, pool,
-                                build_structural(pool, n, alphabet))
-    instance.clauses += build_normal_form(pool, n, alphabet)
-    load_backend(instance, CdclSolver(seed=seed))
+    clauses = build_structural(pool, n, alphabet)
+    clauses += build_normal_form(pool, n, alphabet)
+    instance = EncodingInstance(n, alphabet, pool, clauses)
     for struct in positives:
-        add_structure(instance, struct, negative=False)
+        _append_structure(instance, struct, False, clauses)
     for struct in negatives:
-        add_structure(instance, struct, negative=True)
-    for m, s in rooted:
-        add_rooted(instance, m, s)
+        _append_structure(instance, struct, True, clauses)
+    clauses += [_rooted_clause(instance, m, s) for m, s in rooted]
+    load_backend(instance, CdclSolver(seed=seed))
     return instance
 
 
@@ -714,37 +775,47 @@ def load_backend(instance: EncodingInstance,
     return backend
 
 
-def _true_key(assignment: Mapping[int, bool], pool: VarPool, kind: str,
-              i: int, candidates: Iterable) -> object:
-    hits = [c for c in candidates if assignment[pool.get(kind, i, c) >> 1]]
+def _true_key(assignment: Sequence[int] | Mapping[int, bool], pool: VarPool,
+              kind: str, i: int, candidates: Iterable) -> tuple[object, int]:
+    """The one candidate c whose variable `kind`(i, c) is true, with its
+    literal."""
+    hits = []
+    for c in candidates:
+        lit = pool.get(kind, i, c)
+        if assignment[lit >> 1] == 1:
+            hits.append((c, lit))
     if len(hits) != 1:
         raise BackendFailure(
             f"assignment fixes {len(hits)} choices for {kind}({i})")
     return hits[0]
 
 
-def decode_with_literals(assignment: Mapping[int, bool],
+def decode_with_literals(assignment: Sequence[int] | Mapping[int, bool],
                          instance: EncodingInstance,
                          ) -> tuple[CtlFormula, list[int]]:
     """Formula of the DAG the assignment picks, rooted at node n, plus the
     literals that pick it: for each node in order its label, then the
     children its arity reads.  Negating them (`add_block`) excludes
     every assignment that picks this numbered DAG.
+
+    The assignment is indexed by variable: the solver's value array
+    (`CdclSolver.values`, 1 for true) or a model (`CdclSolver.model`,
+    True for true); only the x/l/r variables are read.
     """
     pool, n = instance.pool, instance.size_budget
     built: list[CtlFormula] = []  # node i is built[i - 1]
     lits: list[int] = []
     for i in range(1, n + 1):
-        lab = _true_key(assignment, pool, "x", i,
-                        label_domain(n, i, instance.alphabet))
-        lits.append(pool.get("x", i, lab))
+        lab, lit = _true_key(assignment, pool, "x", i,
+                             label_domain(n, i, instance.alphabet))
+        lits.append(lit)
         if lab not in OPERATOR_LABELS:
             built.append(Prop(lab))
             continue
         children = []
         for kind in ("l", "r") if lab in BINARY_LABELS else ("l",):
-            j = _true_key(assignment, pool, kind, i, range(1, i))
-            lits.append(pool.get(kind, i, j))
+            j, lit = _true_key(assignment, pool, kind, i, range(1, i))
+            lits.append(lit)
             children.append(built[j - 1])
         built.append(LABEL_CONSTRUCTORS[lab](*children))
     return built[-1], lits

@@ -146,7 +146,7 @@ def _solve_budget(instance: encoder.EncodingInstance,
     started = time.perf_counter()
     formula, lits = None, []
     while backend.solve():
-        formula, lits = encoder.decode_with_literals(backend.model(),
+        formula, lits = encoder.decode_with_literals(backend.values(),
                                                      instance)
         if formula not in discarded:
             break

@@ -11,11 +11,12 @@ DIMACS (`to_dimacs`).
 
 The encoders in this package lower their constraints to CNF by hand from
 a small vocabulary of guarded equivalences (`equiv_*` below).  Each shape
-takes a ready-made clause prefix `pre`, the negated guards
-(g1 ^ 1, .., gk ^ 1), and prefixes every clause it emits with it, i.e.
-encodes g1 & .. & gk -> (equivalence); a caller builds the prefix once
-per guard.  A `polarity` keeps one direction of the equivalence, in
-the polarity-based clause form of Plaisted & Greenbaum (J. Symbolic
+appends its clauses to a caller's list, the sink, and returns nothing.
+It takes a ready-made clause prefix `pre`, the negated guards (g1 ^ 1,
+.., gk ^ 1), and prefixes every clause it emits with it, i.e. encodes
+g1 & .. & gk -> (equivalence); a caller builds the prefix once per
+guard.  A `polarity` keeps one direction of the equivalence, in the
+polarity-based clause form of Plaisted & Greenbaum (J. Symbolic
 Computation, 1986): +1 only the clauses containing `out ^ 1` (out
 implies its definition), -1 only those containing `out` (the definition
 implies out), and 0, the default, both.  A caller that reads `out` only
@@ -71,73 +72,71 @@ def exactly_one(lits: Sequence[int]) -> list[Clause]:
     return out
 
 
-def equiv_lit(out_lit: int, in_lit: int, pre: Clause = (),
-              polarity: int = 0) -> list[Clause]:
+def equiv_lit(sink: list[Clause], out_lit: int, in_lit: int,
+              pre: Clause = (), polarity: int = 0) -> None:
     """out <-> in; a negated `in_lit` gives out <-> !in."""
-    clauses = [pre + (out_lit ^ 1, in_lit)] if polarity >= 0 else []
-    if polarity <= 0:
-        clauses.append(pre + (out_lit, in_lit ^ 1))
-    return clauses
-
-
-def equiv_and(out_lit: int, lits: Sequence[int], pre: Clause = (),
-              polarity: int = 0) -> list[Clause]:
-    """out <-> (l1 & .. & lk)."""
-    clauses = ([pre + (out_lit ^ 1, l) for l in lits] if polarity >= 0
-               else [])
-    if polarity <= 0:
-        clauses.append(pre + (out_lit,) + tuple(l ^ 1 for l in lits))
-    return clauses
-
-
-def equiv_or(out_lit: int, lits: Sequence[int], pre: Clause = (),
-             polarity: int = 0) -> list[Clause]:
-    """out <-> (l1 | .. | lk)."""
-    clauses = [pre + (out_lit, l ^ 1) for l in lits] if polarity <= 0 else []
     if polarity >= 0:
-        clauses.append(pre + (out_lit ^ 1,) + tuple(lits))
-    return clauses
+        sink.append(pre + (out_lit ^ 1, in_lit))
+    if polarity <= 0:
+        sink.append(pre + (out_lit, in_lit ^ 1))
 
 
-def equiv_or_and_disj(out_lit: int, base_lit: int, cond_lit: int,
-                      disj: Sequence[int], pre: Clause = (),
-                      polarity: int = 0) -> list[Clause]:
+def equiv_and(sink: list[Clause], out_lit: int, lits: Sequence[int],
+              pre: Clause = (), polarity: int = 0) -> None:
+    """out <-> (l1 & .. & lk)."""
+    if polarity >= 0:
+        for l in lits:
+            sink.append(pre + (out_lit ^ 1, l))
+    if polarity <= 0:
+        sink.append(pre + (out_lit,) + tuple(l ^ 1 for l in lits))
+
+
+def equiv_or(sink: list[Clause], out_lit: int, lits: Sequence[int],
+             pre: Clause = (), polarity: int = 0) -> None:
+    """out <-> (l1 | .. | lk)."""
+    if polarity <= 0:
+        for l in lits:
+            sink.append(pre + (out_lit, l ^ 1))
+    if polarity >= 0:
+        sink.append(pre + (out_lit ^ 1,) + tuple(lits))
+
+
+def equiv_or_and_disj(sink: list[Clause], out_lit: int, base_lit: int,
+                      cond_lit: int, disj: Sequence[int], pre: Clause = (),
+                      polarity: int = 0) -> None:
     """out <-> base | (cond & (d1 | .. | dk)).
 
     The unrolled until step: already reached, or the condition holds here
     and some successor reached it one step earlier.  A disjunct equal to
     `base` (a self-loop) is listed once, where `base` stands.
     """
-    clauses = []
     if polarity >= 0:
         reached = (tuple(d for d in disj if d != base_lit)
                    if base_lit in disj else tuple(disj))
-        clauses += [pre + (out_lit ^ 1, base_lit, cond_lit),
-                    pre + (out_lit ^ 1, base_lit) + reached]
+        sink.append(pre + (out_lit ^ 1, base_lit, cond_lit))
+        sink.append(pre + (out_lit ^ 1, base_lit) + reached)
     if polarity <= 0:
-        clauses.append(pre + (out_lit, base_lit ^ 1))
+        sink.append(pre + (out_lit, base_lit ^ 1))
         for d in disj:
-            clauses.append(pre + (out_lit, cond_lit ^ 1, d ^ 1))
-    return clauses
+            sink.append(pre + (out_lit, cond_lit ^ 1, d ^ 1))
 
 
-def equiv_and_disj(out_lit: int, cond_lit: int, disj: Sequence[int],
-                   pre: Clause = (), polarity: int = 0) -> list[Clause]:
+def equiv_and_disj(sink: list[Clause], out_lit: int, cond_lit: int,
+                   disj: Sequence[int], pre: Clause = (),
+                   polarity: int = 0) -> None:
     """out <-> cond & (d1 | .. | dk).
 
     The unrolled globally step: the condition holds here and some
     successor survived one step less.  A disjunct equal to `cond` (a
     self-loop) gives the clause with `cond ^ 1` once.
     """
-    clauses = []
     if polarity >= 0:
-        clauses += [pre + (out_lit ^ 1, cond_lit),
-                    pre + (out_lit ^ 1,) + tuple(disj)]
+        sink.append(pre + (out_lit ^ 1, cond_lit))
+        sink.append(pre + (out_lit ^ 1,) + tuple(disj))
     if polarity <= 0:
         for d in disj:
-            clauses.append(pre + ((out_lit, cond_lit ^ 1) if d == cond_lit
-                                  else (out_lit, cond_lit ^ 1, d ^ 1)))
-    return clauses
+            sink.append(pre + ((out_lit, cond_lit ^ 1) if d == cond_lit
+                               else (out_lit, cond_lit ^ 1, d ^ 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +571,16 @@ class CdclSolver:
             reason[v] = None
             trail.append(lit)
 
-    def model(self) -> dict[int, bool]:
-        """Satisfying assignment of the last successful `solve`."""
+    def values(self) -> list[int]:
+        """Satisfying assignment of the last successful `solve` as the
+        solver holds it: entry v is 1 when variable v is true and -1 when
+        it is false (entry 0 is unused).  The list is the solver's own;
+        it is replaced, not changed, by a later `solve`."""
         if self._model is None:
             raise RuntimeError("no model available; last solve was not SAT")
-        return {v: self._model[v] == 1 for v in range(1, self._nvars + 1)}
+        return self._model
+
+    def model(self) -> dict[int, bool]:
+        """Satisfying assignment of the last successful `solve`."""
+        model = self.values()
+        return {v: model[v] == 1 for v in range(1, self._nvars + 1)}

@@ -99,6 +99,11 @@ The CNF of the SAT sweep:
 
 Operators are lowered by `encoder.lower_node`, the single home of the
 step semantics; only successors and propositions are symbolic here.
+It reads each operand's literals as a per-state list over the states
+where the operand is read, which cover those where its reader reads it,
+and the approximants `st(g, ., k)` as one such list per step k; the
+successor function it is handed makes each product variable the first
+time a lowering asks for it, so products are numbered in lowering order.
 Each operator is lowered with its node's polarity (`sat`'s clause form
 after Plaisted & Greenbaum): the root's is +1, `!` flips it for its
 operand, any other operator passes it on, and a node read in both signs
@@ -152,7 +157,7 @@ no structure falsifies, is answered before synthesis, with None.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import checker, ctl, tableau
 from .ctl import And, CtlFormula, Not
@@ -337,7 +342,7 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
         var, emitted = got
         for side in (1, -1):
             if sign != -side and side not in emitted:
-                clauses.extend(equiv_and(var, [a, b], (), side))
+                equiv_and(clauses, var, (a, b), (), side)
                 emitted.add(side)
         return var
 
@@ -346,19 +351,24 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
             continue
         sign, read = polarity[g], range(reach[g])
 
-        def successors(s: int, lit: Callable[[int], int],
+        def successors(s: int, lits: Sequence[int],
                        sign: int = sign) -> list[int]:
-            # t(s, s') & lit(s'), one shared product per pair
-            return [product(pool.get("t", s, t), lit(t), sign)
+            # t(s, s') & lits[s'], one shared product per pair
+            return [product(pool.get("t", s, t), lits[t], sign)
                     for t in states]
 
         label = ctl.label(g)
-        left = lambda s, j=ctl.children(g)[0]: literal(j, s)
-        right = lambda s, j=getattr(g, "right", None): literal(j, s)
-        step = lambda s, k, g=g: pool.get("st", g, s, k)
+        # Each operand's literals at the states where it is read, which
+        # cover those where g reads it; a unary node reads no `right`.
+        rows = [[literal(j, s) for s in range(reach[j])]
+                for j in ctl.children(g)]
+        left, right = rows[0], rows[-1]
+        steps = ([[pool.get("st", g, s, k) for s in states]
+                  for k in range(2, num_states)]
+                 if label in (ctl.EU_LABEL, ctl.EG_LABEL) else ())
         for s in states:  # where g is not read, EU/EG approximants only
             out = pool.get("h", g, s) if s in read else None
-            lower_node(clauses, label, s, out, left, right, step,
+            lower_node(clauses, label, s, out, left, right, steps,
                        successors, num_states - 1, (), sign)
 
     clauses.append((literal(f, 0),))
@@ -377,13 +387,14 @@ def _solve(f: CtlFormula, num_states: int, props: Sequence[str],
     backend.load(clauses)
     if not backend.solve():
         return None
-    value = backend.model()
+    value = backend.values()
     states = range(num_states)
     return _rooted(
         alphabet,
-        [frozenset(p for p in props if value[pool.get("lab", s, p) >> 1])
+        [frozenset(p for p in props
+                   if value[pool.get("lab", s, p) >> 1] == 1)
          for s in states],
-        [frozenset(t for t in states if value[pool.get("t", s, t) >> 1])
+        [frozenset(t for t in states if value[pool.get("t", s, t) >> 1] == 1)
          for s in states])
 
 

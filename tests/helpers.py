@@ -11,6 +11,7 @@ certify.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -22,6 +23,7 @@ from ctlinfer.ctl import (And, Const, CtlFormula, ExistsFinally,
                           ForallFinally, ForallGlobally, ForallNext,
                           ForallUntil, Implies, Not, Or, Prop)
 from ctlinfer.kripke import KripkeStructure
+from ctlinfer.sat import Clause
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -620,6 +622,16 @@ def signed(lit: int) -> int:
     """The signed (DIMACS) form of an encoded literal: `2v` is v and
     `2v + 1` is -v."""
     return -(lit >> 1) if lit & 1 else lit >> 1
+
+
+def stream_digest(streams: Iterable[tuple[int, Sequence[Clause]]]) -> str:
+    """A short sha256 of clause streams, each with its variable count,
+    taken in order, clause by clause and literal by literal: swapping
+    two clauses, or two literals of one, changes it."""
+    digest = hashlib.sha256()
+    for num_vars, clauses in streams:
+        digest.update(repr((num_vars, clauses)).encode())
+    return digest.hexdigest()[:16]
 
 
 def reference_load(database: list[list[int]], trail: list[int],

@@ -470,9 +470,9 @@ def test_backend_failure_exit_code(capsys, monkeypatch):
 
 def test_decode_audit_failure_exit_code(capsys, monkeypatch):
     def no_choice(solver):
-        return dict.fromkeys(range(1, solver.num_vars + 1), False)
+        return [0] + [-1] * solver.num_vars
 
-    monkeypatch.setattr(sat.CdclSolver, "model", no_choice)
+    monkeypatch.setattr(sat.CdclSolver, "values", no_choice)
     code, _, err = invoke(capsys, "learn", "--pos",
                           str(FIX / "selfloop_p.kripke"), "--max-size", "1")
     assert code == 3

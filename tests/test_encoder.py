@@ -1,4 +1,5 @@
 import functools
+import gc
 import random
 
 import pytest
@@ -238,6 +239,56 @@ class TestClauseStream:
                     encoder.add_structure(appended, struct, negative=True)
                 assert built.clauses == appended.clauses
                 self.same_state(built.backend, appended.backend)
+
+    # A digest of each sample's streams (`pinned_streams`), taken when the
+    # encoder loaded each structure as soon as it was built.
+    PINNED = {
+        "diamond.kripke": "b5231fdc49f28e4f",
+        "sink_q.kripke": "fc275f81c9d959c8",
+        "two_init.kripke": "7f191ce067683352",
+        "chain3.kripke": "94ba7e1957c66553",
+        "selfloop_empty.kripke": "202ae1aac3ea870e",
+        "mutex.kripke": "12bd19d3fc0dc66f",
+    }
+
+    @staticmethod
+    def pinned_streams(pos, neg, extra):
+        """At budgets 1-4: the instance built with `extra` as a last
+        negative and two rooted negatives on it, then the instance built
+        without it, and that instance once `extra`, the same rooted
+        negatives and a block are appended."""
+        alphabet = pos[0].alphabet
+        m = len(pos + neg)
+        rooted = [(m, extra.size - 1), (m, 0)]
+        for n in (1, 2, 3, 4):
+            built = encoder.build_instance(n, pos, neg + [extra], seed=0,
+                                           rooted=rooted)
+            yield built.num_vars, built.clauses
+            instance = encoder.build_instance(n, pos, neg, seed=0)
+            yield instance.num_vars, list(instance.clauses)
+            encoder.add_structure(instance, extra, negative=True)
+            for pair in rooted:
+                encoder.add_rooted(instance, *pair)
+            pool = instance.pool
+            encoder.add_block(instance, [
+                pool.get("x", 1, alphabet[0]),
+                pool.get("x", n, alphabet[0] if n == 1 else "!")])
+            yield instance.num_vars, instance.clauses
+
+    def test_streams_match_pinned_digests(self):
+        """Every clause, in order and literal for literal, and every
+        variable count of the build and the append path are as pinned, so
+        a change to how the streams are built or loaded moves none of
+        them (the tests above compare the paths to `build_semantic`,
+        which could itself change)."""
+        got = {}
+        for pos_names, neg_names, extra_name in self.SAMPLES:
+            pos = [helpers.load_fixture(f) for f in pos_names]
+            neg = [helpers.load_fixture(f) for f in neg_names]
+            extra = helpers.load_fixture(extra_name)
+            got[extra_name] = helpers.stream_digest(
+                self.pinned_streams(pos, neg, extra))
+        assert got == self.PINNED
 
     def test_no_clause_repeats_a_literal(self):
         """Self-loops put a state among its own successors; the step
@@ -582,6 +633,26 @@ class TestRootedNegatives:
 
 
 class TestDecode:
+    def test_value_array_decodes_as_the_model(self):
+        """The solver's value array, which the learner decodes, and its
+        model as a dict pick the same DAG by the same literals, over every
+        numbering of budgets 1-3 on one sample."""
+        pos = [helpers.load_fixture("diamond.kripke")]
+        neg = [helpers.load_fixture("chain3.kripke")]
+        decoded = 0
+        for n in (1, 2, 3):
+            instance = encoder.build_instance(n, pos, neg, seed=1)
+            backend = instance.backend
+            while backend.solve():
+                values = backend.values()
+                model = backend.model()
+                assert all((values[v] == 1) == model[v] for v in model)
+                got = encoder.decode_with_literals(values, instance)
+                assert got == encoder.decode_with_literals(model, instance)
+                encoder.add_block(instance, got[1])
+                decoded += 1
+        assert decoded > 5
+
     def test_roundtrip_via_assumptions(self):
         """Pinning the admitted DAG of a formula's normal form with unit
         clauses decodes to that formula when it holds; a numbering outside
@@ -671,6 +742,28 @@ class TestRewriteRules:
                 for nodes in [row_nodes(row)]]
         assert rows == list(helpers.derived_rules())
 
+
+    def test_placements_leave_no_reference_cycle(self):
+        """Placing every rule at budgets 1-5 leaves nothing for the cycle
+        collector: the recursion takes its state as arguments, not as
+        closure cells of a self-calling function."""
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            placed = 0
+            for n in range(1, 6):
+                domain = [()] + [encoder.label_domain(n, i, ())
+                                 for i in range(1, n + 1)]
+                for pattern, _ in encoder.REWRITE_RULES:
+                    placed += len(list(encoder._placements(pattern, n,
+                                                           domain)))
+            garbage = gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+        assert placed > 0
+        assert garbage == 0
 
 class TestNormalForm:
     ALPHABET = ("p", "q")

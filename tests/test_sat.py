@@ -346,6 +346,13 @@ def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
     assert rescales >= 15
 
 
+def emitted(shape, *args, **kwargs):
+    """The clauses a `sat.equiv_*` shape appends to an empty sink."""
+    sink = []
+    shape(sink, *args, **kwargs)
+    return sink
+
+
 def signed_clauses(clauses):
     """Encoded clauses with their literals signed, for truth tables."""
     return [tuple(map(helpers.signed, clause)) for clause in clauses]
@@ -353,6 +360,12 @@ def signed_clauses(clauses):
 
 class TestClauseHelpers:
     """The shapes take encoded literals, `2v` for v and `2v + 1` for -v."""
+
+    def test_shapes_append_to_the_sink(self):
+        sink = [(3,)]
+        sat.equiv_lit(sink, 2, 5)
+        sat.equiv_and(sink, 2, (4, 6), (9,), 1)
+        assert sink == [(3,), (3, 5), (2, 4), (9, 3, 4), (9, 3, 6)]
 
     def assert_equiv(self, clauses, out, definition, num_vars):
         """Check clause set encodes out <-> definition by truth table."""
@@ -372,25 +385,25 @@ class TestClauseHelpers:
             assert ok == (sum(bits) == 1)
 
     def test_equiv_not(self):
-        self.assert_equiv(sat.equiv_lit(2, 5), 1,
+        self.assert_equiv(emitted(sat.equiv_lit, 2, 5), 1,
                           lambda a: not a[2], 2)
 
     def test_equiv_and(self):
-        self.assert_equiv(sat.equiv_and(2, [4, 6]), 1,
+        self.assert_equiv(emitted(sat.equiv_and, 2, [4, 6]), 1,
                           lambda a: a[2] and a[3], 3)
 
     def test_equiv_or(self):
-        self.assert_equiv(sat.equiv_or(2, [4, 6]), 1,
+        self.assert_equiv(emitted(sat.equiv_or, 2, [4, 6]), 1,
                           lambda a: a[2] or a[3], 3)
 
     def test_equiv_or_and_disj(self):
         # out <-> base | (cond & (d1 | d2))
-        clauses = sat.equiv_or_and_disj(2, 4, 6, [8, 10])
+        clauses = emitted(sat.equiv_or_and_disj, 2, 4, 6, [8, 10])
         self.assert_equiv(clauses, 1,
                           lambda a: a[2] or (a[3] and (a[4] or a[5])), 5)
 
     def test_equiv_and_disj(self):
-        clauses = sat.equiv_and_disj(2, 4, [6, 8])
+        clauses = emitted(sat.equiv_and_disj, 2, 4, [6, 8])
         self.assert_equiv(clauses, 1,
                           lambda a: a[2] and (a[3] or a[4]), 4)
 
@@ -400,14 +413,16 @@ class TestClauseHelpers:
         are the two-sided clauses.  A self-loop disjunct (4 = base or
         cond) is covered too."""
         shapes = [
-            (lambda p: sat.equiv_lit(2, 5, (), p), lambda a: not a[2]),
-            (lambda p: sat.equiv_and(2, [4, 6], (), p),
+            (lambda p: emitted(sat.equiv_lit, 2, 5, (), p),
+             lambda a: not a[2]),
+            (lambda p: emitted(sat.equiv_and, 2, [4, 6], (), p),
              lambda a: a[2] and a[3]),
-            (lambda p: sat.equiv_or(2, [4, 6], (), p),
+            (lambda p: emitted(sat.equiv_or, 2, [4, 6], (), p),
              lambda a: a[2] or a[3]),
-            (lambda p: sat.equiv_or_and_disj(2, 4, 6, [4, 8], (), p),
+            (lambda p: emitted(sat.equiv_or_and_disj, 2, 4, 6, [4, 8], (),
+                               p),
              lambda a: a[2] or (a[3] and (a[2] or a[4]))),
-            (lambda p: sat.equiv_and_disj(2, 4, [4, 8], (), p),
+            (lambda p: emitted(sat.equiv_and_disj, 2, 4, [4, 8], (), p),
              lambda a: a[2] and (a[2] or a[4])),
         ]
         for build, definition in shapes:
@@ -428,7 +443,7 @@ class TestClauseHelpers:
         # With the guard false every assignment of the remaining
         # variables is allowed; with it true the equivalence bites.  The
         # prefix is the negated guard, -3.
-        clauses = signed_clauses(sat.equiv_lit(2, 5, pre=(7,)))
+        clauses = signed_clauses(emitted(sat.equiv_lit, 2, 5, pre=(7,)))
         for bits in itertools.product([False, True], repeat=3):
             assignment = {v + 1: bits[v] for v in range(3)}
             ok = all(any(assignment[abs(l)] == (l > 0) for l in c)

@@ -419,6 +419,34 @@ class TestImplies:
 
 
 class TestEncode:
+    # A digest of each formula's CNF at 2, 3 and 4 states, taken when
+    # `encoder.lower_node` read its operands through one function per
+    # literal.
+    PINNED = {
+        "EX p": "fd6b8b2bb5fdccfe",
+        "!EX !p": "84bd50e150d88c9c",
+        "E[p U q]": "b9c3213ad761d650",
+        "EG p": "845c7f80ae73c601",
+        "EG (p | !q)": "d5d9860e348d8f7d",
+        "E[p U q] & !EG q": "4fd022b00683d58a",
+        "EX true & !false": "0f3dc6943a9b81b7",
+        "E[!p U EX q] | EG EX p": "6f8265f1c13ffbda",
+        "!E[true U !p] & EX (p & q)": "14227562494dc038",
+        "EG !E[p U EG q]": "e7c8e205256b9cf7",
+    }
+
+    def test_cnf_matches_pinned_digests(self):
+        """Every clause, in order and literal for literal, and the
+        variable count, product variables included, are as pinned."""
+        got = {}
+        for text in self.PINNED:
+            f = ctl.enf(ctl.parse_ctl(text))
+            props = tuple(sorted(ctl.propositions(f)))
+            got[text] = helpers.stream_digest(
+                (pool.count, clauses) for pool, clauses in
+                (synth._encode(f, m, props) for m in (2, 3, 4)))
+        assert got == self.PINNED
+
     def test_rejects_sugar(self):
         for text in ("AX p", "EF p", "p -> q"):
             with pytest.raises(ctl.NotInEnf):
