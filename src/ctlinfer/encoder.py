@@ -274,13 +274,16 @@ def build_structural(pool: VarPool, n: int,
     exactly-one child choices."""
     clauses: list[Clause] = []
     for i in range(1, n + 1):
-        clauses.extend(sat.exactly_one([
-            pool.var("x", i, lab) for lab in label_domain(n, i, alphabet)]))
+        group = []
+        for lab in label_domain(n, i, alphabet):
+            group.append(pool.var("x", i, lab))
+        sat.exactly_one(clauses, group)
     for i in range(2, n + 1):
-        clauses.extend(sat.exactly_one([pool.var("l", i, j)
-                                        for j in range(1, i)]))
-        clauses.extend(sat.exactly_one([pool.var("r", i, j)
-                                        for j in range(1, i)]))
+        for kind in ("l", "r"):
+            group = []
+            for j in range(1, i):
+                group.append(pool.var(kind, i, j))
+            sat.exactly_one(clauses, group)
     return clauses
 
 
@@ -672,8 +675,7 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
 def _load(instance: EncodingInstance, clauses: list[Clause]) -> None:
     """Append `clauses` to the instance and load them into its solver."""
     instance.clauses += clauses
-    instance.backend.reserve(instance.pool.count)
-    instance.backend.load(clauses)
+    instance.backend.load(clauses, instance.pool.count)
 
 
 def _append_structure(instance: EncodingInstance, struct: KripkeStructure,
@@ -769,13 +771,12 @@ def load_backend(instance: EncodingInstance,
                  backend: CdclSolver) -> CdclSolver:
     """Load the instance's clauses into `backend` and attach it as the
     solver every later clause of the instance goes to."""
-    backend.reserve(instance.pool.count)
-    backend.load(instance.clauses)
+    backend.load(instance.clauses, instance.pool.count)
     instance.backend = backend
     return backend
 
 
-def _true_key(assignment: Sequence[int] | Mapping[int, bool], pool: VarPool,
+def _true_key(assignment: Sequence[int], pool: VarPool,
               kind: str, i: int, candidates: Iterable) -> tuple[object, int]:
     """The one candidate c whose variable `kind`(i, c) is true, with its
     literal."""
@@ -790,7 +791,7 @@ def _true_key(assignment: Sequence[int] | Mapping[int, bool], pool: VarPool,
     return hits[0]
 
 
-def decode_with_literals(assignment: Sequence[int] | Mapping[int, bool],
+def decode_with_literals(assignment: Sequence[int],
                          instance: EncodingInstance,
                          ) -> tuple[CtlFormula, list[int]]:
     """Formula of the DAG the assignment picks, rooted at node n, plus the
@@ -798,9 +799,8 @@ def decode_with_literals(assignment: Sequence[int] | Mapping[int, bool],
     children its arity reads.  Negating them (`add_block`) excludes
     every assignment that picks this numbered DAG.
 
-    The assignment is indexed by variable: the solver's value array
-    (`CdclSolver.values`, 1 for true) or a model (`CdclSolver.model`,
-    True for true); only the x/l/r variables are read.
+    The assignment is the solver's value array (`CdclSolver.values`),
+    indexed by variable, 1 for true; only the x/l/r variables are read.
     """
     pool, n = instance.pool, instance.size_budget
     built: list[CtlFormula] = []  # node i is built[i - 1]

@@ -4,9 +4,9 @@ Literals are encoded as in MiniSat (Een & Sorensson, SAT 2003): variable
 v >= 1 has the positive literal `2v` and the negative `2v | 1`, so
 negation is `^ 1`, the variable is `>> 1`, and one value array and the
 watch lists are indexed by literal.  It is the library's one literal
-form: `encoder.VarPool` hands out positive literals and every clause the
-encoders build is in it.  Signed integers (v and -v) appear only at the
-solver's public `add_clause`/`add_clauses`, which encode them, and in
+form: `encoder.VarPool` hands out positive literals, every clause the
+encoders build is in it, and the solver takes it in (`load`) and gives
+its models in it (`values`).  Signed integers (v and -v) appear only in
 DIMACS (`to_dimacs`).
 
 The encoders in this package lower their constraints to CNF by hand from
@@ -33,10 +33,9 @@ seed always produce the same run.  Its search is one loop in `solve`
 over clause references: the watch lists and the reasons hold the clause
 lists themselves, a decision or a root unit has reason None, and a
 two-literal clause is settled in the watch scan itself, with no search
-for a replacement watch.  Its one loading core, `load`, takes
-encoded clauses over variables already declared (`reserve`), as the
-encoders load them; the signed `add_clauses` and `add_clause` check and
-encode their literals, declare the variables and hand over to it.
+for a replacement watch.  It has one way in, `load`, which declares
+variables and adds encoded clauses, and one way out, `values`, the value
+array of the last satisfying `solve`.
 Instances can also be exported in DIMACS CNF format for external solvers
 via `to_dimacs`.
 """
@@ -62,14 +61,13 @@ class BackendFailure(RuntimeError):
 # Clause shapes
 # ---------------------------------------------------------------------------
 
-def exactly_one(lits: Sequence[int]) -> list[Clause]:
+def exactly_one(sink: list[Clause], lits: Sequence[int]) -> None:
     """At-least-one plus pairwise at-most-one."""
-    out = [tuple(lits)]
+    sink.append(tuple(lits))
     for a in range(len(lits)):
         neg_a = lits[a] ^ 1
         for b in range(a + 1, len(lits)):
-            out.append((neg_a, lits[b] ^ 1))
-    return out
+            sink.append((neg_a, lits[b] ^ 1))
 
 
 def equiv_lit(sink: list[Clause], out_lit: int, in_lit: int,
@@ -175,11 +173,12 @@ _ACT_LIMIT = 1e100
 class CdclSolver:
     """Incremental CDCL solver over encoded literals.
 
-    `load`, `add_clause` and `add_clauses` may be called between `solve`
-    calls; learned clauses are kept, which is sound because conflict
-    analysis derives consequences of the clause set alone.  An optional
-    conflict budget turns runaway searches into `BackendFailure` instead
-    of wrong answers.
+    Clauses go in only through `load`, and a model comes out only through
+    `values`.  `load` may be called between `solve` calls; learned
+    clauses are kept, which is sound because conflict analysis derives
+    consequences of the clause set alone.  An optional conflict budget
+    turns runaway searches into `BackendFailure` instead of wrong
+    answers.
 
     A clause is a list of literals watched on its first two.  `_clauses`
     stores every clause of two or more literals, loaded or learned, in
@@ -242,15 +241,12 @@ class CdclSolver:
     def num_clauses(self) -> int:
         return len(self._clauses)
 
-    def reserve(self, num_vars: int) -> None:
-        """Declare variables up to `num_vars`, as `load` needs of every
-        literal it takes."""
+    def _reserve(self, num_vars: int) -> None:
+        """Declare variables up to `num_vars`."""
         first = self._nvars + 1
         new = num_vars - self._nvars
         if new <= 0:
             return
-        # A stored model covers only the variables it was found over.
-        self._model = None
         self._nvars = num_vars
         rng = self._rng
         jitter = ([rng.random() * 1e-6 for _ in range(new)] if rng
@@ -269,31 +265,15 @@ class CdclSolver:
 
     # -- clause input ------------------------------------------------------
 
-    def add_clause(self, lits: Iterable[int]) -> None:
-        self.add_clauses((lits,))
-
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        """Add each clause of signed literals in turn, as `add_clause` on
-        each would: declare its variables and `load` it encoded."""
-        for lits in clauses:
-            clause = []
-            top = 0
-            for lit in lits:
-                if lit == 0 or type(lit) is not int:
-                    self.reserve(top)
-                    raise ValueError(f"bad literal {lit!r}")
-                clause.append(lit << 1 if lit > 0 else -lit << 1 | 1)
-                top = max(top, abs(lit))
-            self.reserve(top)
-            self.load((clause,))
-
-    def load(self, clauses: Iterable[Sequence[int]]) -> None:
-        """Add each clause of encoded literals over declared variables.
+    def load(self, clauses: Iterable[Sequence[int]], num_vars: int) -> None:
+        """Declare variables up to `num_vars`, then add each clause of
+        encoded literals over them.  The stored model is dropped.
 
         Repeated literals are dropped and literals false at the root are
-        removed; tautologies and clauses true at the root are skipped.  A
-        stored model stays through tautologies only.
+        removed; tautologies and clauses true at the root are skipped.
         """
+        self._model = None
+        self._reserve(num_vars)
         self._cancel_until(0)
         val = self._val
         clause_db = self._clauses
@@ -308,12 +288,8 @@ class CdclSolver:
                             break  # a tautology
                         reduced.append(e)
                 elif x == 1:
-                    if self._model is not None and all(
-                            l ^ 1 not in lits for l in lits):
-                        self._model = None
                     break  # true at the root
             else:
-                self._model = None
                 if not reduced:
                     self._unsat = True
                 elif len(reduced) == 1:
@@ -572,15 +548,12 @@ class CdclSolver:
             trail.append(lit)
 
     def values(self) -> list[int]:
-        """Satisfying assignment of the last successful `solve` as the
-        solver holds it: entry v is 1 when variable v is true and -1 when
-        it is false (entry 0 is unused).  The list is the solver's own;
-        it is replaced, not changed, by a later `solve`."""
+        """Satisfying assignment of the last `solve`, if it was SAT and
+        nothing was loaded since, as the solver holds it: entry v is 1
+        when variable v is true and -1 when it is false (entry 0 is
+        unused).  The list is the solver's own; it is replaced, not
+        changed, by a later `solve`."""
         if self._model is None:
-            raise RuntimeError("no model available; last solve was not SAT")
+            raise RuntimeError("no model available: the last solve was not "
+                               "SAT, or clauses were loaded since")
         return self._model
-
-    def model(self) -> dict[int, bool]:
-        """Satisfying assignment of the last successful `solve`."""
-        model = self.values()
-        return {v: model[v] == 1 for v in range(1, self._nvars + 1)}

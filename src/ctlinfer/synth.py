@@ -383,8 +383,7 @@ def _solve(f: CtlFormula, num_states: int, props: Sequence[str],
     `_encode` instance."""
     pool, clauses = _encode(f, num_states, props)
     backend = CdclSolver(seed=seed)
-    backend.reserve(pool.count)
-    backend.load(clauses)
+    backend.load(clauses, pool.count)
     if not backend.solve():
         return None
     value = backend.values()

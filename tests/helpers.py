@@ -478,9 +478,9 @@ def dag_literals(pool: encoder.VarPool, dag: Dag) -> list[int]:
 
 
 def pin_dag(solver, pool: encoder.VarPool, dag: Dag) -> None:
-    """Add the DAG's defining literals to `solver` as unit clauses, so
+    """Load the DAG's defining literals into `solver` as unit clauses, so
     its models are exactly those that pick this numbered DAG."""
-    solver.add_clauses((signed(lit),) for lit in dag_literals(pool, dag))
+    solver.load([(lit,) for lit in dag_literals(pool, dag)], pool.count)
 
 
 def normal_form(f: CtlFormula) -> CtlFormula:
@@ -624,6 +624,12 @@ def signed(lit: int) -> int:
     return -(lit >> 1) if lit & 1 else lit >> 1
 
 
+def encoded(lit: int) -> int:
+    """The encoded form of a signed (DIMACS) literal, the inverse of
+    `signed`."""
+    return 2 * abs(lit) + (lit < 0)
+
+
 def stream_digest(streams: Iterable[tuple[int, Sequence[Clause]]]) -> str:
     """A short sha256 of clause streams, each with its variable count,
     taken in order, clause by clause and literal by literal: swapping
@@ -634,8 +640,20 @@ def stream_digest(streams: Iterable[tuple[int, Sequence[Clause]]]) -> str:
     return digest.hexdigest()[:16]
 
 
+def load_signed(solver, clauses: Iterable[Sequence[int]]) -> None:
+    """Load clauses of signed (DIMACS) literals into `solver`, declaring
+    variables up to the largest one named so far, and no more."""
+    batch = []
+    top = solver.num_vars
+    for clause in clauses:
+        batch.append(tuple(map(encoded, clause)))
+        for lit in clause:
+            top = max(top, abs(lit))
+    solver.load(batch, top)
+
+
 def reference_load(database: list[list[int]], trail: list[int],
-                   batch: Iterable[Sequence[int]]) -> tuple[bool, bool]:
+                   batch: Iterable[Sequence[int]]) -> bool:
     """Load `batch`, clauses of encoded literals, into a clause `database`
     and a root `trail` (the literals true at the root), as the solver's
     loader states it does, clause by clause and each clause whole: a
@@ -644,14 +662,12 @@ def reference_load(database: list[list[int]], trail: list[int],
     removed; what is left is stored, put on the trail if it is one
     literal, or makes the instance unsatisfiable if it is none.
 
-    Returns whether every clause of the batch was a tautology, so that a
-    stored model stays, and whether some clause was left empty."""
-    only_tautologies, emptied = True, False
+    Returns whether some clause was left empty."""
+    emptied = False
     for clause in batch:
         lits = list(dict.fromkeys(clause))
         if any(lit ^ 1 in lits for lit in lits):
             continue
-        only_tautologies = False
         true = set(trail)
         if any(lit in true for lit in lits):
             continue
@@ -662,7 +678,7 @@ def reference_load(database: list[list[int]], trail: list[int],
             trail.append(rest[0])
         else:
             database.append(rest)
-    return only_tautologies, emptied
+    return emptied
 
 
 # ---------------------------------------------------------------------------
@@ -670,8 +686,8 @@ def reference_load(database: list[list[int]], trail: list[int],
 # ---------------------------------------------------------------------------
 
 def solve_instance(instance: encoder.EncodingInstance,
-                   ) -> dict[int, bool] | None:
-    """A model of the instance from its own solver, or None if the
-    instance is unsatisfiable."""
+                   ) -> list[int] | None:
+    """The value array of a model of the instance from its own solver
+    (`CdclSolver.values`), or None if the instance is unsatisfiable."""
     backend = instance.backend
-    return backend.model() if backend.solve() else None
+    return backend.values() if backend.solve() else None

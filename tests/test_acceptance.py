@@ -121,11 +121,10 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                     pool, len(dag), struct.alphabet)
                     + encoder.build_semantic(pool, len(dag), 0, struct))
                 backend = CdclSolver(seed=0)
-                backend.reserve(pool.count)
-                backend.load(clauses)
+                backend.load(clauses, pool.count)
                 helpers.pin_dag(backend, pool, dag)
                 assert backend.solve()
-                model = backend.model()
+                values = backend.values()
                 operand = "R" if isinstance(f, ctl.ExistsUntil) else "L"
                 for k in range(1, struct.size + 2):
                     if isinstance(f, ctl.ExistsUntil):
@@ -140,8 +139,8 @@ def test_criterion_2_step_variables_match_path_prefix_semantics():
                             lambda j: pool.get("ys", 0, len(dag), s, j),
                             pool.get("y", 0, len(dag), s))
                         for lit in homes:
-                            assert model[lit >> 1] == (s in expected), (
-                                f, s, k)
+                            assert ((values[lit >> 1] == 1)
+                                    == (s in expected)), (f, s, k)
 
 
 def test_criterion_3_search_instances_round_trip_against_enumeration():

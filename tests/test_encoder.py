@@ -20,8 +20,7 @@ def semantic_instance(structures, n):
     for m, struct in enumerate(structures):
         clauses += encoder.build_semantic(pool, n, m, struct)
     backend = CdclSolver()
-    backend.reserve(pool.count)
-    backend.load(clauses)
+    backend.load(clauses, pool.count)
     return pool, backend
 
 
@@ -204,9 +203,7 @@ class TestClauseStream:
                                                     m >= len(pos))
                 assert instance.clauses == stream
                 fresh = CdclSolver(seed=0)
-                fresh.add_clauses([tuple(map(helpers.signed, clause))
-                                   for clause in stream])
-                fresh.reserve(pool.count)
+                fresh.load(stream, pool.count)
                 self.same_state(loaded, fresh)
 
                 assert loaded.solve() == fresh.solve()
@@ -214,16 +211,14 @@ class TestClauseStream:
                                                  extra, True)
                 encoder.add_structure(instance, extra, negative=True)
                 assert instance.clauses == stream + appended
-                fresh.add_clauses([tuple(map(helpers.signed, clause))
-                                   for clause in appended])
-                fresh.reserve(pool.count)
+                fresh.load(appended, pool.count)
                 self.same_state(loaded, fresh)
 
                 verdict = loaded.solve()
                 assert verdict == fresh.solve()
                 assert loaded._conflicts == fresh._conflicts
                 if verdict:
-                    assert loaded.model() == fresh.model()
+                    assert loaded.values() == fresh.values()
 
     def test_build_path_is_the_append_path(self):
         """Negatives built into an instance and negatives appended to it
@@ -324,13 +319,13 @@ class TestSemantics:
             pool, backend = semantic_instance(structures, len(dag))
             helpers.pin_dag(backend, pool, dag)
             assert backend.solve()
-            model = backend.model()
+            values = backend.values()
             for m_idx, struct in enumerate(structures):
                 table = checker.sat_set_table(struct, nodes[-1])
                 for i, sub in enumerate(nodes, start=1):
                     expected = table[sub]
                     for s in range(struct.size):
-                        got = model[pool.get("y", m_idx, i, s) >> 1]
+                        got = values[pool.get("y", m_idx, i, s) >> 1] == 1
                         assert got == (s in expected), (f, i, s)
         assert pinned > 30
 
@@ -348,7 +343,7 @@ class TestSemantics:
             pool, backend = semantic_instance([struct], len(dag))
             helpers.pin_dag(backend, pool, dag)
             assert backend.solve()
-            model = backend.model()
+            values = backend.values()
             phi_set = checker.sat_set_table(struct, phi)[phi]
             psi_set = checker.sat_set_table(struct, psi)[psi]
             root = len(dag)
@@ -364,7 +359,8 @@ class TestSemantics:
                         lambda j: pool.get("ys", 0, root, s, j),
                         pool.get("y", 0, root, s))
                     for lit in homes:
-                        assert model[lit >> 1] == (s in expected), (f, k, s)
+                        assert (values[lit >> 1] == 1) == (s in expected), (
+                            f, k, s)
 
     def test_unrolling_depth_reaches_the_fixed_points(self):
         """`lower_node`'s depth claim against the path-enumeration
@@ -462,13 +458,14 @@ class TestBlocking:
             for _ in range(30):
                 if not backend.solve():
                     break
-                f, lits = encoder.decode_with_literals(backend.model(),
+                f, lits = encoder.decode_with_literals(backend.values(),
                                                        instance)
                 assert ctl.size(f) == n
                 assert f not in seen
                 assert helpers.naive_holds(m, f)
                 seen.append(f)
-                backend.add_clause([-helpers.signed(lit) for lit in lits])
+                backend.load([tuple(lit ^ 1 for lit in lits)],
+                             backend.num_vars)
             else:
                 pytest.fail("blocking never exhausted the budget")
         holding = [f for f in ctl.enumerate_formulas(m.alphabet, 3)
@@ -494,10 +491,10 @@ def blocked_formulas(backend, instance):
     time; each admitted formula has one admitted numbering."""
     found = set()
     while backend.solve():
-        f, lits = encoder.decode_with_literals(backend.model(), instance)
+        f, lits = encoder.decode_with_literals(backend.values(), instance)
         assert f not in found, f
         found.add(f)
-        backend.add_clause([-helpers.signed(lit) for lit in lits])
+        backend.load([tuple(lit ^ 1 for lit in lits)], backend.num_vars)
     return found
 
 
@@ -532,16 +529,14 @@ class TestOneSidedRoot:
                     + encoder.build_normal_form(pool, n, alphabet))
                 backend = encoder.load_backend(two_sided, CdclSolver(seed=4))
                 for m, struct in enumerate(pos + neg):
-                    backend.add_clauses(
-                        tuple(map(helpers.signed, clause)) for clause
-                        in encoder.build_semantic(pool, n, m, struct))
-                    roots = [helpers.signed(pool.get("y", m, n, s))
+                    clauses = encoder.build_semantic(pool, n, m, struct)
+                    roots = [pool.get("y", m, n, s)
                              for s in sorted(struct.initial)]
                     if m < len(pos):
-                        backend.add_clauses((lit,) for lit in roots)
+                        clauses += [(lit,) for lit in roots]
                     else:
-                        backend.add_clause([-lit for lit in roots])
-                backend.reserve(pool.count)
+                        clauses.append(tuple(lit ^ 1 for lit in roots))
+                    backend.load(clauses, pool.count)
                 assert blocked_formulas(backend, two_sided) == expected, n
                 found += len(expected)
         assert found > 20
@@ -634,8 +629,9 @@ class TestRootedNegatives:
 
 class TestDecode:
     def test_value_array_decodes_as_the_model(self):
-        """The solver's value array, which the learner decodes, and its
-        model as a dict pick the same DAG by the same literals, over every
+        """The solver's value array, which the learner decodes, gives a
+        DAG of the budget's size by literals it makes true, one label
+        each node in node order: the true label variables, over every
         numbering of budgets 1-3 on one sample."""
         pos = [helpers.load_fixture("diamond.kripke")]
         neg = [helpers.load_fixture("chain3.kripke")]
@@ -643,12 +639,15 @@ class TestDecode:
         for n in (1, 2, 3):
             instance = encoder.build_instance(n, pos, neg, seed=1)
             backend = instance.backend
+            labels = [lit for key, lit in instance.pool.semantic_items()
+                      if key[0] == "x"]
             while backend.solve():
                 values = backend.values()
-                model = backend.model()
-                assert all((values[v] == 1) == model[v] for v in model)
                 got = encoder.decode_with_literals(values, instance)
-                assert got == encoder.decode_with_literals(model, instance)
+                assert ctl.size(got[0]) == n
+                assert all(values[lit >> 1] == 1 for lit in got[1])
+                assert [lit for lit in got[1] if lit in labels] == [
+                    lit for lit in labels if values[lit >> 1] == 1]
                 encoder.add_block(instance, got[1])
                 decoded += 1
         assert decoded > 5
@@ -681,7 +680,7 @@ class TestDecode:
                 # it out, which is fine for the roundtrip test.
                 assert not helpers.naive_holds(m, f)
                 continue
-            decoded = encoder.decode_with_literals(backend.model(), instance)
+            decoded = encoder.decode_with_literals(backend.values(), instance)
             assert decoded[0] == f
         assert 0 < outside < 40
 
@@ -697,9 +696,9 @@ def decoded_formulas(n, alphabet):
     backend = encoder.load_backend(instance, CdclSolver(seed=3))
     found = []
     while backend.solve():
-        f, lits = encoder.decode_with_literals(backend.model(), instance)
+        f, lits = encoder.decode_with_literals(backend.values(), instance)
         found.append(f)
-        backend.add_clause([-helpers.signed(lit) for lit in lits])
+        backend.load([tuple(lit ^ 1 for lit in lits)], backend.num_vars)
     return tuple(found)
 
 

@@ -215,7 +215,7 @@ class TestInferCandidate:
             pinned.append((pool.get("x", i, "EX"), pool.get("x", i, "!")))
             pinned.append((pool.get("l", i, 1),))
         instance.clauses += pinned
-        instance.backend.load(pinned)
+        instance.backend.load(pinned, pool.count)
         for f in twins:
             encoder.add_block(instance, helpers.dag_literals(
                 pool, helpers.admitted_dag(f, m.alphabet)))

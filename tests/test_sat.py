@@ -28,9 +28,11 @@ def random_cnf(rng, num_vars, num_clauses, width=3, min_width=1):
     return clauses
 
 
-def check_model(model, clauses):
+def check_model(values, clauses):
+    """Every signed clause has a literal true in the value array."""
     for clause in clauses:
-        assert any(model[abs(lit)] == (lit > 0) for lit in clause), clause
+        assert any((values[abs(lit)] == 1) == (lit > 0)
+                   for lit in clause), clause
 
 
 class TestBasics:
@@ -39,26 +41,23 @@ class TestBasics:
 
     def test_empty_clause_is_unsat(self):
         solver = CdclSolver()
-        solver.add_clause([])
+        solver.load([()], 0)
         assert not solver.solve()
 
     def test_unit_propagation(self):
         solver = CdclSolver()
-        solver.add_clause([1])
-        solver.add_clause([-1, 2])
-        solver.add_clause([-2, 3])
+        helpers.load_signed(solver, [[1], [-1, 2], [-2, 3]])
         assert solver.solve()
-        assert solver.model() == {1: True, 2: True, 3: True}
+        assert solver.values()[1:] == [1, 1, 1]
 
     def test_contradictory_units(self):
         solver = CdclSolver()
-        solver.add_clause([1])
-        solver.add_clause([-1])
+        helpers.load_signed(solver, [[1], [-1]])
         assert not solver.solve()
 
     def test_tautologies_are_dropped(self):
         solver = CdclSolver()
-        solver.add_clause([1, -1])
+        solver.load([(2, 3)], 1)
         assert solver.num_clauses == 0
         assert solver.solve()
 
@@ -68,28 +67,28 @@ class TestBasics:
             return p * 3 + h + 1
 
         solver = CdclSolver()
-        for p in range(4):
-            solver.add_clause([var(p, h) for h in range(3)])
-        for h in range(3):
-            for p1 in range(4):
-                for p2 in range(p1 + 1, 4):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
+        helpers.load_signed(solver, (
+            [var(p, h) for h in range(3)] for p in range(4)))
+        helpers.load_signed(solver, (
+            [-var(p1, h), -var(p2, h)] for h in range(3)
+            for p1 in range(4) for p2 in range(p1 + 1, 4)))
         assert not solver.solve()
 
-    def test_new_variable_drops_the_model(self):
-        reserved = CdclSolver()
-        reserved.add_clause([1, 2])
-        assert reserved.solve()
-        reserved.reserve(4)
-        tautology = CdclSolver()
-        tautology.add_clause([1, 2])
-        assert tautology.solve()
-        tautology.add_clause([3, -3])
-        for solver in (reserved, tautology):
-            with pytest.raises(RuntimeError):
-                solver.model()
+    def test_every_load_drops_the_model(self):
+        """After a SAT solve, any `load` leaves no model, even one of
+        tautologies only or of no clauses; `load([], k)` declares
+        variables up to k."""
+        for batch, num_vars in (([], 2), ([], 4), ([(2, 3)], 2),
+                                ([(6, 7), (2, 3)], 3), ([(4,)], 2)):
+            solver = CdclSolver()
+            solver.load([(2, 4)], 2)
             assert solver.solve()
-            assert len(solver.model()) == solver.num_vars
+            solver.load(batch, num_vars)
+            assert solver.num_vars == num_vars
+            with pytest.raises(RuntimeError):
+                solver.values()
+            assert solver.solve()
+            assert len(solver.values()) == num_vars + 1
 
 
 class TestAgainstBruteForce:
@@ -99,12 +98,11 @@ class TestAgainstBruteForce:
             num_vars = rng.randint(1, 8)
             clauses = random_cnf(rng, num_vars, rng.randint(1, 24))
             solver = CdclSolver(seed=trial)
-            for clause in clauses:
-                solver.add_clause(clause)
+            helpers.load_signed(solver, clauses)
             got = solver.solve()
             assert got == brute_force(num_vars, clauses), clauses
             if got:
-                check_model(solver.model(), clauses)
+                check_model(solver.values(), clauses)
         # All-binary CNFs, with a unit now and then, loaded in batches with
         # a solve after each.  Units against a binary chain make the root
         # propagation itself conflict: UNSAT with no conflict counted.
@@ -120,7 +118,7 @@ class TestAgainstBruteForce:
                     batch.append((rng.choice((-1, 1))
                                   * rng.randint(1, num_vars),))
                 before = solver._conflicts
-                solver.add_clauses(batch)
+                helpers.load_signed(solver, batch)
                 emptied = solver._unsat
                 clauses.extend(batch)
                 got = solver.solve()
@@ -129,7 +127,7 @@ class TestAgainstBruteForce:
                     root_conflicts += (not emptied
                                        and solver._conflicts == before)
                     break
-                check_model(solver.model(), clauses)
+                check_model(solver.values(), clauses)
         assert root_conflicts > 20
 
     def test_incremental_clause_addition(self):
@@ -140,13 +138,12 @@ class TestAgainstBruteForce:
             clauses = []
             for _ in range(6):
                 batch = random_cnf(rng, num_vars, rng.randint(1, 5))
-                for clause in batch:
-                    solver.add_clause(clause)
+                helpers.load_signed(solver, batch)
                 clauses.extend(batch)
                 got = solver.solve()
                 assert got == brute_force(num_vars, clauses)
                 if got:
-                    check_model(solver.model(), clauses)
+                    check_model(solver.values(), clauses)
                 else:
                     break
 
@@ -158,9 +155,8 @@ class TestDeterminism:
 
         def run(seed):
             solver = CdclSolver(seed=seed)
-            for clause in clauses:
-                solver.add_clause(clause)
-            return solver.model() if solver.solve() else None
+            helpers.load_signed(solver, clauses)
+            return solver.values() if solver.solve() else None
 
         assert run(5) == run(5)
 
@@ -171,12 +167,11 @@ def test_conflict_budget_raises():
         return p * 6 + h + 1
 
     solver = CdclSolver(max_conflicts=5)
-    for p in range(7):
-        solver.add_clause([var(p, h) for h in range(6)])
-    for h in range(6):
-        for p1 in range(7):
-            for p2 in range(p1 + 1, 7):
-                solver.add_clause([-var(p1, h), -var(p2, h)])
+    helpers.load_signed(solver, (
+        [var(p, h) for h in range(6)] for p in range(7)))
+    helpers.load_signed(solver, (
+        [-var(p1, h), -var(p2, h)] for h in range(6)
+        for p1 in range(7) for p2 in range(p1 + 1, 7)))
     with pytest.raises(BackendFailure):
         solver.solve()
 
@@ -203,8 +198,10 @@ def clause_stream(rng, num_vars, count):
     return stream
 
 
-class TestAddClauses:
+class TestLoad:
     def test_batch_equals_one_clause_at_a_time(self):
+        """Batched loads against one clause per `load`, each declaring
+        variables up to the largest one named so far."""
         rng = random.Random(2028)
         for trial in range(150):
             num_vars = rng.randint(1, 8)
@@ -212,9 +209,9 @@ class TestAddClauses:
             clauses = []
             for _ in range(4):
                 batch = clause_stream(rng, num_vars, rng.randint(0, 8))
-                batched.add_clauses(iter(batch))
+                helpers.load_signed(batched, iter(batch))
                 for clause in batch:
-                    single.add_clause(clause)
+                    helpers.load_signed(single, [clause])
                 clauses.extend(batch)
                 assert batched.num_vars == single.num_vars
                 assert batched.num_clauses == single.num_clauses
@@ -223,53 +220,19 @@ class TestAddClauses:
                 assert got == brute_force(num_vars, clauses)
                 assert batched._conflicts == single._conflicts
                 if got:
-                    assert batched.model() == single.model()
-                    check_model(batched.model(), clauses)
+                    assert batched.values() == single.values()
+                    check_model(batched.values(), clauses)
 
-    @pytest.mark.parametrize("bad", [0, "3", 1.5, None])
-    def test_bad_literal_in_a_batch_raises(self, bad):
-        batched, single = CdclSolver(), CdclSolver()
-        batch = [(1, 2), (5, bad, 7)]
-        with pytest.raises(ValueError):
-            batched.add_clauses(batch)
-        single.add_clause(batch[0])
-        with pytest.raises(ValueError):
-            single.add_clause(batch[1])
-        # The variables named before the bad literal are declared, and
-        # only the clauses before the bad one are loaded.
-        assert batched.num_vars == single.num_vars == 5
-        assert batched.num_clauses == single.num_clauses == 1
-        assert batched._clauses == single._clauses == [[2, 4]]
-
-    @pytest.mark.parametrize("clause", [[True], [1, True]])
-    def test_a_bool_is_not_a_literal(self, clause):
-        # `True == 1`, so a bool would otherwise load as variable 1.
-        with pytest.raises(ValueError):
-            CdclSolver().add_clause(clause)
-
-
-def has_model(solver):
-    try:
-        solver.model()
-    except RuntimeError:
-        return False
-    return True
-
-
-class TestLoad:
     def test_matches_the_reference_loader(self):
-        """`load`, and the signed `add_clauses` that hands over to it,
-        against `helpers.reference_load`: on seeded streams of every
-        shape, some batches tautologies only, interleaved with solves,
-        each batch leaves the stored clauses and the root trail the
-        reference gives, keeps a model exactly when it is tautologies
-        only, and every solve agrees with brute force."""
+        """`load` against `helpers.reference_load`: on seeded streams of
+        every shape, some batches tautologies only, interleaved with
+        solves, each batch leaves the stored clauses and the root trail
+        the reference gives and no model, and every solve agrees with
+        brute force."""
         rng = random.Random(2030)
-        kept = dropped = 0
         for trial in range(200):
             num_vars = rng.randint(1, 8)
             solver = CdclSolver(seed=trial)
-            solver.reserve(num_vars)  # the signed path declares nothing
             database, trail, clauses = [], [], []
             for _ in range(6):
                 if rng.random() < 0.2:
@@ -277,31 +240,23 @@ class TestLoad:
                         range(1, num_vars + 1), rng.randint(1, num_vars))]
                 else:
                     batch = clause_stream(rng, num_vars, rng.randint(0, 8))
-                encoded = [tuple(2 * abs(l) + (l < 0) for l in c)
-                           for c in batch]
+                encoded = [tuple(map(helpers.encoded, c)) for c in batch]
                 assert signed_clauses(encoded) == batch
-                before = has_model(solver)
-                if rng.random() < 0.5:
-                    solver.load(encoded)
-                else:
-                    solver.add_clauses(batch)
-                only_tautologies, emptied = helpers.reference_load(
-                    database, trail, encoded)
+                solver.load(encoded, num_vars)
+                emptied = helpers.reference_load(database, trail, encoded)
                 assert solver._clauses == database
                 assert solver._trail == trail
-                assert has_model(solver) == (before and only_tautologies)
-                kept += before and only_tautologies
-                dropped += before and not only_tautologies
+                with pytest.raises(RuntimeError):
+                    solver.values()
                 clauses.extend(batch)
                 got = solver.solve()
                 assert got == brute_force(num_vars, clauses)
                 assert not (emptied and got)
                 if got:
-                    check_model(solver.model(), clauses)
+                    check_model(solver.values(), clauses)
                 # A solve learns clauses and root literals; go on from them.
                 database = [list(c) for c in solver._clauses]
                 trail = list(solver._trail)
-        assert kept > 20 and dropped > 20
 
 
 def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
@@ -328,26 +283,28 @@ def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
                          for v in rng.sample(range(1, 13), 3))
                    for _ in range(52)]
         solver = CdclSolver(seed=trial)
-        solver.add_clauses(clauses)
+        helpers.load_signed(solver, clauses)
         got = solver.solve()
         assert got == brute_force(12, clauses)
         if got:
-            check_model(solver.model(), clauses)
+            check_model(solver.values(), clauses)
     assert rescales >= 10
 
     def var(p, h):
         return p * 5 + h + 1
 
     solver = CdclSolver()
-    solver.add_clauses([var(p, h) for h in range(5)] for p in range(6))
-    solver.add_clauses((-var(p1, h), -var(p2, h)) for h in range(5)
-                       for p1 in range(6) for p2 in range(p1 + 1, 6))
+    helpers.load_signed(solver, (
+        [var(p, h) for h in range(5)] for p in range(6)))
+    helpers.load_signed(solver, (
+        (-var(p1, h), -var(p2, h)) for h in range(5)
+        for p1 in range(6) for p2 in range(p1 + 1, 6)))
     assert not solver.solve()
     assert rescales >= 15
 
 
 def emitted(shape, *args, **kwargs):
-    """The clauses a `sat.equiv_*` shape appends to an empty sink."""
+    """The clauses a `sat` shape appends to an empty sink."""
     sink = []
     shape(sink, *args, **kwargs)
     return sink
@@ -365,7 +322,9 @@ class TestClauseHelpers:
         sink = [(3,)]
         sat.equiv_lit(sink, 2, 5)
         sat.equiv_and(sink, 2, (4, 6), (9,), 1)
-        assert sink == [(3,), (3, 5), (2, 4), (9, 3, 4), (9, 3, 6)]
+        sat.exactly_one(sink, (2, 5))
+        assert sink == [(3,), (3, 5), (2, 4), (9, 3, 4), (9, 3, 6), (2, 5),
+                        (3, 4)]
 
     def assert_equiv(self, clauses, out, definition, num_vars):
         """Check clause set encodes out <-> definition by truth table."""
@@ -377,7 +336,7 @@ class TestClauseHelpers:
             assert ok == (assignment[out] == definition(assignment))
 
     def test_exactly_one(self):
-        clauses = signed_clauses(sat.exactly_one([2, 4, 6]))
+        clauses = signed_clauses(emitted(sat.exactly_one, [2, 4, 6]))
         for bits in itertools.product([False, True], repeat=3):
             assignment = {v + 1: bits[v] for v in range(3)}
             ok = all(any(assignment[abs(l)] == (l > 0) for l in c)
@@ -471,7 +430,7 @@ class TestDimacs:
     def test_clause_count_matches(self):
         rng = random.Random(9)
         clauses = random_cnf(rng, 5, 12)
-        encoded = [tuple(2 * abs(l) + (l < 0) for l in c) for c in clauses]
+        encoded = [tuple(map(helpers.encoded, c)) for c in clauses]
         assert signed_clauses(encoded) == clauses
         text = sat.to_dimacs(5, encoded)
         lines = text.strip().splitlines()
@@ -494,10 +453,11 @@ def trajectory(solver, step):
     while step(solver, runs):
         before = solver.num_clauses
         got = solver.solve()
-        model = solver.model() if got else None
+        values = solver.values() if got else None
         runs.append((got, solver._conflicts,
                      [sorted(c) for c in solver._clauses[before:]],
-                     None if model is None else sorted(model.items())))
+                     None if values is None else
+                     [(v, values[v] == 1) for v in range(1, len(values))]))
     return runs
 
 
@@ -544,7 +504,7 @@ class TestSearchTrajectory:
             def step(solver, runs):
                 if not batches or (runs and not runs[-1][0]):
                     return False
-                solver.add_clauses(batches.pop())
+                helpers.load_signed(solver, batches.pop())
                 return True
 
             runs = trajectory(CdclSolver(seed=trial if trial % 4 else None),
@@ -571,7 +531,7 @@ class TestSearchTrajectory:
                 return True
             if not runs[-1][0] or len(runs) == 6:
                 return False
-            formula, lits = encoder.decode_with_literals(solver.model(),
+            formula, lits = encoder.decode_with_literals(solver.values(),
                                                          instance)
             formulas.append(ctl.print_ctl(formula))
             encoder.add_block(instance, lits)

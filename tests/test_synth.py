@@ -525,18 +525,16 @@ class TestEncode:
         by unit clauses; None when that structure falsifies `f`."""
         pool, clauses = synth._encode(f, struct.size, struct.alphabet)
         backend = CdclSolver(seed=0)
-        for clause in clauses:
-            backend.add_clause(map(helpers.signed, clause))
-        backend.reserve(pool.count)
+        backend.load(clauses, pool.count)
         states = range(struct.size)
-        t = lambda s, u: helpers.signed(pool.get("t", s, u))
-        lab = lambda s, p: helpers.signed(pool.get("lab", s, p))
-        pins = [t(s, u) if u in struct.successors[s] else -t(s, u)
+        t = lambda s, u: pool.get("t", s, u)
+        lab = lambda s, p: pool.get("lab", s, p)
+        pins = [(t(s, u) ^ (u not in struct.successors[s]),)
                 for s in states for u in states]
-        pins += [lab(s, p) if p in struct.labels[s] else -lab(s, p)
+        pins += [(lab(s, p) ^ (p not in struct.labels[s]),)
                  for s in states for p in struct.alphabet]
-        backend.add_clauses((lit,) for lit in pins)
-        return pool, backend.model() if backend.solve() else None
+        backend.load(pins, pool.count)
+        return pool, backend.values() if backend.solve() else None
 
     def test_step_variables_match_prefix_semantics(self):
         """Under `f | !f` every subterm of f is read in both signs
@@ -565,7 +563,7 @@ class TestEncode:
                 one_sided += not exact
 
                 def agrees(lit, truth, exact=exact, model=model):
-                    value = model[abs(lit)] == (lit > 0)
+                    value = (model[abs(lit)] == 1) == (lit > 0)
                     return value == truth if exact else truth or not value
 
                 phi_set = helpers.naive_sat(struct, phi)
