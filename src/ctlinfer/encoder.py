@@ -64,15 +64,16 @@ Variables are laid out per structure: the x/l/r variables of the DAG
 first, then the u variables, then, for each structure in the order it
 was added, which is its index m, its y, then its ys, then its L/R
 variables.  Literals are in `sat`'s encoded form, and `VarPool` hands
-out the positive ones.  Every instance owns the solver its clauses go to
-(`EncodingInstance.backend`).  `build_instance` builds one stream: the
-structural and normal-form clauses, then each positive and negative's
-clauses as `add_structure` appends them, then each rooted negative's
-unit clause as `add_rooted` appends it; and it loads the whole stream
-into a fresh solver at once (`load_backend`).  Appending to a built
-instance (the learner's persistent search) loads each appended group as
-soon as it is built, gives the clauses the build would have given,
-renumbers nothing, and leaves every clause already loaded valid.
+out the positive ones.  Clauses enter an instance one way, appended to
+its stream: `build_instance` appends the structural and normal-form
+clauses, then each positive and negative's clauses as `add_structure`
+appends them, then each rooted negative's unit clause as `add_rooted`
+appends it.  Appending to a built instance (the learner's persistent
+search) gives the clauses the build would have given, renumbers nothing,
+and leaves every clause already appended valid.  Every instance owns one
+solver, reached only through `load_backend`, which loads the clauses
+appended since its last call; so each solve sees the whole stream, in
+order.
 
 A blocking clause (`add_block`) negates the defining literals of one
 decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
@@ -140,20 +141,30 @@ class VarPool:
 
 
 class EncodingInstance:
-    __slots__ = ("size_budget", "alphabet", "pool", "clauses", "backend",
-                 "structures", "negatives")
+    """A search instance: the budget, the clause stream over the pool's
+    variables, and the solver of the given seed that the stream goes to.
+
+    Clauses enter only by being appended to `clauses`, and the solver is
+    reached only through `load_backend`, which loads the clauses it does
+    not hold yet; `_loaded` counts the ones it holds.
+    """
+
+    __slots__ = ("size_budget", "alphabet", "pool", "clauses", "structures",
+                 "negatives", "_solver", "_loaded")
 
     def __init__(self, size_budget: int, alphabet: tuple[str, ...],
-                 pool: VarPool, clauses: list[Clause] | None = None) -> None:
+                 pool: VarPool, clauses: list[Clause] | None = None,
+                 seed: int | None = None) -> None:
         self.size_budget = size_budget
         self.alphabet = alphabet
         self.pool = pool
         self.clauses = [] if clauses is None else clauses
-        self.backend: CdclSolver | None = None  # attached by `load_backend`
         # The structures in the order added (their index m), and how many
         # of them are negatives.
         self.structures: tuple[KripkeStructure, ...] = ()
         self.negatives = 0
+        self._solver = CdclSolver(seed=seed)
+        self._loaded = 0
 
     @property
     def num_vars(self) -> int:
@@ -672,20 +683,22 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     return clauses
 
 
-def _load(instance: EncodingInstance, clauses: list[Clause]) -> None:
-    """Append `clauses` to the instance and load them into its solver."""
-    instance.clauses += clauses
-    instance.backend.load(clauses, instance.pool.count)
+def add_structure(instance: EncodingInstance, struct: KripkeStructure,
+                  negative: bool) -> None:
+    """Append one sample structure as structure m, the next index.
 
-
-def _append_structure(instance: EncodingInstance, struct: KripkeStructure,
-                       negative: bool, clauses: list[Clause]) -> None:
-    """Record `struct` as the instance's structure m, the next index, and
-    append its clauses to `clauses`: one consistency clause, first, then
-    `build_semantic` (`add_structure`)."""
+    Its clauses are one consistency clause, first: the root holds on
+    every initial state of a positive, and fails on some initial state of
+    a negative; then `build_semantic`.  The solver drops the clauses
+    after it that the root literals it fixes satisfy.  A negative with
+    one initial state s0 asks what the rooted negative (m, s0) would, but
+    is not recorded as one: the encoder keeps no record of rooted
+    negatives, and no caller hands over a negative's initial state
+    (`ceg._root_failures`).
+    """
     if struct.alphabet != instance.alphabet:
         raise ValueError("sample structures must share one alphabet")
-    pool, n = instance.pool, instance.size_budget
+    pool, n, clauses = instance.pool, instance.size_budget, instance.clauses
     m = len(instance.structures)
     semantic = build_semantic(pool, n, m, struct, negative)
     roots = [pool.get("y", m, n, s) for s in sorted(struct.initial)]
@@ -698,32 +711,9 @@ def _append_structure(instance: EncodingInstance, struct: KripkeStructure,
     instance.negatives += negative
 
 
-def _rooted_clause(instance: EncodingInstance, m: int, s: int) -> Clause:
-    """The unit clause of the rooted negative (m, s), !y(m, n, s)."""
-    return (instance.pool.get("y", m, instance.size_budget, s) ^ 1,)
-
-
-def add_structure(instance: EncodingInstance, struct: KripkeStructure,
-                  negative: bool) -> None:
-    """Append and load one sample structure as structure m, the next index.
-
-    Its clauses are one consistency clause, first: the root holds on
-    every initial state of a positive, and fails on some initial state of
-    a negative; then `build_semantic`.  The solver drops the clauses
-    after it that the root literals it fixes satisfy.  A negative with
-    one initial state s0 asks what the rooted negative (m, s0) would, but
-    is not recorded as one: the encoder keeps no record of rooted
-    negatives, and no caller hands over a negative's initial state
-    (`ceg._root_failures`).
-    """
-    clauses: list[Clause] = []
-    _append_structure(instance, struct, negative, clauses)
-    _load(instance, clauses)
-
-
 def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
-    """Append and load a rooted negative: the root fails at state s of
-    structure number m, the unit clause !y(m, n, s).
+    """Append a rooted negative: the root fails at state s of structure
+    number m, the unit clause !y(m, n, s).
 
     Soundness: a positive's root `y` is forced by the x/l/r variables,
     like any other node's.  On a negative, a false `y` implies that the
@@ -731,13 +721,14 @@ def add_rooted(instance: EncodingInstance, m: int, s: int) -> None:
     `y` true.  So the DAGs admitted after the append are exactly those
     admitted before whose root formula fails at s.
     """
-    _load(instance, [_rooted_clause(instance, m, s)])
+    instance.clauses.append(
+        (instance.pool.get("y", m, instance.size_budget, s) ^ 1,))
 
 
 def add_block(instance: EncodingInstance, lits: Iterable[int]) -> None:
-    """Append and load the clause excluding every assignment that makes
-    all of `lits` true."""
-    _load(instance, [tuple(lit ^ 1 for lit in lits)])
+    """Append the clause excluding every assignment that makes all of
+    `lits` true."""
+    instance.clauses.append(tuple(lit ^ 1 for lit in lits))
 
 
 def build_instance(n: int, positives: Sequence[KripkeStructure],
@@ -745,9 +736,9 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
                    seed: int | None = None,
                    rooted: Iterable[tuple[int, int]] = ()) -> EncodingInstance:
     """The search instance at budget n, with the rooted negatives
-    (structure index, state), loaded into a fresh solver of the given
-    seed as the module docstring sets out: the stream the append path
-    gives, built whole and then loaded at once (`load_backend`)."""
+    (structure index, state), for a solver of the given seed: the
+    structural and normal-form clauses, then each structure and rooted
+    negative appended in turn.  Nothing is loaded yet (`load_backend`)."""
     if n < 1:
         raise ValueError("size budget must be at least 1")
     structures = tuple(positives) + tuple(negatives)
@@ -757,23 +748,23 @@ def build_instance(n: int, positives: Sequence[KripkeStructure],
     pool = VarPool()
     clauses = build_structural(pool, n, alphabet)
     clauses += build_normal_form(pool, n, alphabet)
-    instance = EncodingInstance(n, alphabet, pool, clauses)
+    instance = EncodingInstance(n, alphabet, pool, clauses, seed)
     for struct in positives:
-        _append_structure(instance, struct, False, clauses)
+        add_structure(instance, struct, False)
     for struct in negatives:
-        _append_structure(instance, struct, True, clauses)
-    clauses += [_rooted_clause(instance, m, s) for m, s in rooted]
-    load_backend(instance, CdclSolver(seed=seed))
+        add_structure(instance, struct, True)
+    for m, s in rooted:
+        add_rooted(instance, m, s)
     return instance
 
 
-def load_backend(instance: EncodingInstance,
-                 backend: CdclSolver) -> CdclSolver:
-    """Load the instance's clauses into `backend` and attach it as the
-    solver every later clause of the instance goes to."""
-    backend.load(instance.clauses, instance.pool.count)
-    instance.backend = backend
-    return backend
+def load_backend(instance: EncodingInstance) -> CdclSolver:
+    """The instance's solver, after loading the clauses appended since the
+    last call, in one `load` that declares every variable of the pool."""
+    solver = instance._solver
+    solver.load(instance.clauses[instance._loaded:], instance.pool.count)
+    instance._loaded = len(instance.clauses)
+    return solver
 
 
 def _true_key(assignment: Sequence[int], pool: VarPool,

@@ -13,14 +13,15 @@ and tries the budgets 1..B in order (`CandidateSearch._next`).
 `learn_minimal` runs it once on a fixed sample.  The counterexample-guided
 loop keeps one search for the whole run and calls `infer_candidate` on
 it, handing it each new negative and discard once; the floor budget's
-solver takes them as appended clauses, and a budget proven UNSAT is never
-solved again.  The loop also hands it rooted negatives, states at which
-every answer must fail (`ceg`, `encoder.add_rooted`).  A discard of the
-candidate just returned is blocked at once by the literals it was
-decoded with; a formula decoded later under another numbering, or
-discarded without being the last candidate, is caught by re-checking
-every decoded formula against D and blocking that numbering before
-re-solving (`_solve_budget`), so no discarded formula is ever returned.
+instance appends them as clauses, its solver loads them before its next
+solve, and a budget proven UNSAT is never solved again.  The loop also
+hands it rooted negatives, states at which every answer must fail
+(`ceg`, `encoder.add_rooted`).  A discard of the candidate just returned
+is blocked at once by the literals it was decoded with; a formula
+decoded later under another numbering, or discarded without being the
+last candidate, is caught by re-checking every decoded formula against
+D and blocking that numbering before re-solving (`_solve_budget`), so no
+discarded formula is ever returned.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ class BudgetTrace(NamedTuple):
 
     `variables` and `clauses` count the instance's whole clause stream,
     which `cnf-dump` writes, with the clauses the solver drops on loading
-    as satisfied at the root."""
+    as satisfied at the root.  `millis` times loading the clauses not yet
+    loaded and every solve, decode and re-block of the budget's call."""
 
     size: int
     satisfiable: bool
@@ -135,18 +137,20 @@ class LearnResult(NamedTuple):
 def _solve_budget(instance: encoder.EncodingInstance,
                   discarded: Container[CtlFormula],
                   ) -> tuple[CtlFormula | None, list[int], BudgetTrace]:
-    """Solve the instance's solver, decode and re-block until the budget
-    yields a formula not in `discarded` (None once the budget has no model
-    left), with the literals it was decoded with and the budget's trace.
+    """Load the instance's solver, solve, decode and re-block until the
+    budget yields a formula not in `discarded` (None once the budget has
+    no model left), with the literals it was decoded with and the
+    budget's trace.  Every solve is preceded by `encoder.load_backend`,
+    so it sees every clause appended so far.
 
     Every admitted DAG has exactly n nodes, so a discarded formula decoded
     here is a numbering of it not yet blocked; any other size is a broken
     encoding."""
-    n, backend = instance.size_budget, instance.backend
+    n = instance.size_budget
     started = time.perf_counter()
     formula, lits = None, []
-    while backend.solve():
-        formula, lits = encoder.decode_with_literals(backend.values(),
+    while (solver := encoder.load_backend(instance)).solve():
+        formula, lits = encoder.decode_with_literals(solver.values(),
                                                      instance)
         if formula not in discarded:
             break
@@ -171,12 +175,14 @@ class CandidateSearch:
     Negatives enter one at a time through `add_negative`, rooted
     negatives through `add_rooted`, and formulas that must not be
     proposed again through `discard`.  A negative or rooted negative is
-    appended at once to the live solver of the floor budget, if there is
-    one, and every later budget's instance replays them, the rooted ones
-    right after the structures; a discard appends at most a blocking
-    clause to the live solver.  So the clause set of each budget only
-    grows, a budget that was UNSAT stays UNSAT, and `_next` never solves
-    it again.  Rooted negatives are argued in `ceg` and `encoder.add_rooted`.
+    appended at once to the live instance of the floor budget, if there
+    is one, and every later budget's instance replays them, the rooted
+    ones right after the structures; a discard appends at most a blocking
+    clause to the live instance.  Its solver loads what was appended
+    before the next solve (`_solve_budget`).  So the clause set of each
+    budget only grows, a budget that was UNSAT stays UNSAT, and `_next`
+    never solves it again.  Rooted negatives are argued in `ceg` and
+    `encoder.add_rooted`.
 
     The search is the one record of rooted negatives: `rooted` keeps each
     (structure number, state) pair once, in the order added, and
@@ -233,12 +239,12 @@ class CandidateSearch:
 
         Soundness: when `formula` is the candidate `_next` last returned,
         the numbering it was decoded with is blocked at once in the live
-        solver, which decoded it.  Any other numbering of any discarded
-        formula is admitted only at the budget of the formula's size, and
-        `_solve_budget` re-checks every decoded formula against the
-        discard set and blocks such a numbering before the next solve.
-        So no discarded formula is returned, and the floor argument of
-        `_next` is unchanged.
+        instance, whose solver decoded it.  Any other numbering of any
+        discarded formula is admitted only at the budget of the formula's
+        size, and `_solve_budget` re-checks every decoded formula against
+        the discard set and blocks such a numbering before the next
+        solve.  So no discarded formula is returned, and the floor
+        argument of `_next` is unchanged.
         """
         self._discarded.add(formula)
         if self._last is not None and self._last[0] == formula:

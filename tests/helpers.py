@@ -688,6 +688,7 @@ def reference_load(database: list[list[int]], trail: list[int],
 def solve_instance(instance: encoder.EncodingInstance,
                    ) -> list[int] | None:
     """The value array of a model of the instance from its own solver
-    (`CdclSolver.values`), or None if the instance is unsatisfiable."""
-    backend = instance.backend
-    return backend.values() if backend.solve() else None
+    (`CdclSolver.values`), loaded by `encoder.load_backend`, or None if
+    the instance is unsatisfiable."""
+    solver = encoder.load_backend(instance)
+    return solver.values() if solver.solve() else None

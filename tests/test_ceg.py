@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ceg, checker, ctl, kripke, learner, synth
+from ctlinfer import ceg, checker, ctl, kripke, learner, sat, synth
 from ctlinfer.ceg import (CegReport, CertificationFailure,
                           SynthesisInconsistency)
 
@@ -132,6 +132,35 @@ def test_no_structure_is_checked_twice_against_one_formula(name,
         report = ceg.infer(m, bound, synth_states=5)
         assert repeats == [], bound
         assert sorted(seen) == sorted(map(id, report.negatives)), bound
+
+
+def test_every_solve_follows_one_load(monkeypatch):
+    """Each solver of a run, the learner's and synthesis', is loaded once
+    before each of its solves and at no other time, so a run makes as
+    many `load` calls as solves."""
+    calls = []  # holds each solver, so its id stays unique
+    real_load, real_solve = sat.CdclSolver.load, sat.CdclSolver.solve
+
+    def load(solver, clauses, num_vars):
+        calls.append((solver, "load"))
+        return real_load(solver, clauses, num_vars)
+
+    def solve(solver):
+        calls.append((solver, "solve"))
+        return real_solve(solver)
+
+    monkeypatch.setattr(sat.CdclSolver, "load", load)
+    monkeypatch.setattr(sat.CdclSolver, "solve", solve)
+    for name, bound in (("two_state_pq.kripke", 4), ("selfloop_p.kripke", 3)):
+        calls.clear()
+        ceg.infer(helpers.load_fixture(name), bound, seed=1)
+        by_solver = {}
+        for solver, call in calls:
+            by_solver.setdefault(id(solver), []).append(call)
+        assert len(by_solver) > 1
+        for sequence in by_solver.values():
+            assert sequence[::2] == ["load"] * len(sequence[::2]), name
+            assert sequence[1::2] == ["solve"] * len(sequence[1::2]), name
 
 
 def test_a_candidate_proposed_twice_raises(monkeypatch):

@@ -125,7 +125,6 @@ class TestBuildInstance:
         cycle = helpers.load_fixture("cycle2.kripke")
         pool = VarPool()
         instance = encoder.EncodingInstance(4, sink.alphabet, pool)
-        encoder.load_backend(instance, CdclSolver())
         encoder.add_structure(instance, sink, negative=False)
         encoder.add_structure(instance, cycle, negative=True)
         choices = {helpers.signed(lit) for key, lit in pool.semantic_items()
@@ -150,10 +149,11 @@ class TestBuildInstance:
 
 
 class TestClauseStream:
-    """`build_instance` and `add_structure` load exactly the clause stream
-    built without a solver: the structural clauses, the normal form, then
-    for each structure its consistency clause followed by
-    `build_semantic` with the structure's sign."""
+    """`build_instance` and `add_structure` append exactly the clause
+    stream built without a solver, and `load_backend` loads it: the
+    structural clauses, the normal form, then for each structure its
+    consistency clause followed by `build_semantic` with the structure's
+    sign."""
 
     SAMPLES = [
         (["two_state_pq.kripke", "chain3.kripke"], ["cycle2.kripke"],
@@ -185,8 +185,9 @@ class TestClauseStream:
 
     def test_instances_load_exactly_the_clause_stream(self):
         """On the build path and again after appending a negative, the
-        instance holds the stream, and its solver stores, propagates and
-        searches as a fresh solver of the same seed loaded with it."""
+        instance holds the stream, and its loaded solver stores,
+        propagates and searches as a fresh solver of the same seed loaded
+        with it."""
         for pos_names, neg_names, extra_name in self.SAMPLES:
             pos = [helpers.load_fixture(f) for f in pos_names]
             neg = [helpers.load_fixture(f) for f in neg_names]
@@ -194,7 +195,7 @@ class TestClauseStream:
             alphabet = pos[0].alphabet
             for n in (1, 2, 3, 4):
                 instance = encoder.build_instance(n, pos, neg, seed=0)
-                loaded = instance.backend
+                loaded = encoder.load_backend(instance)
                 pool = VarPool()
                 stream = (encoder.build_structural(pool, n, alphabet)
                           + encoder.build_normal_form(pool, n, alphabet))
@@ -211,6 +212,7 @@ class TestClauseStream:
                                                  extra, True)
                 encoder.add_structure(instance, extra, negative=True)
                 assert instance.clauses == stream + appended
+                encoder.load_backend(instance)
                 fresh.load(appended, pool.count)
                 self.same_state(loaded, fresh)
 
@@ -233,7 +235,34 @@ class TestClauseStream:
                 for struct in neg:
                     encoder.add_structure(appended, struct, negative=True)
                 assert built.clauses == appended.clauses
-                self.same_state(built.backend, appended.backend)
+                self.same_state(encoder.load_backend(built),
+                                encoder.load_backend(appended))
+
+    def test_appends_wait_for_load_backend(self):
+        """`build_instance` and the appends (`add_structure`,
+        `add_rooted`, `add_block`) leave the instance's solver untouched;
+        `load_backend` then loads the whole stream, the solver storing and
+        propagating as a fresh solver of the same seed loaded with it, and
+        a second call loads nothing."""
+        for pos_names, neg_names, extra_name in self.SAMPLES:
+            pos = [helpers.load_fixture(f) for f in pos_names]
+            neg = [helpers.load_fixture(f) for f in neg_names]
+            extra = helpers.load_fixture(extra_name)
+            alphabet = pos[0].alphabet
+            for n in (1, 2, 3, 4):
+                instance = encoder.build_instance(n, pos, neg, seed=0,
+                                                  rooted=[(0, 0)])
+                encoder.add_structure(instance, extra, negative=True)
+                encoder.add_rooted(instance, len(pos + neg), 0)
+                pool = instance.pool
+                encoder.add_block(instance, [pool.get("x", 1, alphabet[0])])
+                self.same_state(instance._solver, CdclSolver(seed=0))
+                fresh = CdclSolver(seed=0)
+                fresh.load(instance.clauses, pool.count)
+                loaded = encoder.load_backend(instance)
+                self.same_state(loaded, fresh)
+                assert encoder.load_backend(instance) is loaded
+                self.same_state(loaded, fresh)
 
     # A digest of each sample's streams (`pinned_streams`), taken when the
     # encoder loaded each structure as soon as it was built.
@@ -454,8 +483,8 @@ class TestBlocking:
         seen = []
         for n in (1, 2, 3):
             instance = encoder.build_instance(n, [m], seed=1)
-            backend = instance.backend
             for _ in range(30):
+                backend = encoder.load_backend(instance)
                 if not backend.solve():
                     break
                 f, lits = encoder.decode_with_literals(backend.values(),
@@ -464,8 +493,7 @@ class TestBlocking:
                 assert f not in seen
                 assert helpers.naive_holds(m, f)
                 seen.append(f)
-                backend.load([tuple(lit ^ 1 for lit in lits)],
-                             backend.num_vars)
+                encoder.add_block(instance, lits)
             else:
                 pytest.fail("blocking never exhausted the budget")
         holding = [f for f in ctl.enumerate_formulas(m.alphabet, 3)
@@ -486,15 +514,15 @@ def several_initial(rng, alphabet):
         labels=m.labels, successors=m.successors)
 
 
-def blocked_formulas(backend, instance):
-    """Every formula the loaded solver admits, one blocked DAG at a
-    time; each admitted formula has one admitted numbering."""
+def blocked_formulas(instance):
+    """Every formula the instance admits, one blocked DAG at a time; each
+    admitted formula has one admitted numbering."""
     found = set()
-    while backend.solve():
+    while (backend := encoder.load_backend(instance)).solve():
         f, lits = encoder.decode_with_literals(backend.values(), instance)
         assert f not in found, f
         found.add(f)
-        backend.load([tuple(lit ^ 1 for lit in lits)], backend.num_vars)
+        encoder.add_block(instance, lits)
     return found
 
 
@@ -520,14 +548,12 @@ class TestOneSidedRoot:
                             and helpers.admitted_dag(f, alphabet)
                             and helpers.consistent_by_oracle(f, pos, neg)}
                 instance = encoder.build_instance(n, pos, neg, seed=4)
-                assert blocked_formulas(instance.backend,
-                                        instance) == expected, n
+                assert blocked_formulas(instance) == expected, n
                 pool = VarPool()
                 two_sided = encoder.EncodingInstance(
                     n, alphabet, pool,
                     encoder.build_structural(pool, n, alphabet)
-                    + encoder.build_normal_form(pool, n, alphabet))
-                backend = encoder.load_backend(two_sided, CdclSolver(seed=4))
+                    + encoder.build_normal_form(pool, n, alphabet), seed=4)
                 for m, struct in enumerate(pos + neg):
                     clauses = encoder.build_semantic(pool, n, m, struct)
                     roots = [pool.get("y", m, n, s)
@@ -536,8 +562,8 @@ class TestOneSidedRoot:
                         clauses += [(lit,) for lit in roots]
                     else:
                         clauses.append(tuple(lit ^ 1 for lit in roots))
-                    backend.load(clauses, pool.count)
-                assert blocked_formulas(backend, two_sided) == expected, n
+                    two_sided.clauses += clauses
+                assert blocked_formulas(two_sided) == expected, n
                 found += len(expected)
         assert found > 20
 
@@ -551,8 +577,8 @@ class TestRootedNegatives:
         budgets 1-3 decodes exactly the admitted formulas of the budget's
         size that the naive checker finds consistent and false at every
         rooted state.  That holds with the rooted negatives built into the
-        instance and appended to its solver after a solve, and both paths
-        load the same clauses: each rooted negative the one unit clause
+        instance and appended to it after a solve, and both paths append
+        the same clauses: each rooted negative the one unit clause
         -y(m, n, s)."""
         rng = random.Random(3102)
         alphabet = ("p", "q")
@@ -581,7 +607,7 @@ class TestRootedNegatives:
                 built = encoder.build_instance(n, pos, neg, seed=5,
                                                rooted=rooted)
                 appended = encoder.build_instance(n, pos, neg, seed=5)
-                appended.backend.solve()
+                encoder.load_backend(appended).solve()
                 for m, s in rooted:
                     before = len(appended.clauses)
                     encoder.add_rooted(appended, m, s)
@@ -590,8 +616,7 @@ class TestRootedNegatives:
                         (-helpers.signed(appended.pool.get("y", m, n, s)),)]
                 assert built.clauses == appended.clauses
                 for instance in (built, appended):
-                    assert blocked_formulas(instance.backend,
-                                            instance) == expected, n
+                    assert blocked_formulas(instance) == expected, n
                 found += len(expected)
         assert found > 20
 
@@ -621,8 +646,7 @@ class TestRootedNegatives:
                 for s in states:
                     encoder.add_rooted(instance, 1, s)
                 assert instance.structures == (neg[0], pos)
-                assert blocked_formulas(instance.backend,
-                                        instance) == expected, n
+                assert blocked_formulas(instance) == expected, n
                 found += len(expected)
         assert found > 5
 
@@ -638,10 +662,9 @@ class TestDecode:
         decoded = 0
         for n in (1, 2, 3):
             instance = encoder.build_instance(n, pos, neg, seed=1)
-            backend = instance.backend
             labels = [lit for key, lit in instance.pool.semantic_items()
                       if key[0] == "x"]
-            while backend.solve():
+            while (backend := encoder.load_backend(instance)).solve():
                 values = backend.values()
                 got = encoder.decode_with_literals(values, instance)
                 assert ctl.size(got[0]) == n
@@ -663,7 +686,7 @@ class TestDecode:
         for _ in range(40):
             f = helpers.normal_form(helpers.random_enf(rng, m.alphabet, 3))
             instance = encoder.build_instance(ctl.size(f), [m], [], seed=2)
-            backend = instance.backend
+            backend = encoder.load_backend(instance)
             dag = helpers.admitted_dag(f, m.alphabet)
             if dag is None:
                 outside += 1
@@ -692,13 +715,12 @@ def decoded_formulas(n, alphabet):
     pool = VarPool()
     clauses = (encoder.build_structural(pool, n, alphabet)
                + encoder.build_normal_form(pool, n, alphabet))
-    instance = encoder.EncodingInstance(n, alphabet, pool, clauses)
-    backend = encoder.load_backend(instance, CdclSolver(seed=3))
+    instance = encoder.EncodingInstance(n, alphabet, pool, clauses, seed=3)
     found = []
-    while backend.solve():
+    while (backend := encoder.load_backend(instance)).solve():
         f, lits = encoder.decode_with_literals(backend.values(), instance)
         found.append(f)
-        backend.load([tuple(lit ^ 1 for lit in lits)], backend.num_vars)
+        encoder.add_block(instance, lits)
     return tuple(found)
 
 

@@ -215,7 +215,6 @@ class TestInferCandidate:
             pinned.append((pool.get("x", i, "EX"), pool.get("x", i, "!")))
             pinned.append((pool.get("l", i, 1),))
         instance.clauses += pinned
-        instance.backend.load(pinned, pool.count)
         for f in twins:
             encoder.add_block(instance, helpers.dag_literals(
                 pool, helpers.admitted_dag(f, m.alphabet)))
@@ -362,7 +361,7 @@ class TestInferCandidate:
 
     def test_a_repeated_rooted_negative_is_held_once(self, monkeypatch):
         """The search is the one record of rooted negatives: a pair it
-        holds loads no clause into the live solver when added again, and
+        holds appends no clause to the live instance when added again, and
         the next budget's instance replays each pair once, in the order
         first added, as a fresh build handed each pair once does."""
         model = helpers.load_fixture("chain3.kripke")
@@ -374,10 +373,10 @@ class TestInferCandidate:
         live = state._live
         loaded = len(live.clauses)
 
-        def no_load(clauses):
-            raise AssertionError("a held rooted negative was loaded again")
+        def no_append(instance, m, s):
+            raise AssertionError("a held rooted negative was appended again")
 
-        monkeypatch.setattr(live.backend, "load", no_load)
+        monkeypatch.setattr(encoder, "add_rooted", no_append)
         assert state.add_rooted(0, 2) is False
         monkeypatch.undo()
         assert len(live.clauses) == loaded

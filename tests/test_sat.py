@@ -535,9 +535,10 @@ class TestSearchTrajectory:
                                                          instance)
             formulas.append(ctl.print_ctl(formula))
             encoder.add_block(instance, lits)
+            encoder.load_backend(instance)
             return True
 
-        runs = trajectory(instance.backend, step)
+        runs = trajectory(encoder.load_backend(instance), step)
         assert formulas == DIAMOND_FORMULAS
         assert [r[1] for r in runs] == DIAMOND_CONFLICTS
         assert digest(runs) == DIAMOND_DIGEST
