@@ -11,7 +11,7 @@ The package bundles four layers:
   loop that tightens a hypothesis until it pins down the input structure.
 """
 
-from .ceg import CegReport, Certification, CertificationFailure, infer, verify_solution
+from .ceg import CegReport, CertificationFailure, infer, verify_solution
 from .checker import holds, sat_set_table
 from .ctl import parse_ctl, print_ctl, size
 from .kripke import KripkeStructure, parse_kripke, print_kripke
@@ -25,7 +25,6 @@ __all__ = [
     "BackendFailure",
     "CdclSolver",
     "CegReport",
-    "Certification",
     "CertificationFailure",
     "KripkeStructure",
     "LearnResult",

@@ -83,9 +83,13 @@ language-minimality over the normal form implies it over all formulas.
 
 Equivalence and implication verdicts are bounded by the synthesis state
 budget, so "language-minimal" is certified relative to countermodels of
-at most that size; `verify_solution` re-derives the guarantees and, for
-small bounds, audits strict-implication minimality by exhaustive formula
-enumeration.
+at most that size.  A run's one record is its `CegReport`: the answer,
+the trace, and the size bound and synthesis budget it ran with, from
+which the iteration count, the negatives and the rooted negatives are
+read.  `verify_solution` certifies exactly that record, at the bound it
+records: it re-derives the guarantees and, for bounds up to
+`_AUDIT_LIMIT`, audits strict-implication minimality by exhaustive
+formula enumeration, returning the number of candidates compared.
 """
 
 from __future__ import annotations
@@ -97,9 +101,8 @@ from .ctl import CtlFormula
 from .kripke import KripkeStructure
 from .synth import DEFAULT_MAX_STATES, SynthesisInconsistency
 
-__all__ = ["CegTraceEntry", "CegReport", "Certification", "CegError",
-           "CertificationFailure", "SynthesisInconsistency", "infer",
-           "verify_solution"]
+__all__ = ["CegTraceEntry", "CegReport", "CegError", "CertificationFailure",
+           "SynthesisInconsistency", "infer", "verify_solution"]
 
 # Largest size bound whose candidates `verify_solution` enumerates.
 _AUDIT_LIMIT = 4
@@ -130,12 +133,17 @@ class CegTraceEntry(NamedTuple):
 
 
 class CegReport(NamedTuple):
+    """The one record of a run: its answer, its trace, and the size bound
+    and synthesis budget it ran with; the counts are read off the trace."""
+
     formula: CtlFormula
-    iterations: int
     trace: tuple[CegTraceEntry, ...]
     bound: int
     synth_states: int
-    certification: str
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def negatives(self) -> tuple[KripkeStructure, ...]:
@@ -145,16 +153,6 @@ class CegReport(NamedTuple):
     @property
     def rooted(self) -> tuple[tuple[int, int], ...]:
         return tuple(r for e in self.trace for r in e.rooted)
-
-
-class Certification(NamedTuple):
-    formula: CtlFormula
-    size: int
-    bound: int
-    synth_states: int
-    negatives_checked: int
-    audited: bool
-    candidates_audited: int
 
 
 def infer(model: KripkeStructure, bound: int,
@@ -220,17 +218,8 @@ def infer(model: KripkeStructure, bound: int,
         if on_iteration is not None:
             on_iteration(entry)
 
-    certification = (
-        f"strictness certified against countermodels of at most "
-        f"{_counted(synth_states, 'state')}; candidate space of size <= "
-        f"{bound} exhausted in {_counted(len(trace), 'iteration')}")
-    return CegReport(formula=hypothesis, iterations=len(trace),
-                     trace=tuple(trace), bound=bound,
-                     synth_states=synth_states, certification=certification)
-
-
-def _counted(count: int, noun: str) -> str:
-    return f"{count} {noun}" if count == 1 else f"{count} {noun}s"
+    return CegReport(formula=hypothesis, trace=tuple(trace), bound=bound,
+                     synth_states=synth_states)
 
 
 def _root_failures(search: learner.CandidateSearch, first: int,
@@ -266,8 +255,9 @@ def _root_failures(search: learner.CandidateSearch, first: int,
 
 
 def verify_solution(model: KripkeStructure, bound: int,
-                    result: CegReport) -> Certification:
-    """Re-derive the guarantees of an inference result.
+                    result: CegReport) -> int | None:
+    """Re-derive the guarantees of the inference result `result`, which
+    `infer` produced on `model` at the size bound `bound`.
 
     Checks that the formula holds on the model, fits the size bound,
     fails on every recorded negative structure, and fails at the state of
@@ -277,8 +267,14 @@ def verify_solution(model: KripkeStructure, bound: int,
     in both directions, that none strictly implies the result
     within the synthesis budget `result.synth_states` that `infer` ran
     with; the first violation raises `CertificationFailure` naming the
-    violating formula.  A budget below 1 raises `ValueError`.
+    violating formula.  Returns the number of candidates the audit
+    compared, those holding on the model, or None above `_AUDIT_LIMIT`.
+    A bound other than `result.bound`, or a budget below 1, raises
+    `ValueError`.
     """
+    if bound != result.bound:
+        raise ValueError(f"bound {bound} is not the report's bound "
+                         f"{result.bound}")
     synth_states = result.synth_states
     if synth_states < 1:
         raise ValueError("synthesis budget must be at least 1")
@@ -304,23 +300,19 @@ def verify_solution(model: KripkeStructure, bound: int,
             raise CertificationFailure(
                 "the result holds at a rooted negative state", formula)
 
-    audited = False
-    candidates_audited = 0
-    if bound <= _AUDIT_LIMIT:
-        audited = True
-        for candidate in ctl.enumerate_formulas(model.alphabet, bound):
-            if not checker.holds(model, candidate):
-                continue
-            candidates_audited += 1
-            if candidate == formula:
-                continue
-            if (synth.implies(candidate, formula, synth_states,
-                              model.alphabet) is None
-                    and synth.implies(formula, candidate, synth_states,
-                                      model.alphabet) is not None):
-                raise CertificationFailure(
-                    "a candidate strictly implies the result", candidate)
-    return Certification(
-        formula=formula, size=ctl.size(formula), bound=bound,
-        synth_states=synth_states, negatives_checked=len(negatives),
-        audited=audited, candidates_audited=candidates_audited)
+    if bound > _AUDIT_LIMIT:
+        return None
+    audited = 0
+    for candidate in ctl.enumerate_formulas(model.alphabet, bound):
+        if not checker.holds(model, candidate):
+            continue
+        audited += 1
+        if candidate == formula:
+            continue
+        if (synth.implies(candidate, formula, synth_states,
+                          model.alphabet) is None
+                and synth.implies(formula, candidate, synth_states,
+                                  model.alphabet) is not None):
+            raise CertificationFailure(
+                "a candidate strictly implies the result", candidate)
+    return audited

@@ -127,8 +127,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_learn(args: argparse.Namespace) -> int:
     sample = _load_sample(args.pos, args.neg)
-    if args.max_size < 1:
-        raise ctl.CtlError("--max-size must be at least 1")
     try:
         result = learner.learn_minimal(sample, args.max_size, seed=args.seed)
     except learner.NoConsistentFormula as err:
@@ -143,8 +141,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _states(count: int) -> str:
-    return f"{count} state" if count == 1 else f"{count} states"
+def _counted(count: int, noun: str) -> str:
+    return f"{count} {noun}" if count == 1 else f"{count} {noun}s"
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -152,23 +150,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     alphabet = None
     if args.props is not None:
         alphabet = tuple(p.strip() for p in args.props.split(",") if p.strip())
-    if args.max_states < 1:
-        raise ctl.CtlError("--max-states must be at least 1")
     model = synth.synthesize(f, args.max_states, alphabet, seed=args.seed)
     if model is None:
-        print(f"result: no model up to {_states(args.max_states)}")
+        print(f"result: no model up to {_counted(args.max_states, 'state')}")
         return EXIT_NEGATIVE
     sys.stdout.write(kripke.print_kripke(model))
-    print(f"result: model with {_states(model.size)}")
+    print(f"result: model with {_counted(model.size, 'state')}")
     return EXIT_OK
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     m = _load_structure(args.model)
-    if args.bound < 1:
-        raise ctl.CtlError("--bound must be at least 1")
-    if args.synth_states < 1:
-        raise ctl.CtlError("--synth-states must be at least 1")
     trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else None
     structures = [m]  # as rooted negatives index them: model, negatives
 
@@ -192,15 +184,16 @@ def _cmd_infer(args: argparse.Namespace) -> int:
             trace_file.close()
     print(f"size: {ctl.size(report.formula)}")
     print(f"iterations: {report.iterations}")
-    print(f"certification: {report.certification}")
+    print(f"certification: strictness certified against countermodels of "
+          f"at most {_counted(report.synth_states, 'state')}; candidate "
+          f"space of size <= {report.bound} exhausted in "
+          f"{_counted(report.iterations, 'iteration')}")
     print(f"result: {ctl.print_ctl(report.formula)}")
     return EXIT_OK
 
 
 def _cmd_cnf_dump(args: argparse.Namespace) -> int:
     sample = _load_sample(args.pos, args.neg)
-    if args.size < 1:
-        raise ctl.CtlError("--size must be at least 1")
     instance = encoder.build_instance(args.size, sample.positives,
                                       sample.negatives)
     Path(args.output).write_text(encoder.to_dimacs(instance),
@@ -228,6 +221,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(err.code or 0)
     try:
+        # Each integer option is at least 1, checked before any input.
+        for name in ("max_size", "max_states", "bound", "synth_states",
+                     "size"):
+            if getattr(args, name, 1) < 1:
+                option = "--" + name.replace("_", "-")
+                raise ctl.CtlError(f"{option} must be at least 1")
         return _COMMANDS[args.subcommand](args)
     except (ctl.CtlError, kripke.KripkeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

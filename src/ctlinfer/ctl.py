@@ -27,7 +27,7 @@ __all__ = [
     "ExistsFinally", "ForallNext", "ForallUntil", "ForallGlobally",
     "ForallFinally", "CtlError", "ParseError", "NotInEnf",
     "RESERVED_WORDS", "MAX_NESTING", "parse_ctl", "print_ctl", "enf", "is_enf",
-    "subterms", "subformulas", "size", "propositions", "label",
+    "subterms", "size", "propositions", "label",
     "enumerate_formulas",
 ]
 
@@ -239,11 +239,6 @@ def subterms(f: CtlFormula) -> list[CtlFormula]:
             stack += (g, None)
             stack.extend(children(g)[::-1])
     return order
-
-
-def subformulas(f: CtlFormula) -> frozenset[CtlFormula]:
-    """All distinct subformulas of `f`, including `f` itself."""
-    return frozenset(subterms(f))
 
 
 def size(f: CtlFormula) -> int:

@@ -230,8 +230,7 @@ def test_criterion_6_ceg_terminates_with_certified_eg_p():
         m = helpers.load_fixture("selfloop_p.kripke")
         report = ceg.infer(m, 2, synth_states=4, seed=0)
         assert report.formula == ctl.ExistsGlobally(ctl.Prop("p"))
-        cert = ceg.verify_solution(m, 2, report)
-        assert cert.audited and cert.candidates_audited > 0
+        assert ceg.verify_solution(m, 2, report) > 0
         # Independent audit: no size-<=2 formula holding on the model
         # strictly implies EG p within a 4-state synthesis budget.
         for candidate in ctl.enumerate_formulas(("p",), 2):

@@ -78,7 +78,7 @@ class TestSatSetTable:
         m = helpers.load_fixture("mutex.kripke")
         f = ctl.enf(ctl.parse_ctl("E[r U c] | EX c"))
         table = checker.sat_set_table(m, f)
-        assert set(table) == ctl.subformulas(f)
+        assert set(table) == set(ctl.subterms(f))
         seen = set()
         for sub in table:
             assert all(child in seen for child in ctl.children(sub))

@@ -420,6 +420,26 @@ class TestUsage:
         assert out == ""
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv, option", [
+        (["learn", "--pos", "{missing}", "--max-size", "0"], "--max-size"),
+        (["synth", "p &", "--max-states", "0"], "--max-states"),
+        (["infer", "{missing}", "--bound", "0"], "--bound"),
+        (["infer", "{missing}", "--bound", "2", "--synth-states", "0"],
+         "--synth-states"),
+        (["cnf-dump", "--pos", "{missing}", "--size", "0", "{out}"],
+         "--size"),
+    ])
+    def test_range_is_checked_before_any_input(self, capsys, tmp_path, argv,
+                                               option):
+        # The input is missing or unparsable, so only a range check that
+        # comes first can name the option.
+        paths = {"{missing}": str(tmp_path / "missing.kripke"),
+                 "{out}": str(tmp_path / "out.cnf")}
+        code, out, err = invoke(capsys, *(paths.get(a, a) for a in argv))
+        assert code == 2
+        assert err == f"error: {option} must be at least 1\n"
+        assert out == ""
+
     def test_bad_synth_states_values(self, capsys, tmp_path):
         # An empty alphabet has no candidate, so only this check sees
         # the budget.

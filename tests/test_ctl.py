@@ -27,7 +27,7 @@ def test_size_counts_distinct_subformulas():
 
 def test_subformulas_shared_once():
     f = ctl.parse_ctl("EX p | E[p U EG q]")
-    subs = ctl.subformulas(f)
+    subs = set(ctl.subterms(f))
     assert Prop("p") in subs
     assert len(subs) == 6
 
@@ -51,8 +51,8 @@ def test_propositions_match_the_subformula_set():
                 for _ in range(500)]
     for f in formulas:
         assert ctl.propositions(f) == {
-            g.name for g in ctl.subformulas(f) if isinstance(g, Prop)}
-    seen = {type(g) for f in formulas for g in ctl.subformulas(f)}
+            g.name for g in ctl.subterms(f) if isinstance(g, Prop)}
+    seen = {type(g) for f in formulas for g in ctl.subterms(f)}
     assert {Const, ctl.ForallUntil, ctl.Implies} <= seen
 
 
@@ -435,7 +435,6 @@ class TestSyntaxDag:
             subs = ctl.subterms(f)
             assert subs[-1] == f
             assert len(set(subs)) == len(subs) == ctl.size(f)
-            assert set(subs) == ctl.subformulas(f)
             built = []
             for label, left, right in helpers.dag_nodes(f):
                 if left is None:

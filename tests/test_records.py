@@ -80,12 +80,8 @@ def frozen_records():
         learner.BudgetTrace: trace_fields,
         learner.LearnResult: dict(formula=p, size=1, budgets=(trace,)),
         ceg.CegTraceEntry: entry_fields,
-        ceg.CegReport: dict(formula=p, iterations=1, trace=(entry,),
-                            bound=2, synth_states=4,
-                            certification="minimal"),
-        ceg.Certification: dict(formula=p, size=1, bound=2, synth_states=4,
-                                negatives_checked=1, audited=True,
-                                candidates_audited=3),
+        ceg.CegReport: dict(formula=p, trace=(entry,), bound=2,
+                            synth_states=4),
     }
     return [(cls(**kw), kw) for cls, kw in fields.items()]
 

@@ -141,8 +141,8 @@ def test_constants_match_their_tautologies():
     with_constants = 0
     for _ in range(200):
         f = helpers.random_ctl(rng, ALPHABET, depth=3)
-        with_constants += ctl.TRUE in ctl.subformulas(f) or (
-            ctl.FALSE in ctl.subformulas(f))
+        with_constants += ctl.TRUE in ctl.subterms(f) or (
+            ctl.FALSE in ctl.subterms(f))
         verdict = tableau.satisfiable(ctl.enf(f))
         assert verdict is not None
         assert verdict == tableau.satisfiable(
