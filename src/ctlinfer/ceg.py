@@ -261,7 +261,8 @@ def verify_solution(model: KripkeStructure, bound: int,
 
     Checks that the formula holds on the model, fits the size bound,
     fails on every recorded negative structure, and fails at the state of
-    every recorded rooted negative.  After those, when the bound is at
+    every recorded rooted negative, which must name a state of the model
+    or of a recorded negative.  After those, when the bound is at
     most `_AUDIT_LIMIT`, it enumerates every ENF formula of
     size <= bound holding on the model and confirms, by `synth.implies`
     in both directions, that none strictly implies the result
@@ -294,6 +295,9 @@ def verify_solution(model: KripkeStructure, bound: int,
     structures = (model,) + negatives
     sat_sets: dict[int, frozenset[int]] = {}
     for m, s in result.rooted:
+        if not (0 <= m < len(structures) and 0 <= s < structures[m].size):
+            raise CertificationFailure(
+                f"rooted negative {(m, s)} is no state of the sample")
         if m not in sat_sets:
             sat_sets[m] = checker.sat_set(structures[m], ctl.enf(formula))
         if s in sat_sets[m]:

@@ -7,10 +7,11 @@ synthesizer work on the existential normal form (ENF) fragment:
 propositions, the constants `true` and `false`, negation, conjunction,
 disjunction, EX, EU and EG.  `enf` rewrites any formula into that
 fragment, keeping its constants.  The learner's candidates are the
-constant-free part of it (`label`, `enumerate_formulas`).  Equal formulas
-are one object (`CtlFormula`), so a formula is its own syntax DAG, in
-which identical subterms are one node; `subterms` lists its nodes,
-children first.
+constant-free part of it (`enumerate_formulas`), and the label of one
+of their nodes is its proposition's name or its ENF class
+(`OPERATOR_LABELS`).  Equal formulas are one object (`CtlFormula`), so
+a formula is its own syntax DAG, in which identical subterms are one
+node; `subterms` lists its nodes, children first.
 
 Formula size is the number of *distinct* subformulas, i.e. the node count
 of the syntax DAG, not the node count of the tree.
@@ -27,13 +28,13 @@ __all__ = [
     "ExistsFinally", "ForallNext", "ForallUntil", "ForallGlobally",
     "ForallFinally", "CtlError", "ParseError", "NotInEnf",
     "RESERVED_WORDS", "MAX_NESTING", "parse_ctl", "print_ctl", "enf", "is_enf",
-    "subterms", "size", "propositions", "label",
-    "enumerate_formulas",
+    "subterms", "size", "propositions", "enumerate_formulas",
 ]
 
-# Words the formula lexer claims for itself, and `EU`, the learner's label
-# for E-until (`OPERATOR_LABELS`), which names the same SAT variables as a
-# proposition of that name would; none of them can name a proposition.
+# Words the formula lexer claims for itself, and `EU`, the name `cnf-dump`
+# prints for E-until's label variables (`encoder.to_dimacs`), which would
+# read the same as those of a proposition of that name; none of them can
+# name a proposition.
 RESERVED_WORDS = frozenset(
     {"true", "false", "E", "A", "U", "EX", "EG", "EU", "EF", "AX", "AG", "AF"}
 )
@@ -205,8 +206,11 @@ class ForallGlobally(_Unary): __slots__ = ()
 class ForallFinally(_Unary): __slots__ = ()
 
 
-# ENF fragment: propositions and constants plus these connectives.
-_ENF_OPS = (Not, And, Or, ExistsNext, ExistsUntil, ExistsGlobally)
+# The ENF connectives, which are also the operator labels of the learner's
+# syntax-DAG nodes (`encoder`): a node's label is its proposition's name or
+# its class.  The ENF fragment is propositions and constants under these.
+OPERATOR_LABELS = (Not, And, Or, ExistsNext, ExistsUntil, ExistsGlobally)
+BINARY_LABELS = frozenset({And, Or, ExistsUntil})
 
 
 def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
@@ -220,7 +224,8 @@ def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
 def is_enf(f: CtlFormula) -> bool:
     """True iff `f` uses only ENF connectives over propositions and
     constants, visiting each DAG node once."""
-    return all(isinstance(g, (Prop, Const, *_ENF_OPS)) for g in subterms(f))
+    return all(isinstance(g, (Prop, Const, *OPERATOR_LABELS))
+               for g in subterms(f))
 
 
 def subterms(f: CtlFormula) -> list[CtlFormula]:
@@ -491,7 +496,7 @@ def _enf(f: CtlFormula, memo: dict[CtlFormula, CtlFormula]) -> CtlFormula:
         return got
     if isinstance(f, (Prop, Const)):
         got = f
-    elif isinstance(f, _ENF_OPS):
+    elif isinstance(f, OPERATOR_LABELS):
         if isinstance(f, _Unary):
             got = type(f)(_enf(f.operand, memo))
         else:
@@ -516,37 +521,6 @@ def _enf(f: CtlFormula, memo: dict[CtlFormula, CtlFormula]) -> CtlFormula:
     else:
         raise CtlError(f"unknown formula node {f!r}")
     memo[f] = got
-    return got
-
-
-# ---------------------------------------------------------------------------
-# Node labels
-# ---------------------------------------------------------------------------
-
-# Operator labels as the learner's encoding names syntax-DAG nodes.
-NOT_LABEL, AND_LABEL, OR_LABEL = "!", "&", "|"
-EX_LABEL, EU_LABEL, EG_LABEL = "EX", "EU", "EG"
-OPERATOR_LABELS = (NOT_LABEL, AND_LABEL, OR_LABEL, EX_LABEL, EU_LABEL, EG_LABEL)
-BINARY_LABELS = frozenset({AND_LABEL, OR_LABEL, EU_LABEL})
-
-_NODE_LABEL = {Not: NOT_LABEL, And: AND_LABEL, Or: OR_LABEL,
-               ExistsNext: EX_LABEL, ExistsUntil: EU_LABEL,
-               ExistsGlobally: EG_LABEL}
-# The inverse of `_NODE_LABEL`: the formula constructor of each operator.
-LABEL_CONSTRUCTORS = {label: ctor for ctor, label in _NODE_LABEL.items()}
-
-
-def label(f: CtlFormula) -> str:
-    """The label of `f` as a node of the learner's syntax DAG: its
-    proposition's name or its operator label.  `NotInEnf` outside the ENF
-    fragment, and for `true` and `false`, which are ENF but have no label:
-    the learner's candidates contain no constants."""
-    if isinstance(f, Prop):
-        return f.name
-    got = _NODE_LABEL.get(type(f))
-    if got is None:
-        raise NotInEnf(f"the learner has no label for {print_ctl(f)}: it "
-                       f"has no constant labels and no sugar")
     return got
 
 

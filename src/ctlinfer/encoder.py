@@ -4,11 +4,12 @@ An instance at size budget n describes the syntax DAGs with nodes 1..n
 (children strictly below parents, node 1 a proposition, node n the root)
 together with their evaluation on every structure of the sample:
 
-* label variables `x(i, lab)` pick one label per node, from the node's
-  domain `label_domain(n, i, alphabet)`: the labels node i can take in
-  some normal-form DAG (propositions only at node 1, operators only at
-  the root, no binary operator at node 2), so no other `x(i, lab)`
-  exists;
+* label variables `x(i, lab)` pick one label per node, a proposition's
+  name or an ENF operator's class (`ctl.OPERATOR_LABELS`), from the
+  node's domain `label_domain(n, i, alphabet)`: the labels node i can
+  take in some normal-form DAG (propositions only at node 1, operators
+  only at the root, no binary operator at node 2), so no other
+  `x(i, lab)` exists;
 * child variables `l(i, j)` / `r(i, j)` with j < i pick the children of
   every node i >= 2 (exactly one each, even where the arity ignores them);
 * use variables `u(i, j)` with i < j say that node j reads node i;
@@ -39,9 +40,6 @@ is closed under uniform substitution, so a rule proved for propositions
 holds for every formula put in for a and b.  Rewriting psi to phi drops
 psi's root and adds no node, so excluding the instances of psi keeps an
 equivalent of every formula at no larger size (`build_normal_form`).
-Such a candidate is equivalent to a smaller one that the learner
-proposes first, so the CEG loop mostly found it equivalent to its
-hypothesis and discarded it (case 1); now it never sees it.
 The domains are owned by that normal form: they leave out exactly the
 labels no admitted DAG takes (the argument is in its docstring), so the
 instance admits the same DAGs with fewer variables and clauses.
@@ -90,12 +88,12 @@ comprehension's own call then costs more than the work inside it
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import sat
-from .ctl import (AND_LABEL, BINARY_LABELS, EG_LABEL, EU_LABEL, EX_LABEL,
-                  LABEL_CONSTRUCTORS, NOT_LABEL, OPERATOR_LABELS, OR_LABEL,
-                  CtlFormula, Prop)
+from .ctl import (BINARY_LABELS, OPERATOR_LABELS, And, CtlFormula,
+                  ExistsGlobally, ExistsNext, ExistsUntil, Not, Or, Prop,
+                  children, parse_ctl, subterms)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
@@ -175,11 +173,11 @@ class EncodingInstance:
         return len(self.clauses)
 
 
-_UNARY_LABELS = tuple(lab for lab in OPERATOR_LABELS
-                      if lab not in BINARY_LABELS)
+_UNARY_LABELS = (Not, ExistsNext, ExistsGlobally)
 
 
-def label_domain(n: int, i: int, alphabet: Sequence[str]) -> tuple[str, ...]:
+def label_domain(n: int, i: int, alphabet: Sequence[str],
+                 ) -> tuple[str | type[CtlFormula], ...]:
     """The labels node i of a budget-n DAG can take in the normal form
     (`build_normal_form`), propositions first, in alphabet order.
 
@@ -194,88 +192,49 @@ def label_domain(n: int, i: int, alphabet: Sequence[str]) -> tuple[str, ...]:
     return props + (_UNARY_LABELS if i == 2 else OPERATOR_LABELS)
 
 
-# The rewrite rules psi = phi of the normal form, as `build_normal_form`
-# compiles them: psi's syntax DAG, children first, each node a metavariable
-# ("a" or "b") or a label with the indices of the nodes it reads; then the
-# index of phi, a proper sub-DAG of psi.  Derived and proved by the tableau
-# (module docstring); kept as literals, so importing parses nothing.
-REWRITE_RULES: tuple[tuple[tuple, int], ...] = (
-    # E[a U a] = a
-    (("a", ("EU", 0, 0)), 0),
-    # !!a = a
-    (("a", ("!", 0), ("!", 1)), 0),
-    # EG EG a = EG a
-    (("a", ("EG", 0), ("EG", 1)), 1),
-    # a & EG a = EG a
-    (("a", ("EG", 0), ("&", 0, 1)), 1),
-    # a | EG a = a
-    (("a", ("EG", 0), ("|", 0, 1)), 0),
-    # E[a U EG a] = EG a
-    (("a", ("EG", 0), ("EU", 0, 1)), 1),
-    # E[EG a U a] = a
-    (("a", ("EG", 0), ("EU", 1, 0)), 0),
-    # EG EX EG a = EX EG a
-    (("a", ("EG", 0), ("EX", 1), ("EG", 2)), 2),
-    # EX (a & !a) = a & !a
-    (("a", ("!", 0), ("&", 0, 1), ("EX", 2)), 2),
-    # EG (a & !a) = a & !a
-    (("a", ("!", 0), ("&", 0, 1), ("EG", 2)), 2),
-    # EX (a | !a) = a | !a
-    (("a", ("!", 0), ("|", 0, 1), ("EX", 2)), 2),
-    # EG (a | !a) = a | !a
-    (("a", ("!", 0), ("|", 0, 1), ("EG", 2)), 2),
-    # a & EX EG a = EG a
-    (("a", ("EG", 0), ("EX", 1), ("&", 0, 2)), 1),
-    # a & (a & b) = a & b
-    (("a", "b", ("&", 0, 1), ("&", 0, 2)), 2),
-    # a | a & b = a
-    (("a", "b", ("&", 0, 1), ("|", 0, 2)), 0),
-    # a & (a | b) = a
-    (("a", "b", ("|", 0, 1), ("&", 0, 2)), 0),
-    # a | (a | b) = a | b
-    (("a", "b", ("|", 0, 1), ("|", 0, 2)), 2),
-    # E[a U a | b] = a | b
-    (("a", "b", ("|", 0, 1), ("EU", 0, 2)), 2),
-    # E[a U E[a U b]] = E[a U b]
-    (("a", "b", ("EU", 0, 1), ("EU", 0, 2)), 2),
-    # E[a U a & !a] = a & !a
-    (("a", ("!", 0), ("&", 0, 1), ("EU", 0, 2)), 2),
-    # E[a U a & EX a] = a & EX a
-    (("a", ("EX", 0), ("&", 0, 1), ("EU", 0, 2)), 2),
-    # a & E[b U a] = a
-    (("a", "b", ("EU", 1, 0), ("&", 0, 2)), 0),
-    # a | E[b U a] = E[b U a]
-    (("a", "b", ("EU", 1, 0), ("|", 0, 2)), 2),
-    # E[a U E[b U a]] = E[b U a]
-    (("a", "b", ("EU", 1, 0), ("EU", 0, 2)), 2),
-    # E[!a U a & !a] = a & !a
-    (("a", ("!", 0), ("&", 0, 1), ("EU", 1, 2)), 2),
-    # EX a & E[EX a U a] = EX a
-    (("a", ("EX", 0), ("EU", 1, 0), ("&", 1, 2)), 1),
-    # EX a | E[EX a U a] = E[EX a U a]
-    (("a", ("EX", 0), ("EU", 1, 0), ("|", 1, 2)), 2),
-    # EG a & EX a = EG a
-    (("a", ("EG", 0), ("EX", 0), ("&", 1, 2)), 1),
-    # EG a | EX a = EX a
-    (("a", ("EG", 0), ("EX", 0), ("|", 1, 2)), 2),
-    # E[EG a U EX a] = EX a
-    (("a", ("EG", 0), ("EX", 0), ("EU", 1, 2)), 2),
-    # EG a & EX EG a = EG a
-    (("a", ("EG", 0), ("EX", 1), ("&", 1, 2)), 1),
-    # EG a | EX EG a = EX EG a
-    (("a", ("EG", 0), ("EX", 1), ("|", 1, 2)), 2),
-    # E[EG a U EX EG a] = EX EG a
-    (("a", ("EG", 0), ("EX", 1), ("EU", 1, 2)), 2),
-    # E[!EX a U a] = a
-    (("a", ("EX", 0), ("!", 1), ("EU", 2, 0)), 0),
-    # E[EX EG a U EG a] = EX EG a
-    (("a", ("EG", 0), ("EX", 1), ("EU", 2, 1)), 2),
-    # E[a & b U a] = a
-    (("a", "b", ("&", 0, 1), ("EU", 2, 0)), 0),
-    # E[E[a U b] U b] = E[a U b]
-    (("a", "b", ("EU", 0, 1), ("EU", 2, 1)), 2),
-    # E[a | EX a U a] = a | EX a
-    (("a", ("EX", 0), ("|", 0, 1), ("EU", 2, 0)), 2),
+# The rewrite rules psi = phi of the normal form, in CTL text over the
+# metavariables a and b, each phi a proper subterm of its psi.  Derived and
+# proved by the tableau (module docstring); `_rule_clauses` parses them at
+# first use.
+REWRITE_RULES: tuple[str, ...] = (
+    "E[a U a] = a",
+    "!!a = a",
+    "EG EG a = EG a",
+    "a & EG a = EG a",
+    "a | EG a = a",
+    "E[a U EG a] = EG a",
+    "E[EG a U a] = a",
+    "EG EX EG a = EX EG a",
+    "EX (a & !a) = a & !a",
+    "EG (a & !a) = a & !a",
+    "EX (a | !a) = a | !a",
+    "EG (a | !a) = a | !a",
+    "a & EX EG a = EG a",
+    "a & (a & b) = a & b",
+    "a | a & b = a",
+    "a & (a | b) = a",
+    "a | (a | b) = a | b",
+    "E[a U a | b] = a | b",
+    "E[a U E[a U b]] = E[a U b]",
+    "E[a U a & !a] = a & !a",
+    "E[a U a & EX a] = a & EX a",
+    "a & E[b U a] = a",
+    "a | E[b U a] = E[b U a]",
+    "E[a U E[b U a]] = E[b U a]",
+    "E[!a U a & !a] = a & !a",
+    "EX a & E[EX a U a] = EX a",
+    "EX a | E[EX a U a] = E[EX a U a]",
+    "EG a & EX a = EG a",
+    "EG a | EX a = EX a",
+    "E[EG a U EX a] = EX a",
+    "EG a & EX EG a = EG a",
+    "EG a | EX EG a = EX EG a",
+    "E[EG a U EX EG a] = EX EG a",
+    "E[!EX a U a] = a",
+    "E[EX EG a U EG a] = EX EG a",
+    "E[a & b U a] = a",
+    "E[E[a U b] U b] = E[a U b]",
+    "E[a | EX a U a] = a | EX a",
 )
 
 
@@ -307,7 +266,7 @@ def build_normal_form(pool: VarPool, n: int,
       follows a proposition node earlier in the alphabet;
     * ordered operands: `&` and `|` read l(i) < r(i);
     * no rule instance: no placement of the pattern psi of a rule psi =
-      phi of `REWRITE_RULES` (`_placements`) is in the DAG.  Each
+      phi of `REWRITE_RULES` (`_rule_clauses`) is in the DAG.  Each
       placement gives one clause, which negates the labels and child
       choices it names.  One of them is E[a U a] = a, so `EU` reads
       l(i) != r(i);
@@ -365,10 +324,6 @@ def build_normal_form(pool: VarPool, n: int,
       no operator reads node 1 and tightness fails;
     * node 2 can read node 1 only, so l(2) = r(2) = 1, which neither `&`
       and `|` (l < r) nor `EU` (the rule E[a U a] = a) allows.
-
-    With the full label set those variables are false in every model, and
-    the search found that by propagation, only later; the domains leave
-    them out before any clause is built.
     """
     var = pool.var
     domain = [()] + [label_domain(n, i, alphabet) for i in range(1, n + 1)]
@@ -382,7 +337,7 @@ def build_normal_form(pool: VarPool, n: int,
                         clause.append(var("x", i - 1, q))
                 clauses.append(tuple(clause))
         for j in range(1, i):
-            for lab in (AND_LABEL, OR_LABEL):
+            for lab in (And, Or):
                 if lab in domain[i]:
                     clause = [var("x", i, lab) ^ 1, var("l", i, j) ^ 1]
                     for k in range(j + 1, i):
@@ -396,7 +351,7 @@ def build_normal_form(pool: VarPool, n: int,
     for i in range(2, n + 1):
         for i2 in range(i + 1, n + 1):
             for lab in domain[i]:
-                if lab not in OPERATOR_LABELS or lab not in domain[i2]:
+                if isinstance(lab, str) or lab not in domain[i2]:
                     continue
                 for j in range(1, i):
                     same = (var("x", i, lab) ^ 1, var("x", i2, lab) ^ 1,
@@ -417,7 +372,7 @@ def build_normal_form(pool: VarPool, n: int,
             ops = [unused]
             binary = [unused, var("l", j, i)]
             for lab in domain[j]:
-                if lab in OPERATOR_LABELS:
+                if not isinstance(lab, str):
                     ops.append(var("x", j, lab))
                     if lab in BINARY_LABELS:
                         binary.append(var("x", j, lab))
@@ -430,18 +385,35 @@ def build_normal_form(pool: VarPool, n: int,
 @lru_cache(maxsize=None)
 def _rule_clauses(n: int) -> tuple[tuple[tuple, ...], ...]:
     """The clauses of `REWRITE_RULES` at budget n, one per placement of a
-    rule's pattern (`_placements`), each as the keys of the label and
-    child-choice variables it negates.
+    rule's pattern psi, each as the keys of the label and child-choice
+    variables it negates.
 
-    A pattern holds no proposition, so its placements depend on the
-    operator labels of each node's `label_domain` alone, and those on n
-    and i alone; so the clauses are built once per budget and shared by
-    every alphabet.
+    The pattern is psi's syntax DAG, children first (`_patterns`),
+    whose propositions are the metavariables.  A placement (`_extend`)
+    puts the pattern's operator nodes on DAG nodes whose `label_domain`
+    holds their classes.  A metavariable goes to any node, since it may
+    stand for any formula, and an operator node to any node above its
+    children that no other operator node of the placement holds.  Two
+    operator nodes could share a DAG node only with one label and equal
+    children, which takes two nodes of one label off one root path, each
+    with its own child: five pattern nodes, and a rule has at most 4.  A
+    metavariable that only one operand of a `!`, `EX`, `EG` or `EU` node
+    reads is left open: every node below that one may take it, so its
+    placements together exclude what the one without its child literal
+    does.  A placement is left out when it names a label outside the
+    domain (that variable does not exist) or an `&`/`|` that reads one
+    node twice, which the operand order already excludes.
+
+    A pattern holds no proposition of the alphabet, so its placements
+    depend on the operator labels of each node's `label_domain` alone,
+    and those on n and i alone; so the clauses are built once per budget
+    and shared by every alphabet.
     """
     domain = [()] + [label_domain(n, i, ()) for i in range(1, n + 1)]
     clauses = []
-    for pattern, _ in REWRITE_RULES:
-        for placed in _placements(pattern, n, domain):
+    for pattern in _patterns():
+        place = dict.fromkeys(pattern)
+        for placed in _extend(pattern, n, domain, place, 0, []):
             keys: dict[tuple, None] = {}
             for i, (lab, *kids) in placed:
                 keys[("x", i, lab)] = None
@@ -452,73 +424,60 @@ def _rule_clauses(n: int) -> tuple[tuple[tuple, ...], ...]:
     return tuple(clauses)
 
 
-def _placements(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
-                ) -> Iterable[list[tuple[int, tuple]]]:
-    """Each way to place the rule pattern `pattern` (`REWRITE_RULES`) in
-    a budget-n DAG whose node i takes a label of `domain[i]`, as the list
-    of its operator nodes, root first: DAG node i with its label and the
-    DAG nodes it reads, `&`/`|` operands in the order the normal form
-    numbers them, and None for a child the placement leaves open.
-
-    A metavariable goes to any node, since it may stand for any formula,
-    and an operator node to any node above its children that no other
-    operator node of the placement holds.  Two operator nodes could share
-    a DAG node only with one label and equal children, which takes two
-    nodes of one label off one root path, each with its own child: five
-    pattern nodes, and a rule has at most 4.  A metavariable that only
-    one operand of a `!`, `EX`, `EG` or `EU` node reads is left open:
-    every node below that one may take it, so its placements together
-    exclude what the one without its child literal does.  A placement is
-    left out when it names a label outside the domain (that variable does
-    not exist) or an `&`/`|` that reads one node twice, which the operand
-    order already excludes.
-    """
-    readers: dict[int, list[str]] = {}  # a label per operand read
-    for lab, *kids in (node for node in pattern if not isinstance(node, str)):
-        for kid in kids:
-            readers.setdefault(kid, []).append(lab)
-    return _extend(pattern, n, domain, readers, [None] * len(pattern), 0, [])
+@lru_cache(maxsize=None)
+def _patterns() -> tuple[list[CtlFormula], ...]:
+    """The psi of each rule of `REWRITE_RULES`, parsed at first use into
+    its syntax DAG, children first (`ctl.subterms`)."""
+    return tuple(subterms(parse_ctl(rule.partition(" = ")[0]))
+                 for rule in REWRITE_RULES)
 
 
-def _extend(pattern: tuple, n: int, domain: Sequence[tuple[str, ...]],
-            readers: Mapping[int, list[str]], place: list[int | None],
-            k: int, placed: list[tuple[int, tuple]],
+def _extend(pattern: Sequence[CtlFormula], n: int, domain: Sequence[tuple],
+            place: dict[CtlFormula, int | None], k: int,
+            placed: list[tuple[int, tuple]],
             ) -> Iterable[list[tuple[int, tuple]]]:
-    """The placements of `_placements` that extend `placed`, the operator
-    nodes of pattern nodes 0..k-1 placed so far, root first, with
-    `place[c]` the DAG node of pattern node c < k (None if left open)."""
+    """Each placement of the rule pattern `pattern` (`_rule_clauses`) in a
+    budget-n DAG whose node i takes a label of `domain[i]` that extends
+    `placed`, the operator nodes of `pattern[:k]` placed so far, root
+    first, with `place[g]` the DAG node of each g of `pattern[:k]` (None
+    if left open): the list of its operator nodes, root first, each DAG
+    node i with its class and the DAG nodes it reads, `&`/`|` operands in
+    the order the normal form numbers them, and None for a child left
+    open."""
     if k == len(pattern):
         yield placed
         return
-    if isinstance(pattern[k], str):  # a metavariable
-        if readers[k][1:] or readers[k][0] in (AND_LABEL, OR_LABEL):
+    g = pattern[k]
+    if isinstance(g, Prop):  # a metavariable
+        # The class of each operand read of g.
+        reads = [type(h) for h in pattern for kid in children(h) if kid is g]
+        if reads[1:] or reads[0] in (And, Or):
             for i in range(1, n + 1):
-                place[k] = i
-                yield from _extend(pattern, n, domain, readers, place, k + 1,
-                                   placed)
+                place[g] = i
+                yield from _extend(pattern, n, domain, place, k + 1, placed)
         else:
-            yield from _extend(pattern, n, domain, readers, place, k + 1,
-                               placed)
+            yield from _extend(pattern, n, domain, place, k + 1, placed)
         return
-    lab, *kids = pattern[k]
-    below = [place[c] for c in kids]
-    if lab in (AND_LABEL, OR_LABEL):
+    lab = type(g)
+    below = [place[kid] for kid in children(g)]
+    if lab in (And, Or):
         if below[0] == below[1]:
             return
         below.sort()
     for i in range(max(j or 1 for j in below) + 1, n + 1):
         if lab in domain[i] and all(i != j for j, _ in placed):
-            place[k] = i
-            yield from _extend(pattern, n, domain, readers, place, k + 1,
+            place[g] = i
+            yield from _extend(pattern, n, domain, place, k + 1,
                                [(i, (lab, *below))] + placed)
 
 
-def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
-               left: Sequence[int], right: Sequence[int],
+def lower_node(clauses: list[Clause], label: type[CtlFormula], s: int,
+               out: int | None, left: Sequence[int], right: Sequence[int],
                steps: Sequence[Sequence[int]], successors: Successors,
                depth: int, pre: Clause = (), polarity: int = 0) -> None:
-    """Append an operator node's semantics at state s to `clauses`, the
-    sink of the `sat.equiv_*` shapes it lowers to.
+    """Append the semantics at state s of an operator node of class
+    `label` (`ctl.OPERATOR_LABELS`) to `clauses`, the sink of the
+    `sat.equiv_*` shapes it lowers to.
 
     The single CNF lowering of the CTL step semantics, for formula search
     (known structure) and bounded synthesis (symbolic structure).
@@ -558,17 +517,17 @@ def lower_node(clauses: list[Clause], label: str, s: int, out: int | None,
     at polarity +1 a true X_k (by induction on k) implies the state is in
     the k-th approximant, and at -1 a false X_k implies it is not.
     """
-    if out is None and label not in (EU_LABEL, EG_LABEL):
+    if out is None and label not in (ExistsUntil, ExistsGlobally):
         return  # no inner groups
-    if label == NOT_LABEL:
+    if label is Not:
         sat.equiv_lit(clauses, out, left[s] ^ 1, pre, polarity)
-    elif label == EX_LABEL:
+    elif label is ExistsNext:
         sat.equiv_or(clauses, out, successors(s, left), pre, polarity)
-    elif label in (AND_LABEL, OR_LABEL):
-        equiv = sat.equiv_and if label == AND_LABEL else sat.equiv_or
+    elif label is And or label is Or:
+        equiv = sat.equiv_and if label is And else sat.equiv_or
         equiv(clauses, out, (left[s], right[s]), pre, polarity)
     else:
-        until = label == EU_LABEL
+        until = label is ExistsUntil
         approx = right if until else left  # X_1
         if depth == 0:
             sat.equiv_lit(clauses, out, approx[s], pre, polarity)
@@ -656,7 +615,7 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
         sign = -1 if negative and i == n else 0
         lowered = []  # each operator label with its negated guard
         for p in label_domain(n, i, struct.alphabet):
-            if p in OPERATOR_LABELS:
+            if not isinstance(p, str):
                 lowered.append((p, (pool.var("x", i, p) ^ 1,)))
                 continue
             unlabelled = pool.var("x", i, p) ^ 1
@@ -800,16 +759,21 @@ def decode_with_literals(assignment: Sequence[int],
         lab, lit = _true_key(assignment, pool, "x", i,
                              label_domain(n, i, instance.alphabet))
         lits.append(lit)
-        if lab not in OPERATOR_LABELS:
+        if isinstance(lab, str):
             built.append(Prop(lab))
             continue
-        children = []
+        kids = []
         for kind in ("l", "r") if lab in BINARY_LABELS else ("l",):
             j, lit = _true_key(assignment, pool, kind, i, range(1, i))
             lits.append(lit)
-            children.append(built[j - 1])
-        built.append(LABEL_CONSTRUCTORS[lab](*children))
+            kids.append(built[j - 1])
+        built.append(lab(*kids))
     return built[-1], lits
+
+
+# The names `to_dimacs` prints for the operator labels.
+_LABEL_NAMES = {Not: "!", And: "&", Or: "|", ExistsNext: "EX",
+                ExistsUntil: "EU", ExistsGlobally: "EG"}
 
 
 def to_dimacs(instance: EncodingInstance) -> str:
@@ -818,5 +782,6 @@ def to_dimacs(instance: EncodingInstance) -> str:
                 f"{len(instance.structures) - negatives} positive / "
                 f"{negatives} negative structures"]
     for key, lit in instance.pool.semantic_items():
-        comments.append(" ".join(str(part) for part in key) + f" {lit >> 1}")
+        comments.append(" ".join(str(_LABEL_NAMES.get(part, part))
+                                 for part in key) + f" {lit >> 1}")
     return sat.to_dimacs(instance.pool.count, instance.clauses, comments)

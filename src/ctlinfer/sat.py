@@ -271,6 +271,10 @@ class CdclSolver:
 
         Repeated literals are dropped and literals false at the root are
         removed; tautologies and clauses true at the root are skipped.
+        A literal of no declared variable, below 2 or above twice the
+        variables declared so far plus 1, raises `ValueError`: the clauses
+        before its clause stay loaded, and its clause and those after it
+        are not.
         """
         self._model = None
         self._reserve(num_vars)
@@ -278,26 +282,31 @@ class CdclSolver:
         val = self._val
         clause_db = self._clauses
         watches = self._watches
-        for lits in clauses:
-            reduced: list[int] = []
-            for e in lits:
-                x = val[e]
-                if x == 0:
-                    if e not in reduced:
-                        if e ^ 1 in reduced:
-                            break  # a tautology
-                        reduced.append(e)
-                elif x == 1:
-                    break  # true at the root
-            else:
-                if not reduced:
-                    self._unsat = True
-                elif len(reduced) == 1:
-                    self._enqueue(reduced[0])
+        try:
+            for lits in clauses:
+                reduced: list[int] = []
+                for e in lits:
+                    if e < 2:
+                        raise IndexError  # as `val[e]` does above the top
+                    x = val[e]
+                    if x == 0:
+                        if e not in reduced:
+                            if e ^ 1 in reduced:
+                                break  # a tautology
+                            reduced.append(e)
+                    elif x == 1:
+                        break  # true at the root
                 else:
-                    watches[reduced[0]].append(reduced)
-                    watches[reduced[1]].append(reduced)
-                    clause_db.append(reduced)
+                    if not reduced:
+                        self._unsat = True
+                    elif len(reduced) == 1:
+                        self._enqueue(reduced[0])
+                    else:
+                        watches[reduced[0]].append(reduced)
+                        watches[reduced[1]].append(reduced)
+                        clause_db.append(reduced)
+        except IndexError:
+            raise ValueError(f"{e} is the literal of no variable") from None
 
     # -- trail -------------------------------------------------------------
 

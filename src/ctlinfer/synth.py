@@ -357,7 +357,6 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
             return [product(pool.get("t", s, t), lits[t], sign)
                     for t in states]
 
-        label = ctl.label(g)
         # Each operand's literals at the states where it is read, which
         # cover those where g reads it; a unary node reads no `right`.
         rows = [[literal(j, s) for s in range(reach[j])]
@@ -365,10 +364,11 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
         left, right = rows[0], rows[-1]
         steps = ([[pool.get("st", g, s, k) for s in states]
                   for k in range(2, num_states)]
-                 if label in (ctl.EU_LABEL, ctl.EG_LABEL) else ())
+                 if isinstance(g, (ctl.ExistsUntil, ctl.ExistsGlobally))
+                 else ())
         for s in states:  # where g is not read, EU/EG approximants only
             out = pool.get("h", g, s) if s in read else None
-            lower_node(clauses, label, s, out, left, right, steps,
+            lower_node(clauses, type(g), s, out, left, right, steps,
                        successors, num_states - 1, (), sign)
 
     clauses.append((literal(f, 0),))

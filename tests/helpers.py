@@ -277,8 +277,10 @@ def random_enf(rng: random.Random, alphabet: Sequence[str],
 # ---------------------------------------------------------------------------
 
 # A numbered syntax DAG: node i is `dag[i - 1]`, a `(label, left, right)`
-# tuple whose children are node numbers, None where the arity has none.
-Dag = tuple[tuple[str, int | None, int | None], ...]
+# tuple whose label is a proposition's name or an operator's class and
+# whose children are node numbers, None where the arity has none.
+Label = str | type[CtlFormula]
+Dag = tuple[tuple[Label, int | None, int | None], ...]
 
 
 def dag_nodes(f: CtlFormula) -> Dag:
@@ -288,7 +290,8 @@ def dag_nodes(f: CtlFormula) -> Dag:
     nodes = []
     for g in subs:
         kids = [number[k] for k in ctl.children(g)] + [None, None]
-        nodes.append((ctl.label(g), kids[0], kids[1]))
+        nodes.append((g.name if isinstance(g, Prop) else type(g),
+                      kids[0], kids[1]))
     return tuple(nodes)
 
 
@@ -442,12 +445,12 @@ def _admitted_node(dag: Dag, i: int, node: tuple) -> bool:
         return True
     if left >= i or (right or 0) >= i:
         return False
-    if label in ("&", "|"):
+    if label in (And, Or):
         return left < right
-    if label == "EU":
+    if label is ExistsUntil:
         return left != right
-    if label in ("!", "EG"):
-        return dag[left - 1][0] != label
+    if label in (Not, ExistsGlobally):
+        return dag[left - 1][0] is not label
     return True
 
 
@@ -459,7 +462,7 @@ def dag_formulas(dag: Dag) -> list[CtlFormula]:
             built.append(Prop(label))
             continue
         kids = [built[k - 1] for k in (left, right) if k is not None]
-        built.append(ctl.LABEL_CONSTRUCTORS[label](*kids))
+        built.append(label(*kids))
     return built
 
 

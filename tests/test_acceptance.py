@@ -268,8 +268,10 @@ def test_criterion_8_shared_leaf_dag_and_size_six():
                    if label == "p"]
         assert len(p_nodes) == 1, "the p leaf must be shared"
         (p_index,) = p_nodes
-        _, ex_left, _ = next(node for node in dag if node[0] == "EX")
-        _, eu_left, _ = next(node for node in dag if node[0] == "EU")
+        _, ex_left, _ = next(node for node in dag
+                             if node[0] is ctl.ExistsNext)
+        _, eu_left, _ = next(node for node in dag
+                             if node[0] is ctl.ExistsUntil)
         assert ex_left == p_index
         assert eu_left == p_index
 

@@ -312,6 +312,27 @@ class TestVerifySolution:
         assert "rooted negative" in str(err.value)
         assert err.value.violating == report.formula
 
+    def test_a_rooted_pair_naming_no_state_is_flagged(self):
+        # The seeded bound-2 report on two_state_pq has one negative and
+        # roots the model's s1 in its last entry; a pair naming a
+        # structure outside (model,) + negatives, or a state outside its
+        # structure, certifies nothing.
+        m = helpers.load_fixture("two_state_pq.kripke")
+        report = ceg.infer(m, 2, seed=1)
+        last = report.trace[-1]
+        assert last.rooted == ((0, 1),) and len(report.negatives) == 1
+        outside = report.negatives[0].size
+        for pair in ((0, 7), (-1, 0), (0, -1), (9, 0), (1, outside),
+                     (2, 0)):
+            corrupted = report._replace(trace=report.trace[:-1] + (
+                last._replace(rooted=(pair,)),))
+            with pytest.raises(CertificationFailure) as err:
+                ceg.verify_solution(m, 2, corrupted)
+            assert str(err.value) == (
+                f"rooted negative {pair} is no state of the sample"), pair
+        assert ceg.verify_solution(m, 2, report._replace(
+            trace=report.trace[:-1] + (last._replace(rooted=((1, 0),)),)))
+
     def test_negative_satisfying_the_result_is_flagged(self):
         # The model satisfies the result, so recording it as a case's
         # countermodel leaves a report that only this check fails.

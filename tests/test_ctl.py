@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from ctlinfer import checker, ctl
+from ctlinfer import checker, ctl, encoder
 from ctlinfer.ctl import (And, Const, ExistsGlobally, ExistsNext,
                           ExistsUntil, Not, Or, Prop)
 
@@ -57,9 +57,11 @@ def test_propositions_match_the_subformula_set():
 
 
 def test_identifier_operator_labels_are_reserved():
-    # A proposition named like an operator label would share the learner's
-    # x(i, label) variable with that operator.
-    named = {lab for lab in ctl.OPERATOR_LABELS if ctl._IDENT_RE.match(lab)}
+    # `cnf-dump` names each operator label in its comments; a proposition
+    # named like one would read the same there.
+    names = [encoder._LABEL_NAMES[lab] for lab in ctl.OPERATOR_LABELS]
+    assert names == ["!", "&", "|", "EX", "EU", "EG"]
+    named = {name for name in names if ctl._IDENT_RE.match(name)}
     assert named == {"EX", "EU", "EG"}
     assert named <= ctl.RESERVED_WORDS
     for name in named:
@@ -409,8 +411,8 @@ class TestSyntaxDag:
         f = ctl.parse_ctl("EX p | E[p U EG q]")
         subs = ctl.subterms(f)
         assert len(subs) == 6
-        assert [ctl.label(g) for g in subs] == ["p", "EX", "q", "EG", "EU",
-                                                "|"]
+        assert [label for label, _, _ in helpers.dag_nodes(f)] == [
+            "p", ExistsNext, "q", ExistsGlobally, ExistsUntil, Or]
         p, ex, q, eg, eu, root = subs
         assert root == f
         assert ex.operand == p
@@ -441,14 +443,8 @@ class TestSyntaxDag:
                     built.append(Prop(label))
                 else:
                     operands = [built[j - 1] for j in (left, right) if j]
-                    built.append(ctl.LABEL_CONSTRUCTORS[label](*operands))
+                    built.append(label(*operands))
             assert built == subs
-
-    def test_rejects_sugar(self):
-        with pytest.raises(ctl.NotInEnf):
-            ctl.label(ctl.parse_ctl("AX p"))
-        with pytest.raises(ctl.NotInEnf):
-            ctl.label(ctl.TRUE)
 
     def test_shared_subterms_are_walked_once(self):
         # 2^60 paths, 61 nodes: subterms and hashing visit each node once.
@@ -466,7 +462,6 @@ def _all_dags(alphabet, n):
     enumerate_formulas: choose a label per node and children below it,
     and build each node's formula from its children's."""
     labels = list(alphabet) + list(ctl.OPERATOR_LABELS)
-    unary = {ctl.NOT_LABEL, ctl.EX_LABEL, ctl.EG_LABEL}
     found = set()
 
     def extend(built):
@@ -476,16 +471,15 @@ def _all_dags(alphabet, n):
             return
         choices = list(alphabet) if i == 1 else labels
         for lab in choices:
-            ctor = ctl.LABEL_CONSTRUCTORS.get(lab)
-            if lab in unary:
-                for j in range(1, i):
-                    extend(built + [ctor(built[j - 1])])
+            if isinstance(lab, str):
+                extend(built + [Prop(lab)])
             elif lab in ctl.BINARY_LABELS:
                 for j in range(1, i):
                     for j2 in range(1, i):
-                        extend(built + [ctor(built[j - 1], built[j2 - 1])])
+                        extend(built + [lab(built[j - 1], built[j2 - 1])])
             else:
-                extend(built + [Prop(lab)])
+                for j in range(1, i):
+                    extend(built + [lab(built[j - 1])])
 
     extend([])
     return found

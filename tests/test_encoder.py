@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import random
 
 import pytest
@@ -110,8 +111,8 @@ class TestBuildInstance:
         # proposition.
         labels = {key[1:] for key, _ in pool.semantic_items()
                   if key[0] == "x"}
-        assert labels == ({(1, "p"), (1, "q"), (2, "q"), (2, "!"),
-                           (2, "EX"), (2, "EG")}
+        assert labels == ({(1, "p"), (1, "q"), (2, "q"), (2, ctl.Not),
+                           (2, ctl.ExistsNext), (2, ctl.ExistsGlobally)}
                           | {(3, lab) for lab in ctl.OPERATOR_LABELS})
         for i in (1, 2, 3):
             assert encoder.label_domain(3, i, ("p", "q")) == tuple(
@@ -296,7 +297,7 @@ class TestClauseStream:
             pool = instance.pool
             encoder.add_block(instance, [
                 pool.get("x", 1, alphabet[0]),
-                pool.get("x", n, alphabet[0] if n == 1 else "!")])
+                pool.get("x", n, alphabet[0] if n == 1 else ctl.Not)])
             yield instance.num_vars, instance.clauses
 
     def test_streams_match_pinned_digests(self):
@@ -724,45 +725,47 @@ def decoded_formulas(n, alphabet):
     return tuple(found)
 
 
-def row_nodes(row):
-    """The formula at each node of a `REWRITE_RULES` row, over
+def rule_sides(rule):
+    """psi and phi of a `REWRITE_RULES` row "psi = phi", over
     propositions named after its metavariables."""
-    built = []
-    for node in row[0]:
-        if isinstance(node, str):
-            built.append(ctl.Prop(node))
-        else:
-            label, *kids = node
-            built.append(ctl.LABEL_CONSTRUCTORS[label](
-                *(built[k] for k in kids)))
-    return built
+    psi, phi = rule.split(" = ")
+    return ctl.parse_ctl(psi), ctl.parse_ctl(phi)
 
 
 class TestRewriteRules:
     def test_every_row_is_proved_by_the_tableau(self):
-        """Each row lists its pattern's syntax DAG once per node, children
-        first, and the tableau refutes psi xor phi for a proper sub-DAG
-        phi; the three rules the normal form once wrote by hand are
-        rows."""
-        texts = set()
-        for row in encoder.REWRITE_RULES:
-            nodes = row_nodes(row)
-            psi, phi = nodes[-1], nodes[row[1]]
-            assert nodes == ctl.subterms(psi), row
-            assert phi != psi
-            assert helpers.equivalent(psi, phi), row
-            texts.add((ctl.print_ctl(psi), ctl.print_ctl(phi)))
-        assert {("E[a U a]", "a"), ("!!a", "a"),
-                ("EG EG a", "EG a")} <= texts
+        """Each row's phi is a proper subterm of its psi, and the tableau
+        refutes psi xor phi; the three rules the normal form once wrote by
+        hand are rows."""
+        assert len(encoder.REWRITE_RULES) == 38
+        for rule in encoder.REWRITE_RULES:
+            psi, phi = rule_sides(rule)
+            assert phi in ctl.subterms(psi)[:-1], rule
+            assert helpers.equivalent(psi, phi), rule
+        assert {"E[a U a] = a", "!!a = a",
+                "EG EG a = EG a"} <= set(encoder.REWRITE_RULES)
 
     def test_the_table_is_the_derived_one(self):
         """Enumerating the schemas again and proving each by the tableau
-        (`helpers.derived_rules`) gives the committed table, row for row."""
-        rows = [(nodes[-1], nodes[row[1]])
-                for row in encoder.REWRITE_RULES
-                for nodes in [row_nodes(row)]]
-        assert rows == list(helpers.derived_rules())
+        (`helpers.derived_rules`) gives the committed table, row for row,
+        printed as "psi = phi"."""
+        assert list(encoder.REWRITE_RULES) == [
+            f"{ctl.print_ctl(psi)} = {ctl.print_ctl(phi)}"
+            for psi, phi in helpers.derived_rules()]
 
+    def test_rule_clauses_match_the_pinned_digest(self):
+        """The rule clauses of budgets 1-7, every key in order with the
+        operator labels under their DIMACS names, are as pinned, so a
+        change to how the rules are written or placed moves no clause."""
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            rendered = tuple(
+                tuple(tuple(encoder._LABEL_NAMES.get(part, part)
+                            for part in key) for key in clause)
+                for clause in encoder._rule_clauses(n))
+            digest.update(repr(rendered).encode())
+        assert digest.hexdigest() == (
+            "f2d85c601718dcfb272e6622320a795775a48d47c4651c2bddd367d5dbd93c83")
 
     def test_placements_leave_no_reference_cycle(self):
         """Placing every rule at budgets 1-5 leaves nothing for the cycle
@@ -774,17 +777,14 @@ class TestRewriteRules:
         try:
             placed = 0
             for n in range(1, 6):
-                domain = [()] + [encoder.label_domain(n, i, ())
-                                 for i in range(1, n + 1)]
-                for pattern, _ in encoder.REWRITE_RULES:
-                    placed += len(list(encoder._placements(pattern, n,
-                                                           domain)))
+                placed += len(encoder._rule_clauses.__wrapped__(n))
             garbage = gc.collect()
         finally:
             if enabled:
                 gc.enable()
         assert placed > 0
         assert garbage == 0
+
 
 class TestNormalForm:
     ALPHABET = ("p", "q")

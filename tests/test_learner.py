@@ -210,9 +210,10 @@ class TestInferCandidate:
                  ctl.parse_ctl("E[EX p U !p]")]
         instance = encoder.build_instance(4, [m], seed=0)
         pool = instance.pool
-        pinned = [(pool.get("x", 4, "EU"),)]
+        pinned = [(pool.get("x", 4, ctl.ExistsUntil),)]
         for i in (2, 3):
-            pinned.append((pool.get("x", i, "EX"), pool.get("x", i, "!")))
+            pinned.append((pool.get("x", i, ctl.ExistsNext),
+                           pool.get("x", i, ctl.Not)))
             pinned.append((pool.get("l", i, 1),))
         instance.clauses += pinned
         for f in twins:

@@ -51,11 +51,16 @@ def test_import_and_infer_generate_no_dataclass():
 
 def test_import_loads_neither_dataclasses_nor_inspect():
     """`ctl` imports `dataclasses` (and with it `inspect`) only to raise
-    `FrozenInstanceError`, not at import."""
+    `FrozenInstanceError`, not at import; and importing builds no formula
+    but the constants and parses no rewrite rule."""
     proc = fresh_python("-c", "import sys, ctlinfer; print(sorted("
-                        "{'dataclasses', 'inspect'} & set(sys.modules)))")
+                        "{'dataclasses', 'inspect'} & set(sys.modules)))\n"
+                        "from ctlinfer import ctl, encoder\n"
+                        "print(sorted(map(str, ctl._NODES.values())))\n"
+                        "print(encoder._rule_clauses.cache_info().currsize,"
+                        " encoder._patterns.cache_info().currsize)")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n['false', 'true']\n0 0\n"
 
 
 def pq():

@@ -258,6 +258,28 @@ class TestLoad:
                 database = [list(c) for c in solver._clauses]
                 trail = list(solver._trail)
 
+    def test_a_literal_of_no_declared_variable_is_rejected(self):
+        """A literal below 2 or above 2 * num_vars + 1 raises
+        `ValueError`, where -3 used to read as !x1 and 0 to fail later in
+        the decision heap.  The clauses before its clause stay loaded, as
+        root literals or stored clauses, and its clause and those after it
+        are not."""
+        for clauses, trail, stored in (
+                ([(2,), (-3,)], [2], []),
+                ([(2, 4), (0,)], [], [[2, 4]]),
+                ([(4, 2), (1, 2)], [], [[4, 2]]),
+                ([(2,), (6, 2), (3,)], [2], []),
+                ([(3,), (2, 4), (7, 4), (2,)], [3, 4], [])):
+            solver = CdclSolver(seed=0)
+            with pytest.raises(ValueError, match="literal of no variable"):
+                solver.load(clauses, 2)
+            assert (solver._trail, solver._clauses) == (trail, stored)
+            assert not solver._unsat
+        solver = CdclSolver(seed=0)
+        solver.load([(2,), (5,)], 2)
+        assert solver.solve()
+        assert solver.values()[1:] == [1, -1]
+
 
 def test_activity_rescale_keeps_every_free_variable_on_the_heap(monkeypatch):
     # With a limit this small the activities overflow every few

@@ -447,11 +447,6 @@ class TestEncode:
                 (synth._encode(f, m, props) for m in (2, 3, 4)))
         assert got == self.PINNED
 
-    def test_rejects_sugar(self):
-        for text in ("AX p", "EF p", "p -> q"):
-            with pytest.raises(ctl.NotInEnf):
-                synth._encode(ctl.parse_ctl(text), 2, ("p", "q"))
-
     @staticmethod
     def literal(pool, g, s):
         """Node g's literal at state s in the folded layout, signed: a
