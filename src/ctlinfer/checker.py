@@ -11,11 +11,13 @@ argument is in `encoder.lower_node`).
 State sets are machine integers used as bitsets, which keeps the
 fixed-point loops cheap.  `evaluate` is given each proposition's set, the
 full set and the EX image of any set; EX is the only step that depends on
-the transition relation.  `sat_set`, `sat_set_table` and `holds` pass it
-one structure's labels and per-state successor masks, with state s at bit
-s, and expose frozensets; `synth` passes it a whole family of structures
-packed into one int.  Each call evaluates its formula from scratch: no
-work is kept between calls.
+the transition relation.  `evaluator` gives it one structure's labels and
+per-state successor masks, with state s at bit s, and keeps its masks
+across calls: the learner checks many small formulas on each sample
+structure with one (`learner.CandidateSearch`).  `sat_set`,
+`sat_set_table` and `holds` evaluate their formula from scratch, through
+a fresh `evaluator`, and expose frozensets or a verdict; `synth` passes
+`evaluate` a whole family of structures packed into one int.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .ctl import (And, Const, CtlFormula, ExistsGlobally, ExistsNext,
                   ExistsUntil, Not, NotInEnf, Or, Prop)
 from .kripke import KripkeStructure, UnknownProposition
 
-__all__ = ["evaluate", "sat_set", "sat_set_table", "holds"]
+__all__ = ["evaluate", "evaluator", "sat_set", "sat_set_table", "holds"]
 
 
 def _label_mask(m: KripkeStructure, prop: str) -> int:
@@ -96,11 +98,15 @@ def evaluate(f: CtlFormula, leaf: Callable[[str], int],
     return mask
 
 
-def _sat_mask(m: KripkeStructure, f: CtlFormula,
-              memo: dict[CtlFormula, int]) -> int:
+def evaluator(m: KripkeStructure, memo: dict[CtlFormula, int] | None = None,
+              ) -> Callable[[CtlFormula], int]:
+    """The function from an ENF formula to its satisfaction set on `m` as
+    a bitmask, state s at bit s.  Its calls share `memo` (`evaluate`), so
+    each subterm is evaluated on `m` once, whatever calls reach it."""
     succ = [sum(1 << t for t in post) for post in m.successors]
-    return evaluate(f, partial(_label_mask, m), partial(_ex_mask, succ),
-                    (1 << m.size) - 1, memo)
+    return partial(evaluate, leaf=partial(_label_mask, m),
+                   ex=partial(_ex_mask, succ), full=(1 << m.size) - 1,
+                   memo={} if memo is None else memo)
 
 
 def _to_set(mask: int, size: int) -> frozenset[int]:
@@ -109,14 +115,14 @@ def _to_set(mask: int, size: int) -> frozenset[int]:
 
 def sat_set(m: KripkeStructure, f: CtlFormula) -> frozenset[int]:
     """The states of `m` satisfying the ENF formula `f`."""
-    return _to_set(_sat_mask(m, f, {}), m.size)
+    return _to_set(evaluator(m)(f), m.size)
 
 
 def sat_set_table(m: KripkeStructure,
                   f: CtlFormula) -> dict[CtlFormula, frozenset[int]]:
     """Satisfaction sets for every subformula of `f`, children first."""
     memo: dict[CtlFormula, int] = {}
-    _sat_mask(m, f, memo)
+    evaluator(m, memo)(f)
     return {g: _to_set(mask, m.size) for g, mask in memo.items()}
 
 
@@ -126,5 +132,5 @@ def holds(m: KripkeStructure, f: CtlFormula) -> bool:
     Accepts arbitrary formulas; they are normalized to ENF internally, and
     holds(m, f) always agrees with holds(m, enf(f)).
     """
-    mask = _sat_mask(m, ctl.enf(f), {})
+    mask = evaluator(m)(ctl.enf(f))
     return all(mask >> s & 1 for s in m.initial)

@@ -572,6 +572,16 @@ def build_semantic(pool: VarPool, n: int, m: int, struct: KripkeStructure,
     which is lowered at polarity -1 (`lower_node`): nothing reads a
     negative's root `y` true, and a false one implies that the root
     formula fails at that state.
+
+    A positive's root stays two-sided at every state, although its
+    consistency clause reads its `y` true only at the initial states and
+    a rooted negative reads it false only elsewhere.  Lowering it at +1
+    at the initial states and at -1 elsewhere is unsound: at an initial
+    state an EU or EG root reads its own approximants at the successor
+    states, at every state, in the positive sense, and at -1 a true
+    approximant there implies nothing.  `ceg.infer` on that lowering
+    returned `EG p` on the fixture `chain3`, where it fails, at bounds 2
+    and 3.
     """
     size = struct.size
     states = range(size)

@@ -150,7 +150,7 @@ def test_every_solve_follows_one_load(monkeypatch):
 
     monkeypatch.setattr(sat.CdclSolver, "load", load)
     monkeypatch.setattr(sat.CdclSolver, "solve", solve)
-    for name, bound in (("two_state_pq.kripke", 4), ("selfloop_p.kripke", 3)):
+    for name, bound in (("two_state_pq.kripke", 4), ("selfloop_p.kripke", 4)):
         calls.clear()
         ceg.infer(helpers.load_fixture(name), bound, seed=1)
         by_solver = {}

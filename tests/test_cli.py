@@ -147,7 +147,7 @@ class TestLearn:
             "--neg", str(FIX / "selfloop_empty.kripke"), "--max-size", "3")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0].startswith("budget 1: SAT (vars=")
+        assert lines[0] == "budget 1: SAT (enumerated)"
         assert "size: 1" in lines
         assert last_line(out) == "result: p"
 
@@ -155,14 +155,14 @@ class TestLearn:
         runs = [
             (["--pos", "two_state_pq.kripke", "chain3.kripke",
               "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
-             ["budget 1: UNSAT (vars=9, clauses=17)",
-              "budget 2: UNSAT (vars=32, clauses=93)",
+             ["budget 1: UNSAT (enumerated)",
+              "budget 2: UNSAT (enumerated)",
               "budget 3: SAT (vars=69, clauses=332)",
               "size: 3", "result: EX EX q"]),
             (["--pos", "diamond.kripke", "--neg", "branching.kripke",
               "--max-size", "4", "--seed", "0"],
-             ["budget 1: UNSAT (vars=9, clauses=14)",
-              "budget 2: UNSAT (vars=40, clauses=113)",
+             ["budget 1: UNSAT (enumerated)",
+              "budget 2: UNSAT (enumerated)",
               "budget 3: UNSAT (vars=85, clauses=409)",
               "budget 4: SAT (vars=132, clauses=826)",
               "size: 4", "result: !EG !q"]),
@@ -319,7 +319,7 @@ class TestInfer:
                 "of at most 1 state; candidate space of size <= 2 exhausted "
                 "in 3 iterations") in out.splitlines()
         code, out, _ = invoke(
-            capsys, "infer", str(FIX / "branching.kripke"), "--bound", "2")
+            capsys, "infer", str(FIX / "diamond.kripke"), "--bound", "2")
         assert code == 0
         assert ("certification: strictness certified against countermodels "
                 "of at most 6 states; candidate space of size <= 2 exhausted "
@@ -365,7 +365,10 @@ class TestCnfDump:
         budgets = [line for line in out.splitlines()
                    if line.startswith("budget ")]
         assert len(budgets) == 3
-        for line in budgets:
+        # Only the budgets above the checker's are solved with a CNF.
+        solved = [line for line in budgets if "(vars=" in line]
+        assert len(solved) == len(budgets) - learner.CHECK_CAP
+        for line in solved:
             size = line.split(":")[0].split()[1]
             counts = line.split("(")[1].rstrip(")")
             target = tmp_path / f"omega_{size}.cnf"
@@ -493,8 +496,11 @@ def test_decode_audit_failure_exit_code(capsys, monkeypatch):
         return [0] + [-1] * solver.num_vars
 
     monkeypatch.setattr(sat.CdclSolver, "values", no_choice)
+    # Budgets 1 and 2 are decided without a solver; budget 3 decodes.
     code, _, err = invoke(capsys, "learn", "--pos",
-                          str(FIX / "selfloop_p.kripke"), "--max-size", "1")
+                          str(FIX / "two_state_pq.kripke"),
+                          str(FIX / "chain3.kripke"), "--neg",
+                          str(FIX / "cycle2.kripke"), "--max-size", "3")
     assert code == 3
     assert "backend failure: assignment fixes 0 choices" in err
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from ctlinfer import ctl, encoder, kripke, learner
+from ctlinfer import checker, ctl, encoder, kripke, learner
 from ctlinfer.kripke import KripkeStructure
 from ctlinfer.learner import NoConsistentFormula, Sample
 
@@ -86,10 +86,15 @@ class TestLearnMinimal:
             sample_of(["two_state_pq.kripke", "chain3.kripke"],
                       ["cycle2.kripke"]), 4, seed=7)
         lines = [b.describe() for b in result.budgets]
-        assert lines[0].startswith("budget 1: UNSAT (vars=")
+        assert lines[0] == "budget 1: UNSAT (enumerated)"
         assert lines[-1].startswith(f"budget {result.size}: SAT (vars=")
         for budget, line in zip(result.budgets, lines):
             verdict = "SAT" if budget.satisfiable else "UNSAT"
+            if budget.size <= learner.CHECK_CAP:
+                # Decided by the checker: no CNF was built.
+                assert budget.variables == budget.clauses == 0
+                assert line == f"budget {budget.size}: {verdict} (enumerated)"
+                continue
             assert line == (f"budget {budget.size}: {verdict} "
                             f"(vars={budget.variables}, "
                             f"clauses={budget.clauses})")
@@ -146,8 +151,8 @@ class TestLearnMinimal:
             sample_of([], ["selfloop_p.kripke"]), 3, seed=0)
         assert result.formula == ctl.parse_ctl("!p")
         assert [b.describe() for b in result.budgets] == [
-            "budget 1: UNSAT (vars=2, clauses=3)",
-            "budget 2: SAT (vars=10, clauses=18)"]
+            "budget 1: UNSAT (enumerated)",
+            "budget 2: SAT (enumerated)"]
 
 
 def record_decodes(monkeypatch):
@@ -162,6 +167,14 @@ def record_decodes(monkeypatch):
 
     monkeypatch.setattr(encoder, "decode_with_literals", recording)
     return decoded
+
+
+def discard_checked_budgets(state):
+    """Discard every formula of size <= `learner.CHECK_CAP`, so the
+    search's first answer comes from a CNF instance."""
+    alphabet = state.sample.structures[0].alphabet
+    for formula in ctl.enumerate_formulas(alphabet, learner.CHECK_CAP):
+        state.discard(formula)
 
 
 def search(model, bound, negatives=(), discarded=(), seed=None):
@@ -249,6 +262,7 @@ class TestInferCandidate:
         m = helpers.load_fixture("two_state_pq.kripke")
         decoded = record_decodes(monkeypatch)
         state = learner.CandidateSearch(Sample((m,)), 3, seed=1)
+        discard_checked_budgets(state)
         first = learner.infer_candidate(state)
         assert first is not None
         formula, lits = decoded[-1]
@@ -366,9 +380,10 @@ class TestInferCandidate:
         the next budget's instance replays each pair once, in the order
         first added, as a fresh build handed each pair once does."""
         model = helpers.load_fixture("chain3.kripke")
-        state = learner.CandidateSearch(Sample((model,)), 3, seed=0)
+        state = learner.CandidateSearch(Sample((model,)), 4, seed=0)
+        discard_checked_budgets(state)
         found = learner.infer_candidate(state)
-        assert found.size == 1
+        assert found.size == 3
         assert state.add_rooted(0, 2) is True
         assert state.add_rooted(0, 1) is True
         live = state._live
@@ -382,11 +397,11 @@ class TestInferCandidate:
         monkeypatch.undo()
         assert len(live.clauses) == loaded
         assert list(state.rooted) == [(0, 2), (0, 1)]
-        while found.size == 1:
+        while found.size == 3:
             state.discard(found.formula)
             found = learner.infer_candidate(state)
-        assert found.size == 2 and state._live is not live
-        fresh = encoder.build_instance(2, (model,), seed=0,
+        assert found.size == 4 and state._live is not live
+        fresh = encoder.build_instance(4, (model,), seed=0,
                                        rooted=[(0, 2), (0, 1)])
         assert state._live.clauses == fresh.clauses
 
@@ -429,3 +444,177 @@ class TestInferCandidate:
                 assert not any(helpers.naive_holds(neg, f)
                                for neg in negatives), steps
         assert answers >= 60
+
+
+def normal_form_formulas(n, alphabet):
+    """Every formula the structural and normal-form clauses of budget n
+    admit over `alphabet`, one blocked DAG at a time, with no structure."""
+    pool = encoder.VarPool()
+    clauses = encoder.build_structural(pool, n, alphabet)
+    clauses += encoder.build_normal_form(pool, n, alphabet)
+    instance = encoder.EncodingInstance(n, alphabet, pool, clauses, seed=0)
+    found = []
+    while (solver := encoder.load_backend(instance)).solve():
+        f, lits = encoder.decode_with_literals(solver.values(), instance)
+        found.append(f)
+        encoder.add_block(instance, lits)
+    return found
+
+
+def random_search_input(rng, alphabet=("p", "q")):
+    """Random positives, negatives and rooted negatives over `alphabet`."""
+    pos = [helpers.random_kripke(rng, 3, alphabet)
+           for _ in range(rng.randint(1, 2))]
+    neg = [helpers.random_kripke(rng, 3, alphabet)
+           for _ in range(rng.randint(0, 2))]
+    structures = pos + neg
+    rooted = []
+    for _ in range(rng.randint(0, 2)):
+        m = rng.randrange(len(structures))
+        rooted.append((m, rng.randrange(structures[m].size)))
+    return pos, neg, list(dict.fromkeys(rooted))
+
+
+class TestCheckedBudgets:
+    """Budgets up to `learner.CHECK_CAP` are decided by the checker."""
+
+    @pytest.mark.parametrize("alphabet", [("p",), ("p", "q"),
+                                          ("p", "q", "r")],
+                             ids=lambda a: f"{len(a)}props")
+    def test_candidates_are_what_the_normal_form_admits(self, alphabet):
+        k = len(alphabet)
+        assert learner.CHECK_CAP == 2
+        for n, count in ((1, k), (2, 3 * k)):
+            candidates = learner._checked_candidates(n, alphabet)
+            assert len(candidates) == len(set(candidates)) == count
+            decoded = normal_form_formulas(n, alphabet)
+            assert len(decoded) == count
+            assert set(decoded) == set(candidates)
+            assert all(ctl.size(f) == n for f in candidates)
+            # No rule pattern has a placement at these budgets.
+            assert encoder._rule_clauses(n) == ()
+
+    def test_candidate_order_is_proposition_major(self):
+        p, q = ctl.Prop("p"), ctl.Prop("q")
+        assert learner._checked_candidates(1, ("p", "q")) == (p, q)
+        assert learner._checked_candidates(2, ("p", "q")) == (
+            ctl.Not(p), ctl.ExistsNext(p), ctl.ExistsGlobally(p),
+            ctl.Not(q), ctl.ExistsNext(q), ctl.ExistsGlobally(q))
+
+    def test_verdict_matches_the_cnf_instance(self):
+        """On random samples with rooted negatives and discards, each
+        checked budget's verdict is that of solving its CNF instance,
+        and a found formula keeps every part of the contract."""
+        rng = random.Random(4917)
+        sat_verdicts = 0
+        for _ in range(60):
+            pos, neg, rooted = random_search_input(rng)
+            sample = Sample(tuple(pos), tuple(neg))
+            structures = sample.structures
+            discarded = set(rng.sample(
+                list(learner._checked_candidates(2, ("p", "q"))),
+                rng.randint(0, 3)))
+            state = learner.CandidateSearch(sample, 2)
+            for m, s in rooted:
+                state.add_rooted(m, s)
+            for f in discarded:
+                state.discard(f)
+            for n in (1, 2):
+                found, trace = state._check(n)
+                instance = encoder.build_instance(n, pos, neg, seed=0,
+                                                  rooted=rooted)
+                solved, _, _ = learner._solve_budget(instance, discarded)
+                assert (found is None) == (solved is None)
+                assert trace.satisfiable == (found is not None)
+                assert (trace.size, trace.variables, trace.clauses) == (
+                    n, 0, 0)
+                if found is None:
+                    continue
+                sat_verdicts += 1
+                assert ctl.size(found) == n and found not in discarded
+                assert helpers.consistent_by_oracle(found, pos, neg)
+                assert not any(s in helpers.naive_sat(structures[m], found)
+                               for m, s in rooted)
+        assert sat_verdicts >= 20
+
+    def test_learn_minimal_matches_brute_force(self):
+        rng = random.Random(5023)
+        small = 0
+        for _ in range(40):
+            pos, neg, _ = random_search_input(rng)
+            oracle = helpers.brute_force_minimum(pos, neg, 2)
+            try:
+                result = learner.learn_minimal(Sample(tuple(pos), tuple(neg)),
+                                               2)
+            except NoConsistentFormula:
+                assert oracle is None
+                continue
+            small += 1
+            assert result.size == oracle[0]
+            assert helpers.consistent_by_oracle(result.formula, pos, neg)
+        assert small >= 15
+
+    def test_seeds_agree_when_the_minimum_is_small(self):
+        """A minimum of size 1 or 2 is found without a solver, so every
+        seed returns the same formula."""
+        rng = random.Random(5101)
+        small = 0
+        for _ in range(40):
+            pos, neg, _ = random_search_input(rng)
+            sample = Sample(tuple(pos), tuple(neg))
+            oracle = helpers.brute_force_minimum(pos, neg, 3)
+            if oracle is None or oracle[0] > learner.CHECK_CAP:
+                continue
+            small += 1
+            answers = {learner.learn_minimal(sample, 3, seed=seed).formula
+                       for seed in range(4)}
+            assert len(answers) == 1
+        assert small >= 15
+
+    def test_small_answers_build_no_instance(self, monkeypatch):
+        """Budgets 1 and 2 build no CNF; a discard of their answer only
+        records it, and a negative or rooted negative only reaches the
+        search's own record."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("a checked budget built an instance")
+
+        monkeypatch.setattr(encoder, "build_instance", no_build)
+        m = helpers.load_fixture("selfloop_p.kripke")
+        state = learner.CandidateSearch(Sample((m,)), 2, seed=5)
+        first = learner.infer_candidate(state)
+        assert first.formula == ctl.Prop("p") and state._last is None
+        state.discard(first.formula)
+        state.add_negative(helpers.load_fixture("selfloop_empty.kripke"))
+        assert state.add_rooted(1, 0) is True
+        second = learner.infer_candidate(state)
+        assert second.formula == ctl.parse_ctl("EX p")
+        assert [b.describe() for b in second.budgets] == [
+            "budget 1: UNSAT (enumerated)", "budget 2: SAT (enumerated)"]
+        assert state._live is None
+
+    def test_each_formula_is_evaluated_once_per_structure(self, monkeypatch):
+        """The search keeps each structure's masks: across the calls of a
+        whole counterexample-guided run, no subterm is evaluated twice on
+        one structure by the learner."""
+        evaluated = []  # (structure, formula) of each evaluation
+        evaluate = checker.evaluate
+
+        def counting(f, leaf, ex, full, memo):
+            if f not in memo:
+                # `leaf` reads the labels of the structure evaluated on.
+                evaluated.append((leaf.args[0], f))
+            return evaluate(f, leaf, ex, full, memo)
+
+        monkeypatch.setattr(checker, "evaluate", counting)
+        m = helpers.load_fixture("two_state_pq.kripke")
+        state = learner.CandidateSearch(Sample((m,)), 2)
+        answers = 0
+        while (found := learner.infer_candidate(state)) is not None:
+            answers += 1
+            state.discard(found.formula)
+            if answers % 3 == 0:
+                state.add_negative(helpers.random_kripke(
+                    random.Random(answers), 3))
+        assert answers >= 3
+        keys = [(id(struct), f) for struct, f in evaluated]
+        assert len(keys) == len(set(keys)) > 0

@@ -36,7 +36,8 @@ def test_traced_opens_every_span_and_restores_the_originals():
     m = helpers.load_fixture("selfloop_p.kripke")
     tracer = spans.Tracer()
     with spans.traced(lib, tracer):
-        ceg.infer(m, 2, synth_states=3)
+        # Bound 3: the learner's first CNF instance is at budget 3.
+        ceg.infer(m, 3, synth_states=3)
         learner.learn_minimal(learner.Sample((m,)), 2)
     assert {span[spans.NAME] for span in tracer.spans} == SPAN_NAMES
     assert [dict(vars(owner)) for owner in owners] == before
