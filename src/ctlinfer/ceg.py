@@ -35,10 +35,12 @@ solver:
   fails is a case 3, and the rooted negatives below prune those the
   loop already knows such a state for.
 
-Rooted negatives.  After every case 2 the loop makes one checker pass
-per structure, over the model and every negative, to find the states
-where the new hypothesis h fails; after every case 3 it makes the same
-pass over the new negative.  Each such state s, except a negative's own
+Rooted negatives.  After every case 2 the loop reads the new
+hypothesis h's satisfaction set on every structure, the model and every
+negative, to find the states where h fails; after every case 3 it reads
+it on the new negative.  It reads them from the search
+(`learner.CandidateSearch.mask`), whose evaluator per structure has
+usually met h already, as a candidate.  Each such state s, except a negative's own
 initial states, goes to the search as a rooted negative (structure
 index, state): every later candidate must fail at s
 (`learner.CandidateSearch.add_rooted`).  The search is the one record of
@@ -229,26 +231,27 @@ def _root_failures(search: learner.CandidateSearch, first: int,
     `hypothesis` fails, of each structure of `search.sample.structures`
     from number `first` on, that it does not have yet, and return those.
 
-    One checker pass per structure.  A negative's own initial states are
-    left out, since the negative already asks every answer to fail at
-    one of them, and so are structures of more than `synth_states`
-    states, where the re-rooted structure may exceed the synthesis budget
-    (the soundness argument is in the module docstring).  A negative
-    whose every initial state satisfies the hypothesis raises
-    `SynthesisInconsistency`.
+    Each structure's set is read through `search.mask`, so a subterm
+    already evaluated there is not evaluated again.  A negative's own
+    initial states are left out, since the negative already asks every
+    answer to fail at one of them, and so are structures of more than
+    `synth_states` states, where the re-rooted structure may exceed the
+    synthesis budget (the soundness argument is in the module
+    docstring).  A negative whose every initial state satisfies the
+    hypothesis raises `SynthesisInconsistency`.
     """
     structures = search.sample.structures
     added = []
     for m in range(first, len(structures)):
         struct = structures[m]
-        sat = checker.sat_set(struct, hypothesis)
-        if m and struct.initial <= sat:
+        sat = search.mask(m, hypothesis)
+        if m and all(sat >> s & 1 for s in struct.initial):
             raise SynthesisInconsistency(
                 "a negative structure satisfies the hypothesis")
         if struct.size > synth_states:
             continue
         for s in range(struct.size):
-            if (s not in sat and s not in struct.initial
+            if (not sat >> s & 1 and s not in struct.initial
                     and search.add_rooted(m, s)):
                 added.append((m, s))
     return tuple(added)

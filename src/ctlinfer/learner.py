@@ -373,6 +373,12 @@ class CandidateSearch:
         millis = (time.perf_counter() - started) * 1000.0
         return found, BudgetTrace(n, found is not None, 0, 0, millis)
 
+    def mask(self, m: int, formula: CtlFormula) -> int:
+        """The satisfaction set of the ENF formula `formula` on structure
+        number m of `sample.structures`, as a bitmask with state s at bit
+        s, read through the structure's kept `checker.evaluator`."""
+        return self._masks[m][0](formula)
+
     def _admits(self, formula: CtlFormula) -> bool:
         """Whether `formula` holds at every initial state of every
         positive, fails at some initial state of every negative and fails
@@ -383,7 +389,7 @@ class CandidateSearch:
             hit = mask_of(formula) & initial
             if (hit != initial) if m < positives else (hit == initial):
                 return False
-        return not any(self._masks[m][0](formula) >> s & 1
+        return not any(self.mask(m, formula) >> s & 1
                        for m, s in self.rooted)
 
 

@@ -268,6 +268,19 @@ class TestRootedNegatives:
         assert all(k > 0 for k, _ in report.rooted)
         assert_rooted_states_are_sound(m, 3, 2, report)
 
+    def test_the_pass_reads_the_search_masks(self, monkeypatch):
+        """The pass reads each hypothesis's set through the search's
+        evaluators (`CandidateSearch.mask`), never a fresh checker pass."""
+        def forbidden(m, f):
+            raise AssertionError("the rooted pass evaluated from scratch")
+
+        monkeypatch.setattr(checker, "sat_set", forbidden)
+        m = helpers.load_fixture("two_state_pq.kripke")
+        report = ceg.infer(m, 4, synth_states=4, seed=1)
+        monkeypatch.undo()
+        assert report.rooted
+        assert_rooted_states_are_sound(m, 4, 4, report)
+
     def test_report_collects_the_rooted_negatives_of_its_trace(self):
         m = helpers.load_fixture("selfloop_p.kripke")
         report = ceg.infer(m, 2, synth_states=4, seed=0)
