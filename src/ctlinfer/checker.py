@@ -14,7 +14,9 @@ full set and the EX image of any set; EX is the only step that depends on
 the transition relation.  `evaluator` gives it one structure's labels and
 per-state successor masks, with state s at bit s, and keeps its masks
 across calls: the learner checks many small formulas on each sample
-structure with one (`learner.CandidateSearch`).  `sat_set`,
+structure with one (`learner.CandidateSearch`), and the
+counterexample-guided loop reads its hypotheses' sets through the same
+ones (`ceg`).  `sat_set`,
 `sat_set_table` and `holds` evaluate their formula from scratch, through
 a fresh `evaluator`, and expose frozensets or a verdict; `synth` passes
 `evaluate` a whole family of structures packed into one int.

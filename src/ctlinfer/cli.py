@@ -12,8 +12,8 @@ Subcommands:
   counterexample-guided inference loop.
 * `cnf-dump --pos F.. [--neg F..] --size N <out>` - DIMACS export of the
   search instance at budget N, with a comment header mapping semantic
-  variables; `learn` solves this instance from budget 3 on, and decides
-  budgets 1 and 2 with the checker.
+  variables; `learn` solves this instance from budget 4 on, and decides
+  budgets 1 to 3 with the checker.
 
 Standard output is machine-parseable: the final answer is the last line,
 prefixed `result: `.  Diagnostics go to standard error.  Exit codes:
@@ -21,7 +21,7 @@ prefixed `result: `.  Diagnostics go to standard error.  Exit codes:
 2 usage, parse or I/O errors (such as a formula nested past
 `ctl.MAX_NESTING` or an unwritable output path), 3 backend or internal
 failure.  `--seed` (`learn`, `synth`, `infer`) sets the solver's
-tie-breaking, which the learner reaches from budget 3 on; every run is
+tie-breaking, which the learner reaches from budget 4 on; every run is
 deterministic, seeded or not.
 """
 

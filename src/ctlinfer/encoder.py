@@ -76,7 +76,10 @@ order.
 A blocking clause (`add_block`) negates the defining literals of one
 decoded DAG (`decode_with_literals`), excluding that numbering.  It reads
 only x/l/r variables, so it can be appended at any time, before or after
-further structures.
+further structures.  Blocking every model of the structural and
+normal-form clauses alone lists every formula a budget admits
+(`normal_form_formulas`), which the learner checks one by one at its
+smallest budgets.
 
 The builders, here and in `sat`'s shapes, fill their lists and clauses
 with plain loops.  Most lists are short (a structure of one or two
@@ -93,7 +96,7 @@ from typing import Callable, Iterable, Sequence
 from . import sat
 from .ctl import (BINARY_LABELS, OPERATOR_LABELS, And, CtlFormula,
                   ExistsGlobally, ExistsNext, ExistsUntil, Not, Or, Prop,
-                  children, parse_ctl, subterms)
+                  children, parse_ctl, print_ctl, subterms)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
@@ -103,7 +106,8 @@ Successors = Callable[[int, Sequence[int]], list[int]]
 
 __all__ = ["VarPool", "REWRITE_RULES", "lower_node", "add_structure",
            "add_rooted", "add_block", "build_normal_form", "build_instance",
-           "load_backend", "decode_with_literals", "to_dimacs"]
+           "load_backend", "decode_with_literals", "normal_form_formulas",
+           "to_dimacs"]
 
 
 class VarPool:
@@ -779,6 +783,43 @@ def decode_with_literals(assignment: Sequence[int],
             kids.append(built[j - 1])
         built.append(lab(*kids))
     return built[-1], lits
+
+
+@lru_cache(maxsize=64)
+def normal_form_formulas(n: int, alphabet: tuple[str, ...],
+                         seed: int | None = None) -> tuple[CtlFormula, ...]:
+    """Every formula the normal form admits at budget n over `alphabet`,
+    once each, built at first use per argument tuple.
+
+    They are decoded from the models of `build_structural` and
+    `build_normal_form` alone, with no structure: each decoded numbering
+    is blocked (`add_block`) until the solver of `seed` finds none, and a
+    formula with several numberings is kept once.  The solver only picks
+    the order they are found in; they are returned sorted by the rank of
+    each label of `ctl.subterms(f)`, children first, with the
+    propositions ranked in alphabet order and then `OPERATOR_LABELS`,
+    and, between formulas of one label sequence such as E[p U EX p] and
+    E[EX p U p], by their CTL text.  So the order is the same under
+    every seed.  At budgets 1 and 2 it reads p, q, .. and then !p, EX p,
+    EG p, !q, ...
+    """
+    pool = VarPool()
+    clauses = build_structural(pool, n, alphabet)
+    clauses += build_normal_form(pool, n, alphabet)
+    instance = EncodingInstance(n, alphabet, pool, clauses, seed)
+    found: dict[CtlFormula, None] = {}
+    while (solver := load_backend(instance)).solve():
+        formula, lits = decode_with_literals(solver.values(), instance)
+        found[formula] = None
+        add_block(instance, lits)
+    rank = {lab: r for r, lab in enumerate((*alphabet, *OPERATOR_LABELS))}
+
+    def key(f: CtlFormula) -> tuple[list[int], str]:
+        labels = [rank[g.name if isinstance(g, Prop) else type(g)]
+                  for g in subterms(f)]
+        return labels, print_ctl(f)
+
+    return tuple(sorted(found, key=key))
 
 
 # The names `to_dimacs` prints for the operator labels.

@@ -10,9 +10,9 @@ budgets are tried bottom-up, the first formula found has minimal size.
 Both entry points run one search.  A `CandidateSearch` owns a growing
 sample and a discard set D of formulas that must not be proposed again,
 and tries the budgets 1..B in order (`CandidateSearch._next`).  The
-budgets up to `CHECK_CAP` admit only a proposition or one unary operator
-over one, so the search decides them with the checker, trying each such
-formula on the sample in a fixed order (`_checked_candidates`); from the
+budgets up to `CHECK_CAP` admit few formulas, so the search decides them
+with the checker, trying each formula the normal form admits there
+(`encoder.normal_form_formulas`) on the sample in a fixed order; from the
 budget above on it builds a CNF instance per budget and solves it.
 `learn_minimal` runs the search once on a fixed sample.  The
 counterexample-guided loop keeps one search for the whole run and calls
@@ -33,11 +33,10 @@ discarded formula is ever returned.
 from __future__ import annotations
 
 import time
-from functools import lru_cache
 from typing import Callable, Container, NamedTuple
 
 from . import checker, ctl, encoder
-from .ctl import CtlFormula, FrozenRecord, Prop
+from .ctl import CtlFormula, FrozenRecord
 from .kripke import KripkeError, KripkeStructure, bisimulation_classes
 from .sat import BackendFailure
 
@@ -45,14 +44,17 @@ __all__ = ["CHECK_CAP", "Sample", "BudgetTrace", "LearnResult",
            "AlphabetMismatch", "NoConsistentFormula", "CandidateSearch",
            "learn_minimal", "infer_candidate"]
 
-# The largest budget decided by the checker rather than by a CNF instance.
-# `CandidateSearch._next` argues it for budgets 1 and 2 only: budget 3
-# admits binary operators and rule placements.  Timed with CPython 3.11 on
-# a shared 2-core x86-64 host, an `infer_fixtures` pass of perfbench (11
-# fixtures at bounds 2 and 3) builds 11 CNF instances instead of 55 and
-# runs 32 learner solves instead of 110; its median wall time fell by 15%
-# and 19% in two sets of 12 alternating pairs of runs (`BENCH_checked.json`).
-CHECK_CAP = 2
+# The largest budget decided by the checker rather than by a CNF instance:
+# the check tries each formula of `encoder.normal_form_formulas`, k, 3k and
+# 2k^2 + 13k of them at budgets 1 to 3 over k propositions, and
+# `CandidateSearch._next` argues it equal to solving the instance.  Timed
+# with CPython 3.11 on a shared 2-core x86-64 host, an `infer_fixtures`
+# pass of perfbench (11 fixtures at bounds 2 and 3) then builds no CNF
+# instance and runs no learner solve (`BENCH_checked3.json`; budgets 1 and
+# 2 alone: `BENCH_checked.json`).  The cap stops at 3: budget 4 admits
+# about 10 times as many formulas (256 over 2 propositions, 696 over 4),
+# and a cap of 4 was within noise at bound 5.
+CHECK_CAP = 3
 
 
 class AlphabetMismatch(KripkeError):
@@ -190,24 +192,6 @@ def _solve_budget(instance: encoder.EncodingInstance,
                                       instance.num_clauses, millis)
 
 
-@lru_cache(maxsize=64)
-def _checked_candidates(n: int, alphabet: tuple[str, ...],
-                        ) -> tuple[CtlFormula, ...]:
-    """Every formula the normal form admits at budget n <= `CHECK_CAP`, in
-    the order the checker tries them, read off `encoder.label_domain`:
-    at budget 1 each proposition of node 1's domain; at budget 2, for
-    each proposition p of node 1's domain in turn, each operator of the
-    root's domain over p (`!p`, `EX p`, `EG p`).  The search returns the
-    first one it admits (`CandidateSearch._check`), so this order decides
-    which of several language-minimal answers the counterexample-guided
-    loop returns."""
-    props = encoder.label_domain(n, 1, alphabet)
-    if n == 1:
-        return tuple(Prop(p) for p in props)
-    ops = encoder.label_domain(n, n, alphabet)
-    return tuple(op(Prop(p)) for p in props for op in ops)
-
-
 class CandidateSearch:
     """A growing sample and the size budgets 1..`bound` searched on it.
 
@@ -305,20 +289,16 @@ class CandidateSearch:
 
         A budget up to `CHECK_CAP` is decided by the checker (`_check`),
         any other one by solving its CNF instance.  Soundness of the
-        check: at n <= 2 the instance admits exactly the formulas of
-        `_checked_candidates`.  Node 1 is a proposition; at n = 2 the root
-        reads it through its one child choice, and its domain holds only
-        `!`, `EX` and `EG`.  Tightness and the operand order are then
-        forced, no two operator nodes can be duplicates, and no rule
-        pattern has a placement (`encoder._rule_clauses(1)` and
-        `_rule_clauses(2)` are empty).  The rest of the instance is its
-        consistency clauses and its rooted units, over evaluation
-        variables forced to the checker's sets (`encoder.lower_node`), and
-        `_solve_budget` re-checks the discard set; the check asks the
-        same of each formula.  So a budget is SAT exactly when the check
-        finds a formula.  The formula found is the first in a fixed order,
-        not a solver's pick, so `seed` only matters from budget
-        `CHECK_CAP + 1` on.
+        check: its candidates (`encoder.normal_form_formulas`) are the
+        decoded models of the sample-free clauses, structural and
+        normal-form, that every instance of the budget starts from.  The
+        semantic clauses force the evaluation variables to the checker's
+        sets (`encoder.build_semantic`), the consistency clauses and
+        rooted units read them, and `_solve_budget` re-checks the discard
+        set.  So a budget is SAT exactly when `_admits` accepts a
+        candidate not discarded.  The formula found is the first in a
+        fixed order, not a solver's pick, so `seed` only matters from
+        budget `CHECK_CAP + 1` on.
 
         Soundness of the floor: the formulas a budget admits (consistent
         and not discarded) only shrink, since the sample, the rooted
@@ -362,12 +342,12 @@ class CandidateSearch:
         return None, budgets
 
     def _check(self, n: int) -> tuple[CtlFormula | None, BudgetTrace]:
-        """The first formula of `_checked_candidates(n)` that `_admits`
-        and that is not discarded (None when there is none), with the
-        budget's trace."""
+        """The first formula of `encoder.normal_form_formulas(n)` that
+        `_admits` and that is not discarded (None when there is none),
+        with the budget's trace."""
         started = time.perf_counter()
         alphabet = self.sample.structures[0].alphabet
-        found = next((f for f in _checked_candidates(n, alphabet)
+        found = next((f for f in encoder.normal_form_formulas(n, alphabet)
                       if f not in self._discarded and self._admits(f)),
                      None)
         millis = (time.perf_counter() - started) * 1000.0

@@ -153,17 +153,19 @@ class TestLearn:
 
     def test_budget_lines_cover_unsat_prefix(self, capsys):
         runs = [
-            (["--pos", "two_state_pq.kripke", "chain3.kripke",
-              "--neg", "cycle2.kripke", "--max-size", "4", "--seed", "7"],
+            (["--pos", "full2.kripke", "--neg", "sink_q.kripke",
+              "--max-size", "5", "--seed", "7"],
              ["budget 1: UNSAT (enumerated)",
               "budget 2: UNSAT (enumerated)",
-              "budget 3: SAT (vars=69, clauses=332)",
-              "size: 3", "result: EX EX q"]),
+              "budget 3: UNSAT (enumerated)",
+              "budget 4: UNSAT (vars=72, clauses=456)",
+              "budget 5: SAT (vars=102, clauses=899)",
+              "size: 5", "result: E[p U EX p & !p]"]),
             (["--pos", "diamond.kripke", "--neg", "branching.kripke",
               "--max-size", "4", "--seed", "0"],
              ["budget 1: UNSAT (enumerated)",
               "budget 2: UNSAT (enumerated)",
-              "budget 3: UNSAT (vars=85, clauses=409)",
+              "budget 3: UNSAT (enumerated)",
               "budget 4: SAT (vars=132, clauses=826)",
               "size: 4", "result: !EG !q"]),
         ]
@@ -357,17 +359,16 @@ class TestCnfDump:
         assert f"vars={num_vars}" in out
 
     def test_matches_every_learn_budget(self, capsys, tmp_path):
-        sample = ["--pos", str(FIX / "two_state_pq.kripke"),
-                  str(FIX / "chain3.kripke"),
-                  "--neg", str(FIX / "cycle2.kripke")]
-        code, out, _ = invoke(capsys, "learn", *sample, "--max-size", "4")
+        sample = ["--pos", str(FIX / "full2.kripke"),
+                  "--neg", str(FIX / "sink_q.kripke")]
+        code, out, _ = invoke(capsys, "learn", *sample, "--max-size", "5")
         assert code == 0
         budgets = [line for line in out.splitlines()
                    if line.startswith("budget ")]
-        assert len(budgets) == 3
+        assert len(budgets) == 5
         # Only the budgets above the checker's are solved with a CNF.
         solved = [line for line in budgets if "(vars=" in line]
-        assert len(solved) == len(budgets) - learner.CHECK_CAP
+        assert len(solved) == len(budgets) - learner.CHECK_CAP > 0
         for line in solved:
             size = line.split(":")[0].split()[1]
             counts = line.split("(")[1].rstrip(")")
@@ -496,11 +497,10 @@ def test_decode_audit_failure_exit_code(capsys, monkeypatch):
         return [0] + [-1] * solver.num_vars
 
     monkeypatch.setattr(sat.CdclSolver, "values", no_choice)
-    # Budgets 1 and 2 are decided without a solver; budget 3 decodes.
+    # Budgets 1 to 3 are decided without a solver; budget 4 decodes.
     code, _, err = invoke(capsys, "learn", "--pos",
-                          str(FIX / "two_state_pq.kripke"),
-                          str(FIX / "chain3.kripke"), "--neg",
-                          str(FIX / "cycle2.kripke"), "--max-size", "3")
+                          str(FIX / "two_init.kripke"), "--neg",
+                          str(FIX / "chain3.kripke"), "--max-size", "4")
     assert code == 3
     assert "backend failure: assignment fixes 0 choices" in err
 

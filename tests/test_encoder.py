@@ -1,4 +1,3 @@
-import functools
 import gc
 import hashlib
 import random
@@ -709,22 +708,6 @@ class TestDecode:
         assert 0 < outside < 40
 
 
-@functools.lru_cache(maxsize=None)
-def decoded_formulas(n, alphabet):
-    """Every formula the structural and normal-form clauses admit at
-    budget n, decoded one blocked DAG at a time."""
-    pool = VarPool()
-    clauses = (encoder.build_structural(pool, n, alphabet)
-               + encoder.build_normal_form(pool, n, alphabet))
-    instance = encoder.EncodingInstance(n, alphabet, pool, clauses, seed=3)
-    found = []
-    while (backend := encoder.load_backend(instance)).solve():
-        f, lits = encoder.decode_with_literals(backend.values(), instance)
-        found.append(f)
-        encoder.add_block(instance, lits)
-    return tuple(found)
-
-
 def rule_sides(rule):
     """psi and phi of a `REWRITE_RULES` row "psi = phi", over
     propositions named after its metavariables."""
@@ -795,7 +778,8 @@ class TestNormalForm:
         admitted up to commuting `&`/`|` or rewrites to a smaller one
         that is; the rewrites, rule instances included, keep the
         semantics."""
-        decoded = {n: decoded_formulas(n, self.ALPHABET) for n in (1, 2, 3)}
+        decoded = {n: encoder.normal_form_formulas(n, self.ALPHABET)
+                   for n in (1, 2, 3)}
         canonical = set()
         for n, found in decoded.items():
             assert {ctl.size(f) for f in found} <= {n}
@@ -832,7 +816,8 @@ class TestNormalForm:
                 expected = {f for f in before
                             if not helpers.has_rule_instance(f)}
                 excluded += len(before) - len(expected)
-                assert set(decoded_formulas(n, alphabet)) == expected, n
+                decoded = encoder.normal_form_formulas(n, alphabet)
+                assert set(decoded) == expected, n
             assert excluded > 0
 
     @pytest.mark.parametrize("alphabet", [ALPHABET, ("p",)])
@@ -841,7 +826,7 @@ class TestNormalForm:
         form before the rules has a decoded equivalent of smaller size:
         its `helpers.normal_form`, which the tableau proves equivalent."""
         decoded = {helpers.commuted(f) for n in (1, 2, 3, 4)
-                   for f in decoded_formulas(n, alphabet)}
+                   for f in encoder.normal_form_formulas(n, alphabet)}
         excluded = [f for f in helpers._enf_formulas(alphabet, 4)
                     if helpers.admitted_dag(f, alphabet, rules=False)
                     and helpers.has_rule_instance(f)]

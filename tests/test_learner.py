@@ -83,8 +83,7 @@ class TestLearnMinimal:
 
     def test_budget_trace_format(self):
         result = learner.learn_minimal(
-            sample_of(["two_state_pq.kripke", "chain3.kripke"],
-                      ["cycle2.kripke"]), 4, seed=7)
+            sample_of(["full2.kripke"], ["sink_q.kripke"]), 5, seed=7)
         lines = [b.describe() for b in result.budgets]
         assert lines[0] == "budget 1: UNSAT (enumerated)"
         assert lines[-1].startswith(f"budget {result.size}: SAT (vars=")
@@ -261,7 +260,7 @@ class TestInferCandidate:
         next call never decodes that formula again."""
         m = helpers.load_fixture("two_state_pq.kripke")
         decoded = record_decodes(monkeypatch)
-        state = learner.CandidateSearch(Sample((m,)), 3, seed=1)
+        state = learner.CandidateSearch(Sample((m,)), 4, seed=1)
         discard_checked_budgets(state)
         first = learner.infer_candidate(state)
         assert first is not None
@@ -380,10 +379,10 @@ class TestInferCandidate:
         the next budget's instance replays each pair once, in the order
         first added, as a fresh build handed each pair once does."""
         model = helpers.load_fixture("chain3.kripke")
-        state = learner.CandidateSearch(Sample((model,)), 4, seed=0)
+        state = learner.CandidateSearch(Sample((model,)), 5, seed=0)
         discard_checked_budgets(state)
         found = learner.infer_candidate(state)
-        assert found.size == 3
+        assert found.size == 4
         assert state.add_rooted(0, 2) is True
         assert state.add_rooted(0, 1) is True
         live = state._live
@@ -397,11 +396,11 @@ class TestInferCandidate:
         monkeypatch.undo()
         assert len(live.clauses) == loaded
         assert list(state.rooted) == [(0, 2), (0, 1)]
-        while found.size == 3:
+        while found.size == 4:
             state.discard(found.formula)
             found = learner.infer_candidate(state)
-        assert found.size == 4 and state._live is not live
-        fresh = encoder.build_instance(4, (model,), seed=0,
+        assert found.size == 5 and state._live is not live
+        fresh = encoder.build_instance(5, (model,), seed=0,
                                        rooted=[(0, 2), (0, 1)])
         assert state._live.clauses == fresh.clauses
 
@@ -446,21 +445,6 @@ class TestInferCandidate:
         assert answers >= 60
 
 
-def normal_form_formulas(n, alphabet):
-    """Every formula the structural and normal-form clauses of budget n
-    admit over `alphabet`, one blocked DAG at a time, with no structure."""
-    pool = encoder.VarPool()
-    clauses = encoder.build_structural(pool, n, alphabet)
-    clauses += encoder.build_normal_form(pool, n, alphabet)
-    instance = encoder.EncodingInstance(n, alphabet, pool, clauses, seed=0)
-    found = []
-    while (solver := encoder.load_backend(instance)).solve():
-        f, lits = encoder.decode_with_literals(solver.values(), instance)
-        found.append(f)
-        encoder.add_block(instance, lits)
-    return found
-
-
 def random_search_input(rng, alphabet=("p", "q")):
     """Random positives, negatives and rooted negatives over `alphabet`."""
     pos = [helpers.random_kripke(rng, 3, alphabet)
@@ -476,30 +460,63 @@ def random_search_input(rng, alphabet=("p", "q")):
 
 
 class TestCheckedBudgets:
-    """Budgets up to `learner.CHECK_CAP` are decided by the checker."""
+    """Budgets up to `learner.CHECK_CAP` are decided by the checker, on the
+    formulas `encoder.normal_form_formulas` lists."""
 
     @pytest.mark.parametrize("alphabet", [("p",), ("p", "q"),
                                           ("p", "q", "r")],
                              ids=lambda a: f"{len(a)}props")
     def test_candidates_are_what_the_normal_form_admits(self, alphabet):
+        """k, 3k and 2k^2 + 13k formulas at budgets 1 to 3, each once and
+        of its budget's size."""
         k = len(alphabet)
-        assert learner.CHECK_CAP == 2
-        for n, count in ((1, k), (2, 3 * k)):
-            candidates = learner._checked_candidates(n, alphabet)
+        assert learner.CHECK_CAP == 3
+        for n, count in ((1, k), (2, 3 * k), (3, 2 * k * k + 13 * k)):
+            candidates = encoder.normal_form_formulas(n, alphabet)
             assert len(candidates) == len(set(candidates)) == count
-            decoded = normal_form_formulas(n, alphabet)
-            assert len(decoded) == count
-            assert set(decoded) == set(candidates)
             assert all(ctl.size(f) == n for f in candidates)
-            # No rule pattern has a placement at these budgets.
-            assert encoder._rule_clauses(n) == ()
+        # No rule pattern has a placement at these budgets.
+        assert encoder._rule_clauses(1) == encoder._rule_clauses(2) == ()
+
+    @pytest.mark.parametrize("alphabet", [("p",), ("p", "q")],
+                             ids=lambda a: f"{len(a)}props")
+    def test_every_formula_has_a_candidate_of_no_larger_size(self,
+                                                             alphabet):
+        """Every formula of size <= 3 has a candidate of no larger size
+        that the tableau proves equivalent to it, so a budget the check
+        finds UNSAT admits no formula at all."""
+        candidates = [f for n in (1, 2, 3)
+                      for f in encoder.normal_form_formulas(n, alphabet)]
+        # Equivalent formulas agree on every structure, so only the
+        # candidates that agree with f on these are handed to the tableau.
+        structures = list(helpers.all_structures(1, alphabet))
+        rng = random.Random(6007)
+        structures += [helpers.random_kripke(rng, 3, alphabet)
+                       for _ in range(40)]
+
+        def sets(f):
+            return tuple(helpers.naive_sat(m, f) for m in structures)
+
+        by_sets = {}
+        for g in candidates:
+            by_sets.setdefault(sets(g), []).append(g)
+        for f in ctl.enumerate_formulas(alphabet, 3):
+            assert any(ctl.size(g) <= ctl.size(f) and helpers.equivalent(f, g)
+                       for g in by_sets.get(sets(f), ())), f
 
     def test_candidate_order_is_proposition_major(self):
         p, q = ctl.Prop("p"), ctl.Prop("q")
-        assert learner._checked_candidates(1, ("p", "q")) == (p, q)
-        assert learner._checked_candidates(2, ("p", "q")) == (
+        assert encoder.normal_form_formulas(1, ("p", "q")) == (p, q)
+        assert encoder.normal_form_formulas(2, ("p", "q")) == (
             ctl.Not(p), ctl.ExistsNext(p), ctl.ExistsGlobally(p),
             ctl.Not(q), ctl.ExistsNext(q), ctl.ExistsGlobally(q))
+
+    def test_order_is_the_same_under_every_seed(self):
+        """The enumeration solver's seed picks the order the formulas are
+        found in, not the order they are returned in."""
+        for alphabet in (("p", "q"), ("p", "q", "r")):
+            assert (encoder.normal_form_formulas(3, alphabet, 0)
+                    == encoder.normal_form_formulas(3, alphabet, 5))
 
     def test_verdict_matches_the_cnf_instance(self):
         """On random samples with rooted negatives and discards, each
@@ -507,19 +524,19 @@ class TestCheckedBudgets:
         and a found formula keeps every part of the contract."""
         rng = random.Random(4917)
         sat_verdicts = 0
+        discardable = [f for n in (2, 3)
+                       for f in encoder.normal_form_formulas(n, ("p", "q"))]
         for _ in range(60):
             pos, neg, rooted = random_search_input(rng)
             sample = Sample(tuple(pos), tuple(neg))
             structures = sample.structures
-            discarded = set(rng.sample(
-                list(learner._checked_candidates(2, ("p", "q"))),
-                rng.randint(0, 3)))
-            state = learner.CandidateSearch(sample, 2)
+            discarded = set(rng.sample(discardable, rng.randint(0, 6)))
+            state = learner.CandidateSearch(sample, 3)
             for m, s in rooted:
                 state.add_rooted(m, s)
             for f in discarded:
                 state.discard(f)
-            for n in (1, 2):
+            for n in (1, 2, 3):
                 found, trace = state._check(n)
                 instance = encoder.build_instance(n, pos, neg, seed=0,
                                                   rooted=rooted)
@@ -538,25 +555,49 @@ class TestCheckedBudgets:
         assert sat_verdicts >= 20
 
     def test_learn_minimal_matches_brute_force(self):
+        """`learn_minimal` finds the size of `helpers.brute_force_minimum`;
+        with rooted negatives and discards, a search finds the smallest
+        size of a formula that the normal form admits (found by trying
+        every numbering) and that keeps them."""
         rng = random.Random(5023)
-        small = 0
+        small = kept = 0
+        discardable = [f for n in (1, 2, 3)
+                       for f in encoder.normal_form_formulas(n, ("p", "q"))]
         for _ in range(40):
-            pos, neg, _ = random_search_input(rng)
-            oracle = helpers.brute_force_minimum(pos, neg, 2)
+            pos, neg, rooted = random_search_input(rng)
+            sample = Sample(tuple(pos), tuple(neg))
+            oracle = helpers.brute_force_minimum(pos, neg, 3)
             try:
-                result = learner.learn_minimal(Sample(tuple(pos), tuple(neg)),
-                                               2)
+                result = learner.learn_minimal(sample, 3)
             except NoConsistentFormula:
                 assert oracle is None
-                continue
-            small += 1
-            assert result.size == oracle[0]
-            assert helpers.consistent_by_oracle(result.formula, pos, neg)
-        assert small >= 15
+            else:
+                small += 1
+                assert result.size == oracle[0]
+                assert helpers.consistent_by_oracle(result.formula, pos, neg)
+            discarded = set(rng.sample(discardable, rng.randint(0, 6)))
+            structures = sample.structures
+            sizes = [ctl.size(f) for f in helpers._enf_formulas(("p", "q"), 3)
+                     if f not in discarded
+                     and helpers.admitted_dag(f, ("p", "q"))
+                     and helpers.consistent_by_oracle(f, pos, neg)
+                     and not any(s in helpers.naive_sat(structures[m], f)
+                                 for m, s in rooted)]
+            state = learner.CandidateSearch(sample, 3)
+            for m, s in rooted:
+                state.add_rooted(m, s)
+            for f in discarded:
+                state.discard(f)
+            found = learner.infer_candidate(state)
+            assert (found is None) == (not sizes)
+            if found is not None:
+                kept += 1
+                assert found.size == min(sizes)
+        assert small >= 15 and kept >= 15
 
     def test_seeds_agree_when_the_minimum_is_small(self):
-        """A minimum of size 1 or 2 is found without a solver, so every
-        seed returns the same formula."""
+        """A minimum of size up to `CHECK_CAP` is found without a solver,
+        so every seed returns the same formula."""
         rng = random.Random(5101)
         small = 0
         for _ in range(40):
@@ -572,7 +613,7 @@ class TestCheckedBudgets:
         assert small >= 15
 
     def test_small_answers_build_no_instance(self, monkeypatch):
-        """Budgets 1 and 2 build no CNF; a discard of their answer only
+        """Budgets 1 to 3 build no CNF; a discard of their answer only
         records it, and a negative or rooted negative only reaches the
         search's own record."""
         def no_build(*args, **kwargs):
@@ -580,7 +621,7 @@ class TestCheckedBudgets:
 
         monkeypatch.setattr(encoder, "build_instance", no_build)
         m = helpers.load_fixture("selfloop_p.kripke")
-        state = learner.CandidateSearch(Sample((m,)), 2, seed=5)
+        state = learner.CandidateSearch(Sample((m,)), 3, seed=5)
         first = learner.infer_candidate(state)
         assert first.formula == ctl.Prop("p") and state._last is None
         state.discard(first.formula)
