@@ -787,26 +787,26 @@ def decode_with_literals(assignment: Sequence[int],
 
 @lru_cache(maxsize=64)
 def normal_form_formulas(n: int, alphabet: tuple[str, ...],
-                         seed: int | None = None) -> tuple[CtlFormula, ...]:
+                         ) -> tuple[CtlFormula, ...]:
     """Every formula the normal form admits at budget n over `alphabet`,
-    once each, built at first use per argument tuple.
+    once each, built at first use per (n, alphabet).
 
     They are decoded from the models of `build_structural` and
     `build_normal_form` alone, with no structure: each decoded numbering
-    is blocked (`add_block`) until the solver of `seed` finds none, and a
-    formula with several numberings is kept once.  The solver only picks
-    the order they are found in; they are returned sorted by the rank of
+    is blocked (`add_block`) until the solver finds none, and a formula
+    with several numberings is kept once.  The solver only picks the
+    order they are found in; they are returned sorted by the rank of
     each label of `ctl.subterms(f)`, children first, with the
     propositions ranked in alphabet order and then `OPERATOR_LABELS`,
     and, between formulas of one label sequence such as E[p U EX p] and
-    E[EX p U p], by their CTL text.  So the order is the same under
-    every seed.  At budgets 1 and 2 it reads p, q, .. and then !p, EX p,
-    EG p, !q, ...
+    E[EX p U p], by their CTL text.  So the order does not depend on
+    the solver's choices: at budget 1 it reads p, q, .., at budget 2
+    !p, EX p, EG p, !q, ...
     """
     pool = VarPool()
     clauses = build_structural(pool, n, alphabet)
     clauses += build_normal_form(pool, n, alphabet)
-    instance = EncodingInstance(n, alphabet, pool, clauses, seed)
+    instance = EncodingInstance(n, alphabet, pool, clauses)
     found: dict[CtlFormula, None] = {}
     while (solver := load_backend(instance)).solve():
         formula, lits = decode_with_literals(solver.values(), instance)

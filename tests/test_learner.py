@@ -511,12 +511,18 @@ class TestCheckedBudgets:
             ctl.Not(p), ctl.ExistsNext(p), ctl.ExistsGlobally(p),
             ctl.Not(q), ctl.ExistsNext(q), ctl.ExistsGlobally(q))
 
-    def test_order_is_the_same_under_every_seed(self):
+    def test_order_is_the_same_under_every_seed(self, monkeypatch):
         """The enumeration solver's seed picks the order the formulas are
         found in, not the order they are returned in."""
+        solver = encoder.CdclSolver
+        enumerate_uncached = encoder.normal_form_formulas.__wrapped__
         for alphabet in (("p", "q"), ("p", "q", "r")):
-            assert (encoder.normal_form_formulas(3, alphabet, 0)
-                    == encoder.normal_form_formulas(3, alphabet, 5))
+            orders = []
+            for seed in (0, 5):
+                monkeypatch.setattr(encoder, "CdclSolver",
+                                    lambda seed=None, s=seed: solver(seed=s))
+                orders.append(enumerate_uncached(3, alphabet))
+            assert orders[0] == orders[1]
 
     def test_verdict_matches_the_cnf_instance(self):
         """On random samples with rooted negatives and discards, each
