@@ -807,10 +807,10 @@ def normal_form_formulas(n: int, alphabet: tuple[str, ...],
     clauses = build_structural(pool, n, alphabet)
     clauses += build_normal_form(pool, n, alphabet)
     instance = EncodingInstance(n, alphabet, pool, clauses)
-    found: dict[CtlFormula, None] = {}
+    found: set[CtlFormula] = set()
     while (solver := load_backend(instance)).solve():
         formula, lits = decode_with_literals(solver.values(), instance)
-        found[formula] = None
+        found.add(formula)
         add_block(instance, lits)
     rank = {lab: r for r, lab in enumerate((*alphabet, *OPERATOR_LABELS))}
 

@@ -483,8 +483,8 @@ class TestCheckedBudgets:
     def test_every_formula_has_a_candidate_of_no_larger_size(self,
                                                              alphabet):
         """Every formula of size <= 3 has a candidate of no larger size
-        that the tableau proves equivalent to it, so a budget the check
-        finds UNSAT admits no formula at all."""
+        that the tableau proves equivalent to it, so checking only the
+        candidates loses no minimum."""
         candidates = [f for n in (1, 2, 3)
                       for f in encoder.normal_form_formulas(n, alphabet)]
         # Equivalent formulas agree on every structure, so only the
