@@ -50,9 +50,9 @@ __all__ = ["CHECK_CAP", "Sample", "BudgetTrace", "LearnResult",
 # `CandidateSearch._next` argues it equal to solving the instance.  Timed
 # with CPython 3.11 on a shared 2-core x86-64 host, an `infer_fixtures`
 # pass of perfbench (11 fixtures at bounds 2 and 3) then builds no CNF
-# instance and runs no learner solve, and its median wall time fell by 59%
-# in 12 of 12 alternating pairs of runs (`BENCH_checked3.json`; budgets 1
-# and 2 alone: `BENCH_checked.json`).  The cap stops at 3: budget 4 admits
+# instance and runs no learner solve, and its median wall time fell by 60%
+# and 59% in two sets of 12 alternating pairs of runs, 12 of 12 each
+# (`BENCH_checked3.json`; budgets 1 and 2 alone: `BENCH_checked.json`).  The cap stops at 3: budget 4 admits
 # about 10 times as many formulas (256 over 2 propositions, 696 over 4,
 # 2128 over 8), listed in 29, 79 and 285 ms on that host, a cost each
 # process pays once per alphabet.  A cap of 4 did run unseeded bound 5 on
