@@ -19,15 +19,14 @@ counterexample-guided loop keeps one search for the whole run and calls
 `infer_candidate` on it, handing it each new negative and discard once.
 The checked budgets read them from the search's own record, on masks
 kept per sample structure (`checker.evaluator`); the floor budget's
-instance appends them as clauses, and its solver loads them before its
-next solve.  A budget proven UNSAT is never decided again.  The loop also hands it rooted negatives, states at which every
-answer must fail (`ceg`, `encoder.add_rooted`).  A discard of the
-candidate just solved for is blocked at once by the literals it was
-decoded with; a formula decoded later under another numbering, or
-discarded without being the last candidate, is caught by re-checking every
-decoded formula against D and blocking that numbering before re-solving
-(`_solve_budget`), and the checked budgets read D directly, so no
-discarded formula is ever returned.
+instance appends each negative as clauses, and its solver loads them
+before its next solve.  A budget proven UNSAT is never decided again.
+The loop also hands it rooted negatives, states at which every answer
+must fail (`ceg`, `encoder.add_rooted`).  A discard only enters D:
+every formula a solve decodes is re-checked against D, and a hit has
+the numbering it was decoded with blocked before the budget is solved
+again (`_solve_budget`), while the checked budgets read D directly, so
+no discarded formula is ever returned.
 """
 
 from __future__ import annotations
@@ -163,37 +162,35 @@ class LearnResult(NamedTuple):
 
 def _solve_budget(instance: encoder.EncodingInstance,
                   discarded: Container[CtlFormula],
-                  ) -> tuple[CtlFormula | None, list[int], BudgetTrace]:
+                  ) -> tuple[CtlFormula | None, BudgetTrace]:
     """Load the instance's solver, solve, decode and re-block until the
     budget yields a formula not in `discarded` (None once the budget has
-    no model left), with the literals it was decoded with and the
-    budget's trace.  Every solve is preceded by `encoder.load_backend`,
-    so it sees every clause appended so far.
+    no model left), with the budget's trace.  Every solve is preceded by
+    `encoder.load_backend`, so it sees every clause appended so far.
 
-    Every admitted DAG has exactly n nodes, so a discarded formula decoded
-    here is a numbering of it not yet blocked; any other size is a broken
+    This is the one place a discarded formula's numbering is blocked:
+    a decoded formula in `discarded` has the literals it was decoded
+    with negated (`encoder.add_block`) before the next solve.  Every
+    admitted DAG has exactly n nodes, so any other size is a broken
     encoding."""
     n = instance.size_budget
     started = time.perf_counter()
-    formula, lits = None, []
+    formula = None
     while (solver := encoder.load_backend(instance)).solve():
         formula, lits = encoder.decode_with_literals(solver.values(),
                                                      instance)
         if formula not in discarded:
             break
-        # A discarded formula under a numbering not yet blocked: exclude
-        # this numbering and look for a different one.
         encoder.add_block(instance, lits)
-        formula, lits = None, []
+        formula = None
     millis = (time.perf_counter() - started) * 1000.0
     if formula is not None and ctl.size(formula) != n:
         raise BackendFailure(
             f"decoded formula {ctl.print_ctl(formula)} has size "
             f"{ctl.size(formula)} at budget {n}; the normal form admits "
             "only DAGs of the budget's size")
-    return formula, lits, BudgetTrace(n, formula is not None,
-                                      instance.num_vars,
-                                      instance.num_clauses, millis)
+    return formula, BudgetTrace(n, formula is not None, instance.num_vars,
+                                instance.num_clauses, millis)
 
 
 class CandidateSearch:
@@ -206,12 +203,12 @@ class CandidateSearch:
     discard set.  A negative or rooted negative is appended at once to
     the live instance of the floor budget, if there is one, and every
     later budget's instance replays them, the rooted ones right after the
-    structures; a discard appends at most a blocking clause to the live
-    instance.  Its solver loads what was appended before the next solve
-    (`_solve_budget`).  So the formulas each budget admits only shrink, a
-    budget that was UNSAT stays UNSAT, and `_next` never decides it
-    again.  Rooted negatives are argued in `ceg` and
-    `encoder.add_rooted`.
+    structures; a discard appends nothing, and `_solve_budget` blocks a
+    discarded formula's numbering when a solve decodes it.  The live
+    solver loads what was appended before each solve.  So the formulas
+    each budget admits only shrink, a budget that was UNSAT stays UNSAT,
+    and `_next` never decides it again.  Rooted negatives are argued in
+    `ceg` and `encoder.add_rooted`.
 
     The search is the one record of rooted negatives: `rooted` keeps each
     (structure number, state) pair once, in the order added, and
@@ -226,9 +223,6 @@ class CandidateSearch:
         self.bound = bound
         self.seed = seed
         self._discarded: set[CtlFormula] = set()
-        # The candidate `_next` last returned, with the literals it was
-        # decoded with, until it is discarded.
-        self._last: tuple[CtlFormula, list[int]] | None = None
         self._floor = bound + 1 if sample.has_conflict() else 1
         self._live: encoder.EncodingInstance | None = None
         self.rooted: dict[tuple[int, int], None] = {}
@@ -270,21 +264,16 @@ class CandidateSearch:
     def discard(self, formula: CtlFormula) -> None:
         """Never propose `formula` again.
 
-        Soundness: when `formula` is the candidate `_next` last solved
-        for, the numbering it was decoded with is blocked at once in the
-        live instance, whose solver decoded it.  Any other numbering of
-        any discarded formula is admitted only at the budget of the
-        formula's size, and `_solve_budget` re-checks every decoded
-        formula against the discard set and blocks such a numbering
-        before the next solve.  A candidate of the checked budgets has no
-        literals to block: the check reads the discard set.  So no
-        discarded formula is returned, and the floor argument of `_next`
-        is unchanged.
+        Soundness: the formula only enters the discard set.  The checked
+        budgets read that set.  From `CHECK_CAP + 1` on, `_solve_budget`
+        re-checks every decoded formula against it and, on a hit, blocks
+        the numbering it was decoded with before the next solve.  A block
+        reads only x/l/r variables, so it excludes exactly that numbered
+        DAG, which decodes to a discarded formula.  So no discarded
+        formula is returned, the formulas a budget admits still only
+        shrink, and the floor argument of `_next` holds.
         """
         self._discarded.add(formula)
-        if self._last is not None and self._last[0] == formula:
-            encoder.add_block(self._live, self._last[1])
-            self._last = None
 
     def _next(self) -> tuple[LearnResult | None, list[BudgetTrace]]:
         """Smallest normal-form formula consistent with the sample and not
@@ -307,10 +296,10 @@ class CandidateSearch:
         Soundness of the floor: the formulas a budget admits (consistent
         and not discarded) only shrink, since the sample, the rooted
         negatives and the discard set only grow, its clause set only
-        grows and a decoded renumbering of a discarded formula is blocked
-        for good, that formula staying discarded.  So a budget that was
-        UNSAT stays UNSAT: it is dropped for good, and the search resumes
-        at the floor, the first budget not yet proven UNSAT.  No budget
+        grows and a block excludes only a numbering of a formula that
+        stays discarded (`discard`).  So a budget that was UNSAT stays
+        UNSAT: it is dropped for good, and the search resumes at the
+        floor, the first budget not yet proven UNSAT.  No budget
         below the floor admits a formula, so the first SAT budget is
         still the minimum size, and a decoded formula of another size is
         a `BackendFailure`.  The floor budget's solver lives from its
@@ -324,7 +313,6 @@ class CandidateSearch:
         its floor above `bound`, so it answers None without solving.
         """
         budgets: list[BudgetTrace] = []
-        self._last = None
         while self._floor <= self.bound:
             n = self._floor
             if n <= CHECK_CAP:
@@ -334,10 +322,7 @@ class CandidateSearch:
                     self._live = encoder.build_instance(
                         n, self.sample.positives, self.sample.negatives,
                         seed=self.seed, rooted=self.rooted)
-                formula, lits, trace = _solve_budget(self._live,
-                                                     self._discarded)
-                if formula is not None:
-                    self._last = formula, lits
+                formula, trace = _solve_budget(self._live, self._discarded)
             budgets.append(trace)
             if formula is not None:
                 return LearnResult(formula, n, tuple(budgets)), budgets

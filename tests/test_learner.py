@@ -238,8 +238,8 @@ class TestInferCandidate:
         decoded once, re-blocked, and the budget ends UNSAT."""
         instance, twins = self.pinned_twins()
         decoded = record_decodes(monkeypatch)
-        formula, lits, trace = learner._solve_budget(instance, set(twins))
-        assert formula is None and lits == [] and not trace.satisfiable
+        formula, trace = learner._solve_budget(instance, set(twins))
+        assert formula is None and not trace.satisfiable
         assert sorted((f for f, _ in decoded), key=ctl.print_ctl) == twins
 
     def test_reblocks_are_counted(self):
@@ -247,35 +247,36 @@ class TestInferCandidate:
         DIMACS export count them."""
         instance, twins = self.pinned_twins()
         loaded = instance.num_clauses
-        _, _, trace = learner._solve_budget(instance, set(twins))
+        _, trace = learner._solve_budget(instance, set(twins))
         assert instance.num_clauses == trace.clauses == loaded + 2
         header = next(line for line in
                       encoder.to_dimacs(instance).splitlines()
                       if line.startswith("p cnf"))
         assert header == f"p cnf {instance.num_vars} {loaded + 2}"
 
-    def test_discard_blocks_the_decoded_numbering(self, monkeypatch):
-        """Discarding the candidate just returned adds one clause to the
-        live instance, the negated literals it was decoded with, and the
-        next call never decodes that formula again."""
+    def test_discard_is_blocked_by_the_next_solve(self, monkeypatch):
+        """Discarding the candidate just returned appends no clause; the
+        next call decodes it at most once, blocks the numbering it was
+        decoded with, and returns a different formula."""
         m = helpers.load_fixture("two_state_pq.kripke")
         decoded = record_decodes(monkeypatch)
         state = learner.CandidateSearch(Sample((m,)), 4, seed=1)
         discard_checked_budgets(state)
         first = learner.infer_candidate(state)
-        assert first is not None
+        assert first is not None and first.size == 4
         formula, lits = decoded[-1]
         assert formula == first.formula
         instance = state._live
         loaded = instance.num_clauses
         state.discard(formula)
-        assert [tuple(map(helpers.signed, clause))
-                for clause in instance.clauses[loaded:]] == [
-                    tuple(-helpers.signed(lit) for lit in lits)]
+        assert instance.num_clauses == loaded
         decoded.clear()
         second = learner.infer_candidate(state)
         assert second is not None and second.formula != formula
-        assert decoded and formula not in [f for f, _ in decoded]
+        assert [f for f, _ in decoded].count(formula) <= 1
+        assert [tuple(map(helpers.signed, clause))
+                for clause in instance.clauses[loaded:]] == [
+                    tuple(-helpers.signed(lit) for lit in lits)]
 
     def test_negatives_and_discards_together(self):
         m = helpers.load_fixture("selfloop_p.kripke")
@@ -407,12 +408,14 @@ class TestInferCandidate:
     def test_persistent_search_matches_fresh_searches(self):
         """Negatives and discards arrive one at a time, as in the CEG loop;
         after each step the persistent answer keeps the contract, and its
-        size is the minimum a fresh search finds with the same input."""
+        size is the minimum a fresh search finds with the same input.
+        Bounds reach 4, so some answers come from a live CNF instance that
+        has seen discards."""
         rng = random.Random(909)
-        steps = answers = 0
+        steps = answers = solved = 0
         while steps < 120:
             model = helpers.random_kripke(rng, 3, min_states=2)
-            bound = rng.randint(2, 3)
+            bound = rng.randint(2, 4)
             state = learner.CandidateSearch(Sample((model,)), bound, seed=0)
             negatives, discarded = [], []
             last = None
@@ -436,13 +439,14 @@ class TestInferCandidate:
                 if last is None:
                     break
                 answers += 1
+                solved += last.size > learner.CHECK_CAP
                 f = last.formula
                 assert last.size == ctl.size(f) == fresh.size, steps
                 assert f not in discarded, steps
                 assert helpers.naive_holds(model, f), steps
                 assert not any(helpers.naive_holds(neg, f)
                                for neg in negatives), steps
-        assert answers >= 60
+        assert answers >= 60 and solved >= 15
 
 
 def random_search_input(rng, alphabet=("p", "q")):
@@ -546,7 +550,7 @@ class TestCheckedBudgets:
                 found, trace = state._check(n)
                 instance = encoder.build_instance(n, pos, neg, seed=0,
                                                   rooted=rooted)
-                solved, _, _ = learner._solve_budget(instance, discarded)
+                solved, _ = learner._solve_budget(instance, discarded)
                 assert (found is None) == (solved is None)
                 assert trace.satisfiable == (found is not None)
                 assert (trace.size, trace.variables, trace.clauses) == (
@@ -629,7 +633,7 @@ class TestCheckedBudgets:
         m = helpers.load_fixture("selfloop_p.kripke")
         state = learner.CandidateSearch(Sample((m,)), 3, seed=5)
         first = learner.infer_candidate(state)
-        assert first.formula == ctl.Prop("p") and state._last is None
+        assert first.formula == ctl.Prop("p")
         state.discard(first.formula)
         state.add_negative(helpers.load_fixture("selfloop_empty.kripke"))
         assert state.add_rooted(1, 0) is True
