@@ -208,9 +208,13 @@ class ForallFinally(_Unary): __slots__ = ()
 
 # The ENF connectives, which are also the operator labels of the learner's
 # syntax-DAG nodes (`encoder`): a node's label is its proposition's name or
-# its class.  The ENF fragment is propositions and constants under these.
+# its class.  The ENF fragment is propositions and constants under these
+# (`ENF_CLASSES`).  Each grouping keeps the order of `OPERATOR_LABELS`.
 OPERATOR_LABELS = (Not, And, Or, ExistsNext, ExistsUntil, ExistsGlobally)
-BINARY_LABELS = frozenset({And, Or, ExistsUntil})
+UNARY_LABELS = (Not, ExistsNext, ExistsGlobally)
+BINARY_LABELS = (And, Or, ExistsUntil)
+TEMPORAL_LABELS = (ExistsNext, ExistsUntil, ExistsGlobally)
+ENF_CLASSES = (Prop, Const, *OPERATOR_LABELS)
 
 
 def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
@@ -224,8 +228,7 @@ def children(f: CtlFormula) -> tuple[CtlFormula, ...]:
 def is_enf(f: CtlFormula) -> bool:
     """True iff `f` uses only ENF connectives over propositions and
     constants, visiting each DAG node once."""
-    return all(isinstance(g, (Prop, Const, *OPERATOR_LABELS))
-               for g in subterms(f))
+    return all(isinstance(g, ENF_CLASSES) for g in subterms(f))
 
 
 def subterms(f: CtlFormula) -> list[CtlFormula]:
@@ -556,7 +559,7 @@ def enumerate_formulas(alphabet: Sequence[str],
     for target in range(2, max_size + 1):
         for f in list(by_size[target - 1]):
             base = subs[f]
-            for ctor in (Not, ExistsNext, ExistsGlobally):
+            for ctor in UNARY_LABELS:
                 g = ctor(f)
                 admit(g, base | {g})
         smaller = [f for k in range(1, target) for f in by_size[k]]
@@ -565,7 +568,7 @@ def enumerate_formulas(alphabet: Sequence[str],
                 union = subs[f] | subs[g]
                 if len(union) != target - 1:
                     continue
-                for ctor in (And, Or, ExistsUntil):
+                for ctor in BINARY_LABELS:
                     h = ctor(f, g)
                     admit(h, union | {h})
     return ordered

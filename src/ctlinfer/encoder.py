@@ -94,9 +94,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import sat
-from .ctl import (BINARY_LABELS, OPERATOR_LABELS, And, CtlFormula,
-                  ExistsGlobally, ExistsNext, ExistsUntil, Not, Or, Prop,
-                  children, parse_ctl, print_ctl, subterms)
+from .ctl import (BINARY_LABELS, OPERATOR_LABELS, UNARY_LABELS, And,
+                  CtlFormula, ExistsGlobally, ExistsNext, ExistsUntil, Not,
+                  Or, Prop, children, parse_ctl, print_ctl, subterms)
 from .kripke import KripkeStructure
 from .sat import BackendFailure, CdclSolver, Clause
 
@@ -177,9 +177,6 @@ class EncodingInstance:
         return len(self.clauses)
 
 
-_UNARY_LABELS = (Not, ExistsNext, ExistsGlobally)
-
-
 def label_domain(n: int, i: int, alphabet: Sequence[str],
                  ) -> tuple[str | type[CtlFormula], ...]:
     """The labels node i of a budget-n DAG can take in the normal form
@@ -193,7 +190,7 @@ def label_domain(n: int, i: int, alphabet: Sequence[str],
     props = () if 1 < i == n else tuple(alphabet[i - 1:])
     if i == 1:
         return props
-    return props + (_UNARY_LABELS if i == 2 else OPERATOR_LABELS)
+    return props + (UNARY_LABELS if i == 2 else OPERATOR_LABELS)
 
 
 # The rewrite rules psi = phi of the normal form, in CTL text over the

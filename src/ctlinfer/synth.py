@@ -172,9 +172,8 @@ DEFAULT_MAX_STATES = 6
 # Most components a family the sweep evaluates may have (module docstring).
 FAMILY_CAP = 1 << 16
 
-# The operators whose successors are symbolic in the SAT sweep's CNF, and
-# the nodes that have no h variable there (their literal is folded).
-_TEMPORAL = (ctl.ExistsNext, ctl.ExistsUntil, ctl.ExistsGlobally)
+# The nodes that have no h variable in the SAT sweep's CNF (their literal
+# is folded).
 _FOLDED = (ctl.Prop, Not, ctl.Const)
 
 
@@ -287,7 +286,7 @@ def _encode(f: CtlFormula, num_states: int, props: Sequence[str],
     polarity, reach = {f: 1}, {f: 1}
     for g in reversed(nodes):
         sign = -polarity[g] if isinstance(g, Not) else polarity[g]
-        width = num_states if isinstance(g, _TEMPORAL) else reach[g]
+        width = num_states if isinstance(g, ctl.TEMPORAL_LABELS) else reach[g]
         for child in ctl.children(g):
             polarity[child] = (sign if polarity.get(child, sign) == sign
                                else 0)

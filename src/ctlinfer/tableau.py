@@ -61,16 +61,14 @@ of their additions.
 
 from __future__ import annotations
 
-from .ctl import (And, Const, CtlFormula, ExistsGlobally, ExistsNext,
-                  ExistsUntil, Not, NotInEnf, Or, Prop, print_ctl, subterms)
+from .ctl import (ENF_CLASSES, TEMPORAL_LABELS, And, Const, CtlFormula,
+                  ExistsGlobally, ExistsNext, ExistsUntil, Not, NotInEnf, Or,
+                  Prop, print_ctl, subterms)
 
 __all__ = ["MAX_ELEMENTARY", "satisfiable"]
 
 # Largest elementary-formula count `satisfiable` decides (2 ** 12 atoms).
 MAX_ELEMENTARY = 12
-
-_TEMPORAL = (ExistsNext, ExistsUntil, ExistsGlobally)
-_ENF = (Prop, Const, Not, And, Or, *_TEMPORAL)
 
 
 def _elementary(nodes: list[CtlFormula],
@@ -79,11 +77,11 @@ def _elementary(nodes: list[CtlFormula],
     is elementary (EX operands, and every EU and EG node).  `NotInEnf`
     names the first node outside ENF, a smallest one."""
     for g in nodes:
-        if not isinstance(g, _ENF):
+        if not isinstance(g, ENF_CLASSES):
             raise NotInEnf(f"not in existential normal form: {print_ctl(g)}")
     props = [g for g in nodes if isinstance(g, Prop)]
     nexts = dict.fromkeys(g.operand if isinstance(g, ExistsNext) else g
-                          for g in nodes if isinstance(g, _TEMPORAL))
+                          for g in nodes if isinstance(g, TEMPORAL_LABELS))
     return props, list(nexts)
 
 
