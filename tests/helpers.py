@@ -220,6 +220,67 @@ def bisimilar_pairs(a: KripkeStructure,
 
 
 # ---------------------------------------------------------------------------
+# System models
+# ---------------------------------------------------------------------------
+
+def reachable(alphabet: Sequence[str], initial, step: Callable,
+              label: Callable) -> KripkeStructure:
+    """The structure of the states reachable from `initial`, where
+    `step(state)` yields a state's successors and `label(state)` its
+    propositions, numbered s0, s1, ... in breadth-first order."""
+    index = {initial: 0}
+    order = [initial]
+    successors = []
+    for state in order:
+        post = set()
+        for succ in step(state):
+            if succ not in index:
+                index[succ] = len(order)
+                order.append(succ)
+            post.add(index[succ])
+        successors.append(frozenset(post))
+    return KripkeStructure(
+        alphabet=tuple(alphabet),
+        state_names=tuple(f"s{i}" for i in range(len(order))),
+        initial=frozenset({0}),
+        labels=tuple(frozenset(label(state)) for state in order),
+        successors=tuple(successors))
+
+
+IDLE, TRYING, CRITICAL = range(3)
+
+
+def mutex(n: int) -> KripkeStructure:
+    """Round-robin token mutual exclusion of n processes (Baier & Katoen,
+    *Principles of Model Checking*, 2008).  A state is the token holder
+    and each process's phase: idle, trying (`t_i`) or critical (`c_i`).
+    One process moves at a time.  An idle process starts trying; a trying
+    process enters when it holds the token and no process is critical;
+    leaving passes the token on, and so does an idle holder."""
+    def step(state):
+        token, phases = state
+        passed = (token + 1) % n
+        for i, phase in enumerate(phases):
+            before, after = phases[:i], phases[i + 1:]
+            if phase == IDLE:
+                yield token, (*before, TRYING, *after)
+                if i == token:
+                    yield passed, phases
+            elif phase == TRYING and i == token and CRITICAL not in phases:
+                yield token, (*before, CRITICAL, *after)
+            elif phase == CRITICAL:
+                yield passed, (*before, IDLE, *after)
+
+    def label(state):
+        names = {TRYING: "t", CRITICAL: "c"}
+        return {f"{names[phase]}{i}" for i, phase in enumerate(state[1])
+                if phase in names}
+
+    alphabet = [f"{kind}{i}" for kind in "tc" for i in range(n)]
+    return reachable(alphabet, (0, (IDLE,) * n), step, label)
+
+
+# ---------------------------------------------------------------------------
 # Random formulas
 # ---------------------------------------------------------------------------
 

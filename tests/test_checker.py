@@ -73,6 +73,20 @@ class TestHolds:
             assert checker.holds(m, f) == helpers.naive_holds(m, f)
 
 
+class TestSystemModels:
+    @pytest.mark.parametrize("n, states, edges", [(2, 12, 22), (3, 36, 84)])
+    def test_mutex_size(self, n, states, edges):
+        m = helpers.mutex(n)
+        assert m.size == states
+        assert sum(map(len, m.successors)) == edges
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("text", ["AG !(c0 & c1)", "AG (t0 -> AF c0)"])
+    def test_mutex_properties_hold(self, n, text):
+        m, f = helpers.mutex(n), ctl.parse_ctl(text)
+        assert checker.holds(m, f) and helpers.naive_holds(m, f)
+
+
 class TestSatSetTable:
     def test_children_first_and_complete(self):
         m = helpers.load_fixture("mutex.kripke")
