@@ -3,37 +3,44 @@
 Starting from the trivial hypothesis `true`, the loop repeatedly asks the
 passive learner for the smallest formula that holds on the input
 structure, fails every accumulated negative structure, and differs from
-every discarded formula.  The learner is not asked afresh: one
+every earlier candidate.  The learner is not asked afresh: one
 `learner.CandidateSearch` serves the whole run and is handed each new
-negative and discard once, so it keeps its solver and every budget
-already proven UNSAT between iterations.  Each candidate is compared with
-the current hypothesis by at most two `synth.implies` calls, i.e. bounded
-countermodel synthesis, first "candidate implies hypothesis", then
-"hypothesis implies candidate"; the trivial hypothesis takes the same
-path, since `synth.implies` settles "candidate implies true" without a
-solver:
+negative once, so it keeps its solver and every budget already proven
+UNSAT between iterations, and it never proposes a formula twice.  Each
+candidate is compared with the current hypothesis by at most two
+`synth.implies` calls, i.e. bounded countermodel synthesis, first
+"candidate implies hypothesis", then "hypothesis implies candidate"; the
+trivial hypothesis takes the same path, since `synth.implies` settles
+"candidate implies true" without a solver:
 
 * case 1 - the two imply each other within the state budget (both calls
-  answer None): discard the candidate and keep searching.  `synthesize`
-  decides one and two states of each direction, by their families under
-  `synth.FAMILY_CAP` (two states up to 6 propositions) and by the solver
-  above, then refutes it with its tableau before any larger size, so a
-  case 1 costs no sweep above two states whenever the two are equivalent
-  outright.
+  answer None): keep searching.  `synthesize` decides one and two states
+  of each direction, by their families under `synth.FAMILY_CAP` (two
+  states up to 6 propositions) and by the solver above, then refutes it
+  with its tableau before any larger size, so a case 1 costs no sweep
+  above two states whenever the two are equivalent outright.
   The normal form already leaves out every candidate with a subterm that
   a rewrite rule (`encoder.REWRITE_RULES`) shrinks, so the equivalent
   candidates left are those no rule of at most 4 nodes names;
 * case 2 - the candidate strictly strengthens the hypothesis (it implies
   the hypothesis, and the second call's witness satisfies the hypothesis
-  but not the candidate): the witness becomes a negative structure, the
-  candidate is discarded from future searches and becomes the new
-  hypothesis;
+  but not the candidate): the witness becomes a negative structure and
+  the candidate becomes the new hypothesis;
 * case 3 - the candidate does not imply the hypothesis: the first call's
   witness (satisfying the candidate, falsifying the hypothesis) becomes a
-  negative structure, which silently eliminates the candidate from future
+  negative structure, which eliminates the candidate from future
   searches.  Every candidate that holds at a state where the hypothesis
   fails is a case 3, and the rooted negatives below prune those the
   loop already knows such a state for.
+
+The search records every candidate it returns and never returns one
+again (`learner.CandidateSearch._next`).  That record is all a case 1 or
+a case 2 needs: a case-1 candidate is equivalent to the hypothesis within
+the budget, and a case-2 candidate is the hypothesis.  A case-3 candidate
+in the record excludes nothing more: it satisfies the new negative, so
+it is no longer consistent with the sample, and recording it changes no
+later answer, budget trace or clause.  The record only grows, so the
+learner's floor argument holds.
 
 Rooted negatives.  After every case 2 the loop reads the new
 hypothesis h's satisfaction set on every structure, the model and every
@@ -59,10 +66,11 @@ clause (`encoder.add_rooted`).  Each trace entry records the rooted
 negatives its iteration added, and `verify_solution` checks that the
 result fails at every one of them.
 
-The learner returns only formulas of size <= bound, and a candidate
-proposed twice raises `CegError`, so each iteration takes a new formula
-from the finite candidate space of size <= bound and the loop
-terminates; that repeat check is its one termination guard.  Since all
+The learner returns only formulas of size <= bound, and never one twice,
+so each iteration takes a new formula from the finite candidate space of
+size <= bound and the loop terminates.  The loop does not rely on the
+search for that: a candidate proposed twice raises `CegError`, a
+termination guard of its own.  Since all
 negative structures stay within the synthesis budget, every structure in
 N keeps failing the current hypothesis across strengthenings, and a
 violation raises `SynthesisInconsistency`.  The invariant is checked
@@ -202,13 +210,11 @@ def infer(model: KripkeStructure, bound: int,
                                          synth_states, alphabet, seed)
             if countermodel is None:
                 case = 1
-                search.discard(candidate)
             else:
                 # `synthesize` verified that the witness fails the candidate;
                 # the earlier negatives are checked against it below.
                 case = 2
                 search.add_negative(countermodel)
-                search.discard(candidate)
                 hypothesis = candidate
                 first = 0
 

@@ -8,31 +8,30 @@ every formula has an admitted equivalent of no larger size; because
 budgets are tried bottom-up, the first formula found has minimal size.
 
 Both entry points run one search.  A `CandidateSearch` owns a growing
-sample and a discard set D of formulas that must not be proposed again,
-and tries the budgets 1..B in order (`CandidateSearch._next`).  The
-budgets up to `CHECK_CAP` admit few formulas, so the search decides them
-with the checker, trying each formula the normal form admits there
-(`encoder.normal_form_formulas`) on the sample in a fixed order; from the
-budget above on it builds a CNF instance per budget and solves it.
-`learn_minimal` runs the search once on a fixed sample.  The
+sample and the record P of every formula it has returned, and tries the
+budgets 1..B in order (`CandidateSearch._next`), never returning a
+formula of P.  The budgets up to `CHECK_CAP` admit few formulas, so the
+search decides them with the checker, trying each formula the normal form
+admits there (`encoder.normal_form_formulas`) on the sample in a fixed
+order; from the budget above on it builds a CNF instance per budget and
+solves it.  `learn_minimal` runs the search once on a fixed sample.  The
 counterexample-guided loop keeps one search for the whole run and calls
-`infer_candidate` on it, handing it each new negative and discard once.
-The checked budgets read them from the search's own record, on masks
+`infer_candidate` on it, handing it each new negative once.  The checked
+budgets read the sample and P from the search's own record, on masks
 kept per sample structure (`checker.evaluator`); the floor budget's
 instance appends each negative as clauses, and its solver loads them
 before its next solve.  A budget proven UNSAT is never decided again.
 The loop also hands it rooted negatives, states at which every answer
-must fail (`ceg`, `encoder.add_rooted`).  A discard only enters D:
-every formula a solve decodes is re-checked against D, and a hit has
-the numbering it was decoded with blocked before the budget is solved
-again (`_solve_budget`), while the checked budgets read D directly, so
-no discarded formula is ever returned.
+must fail (`ceg`, `encoder.add_rooted`).  P appends no clause: every
+formula a solve decodes is re-checked against P, and a hit has the
+numbering it was decoded with blocked before the budget is solved again
+(`_solve_budget`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Container, NamedTuple
+from typing import Callable, Container, Iterable, NamedTuple
 
 from . import checker, ctl, encoder
 from .ctl import CtlFormula, FrozenRecord
@@ -79,13 +78,14 @@ class NoConsistentFormula(Exception):
 
 
 class Sample(FrozenRecord):
-    """Positive and negative structures over a shared alphabet."""
+    """Positive and negative structures over a shared alphabet, each kept
+    as a tuple whatever iterable it is given as."""
 
     __slots__ = __match_args__ = ("positives", "negatives")
 
-    def __init__(self, positives: tuple[KripkeStructure, ...],
-                 negatives: tuple[KripkeStructure, ...] = ()) -> None:
-        self._fill(positives, negatives)
+    def __init__(self, positives: Iterable[KripkeStructure],
+                 negatives: Iterable[KripkeStructure] = ()) -> None:
+        self._fill(tuple(positives), tuple(negatives))
         if not self.positives and not self.negatives:
             raise ValueError("sample must contain at least one structure")
         alphabet = self.structures[0].alphabet
@@ -161,25 +161,26 @@ class LearnResult(NamedTuple):
 
 
 def _solve_budget(instance: encoder.EncodingInstance,
-                  discarded: Container[CtlFormula],
+                  proposed: Container[CtlFormula],
                   ) -> tuple[CtlFormula | None, BudgetTrace]:
     """Load the instance's solver, solve, decode and re-block until the
-    budget yields a formula not in `discarded` (None once the budget has
+    budget yields a formula not in `proposed` (None once the budget has
     no model left), with the budget's trace.  Every solve is preceded by
     `encoder.load_backend`, so it sees every clause appended so far.
 
-    This is the one place a discarded formula's numbering is blocked:
-    a decoded formula in `discarded` has the literals it was decoded
-    with negated (`encoder.add_block`) before the next solve.  Every
-    admitted DAG has exactly n nodes, so any other size is a broken
-    encoding."""
+    This is the one place a formula already returned is blocked: a
+    decoded formula in `proposed` has the literals it was decoded with
+    negated (`encoder.add_block`) before the next solve.  A block reads
+    only x/l/r variables, so it excludes exactly that numbered DAG, which
+    decodes to a formula that stays in `proposed`.  Every admitted DAG
+    has exactly n nodes, so any other size is a broken encoding."""
     n = instance.size_budget
     started = time.perf_counter()
     formula = None
     while (solver := encoder.load_backend(instance)).solve():
         formula, lits = encoder.decode_with_literals(solver.values(),
                                                      instance)
-        if formula not in discarded:
+        if formula not in proposed:
             break
         encoder.add_block(instance, lits)
         formula = None
@@ -196,19 +197,20 @@ def _solve_budget(instance: encoder.EncodingInstance,
 class CandidateSearch:
     """A growing sample and the size budgets 1..`bound` searched on it.
 
-    Negatives enter one at a time through `add_negative`, rooted
-    negatives through `add_rooted`, and formulas that must not be
-    proposed again through `discard`.  The budgets up to `CHECK_CAP` read
-    them where the search keeps them: the sample, `rooted` and the
-    discard set.  A negative or rooted negative is appended at once to
-    the live instance of the floor budget, if there is one, and every
-    later budget's instance replays them, the rooted ones right after the
-    structures; a discard appends nothing, and `_solve_budget` blocks a
-    discarded formula's numbering when a solve decodes it.  The live
-    solver loads what was appended before each solve.  So the formulas
-    each budget admits only shrink, a budget that was UNSAT stays UNSAT,
-    and `_next` never decides it again.  Rooted negatives are argued in
-    `ceg` and `encoder.add_rooted`.
+    Negatives enter one at a time through `add_negative` and rooted
+    negatives through `add_rooted`; every formula `_next` returns enters
+    the search's record of proposed formulas, and is never returned
+    again.  The budgets up to `CHECK_CAP` read them where the search
+    keeps them: the sample, `rooted` and that record.  A negative or
+    rooted negative is appended at once to the live instance of the
+    floor budget, if there is one, and every later budget's instance
+    replays them, the rooted ones right after the structures; a returned
+    formula appends nothing, and `_solve_budget` blocks its numbering
+    when a solve decodes it again.  The live solver loads what was
+    appended before each solve.  So the formulas each budget admits only
+    shrink, a budget that was UNSAT stays UNSAT, and `_next` never
+    decides it again.  Rooted negatives are argued in `ceg` and
+    `encoder.add_rooted`.
 
     The search is the one record of rooted negatives: `rooted` keeps each
     (structure number, state) pair once, in the order added, and
@@ -222,7 +224,7 @@ class CandidateSearch:
         self.sample = sample
         self.bound = bound
         self.seed = seed
-        self._discarded: set[CtlFormula] = set()
+        self._proposed: set[CtlFormula] = set()
         self._floor = bound + 1 if sample.has_conflict() else 1
         self._live: encoder.EncodingInstance | None = None
         self.rooted: dict[tuple[int, int], None] = {}
@@ -261,24 +263,11 @@ class CandidateSearch:
             encoder.add_rooted(self._live, m, s)
         return True
 
-    def discard(self, formula: CtlFormula) -> None:
-        """Never propose `formula` again.
-
-        Soundness: the formula only enters the discard set.  The checked
-        budgets read that set.  From `CHECK_CAP + 1` on, `_solve_budget`
-        re-checks every decoded formula against it and, on a hit, blocks
-        the numbering it was decoded with before the next solve.  A block
-        reads only x/l/r variables, so it excludes exactly that numbered
-        DAG, which decodes to a discarded formula.  So no discarded
-        formula is returned, the formulas a budget admits still only
-        shrink, and the floor argument of `_next` holds.
-        """
-        self._discarded.add(formula)
-
     def _next(self) -> tuple[LearnResult | None, list[BudgetTrace]]:
         """Smallest normal-form formula consistent with the sample and not
-        discarded (None when no such formula of size <= `bound` exists),
-        with the traces of the budgets decided to find it.
+        returned before (None when no such formula of size <= `bound`
+        exists), with the traces of the budgets decided to find it; the
+        formula found enters the record of proposed formulas.
 
         A budget up to `CHECK_CAP` is decided by the checker (`_check`),
         any other one by solving its CNF instance.  Soundness of the
@@ -287,17 +276,17 @@ class CandidateSearch:
         normal-form, that every instance of the budget starts from.  The
         semantic clauses force the evaluation variables to the checker's
         sets (`encoder.build_semantic`), the consistency clauses and
-        rooted units read them, and `_solve_budget` re-checks the discard
-        set.  So a budget is SAT exactly when `_admits` accepts a
-        candidate not discarded.  The formula found is the first in a
-        fixed order, not a solver's pick, so `seed` only matters from
-        budget `CHECK_CAP + 1` on.
+        rooted units read them, and `_solve_budget` re-checks the record.
+        So a budget is SAT exactly when `_admits` accepts a candidate not
+        yet returned.  The formula found is the first in a fixed order,
+        not a solver's pick, so `seed` only matters from budget
+        `CHECK_CAP + 1` on.
 
         Soundness of the floor: the formulas a budget admits (consistent
-        and not discarded) only shrink, since the sample, the rooted
-        negatives and the discard set only grow, its clause set only
-        grows and a block excludes only a numbering of a formula that
-        stays discarded (`discard`).  So a budget that was UNSAT stays
+        and not yet returned) only shrink, since the sample, the rooted
+        negatives and the record only grow, its clause set only grows and
+        a block excludes only a numbering of a formula that stays in the
+        record (`_solve_budget`).  So a budget that was UNSAT stays
         UNSAT: it is dropped for good, and the search resumes at the
         floor, the first budget not yet proven UNSAT.  No budget
         below the floor admits a formula, so the first SAT budget is
@@ -322,9 +311,10 @@ class CandidateSearch:
                     self._live = encoder.build_instance(
                         n, self.sample.positives, self.sample.negatives,
                         seed=self.seed, rooted=self.rooted)
-                formula, trace = _solve_budget(self._live, self._discarded)
+                formula, trace = _solve_budget(self._live, self._proposed)
             budgets.append(trace)
             if formula is not None:
+                self._proposed.add(formula)
                 return LearnResult(formula, n, tuple(budgets)), budgets
             self._live = None
             self._floor += 1
@@ -332,12 +322,12 @@ class CandidateSearch:
 
     def _check(self, n: int) -> tuple[CtlFormula | None, BudgetTrace]:
         """The first formula of `encoder.normal_form_formulas(n)` that
-        `_admits` and that is not discarded (None when there is none),
-        with the budget's trace."""
+        `_admits` and that was not returned before (None when there is
+        none), with the budget's trace."""
         started = time.perf_counter()
         alphabet = self.sample.structures[0].alphabet
         found = next((f for f in encoder.normal_form_formulas(n, alphabet)
-                      if f not in self._discarded and self._admits(f)),
+                      if f not in self._proposed and self._admits(f)),
                      None)
         millis = (time.perf_counter() - started) * 1000.0
         return found, BudgetTrace(n, found is not None, 0, 0, millis)
@@ -391,10 +381,11 @@ def learn_minimal(sample: Sample, max_size: int,
 def infer_candidate(search: CandidateSearch) -> LearnResult | None:
     """The next candidate of the counterexample-guided loop: the smallest
     normal-form formula (`encoder.build_normal_form`) consistent with
-    `search.sample` and syntactically different from every discarded
-    formula, or None when no such formula of size <= `search.bound`
-    exists.  Every formula has a normal-form equivalent of no larger
-    size, but discarding a formula discards none of its equivalents.
-    The `budgets` of the result trace the budgets decided by this call.
+    `search.sample` and syntactically different from every formula the
+    search returned before, or None when no such formula of size <=
+    `search.bound` exists.  Every formula has a normal-form equivalent of
+    no larger size, but a returned formula excludes none of its
+    equivalents.  The `budgets` of the result trace the budgets decided
+    by this call.
     """
     return search._next()[0]

@@ -192,7 +192,7 @@ def test_criterion_4_learned_size_equals_brute_force_minimum():
 
 
 def test_criterion_5_candidate_inference_contract():
-    with criterion(5, "100 randomized calls"):
+    with criterion(5, "100 randomized searches"):
         enum3 = [f for f in ENF4_PQ if ctl.size(f) <= 3]
         for seed in range(100):
             rng = random.Random(2000 + seed)
@@ -200,20 +200,24 @@ def test_criterion_5_candidate_inference_contract():
             negatives = [helpers.random_kripke(rng, 3)
                          for _ in range(rng.randint(0, 2))]
             bound = rng.randint(1, 3)
-            discarded = rng.sample(enum3, rng.randint(0, 6))
             search = learner.CandidateSearch(
                 Sample((model,), tuple(negatives)), bound, seed=0)
-            for formula in discarded:
-                search.discard(formula)
+            # The search's own first k answers are excluded from the next.
+            returned = []
+            for _ in range(rng.randint(0, 6)):
+                found = learner.infer_candidate(search)
+                if found is None:
+                    break
+                returned.append(found.formula)
             result = learner.infer_candidate(search)
             # The search space is the normal form: every formula has an
-            # admitted equivalent, but discarding an admitted formula
-            # does not discard its non-admitted twins.
+            # admitted equivalent, but returning an admitted formula
+            # excludes none of its non-admitted twins.
             sizes = [ctl.size(f) for f in enum3
                      if ctl.size(f) <= bound
                      and helpers.admitted_dag(f, ("p", "q"))
                      and helpers.consistent_by_oracle(f, [model], negatives)
-                     and f not in discarded]
+                     and f not in returned]
             if result is None:
                 assert not sizes, seed
                 continue
@@ -221,7 +225,7 @@ def test_criterion_5_candidate_inference_contract():
             assert checker.holds(model, f), seed
             assert ctl.size(f) == min(sizes), seed
             assert not any(checker.holds(neg, f) for neg in negatives), seed
-            assert f not in discarded, seed
+            assert f not in returned, seed
 
 
 def test_criterion_6_ceg_terminates_with_certified_eg_p():

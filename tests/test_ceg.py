@@ -165,9 +165,9 @@ def test_every_solve_follows_one_load(monkeypatch):
 
 
 def test_a_candidate_proposed_twice_raises(monkeypatch):
-    """The repeat check is the loop's one termination guard: a learner
-    that proposes `p` a second time, after it became the hypothesis,
-    stops the run."""
+    """The repeat check is the loop's own termination guard, apart from
+    the search's record of what it returned: a learner that proposes `p`
+    a second time, after it became the hypothesis, stops the run."""
     m = helpers.load_fixture("selfloop_p.kripke")
     p = ctl.Prop("p")
     proposed = []

@@ -389,6 +389,19 @@ class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run([]) == 2
 
+    def test_closed_stdout_is_one_usage_error(self, capsys, monkeypatch):
+        """Standard output closed by its reader (`BrokenPipeError`, an
+        `OSError`) exits 2 with one `error:` line and no traceback."""
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        code = run(["check", str(FIX / "selfloop_p.kripke"), "p"])
+        err = capsys.readouterr().err
+        assert_usage_error(code, err)
+        assert err.splitlines() == ["error: [Errno 32] Broken pipe"]
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 2
 

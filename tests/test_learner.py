@@ -72,6 +72,18 @@ class TestSample:
         with pytest.raises(ValueError):
             Sample(positives=())
 
+    def test_list_and_tuple_samples_learn_alike(self):
+        """Both fields are kept as tuples, so a sample given lists equals
+        the one given tuples and learns the same formula."""
+        pos = helpers.load_fixture("two_state_pq.kripke")
+        neg = helpers.load_fixture("sink_q.kripke")
+        pairs = ((Sample([pos]), Sample((pos,))),
+                 (Sample((pos,), [neg]), Sample((pos,), (neg,))))
+        for listed, tupled in pairs:
+            assert listed == tupled
+            assert (learner.learn_minimal(listed, 4, seed=0).formula
+                    == learner.learn_minimal(tupled, 4, seed=0).formula)
+
 
 class TestLearnMinimal:
     def test_single_proposition(self):
@@ -168,31 +180,41 @@ def record_decodes(monkeypatch):
     return decoded
 
 
-def discard_checked_budgets(state):
-    """Discard every formula of size <= `learner.CHECK_CAP`, so the
-    search's first answer comes from a CNF instance."""
-    alphabet = state.sample.structures[0].alphabet
-    for formula in ctl.enumerate_formulas(alphabet, learner.CHECK_CAP):
-        state.discard(formula)
+def answers(state, count=None, above=None):
+    """The `LearnResult`s `infer_candidate` gives on `state`, in order,
+    until it gives None, gives `count` of them, or gives one of size
+    above `above`, which ends the list.  A formula given twice fails the
+    test, so a search that repeats one cannot loop forever."""
+    found = []
+    while count is None or len(found) < count:
+        got = learner.infer_candidate(state)
+        if got is None:
+            break
+        assert got.formula not in {f.formula for f in found}
+        found.append(got)
+        if above is not None and got.size > above:
+            break
+    return found
 
 
-def search(model, bound, negatives=(), discarded=(), seed=None):
-    """One `infer_candidate` call on a fresh search."""
-    state = learner.CandidateSearch(Sample((model,), tuple(negatives)),
-                                    bound, seed)
-    for formula in discarded:
-        state.discard(formula)
-    return learner.infer_candidate(state)
+def formulas_of(results):
+    return [result.formula for result in results]
+
+
+def search(model, bound, negatives=(), seed=None):
+    """A fresh search on `model` and `negatives`."""
+    return learner.CandidateSearch(Sample((model,), tuple(negatives)),
+                                   bound, seed)
 
 
 class TestInferCandidate:
     def test_discarded_formulas_are_avoided(self):
+        """A formula the search returned is not returned again."""
         m = helpers.load_fixture("selfloop_p.kripke")
         p = ctl.Prop("p")
-        state = learner.CandidateSearch(Sample((m,)), 2, seed=3)
+        state = search(m, 2, seed=3)
         first = learner.infer_candidate(state)
         assert first is not None and first.formula == p
-        state.discard(p)
         second = learner.infer_candidate(state)
         assert second is not None
         assert second.formula != p
@@ -200,13 +222,16 @@ class TestInferCandidate:
         assert helpers.naive_holds(m, second.formula)
 
     def test_discarding_embedded_formula_at_larger_budget(self):
-        """A discarded size-1 formula is not returned from budget 2."""
+        """A returned size-1 formula is not returned from budget 2: under
+        every seed the search returns p once, first, and then only
+        formulas of size 2, each once."""
         m = helpers.load_fixture("selfloop_p.kripke")
         p = ctl.Prop("p")
         for seed in range(8):
-            got = search(m, 2, discarded=(p,), seed=seed)
-            assert got is not None
-            assert got.formula != p
+            got = formulas_of(answers(search(m, 2, seed=seed)))
+            assert got[0] == p
+            assert len(got) == len(set(got)) > 1
+            assert all(ctl.size(f) == 2 for f in got[1:])
 
     @staticmethod
     def pinned_twins():
@@ -234,8 +259,8 @@ class TestInferCandidate:
         return instance, twins
 
     def test_renumbered_discard_is_reblocked(self, monkeypatch):
-        """Discarding both twins leaves their unblocked DAGs: each is
-        decoded once, re-blocked, and the budget ends UNSAT."""
+        """With both twins already proposed, their unblocked DAGs are left:
+        each is decoded once, re-blocked, and the budget ends UNSAT."""
         instance, twins = self.pinned_twins()
         decoded = record_decodes(monkeypatch)
         formula, trace = learner._solve_budget(instance, set(twins))
@@ -255,21 +280,19 @@ class TestInferCandidate:
         assert header == f"p cnf {instance.num_vars} {loaded + 2}"
 
     def test_discard_is_blocked_by_the_next_solve(self, monkeypatch):
-        """Discarding the candidate just returned appends no clause; the
-        next call decodes it at most once, blocks the numbering it was
-        decoded with, and returns a different formula."""
+        """Returning a solved candidate appends no clause; the next call
+        decodes it at most once, blocks the numbering it was decoded
+        with, and returns a different formula."""
         m = helpers.load_fixture("two_state_pq.kripke")
         decoded = record_decodes(monkeypatch)
-        state = learner.CandidateSearch(Sample((m,)), 4, seed=1)
-        discard_checked_budgets(state)
-        first = learner.infer_candidate(state)
-        assert first is not None and first.size == 4
+        state = search(m, 4, seed=1)
+        first = answers(state, above=learner.CHECK_CAP)[-1]
+        assert first.size == 4
         formula, lits = decoded[-1]
         assert formula == first.formula
         instance = state._live
         loaded = instance.num_clauses
-        state.discard(formula)
-        assert instance.num_clauses == loaded
+        assert first.budgets[-1].clauses == loaded
         decoded.clear()
         second = learner.infer_candidate(state)
         assert second is not None and second.formula != formula
@@ -279,31 +302,39 @@ class TestInferCandidate:
                     tuple(-helpers.signed(lit) for lit in lits)]
 
     def test_negatives_and_discards_together(self):
+        """A negative added after two answers: every later answer is
+        neither of them and separates the sample."""
         m = helpers.load_fixture("selfloop_p.kripke")
         neg = helpers.load_fixture("selfloop_empty.kripke")
-        discarded = (ctl.Prop("p"), ctl.ExistsGlobally(ctl.Prop("p")))
-        got = search(m, 2, negatives=(neg,), discarded=discarded, seed=1)
-        assert got is not None
-        f = got.formula
-        assert f not in discarded
-        assert helpers.naive_holds(m, f)
-        assert not helpers.naive_holds(neg, f)
+        state = search(m, 2, seed=1)
+        returned = [learner.infer_candidate(state).formula
+                    for _ in range(2)]
+        state.add_negative(neg)
+        later = formulas_of(answers(state))
+        assert later
+        for f in later:
+            assert f not in returned
+            assert helpers.naive_holds(m, f)
+            assert not helpers.naive_holds(neg, f)
 
     def test_none_when_space_exhausted(self):
+        """The search returns each admitted size-<=2 separator once and
+        then nothing, on every later call too."""
         m = helpers.load_fixture("selfloop_p.kripke")
         neg = helpers.load_fixture("selfloop_empty.kripke")
-        # Discarding every size-<=2 separator leaves nothing to find.
-        separators = [
+        separators = {
             f for f in ctl.enumerate_formulas(("p",), 2)
-            if helpers.naive_holds(m, f) and not helpers.naive_holds(neg, f)
-        ]
-        got = search(m, 2, negatives=(neg,), discarded=tuple(separators),
-                     seed=0)
-        assert got is None
+            if helpers.admitted_dag(f, ("p",)) and helpers.naive_holds(m, f)
+            and not helpers.naive_holds(neg, f)
+        }
+        state = search(m, 2, negatives=(neg,), seed=0)
+        got = formulas_of(answers(state))
+        assert len(got) == len(set(got)) and set(got) == separators
+        assert learner.infer_candidate(state) is None
 
     def test_conflicting_negative_returns_none(self):
         m = helpers.load_fixture("selfloop_p.kripke")
-        assert search(m, 2, negatives=(m,)) is None
+        assert learner.infer_candidate(search(m, 2, negatives=(m,))) is None
 
     def test_conflicting_sample_builds_no_instance(self, monkeypatch):
         def no_build(*args, **kwargs):
@@ -328,8 +359,6 @@ class TestInferCandidate:
         monkeypatch.setattr(Sample, "has_conflict", no_check)
         state.add_negative(two_cycle_p())
         assert learner.infer_candidate(state) is None
-        # p is no longer the last candidate, and no solver is live.
-        state.discard(ctl.Prop("p"))
 
     def test_rejects_bad_bound(self):
         m = helpers.load_fixture("selfloop_p.kripke")
@@ -337,15 +366,15 @@ class TestInferCandidate:
             learner.CandidateSearch(Sample((m,)), 0)
 
     def test_rooted_negatives_reach_the_live_and_every_later_budget(self):
-        """Rooted negatives added after the first answer, then a discard of
-        every answer: the search returns exactly the admitted formulas of
-        size <= 3 that hold on the model and fail at every rooted state,
-        each once and smallest first, from the live budget and from the
-        budgets built after it."""
+        """Rooted negatives added after the first answer: the search then
+        returns exactly the other admitted formulas of size <= 3 that hold
+        on the model and fail at every rooted state, each once and
+        smallest first, from the live budget and from the budgets built
+        after it."""
         alphabet = ("p", "q")
         formulas = helpers._enf_formulas(alphabet, 3)
         rng = random.Random(3103)
-        answers = 0
+        total = 0
         for _ in range(10):
             m = helpers.random_kripke(rng, 3, alphabet, min_states=3)
             model = KripkeStructure(
@@ -357,11 +386,7 @@ class TestInferCandidate:
             rooted = rng.sample([(0, 1), (0, 2)], rng.randint(1, 2))
             for m, s in rooted:
                 state.add_rooted(m, s)
-            state.discard(first)
-            seen = []
-            while (found := learner.infer_candidate(state)) is not None:
-                seen.append(found.formula)
-                state.discard(found.formula)
+            seen = formulas_of(answers(state))
             expected = {f for f in formulas
                         if f != first and helpers.admitted_dag(f, alphabet)
                         and helpers.naive_holds(model, f)
@@ -371,8 +396,8 @@ class TestInferCandidate:
             assert set(seen) == expected
             sizes = [ctl.size(f) for f in seen]
             assert sizes == sorted(sizes)
-            answers += len(seen)
-        assert answers > 20
+            total += len(seen)
+        assert total > 20
 
     def test_a_repeated_rooted_negative_is_held_once(self, monkeypatch):
         """The search is the one record of rooted negatives: a pair it
@@ -380,9 +405,8 @@ class TestInferCandidate:
         the next budget's instance replays each pair once, in the order
         first added, as a fresh build handed each pair once does."""
         model = helpers.load_fixture("chain3.kripke")
-        state = learner.CandidateSearch(Sample((model,)), 5, seed=0)
-        discard_checked_budgets(state)
-        found = learner.infer_candidate(state)
+        state = search(model, 5, seed=0)
+        found = answers(state, above=learner.CHECK_CAP)[-1]
         assert found.size == 4
         assert state.add_rooted(0, 2) is True
         assert state.add_rooted(0, 1) is True
@@ -397,56 +421,51 @@ class TestInferCandidate:
         monkeypatch.undo()
         assert len(live.clauses) == loaded
         assert list(state.rooted) == [(0, 2), (0, 1)]
-        while found.size == 4:
-            state.discard(found.formula)
-            found = learner.infer_candidate(state)
+        found = answers(state, above=4)[-1]
         assert found.size == 5 and state._live is not live
         fresh = encoder.build_instance(5, (model,), seed=0,
                                        rooted=[(0, 2), (0, 1)])
         assert state._live.clauses == fresh.clauses
 
     def test_persistent_search_matches_fresh_searches(self):
-        """Negatives and discards arrive one at a time, as in the CEG loop;
-        after each step the persistent answer keeps the contract, and its
-        size is the minimum a fresh search finds with the same input.
-        Bounds reach 4, so some answers come from a live CNF instance that
-        has seen discards."""
+        """Negatives arrive one at a time between answers, as in the CEG
+        loop; after each step the persistent answer keeps the contract,
+        and its size is that of the first answer not returned before by a
+        fresh search with the same negatives, which returns every
+        consistent formula once, smallest first.  Bounds reach 4, so some
+        answers come from a live CNF instance that has re-blocked answers
+        it returned before."""
         rng = random.Random(909)
-        steps = answers = solved = 0
+        steps = found = solved = 0
         while steps < 120:
             model = helpers.random_kripke(rng, 3, min_states=2)
             bound = rng.randint(2, 4)
-            state = learner.CandidateSearch(Sample((model,)), bound, seed=0)
-            negatives, discarded = [], []
+            state = search(model, bound, seed=0)
+            negatives, returned = [], []
             last = None
             for _ in range(12):
-                if last is not None and rng.random() < 0.7:
-                    discarded.append(last.formula)
-                    state.discard(discarded[-1])
-                elif rng.random() < 0.5:
-                    discarded.append(helpers.random_enf(rng, ("p", "q"),
-                                                        bound))
-                    state.discard(discarded[-1])
-                else:
+                if last is None or rng.random() < 0.3:
                     negatives.append(helpers.random_kripke(
                         rng, 3, min_states=2))
                     state.add_negative(negatives[-1])
                 steps += 1
                 last = learner.infer_candidate(state)
-                fresh = search(model, bound, list(negatives),
-                               list(discarded), seed=steps)
-                assert (last is None) == (fresh is None), steps
+                fresh = search(model, bound, negatives, seed=steps)
+                first = next((got for got in answers(fresh, len(returned) + 1)
+                              if got.formula not in returned), None)
+                assert (last is None) == (first is None), steps
                 if last is None:
                     break
-                answers += 1
+                found += 1
                 solved += last.size > learner.CHECK_CAP
                 f = last.formula
-                assert last.size == ctl.size(f) == fresh.size, steps
-                assert f not in discarded, steps
+                assert last.size == ctl.size(f) == first.size, steps
+                assert f not in returned, steps
                 assert helpers.naive_holds(model, f), steps
                 assert not any(helpers.naive_holds(neg, f)
                                for neg in negatives), steps
-        assert answers >= 60 and solved >= 15
+                returned.append(f)
+        assert found >= 60 and solved >= 15
 
 
 def random_search_input(rng, alphabet=("p", "q")):
@@ -529,28 +548,25 @@ class TestCheckedBudgets:
             assert orders[0] == orders[1]
 
     def test_verdict_matches_the_cnf_instance(self):
-        """On random samples with rooted negatives and discards, each
-        checked budget's verdict is that of solving its CNF instance,
-        and a found formula keeps every part of the contract."""
+        """On random samples with rooted negatives, after up to 6 answers,
+        each checked budget's verdict is that of solving its CNF instance
+        with those answers excluded, and a found formula keeps every part
+        of the contract."""
         rng = random.Random(4917)
         sat_verdicts = 0
-        discardable = [f for n in (2, 3)
-                       for f in encoder.normal_form_formulas(n, ("p", "q"))]
-        for _ in range(60):
+        for _ in range(100):
             pos, neg, rooted = random_search_input(rng)
             sample = Sample(tuple(pos), tuple(neg))
             structures = sample.structures
-            discarded = set(rng.sample(discardable, rng.randint(0, 6)))
             state = learner.CandidateSearch(sample, 3)
             for m, s in rooted:
                 state.add_rooted(m, s)
-            for f in discarded:
-                state.discard(f)
+            returned = set(formulas_of(answers(state, rng.randint(0, 6))))
             for n in (1, 2, 3):
                 found, trace = state._check(n)
                 instance = encoder.build_instance(n, pos, neg, seed=0,
                                                   rooted=rooted)
-                solved, _ = learner._solve_budget(instance, discarded)
+                solved, _ = learner._solve_budget(instance, returned)
                 assert (found is None) == (solved is None)
                 assert trace.satisfiable == (found is not None)
                 assert (trace.size, trace.variables, trace.clauses) == (
@@ -558,7 +574,7 @@ class TestCheckedBudgets:
                 if found is None:
                     continue
                 sat_verdicts += 1
-                assert ctl.size(found) == n and found not in discarded
+                assert ctl.size(found) == n and found not in returned
                 assert helpers.consistent_by_oracle(found, pos, neg)
                 assert not any(s in helpers.naive_sat(structures[m], found)
                                for m, s in rooted)
@@ -566,14 +582,13 @@ class TestCheckedBudgets:
 
     def test_learn_minimal_matches_brute_force(self):
         """`learn_minimal` finds the size of `helpers.brute_force_minimum`;
-        with rooted negatives and discards, a search finds the smallest
-        size of a formula that the normal form admits (found by trying
-        every numbering) and that keeps them."""
+        with rooted negatives, after up to 6 answers, a search finds the
+        smallest size of a formula that the normal form admits (found by
+        trying every numbering), that keeps them and that it has not
+        returned."""
         rng = random.Random(5023)
         small = kept = 0
-        discardable = [f for n in (1, 2, 3)
-                       for f in encoder.normal_form_formulas(n, ("p", "q"))]
-        for _ in range(40):
+        for _ in range(100):
             pos, neg, rooted = random_search_input(rng)
             sample = Sample(tuple(pos), tuple(neg))
             oracle = helpers.brute_force_minimum(pos, neg, 3)
@@ -585,19 +600,17 @@ class TestCheckedBudgets:
                 small += 1
                 assert result.size == oracle[0]
                 assert helpers.consistent_by_oracle(result.formula, pos, neg)
-            discarded = set(rng.sample(discardable, rng.randint(0, 6)))
+            state = learner.CandidateSearch(sample, 3)
+            for m, s in rooted:
+                state.add_rooted(m, s)
+            returned = set(formulas_of(answers(state, rng.randint(0, 6))))
             structures = sample.structures
             sizes = [ctl.size(f) for f in helpers._enf_formulas(("p", "q"), 3)
-                     if f not in discarded
+                     if f not in returned
                      and helpers.admitted_dag(f, ("p", "q"))
                      and helpers.consistent_by_oracle(f, pos, neg)
                      and not any(s in helpers.naive_sat(structures[m], f)
                                  for m, s in rooted)]
-            state = learner.CandidateSearch(sample, 3)
-            for m, s in rooted:
-                state.add_rooted(m, s)
-            for f in discarded:
-                state.discard(f)
             found = learner.infer_candidate(state)
             assert (found is None) == (not sizes)
             if found is not None:
@@ -623,9 +636,8 @@ class TestCheckedBudgets:
         assert small >= 15
 
     def test_small_answers_build_no_instance(self, monkeypatch):
-        """Budgets 1 to 3 build no CNF; a discard of their answer only
-        records it, and a negative or rooted negative only reaches the
-        search's own record."""
+        """Budgets 1 to 3 build no CNF: their answer, a negative and a
+        rooted negative only reach the search's own record."""
         def no_build(*args, **kwargs):
             raise AssertionError("a checked budget built an instance")
 
@@ -634,7 +646,6 @@ class TestCheckedBudgets:
         state = learner.CandidateSearch(Sample((m,)), 3, seed=5)
         first = learner.infer_candidate(state)
         assert first.formula == ctl.Prop("p")
-        state.discard(first.formula)
         state.add_negative(helpers.load_fixture("selfloop_empty.kripke"))
         assert state.add_rooted(1, 0) is True
         second = learner.infer_candidate(state)
@@ -659,13 +670,10 @@ class TestCheckedBudgets:
         monkeypatch.setattr(checker, "evaluate", counting)
         m = helpers.load_fixture("two_state_pq.kripke")
         state = learner.CandidateSearch(Sample((m,)), 2)
-        answers = 0
-        while (found := learner.infer_candidate(state)) is not None:
-            answers += 1
-            state.discard(found.formula)
-            if answers % 3 == 0:
-                state.add_negative(helpers.random_kripke(
-                    random.Random(answers), 3))
-        assert answers >= 3
+        count = 0
+        while found := answers(state, 3):
+            count += len(found)
+            state.add_negative(helpers.random_kripke(random.Random(count), 3))
+        assert count >= 3
         keys = [(id(struct), f) for struct, f in evaluated]
         assert len(keys) == len(set(keys)) > 0
